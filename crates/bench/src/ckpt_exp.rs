@@ -19,7 +19,8 @@
 //!   plus diff bookkeeping and the ratio approaches 1×.
 //!
 //! Rows are merged into `BENCH_perf.json` under the `ckpt` section; the
-//! CI smoke gate greps the read-mostly pause row for a ≥5× reduction.
+//! CI smoke gate greps the read-mostly rows: bytes ratio ≥10× (exact
+//! count) and an incremental pause below the full one.
 
 use crate::perf_exp::startup_binary;
 use crate::{merge_bench_json, render_table, JsonRow};

@@ -29,15 +29,19 @@
 //! * [`Arena`] — a growable heap built from pinned chunks with a first-fit
 //!   free list; per-rank user heap allocations come from here.
 //! * [`RankMemory`] — the full migratable memory image of one rank.
+//! * [`checksum64`] — the one integrity seal used for images, deltas,
+//!   messages and segment audits.
 //! * [`pup`] — Charm++-style Pack/UnPack framework for typed data that
 //!   must cross address-space boundaries *by value* (messages, LB stats).
 
 pub mod arena;
+pub mod checksum;
 pub mod pup;
 pub mod rank_memory;
 pub mod region;
 
 pub use arena::{AllocError, Arena, ArenaStats, GuardViolation, IsoPtr, POISON};
+pub use checksum::{checksum64, fold64};
 pub use pup::{PupError, Puppable, Sizer, Unpacker, Packer};
 pub use rank_memory::{ImageDelta, MigrationBuffer, RankMemory, RankMemoryStats, RegionDiffPlan};
 pub use region::{Region, RegionKind};

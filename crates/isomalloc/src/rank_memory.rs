@@ -17,6 +17,7 @@
 //! what makes interior pointers (stack frames, heap links) survive.
 
 use crate::arena::Arena;
+use crate::checksum::{checksum64, fold64};
 use crate::region::{Region, RegionKind};
 use bytes::{Buf, BufMut, BytesMut};
 use std::fmt;
@@ -43,10 +44,10 @@ impl RankMemoryStats {
 
 /// The packed wire form of a rank's memory.
 ///
-/// `Clone` supports buddy checkpointing: a rank's image is held both at
-/// its home PE and at that PE's buddy, so losing one PE cannot lose the
-/// image.
-#[derive(Clone)]
+/// A checkpoint's base image is immutable once packed; the migration
+/// path instead keeps one buffer and refills it
+/// ([`RankMemory::pack_with_sources_into`]).
+#[derive(Clone, Default)]
 pub struct MigrationBuffer {
     buf: BytesMut,
 }
@@ -64,9 +65,10 @@ impl MigrationBuffer {
         &self.buf
     }
 
-    /// FNV-1a checksum of the payload, for integrity tests.
+    /// [`checksum64`] seal of the image. A checkpoint records it at pack
+    /// time and a restore refuses any image whose seal no longer matches.
     pub fn checksum(&self) -> u64 {
-        fnv1a(&self.buf)
+        checksum64(&self.buf)
     }
 }
 
@@ -82,7 +84,8 @@ pub enum RegionDiffPlan {
     Pages {
         /// Page size the `pages` indices are expressed in.
         page_size: usize,
-        /// `(page index, page bytes)` — the final page may be partial.
+        /// `(page index, page bytes)`, ascending — the final page may be
+        /// partial.
         pages: Vec<(u32, Vec<u8>)>,
     },
 }
@@ -90,11 +93,13 @@ pub enum RegionDiffPlan {
 /// A sparse byte patch against a packed [`MigrationBuffer`] image — the
 /// incremental-checkpoint delta. Offsets index the *packed image* (the
 /// same coordinate space [`RankMemory::pack`] writes, headers included),
-/// so applying a delta chain in order to a copy of the base image
-/// reconstructs the newest full image byte-identically.
+/// so a base image read through its delta chain, newest delta first, *is*
+/// the newest full image, byte for byte.
 #[derive(Debug, Clone, Default)]
 pub struct ImageDelta {
-    /// `(image offset, payload)` per dirty page-chunk, ascending.
+    /// `(image offset, payload)` per dirty page-chunk, ascending and
+    /// non-overlapping ([`RankMemory::diff_pages_against_chain`] builds
+    /// them so; [`RankMemory::verify_delta`] re-checks before a restore).
     ranges: Vec<(u64, Vec<u8>)>,
 }
 
@@ -113,40 +118,35 @@ impl ImageDelta {
         self.ranges.iter().map(|(_, b)| b.len()).sum()
     }
 
-    /// FNV-1a over every range's offset, length, and payload — integrity
-    /// seal for the delta's trip to the buddy PE.
+    /// Integrity seal for the delta's trip to the buddy PE and its stay
+    /// there: the range count, then every range's offset and
+    /// [`checksum64`] (which covers the payload's length) folded in order.
     pub fn checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        for (off, bytes) in &self.ranges {
-            mix(&off.to_le_bytes());
-            mix(&(bytes.len() as u64).to_le_bytes());
-            mix(bytes);
-        }
-        h
-    }
-
-    /// Whether every range lies inside an image of `image_len` bytes —
-    /// checked before [`Self::apply_to`] so a bad delta can never write
-    /// out of bounds.
-    pub fn verify_bounds(&self, image_len: usize) -> bool {
         self.ranges
             .iter()
-            .all(|(off, b)| (*off as usize).checked_add(b.len()).is_some_and(|end| end <= image_len))
+            .fold(self.ranges.len() as u64, |h, (off, bytes)| {
+                fold64(fold64(h, *off), checksum64(bytes))
+            })
     }
 
-    /// Patch `img` in place. Caller must have checked
-    /// [`Self::verify_bounds`] against `img.len()`.
-    pub fn apply_to(&self, img: &mut MigrationBuffer) {
-        for (off, bytes) in &self.ranges {
-            let off = *off as usize;
-            img.buf[off..off + bytes.len()].copy_from_slice(bytes);
-        }
+    /// Payload of the range starting at image offset `off`, if any.
+    fn range_at(&self, off: usize) -> Option<&[u8]> {
+        self.ranges
+            .binary_search_by_key(&(off as u64), |(o, _)| *o)
+            .ok()
+            .map(|i| &self.ranges[i].1[..])
+    }
+
+    /// No range straddles an edge of the chunk `o..o + n`: this delta was
+    /// cut on the grid that chunk belongs to.
+    fn on_grid_at(&self, o: usize, n: usize) -> bool {
+        let i = self.ranges.partition_point(|(s, _)| (*s as usize) < o);
+        let clear_before = i == 0 || {
+            let (s, b) = &self.ranges[i - 1];
+            *s as usize + b.len() <= o
+        };
+        let next = self.ranges.get(i).map(|(s, _)| *s as usize);
+        clear_before && next.is_none_or(|s| s == o || s >= o + n)
     }
 
     /// Fault-injection hook: flip one payload byte (index `at`, wrapped
@@ -169,18 +169,13 @@ impl ImageDelta {
     }
 }
 
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 const MAGIC: u32 = 0x50_56_52_4D; // "PVRM"
+/// Image header: magic (u32) + region count (u64).
+const HEADER_LEN: usize = 12;
+/// Per-region header: kind tag (u8) + body length (u64).
+const REGION_HEADER_LEN: usize = 9;
 
-/// Errors from unpacking a migration buffer.
+/// Errors from unpacking a migration buffer or applying a delta to it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UnpackError {
     BadMagic,
@@ -188,6 +183,9 @@ pub enum UnpackError {
     /// migration must land on a memory image with identical shape.
     LayoutMismatch { expected: usize, got: usize },
     Truncated,
+    /// A delta range is out of ascending order, overlaps its predecessor,
+    /// or does not lie wholly inside one region's body.
+    BadDeltaRange { offset: u64 },
 }
 
 impl fmt::Display for UnpackError {
@@ -198,6 +196,10 @@ impl fmt::Display for UnpackError {
                 write!(f, "migration buffer: layout mismatch ({expected} vs {got})")
             }
             UnpackError::Truncated => write!(f, "migration buffer: truncated"),
+            UnpackError::BadDeltaRange { offset } => write!(
+                f,
+                "image delta: range at offset {offset} is out of order or not inside one region"
+            ),
         }
     }
 }
@@ -295,29 +297,35 @@ impl RankMemory {
     /// can skip `CodeSegment` regions and rebuild them from the local
     /// image at the destination.
     pub fn pack_with(&self, include: impl Fn(RegionKind) -> bool) -> MigrationBuffer {
-        self.pack_with_sources(include, |_| None)
+        let mut out = MigrationBuffer::default();
+        self.pack_with_sources_into(&mut out, include, |_| None);
+        out
     }
 
-    /// [`Self::pack_with`], but a region for which `source` returns
-    /// `Some(bytes)` packs those bytes instead of its live memory (padded
-    /// or truncated to the region's length). This lets a COW privatizer
-    /// supply a *read-through* view of its page table — template bytes
-    /// for shared pages, backing bytes for private ones — so checkpoint
-    /// packing never has to materialize the backing store.
-    pub fn pack_with_sources(
+    /// [`Self::pack_with`] into a buffer the caller keeps: `out` is
+    /// cleared and refilled, so a buffer reused across migrations is
+    /// allocated (and its pages faulted in) once, and every later pack is
+    /// the memcpy alone.
+    ///
+    /// A region for which `source` returns `Some(bytes)` packs those
+    /// bytes instead of its live memory (padded or truncated to the
+    /// region's length). This lets a COW privatizer supply a
+    /// *read-through* view of its page table — template bytes for shared
+    /// pages, backing bytes for private ones — so packing never has to
+    /// materialize the backing store.
+    pub fn pack_with_sources_into(
         &self,
+        out: &mut MigrationBuffer,
         include: impl Fn(RegionKind) -> bool,
         mut source: impl FnMut(&Region) -> Option<Vec<u8>>,
-    ) -> MigrationBuffer {
-        let total = self.migration_bytes_with(&include);
-        let mut buf = BytesMut::with_capacity(total + 64 + self.region_count() * 16);
-        buf.put_u32(MAGIC);
+    ) {
         let n = self.all_regions().filter(|r| include(r.kind())).count();
+        let buf = &mut out.buf;
+        buf.clear();
+        buf.reserve(HEADER_LEN + n * REGION_HEADER_LEN + self.migration_bytes_with(&include));
+        buf.put_u32(MAGIC);
         buf.put_u64(n as u64);
-        for r in self.all_regions() {
-            if !include(r.kind()) {
-                continue;
-            }
+        for r in self.all_regions().filter(|r| include(r.kind())) {
             buf.put_u8(kind_tag(r.kind()));
             buf.put_u64(r.len() as u64);
             match source(r) {
@@ -333,83 +341,97 @@ impl RankMemory {
             regions: n as u32,
             bytes: buf.len() as u64,
         });
-        MigrationBuffer { buf }
     }
 
-    /// Diff this rank's live memory against a previously packed image,
-    /// producing the sparse [`ImageDelta`] that turns `prev` into the
-    /// image [`Self::pack`] would produce now.
+    /// [`Self::diff_pages_against_chain`] with an empty chain: `prev` is
+    /// the whole previous image.
+    pub fn diff_pages_against(
+        &self,
+        prev: &MigrationBuffer,
+        page_size: usize,
+        plan_for: impl FnMut(&Region) -> RegionDiffPlan,
+    ) -> Option<ImageDelta> {
+        self.diff_pages_against_chain(prev, &[], page_size, plan_for)
+    }
+
+    /// Diff this rank's live memory against the previous capture,
+    /// producing the sparse [`ImageDelta`] that turns it into the image
+    /// [`Self::pack`] would produce now.
+    ///
+    /// The previous capture is `base` read through `chain` (oldest delta
+    /// first) and is never materialized: the previous bytes of the chunk
+    /// at image offset `o` are the newest chained delta's range starting
+    /// at `o`, else `base[o..]`. That lookup is exact because every delta
+    /// of one chain is cut at the same offsets — `chain` must have been
+    /// produced by this function against `base`, with the same
+    /// `page_size` and the same kind of plan per region (a chunk whose
+    /// length differs from its predecessor's compares unequal and is
+    /// re-emitted). Debug builds assert it: no chained range may straddle
+    /// an edge of a chunk being looked up.
     ///
     /// `plan_for` chooses per region: [`RegionDiffPlan::Scan`] memcmps
     /// the live bytes in `page_size` chunks; [`RegionDiffPlan::Pages`]
     /// supplies an explicit dirty-page list (with read-through payloads),
     /// so the region's live memory is never touched. Either way, chunks
-    /// byte-equal to `prev` are skipped — stale dirty stamps cost compare
-    /// time, never delta bytes.
+    /// byte-equal to the previous capture are skipped — stale dirty
+    /// stamps cost compare time, never delta bytes.
     ///
-    /// Returns `None` when `prev`'s layout no longer matches this rank's
-    /// regions (the heap grew or shrank a chunk, a region resized): the
-    /// caller must fall back to a fresh base image.
-    pub fn diff_pages_against(
+    /// Returns `None` when `base`'s layout no longer matches this rank's
+    /// regions (the heap grew or shrank a chunk, a region resized), or a
+    /// page list is not ascending and inside its region, or a page payload
+    /// is longer than its page: the caller must fall back to a fresh base
+    /// image.
+    pub fn diff_pages_against_chain(
         &self,
-        prev: &MigrationBuffer,
+        base: &MigrationBuffer,
+        chain: &[&ImageDelta],
         page_size: usize,
         mut plan_for: impl FnMut(&Region) -> RegionDiffPlan,
     ) -> Option<ImageDelta> {
         assert!(page_size > 0, "diff page size must be positive");
-        let b: &[u8] = &prev.buf;
-        if b.len() < 12 {
-            return None;
-        }
-        let mut hdr = b;
-        if hdr.get_u32() != MAGIC {
-            return None;
-        }
-        if hdr.get_u64() as usize != self.all_regions().count() {
-            return None;
-        }
-        let mut off = 12usize;
+        let b: &[u8] = &base.buf;
+        self.check_layout(b, |_| true).ok()?;
+        let prev = |o: usize, n: usize| -> &[u8] {
+            debug_assert!(
+                chain.iter().all(|d| d.on_grid_at(o, n)),
+                "chain was cut on another offset grid than the chunk at {o}"
+            );
+            chain
+                .iter()
+                .rev()
+                .find_map(|d| d.range_at(o))
+                .unwrap_or(&b[o..o + n])
+        };
         let mut ranges: Vec<(u64, Vec<u8>)> = Vec::new();
-        for r in self.all_regions() {
-            if b.len() < off + 9 {
-                return None;
-            }
-            let mut rh = &b[off..off + 9];
-            let tag = rh.get_u8();
-            let len = rh.get_u64() as usize;
-            if tag != kind_tag(r.kind()) || len != r.len() {
-                return None;
-            }
-            let body = off + 9;
-            if b.len() < body + len {
-                return None;
-            }
-            let prev_bytes = &b[body..body + len];
+        for (body, r) in self.bodies(|_| true) {
+            let len = r.len();
             match plan_for(r) {
                 RegionDiffPlan::Scan => {
                     let cur = r.as_slice();
-                    let mut p = 0usize;
-                    while p < len {
-                        let n = page_size.min(len - p);
-                        if cur[p..p + n] != prev_bytes[p..p + n] {
-                            ranges.push(((body + p) as u64, cur[p..p + n].to_vec()));
+                    for p in (0..len).step_by(page_size) {
+                        let chunk = &cur[p..len.min(p + page_size)];
+                        if chunk != prev(body + p, chunk.len()) {
+                            ranges.push(((body + p) as u64, chunk.to_vec()));
                         }
-                        p += n;
                     }
                 }
                 RegionDiffPlan::Pages { page_size: ps, pages } => {
+                    let mut floor = 0usize;
                     for (page, bytes) in pages {
                         let p = (page as usize).checked_mul(ps)?;
-                        if p.checked_add(bytes.len())? > len {
+                        let end = p.checked_add(bytes.len())?;
+                        // a payload longer than its page would cover the
+                        // next page's offset, which `prev` looks up alone
+                        if p < floor || end > len || bytes.len() > ps {
                             return None;
                         }
-                        if bytes[..] != prev_bytes[p..p + bytes.len()] {
+                        floor = end;
+                        if bytes[..] != *prev(body + p, bytes.len()) {
                             ranges.push(((body + p) as u64, bytes));
                         }
                     }
                 }
             }
-            off = body + len;
         }
         Some(ImageDelta { ranges })
     }
@@ -421,34 +443,61 @@ impl RankMemory {
     /// verifies every rank first and only then unpacks is failure-atomic
     /// — verification failure leaves all memory untouched.
     pub fn verify_layout(&self, buf: &MigrationBuffer) -> Result<(), UnpackError> {
-        let mut b: &[u8] = &buf.buf;
-        if b.remaining() < 12 {
-            return Err(UnpackError::Truncated);
-        }
-        if b.get_u32() != MAGIC {
-            return Err(UnpackError::BadMagic);
-        }
-        let expected = self.all_regions().count();
-        let n = b.get_u64() as usize;
-        if n != expected {
-            return Err(UnpackError::LayoutMismatch { expected, got: n });
-        }
-        for r in self.all_regions() {
-            if b.remaining() < 9 {
-                return Err(UnpackError::Truncated);
+        self.check_layout(&buf.buf, |_| true).map(|_| ())
+    }
+
+    /// Check that [`Self::apply_delta`] would write only inside this
+    /// rank's regions, **without mutating anything**: the ranges ascend
+    /// without overlap and each lies wholly inside one region's body in
+    /// the packed coordinate space (never across a region header).
+    pub fn verify_delta(&self, delta: &ImageDelta) -> Result<(), UnpackError> {
+        self.delta_targets(delta, |_, _| {})
+    }
+
+    /// Write every range of `delta` straight into the live region it
+    /// falls in — what unpacking the patched image would leave there,
+    /// without building that image. One walk: each range is checked as it
+    /// is reached, so a bad range stops the walk with the ranges before
+    /// it already written. Where a bad delta must change nothing, run
+    /// [`Self::verify_delta`] first (restore phase 1 does).
+    pub fn apply_delta(&mut self, delta: &ImageDelta) -> Result<(), UnpackError> {
+        self.delta_targets(delta, |dst, src| {
+            // SAFETY: `delta_targets` only yields destinations with
+            // `src.len()` bytes inside one pinned region, which `&mut
+            // self` owns exclusively; `src` is the delta's own buffer.
+            unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len()) }
+        })
+    }
+
+    /// Walk `delta` and the layout together, once: call `visit` with the
+    /// live destination and payload of every range, or fail at the first
+    /// range that is out of order or not inside one region's body.
+    fn delta_targets(
+        &self,
+        delta: &ImageDelta,
+        mut visit: impl FnMut(*mut u8, &[u8]),
+    ) -> Result<(), UnpackError> {
+        let mut bodies = self.bodies(|_| true).peekable();
+        let mut floor = 0usize;
+        for (offset, bytes) in &delta.ranges {
+            let bad = || UnpackError::BadDeltaRange { offset: *offset };
+            let off = usize::try_from(*offset).map_err(|_| bad())?;
+            let end = off.checked_add(bytes.len()).ok_or_else(bad)?;
+            if off < floor {
+                return Err(bad());
             }
-            let got_tag = b.get_u8();
-            let got_len = b.get_u64() as usize;
-            if got_tag != kind_tag(r.kind()) || got_len != r.len() {
-                return Err(UnpackError::LayoutMismatch {
-                    expected: r.len(),
-                    got: got_len,
-                });
+            floor = end;
+            // ranges ascend, so a region ending at or before this range
+            // is finished with
+            while bodies.next_if(|(body, r)| body + r.len() <= off).is_some() {}
+            match bodies.peek() {
+                Some((body, r)) if *body <= off && end <= body + r.len() => {
+                    // SAFETY: `off - body .. end - body` was just checked
+                    // to lie inside the region's `len` bytes.
+                    visit(unsafe { r.base_mut().add(off - body) }, bytes)
+                }
+                _ => return Err(bad()),
             }
-            if b.remaining() < got_len {
-                return Err(UnpackError::Truncated);
-            }
-            b.advance(got_len);
         }
         Ok(())
     }
@@ -464,80 +513,80 @@ impl RankMemory {
 
     /// Unpack a buffer produced by [`RankMemory::pack_with`] using the
     /// same `include` filter (skipped regions keep their current bytes).
+    /// The whole layout is checked before the first byte is written.
     pub fn unpack_into_with(
         &mut self,
         buf: &MigrationBuffer,
         include: impl Fn(RegionKind) -> bool,
     ) -> Result<(), UnpackError> {
-        let mut b: &[u8] = &buf.buf;
-        if b.remaining() < 12 {
-            return Err(UnpackError::Truncated);
-        }
-        if b.get_u32() != MAGIC {
-            return Err(UnpackError::BadMagic);
-        }
-        let expected = self
-            .all_regions()
-            .filter(|r| include(r.kind()))
-            .count();
-        let n = b.get_u64() as usize;
-        if n != expected {
-            return Err(UnpackError::LayoutMismatch { expected, got: n });
-        }
-        // Collect target (ptr, len, kind) triples first to appease the
-        // borrow checker; the pointers are pinned so this is sound.
-        let targets: Vec<(*mut u8, usize, u8)> = self
-            .all_regions()
-            .filter(|r| include(r.kind()))
-            .map(|r| (r.base_mut(), r.len(), kind_tag(r.kind())))
-            .collect();
-        for (ptr, len, tag) in targets {
-            if b.remaining() < 9 {
-                return Err(UnpackError::Truncated);
-            }
-            let got_tag = b.get_u8();
-            let got_len = b.get_u64() as usize;
-            if got_tag != tag || got_len != len {
-                return Err(UnpackError::LayoutMismatch {
-                    expected: len,
-                    got: got_len,
-                });
-            }
-            if b.remaining() < len {
-                return Err(UnpackError::Truncated);
-            }
-            unsafe {
-                std::ptr::copy_nonoverlapping(b.chunk().as_ptr(), ptr, len.min(b.chunk().len()));
-                // BytesMut from a contiguous Packer is one chunk, but be
-                // robust to segmented buffers:
-                if b.chunk().len() < len {
-                    let mut copied = b.chunk().len();
-                    b.advance(copied);
-                    while copied < len {
-                        let take = (len - copied).min(b.chunk().len());
-                        std::ptr::copy_nonoverlapping(
-                            b.chunk().as_ptr(),
-                            ptr.add(copied),
-                            take,
-                        );
-                        copied += take;
-                        b.advance(take);
-                    }
-                } else {
-                    b.advance(len);
-                }
-            }
+        let b: &[u8] = &buf.buf;
+        let n = self.check_layout(b, &include)?;
+        for (body, r) in self.bodies(&include) {
+            // SAFETY: `check_layout` proved `b` holds `r.len()` bytes at
+            // `body`; the region is pinned and `&mut self` owns it.
+            unsafe { std::ptr::copy_nonoverlapping(b[body..].as_ptr(), r.base_mut(), r.len()) };
         }
         pvr_trace::emit(pvr_trace::EventKind::RegionCopy {
             dir: pvr_trace::CopyDir::Unpack,
             regions: n as u32,
-            bytes: buf.buf.len() as u64,
+            bytes: b.len() as u64,
         });
         Ok(())
     }
 
-    fn region_count(&self) -> usize {
-        self.heap.regions().count() + self.regions.len()
+    /// Validate `b` against this rank's `include`d regions — magic,
+    /// region count, every region's kind, size and byte coverage —
+    /// mutating nothing. Returns the region count.
+    fn check_layout(
+        &self,
+        b: &[u8],
+        include: impl Fn(RegionKind) -> bool,
+    ) -> Result<usize, UnpackError> {
+        let mut hdr = b;
+        if hdr.remaining() < HEADER_LEN {
+            return Err(UnpackError::Truncated);
+        }
+        if hdr.get_u32() != MAGIC {
+            return Err(UnpackError::BadMagic);
+        }
+        let expected = self.all_regions().filter(|r| include(r.kind())).count();
+        let n = hdr.get_u64() as usize;
+        if n != expected {
+            return Err(UnpackError::LayoutMismatch { expected, got: n });
+        }
+        for (body, r) in self.bodies(&include) {
+            let Some(mut rh) = b.get(body - REGION_HEADER_LEN..body) else {
+                return Err(UnpackError::Truncated);
+            };
+            let got_tag = rh.get_u8();
+            let got_len = rh.get_u64() as usize;
+            if got_tag != kind_tag(r.kind()) || got_len != r.len() {
+                return Err(UnpackError::LayoutMismatch {
+                    expected: r.len(),
+                    got: got_len,
+                });
+            }
+            if b.len() < body + got_len {
+                return Err(UnpackError::Truncated);
+            }
+        }
+        Ok(n)
+    }
+
+    /// `(image offset of the region's body, region)` for every region
+    /// passing `include`, in pack order — the packed coordinate space.
+    fn bodies<'a>(
+        &'a self,
+        include: impl Fn(RegionKind) -> bool + 'a,
+    ) -> impl Iterator<Item = (usize, &'a Region)> + 'a {
+        let mut next = HEADER_LEN;
+        self.all_regions()
+            .filter(move |r| include(r.kind()))
+            .map(move |r| {
+                let body = next + REGION_HEADER_LEN;
+                next = body + r.len();
+                (body, r)
+            })
     }
 
     fn all_regions(&self) -> impl Iterator<Item = &Region> {
@@ -582,6 +631,27 @@ mod tests {
         rm.add_region(stack);
         rm.add_region(Region::from_bytes(RegionKind::TlsSegment, &[1, 2, 3, 4]));
         rm
+    }
+
+    /// `base` with `chain` patched over it, oldest first — the image a
+    /// read-through of `base + chain` stands for.
+    fn materialize(base: &MigrationBuffer, chain: &[&ImageDelta]) -> Vec<u8> {
+        let mut img = base.as_slice().to_vec();
+        for d in chain {
+            for (off, bytes) in &d.ranges {
+                let off = *off as usize;
+                img[off..off + bytes.len()].copy_from_slice(bytes);
+            }
+        }
+        img
+    }
+
+    /// Overwrite every region (heap chunks included) with `byte`.
+    fn scribble(rm: &mut RankMemory, byte: u8) {
+        for r in rm.all_regions() {
+            // SAFETY: the region is pinned and `rm` is borrowed mutably.
+            unsafe { std::ptr::write_bytes(r.base_mut(), byte, r.len()) };
+        }
     }
 
     #[test]
@@ -698,12 +768,14 @@ mod tests {
             .expect("layout unchanged");
         assert!(delta.range_count() >= 2, "both dirty chunks found");
         assert!(delta.bytes() < base.len(), "delta is sparse");
-        assert!(delta.verify_bounds(base.len()));
-        let mut rebuilt = base.clone();
-        delta.apply_to(&mut rebuilt);
+        assert_eq!(rm.verify_delta(&delta), Ok(()));
         let now = rm.pack();
-        assert_eq!(rebuilt.checksum(), now.checksum(), "base + delta == fresh pack");
-        assert_eq!(rebuilt.as_slice(), now.as_slice());
+        assert_eq!(materialize(&base, &[&delta]), now.as_slice(), "base + delta == fresh pack");
+        // the restore path: base unpacked, delta written into live regions
+        scribble(&mut rm, 0xDE);
+        rm.unpack_into(&base).unwrap();
+        rm.apply_delta(&delta).unwrap();
+        assert_eq!(rm.pack().as_slice(), now.as_slice());
     }
 
     #[test]
@@ -747,9 +819,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(delta.range_count(), 1, "byte-equal listed page skipped");
-        let mut rebuilt = base.clone();
-        delta.apply_to(&mut rebuilt);
-        assert_eq!(rebuilt.checksum(), rm.pack().checksum());
+        assert_eq!(materialize(&base, &[&delta]), rm.pack().as_slice());
     }
 
     #[test]
@@ -765,26 +835,194 @@ mod tests {
         assert_ne!(delta.checksum(), sum, "one flipped byte must change the seal");
         let mut empty = ImageDelta::default();
         assert!(!empty.corrupt_byte(0), "nothing to corrupt in an empty delta");
-        assert!(empty.verify_bounds(0));
+        assert_eq!(rm.verify_delta(&empty), Ok(()));
+        // offsets and range boundaries are sealed, not just payload bytes
+        let moved = ImageDelta { ranges: vec![(delta.ranges[0].0 + 1, delta.ranges[0].1.clone())] };
+        assert_ne!(moved.checksum(), delta.checksum());
+        let (head, tail) = delta.ranges[0].1.split_at(8);
+        let off = delta.ranges[0].0;
+        let split = ImageDelta {
+            ranges: vec![(off, head.to_vec()), (off + 8, tail.to_vec())],
+        };
+        assert_ne!(split.checksum(), delta.checksum());
     }
 
     #[test]
-    fn delta_out_of_bounds_detected() {
+    fn bad_delta_ranges_rejected_with_memory_untouched() {
+        let mut rm = sample_rank();
+        let before = rm.pack();
+        // packed coordinate space of sample_rank: heap chunk, then the
+        // 8192-byte stack, then the 4-byte TLS segment
+        let bodies: Vec<(usize, usize)> = rm.bodies(|_| true).map(|(b, r)| (b, r.len())).collect();
+        let (stack, stack_len) = bodies[bodies.len() - 2];
+        let (tls, tls_len) = bodies[bodies.len() - 1];
+        assert_eq!((stack_len, tls_len), (8192, 4));
+        assert_eq!(tls, stack + stack_len + REGION_HEADER_LEN);
+        let delta = |ranges: &[(usize, usize)]| ImageDelta {
+            ranges: ranges.iter().map(|&(o, n)| (o as u64, vec![0xEE; n])).collect(),
+        };
+        let good = delta(&[(stack, 16), (stack + 16, 16), (tls, 4)]);
+        assert_eq!(rm.verify_delta(&good), Ok(()));
+        let bad = [
+            // runs from the stack's last bytes across the TLS header
+            ("straddles a region header", delta(&[(stack + stack_len - 4, 4 + REGION_HEADER_LEN + 2)])),
+            ("starts inside a region header", delta(&[(tls - 3, 2)])),
+            ("inside the image header", delta(&[(4, 4)])),
+            ("descending", delta(&[(stack + 64, 8), (stack, 8)])),
+            ("overlapping", delta(&[(stack, 32), (stack + 16, 32)])),
+            ("past the image", delta(&[(before.len(), 1)])),
+            ("runs off the last region", delta(&[(tls + 2, 4)])),
+            ("offset overflow", ImageDelta { ranges: vec![(u64::MAX, vec![1, 2])] }),
+        ];
+        for (what, d) in &bad {
+            assert!(
+                matches!(rm.verify_delta(d), Err(UnpackError::BadDeltaRange { .. })),
+                "{what} must be rejected"
+            );
+            // ... and behind a valid first range just the same
+            let mut with_prefix = delta(&[(bodies[0].0, 8)]);
+            with_prefix.ranges.extend(d.ranges.iter().cloned());
+            assert!(rm.verify_delta(&with_prefix).is_err(), "{what}");
+            assert_eq!(rm.pack().as_slice(), before.as_slice(), "{what}: memory untouched");
+        }
+        // unverified, the walk still refuses to write outside a region:
+        // it stops at the bad range, the valid prefix already in place
+        let mut unverified = delta(&[(stack, 8)]);
+        unverified.ranges.extend(bad[0].1.ranges.iter().cloned());
+        assert!(rm.apply_delta(&unverified).is_err());
+        assert_eq!(&rm.region(RegionId(0)).as_slice()[..9], &[0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0]);
+        assert_eq!(rm.region(RegionId(1)).as_slice(), &[1, 2, 3, 4], "nothing past the header");
+        rm.apply_delta(&good).unwrap();
+        assert_eq!(rm.region(RegionId(1)).as_slice(), &[0xEE; 4]);
+    }
+
+    #[test]
+    fn base_read_through_chain_equals_fresh_pack_over_random_writes() {
+        use rand::{Rng, SeedableRng};
+        for seed in 1..=8u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut rm = sample_rank();
+            let base = rm.pack();
+            let mut chain: Vec<ImageDelta> = Vec::new();
+            for capture in 0..6 {
+                // a few writes per capture, some to spots written before
+                // (rewrites and reverts), some to fresh ones
+                for _ in 0..rng.gen_range(0..6) {
+                    let at = rng.gen_range(0..8192usize);
+                    // small alphabet: reverts happen
+                    rm.region_mut(RegionId(0)).as_mut_slice()[at] = rng.gen_range(0..3u8);
+                }
+                let refs: Vec<&ImageDelta> = chain.iter().collect();
+                let delta = rm
+                    .diff_pages_against_chain(&base, &refs, 128, |_| RegionDiffPlan::Scan)
+                    .expect("layout unchanged");
+                chain.push(delta);
+                let refs: Vec<&ImageDelta> = chain.iter().collect();
+                let now = rm.pack();
+                assert_eq!(
+                    materialize(&base, &refs),
+                    now.as_slice(),
+                    "seed {seed} capture {capture}: base + chain == fresh pack"
+                );
+                // and the staging-free restore agrees
+                let mut twin = sample_rank();
+                twin.unpack_into(&base).unwrap();
+                for d in &chain {
+                    twin.apply_delta(d).unwrap();
+                }
+                // heap chunks of two ranks hold the same bytes, so the
+                // images are comparable
+                assert_eq!(twin.pack().as_slice(), now.as_slice(), "seed {seed} capture {capture}");
+            }
+        }
+    }
+
+    #[test]
+    fn reverted_chunk_is_re_emitted_once_then_absent() {
         let mut rm = sample_rank();
         let base = rm.pack();
-        rm.region_mut(RegionId(0)).as_mut_slice()[10] = 0xAB;
-        let delta = rm
-            .diff_pages_against(&base, 256, |_| RegionDiffPlan::Scan)
-            .unwrap();
-        assert!(delta.verify_bounds(base.len()));
-        assert!(!delta.verify_bounds(12), "truncated image must fail bounds");
+        let original = rm.region(RegionId(0)).as_slice()[500];
+        let diff = |rm: &RankMemory, chain: &[&ImageDelta]| {
+            rm.diff_pages_against_chain(&base, chain, 256, |_| RegionDiffPlan::Scan)
+                .unwrap()
+        };
+        // delta 1: dirty the chunk
+        rm.region_mut(RegionId(0)).as_mut_slice()[500] = original ^ 0xFF;
+        let d1 = diff(&rm, &[]);
+        assert_eq!(d1.range_count(), 1);
+        let at = d1.ranges[0].0;
+        // delta 2: revert it — equal to the *base* again, but not to the
+        // previous capture, so it must be carried
+        rm.region_mut(RegionId(0)).as_mut_slice()[500] = original;
+        let d2 = diff(&rm, &[&d1]);
+        assert_eq!(d2.range_count(), 1, "revert differs from the previous capture");
+        assert_eq!(d2.ranges[0].0, at);
+        // delta 3: nothing changed since delta 2; the newest range at
+        // that offset (delta 2's) is what the chunk is compared with
+        let d3 = diff(&rm, &[&d1, &d2]);
+        assert!(d3.is_empty(), "unchanged since the previous capture");
+        // a diff against the bare base would have missed delta 1 entirely
+        assert!(diff(&rm, &[]).is_empty());
+        assert_eq!(materialize(&base, &[&d1, &d2, &d3]), rm.pack().as_slice());
+    }
+
+    #[test]
+    fn unsorted_page_list_forces_a_fresh_base() {
+        let rm = sample_rank();
+        let base = rm.pack();
+        let stack_base = rm.region(RegionId(0)).base() as usize;
+        let plan = |pages: Vec<(u32, Vec<u8>)>| {
+            rm.diff_pages_against(&base, 64, |r| {
+                if r.base() as usize == stack_base {
+                    RegionDiffPlan::Pages { page_size: 64, pages: pages.clone() }
+                } else {
+                    RegionDiffPlan::Scan
+                }
+            })
+        };
+        assert!(plan(vec![(1, vec![1; 64]), (2, vec![2; 64])]).is_some());
+        assert!(plan(vec![(2, vec![2; 64]), (1, vec![1; 64])]).is_none(), "descending");
+        assert!(plan(vec![(1, vec![1; 64]), (1, vec![2; 64])]).is_none(), "duplicate");
+        assert!(plan(vec![(128, vec![1; 64])]).is_none(), "past the region");
+        // page 1's payload would cover page 2's offset, where a later
+        // capture's lookup would miss it and compare against stale base
+        assert!(plan(vec![(1, vec![1; 65])]).is_none(), "oversized page payload");
+        assert!(plan(vec![(127, vec![1; 63])]).is_some(), "partial page");
+    }
+
+    #[test]
+    fn chain_grid_check_flags_straddling_ranges() {
+        let d = ImageDelta { ranges: vec![(100, vec![0; 64]), (228, vec![0; 64])] };
+        assert!(d.on_grid_at(100, 64) && d.on_grid_at(164, 64) && d.on_grid_at(228, 64));
+        assert!(d.on_grid_at(36, 64), "ends where the first range starts");
+        assert!(!d.on_grid_at(132, 64), "starts inside the first range");
+        assert!(!d.on_grid_at(196, 64), "runs into the second range");
+        assert!(ImageDelta::default().on_grid_at(0, 64));
+    }
+
+    #[test]
+    fn pack_into_reuses_the_buffer() {
+        let mut rm = sample_rank();
+        let mut buf = MigrationBuffer::default();
+        rm.pack_with_sources_into(&mut buf, |_| true, |_| None);
+        assert_eq!(buf.as_slice(), rm.pack().as_slice());
+        let (ptr, cap) = (buf.as_slice().as_ptr(), buf.buf.capacity());
+        rm.region_mut(RegionId(0)).as_mut_slice()[0] = 0x42;
+        rm.pack_with_sources_into(&mut buf, |_| true, |_| None);
+        assert_eq!(buf.as_slice(), rm.pack().as_slice(), "cleared and refilled, not appended");
+        assert_eq!((buf.as_slice().as_ptr(), buf.buf.capacity()), (ptr, cap), "no reallocation");
+        // a filtered pack into the same buffer shrinks it
+        rm.pack_with_sources_into(&mut buf, |k| k == RegionKind::TlsSegment, |_| None);
+        assert_eq!(buf.len(), HEADER_LEN + REGION_HEADER_LEN + 4);
     }
 
     #[test]
     fn pack_with_sources_overrides_region_bytes() {
         let rm = sample_rank();
         let tls_base = rm.region(RegionId(1)).base() as usize;
-        let packed = rm.pack_with_sources(
+        let mut packed = MigrationBuffer::default();
+        rm.pack_with_sources_into(
+            &mut packed,
             |_| true,
             |r| (r.base() as usize == tls_base).then(|| vec![0xFE]),
         );

@@ -777,6 +777,7 @@ impl MachineConfig {
             perf_fast: self.perf_fast_paths,
             lane_slots: Vec::new(),
             merge_buf: Vec::new(),
+            migrate_buf: pvr_isomalloc::MigrationBuffer::default(),
         })
     }
 }

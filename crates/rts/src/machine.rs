@@ -266,13 +266,17 @@ struct RankDelta {
     cow_since: u64,
 }
 
-/// One rank's entry in a coordinated checkpoint. The image is held
-/// twice — at the rank's home PE and at that PE's buddy — so a single
-/// PE failure cannot lose it. In incremental mode a bounded chain of
-/// [`RankDelta`]s rides on top of the base image.
+/// One rank's entry in a coordinated checkpoint. The base image is
+/// immutable once packed and has two holders — the rank's home PE and
+/// that PE's buddy — so a single PE failure cannot lose it. Both holders
+/// are this one buffer: the simulation's PEs share an address space, the
+/// copy to the buddy belongs to the asynchronous stream, not to the pause
+/// the capture is timed by, and which holder a restore reads from is
+/// decided by PE liveness alone. In incremental mode a bounded chain of
+/// [`RankDelta`]s rides on top of the base; the newest captured image is
+/// the base read through that chain and is never built.
 struct CheckpointEntry {
     image: pvr_isomalloc::MigrationBuffer,
-    buddy_image: pvr_isomalloc::MigrationBuffer,
     /// Suspended stack pointer observed together with the image.
     sp: Option<usize>,
     /// Request-engine state observed together with the image, restored
@@ -280,25 +284,14 @@ struct CheckpointEntry {
     req: crate::rank::ReqSnapshot,
     /// Checksum of the image at pack time, verified before restore.
     checksum: u64,
-    /// PE holding `image`.
+    /// PE holding `image` and the unsealed tail of `deltas`.
     primary_pe: PeId,
-    /// PE holding `buddy_image`.
+    /// PE holding the second copy of `image` and the sealed deltas.
     buddy_pe: PeId,
     /// Incremental delta chain on top of `image`, oldest first.
     deltas: Vec<RankDelta>,
-    /// `image` with every chained delta applied — the diff target for
-    /// the next capture. `None` while the chain is empty (the base
-    /// itself is the target).
-    accum: Option<pvr_isomalloc::MigrationBuffer>,
     /// Dirty-epoch floor for the first delta after the base capture.
     base_cow_since: u64,
-}
-
-impl CheckpointEntry {
-    /// The image the next incremental capture diffs against.
-    fn diff_target(&self) -> &pvr_isomalloc::MigrationBuffer {
-        self.accum.as_ref().unwrap_or(&self.image)
-    }
 }
 
 /// A coordinated checkpoint: one entry per rank, taken at an LB barrier.
@@ -319,23 +312,13 @@ pub(crate) fn arena_trip_kind(v: &GuardViolation) -> ArenaTrip {
     }
 }
 
-/// FNV-1a over a byte slice — the segment-audit checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
 /// Checksum `rank`'s privatized data segment, whichever per-process
 /// privatizer owns it (`None` for methods without per-rank segments).
 pub(crate) fn segment_checksum_in(privatizers: &[Box<dyn Privatizer>], rank: usize) -> Option<u64> {
     privatizers.iter().find_map(|p| {
         p.rank_data_segment(rank).map(|(base, len)| {
             let bytes = unsafe { std::slice::from_raw_parts(base, len) };
-            fnv1a(bytes)
+            pvr_isomalloc::checksum64(bytes)
         })
     })
 }
@@ -448,6 +431,9 @@ pub struct Machine {
     pub(crate) lane_slots: Vec<(EventQueue<Event>, Outbox)>,
     /// Recycled barrier-merge staging buffer.
     pub(crate) merge_buf: Vec<(SimTime, PeId, Event)>,
+    /// Wire buffer of [`Machine::migrate_now`], reused across migrations
+    /// so each one costs its two memcpys, not a fresh mapping as well.
+    pub(crate) migrate_buf: pvr_isomalloc::MigrationBuffer,
 }
 
 impl Machine {
@@ -664,13 +650,15 @@ impl Machine {
         // COW methods supply a read-through view of their page table, so
         // the byte-level pack below never materializes the backing store
         // (cross-rank page sharing survives the migration round-trip).
-        let buf = self.pack_rank_read_through(rank, include);
+        let mut buf = std::mem::take(&mut self.migrate_buf);
+        self.pack_rank_read_through(rank, include, &mut buf);
         let bytes = buf.len();
         self.ranks[rank]
             .memory
             .unpack_into_with(&buf, include)
             .expect("self-roundtrip cannot fail");
         let real_time = t0.elapsed();
+        self.migrate_buf = buf;
         let sim_cost = self
             .network
             .cost(&self.topology, from_pe, to_pe, bytes);
@@ -901,34 +889,26 @@ impl Machine {
             .unwrap_or(pe)
     }
 
-    /// Pack `rank`'s memory, sourcing a COW data segment through its
-    /// page table instead of its backing store. The produced bytes are
-    /// identical to a materialize-then-pack (shared pages read the
-    /// template, which the backing region mirrors on unpack), but the
-    /// segment's page sharing — and hence the dedup audit's numbers —
-    /// survive the pack.
+    /// Pack `rank`'s memory into `out` (cleared first), sourcing a COW
+    /// data segment through its page table instead of its backing store.
+    /// The produced bytes are identical to a materialize-then-pack
+    /// (shared pages read the template, which the backing region mirrors
+    /// on unpack), but the segment's page sharing — and hence the dedup
+    /// audit's numbers — survive the pack.
     fn pack_rank_read_through(
         &self,
         rank: RankId,
         include: impl Fn(pvr_isomalloc::RegionKind) -> bool,
-    ) -> pvr_isomalloc::MigrationBuffer {
-        let snap = self
+        out: &mut pvr_isomalloc::MigrationBuffer,
+    ) {
+        let mut snap = self
             .privatizers
             .iter()
             .find_map(|p| p.cow_segment_snapshot(rank));
-        match snap {
-            Some((seg_base, bytes)) => {
-                let mut payload = Some(bytes);
-                self.ranks[rank].memory.pack_with_sources(include, |reg| {
-                    if reg.base() as usize == seg_base {
-                        payload.take()
-                    } else {
-                        None
-                    }
-                })
-            }
-            None => self.ranks[rank].memory.pack_with(include),
-        }
+        self.ranks[rank].memory.pack_with_sources_into(out, include, |reg| {
+            let (_, bytes) = snap.take_if(|(seg_base, _)| reg.base() as usize == *seg_base)?;
+            Some(bytes)
+        });
     }
 
     /// Current maximum delta-chain length across the checkpoint's ranks.
@@ -990,7 +970,7 @@ impl Machine {
                         .iter()
                         .any(|e| !self.alive[e.primary_pe] || !self.alive[e.buddy_pe])
                     || c.entries.iter().enumerate().any(|(r, e)| {
-                        self.ranks[r].memory.verify_layout(e.diff_target()).is_err()
+                        self.ranks[r].memory.verify_layout(&e.image).is_err()
                     })
             }
         };
@@ -1030,18 +1010,22 @@ impl Machine {
             // COW segments hand over their epoch-stamped dirty pages
             // (read through the page table) and advance their epoch;
             // every other region is scanned against the previous image.
-            let cow = self
+            let mut cow = self
                 .privatizers
                 .iter_mut()
                 .find_map(|p| p.cow_delta_pages(r, since));
-            let patch = self.ranks[r].memory.diff_pages_against(
-                e.diff_target(),
+            // The previous capture is the base read through the chain.
+            let chain: Vec<&pvr_isomalloc::ImageDelta> =
+                e.deltas.iter().map(|d| &d.patch).collect();
+            let patch = self.ranks[r].memory.diff_pages_against_chain(
+                &e.image,
+                &chain,
                 pvr_progimage::DEFAULT_PAGE_SIZE,
-                |reg| match &cow {
+                |reg| match &mut cow {
                     Some(c) if reg.base() as usize == c.seg_base => {
                         pvr_isomalloc::RegionDiffPlan::Pages {
                             page_size: c.page_size,
-                            pages: c.pages.clone(),
+                            pages: std::mem::take(&mut c.pages),
                         }
                     }
                     _ => pvr_isomalloc::RegionDiffPlan::Scan,
@@ -1056,9 +1040,6 @@ impl Machine {
                 return;
             };
             let cow_since = cow.map(|c| c.next_since).unwrap_or(0);
-            let mut accum = e.accum.take().unwrap_or_else(|| e.image.clone());
-            patch.apply_to(&mut accum);
-            e.accum = Some(accum);
             if !patch.is_empty() {
                 dirty_ranks += 1;
             }
@@ -1107,7 +1088,8 @@ impl Machine {
             // (template bytes for shared pages, backing bytes for private
             // ones), so packing never materializes the backing store and
             // cross-rank page sharing survives every checkpoint.
-            let image = self.pack_rank_read_through(r, |_| true);
+            let mut image = pvr_isomalloc::MigrationBuffer::default();
+            self.pack_rank_read_through(r, |_| true, &mut image);
             let sp = self.ranks[r].ult.as_ref().and_then(|u| u.suspended_sp());
             let checksum = image.checksum();
             let primary_pe = self.ranks[r].location;
@@ -1123,7 +1105,6 @@ impl Machine {
                 0
             };
             entries.push(CheckpointEntry {
-                buddy_image: image.clone(),
                 image,
                 sp,
                 req: crate::rank::ReqSnapshot::capture(&self.ranks[r]),
@@ -1131,7 +1112,6 @@ impl Machine {
                 primary_pe,
                 buddy_pe: self.buddy_of(primary_pe),
                 deltas: Vec::new(),
-                accum: None,
                 base_cow_since,
             });
         }
@@ -1191,6 +1171,12 @@ impl Machine {
         };
 
         // Phase 1: verify everything, mutating nothing.
+        let unusable = |rank: RankId, e: pvr_isomalloc::rank_memory::UnpackError| {
+            RtsError::Protocol {
+                rank,
+                detail: format!("checkpoint restore failed: {e}"),
+            }
+        };
         let verify = || -> Result<(usize, Vec<bool>), RtsError> {
             // 1a: pick a live holder per rank and find the consistent
             // cut — the longest chain prefix every holder can supply.
@@ -1221,22 +1207,16 @@ impl Machine {
             }
             let cut = if ckpt.entries.is_empty() { 0 } else { cut };
             // 1b: verify base checksums, layouts, and every delta up to
-            // the cut (checksum + patch bounds) for the chosen holders.
+            // the cut (checksum + range placement) for the chosen holders.
             for (rank, (e, &from_buddy)) in ckpt.entries.iter().zip(&use_buddy).enumerate() {
-                let img = if from_buddy { &e.buddy_image } else { &e.image };
-                if img.checksum() != e.checksum {
+                if e.image.checksum() != e.checksum {
                     return Err(RtsError::Protocol {
                         rank,
                         detail: "checkpoint image checksum mismatch".into(),
                     });
                 }
-                self.ranks[rank]
-                    .memory
-                    .verify_layout(img)
-                    .map_err(|e| RtsError::Protocol {
-                        rank,
-                        detail: format!("checkpoint restore failed: {e}"),
-                    })?;
+                let memory = &self.ranks[rank].memory;
+                memory.verify_layout(&e.image).map_err(|e| unusable(rank, e))?;
                 for d in &e.deltas[..cut] {
                     let patch = if from_buddy {
                         d.buddy_patch.as_ref().expect("cut within sealed prefix")
@@ -1249,12 +1229,9 @@ impl Machine {
                             detail: "checkpoint delta checksum mismatch".into(),
                         });
                     }
-                    if !patch.verify_bounds(img.len()) {
-                        return Err(RtsError::Protocol {
-                            rank,
-                            detail: "checkpoint delta patch out of bounds".into(),
-                        });
-                    }
+                    // Patches land in live regions, not a staging image:
+                    // every range must sit inside one region's body.
+                    memory.verify_delta(patch).map_err(|e| unusable(rank, e))?;
                 }
             }
             Ok((cut, use_buddy))
@@ -1268,15 +1245,18 @@ impl Machine {
             }
         };
 
-        // Phase 2: restore is two-phase per rank — reconstruct
-        // base + deltas up to the cut and unpack the bytes, then the
-        // suspension point (stack pointer) those bytes belong to. The
-        // chain is truncated to the cut: deltas past it (an unsealed
-        // tail whose primary died) are gone for every rank alike.
+        // Phase 2: restore is two-phase per rank — the base unpacked
+        // into the rank's regions and every delta up to the cut written
+        // over it in place (no staging image), then the suspension point
+        // (stack pointer) those bytes belong to. The chain is truncated
+        // to the cut: deltas past it (an unsealed tail whose primary
+        // died) are gone for every rank alike.
         for (rank, e) in ckpt.entries.iter_mut().enumerate() {
             let from_buddy = use_buddy[rank];
-            let base = if from_buddy { &e.buddy_image } else { &e.image };
-            let mut img = base.clone();
+            let memory = &mut self.ranks[rank].memory;
+            memory
+                .unpack_into(&e.image)
+                .expect("layout verified before unpack");
             let mut sp = e.sp;
             let mut req = &e.req;
             for d in &e.deltas[..cut] {
@@ -1285,21 +1265,18 @@ impl Machine {
                 } else {
                     &d.patch
                 };
-                patch.apply_to(&mut img);
+                memory
+                    .apply_delta(patch)
+                    .expect("delta ranges verified before unpack");
                 if d.sp.is_some() {
                     sp = d.sp;
                 }
                 req = &d.req;
             }
-            self.ranks[rank]
-                .memory
-                .unpack_into(&img)
-                .expect("layout verified before unpack");
             // The request table rolls back with the memory it belongs
             // to — the cut's barrier state.
             req.apply(&mut self.ranks[rank]);
             e.deltas.truncate(cut);
-            e.accum = if cut == 0 { None } else { Some(img) };
             if let Some(sp) = sp {
                 // SAFETY: the stack bytes were just restored to exactly
                 // the state observed together with this sp.

@@ -7,6 +7,7 @@
 
 use crate::RankId;
 use bytes::Bytes;
+use pvr_isomalloc::{checksum64, fold64};
 
 #[derive(Debug, Clone)]
 pub struct RtsMessage {
@@ -19,9 +20,10 @@ pub struct RtsMessage {
     /// delivery layer (0 on the fault-free fast path, where it is
     /// unused).
     pub seq: u64,
-    /// FNV-1a checksum over the header fields and payload, stamped at
-    /// transmit time by the reliable delivery layer so the receiver can
-    /// detect in-flight corruption. 0 on the fault-free fast path.
+    /// [`Self::integrity`] seal over the header fields and payload,
+    /// stamped at transmit time by the reliable delivery layer so the
+    /// receiver can detect in-flight corruption. 0 on the fault-free fast
+    /// path.
     pub checksum: u64,
 }
 
@@ -42,37 +44,14 @@ impl RtsMessage {
         self.payload.len() + 32
     }
 
-    /// FNV-1a over (from, to, tag, seq, payload) — what `checksum`
-    /// should hold for an uncorrupted message.
-    ///
-    /// Runs directly over the payload view — no `to_vec()` staging copy
-    /// — and walks it in 8-byte chunks (same byte-serial FNV-1a value,
-    /// one bounds check per chunk instead of per byte).
+    /// [`checksum64`] of the payload with the header fields (from, to,
+    /// tag, seq) folded in — what `checksum` should hold for an
+    /// uncorrupted message. Runs directly over the payload view, no
+    /// staging copy.
     pub fn integrity(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-        const FNV_PRIME: u64 = 0x100000001b3;
-        #[inline]
-        fn eat8(mut h: u64, chunk: &[u8; 8]) -> u64 {
-            for &b in chunk {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            h
-        }
-        let mut h = FNV_OFFSET;
-        for word in [self.from as u64, self.to as u64, self.tag, self.seq] {
-            h = eat8(h, &word.to_le_bytes());
-        }
-        let payload = self.payload.as_ref();
-        let mut chunks = payload.chunks_exact(8);
-        for chunk in &mut chunks {
-            h = eat8(h, chunk.try_into().expect("exact 8-byte chunk"));
-        }
-        for &b in chunks.remainder() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        [self.from as u64, self.to as u64, self.tag, self.seq]
+            .into_iter()
+            .fold(checksum64(self.payload.as_ref()), fold64)
     }
 
     /// Flip one payload bit in place (or a checksum bit when the
@@ -131,28 +110,43 @@ mod tests {
     }
 
     #[test]
-    fn chunked_integrity_matches_byte_serial_fnv() {
-        // The 8-byte-chunk walk must compute the identical byte-serial
-        // FNV-1a value for every payload length (incl. non-multiples of
-        // 8 and spilled > 64 B buffers).
-        for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 100, 1024] {
+    fn every_header_field_and_payload_bit_is_covered() {
+        // inline, spilled (> 64 B) and block-unaligned payloads
+        for n in [0usize, 1, 7, 8, 9, 33, 64, 65, 100] {
             let payload: Vec<u8> = (0..n).map(|i| (i * 31 + 7) as u8).collect();
             let mut m = RtsMessage::new(3, 5, 11, Bytes::from(payload.clone()));
             m.seq = 42;
-            let mut h: u64 = 0xcbf29ce484222325;
-            let mut eat = |b: u8| {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            };
-            for word in [3u64, 5, 11, 42] {
-                for b in word.to_le_bytes() {
-                    eat(b);
+            m.seal();
+            type Edit = fn(&mut RtsMessage);
+            let edits: [(&str, Edit); 6] = [
+                ("from", |m| m.from ^= 1),
+                ("to", |m| m.to ^= 1),
+                ("tag", |m| m.tag ^= 1 << 63),
+                ("seq", |m| m.seq += 1),
+                // two header fields exchanged: the fold is ordered
+                ("from<->to", |m| std::mem::swap(&mut m.from, &mut m.to)),
+                ("tag<->seq", |m| std::mem::swap(&mut m.tag, &mut m.seq)),
+            ];
+            for (what, edit) in edits {
+                let mut bad = m.clone();
+                edit(&mut bad);
+                assert!(!bad.intact(), "len {n}: {what} not covered");
+            }
+            for pos in 0..n {
+                for bit in 0..8 {
+                    let mut bytes = payload.clone();
+                    bytes[pos] ^= 1 << bit;
+                    let mut bad = m.clone();
+                    bad.payload = Bytes::from(bytes);
+                    assert!(!bad.intact(), "len {n} byte {pos} bit {bit}");
                 }
             }
-            for &b in &payload {
-                eat(b);
-            }
-            assert_eq!(m.integrity(), h, "payload len {n}");
+            // the length is sealed: one more zero byte is another message
+            let mut longer = payload.clone();
+            longer.push(0);
+            let mut bad = m.clone();
+            bad.payload = Bytes::from(longer);
+            assert!(!bad.intact(), "len {n}: trailing zero byte");
         }
     }
 

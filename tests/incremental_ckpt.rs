@@ -319,3 +319,208 @@ fn rescale_re_replicates_the_chain_not_a_flat_copy() {
     assert_eq!(report.faults.checkpoints, 1, "{:?}", report.faults);
     assert!(report.ckpt.deltas > 0, "{:?}", report.ckpt);
 }
+
+// ---------------------------------------------------------------------
+// Scripted-write harness: the test decides which heap pages are dirtied,
+// rewritten and reverted before which capture, and what every rank must
+// hold at the end follows from the script alone. Captures diff against
+// the base read *through* the delta chain (no materialized previous
+// image), and a restore writes base and deltas straight into live
+// regions — so a chunk the chain misrepresents shows up as a wrong word.
+// ---------------------------------------------------------------------
+
+const PAGES: usize = 12;
+const WORDS_PER_PAGE: usize = 4096 / 8;
+
+/// `script[s]` is the `(page, value)` writes applied before barrier `s + 1`.
+type Script = Vec<Vec<(usize, f64)>>;
+type PageWords = Vec<(usize, Vec<f64>)>;
+
+fn scripted_body(script: Arc<Script>, out: Arc<Mutex<PageWords>>) -> Arc<dyn Fn(RankCtx) + Send + Sync> {
+    Arc::new(move |ctx: RankCtx| {
+        let data = ctx.heap_alloc_f64s(PAGES * WORDS_PER_PAGE);
+        // one word per 4 KiB stride, so distinct pages are distinct chunks
+        let word = |page: usize| page * WORDS_PER_PAGE + ctx.rank();
+        for writes in script.iter() {
+            for &(page, value) in writes {
+                data[word(page)] = value;
+            }
+            ctx.at_sync();
+        }
+        out.lock().push((ctx.rank(), (0..PAGES).map(|p| data[word(p)]).collect()));
+    })
+}
+
+/// What the script leaves in every rank: the last write to a page wins,
+/// an unwritten page keeps the allocator's zero.
+fn scripted_expectation(script: &Script, ranks: usize) -> PageWords {
+    let mut words = vec![0.0; PAGES];
+    for &(page, value) in script.iter().flatten() {
+        words[page] = value;
+    }
+    (0..ranks).map(|r| (r, words.clone())).collect()
+}
+
+struct ScriptedRun {
+    report: RunReport,
+    words: PageWords,
+    /// `(pages, bytes)` of every delta capture, in barrier order.
+    deltas: Vec<(u64, u64)>,
+}
+
+fn scripted_run(script: &Script, configure: impl FnOnce(MachineBuilder) -> MachineBuilder) -> ScriptedRun {
+    let out: Arc<Mutex<PageWords>> = Arc::new(Mutex::new(Vec::new()));
+    let tracer = Tracer::new(2);
+    tracer.enable();
+    let b = MachineBuilder::new(pvr_apps::hello::binary())
+        .method(Method::PieGlobals)
+        .clock(ClockMode::Virtual)
+        .topology(Topology::non_smp(2))
+        .vp_ratio(2)
+        .checkpoint_period(1)
+        .ckpt_incremental(true)
+        .tracer(tracer.clone());
+    let mut m = configure(b)
+        .build(scripted_body(Arc::new(script.clone()), out.clone()))
+        .unwrap();
+    let report = m.run().unwrap();
+    let mut words = out.lock().clone();
+    words.sort_by_key(|r| r.0);
+    let deltas = tracer
+        .snapshot()
+        .events_sorted()
+        .iter()
+        .filter_map(|e| match e.kind {
+            pvr_trace::EventKind::CkptDelta { pages, bytes, .. } => Some((pages, bytes)),
+            _ => None,
+        })
+        .collect();
+    ScriptedRun { report, words, deltas }
+}
+
+/// Deterministic pseudo-random stream for the write scripts.
+fn lcg(state: &mut u64) -> usize {
+    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    (*state >> 33) as usize
+}
+
+/// Random write sequences, a rollback at every barrier: whatever the
+/// chain length K ≤ `ckpt_max_chain` at the rollback, base + chain must
+/// be the memory of that barrier — every rank ends with exactly what the
+/// script says, as in full mode. The three-value alphabet makes rewrites
+/// of the same value and reverts to the base's zero common.
+#[test]
+fn random_write_sequences_restore_exactly_at_every_chain_length() {
+    const BARRIERS: usize = 6;
+    for seed in 1..=3u64 {
+        let mut rng = seed;
+        let script: Script = (0..BARRIERS)
+            .map(|_| {
+                (0..lcg(&mut rng) % 5)
+                    .map(|_| (lcg(&mut rng) % PAGES, (lcg(&mut rng) % 3) as f64))
+                    .collect()
+            })
+            .collect();
+        let expected = scripted_expectation(&script, 4);
+        assert_eq!(scripted_run(&script, |b| b).words, expected, "seed {seed}: clean");
+        for max_chain in [8u32, 2] {
+            for fault_at in 2..=BARRIERS as u32 {
+                let incr = scripted_run(&script, |b| {
+                    b.ckpt_max_chain(max_chain).inject_fault_at_lb_step(fault_at)
+                });
+                assert_eq!(
+                    incr.words, expected,
+                    "seed {seed} max_chain {max_chain}: rollback at barrier {fault_at} restored wrong bytes"
+                );
+                assert_eq!(incr.report.faults.recoveries, 1);
+                assert!(incr.report.ckpt.max_chain_len <= max_chain, "{:?}", incr.report.ckpt);
+            }
+        }
+        let full = scripted_run(&script, |b| b.ckpt_incremental(false).inject_fault_at_lb_step(4));
+        assert_eq!(full.words, expected, "seed {seed}: full mode");
+    }
+}
+
+/// A chunk dirtied before capture 1 and reverted before capture 2 equals
+/// the *base* again but not the previous capture: delta 2 must carry it,
+/// delta 3 must not, and a rollback through all three must land on the
+/// reverted value. (A diff against the bare base would drop it from
+/// delta 2 and restore the stale dirty value.)
+#[test]
+fn reverted_chunk_is_re_emitted_by_the_next_delta_only() {
+    // barrier 1 is the base; deltas are captured at barriers 2, 3, 4, 5
+    let with_revert: Script = vec![vec![], vec![(3, 7.0)], vec![(3, 0.0)], vec![], vec![]];
+    let control: Script = vec![vec![]; 5];
+    let run = |s: &Script| scripted_run(s, |b| b.inject_fault_at_lb_step(5));
+    let (a, c) = (run(&with_revert), run(&control));
+    assert_eq!(a.words, scripted_expectation(&with_revert, 4), "reverted value must survive the rollback");
+    assert_eq!(c.words, scripted_expectation(&control, 4));
+    // Stacks and runtime words change alike in both runs; what the script
+    // adds on top is one 4 KiB chunk per rank where it wrote.
+    let extra: Vec<(u64, u64)> = a
+        .deltas
+        .iter()
+        .zip(&c.deltas)
+        .map(|(a, c)| (a.0 - c.0, a.1 - c.1))
+        .collect();
+    assert_eq!(a.deltas.len(), c.deltas.len());
+    assert_eq!(
+        &extra[..3],
+        &[(4, 4 * 4096), (4, 4 * 4096), (0, 0)],
+        "delta 1 carries the dirtied chunk, delta 2 the reverted one, delta 3 neither: {:?} vs {:?}",
+        a.deltas,
+        c.deltas
+    );
+}
+
+/// A restore at a cut *shorter* than the primary's chain, then capturing
+/// again on top of the truncated chain. PE 3 dies at barrier 3 right
+/// after delta 2 was captured: its ranks fall back to the buddy, which
+/// holds only the sealed delta 1, so every rank rolls back to barrier 2
+/// and delta 2 is discarded. The geometry restore at the same barrier
+/// re-homes the truncated chain instead of taking a fresh base, so the
+/// replayed barrier diffs against base + delta 1 read through and
+/// captures the discarded barrier's delta over again. A later soft fault
+/// then rolls back through the re-captured deltas. Results must match
+/// full mode under the same failures and the clean run.
+#[test]
+fn capture_after_a_shortened_restore_continues_the_chain() {
+    let (clean_report, clean) = ring_run(ring_base(4, 2));
+    let inject = |b: MachineBuilder| {
+        b.inject_pe_failure_at_lb_step(3, 3)
+            .restore_geometry_at_lb_step(3, 3)
+            .inject_fault_at_lb_step(6)
+    };
+    let (report, faulty) = ring_run(inject(ring_base(4, 2)));
+    assert_eq!(faulty, clean, "recovery through a shortened chain diverged");
+    let (_, full_faulty) = ring_run(inject(ring_base(4, 2).ckpt_incremental(false)));
+    assert_eq!(faulty, full_faulty, "incremental vs full mode diverged");
+    // one failure rollback, one geometry rollback, one soft-fault rollback
+    assert_eq!(report.faults.recoveries, 3, "{:?}", report.faults);
+    assert_eq!(report.elastic.geometry_restores, 1);
+    // the chain went on: no base but the first was ever taken
+    assert_eq!(report.faults.checkpoints, 1, "{:?}", report.faults);
+    // one barrier's work ran twice: one delta more than the clean run
+    assert_eq!(report.ckpt.deltas, clean_report.ckpt.deltas + 1, "{:?}", report.ckpt);
+    assert!(report.ckpt.delta_bytes > clean_report.ckpt.delta_bytes, "{:?}", report.ckpt);
+}
+
+/// A delta corrupted while unsealed never reaches the base: the base is
+/// one buffer with two holders, the corruption hook owns only the delta's
+/// primary payload. PE 3 dies at the barrier that captured (and
+/// corrupted) delta 1, so the consistent cut is the bare base — held by
+/// the primary for surviving ranks and by the buddy for PE 3's — and
+/// every one must still pass its seal and restore the clean bytes. (With the delta inside the cut the same corruption
+/// aborts the restore: `failure_injection.rs`.)
+#[test]
+fn corrupted_unsealed_delta_leaves_the_shared_base_intact() {
+    let (_, clean) = ring_run(ring_base(4, 2));
+    let (report, faulty) = ring_run(
+        ring_base(4, 2)
+            .corrupt_ckpt_delta_at(2, 5)
+            .inject_pe_failure_at_lb_step(2, 3),
+    );
+    assert_eq!(faulty, clean, "base restored through either holder must be clean");
+    assert_eq!(report.faults.pe_failures, 1);
+    assert_eq!(report.faults.recoveries, 1);
+}
