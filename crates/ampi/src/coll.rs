@@ -8,7 +8,7 @@
 //! communicator cannot cross-talk even when messages arrive early.
 
 use crate::comm::CommId;
-use crate::envelope::Envelope;
+use crate::envelope::{Envelope, Kind};
 use crate::op::Op;
 use crate::util::{bytes_to_f64s, f64s_to_bytes};
 use crate::Ampi;
@@ -21,9 +21,8 @@ impl Ampi {
     }
 
     fn coll_recv(&self, comm: CommId, src_local: usize, tag: u32) -> Bytes {
-        let g = self.to_global(comm, src_local);
-        let m = self.recv_matching(Self::coll_pred(comm, tag, g));
-        m.payload
+        let spec = self.match_spec(comm, Kind::Collective, Some(src_local), Some(tag));
+        self.ctx.recv_match(spec).payload
     }
 
     /// `MPI_Barrier` — dissemination algorithm, ⌈log2 p⌉ rounds.

@@ -2,6 +2,10 @@
 //!
 //! Layout: `[comm:16][kind:8][reserved:8][tag:32]`.
 
+/// The header bits of an encoded envelope, `[comm:16][kind:8]`: what a
+/// receive with a wildcard tag still matches on.
+pub const HEADER_MASK: u64 = 0xFFFF_FF00_0000_0000;
+
 /// Message class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {

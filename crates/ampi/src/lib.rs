@@ -9,9 +9,11 @@
 //! copy under PIEglobals.
 //!
 //! Layering (bottom-up): the RTS transports opaque messages addressed by
-//! rank and knows nothing about MPI; all matching happens *inside* the
-//! receiving rank against its unexpected-message queue. That is also why
-//! messages trivially survive migration — they chase ranks, not PEs.
+//! rank and knows nothing about MPI; this crate compiles every receive
+//! — blocking, nonblocking, collective — into a [`pvr_rts::MatchSpec`]
+//! over the encoded envelope, and the runtime's per-rank matching engine
+//! pairs it with a message. Messages trivially survive migration: they
+//! chase ranks, not PEs.
 //!
 //! ```text
 //! application (pvr-apps)        jacobi3d, surge, hello
@@ -58,18 +60,9 @@ pub use p2p::{RecvReq, ReqId, SendReq, Status, ANY_SOURCE, ANY_TAG};
 
 use bytes::Bytes;
 use envelope::{Envelope, Kind};
-use pvr_rts::RankCtx;
+use pvr_rts::{MatchSpec, RankCtx, RtsMessage};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-
-/// A decoded message held in the unexpected queue.
-#[derive(Debug, Clone)]
-pub(crate) struct Incoming {
-    pub env: Envelope,
-    /// Sender's *global* rank (translated per communicator on match).
-    pub src_global: usize,
-    pub payload: Bytes,
-}
 
 /// A `recv_then` continuation closure.
 pub(crate) type ContFn = Box<dyn FnOnce(&Ampi, Bytes, p2p::Status)>;
@@ -83,17 +76,13 @@ pub(crate) struct ContEntry {
 
 pub(crate) struct State {
     pub comms: Vec<comm::Comm>,
-    pub unexpected: Vec<Incoming>,
     /// Per-communicator collective sequence numbers.
     pub coll_seq: Vec<u32>,
-    /// Payloads claimed from the unexpected queue when a nonblocking
-    /// receive was posted (the runtime entry is a born-complete local
-    /// post), keyed by request id until the wait family collects them.
-    pub prematched: BTreeMap<u64, (Bytes, p2p::Status)>,
-    /// Outcomes reaped from the runtime completion queue but not yet
+    /// Outcomes reaped from the runtime's request table but not yet
     /// handed to the caller (`test` stashes; `waitany`/`waitsome` reap
-    /// whole completed subsets). `None` marks a completed send.
-    pub reaped: BTreeMap<u64, Option<(Bytes, p2p::Status)>>,
+    /// whole completed subsets), decoded when they are. `None` marks a
+    /// completed send.
+    pub reaped: BTreeMap<u64, Option<RtsMessage>>,
     /// Pending `recv_then` continuations by request id.
     pub continuations: BTreeMap<u64, ContEntry>,
     /// Live continuation nesting depth (capped by
@@ -115,9 +104,7 @@ impl Ampi {
             ctx,
             state: RefCell::new(State {
                 comms: vec![world],
-                unexpected: Vec::new(),
                 coll_seq: vec![0],
-                prematched: BTreeMap::new(),
                 reaped: BTreeMap::new(),
                 continuations: BTreeMap::new(),
                 cont_depth: 0,
@@ -178,44 +165,32 @@ impl Ampi {
         self.ctx.send(to_global, env.encode(), payload);
     }
 
-    /// Blocking-receive the first message satisfying `pred`, in arrival
-    /// order (MPI non-overtaking), stashing non-matching traffic.
-    pub(crate) fn recv_matching(&self, mut pred: impl FnMut(&Incoming) -> bool) -> Incoming {
-        loop {
-            {
-                let mut st = self.state.borrow_mut();
-                if let Some(pos) = st.unexpected.iter().position(&mut pred) {
-                    return st.unexpected.remove(pos);
-                }
-            }
-            let raw = self.ctx.recv();
-            let inc = Incoming {
-                env: Envelope::decode(raw.tag),
-                src_global: raw.from,
-                payload: raw.payload,
-            };
-            self.state.borrow_mut().unexpected.push(inc);
-        }
-    }
-
-    /// Non-blocking variant: drain the runtime mailbox, then scan.
-    pub(crate) fn try_recv_matching(
+    /// The runtime predicate of a receive on `comm`: communicator and
+    /// kind always participate; a concrete tag pins every tag bit (the
+    /// envelope's reserved bits are always zero), which with a concrete
+    /// source lets the runtime match through its index; wildcards drop
+    /// their term.
+    pub(crate) fn match_spec(
         &self,
-        mut pred: impl FnMut(&Incoming) -> bool,
-    ) -> Option<Incoming> {
-        while let Some(raw) = self.ctx.try_recv() {
-            let inc = Incoming {
-                env: Envelope::decode(raw.tag),
-                src_global: raw.from,
-                payload: raw.payload,
-            };
-            self.state.borrow_mut().unexpected.push(inc);
+        comm: CommId,
+        kind: Kind,
+        src: Option<usize>,
+        tag: Option<u32>,
+    ) -> MatchSpec {
+        let env = Envelope {
+            comm: comm.0,
+            kind,
+            tag: tag.unwrap_or(0),
+        };
+        let tag_mask = match tag {
+            Some(_) => u64::MAX,
+            None => envelope::HEADER_MASK,
+        };
+        MatchSpec {
+            src: src.map(|local| self.to_global(comm, local)),
+            tag_mask,
+            tag_value: env.encode() & tag_mask,
         }
-        let mut st = self.state.borrow_mut();
-        st.unexpected
-            .iter()
-            .position(&mut pred)
-            .map(|pos| st.unexpected.remove(pos))
     }
 
     /// Allocate the next collective sequence number on `comm`.
@@ -242,19 +217,6 @@ impl Ampi {
             .members
             .iter()
             .position(|&g| g == global)
-    }
-
-    pub(crate) fn coll_pred(
-        comm: CommId,
-        tag: u32,
-        src_global: usize,
-    ) -> impl FnMut(&Incoming) -> bool {
-        move |m: &Incoming| {
-            m.env.kind == Kind::Collective
-                && m.env.comm == comm.0
-                && m.env.tag == tag
-                && m.src_global == src_global
-        }
     }
 }
 

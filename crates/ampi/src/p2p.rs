@@ -1,21 +1,19 @@
 //! Point-to-point communication: blocking and non-blocking sends and
 //! receives with MPI tag/source matching, including wildcards.
 //!
-//! Blocking matching runs inside the receiving rank against its
-//! unexpected-message queue in arrival order, which gives MPI's
-//! non-overtaking guarantee for any fixed `(source, tag, comm)` triple.
-//!
-//! Nonblocking operations are real requests in the runtime's per-rank
-//! request table: [`Ampi::irecv`] posts a delivery-time matching
-//! predicate (a [`MatchSpec`] over the encoded envelope), so an arriving
-//! message completes the receive the moment it is deposited — not when
-//! the rank later waits — and [`Ampi::isend_bytes`] completes when the
-//! reliable-delivery layer acks (or at post under unconditional
-//! delivery). The wait family ([`Ampi::wait`], [`Ampi::waitall`],
-//! [`Ampi::waitany`], [`Ampi::waitsome`], [`Ampi::test`]) reaps
-//! completions from the per-rank completion queue; posted-then-matched
-//! order is preserved because a posted receive claims messages in post
-//! order and the unexpected queue is checked before posting.
+//! Every receive is a [`MatchSpec`] over the encoded envelope, matched
+//! by the runtime's per-rank matching engine: a blocking receive takes
+//! the oldest buffered message its spec accepts or suspends until one
+//! arrives; a nonblocking one ([`Ampi::irecv`]) is a real request in the
+//! runtime's request table, completed the moment a matching message is
+//! deposited — not when the rank later waits. Both draw on the one
+//! unexpected queue, in arrival order, and posted receives are served in
+//! post order, which gives MPI's non-overtaking guarantee for any fixed
+//! `(source, tag, comm)` triple across the two. [`Ampi::isend_bytes`]
+//! completes when the reliable-delivery layer acks (or at post under
+//! unconditional delivery). The wait family ([`Ampi::wait`],
+//! [`Ampi::waitall`], [`Ampi::waitany`], [`Ampi::waitsome`],
+//! [`Ampi::test`]) reaps completions in completion order.
 //!
 //! [`Ampi::recv_then`] registers a completion *continuation*: a closure
 //! the library runs from [`Ampi::progress`] / [`Ampi::progress_wait`]
@@ -25,19 +23,15 @@
 
 use crate::comm::CommId;
 use crate::envelope::{Envelope, Kind};
-use crate::{Ampi, ContEntry, Incoming};
+use crate::{Ampi, ContEntry};
 use bytes::Bytes;
-use pvr_rts::{MatchSpec, RtsMessage};
+use pvr_rts::matching::Outcomes;
+use pvr_rts::RtsMessage;
 
 /// `MPI_ANY_SOURCE`.
 pub const ANY_SOURCE: Option<usize> = None;
 /// `MPI_ANY_TAG`.
 pub const ANY_TAG: Option<u32> = None;
-
-/// Envelope bits that always participate in nonblocking matching:
-/// communicator and message kind (`[comm:16][kind:8]`, the top 24 bits
-/// of the encoded tag word).
-const ENVELOPE_MASK: u64 = 0xFFFF_FF00_0000_0000;
 
 /// Completed-receive metadata (`MPI_Status`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,103 +90,33 @@ impl RecvReq {
 }
 
 impl Ampi {
-    fn p2p_pred(
-        &self,
-        comm: CommId,
-        src: Option<usize>,
-        tag: Option<u32>,
-    ) -> impl FnMut(&Incoming) -> bool + '_ {
-        let src_global = src.map(|local| self.to_global(comm, local));
-        move |m: &Incoming| {
-            m.env.kind == Kind::PointToPoint
-                && m.env.comm == comm.0
-                && src_global.is_none_or(|g| m.src_global == g)
-                && tag.is_none_or(|t| m.env.tag == t)
-        }
-    }
-
-    fn status_of(&self, comm: CommId, m: &Incoming) -> Status {
-        Status {
-            source: self
-                .to_local(comm, m.src_global)
-                .expect("sender must be a communicator member"),
-            tag: m.env.tag,
-            bytes: m.payload.len(),
-        }
-    }
-
-    /// Delivery-time matching predicate for the runtime: the envelope
-    /// header bits (communicator, kind) always participate; a concrete
-    /// tag pins the low 32 bits too, and a concrete source pins the
-    /// sender. Wildcards simply drop their term.
-    fn match_spec(&self, comm: CommId, src: Option<usize>, tag: Option<u32>) -> MatchSpec {
-        let mut mask = ENVELOPE_MASK;
-        let mut value = Envelope::p2p(comm.0, 0).encode() & ENVELOPE_MASK;
-        if let Some(t) = tag {
-            mask |= u32::MAX as u64;
-            value |= t as u64;
-        }
-        MatchSpec {
-            src: src.map(|local| self.to_global(comm, local)),
-            tag_mask: mask,
-            tag_value: value,
-        }
-    }
-
-    /// Status for a receive the *runtime* matched (the message never
-    /// entered the unexpected queue).
-    fn status_from_msg(&self, comm: CommId, m: &RtsMessage) -> Status {
-        Status {
+    /// Payload and status of a received message.
+    fn decode(&self, comm: CommId, m: RtsMessage) -> (Bytes, Status) {
+        let status = Status {
             source: self
                 .to_local(comm, m.from)
                 .expect("sender must be a communicator member"),
             tag: Envelope::decode(m.tag).tag,
             bytes: m.payload.len(),
-        }
+        };
+        (m.payload, status)
     }
 
-    /// Turn a reaped receive outcome into payload + status: a message
-    /// for runtime-matched receives, the prematched stash for receives
-    /// claimed from the unexpected queue at post time.
-    fn recv_outcome(&self, comm: CommId, id: u64, msg: Option<RtsMessage>) -> (Bytes, Status) {
-        match msg {
-            Some(m) => {
-                let status = self.status_from_msg(comm, &m);
-                (m.payload, status)
-            }
-            None => self
-                .state
-                .borrow_mut()
-                .prematched
-                .remove(&id)
-                .expect("local receive must carry a prematched payload"),
-        }
+    /// Payload and status of a completed receive request's outcome.
+    fn decode_outcome(&self, comm: CommId, m: Option<RtsMessage>) -> (Bytes, Status) {
+        self.decode(comm, m.expect("a receive's outcome carries its message"))
+    }
+
+    /// Decode the stashed outcome of receive `id`.
+    fn take_reaped(&self, comm: CommId, id: u64) -> Option<(Bytes, Status)> {
+        let m = self.state.borrow_mut().reaped.remove(&id)?;
+        Some(self.decode_outcome(comm, m))
     }
 
     /// Post a nonblocking receive without emitting a trace call (shared
-    /// by `irecv` and `recv_then`): claim from the unexpected queue
-    /// first — earlier arrivals must win over anything still in the
-    /// runtime mailbox — else hand the runtime a delivery-time predicate.
+    /// by `irecv` and `recv_then`).
     fn post_recv(&self, comm: CommId, src: Option<usize>, tag: Option<u32>) -> RecvReq {
-        let mut pred = self.p2p_pred(comm, src, tag);
-        let claimed = {
-            let mut st = self.state.borrow_mut();
-            st.unexpected
-                .iter()
-                .position(&mut pred)
-                .map(|pos| st.unexpected.remove(pos))
-        };
-        drop(pred);
-        if let Some(m) = claimed {
-            let status = self.status_of(comm, &m);
-            let id = self.ctx.req_post_local();
-            self.state
-                .borrow_mut()
-                .prematched
-                .insert(id, (m.payload, status));
-            return RecvReq { id, comm };
-        }
-        let spec = self.match_spec(comm, src, tag);
+        let spec = self.match_spec(comm, Kind::PointToPoint, src, tag);
         RecvReq {
             id: self.ctx.req_post_recv(spec),
             comm,
@@ -215,11 +139,8 @@ impl Ampi {
         tag: Option<u32>,
     ) -> (Bytes, Status) {
         pvr_trace::emit(pvr_trace::EventKind::MpiCall { name: "MPI_Recv" });
-        let mut pred = self.p2p_pred(comm, src, tag);
-        let m = self.recv_matching(&mut pred);
-        drop(pred);
-        let status = self.status_of(comm, &m);
-        (m.payload, status)
+        let spec = self.match_spec(comm, Kind::PointToPoint, src, tag);
+        self.decode(comm, self.ctx.recv_match(spec))
     }
 
     /// `MPI_Iprobe`-then-receive: non-blocking.
@@ -230,11 +151,8 @@ impl Ampi {
         tag: Option<u32>,
     ) -> Option<(Bytes, Status)> {
         pvr_trace::emit(pvr_trace::EventKind::MpiCall { name: "MPI_Iprobe" });
-        let mut pred = self.p2p_pred(comm, src, tag);
-        let m = self.try_recv_matching(&mut pred)?;
-        drop(pred);
-        let status = self.status_of(comm, &m);
-        Some((m.payload, status))
+        let spec = self.match_spec(comm, Kind::PointToPoint, src, tag);
+        Some(self.decode(comm, self.ctx.try_recv_match(spec)?))
     }
 
     /// `MPI_Isend`: posts into the runtime request table and returns a
@@ -265,40 +183,35 @@ impl Ampi {
     /// delivered. Reaped outcomes are stashed, so a `test`-then-`wait`
     /// sequence observes the completion exactly once.
     pub fn test(&self, req: &RecvReq) -> bool {
-        pvr_trace::emit(pvr_trace::EventKind::MpiCall { name: "MPI_Test" });
-        if self.state.borrow().reaped.contains_key(&req.id) {
-            return true;
-        }
-        let outcomes = self.ctx.req_test(vec![req.id], false);
-        self.stash_recv_outcomes(&[(req.id, req.comm)], outcomes);
-        self.state.borrow().reaped.contains_key(&req.id)
+        self.test_id(req.id)
     }
 
     /// `MPI_Test` on a send.
     pub fn test_send(&self, req: &SendReq) -> bool {
+        self.test_id(req.id)
+    }
+
+    fn test_id(&self, id: u64) -> bool {
         pvr_trace::emit(pvr_trace::EventKind::MpiCall { name: "MPI_Test" });
-        if self.state.borrow().reaped.contains_key(&req.id) {
-            return true;
+        if !self.state.borrow().reaped.contains_key(&id) {
+            self.stash(self.ctx.req_test(vec![id], false));
         }
-        for (id, _) in self.ctx.req_test(vec![req.id], false) {
-            self.state.borrow_mut().reaped.insert(id, None);
-        }
-        self.state.borrow().reaped.contains_key(&req.id)
+        self.state.borrow().reaped.contains_key(&id)
     }
 
     /// `MPI_Wait` on a receive: suspends until the matching message has
     /// been delivered, then returns it.
     pub fn wait(&self, req: RecvReq) -> (Bytes, Status) {
         pvr_trace::emit(pvr_trace::EventKind::MpiCall { name: "MPI_Wait" });
-        if let Some(done) = self.state.borrow_mut().reaped.remove(&req.id) {
-            return done.expect("receive outcome stashed for a recv id");
+        if let Some(done) = self.take_reaped(req.comm, req.id) {
+            return done;
         }
-        let outcomes = self.ctx.req_wait(vec![req.id], false, false);
-        let (_, msg) = outcomes
-            .into_iter()
-            .next()
+        let (_, msg) = self
+            .ctx
+            .req_wait(vec![req.id], false, false)
+            .pop()
             .expect("wait returns the named request");
-        self.recv_outcome(req.comm, req.id, msg)
+        self.decode_outcome(req.comm, msg)
     }
 
     /// `MPI_Wait` on a send: suspends until the delivery layer acks.
@@ -323,17 +236,15 @@ impl Ampi {
                 .filter(|id| !st.reaped.contains_key(id))
                 .collect()
         };
-        let outcomes = self.ctx.req_wait(todo, false, false);
-        let key: Vec<(u64, CommId)> = reqs.iter().map(|r| (r.id, r.comm)).collect();
-        self.stash_recv_outcomes(&key, outcomes);
+        // a wait for all answers in the order it was asked
+        let mut waited = self.ctx.req_wait(todo, false, false).into_iter();
         reqs.into_iter()
             .map(|r| {
-                self.state
-                    .borrow_mut()
-                    .reaped
-                    .remove(&r.id)
-                    .expect("waitall reaps every named request")
-                    .expect("receive outcome stashed for a recv id")
+                self.take_reaped(r.comm, r.id).unwrap_or_else(|| {
+                    let (id, msg) = waited.next().expect("waitall reaps every named request");
+                    assert_eq!(id, r.id, "waitall outcomes follow request order");
+                    self.decode_outcome(r.comm, msg)
+                })
             })
             .collect()
     }
@@ -367,10 +278,11 @@ impl Ampi {
         }
         let ids: Vec<u64> = reqs.iter().map(|r| r.id).collect();
         let outcomes = self.ctx.req_wait(ids, true, false);
-        let first = outcomes.first().map(|&(id, _)| id);
-        let key: Vec<(u64, CommId)> = reqs.iter().map(|r| (r.id, r.comm)).collect();
-        self.stash_recv_outcomes(&key, outcomes);
-        let first = first.expect("waitany must deliver at least one completion");
+        let first = outcomes
+            .first()
+            .expect("waitany must deliver at least one completion")
+            .0;
+        self.stash(outcomes);
         let idx = reqs
             .iter()
             .position(|r| r.id == first)
@@ -388,9 +300,7 @@ impl Ampi {
         assert!(!reqs.is_empty(), "waitsome over an empty request set");
         if self.first_reaped_index(reqs).is_none() {
             let ids: Vec<u64> = reqs.iter().map(|r| r.id).collect();
-            let key: Vec<(u64, CommId)> = reqs.iter().map(|r| (r.id, r.comm)).collect();
-            let outcomes = self.ctx.req_wait(ids, true, false);
-            self.stash_recv_outcomes(&key, outcomes);
+            self.stash(self.ctx.req_wait(ids, true, false));
         }
         let done: Vec<usize> = {
             let st = self.state.borrow();
@@ -462,7 +372,7 @@ impl Ampi {
     }
 
     /// Run delivered continuations under the configured nesting cap.
-    fn run_continuations(&self, outcomes: Vec<(u64, Option<RtsMessage>)>) -> usize {
+    fn run_continuations(&self, outcomes: Outcomes) -> usize {
         let n = outcomes.len();
         let cap = self.ctx.continuation_depth();
         for (id, msg) in outcomes {
@@ -472,7 +382,7 @@ impl Ampi {
                 .continuations
                 .remove(&id)
                 .expect("completion delivered for an unknown continuation");
-            let (payload, status) = self.recv_outcome(entry.comm, id, msg);
+            let (payload, status) = self.decode_outcome(entry.comm, msg);
             {
                 let mut st = self.state.borrow_mut();
                 st.cont_depth += 1;
@@ -488,21 +398,9 @@ impl Ampi {
         n
     }
 
-    /// Decode reaped outcomes into the stash. `key` maps request ids to
-    /// their communicators; send ids may appear in `outcomes` without a
-    /// key entry and stash as `None`.
-    fn stash_recv_outcomes(
-        &self,
-        key: &[(u64, CommId)],
-        outcomes: Vec<(u64, Option<RtsMessage>)>,
-    ) {
-        for (id, msg) in outcomes {
-            let done = key
-                .iter()
-                .find(|&&(k, _)| k == id)
-                .map(|&(_, comm)| self.recv_outcome(comm, id, msg));
-            self.state.borrow_mut().reaped.insert(id, done);
-        }
+    /// Keep reaped outcomes until the wait that names them collects them.
+    fn stash(&self, outcomes: Outcomes) {
+        self.state.borrow_mut().reaped.extend(outcomes);
     }
 
     /// Lowest index in `reqs` whose outcome is already stashed.
@@ -515,12 +413,8 @@ impl Ampi {
     fn take_at(&self, reqs: &mut Vec<RecvReq>, idx: usize) -> (usize, Bytes, Status) {
         let req = reqs.remove(idx);
         let (b, s) = self
-            .state
-            .borrow_mut()
-            .reaped
-            .remove(&req.id)
-            .expect("outcome stashed before take_at")
-            .expect("receive outcome stashed for a recv id");
+            .take_reaped(req.comm, req.id)
+            .expect("outcome stashed before take_at");
         (idx, b, s)
     }
 

@@ -60,11 +60,19 @@ pub struct JsonRow {
     pub ratio: f64,
 }
 
+/// `v` with four significant digits (all of them when it has more
+/// before the decimal point): a 0.2915 sim-ms row must not read `0.3`.
+fn sig4(v: f64) -> String {
+    let magnitude = if v == 0.0 { 0 } else { v.abs().log10().floor() as i32 };
+    let decimals = (3 - magnitude).max(0) as usize;
+    format!("{v:.decimals$}")
+}
+
 impl JsonRow {
     fn render(&self) -> String {
         format!(
             "{{\"section\": \"{}\", \"name\": \"{}\", \"ranks\": {}, \"method\": \"{}\", \
-             \"unit\": \"{}\", \"quick\": {}, \"before\": {:.1}, \"after\": {:.1}, \
+             \"unit\": \"{}\", \"quick\": {}, \"before\": {}, \"after\": {}, \
              \"ratio\": {:.2}}}",
             self.section,
             self.name,
@@ -72,8 +80,8 @@ impl JsonRow {
             self.method,
             self.unit,
             self.quick,
-            self.before,
-            self.after,
+            sig4(self.before),
+            sig4(self.after),
             self.ratio,
         )
     }
@@ -163,5 +171,25 @@ pub fn fmt_dur(d: std::time::Duration) -> String {
         format!("{:.2} us", ns as f64 / 1e3)
     } else {
         format!("{} ns", ns)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::sig4;
+
+    #[test]
+    fn rows_keep_four_significant_digits() {
+        for (v, text) in [
+            (0.29152, "0.2915"),
+            (0.0501, "0.05010"),
+            (40.44, "40.44"),
+            (2063.9, "2064"),
+            (432660.4, "432660"),
+            (0.0, "0.000"),
+            (-1.5, "-1.500"),
+        ] {
+            assert_eq!(sig4(v), text);
+        }
     }
 }

@@ -164,7 +164,10 @@ pub fn report(quick: bool) -> String {
             name: "latency_hiding_fraction".into(),
             ranks: 2,
             method: "isend-irecv-overlap".into(),
-            unit: "fraction",
+            // exposed message latency (blocking - compute-only) and the
+            // part of it overlap hid (blocking - nonblocking); `ratio` is
+            // the fraction
+            unit: "sim-ms",
             quick,
             before: ms(block) - ms(comp),
             after: ms(block) - ms(nb),

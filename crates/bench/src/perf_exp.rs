@@ -16,13 +16,17 @@
 //!    prebuilt TLS block template, and FS link-instead-of-copy, per
 //!    method at 8/64/256 ranks,
 //!
-//! plus the datatype pack/unpack path as an ungated tracked baseline.
+//! plus the datatype pack/unpack path as an ungated tracked baseline
+//! and the **matching-depth sweep** ([`match_depth_ns`]): per-message
+//! cost of the posted and the unexpected queue from depth 1 to 4096,
+//! which a matching engine that scans grows linearly in and a hashed
+//! one is flat in.
 //! Results are rendered as a table and written to `BENCH_perf.json`
 //! so CI can track the numbers over time.
 
 use crate::render_table;
 use bytes::Bytes;
-use pvr_ampi::{Ampi, COMM_WORLD};
+use pvr_ampi::{Ampi, RecvReq, COMM_WORLD};
 use pvr_apps::jacobi3d;
 use pvr_des::{EventQueue, SimTime, Topology};
 use pvr_privatize::methods::Options;
@@ -31,6 +35,7 @@ use pvr_progimage::{
     link, CtorSpec, FunctionSpec, GlobalSpec, ImageSpec, ProgramBinary, SharedFs, VarClass,
 };
 use pvr_rts::{ClockMode, MachineBuilder, RankCtx, RtsMessage};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -359,6 +364,133 @@ fn bench_pack_unpack(quick: bool) -> BenchRow {
 }
 
 // ---------------------------------------------------------------------
+// 5. Matching depth: posted and unexpected queues, 1 -> 4096 deep
+// ---------------------------------------------------------------------
+
+/// Depths of the matching sweep; `max_outstanding_reqs` is raised to fit.
+const MATCH_DEPTHS: [usize; 7] = [1, 4, 16, 64, 256, 1024, 4096];
+
+/// Wall-clock ns per message with `depth` receives outstanding, over
+/// about `msgs` messages per phase: `(posted, unexpected)`.
+///
+/// *Posted*: rank 0 posts `depth` exact-tag `Irecv`s, rank 1 sends the
+/// matching messages youngest receive first (a front-to-back scan of the
+/// posted queue walks all of it), rank 0 waits for all. *Unexpected*:
+/// rank 1 sends `depth` distinct tags before rank 0 asks for any, then
+/// rank 0 receives them newest first with blocking `Recv`s. Both clocks
+/// run in rank 0 around the whole phase, so they hold the sender's and
+/// the engine's share of every message too, as `match_deep` does.
+pub fn match_depth_ns(depth: usize, msgs: usize) -> (f64, f64) {
+    const GO: u32 = u32::MAX;
+    const DONE: u32 = u32::MAX - 1;
+    let rounds = (msgs / depth).max(1);
+    let spent = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    let sink = spent.clone();
+    let body: Arc<dyn Fn(RankCtx) + Send + Sync> = Arc::new(move |ctx: RankCtx| {
+        let mpi = Ampi::init(ctx);
+        let tags = 0..depth as u32;
+        let payload = Bytes::copy_from_slice(&[7u8; 32]);
+        for _ in 0..rounds {
+            if mpi.rank() == 0 {
+                let t0 = Instant::now();
+                let recvs: Vec<RecvReq> = tags
+                    .clone()
+                    .map(|t| mpi.irecv(COMM_WORLD, Some(1), Some(t)))
+                    .collect();
+                mpi.send_bytes(COMM_WORLD, 1, GO, Bytes::new());
+                std::hint::black_box(mpi.waitall(recvs));
+                sink[0].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+
+                let t0 = Instant::now();
+                mpi.send_bytes(COMM_WORLD, 1, GO, Bytes::new());
+                mpi.recv_bytes(COMM_WORLD, Some(1), Some(DONE));
+                for t in tags.clone().rev() {
+                    std::hint::black_box(mpi.recv_bytes(COMM_WORLD, Some(1), Some(t)));
+                }
+                sink[1].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            } else {
+                mpi.recv_bytes(COMM_WORLD, Some(0), Some(GO));
+                for t in tags.clone().rev() {
+                    mpi.send_bytes(COMM_WORLD, 0, t, payload.clone());
+                }
+                mpi.recv_bytes(COMM_WORLD, Some(0), Some(GO));
+                for t in tags.clone() {
+                    mpi.send_bytes(COMM_WORLD, 0, t, payload.clone());
+                }
+                mpi.send_bytes(COMM_WORLD, 0, DONE, Bytes::new());
+            }
+        }
+    });
+    let mut m = MachineBuilder::new(jacobi3d::binary())
+        .method(Method::TlsGlobals)
+        .clock(ClockMode::Virtual)
+        .topology(Topology::non_smp(2))
+        .vp_ratio(1)
+        .stack_size(256 * 1024)
+        .max_outstanding_reqs(depth)
+        .build(body)
+        .unwrap();
+    m.run().unwrap();
+    let per_msg = |i: usize| spent[i].load(Ordering::Relaxed) as f64 / (rounds * depth) as f64;
+    (per_msg(0), per_msg(1))
+}
+
+/// Best of `reps` runs of [`match_depth_ns`], per phase.
+pub fn best_match_depth_ns(depth: usize, msgs: usize, reps: usize) -> (f64, f64) {
+    (0..reps.max(1))
+        .map(|_| match_depth_ns(depth, msgs))
+        .fold((f64::INFINITY, f64::INFINITY), |best, run| {
+            (best.0.min(run.0), best.1.min(run.1))
+        })
+}
+
+/// The sweep as a table and as `match_depth` rows of `BENCH_perf.json`:
+/// `before` is the phase's cost at depth 16, `after` at the row's depth,
+/// so a flat engine reads ratio ~1 down the column.
+fn match_depth_report(quick: bool) -> String {
+    let msgs = if quick { 1 << 14 } else { 1 << 17 };
+    let reps = if quick { 3 } else { 5 };
+    let sweep: Vec<(usize, (f64, f64))> = MATCH_DEPTHS
+        .iter()
+        .map(|&d| (d, best_match_depth_ns(d, msgs, reps)))
+        .collect();
+    let base = sweep.iter().find(|(d, _)| *d == 16).expect("16 is swept").1;
+    let mut json = Vec::new();
+    let mut table = Vec::new();
+    for &(depth, ns) in &sweep {
+        for (name, at, at16) in [("posted", ns.0, base.0), ("unexpected", ns.1, base.1)] {
+            json.push(crate::JsonRow {
+                section: "match_depth",
+                name: name.to_string(),
+                ranks: depth,
+                method: "depth-sweep".into(),
+                unit: "ns/msg",
+                quick,
+                before: at16,
+                after: at,
+                ratio: at16 / at,
+            });
+        }
+        table.push(vec![
+            depth.to_string(),
+            format!("{:.0}", ns.0),
+            format!("{:.2}x", ns.0 / base.0),
+            format!("{:.0}", ns.1),
+            format!("{:.2}x", ns.1 / base.1),
+        ]);
+    }
+    if let Err(e) = crate::merge_bench_json("BENCH_perf.json", "match_depth", &json) {
+        eprintln!("[perf] warning: could not write BENCH_perf.json: {e}");
+    }
+    render_table(
+        "Matching depth — ns per message with `depth` receives outstanding (2 ranks, \
+         virtual time, exact tags); `vs 16` is the cost relative to depth 16",
+        &["depth", "posted ns/msg", "vs 16", "unexpected ns/msg", "vs 16"],
+        &table,
+    )
+}
+
+// ---------------------------------------------------------------------
 // Reporting
 // ---------------------------------------------------------------------
 
@@ -414,12 +546,14 @@ pub fn report(quick: bool) -> String {
             ]
         })
         .collect();
-    render_table(
+    let baseline = render_table(
         &format!(
             "Hot-path baseline — reference (perf_fast_paths=off) vs fast \
              (on); written to {json_path}"
         ),
         &["bench", "scale", "method", "before ns/op", "after ns/op", "speedup"],
         &table_rows,
-    )
+    );
+    eprintln!("[perf] matching-depth sweep ...");
+    format!("{baseline}\n{}", match_depth_report(quick))
 }

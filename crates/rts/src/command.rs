@@ -1,12 +1,16 @@
 //! The rank ⇄ scheduler protocol and the rank-side API ([`RankCtx`]).
 //!
-//! A virtual rank is a ULT. Every effectful operation (send, receive,
-//! declaring computed work, reaching a load-balancing sync point) is
-//! performed by writing a [`Command`] into the rank's slot and yielding;
-//! the PE scheduler handles it and resumes the rank with a [`Response`].
-//! This is exactly the shape of AMPI: blocking MPI calls trap into the
-//! scheduler, which may context-switch to another ready rank.
+//! A virtual rank is a ULT. Every effectful operation (send, matched
+//! receive, posting and waiting on nonblocking requests, declaring
+//! computed work, heap allocation, reaching a load-balancing sync point)
+//! is performed by writing a [`Command`] into the rank's slot and
+//! yielding; the PE scheduler handles it and resumes the rank with a
+//! [`Response`]. This is exactly the shape of AMPI: blocking MPI calls
+//! trap into the scheduler, which may context-switch to another ready
+//! rank. Every receive, blocking or posted, carries a [`MatchSpec`] for
+//! the rank's matching engine ([`crate::matching`]).
 
+use crate::matching::Outcomes;
 use crate::message::RtsMessage;
 use crate::{PeId, RankId};
 use bytes::Bytes;
@@ -16,13 +20,15 @@ use pvr_privatize::RankInstance;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Delivery-time matching predicate for a posted nonblocking receive.
+/// Matching predicate of a receive, blocking or posted.
 ///
 /// The runtime stays MPI-agnostic: `pvr-ampi` encodes its envelope
 /// (communicator, message kind, MPI tag) into the rts-level `tag` word,
-/// and a posted receive matches a message when the masked tag bits agree
-/// and the source filter (if any) matches. `src: None` is a wildcard
-/// source; masking out the low tag bits is a wildcard tag.
+/// and a receive matches a message when the masked tag bits agree and
+/// the source filter (if any) matches. `src: None` is a wildcard source;
+/// masking out the low tag bits is a wildcard tag. A spec that names the
+/// source and masks every tag bit (`u64::MAX`) is matched through the
+/// unexpected queue's index instead of a scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchSpec {
     /// Required sender, or `None` for any source.
@@ -34,6 +40,13 @@ pub struct MatchSpec {
 }
 
 impl MatchSpec {
+    /// Accepts every message.
+    pub const ANY: MatchSpec = MatchSpec {
+        src: None,
+        tag_mask: 0,
+        tag_value: 0,
+    };
+
     /// Does `msg` satisfy this predicate?
     pub fn matches(&self, msg: &RtsMessage) -> bool {
         self.src.is_none_or(|s| s == msg.from) && (msg.tag & self.tag_mask) == self.tag_value
@@ -49,11 +62,12 @@ pub enum Command {
         tag: u64,
         payload: Bytes,
     },
-    /// Block until *any* message for this rank arrives (MPI matching
-    /// happens inside the rank, in `pvr-ampi`).
-    Recv,
-    /// Non-blocking receive.
-    TryRecv,
+    /// Blocking receive: the oldest buffered message `spec` accepts, or
+    /// suspend until one arrives. Not a request — no table entry, no
+    /// `req.*` tally; arrivals the spec rejects do not resume the rank.
+    RecvMatch { spec: MatchSpec },
+    /// Non-suspending [`Command::RecvMatch`].
+    TryRecvMatch { spec: MatchSpec },
     /// Declare `work` of computation (advances the PE's virtual clock;
     /// no-op in real-time mode where the work physically happened).
     Compute(SimDuration),
@@ -81,15 +95,10 @@ pub enum Command {
     },
     /// Post a nonblocking receive with a delivery-time matching
     /// predicate. If a matching message is already buffered in the
-    /// rank's mailbox it is claimed now; otherwise the request stays
-    /// pending and the *deposit path* completes it when a matching
+    /// rank's unexpected queue it is claimed now; otherwise the request
+    /// stays pending and the *deposit path* completes it when a matching
     /// message arrives — not when the rank later waits.
     ReqPostRecv { spec: MatchSpec },
-    /// Post an already-satisfied receive: the caller (pvr-ampi) matched
-    /// the message against its own unexpected-message queue before the
-    /// runtime ever saw a posted receive. The table entry is born
-    /// complete so the wait-family calls observe uniform semantics.
-    ReqPostLocal,
     /// Wait until the identified requests complete: all of them
     /// (`any == false`) or at least one (`any == true`). Completed
     /// requests are reaped from the table and returned. `cont` marks a
@@ -116,9 +125,10 @@ pub enum Response {
     /// Id of a freshly posted nonblocking request.
     ReqId(u64),
     /// Completed requests reaped by `ReqWait`/`ReqTest`: `(id, message)`
-    /// pairs in completion order. Send completions and prematched local
-    /// posts carry `None`.
-    ReqOutcomes(Vec<(u64, Option<RtsMessage>)>),
+    /// pairs — in the order the call named them for a wait on all of
+    /// them, in completion order for a wait on any and for a test. Send
+    /// completions carry `None`.
+    ReqOutcomes(Outcomes),
 }
 
 /// Mailbox-sized shared cell between one rank and the scheduler. The two
@@ -260,20 +270,32 @@ impl RankCtx {
         }
     }
 
-    /// Block until any message arrives.
+    /// Block until any message arrives (oldest first).
     pub fn recv(&self) -> RtsMessage {
-        match self.call(Command::Recv) {
+        self.recv_match(MatchSpec::ANY)
+    }
+
+    /// Non-blocking receive of any message.
+    pub fn try_recv(&self) -> Option<RtsMessage> {
+        self.try_recv_match(MatchSpec::ANY)
+    }
+
+    /// Block until a message `spec` accepts is available and take the
+    /// oldest such. Arrivals `spec` rejects stay buffered, in order, and
+    /// do not resume the rank.
+    pub fn recv_match(&self, spec: MatchSpec) -> RtsMessage {
+        match self.call(Command::RecvMatch { spec }) {
             Response::Message(m) => m,
-            r => panic!("unexpected response to Recv: {r:?}"),
+            r => panic!("unexpected response to RecvMatch: {r:?}"),
         }
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<RtsMessage> {
-        match self.call(Command::TryRecv) {
+    /// The oldest buffered message `spec` accepts, if any; never blocks.
+    pub fn try_recv_match(&self, spec: MatchSpec) -> Option<RtsMessage> {
+        match self.call(Command::TryRecvMatch { spec }) {
             Response::Message(m) => Some(m),
             Response::NoMessage => None,
-            r => panic!("unexpected response to TryRecv: {r:?}"),
+            r => panic!("unexpected response to TryRecvMatch: {r:?}"),
         }
     }
 
@@ -343,20 +365,12 @@ impl RankCtx {
         }
     }
 
-    /// Post an already-complete table entry for a receive the caller
-    /// matched against its own unexpected queue (see
-    /// [`Command::ReqPostLocal`]).
-    pub fn req_post_local(&self) -> u64 {
-        match self.call(Command::ReqPostLocal) {
-            Response::ReqId(id) => id,
-            r => panic!("unexpected response to ReqPostLocal: {r:?}"),
-        }
-    }
-
     /// Block until the identified requests complete (all, or any one if
-    /// `any`), reaping and returning the completed subset. `cont` tags
-    /// the completions as continuation-delivered for the tallies.
-    pub fn req_wait(&self, ids: Vec<u64>, any: bool, cont: bool) -> Vec<(u64, Option<RtsMessage>)> {
+    /// `any`), reaping and returning the completed subset: in the order
+    /// of `ids` when waiting for all, in completion order for `any`.
+    /// `cont` tags the completions as continuation-delivered for the
+    /// tallies.
+    pub fn req_wait(&self, ids: Vec<u64>, any: bool, cont: bool) -> Outcomes {
         match self.call(Command::ReqWait { ids, any, cont }) {
             Response::ReqOutcomes(v) => v,
             r => panic!("unexpected response to ReqWait: {r:?}"),
@@ -365,7 +379,7 @@ impl RankCtx {
 
     /// Reap whichever of the identified requests have already completed;
     /// never blocks.
-    pub fn req_test(&self, ids: Vec<u64>, cont: bool) -> Vec<(u64, Option<RtsMessage>)> {
+    pub fn req_test(&self, ids: Vec<u64>, cont: bool) -> Outcomes {
         match self.call(Command::ReqTest { ids, cont }) {
             Response::ReqOutcomes(v) => v,
             r => panic!("unexpected response to ReqTest: {r:?}"),

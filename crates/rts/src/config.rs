@@ -532,17 +532,12 @@ impl MachineConfig {
                 shared,
                 status: RankStatus::Ready,
                 location: pe,
-                mailbox: Default::default(),
+                matcher: Default::default(),
                 load_since_lb: SimDuration::ZERO,
                 total_load: SimDuration::ZERO,
                 messages_sent: 0,
                 messages_received: 0,
                 migrations: 0,
-                req_seq: 0,
-                reqs: Default::default(),
-                completions: Default::default(),
-                wait_set: None,
-                pending_sends: Default::default(),
             })
         };
 

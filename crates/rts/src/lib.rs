@@ -45,6 +45,8 @@
 //!   communication by writing a [`command::Command`] into its slot and
 //!   yielding; the scheduler responds and resumes it. This mirrors how
 //!   blocking MPI calls trap into AMPI's scheduler.
+//! * [`matching`] — the per-rank matching engine: hashed posted and
+//!   unexpected queues, the request table, counted waits.
 //! * `worker` / `engine_serial` / `engine_parallel` (private) — the
 //!   execution engine: per-PE lane state, the shared engine view, and
 //!   the serial and thread-pool drivers that both run the same lane
@@ -61,6 +63,7 @@ mod engine_serial;
 pub mod lb;
 pub mod location;
 pub mod machine;
+pub mod matching;
 pub mod message;
 pub mod pe;
 pub mod rank;

@@ -4,7 +4,6 @@
 //! PEs), driven deterministically by one OS thread. See the crate docs
 //! for the real-time vs virtual-time distinction.
 
-use crate::command::Response;
 use crate::config::Parallelism;
 use crate::lb::{LbStats, LoadBalancer};
 use crate::location::LocationManager;
@@ -260,7 +259,7 @@ struct RankDelta {
     /// Suspended stack pointer observed together with this capture.
     sp: Option<usize>,
     /// Request-engine state observed together with this capture.
-    req: crate::rank::ReqSnapshot,
+    req: crate::matching::ReqState,
     /// Dirty-epoch floor for the *next* delta capture of this rank's COW
     /// segment (0 when the rank has no COW segment).
     cow_since: u64,
@@ -281,7 +280,7 @@ struct CheckpointEntry {
     sp: Option<usize>,
     /// Request-engine state observed together with the image, restored
     /// with it so rolled-back ranks see the barrier's request table.
-    req: crate::rank::ReqSnapshot,
+    req: crate::matching::ReqState,
     /// Checksum of the image at pack time, verified before restore.
     checksum: u64,
     /// PE holding `image` and the unsealed tail of `deltas`.
@@ -702,121 +701,33 @@ impl Machine {
         Ok(rec)
     }
 
-    fn respond(&mut self, rank: RankId, resp: Response) {
-        self.ranks[rank].slot.lock().resp = Some(resp);
-    }
-
-    /// Put a message in its target's mailbox, waking the target — the
-    /// barrier-time path (harness injection, real-time hub spill-over);
-    /// lanes use their own copy of this logic during epochs.
+    /// Hand a message to its target's matching engine — the barrier-time
+    /// path (harness injection, real-time hub spill-over), through the
+    /// same lane code the engines run during epochs.
     pub(crate) fn deposit(&mut self, msg: RtsMessage) {
-        let to = msg.to;
-        self.messages_delivered += 1;
-        self.ranks[to].messages_received += 1;
-        if self.tracer.is_some() {
-            let pe = self.ranks[to].location;
-            let (from, tag, bytes) = (msg.from, msg.tag, msg.wire_bytes());
-            self.trace(
-                pe,
-                to as u32,
-                EventKind::MsgRecv {
-                    from: from as u32,
-                    tag,
-                    bytes: bytes as u32,
-                },
-            );
-        }
-        // Delivery-time matching: a posted nonblocking receive whose
-        // predicate covers this message consumes it before it ever
-        // reaches the mailbox (mirrors the lane-side path).
-        let posted = self.ranks[to].reqs.iter().find_map(|(&id, e)| {
-            match (&e.kind, &e.state) {
-                (crate::rank::ReqKind::Recv(spec), crate::rank::ReqState::Pending)
-                    if spec.matches(&msg) =>
-                {
-                    Some(id)
-                }
-                _ => None,
-            }
-        });
-        if let Some(id) = posted {
-            self.complete_req(to, id, Some(msg));
-            return;
-        }
-        self.ranks[to].mailbox.push_back(msg);
-        if self.ranks[to].status == RankStatus::Waiting && self.ranks[to].wait_set.is_none() {
-            let m = self.ranks[to].mailbox.pop_front().expect("just deposited");
-            self.respond(to, Response::Message(m));
-            self.ranks[to].status = RankStatus::Ready;
-            self.trace(self.ranks[to].location, to as u32, EventKind::Unblock);
-            self.make_ready(to);
-        }
+        let pe = self.location.lookup(msg.to);
+        let merged = self.with_lane(pe, |ctx| ctx.deposit(0, msg)).1;
+        debug_assert!(merged.is_ok(), "a deposit raises no lane error");
     }
 
-    /// Requeue `rank` on its PE, scheduling a wake event in virtual mode
-    /// (barrier-time counterpart of the lane-side helper).
-    fn make_ready(&mut self, rank: RankId) {
-        let pe = self.ranks[rank].location;
-        self.pes[pe].ready.push_back(rank);
-        if self.clock == ClockMode::Virtual {
-            let at = self.queue.now().max_of(self.pes[pe].clock);
-            self.queue.schedule(at, Event::PeWake { pe });
-        }
-    }
-
-    /// Mark request `id` on `rank` complete and run the completion
-    /// protocol: completion-queue push, tallies, trace, waiter wake —
-    /// the barrier-time mirror of the lane-side `complete_req`.
-    fn complete_req(&mut self, rank: RankId, id: u64, msg: Option<RtsMessage>) {
-        let rs = &mut self.ranks[rank];
-        let e = rs.reqs.get_mut(&id).expect("completing unknown request");
-        let send = e.is_send();
-        e.state = crate::rank::ReqState::Done(msg);
-        rs.completions.push_back(id);
-        if send {
-            self.req.send_completes += 1;
-        } else {
-            self.req.recv_completes += 1;
-        }
-        let pe = rs.location;
-        self.trace(pe, rank as u32, EventKind::ReqComplete { req: id, send });
-        self.try_wake_waiter(rank);
-    }
-
-    /// If `rank` is suspended in a wait-family call whose set is now
-    /// satisfied, reap the outcomes, respond, and requeue it.
-    fn try_wake_waiter(&mut self, rank: RankId) {
-        let rs = &mut self.ranks[rank];
-        if rs.status != RankStatus::Waiting {
-            return;
-        }
-        if !rs.wait_set.as_ref().is_some_and(|ws| ws.satisfied(&rs.reqs)) {
-            return;
-        }
-        let ws = rs.wait_set.take().expect("checked above");
-        let outcomes = worker::reap_outcomes(rs, &ws.ids);
-        if ws.cont {
-            self.req.continuations += outcomes.len() as u64;
-            let pe = self.ranks[rank].location;
-            if self.tracer.is_some() {
-                for (id, _) in &outcomes {
-                    self.trace(pe, rank as u32, EventKind::ReqContinuation { req: *id });
-                }
-            }
-        }
-        self.respond(rank, Response::ReqOutcomes(outcomes));
-        self.ranks[rank].status = RankStatus::Ready;
-        let pe = self.ranks[rank].location;
-        self.trace(pe, rank as u32, EventKind::Unblock);
-        self.make_ready(rank);
-    }
-
-    /// Drive one rank until it blocks, parks, yields, or completes — a
-    /// one-rank, one-lane engine invocation (harness/test entry point).
+    /// Drive one rank until it blocks, parks, yields, or completes
+    /// (harness/test entry point).
     pub(crate) fn run_rank_slice(&mut self, r: RankId) -> Result<StopReason, RtsError> {
         let pe = self.location.lookup(r);
-        // Horizon ZERO: every emission crosses the barrier, exactly
-        // reproducing global-queue scheduling.
+        let (res, merged) = self.with_lane(pe, |ctx| ctx.run_rank_slice(r));
+        let stop = res?;
+        merged?;
+        Ok(stop)
+    }
+
+    /// Run `f` as a one-lane engine invocation on `pe` and merge the
+    /// lane back. Horizon ZERO: every emission crosses the barrier,
+    /// exactly reproducing global-queue scheduling.
+    fn with_lane<T>(
+        &mut self,
+        pe: PeId,
+        f: impl FnOnce(&mut worker::ExecCtx<'_, '_, '_>) -> T,
+    ) -> (T, Result<(), RtsError>) {
         let mut lanes = vec![Lane {
             pe,
             state: std::mem::take(&mut self.pes[pe]),
@@ -824,50 +735,34 @@ impl Machine {
             horizon: SimTime::ZERO,
             out: Outbox::default(),
         }];
-        let res;
-        {
-            let shared = EngineShared {
-                clock: self.clock,
-                topology: &self.topology,
-                network: &self.network,
-                location: &self.location,
-                ranks: &self.ranks,
-                hls: &self.pe_hls_blocks,
-                alive: &self.alive,
-                tracer: self.tracer.as_ref(),
-                reliable: self.reliable.as_ref(),
-                epoch_start: self.epoch,
-                n_ranks: self.ranks.len(),
-                max_outstanding_reqs: self.max_outstanding_reqs,
-                perf_fast: self.perf_fast,
-            };
-            let mut guard_ctx;
-            let guard = if self.guards {
-                guard_ctx = GuardCtx {
-                    privatizers: &self.privatizers,
-                    baseline: &mut self.segment_baseline,
-                };
-                Some(&mut guard_ctx)
-            } else {
-                None
-            };
-            let mut ctx = worker::ExecCtx {
-                shared: &shared,
+        let res = self.with_engine(|shared, guard| {
+            f(&mut worker::ExecCtx {
+                shared,
                 lanes: &mut lanes,
                 pe_base: pe,
                 li: 0,
                 guard,
-            };
-            res = ctx.run_rank_slice(r);
-        }
-        let merged = self.merge_lanes(lanes);
-        match res {
-            Err(e) => Err(e),
-            Ok(stop) => {
-                merged?;
-                Ok(stop)
-            }
-        }
+            })
+        });
+        (res, self.merge_lanes(lanes))
+    }
+
+    /// Run `f` on the shared engine view and, when guards are on, the
+    /// guard context (which only the serial engines can carry).
+    fn with_engine<T>(
+        &mut self,
+        f: impl FnOnce(&EngineShared<'_>, Option<&mut GuardCtx<'_>>) -> T,
+    ) -> T {
+        // Moved out so the guard context's `&mut` doesn't alias the
+        // shared engine view's borrow of `self`.
+        let mut baseline = std::mem::take(&mut self.segment_baseline);
+        let mut guard_ctx = GuardCtx {
+            privatizers: &self.privatizers,
+            baseline: &mut baseline,
+        };
+        let out = f(&self.engine_shared(), self.guards.then_some(&mut guard_ctx));
+        self.segment_baseline = baseline;
+        out
     }
 
     fn live_count(&self) -> usize {
@@ -1052,7 +947,7 @@ impl Machine {
                 buddy_patch: None,
                 checksum,
                 sp,
-                req: crate::rank::ReqSnapshot::capture(&self.ranks[r]),
+                req: self.ranks[r].matcher.snapshot(),
                 cow_since,
             });
         }
@@ -1107,7 +1002,7 @@ impl Machine {
             entries.push(CheckpointEntry {
                 image,
                 sp,
-                req: crate::rank::ReqSnapshot::capture(&self.ranks[r]),
+                req: self.ranks[r].matcher.snapshot(),
                 checksum,
                 primary_pe,
                 buddy_pe: self.buddy_of(primary_pe),
@@ -1275,7 +1170,7 @@ impl Machine {
             }
             // The request table rolls back with the memory it belongs
             // to — the cut's barrier state.
-            req.apply(&mut self.ranks[rank]);
+            self.ranks[rank].matcher.restore(req);
             e.deltas.truncate(cut);
             if let Some(sp) = sp {
                 // SAFETY: the stack bytes were just restored to exactly
@@ -2286,29 +2181,13 @@ impl Machine {
         let mut lanes = self.make_lanes(batch, horizon);
         let active = lanes.iter().filter(|l| !l.queue.is_empty()).count();
         let parallel = threads > 1 && active > 1;
-        let walls;
-        // Moved out so the guard context's `&mut` doesn't alias the
-        // shared engine view's borrow of `self`.
-        let mut baseline = std::mem::take(&mut self.segment_baseline);
-        {
-            let shared = self.engine_shared();
+        let walls = self.with_engine(|shared, guard| {
             if parallel {
-                walls = engine_parallel::run_epoch_lanes(&shared, &mut lanes, threads);
+                engine_parallel::run_epoch_lanes(shared, &mut lanes, threads)
             } else {
-                let mut guard_ctx;
-                let guard = if self.guards {
-                    guard_ctx = GuardCtx {
-                        privatizers: &self.privatizers,
-                        baseline: &mut baseline,
-                    };
-                    Some(&mut guard_ctx)
-                } else {
-                    None
-                };
-                walls = engine_serial::run_epoch_lanes(&shared, &mut lanes, guard);
+                engine_serial::run_epoch_lanes(shared, &mut lanes, guard)
             }
-        }
-        self.segment_baseline = baseline;
+        });
         if parallel {
             self.engine.barriers += 1;
         }
@@ -2321,32 +2200,13 @@ impl Machine {
     fn run_real_burst(&mut self, threads: usize) -> Result<bool, RtsError> {
         self.engine.epochs += 1;
         let mut lanes = self.make_lanes(&mut Vec::new(), SimTime::ZERO);
-        let ran;
-        let walls;
-        let mut baseline = std::mem::take(&mut self.segment_baseline);
-        {
-            let shared = self.engine_shared();
+        let (ran, walls) = self.with_engine(|shared, guard| {
             if threads > 1 {
-                let (r, w) = engine_parallel::real_burst(&shared, &mut lanes, threads);
-                ran = r;
-                walls = w;
+                engine_parallel::real_burst(shared, &mut lanes, threads)
             } else {
-                let mut guard_ctx;
-                let guard = if self.guards {
-                    guard_ctx = GuardCtx {
-                        privatizers: &self.privatizers,
-                        baseline: &mut baseline,
-                    };
-                    Some(&mut guard_ctx)
-                } else {
-                    None
-                };
-                let (r, w) = engine_serial::real_burst(&shared, &mut lanes, guard);
-                ran = r;
-                walls = w;
+                engine_serial::real_burst(shared, &mut lanes, guard)
             }
-        }
-        self.segment_baseline = baseline;
+        });
         if threads > 1 {
             self.engine.barriers += 1;
         }
@@ -2576,7 +2436,7 @@ impl fmt::Debug for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::RankCtx;
+    use crate::command::{MatchSpec, RankCtx};
     use crate::config::{ConfigError, MachineBuilder};
     use bytes::Bytes;
     use pvr_progimage::{link, ImageSpec, ProgramBinary, SharedFs};
@@ -2843,6 +2703,46 @@ mod tests {
         // wake it up and finish
         m.deposit(RtsMessage::new(1, 0, 0, Bytes::new()));
         m.run().unwrap();
+    }
+
+    #[test]
+    fn matched_receive_ignores_other_arrivals_and_survives_migration() {
+        let wanted = MatchSpec {
+            src: Some(1),
+            tag_mask: u64::MAX,
+            tag_value: 9,
+        };
+        let mut m = builder()
+            .method(Method::PieGlobals)
+            .topology(Topology::non_smp(2))
+            .vp_ratio(1)
+            .build(Arc::new(move |ctx: RankCtx| {
+                if ctx.rank() != 0 {
+                    return;
+                }
+                let got = ctx.recv_match(wanted);
+                assert_eq!((got.from, got.tag, &got.payload[..]), (1, 9, &b"wanted"[..]));
+                // what it slept through is still buffered, in arrival order
+                let tags: Vec<u64> = std::iter::from_fn(|| ctx.try_recv()).map(|m| m.tag).collect();
+                assert_eq!(tags, [8, 9, 7]);
+            }))
+            .unwrap();
+        assert!(matches!(m.run_rank_slice(0), Ok(StopReason::BlockedRecv)));
+        // wrong tag, wrong source: buffered, the rank stays suspended
+        m.deposit(RtsMessage::new(1, 0, 8, Bytes::new()));
+        m.deposit(RtsMessage::new(0, 0, 9, Bytes::new()));
+        assert_eq!(m.ranks[0].status, RankStatus::Waiting);
+        assert_eq!(m.ranks[0].matcher.buffered(), 2);
+        // the suspended receive moves with the rank
+        m.migrate_now(0, 1).unwrap();
+        m.deposit(RtsMessage::new(1, 0, 7, Bytes::new()));
+        assert_eq!(m.ranks[0].status, RankStatus::Waiting);
+        assert_eq!(m.pes[1].ready, [1], "not requeued by arrivals it rejects");
+        m.deposit(RtsMessage::new(1, 0, 9, Bytes::from_static(b"wanted")));
+        assert_eq!(m.ranks[0].status, RankStatus::Ready);
+        assert_eq!(m.pes[1].ready, [1, 0], "requeued on its new PE");
+        let report = m.run().unwrap();
+        assert!(report.req.is_clean(), "a blocking receive is not a request");
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Runtime-level messages between ranks.
 //!
 //! The RTS transports opaque payloads addressed by rank; MPI semantics
-//! (communicators, tag matching, wildcards, collectives) are layered on
-//! top in `pvr-ampi`, *inside* the receiving rank — which is also how the
-//! tag survives migration: messages are addressed to ranks, not PEs.
+//! (communicators, tags, wildcards, collectives) are layered on top in
+//! `pvr-ampi`, which encodes them in the `tag` word and in the mask/value
+//! predicates the rank's matching engine ([`crate::matching`]) pairs
+//! messages with — which is also how the tag survives migration:
+//! messages are addressed to ranks, not PEs.
 
 use crate::RankId;
 use bytes::Bytes;

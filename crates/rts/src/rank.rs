@@ -1,14 +1,13 @@
 //! Scheduler-side state of one virtual rank.
 
-use crate::command::{MatchSpec, RankShared, Slot};
-use crate::message::RtsMessage;
+use crate::command::{RankShared, Slot};
+use crate::matching::Matcher;
 use crate::{PeId, RankId};
 use parking_lot::Mutex;
 use pvr_des::SimDuration;
 use pvr_isomalloc::RankMemory;
 use pvr_privatize::RankInstance;
 use pvr_ult::Ult;
-use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Scheduling status of a rank.
@@ -16,108 +15,13 @@ use std::sync::Arc;
 pub enum RankStatus {
     /// In some PE's ready queue (or currently running).
     Ready,
-    /// Blocked in `Recv` with an empty mailbox.
+    /// Suspended in a blocking receive or a wait-family call (the
+    /// rank's [`Matcher`] records which).
     Waiting,
     /// Parked at an `AtSync` barrier.
     AtSync,
     /// Body returned.
     Done,
-}
-
-/// What kind of operation a request-table entry tracks.
-#[derive(Debug, Clone)]
-pub enum ReqKind {
-    /// Nonblocking send (completed by the reliable-delivery ack, or at
-    /// post when delivery is unconditional).
-    Send,
-    /// Nonblocking receive with its delivery-time matching predicate.
-    Recv(MatchSpec),
-    /// Receive prematched by the caller against its own unexpected
-    /// queue; born complete.
-    Local,
-}
-
-/// Completion state of a request-table entry.
-#[derive(Debug, Clone)]
-pub enum ReqState {
-    /// Posted, not yet complete.
-    Pending,
-    /// Complete; receives carry the matched message until reaped.
-    Done(Option<RtsMessage>),
-}
-
-/// One entry in a rank's request table.
-#[derive(Debug, Clone)]
-pub struct ReqEntry {
-    pub kind: ReqKind,
-    pub state: ReqState,
-}
-
-impl ReqEntry {
-    pub fn is_send(&self) -> bool {
-        matches!(self.kind, ReqKind::Send)
-    }
-
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, ReqState::Done(_))
-    }
-}
-
-/// What a rank suspended in a wait-family call is waiting for.
-#[derive(Debug, Clone)]
-pub struct WaitSet {
-    /// Request ids the call named (pending subset at suspension time).
-    pub ids: Vec<u64>,
-    /// `true`: wake when any one completes (Waitany/Waitsome); `false`:
-    /// wake only when all complete (Wait/Waitall).
-    pub any: bool,
-    /// Completions delivered to this wait count as continuations.
-    pub cont: bool,
-}
-
-impl WaitSet {
-    /// Is the wait satisfied given the rank's request table?
-    pub fn satisfied(&self, reqs: &BTreeMap<u64, ReqEntry>) -> bool {
-        if self.any {
-            self.ids.iter().any(|id| reqs.get(id).is_none_or(|e| e.is_done()))
-        } else {
-            self.ids.iter().all(|id| reqs.get(id).is_none_or(|e| e.is_done()))
-        }
-    }
-}
-
-/// A rank's request-engine state captured together with a checkpoint
-/// image, so coordinated rollback restores the request table exactly as
-/// it stood at the barrier.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ReqSnapshot {
-    pub req_seq: u64,
-    pub reqs: BTreeMap<u64, ReqEntry>,
-    pub completions: VecDeque<u64>,
-    pub wait_set: Option<WaitSet>,
-    pub pending_sends: BTreeMap<(RankId, u64), u64>,
-}
-
-impl ReqSnapshot {
-    /// Capture `rs`'s request state (at a barrier).
-    pub(crate) fn capture(rs: &RankState) -> ReqSnapshot {
-        ReqSnapshot {
-            req_seq: rs.req_seq,
-            reqs: rs.reqs.clone(),
-            completions: rs.completions.clone(),
-            wait_set: rs.wait_set.clone(),
-            pending_sends: rs.pending_sends.clone(),
-        }
-    }
-
-    /// Restore the captured state onto `rs` (coordinated rollback).
-    pub(crate) fn apply(&self, rs: &mut RankState) {
-        rs.req_seq = self.req_seq;
-        rs.reqs = self.reqs.clone();
-        rs.completions = self.completions.clone();
-        rs.wait_set = self.wait_set.clone();
-        rs.pending_sends = self.pending_sends.clone();
-    }
 }
 
 /// Everything the runtime owns for one virtual rank.
@@ -136,7 +40,9 @@ pub struct RankState {
     pub shared: Arc<RankShared>,
     pub status: RankStatus,
     pub location: PeId,
-    pub mailbox: VecDeque<RtsMessage>,
+    /// Posted receives, the request table, the unexpected queue and the
+    /// sends awaiting their ack.
+    pub matcher: Matcher,
     /// Work accumulated since the last LB step (virtual mode), or wall
     /// time measured around resumes (real mode) — the LB input.
     pub load_since_lb: SimDuration,
@@ -145,19 +51,6 @@ pub struct RankState {
     pub messages_sent: u64,
     pub messages_received: u64,
     pub migrations: u32,
-    /// Next request id (monotonic per rank; survives migration).
-    pub req_seq: u64,
-    /// The request table: open nonblocking requests in post order.
-    pub reqs: BTreeMap<u64, ReqEntry>,
-    /// Per-rank completion queue: ids in the order they completed,
-    /// reaped FIFO by `ReqWait`/`ReqTest`.
-    pub completions: VecDeque<u64>,
-    /// When `status == Waiting` inside a wait-family call, what the rank
-    /// is waiting for; `None` means a plain `Recv` wait.
-    pub wait_set: Option<WaitSet>,
-    /// Outstanding reliable-delivery sends: `(dst, seq) -> request id`,
-    /// resolved to completions when the matching ack arrives.
-    pub pending_sends: BTreeMap<(RankId, u64), u64>,
 }
 
 impl RankState {
@@ -181,7 +74,7 @@ impl std::fmt::Debug for RankState {
             .field("rank", &self.id())
             .field("status", &self.status)
             .field("pe", &self.location)
-            .field("mailbox", &self.mailbox.len())
+            .field("unexpected", &self.matcher.buffered())
             .finish()
     }
 }

@@ -280,7 +280,7 @@ pub struct ReqTallies {
     /// Isend requests posted into rank request tables.
     pub send_posts: u64,
     /// Irecv requests posted into rank request tables (including posts
-    /// prematched against already-arrived unexpected messages).
+    /// that claimed an already-arrived unexpected message).
     pub recv_posts: u64,
     /// Isend requests completed (payload handed to the runtime, or the
     /// reliable-delivery ack arrived).

@@ -35,9 +35,10 @@ use crate::location::LocationManager;
 use crate::machine::{
     arena_trip_kind, segment_checksum_in, ClockMode, Event, ReliableState, RtsError,
 };
+use crate::matching::Arrival;
 use crate::message::RtsMessage;
 use crate::pe::PeState;
-use crate::rank::{RankState, RankStatus, ReqEntry, ReqKind, ReqState, WaitSet};
+use crate::rank::{RankState, RankStatus};
 use crate::stats::{FaultTallies, HardeningTallies, ReqTallies};
 use crate::{PeId, RankId};
 use parking_lot::Mutex;
@@ -314,28 +315,6 @@ pub(crate) struct ExecCtx<'a, 'e, 'g> {
 /// Answer a rank's pending command.
 fn respond(rs: &RankState, resp: Response) {
     rs.slot.lock().resp = Some(resp);
-}
-
-/// Reap completed requests among `ids` from `rs`'s table, in completion
-/// order: each reaped id leaves both the completion queue and the table,
-/// and a receive hands over its matched message.
-pub(crate) fn reap_outcomes(rs: &mut RankState, ids: &[u64]) -> Vec<(u64, Option<RtsMessage>)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < rs.completions.len() {
-        let id = rs.completions[i];
-        if ids.contains(&id) {
-            rs.completions.remove(i);
-            let e = rs.reqs.remove(&id).expect("completed request in table");
-            let ReqState::Done(msg) = e.state else {
-                unreachable!("queued completion must be done")
-            };
-            out.push((id, msg));
-        } else {
-            i += 1;
-        }
-    }
-    out
 }
 
 /// Flip one payload bit (or a checksum bit for empty payloads) — the
@@ -670,12 +649,12 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
         self.emit(send_pe, at, Event::Ack { from, to, seq });
     }
 
-    /// Put a message in its target's mailbox, waking the target. A rank
-    /// parked in `Recv` gets its pending command answered right here, and
-    /// a message matching a posted nonblocking receive completes that
-    /// request at delivery time — it never reaches the mailbox. `tl`
-    /// must be a lane this worker owns.
-    fn deposit(&mut self, tl: usize, msg: RtsMessage) {
+    /// Hand a message to its target's matching engine: it completes the
+    /// oldest posted receive it satisfies — at delivery time, not when
+    /// the rank later waits — or answers the blocking receive the rank
+    /// is parked in, or is buffered as unexpected. `tl` must be a lane
+    /// this worker owns.
+    pub(crate) fn deposit(&mut self, tl: usize, msg: RtsMessage) {
         let to = msg.to;
         self.lanes[tl].out.delivered += 1;
         // SAFETY: the rank lives on lanes[tl].pe, owned by this worker.
@@ -692,42 +671,29 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                 },
             );
         }
-        // Delivery-time matching: scan pending posted receives in post
-        // order and complete the first match. Posted receives claim
-        // messages before the mailbox sees them, so the mailbox never
-        // buffers a message a posted receive is waiting for.
-        let posted = rs
-            .reqs
-            .iter()
-            .find(|(_, e)| match (&e.kind, &e.state) {
-                (ReqKind::Recv(spec), ReqState::Pending) => spec.matches(&msg),
-                _ => false,
-            })
-            .map(|(id, _)| *id);
-        if let Some(id) = posted {
-            self.complete_req(tl, to, id, Some(msg));
-            return;
-        }
-        rs.mailbox.push_back(msg);
-        if rs.status == RankStatus::Waiting && rs.wait_set.is_none() {
-            let m = rs.mailbox.pop_front().expect("just deposited");
-            respond(rs, Response::Message(m));
-            rs.status = RankStatus::Ready;
-            self.trace_at(tl, to as u32, EventKind::Unblock);
-            self.make_ready(tl, to);
+        match rs.matcher.arrive(msg) {
+            Arrival::Posted(id, m) => self.complete_req(tl, to, id, Some(m)),
+            Arrival::Parked(m) => {
+                respond(rs, Response::Message(m));
+                self.wake(tl, to);
+            }
+            Arrival::Queued => {}
         }
     }
 
-    /// Make a previously waiting rank runnable on lane `tl` again,
-    /// scheduling a `PeWake` in virtual mode so the lane's queue drives
-    /// it (routed through the outbox past the epoch horizon).
-    fn make_ready(&mut self, tl: usize, r: RankId) {
+    /// Resume a rank whose blocking call was just answered: requeue it
+    /// on lane `tl`, scheduling a `PeWake` in virtual mode so the lane's
+    /// queue drives it (routed through the outbox past the epoch
+    /// horizon).
+    fn wake(&mut self, tl: usize, r: RankId) {
+        // SAFETY: the rank lives on lanes[tl].pe, owned by this worker.
+        unsafe { self.shared.ranks.resident_mut(r) }.status = RankStatus::Ready;
+        self.trace_at(tl, r as u32, EventKind::Unblock);
         let lane = &mut self.lanes[tl];
         lane.state.ready.push_back(r);
         if self.shared.clock == ClockMode::Virtual {
             let at = lane.queue.now().max_of(lane.state.clock);
             if at < lane.horizon {
-                let at = at.max_of(lane.queue.now());
                 lane.queue.schedule(at, Event::PeWake { pe: lane.pe });
             } else {
                 lane.out.events.push((at, Event::PeWake { pe: lane.pe }));
@@ -735,51 +701,69 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
         }
     }
 
-    /// Mark request `id` on rank `owner` complete: transition the table
-    /// entry, append to the per-rank completion queue, emit/tally the
-    /// completion, and wake the owner if it is suspended in a wait whose
-    /// set is now satisfied. `tl` must be the lane owning `owner`.
+    /// Mark request `id` on rank `owner` complete, emit/tally the
+    /// completion, and — if that satisfies the wait `owner` is suspended
+    /// in — reap the wait's outcomes, answer the pending command and
+    /// resume the rank. `tl` must be the lane owning `owner`.
     fn complete_req(&mut self, tl: usize, owner: RankId, id: u64, msg: Option<RtsMessage>) {
         // SAFETY: the rank lives on lanes[tl].pe, owned by this worker.
         let rs = unsafe { self.shared.ranks.resident_mut(owner) };
-        let send = {
-            let e = rs.reqs.get_mut(&id).expect("completing unknown request");
-            e.state = ReqState::Done(msg);
-            e.is_send()
-        };
-        rs.completions.push_back(id);
-        {
-            let out = &mut self.lanes[tl].out;
-            if send {
-                out.req.send_completes += 1;
-            } else {
-                out.req.recv_completes += 1;
-            }
+        let (send, satisfied) = rs.matcher.complete(id, msg);
+        let req = &mut self.lanes[tl].out.req;
+        if send {
+            req.send_completes += 1;
+        } else {
+            req.recv_completes += 1;
         }
         self.trace_at(tl, owner as u32, EventKind::ReqComplete { req: id, send });
-        self.try_wake_waiter(tl, owner);
+        if satisfied {
+            let (cont, outcomes) = rs.matcher.take_wait();
+            self.tally_continuations(tl, owner, cont, &outcomes);
+            respond(rs, Response::ReqOutcomes(outcomes));
+            self.wake(tl, owner);
+        }
     }
 
-    /// If `owner` is suspended in a wait-family call whose wait set is
-    /// now satisfied, reap the outcomes, answer the pending command, and
-    /// make the rank runnable again.
-    fn try_wake_waiter(&mut self, tl: usize, owner: RankId) {
-        // SAFETY: the rank lives on lanes[tl].pe, owned by this worker.
-        let rs = unsafe { self.shared.ranks.resident_mut(owner) };
-        if rs.status != RankStatus::Waiting {
-            return;
+    /// Build rank `r`'s next outgoing message and account for it in the
+    /// envelope pool, the communication matrix and the trace. `what`
+    /// names the call in the error for a destination that does not exist.
+    fn outgoing(
+        &mut self,
+        r: RankId,
+        to: RankId,
+        tag: u64,
+        payload: bytes::Bytes,
+        what: &str,
+    ) -> Result<RtsMessage, RtsError> {
+        if to >= self.shared.n_ranks {
+            return Err(RtsError::Protocol {
+                rank: r,
+                detail: format!("{what} to nonexistent rank {to}"),
+            });
         }
-        let satisfied = rs.wait_set.as_ref().is_some_and(|ws| ws.satisfied(&rs.reqs));
-        if !satisfied {
-            return;
+        let msg = RtsMessage::new(r, to, tag, payload);
+        // Envelope-pool accounting: an inline payload's whole lifecycle
+        // (send, retransmit copies, delivery) is allocation-free. The
+        // classification depends only on the message stream, so fast
+        // and reference paths tally identically.
+        let inline = msg.payload.is_inline();
+        let out = &mut self.lanes[self.li].out;
+        if inline {
+            out.pool_hits += 1;
+        } else {
+            out.pool_misses += 1;
         }
-        let ws = rs.wait_set.take().expect("checked above");
-        let outcomes = reap_outcomes(rs, &ws.ids);
-        self.tally_continuations(tl, owner, ws.cont, &outcomes);
-        respond(rs, Response::ReqOutcomes(outcomes));
-        rs.status = RankStatus::Ready;
-        self.trace_at(tl, owner as u32, EventKind::Unblock);
-        self.make_ready(tl, owner);
+        *out.comm_bytes.entry((r, to)).or_default() += msg.wire_bytes() as u64;
+        self.trace(r as u32, EventKind::MsgPool { inline });
+        self.trace(
+            r as u32,
+            EventKind::MsgSend {
+                to: to as u32,
+                tag,
+                bytes: msg.wire_bytes() as u32,
+            },
+        );
+        Ok(msg)
     }
 
     /// Enforce the per-rank request-table cap before a new post.
@@ -856,14 +840,14 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
             }
 
             let mut ult = rs.ult.take().expect("rank ULT present");
-            let t0 = Instant::now();
+            // Only real-time runs measure load by the wall clock.
+            let t0 = (self.shared.clock == ClockMode::RealTime).then(Instant::now);
             self.lanes[self.li].out.last_ran = Some(r);
             let outcome = ult.try_resume();
-            let wall = t0.elapsed();
             rs.ult = Some(ult);
 
-            if self.shared.clock == ClockMode::RealTime {
-                let d: SimDuration = wall.into();
+            if let Some(t0) = t0 {
+                let d: SimDuration = t0.elapsed().into();
                 rs.load_since_lb += d;
                 rs.total_load += d;
             }
@@ -882,13 +866,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                     // Leaked requests (never waited on, or completed but
                     // never reaped) are cleaned up here so a finished
                     // rank's table cannot pin messages or wake logic.
-                    let open = rs.reqs.len() as u64;
-                    if open > 0 {
-                        self.lanes[self.li].out.req.leaked += open;
-                        rs.reqs.clear();
-                        rs.completions.clear();
-                        rs.pending_sends.clear();
-                    }
+                    self.lanes[self.li].out.req.leaked += rs.matcher.clear_reqs() as u64;
                     self.lanes[self.li].out.done += 1;
                     return Ok(StopReason::Done);
                 }
@@ -918,56 +896,25 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
 
             match cmd {
                 Command::Send { to, tag, payload } => {
-                    if to >= self.shared.n_ranks {
-                        return Err(RtsError::Protocol {
-                            rank: r,
-                            detail: format!("send to nonexistent rank {to}"),
-                        });
-                    }
+                    let msg = self.outgoing(r, to, tag, payload, "send")?;
                     rs.messages_sent += 1;
-                    let msg = RtsMessage::new(r, to, tag, payload);
-                    // Envelope-pool accounting: an inline payload's whole
-                    // lifecycle (send, retransmit copies, delivery) is
-                    // allocation-free. The classification depends only
-                    // on the message stream, so fast and reference
-                    // paths tally identically.
-                    let inline = msg.payload.is_inline();
-                    {
-                        let out = &mut self.lanes[self.li].out;
-                        if inline {
-                            out.pool_hits += 1;
-                        } else {
-                            out.pool_misses += 1;
-                        }
-                        *out.comm_bytes.entry((r, to)).or_default() += msg.wire_bytes() as u64;
-                    }
-                    self.trace(r as u32, EventKind::MsgPool { inline });
-                    self.trace(
-                        r as u32,
-                        EventKind::MsgSend {
-                            to: to as u32,
-                            tag,
-                            bytes: msg.wire_bytes() as u32,
-                        },
-                    );
                     respond(rs, Response::Ack);
                     // `rs` must not be used past here: a send-to-self
                     // re-derives the same rank inside `route`.
                     self.route(msg);
                 }
-                Command::Recv => {
-                    if let Some(m) = rs.mailbox.pop_front() {
-                        respond(rs, Response::Message(m));
-                    } else {
+                Command::RecvMatch { spec } => match rs.matcher.recv(spec, true) {
+                    Some(m) => respond(rs, Response::Message(m)),
+                    None => {
                         rs.status = RankStatus::Waiting;
                         self.trace(r as u32, EventKind::Block);
-                        // response delivered when a message arrives and
-                        // the rank is rescheduled
+                        // answered by `deposit` when a message the spec
+                        // accepts arrives
                         return Ok(StopReason::BlockedRecv);
                     }
-                }
-                Command::TryRecv => {
-                    let resp = match rs.mailbox.pop_front() {
+                },
+                Command::TryRecvMatch { spec } => {
+                    let resp = match rs.matcher.recv(spec, false) {
                         Some(m) => Response::Message(m),
                         None => Response::NoMessage,
                     };
@@ -1030,45 +977,12 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                     }
                 }
                 Command::ReqPostSend { to, tag, payload } => {
-                    if to >= self.shared.n_ranks {
-                        return Err(RtsError::Protocol {
-                            rank: r,
-                            detail: format!("isend to nonexistent rank {to}"),
-                        });
-                    }
-                    self.check_req_capacity(r, rs.reqs.len())?;
+                    self.check_req_capacity(r, rs.matcher.open_reqs())?;
+                    let msg = self.outgoing(r, to, tag, payload, "isend")?;
                     rs.messages_sent += 1;
-                    let id = rs.req_seq;
-                    rs.req_seq += 1;
-                    let msg = RtsMessage::new(r, to, tag, payload);
-                    let inline = msg.payload.is_inline();
-                    {
-                        let out = &mut self.lanes[self.li].out;
-                        if inline {
-                            out.pool_hits += 1;
-                        } else {
-                            out.pool_misses += 1;
-                        }
-                        *out.comm_bytes.entry((r, to)).or_default() += msg.wire_bytes() as u64;
-                        out.req.send_posts += 1;
-                    }
-                    self.trace(r as u32, EventKind::MsgPool { inline });
-                    self.trace(
-                        r as u32,
-                        EventKind::MsgSend {
-                            to: to as u32,
-                            tag,
-                            bytes: msg.wire_bytes() as u32,
-                        },
-                    );
+                    let id = rs.matcher.post_send();
+                    self.lanes[self.li].out.req.send_posts += 1;
                     self.trace(r as u32, EventKind::ReqPost { req: id, send: true });
-                    rs.reqs.insert(
-                        id,
-                        ReqEntry {
-                            kind: ReqKind::Send,
-                            state: ReqState::Pending,
-                        },
-                    );
                     respond(rs, Response::ReqId(id));
                     // `rs` must not be used past here: a send-to-self
                     // re-derives the same rank inside `route`/`deposit`.
@@ -1077,7 +991,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                         // on this (the sender's) lane
                         let seq = self.send_reliable(msg);
                         let rs = unsafe { self.shared.ranks.resident_mut(r) };
-                        rs.pending_sends.insert((to, seq), id);
+                        rs.matcher.await_ack(to, seq, id);
                     } else {
                         // unconditional delivery: buffered-send
                         // semantics, complete at post
@@ -1086,66 +1000,35 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                     }
                 }
                 Command::ReqPostRecv { spec } => {
-                    self.check_req_capacity(r, rs.reqs.len())?;
-                    let id = rs.req_seq;
-                    rs.req_seq += 1;
+                    self.check_req_capacity(r, rs.matcher.open_reqs())?;
+                    // An already-buffered match is claimed now, oldest
+                    // first, which preserves non-overtaking.
+                    let (id, claimed) = rs.matcher.post_recv(spec);
                     self.lanes[self.li].out.req.recv_posts += 1;
                     self.trace(r as u32, EventKind::ReqPost { req: id, send: false });
-                    rs.reqs.insert(
-                        id,
-                        ReqEntry {
-                            kind: ReqKind::Recv(spec),
-                            state: ReqState::Pending,
-                        },
-                    );
                     respond(rs, Response::ReqId(id));
-                    // Claim an already-buffered match now, front to back:
-                    // the mailbox is in delivery order, so taking the
-                    // first hit preserves non-overtaking.
-                    if let Some(i) = rs.mailbox.iter().position(|m| spec.matches(m)) {
-                        let m = rs.mailbox.remove(i).expect("position just found");
+                    if let Some(m) = claimed {
                         self.complete_req(self.li, r, id, Some(m));
                     }
                 }
-                Command::ReqPostLocal => {
-                    self.check_req_capacity(r, rs.reqs.len())?;
-                    let id = rs.req_seq;
-                    rs.req_seq += 1;
-                    self.lanes[self.li].out.req.recv_posts += 1;
-                    self.trace(r as u32, EventKind::ReqPost { req: id, send: false });
-                    rs.reqs.insert(
-                        id,
-                        ReqEntry {
-                            kind: ReqKind::Local,
-                            state: ReqState::Pending,
-                        },
-                    );
-                    respond(rs, Response::ReqId(id));
-                    self.complete_req(self.li, r, id, None);
-                }
-                Command::ReqWait { ids, any, cont } => {
-                    let pending = ids
-                        .iter()
-                        .filter(|id| rs.reqs.get(id).is_some_and(|e| !e.is_done()))
-                        .count() as u32;
-                    let ws = WaitSet { ids, any, cont };
-                    if ws.ids.is_empty() || ws.satisfied(&rs.reqs) {
-                        let outcomes = reap_outcomes(rs, &ws.ids);
+                Command::ReqWait { ids, any, cont } => match rs.matcher.wait(ids, any, cont) {
+                    Ok(outcomes) => {
                         self.tally_continuations(self.li, r, cont, &outcomes);
                         respond(rs, Response::ReqOutcomes(outcomes));
-                    } else {
+                    }
+                    Err(pending) => {
                         rs.status = RankStatus::Waiting;
-                        rs.wait_set = Some(ws);
                         self.lanes[self.li].out.req.wait_blocks += 1;
                         self.trace(r as u32, EventKind::Block);
-                        self.trace(r as u32, EventKind::ReqWaitBlock { waiting: pending });
-                        // response delivered by `try_wake_waiter` when
-                        // the wait set is satisfied
+                        let waiting = pending as u32;
+                        self.trace(r as u32, EventKind::ReqWaitBlock { waiting });
+                        // answered by `complete_req` when the wait set
+                        // is satisfied
                         return Ok(StopReason::BlockedRecv);
                     }
-                }
+                },
                 Command::ReqTest { ids, cont } => {
-                    let outcomes = reap_outcomes(rs, &ids);
+                    let outcomes = rs.matcher.reap(&ids, true);
                     self.tally_continuations(self.li, r, cont, &outcomes);
                     respond(rs, Response::ReqOutcomes(outcomes));
                 }
@@ -1278,7 +1161,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                 // nonblocking send waiting on this ack completes here.
                 // SAFETY: `from` is resident on this lane's PE.
                 let rs = unsafe { self.shared.ranks.resident_mut(from) };
-                if let Some(id) = rs.pending_sends.remove(&(to, seq)) {
+                if let Some(id) = rs.matcher.acked(to, seq) {
                     self.complete_req(self.li, from, id, None);
                 }
             }

@@ -12,6 +12,9 @@ PVR_THREADS=1 cargo test -q --workspace
 echo "==> cargo test -q (PVR_THREADS=4: every Auto-parallelism run threaded)"
 PVR_THREADS=4 cargo test -q --workspace
 
+echo "==> benchmark harness (benchmark/ builds against the public API; one repetition of every workload, all checks)"
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> seeded fault-sweep smoke (determinism gate)"
 cargo test -q -p pvr-bench --test fault_recovery seeded_fault_sweep_is_deterministic
 

@@ -408,3 +408,24 @@ fn leaked_requests_are_tallied_and_finalize_stays_clean() {
         outcome.report.req.leaked
     );
 }
+
+/// ROADMAP item 5's acceptance: matching cost is flat in queue depth.
+/// With 4096 receives outstanding a message costs less than twice what
+/// it costs with 16, on the posted and on the unexpected queue (best of
+/// five; a matcher that scans is 6-7x dearer at 4096 than at 16).
+#[test]
+fn matching_cost_is_flat_in_depth() {
+    use pvr_bench::perf_exp::best_match_depth_ns;
+    const MSGS: usize = 1 << 14;
+    let shallow = best_match_depth_ns(16, MSGS, 5);
+    let deep = best_match_depth_ns(4096, MSGS, 5);
+    for (phase, at16, at4096) in [
+        ("posted", shallow.0, deep.0),
+        ("unexpected", shallow.1, deep.1),
+    ] {
+        assert!(
+            at4096 < 2.0 * at16,
+            "{phase} queue: {at4096:.0} ns/msg at depth 4096 vs {at16:.0} at depth 16"
+        );
+    }
+}
