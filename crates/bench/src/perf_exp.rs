@@ -11,7 +11,9 @@
 //!    implementation it replaced, plus a 2-PE ping-pong through the
 //!    full engine (outbox pooling, inline payloads, lane recycling),
 //! 2. **epoch extraction**: `EventQueue::drain_until` vs the
-//!    one-pop-per-event `pop_window` oracle,
+//!    one-pop-per-event `pop_window` oracle, and **epoch dispatch**: a
+//!    parallel epoch of two empty lanes on the worker pool vs the
+//!    per-epoch scoped spawn + join the pool replaced,
 //! 3. **privatization startup**: memoized template/patch-list (PIE),
 //!    prebuilt TLS block template, and FS link-instead-of-copy, per
 //!    method at 8/64/256 ranks,
@@ -34,7 +36,7 @@ use pvr_privatize::{create_privatizer, regs, Method, PrivatizeEnv};
 use pvr_progimage::{
     link, CtorSpec, FunctionSpec, GlobalSpec, ImageSpec, ProgramBinary, SharedFs, VarClass,
 };
-use pvr_rts::{ClockMode, MachineBuilder, RankCtx, RtsMessage};
+use pvr_rts::{ClockMode, MachineBuilder, Parallelism, RankCtx, RtsMessage};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -220,6 +222,44 @@ fn bench_epoch_extract(quick: bool) -> BenchRow {
         name: "epoch_extract",
         ranks: n,
         method: "event-queue".into(),
+        before_ns: before,
+        after_ns: after,
+    }
+}
+
+/// What a parallel epoch costs beyond its lanes' work: ns per epoch of
+/// two lanes holding one no-op `PeWake` each on the `Threads(2)` pool
+/// ("after"), against what the engine did per epoch before it had a
+/// pool — a scoped spawn and join of two threads ("before").
+fn bench_epoch_dispatch(quick: bool) -> BenchRow {
+    let epochs = if quick { 2_000 } else { 20_000 };
+    let reps = if quick { 3 } else { 5 };
+    let before = best_ns_per_op(reps, epochs, || {
+        for _ in 0..epochs {
+            std::thread::scope(|s| {
+                for w in 0..2 {
+                    s.spawn(move || std::hint::black_box(w));
+                }
+            });
+        }
+    });
+    let mut m = MachineBuilder::new(jacobi3d::binary())
+        .method(Method::TlsGlobals)
+        .clock(ClockMode::Virtual)
+        .topology(Topology::non_smp(2))
+        .vp_ratio(1)
+        .stack_size(256 * 1024)
+        .parallelism(Parallelism::Threads(2))
+        .build(Arc::new(|_ctx: RankCtx| {}))
+        .unwrap();
+    m.run().unwrap();
+    let after = (0..reps)
+        .map(|_| m.bench_epoch_dispatch(epochs).as_nanos() as f64 / epochs as f64)
+        .fold(f64::INFINITY, f64::min);
+    BenchRow {
+        name: "epoch_dispatch",
+        ranks: 2,
+        method: "spawn+join -> pool".into(),
         before_ns: before,
         after_ns: after,
     }
@@ -523,6 +563,8 @@ pub fn report(quick: bool) -> String {
     rows.push(bench_engine_pingpong(quick));
     eprintln!("[perf] epoch extraction ...");
     rows.push(bench_epoch_extract(quick));
+    eprintln!("[perf] epoch dispatch ...");
+    rows.push(bench_epoch_dispatch(quick));
     eprintln!("[perf] startup sweep ...");
     rows.extend(bench_startup(quick));
     eprintln!("[perf] pack/unpack ...");

@@ -21,18 +21,19 @@
 //! ## Parallel execution
 //!
 //! The machine can drive its PEs on a pool of OS worker threads
-//! ([`Parallelism`]): each worker owns a contiguous block of PEs and
-//! runs their schedulers. In virtual time the engine is *conservative* —
-//! the event queue is drained in lookahead-bounded epochs, each epoch's
-//! per-PE events run concurrently, and cross-PE sends are buffered in
-//! per-worker outboxes that the barrier merges in deterministic
-//! `(time, pe, seq)` order. Result: `Threads(n)` runs are bit-identical
-//! to `Serial` runs, for every `n`. In real time, workers exchange
-//! messages through a mutex+condvar hub with an all-idle termination
-//! detector; wall-clock scheduling makes those runs inherently
-//! nondeterministic, as on any real SMP machine. Memory-safety guards
-//! ([`MachineConfig`]'s `guards`) scan every rank after every resume and
-//! therefore force serial execution.
+//! ([`Parallelism`]) that lives for one [`Machine::run`]. In virtual
+//! time the engine is *conservative* — the event queue is drained in
+//! lookahead-bounded epochs, each epoch's non-empty per-PE lanes are
+//! claimed one by one by whichever worker is free, and cross-PE sends
+//! are buffered in per-lane outboxes that the barrier merges in
+//! deterministic `(time, pe, seq)` order. Result: `Threads(n)` runs are
+//! bit-identical to `Serial` runs, for every `n`. In real time, each
+//! worker owns a contiguous block of PEs for a burst and workers
+//! exchange messages through sharded inboxes with an all-idle
+//! termination detector; wall-clock scheduling makes those runs
+//! inherently nondeterministic, as on any real SMP machine.
+//! Memory-safety guards ([`MachineConfig`]'s `guards`) scan every rank
+//! after every resume and therefore force serial execution.
 //!
 //! ## Structure
 //!
@@ -49,7 +50,7 @@
 //!   unexpected queues, the request table, counted waits.
 //! * `worker` / `engine_serial` / `engine_parallel` (private) — the
 //!   execution engine: per-PE lane state, the shared engine view, and
-//!   the serial and thread-pool drivers that both run the same lane
+//!   the serial driver and the worker pool that both run the same lane
 //!   code.
 //! * [`lb`] — load balancing strategies (GreedyLB, RefineLB,
 //!   GreedyRefineLB — the paper's choice for ADCIRC — RotateLB, RandomLB).

@@ -5,6 +5,7 @@
 //! for the real-time vs virtual-time distinction.
 
 use crate::config::Parallelism;
+use crate::engine_parallel::{self, WorkerPool};
 use crate::lb::{LbStats, LoadBalancer};
 use crate::location::LocationManager;
 use crate::message::RtsMessage;
@@ -15,7 +16,7 @@ pub use crate::stats::{FaultTallies, HardeningTallies, LbRecord, MigrationRecord
 use crate::worker::{
     self, EngineShared, GuardCtx, HlsBlocks, Lane, Outbox, RankTable, StopReason,
 };
-use crate::{engine_parallel, engine_serial, PeId, RankId};
+use crate::{engine_serial, PeId, RankId};
 use parking_lot::Mutex;
 use pvr_des::{EventQueue, FaultPlan, NetworkModel, SimDuration, SimTime, Topology};
 use pvr_isomalloc::{GuardViolation, RegionKind};
@@ -2158,59 +2159,54 @@ impl Machine {
         }
     }
 
-    fn record_worker_walls(&mut self, walls: Vec<Duration>) {
-        if self.engine.worker_wall.len() < walls.len() {
-            self.engine.worker_wall.resize(walls.len(), Duration::ZERO);
+    /// Fold one epoch's or burst's per-worker wall-clocks into the engine
+    /// tallies. `parallel_since` is when it went to the pool (`None`: it
+    /// ran on the serial engine).
+    fn record_walls(&mut self, parallel_since: Option<Instant>, walls: Vec<Duration>) {
+        if let Some(t0) = parallel_since {
+            self.engine.barriers += 1;
+            self.engine.parallel_wall += t0.elapsed();
+            self.engine.parallel_busy += walls.iter().sum::<Duration>();
         }
-        for (i, w) in walls.into_iter().enumerate() {
-            self.engine.worker_wall[i] += w;
+        for (total, w) in self.engine.worker_wall.iter_mut().zip(walls) {
+            *total += w;
         }
     }
 
-    /// Execute one epoch: split the batch into lanes, drive them (in
-    /// parallel when profitable), and merge at the barrier. Serial and
-    /// parallel paths run the *same* lane code, so the per-epoch engine
-    /// choice cannot change results.
+    /// Execute one epoch: split the batch into lanes, drive them (on the
+    /// pool when there is one and more than one lane has events), and
+    /// merge at the barrier. Serial and parallel paths run the *same*
+    /// lane code, so the per-epoch engine choice cannot change results.
     fn run_epoch(
         &mut self,
         batch: &mut Vec<(SimTime, Event)>,
         horizon: SimTime,
-        threads: usize,
+        pool: Option<&WorkerPool>,
     ) -> Result<(), RtsError> {
         self.engine.epochs += 1;
         let mut lanes = self.make_lanes(batch, horizon);
         let active = lanes.iter().filter(|l| !l.queue.is_empty()).count();
-        let parallel = threads > 1 && active > 1;
-        let walls = self.with_engine(|shared, guard| {
-            if parallel {
-                engine_parallel::run_epoch_lanes(shared, &mut lanes, threads)
-            } else {
-                engine_serial::run_epoch_lanes(shared, &mut lanes, guard)
-            }
+        let pool = pool.filter(|_| active > 1);
+        let t0 = pool.map(|_| Instant::now());
+        let walls = self.with_engine(|shared, guard| match pool {
+            Some(pool) => engine_parallel::run_epoch_lanes(shared, &mut lanes, pool, active),
+            None => engine_serial::run_epoch_lanes(shared, &mut lanes, guard),
         });
-        if parallel {
-            self.engine.barriers += 1;
-        }
-        self.record_worker_walls(walls);
+        self.record_walls(t0, walls);
         self.merge_lanes(lanes)
     }
 
     /// One real-time scheduler burst: round-robin fair sweeps until no
     /// PE can make progress. Returns whether any slice ran.
-    fn run_real_burst(&mut self, threads: usize) -> Result<bool, RtsError> {
+    fn run_real_burst(&mut self, pool: Option<&WorkerPool>) -> Result<bool, RtsError> {
         self.engine.epochs += 1;
         let mut lanes = self.make_lanes(&mut Vec::new(), SimTime::ZERO);
-        let (ran, walls) = self.with_engine(|shared, guard| {
-            if threads > 1 {
-                engine_parallel::real_burst(shared, &mut lanes, threads)
-            } else {
-                engine_serial::real_burst(shared, &mut lanes, guard)
-            }
+        let t0 = pool.map(|_| Instant::now());
+        let (ran, walls) = self.with_engine(|shared, guard| match pool {
+            Some(pool) => engine_parallel::real_burst(shared, &mut lanes, pool),
+            None => engine_serial::real_burst(shared, &mut lanes, guard),
         });
-        if threads > 1 {
-            self.engine.barriers += 1;
-        }
-        self.record_worker_walls(walls);
+        self.record_walls(t0, walls);
         self.merge_lanes(lanes)?;
         Ok(ran > 0)
     }
@@ -2220,11 +2216,18 @@ impl Machine {
         let _scope = self.trace_scope();
         let threads = self.effective_threads();
         self.engine.threads = threads;
-        let t0 = Instant::now();
-        match self.clock {
-            ClockMode::RealTime => self.run_real(threads)?,
-            ClockMode::Virtual => self.run_virtual(threads)?,
+        if self.engine.worker_wall.len() < threads {
+            self.engine.worker_wall.resize(threads, Duration::ZERO);
         }
+        let t0 = Instant::now();
+        // The helpers live for this call: `pool` is dropped — and its
+        // threads joined — on the `?` paths below as on the normal one.
+        let pool = (threads > 1).then(|| WorkerPool::new(threads));
+        match self.clock {
+            ClockMode::RealTime => self.run_real(pool.as_ref())?,
+            ClockMode::Virtual => self.run_virtual(pool.as_ref())?,
+        }
+        drop(pool);
         let real_elapsed = t0.elapsed();
         if let Some(t) = &self.tracer {
             for (pe, p) in self.pes.iter().enumerate() {
@@ -2263,6 +2266,26 @@ impl Machine {
             req: self.req,
             engine: self.engine.clone(),
         })
+    }
+
+    /// Bench hook (`repro -- perf`, row `epoch_dispatch`): on a machine
+    /// whose run is over, drive `epochs` parallel epochs of two lanes
+    /// holding one no-op `PeWake` each — all an epoch costs beyond its
+    /// lanes' work — and return the wall-clock they took. Panics unless
+    /// the machine has two PEs or more and runs on two threads or more.
+    #[doc(hidden)]
+    pub fn bench_epoch_dispatch(&mut self, epochs: usize) -> Duration {
+        let pool = WorkerPool::new(self.effective_threads());
+        // Fresh lane queues: theirs start at time zero, like the wakes.
+        self.lane_slots.clear();
+        let mut batch = Vec::new();
+        let t0 = Instant::now();
+        for _ in 0..epochs {
+            batch.extend((0..2).map(|pe| (SimTime::ZERO, Event::PeWake { pe })));
+            self.run_epoch(&mut batch, SimTime::MAX, Some(&pool))
+                .expect("an idle PE's wake raises nothing");
+        }
+        t0.elapsed()
     }
 
     /// Sum copy-on-write accounting across the per-process privatizers
@@ -2305,9 +2328,9 @@ impl Machine {
         cow
     }
 
-    fn run_real(&mut self, threads: usize) -> Result<(), RtsError> {
+    fn run_real(&mut self, pool: Option<&WorkerPool>) -> Result<(), RtsError> {
         while self.done_count < self.ranks.len() {
-            let progressed = self.run_real_burst(threads)?;
+            let progressed = self.run_real_burst(pool)?;
             if self.lb_due() {
                 self.do_lb_step()?;
                 continue;
@@ -2329,7 +2352,7 @@ impl Machine {
         Ok(())
     }
 
-    fn run_virtual(&mut self, threads: usize) -> Result<(), RtsError> {
+    fn run_virtual(&mut self, pool: Option<&WorkerPool>) -> Result<(), RtsError> {
         // all PEs start at t=0
         for pe in 0..self.pes.len() {
             self.queue.schedule(SimTime::ZERO, Event::PeWake { pe });
@@ -2397,7 +2420,7 @@ impl Machine {
                 Lookahead::SingleEvent => batch[0].0,
                 Lookahead::Window(l) => batch[0].0.saturating_add(l),
             };
-            self.run_epoch(&mut batch, horizon, threads)?;
+            self.run_epoch(&mut batch, horizon, pool)?;
             if self.lb_due() {
                 self.do_lb_step()?;
                 if self.geometry_dirty {

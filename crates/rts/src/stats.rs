@@ -339,8 +339,26 @@ pub struct EngineTallies {
     /// Message sends whose payload spilled to a refcounted heap buffer.
     pub pool_misses: u64,
     /// Wall-clock each worker spent executing lane events, indexed by
-    /// worker id.
+    /// worker id (0 = the driving thread, which also runs every serial
+    /// epoch); always `threads` entries after a run.
     pub worker_wall: Vec<Duration>,
+    /// Driving-thread wall-clock summed over the parallel epochs and
+    /// bursts, dispatch and the wait for the slowest worker included.
+    pub parallel_wall: Duration,
+    /// Worker busy time inside those same epochs and bursts, summed over
+    /// workers. `parallel_wall - parallel_busy / threads` is what the
+    /// pool costs beyond a perfectly balanced split: dispatch plus
+    /// imbalance (the barrier pause).
+    pub parallel_busy: Duration,
+}
+
+impl EngineTallies {
+    /// Dispatch plus imbalance: `parallel_wall` minus the workers' mean
+    /// share of `parallel_busy` (zero on serial runs).
+    pub fn barrier_pause(&self) -> Duration {
+        let mean_busy = self.parallel_busy / self.threads.max(1) as u32;
+        self.parallel_wall.saturating_sub(mean_busy)
+    }
 }
 
 /// What a completed run reports.
@@ -642,10 +660,17 @@ impl RunReport {
             );
         }
         if self.engine.threads > 1 {
+            let e = &self.engine;
             let _ = writeln!(
                 out,
-                "engine: {} threads, {} epochs, {} barriers",
-                self.engine.threads, self.engine.epochs, self.engine.barriers
+                "engine: {} threads, {} epochs, {} barriers; parallel wall {:.3} ms, \
+                 workers busy {:.3} ms in sum, dispatch + imbalance {:.3} ms",
+                e.threads,
+                e.epochs,
+                e.barriers,
+                e.parallel_wall.as_secs_f64() * 1e3,
+                e.parallel_busy.as_secs_f64() * 1e3,
+                e.barrier_pause().as_secs_f64() * 1e3
             );
         }
         for (pe, (busy, idle)) in self.pe_busy_idle.iter().enumerate() {

@@ -3,12 +3,12 @@
 //!
 //! The epoch-barrier protocol keeps parallel runs bit-identical to serial
 //! ones: the machine pops the global DES queue into a time window, splits
-//! the batch into per-PE [`Lane`]s, and hands disjoint lane slices to
-//! workers. During an epoch a lane touches only its own ranks (enforced
-//! by the [`RankTable`] ownership contract below); everything that would
-//! cross a lane boundary — events for other PEs, tallies, errors,
-//! retransmit-exhaustion verdicts — is buffered in the lane's [`Outbox`]
-//! and merged deterministically at the barrier.
+//! the batch into per-PE [`Lane`]s, and the engine's workers drive each
+//! lane exactly once. During an epoch a lane touches only its own ranks
+//! (enforced by the [`RankTable`] ownership contract below); everything
+//! that would cross a lane boundary — events for other PEs, tallies,
+//! errors, retransmit-exhaustion verdicts — is buffered in the lane's
+//! [`Outbox`] and merged deterministically at the barrier.
 //!
 //! ## Send-safety audit
 //!
@@ -19,7 +19,10 @@
 //!   the rank, and rank ownership is frozen for the whole epoch
 //!   (migration happens at barriers only). The ULT never moves between
 //!   threads *while running* — only while suspended, which is a plain
-//!   memory hand-off ordered by the barrier's join.
+//!   memory hand-off ordered by the worker pool's publish (`Release`
+//!   store of the job's generation) and completion (`Release` decrement
+//!   of its pending count) edges. Which OS thread drives a lane differs
+//!   from epoch to epoch; nothing a lane reads depends on it.
 //! * **Privatization registers** (`pvr_privatize::regs`): thread-locals,
 //!   re-installed by `activate()`/`set_pe_base` at every context switch,
 //!   so concurrent lanes never observe each other's bases.
@@ -300,11 +303,13 @@ pub(crate) struct EngineShared<'e> {
 }
 
 /// The execution context a worker drives: shared machine state plus the
-/// contiguous slice of lanes this worker owns.
+/// lanes this context may touch — all of them on the serial engine, the
+/// one claimed lane in a parallel virtual-time epoch, a worker's
+/// contiguous chunk in a parallel real-time burst.
 pub(crate) struct ExecCtx<'a, 'e, 'g> {
     pub shared: &'a EngineShared<'e>,
     pub lanes: &'a mut [Lane],
-    /// PE id of `lanes[0]` — a worker's lanes are a contiguous PE range.
+    /// PE id of `lanes[0]` — the lanes are a contiguous PE range.
     pub pe_base: PeId,
     /// Index into `lanes` of the lane currently being driven.
     pub li: usize,

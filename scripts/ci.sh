@@ -28,20 +28,35 @@ echo "==> guard-trip smoke (stack/arena/segment guards catch seeded corruption)"
 cargo test -q -p pvr-rts guard
 
 cores=$(nproc 2>/dev/null || echo 1)
-if [ "$cores" -ge 4 ]; then
+if [ "$cores" -ge 2 ]; then
     echo "==> engine-scaling smoke ($cores cores: parallel Jacobi must not lose to serial)"
-    out=$(cargo run --release -q -p pvr-bench --bin repro -- scaling --quick)
-    echo "$out"
-    # The Threads(4) row's speedup column must be >= 1.00x on a 4+ core
-    # host — the thread pool may never make the deterministic engine
-    # slower than serial where real parallelism is available.
-    speedup=$(echo "$out" | awk -F'|' '/Threads\(4\)/ {gsub(/[ x]/, "", $5); print $5}')
-    awk -v s="$speedup" 'BEGIN { exit !(s >= 1.0) }' || {
-        echo "FAIL: Threads(4) slower than serial on a $cores-core host (speedup ${speedup}x)"
+    # Full configuration (the quick one's Serial leg is 4 ms: all noise),
+    # best of three. Where the host has the cores for it, the worker pool
+    # may never make the deterministic engine slower than serial:
+    # Threads(2) >= 1.00x from 2 cores up, Threads(4) >= 1.00x from 4.
+    best2=0
+    best4=0
+    for _ in 1 2 3; do
+        out=$(cargo run --release -q -p pvr-bench --bin repro -- scaling)
+        echo "$out"
+        s2=$(echo "$out" | awk -F'|' '/Threads\(2\)/ {gsub(/[ x]/, "", $5); print $5}')
+        s4=$(echo "$out" | awk -F'|' '/Threads\(4\)/ {gsub(/[ x]/, "", $5); print $5}')
+        best2=$(awk -v a="$best2" -v b="$s2" 'BEGIN { print (b + 0 > a + 0) ? b : a }')
+        best4=$(awk -v a="$best4" -v b="$s4" 'BEGIN { print (b + 0 > a + 0) ? b : a }')
+    done
+    echo "best of three: Threads(2) ${best2}x, Threads(4) ${best4}x"
+    awk -v s="$best2" 'BEGIN { exit !(s >= 1.0) }' || {
+        echo "FAIL: Threads(2) slower than serial on a $cores-core host (best speedup ${best2}x)"
         exit 1
     }
+    if [ "$cores" -ge 4 ]; then
+        awk -v s="$best4" 'BEGIN { exit !(s >= 1.0) }' || {
+            echo "FAIL: Threads(4) slower than serial on a $cores-core host (best speedup ${best4}x)"
+            exit 1
+        }
+    fi
 else
-    echo "==> engine-scaling smoke skipped ($cores core(s): no real parallelism available)"
+    echo "==> engine-scaling smoke skipped ($cores core: no real parallelism available)"
 fi
 
 echo "==> perf-smoke (fast-path baseline must produce BENCH_perf.json)"

@@ -1,0 +1,77 @@
+//! Acceptance: the parallel engine's worker pool lives exactly as long
+//! as one `Machine::run`.
+//!
+//! One test function on purpose: it reads this process's thread count,
+//! and a sibling test running beside it in the same binary would move
+//! that count under it.
+
+#![cfg(target_os = "linux")]
+
+use bytes::Bytes;
+use pvr_apps::hello;
+use pvr_rts::{ClockMode, MachineBuilder, Parallelism, RankCtx, RtsError, Topology};
+use std::sync::Arc;
+
+/// The `Threads:` line of `/proc/self/status`.
+fn os_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .expect("Threads: line");
+    line.trim().parse().expect("thread count")
+}
+
+/// Every rank passes a token once around the ring: each PE has events in
+/// the same windows, so virtual runs go through parallel epochs.
+fn ring_body() -> Arc<dyn Fn(RankCtx) + Send + Sync> {
+    Arc::new(|ctx: RankCtx| {
+        let n = ctx.n_ranks();
+        ctx.send((ctx.rank() + 1) % n, 7, Bytes::copy_from_slice(b"token"));
+        ctx.recv();
+    })
+}
+
+fn builder(clock: ClockMode) -> MachineBuilder {
+    MachineBuilder::new(hello::binary())
+        .clock(clock)
+        .topology(Topology::non_smp(4))
+        .vp_ratio(2)
+        .stack_size(128 * 1024)
+        .parallelism(Parallelism::Threads(2))
+}
+
+#[test]
+fn runs_leave_no_thread_behind() {
+    let before = os_threads();
+    for clock in [ClockMode::Virtual, ClockMode::RealTime] {
+        for i in 0..50 {
+            let mut m = builder(clock).build(ring_body()).unwrap();
+            let report = m.run().unwrap();
+            assert_eq!(report.engine.threads, 2);
+            assert!(
+                report.engine.barriers > 0,
+                "{clock:?}: the pool was never used"
+            );
+            // The machine is still alive here: the helpers belong to the
+            // run, not to the machine.
+            assert_eq!(os_threads(), before, "{clock:?} run {i} left a thread");
+        }
+    }
+
+    // A run that ends in `Err` joins its helpers on the way out.
+    let stuck: Arc<dyn Fn(RankCtx) + Send + Sync> = Arc::new(|ctx: RankCtx| {
+        if ctx.rank() == 0 {
+            ctx.recv(); // nobody sends
+        }
+    });
+    for clock in [ClockMode::Virtual, ClockMode::RealTime] {
+        let mut m = builder(clock).build(stuck.clone()).unwrap();
+        match m.run() {
+            Err(RtsError::Deadlock { waiting }) => assert_eq!(waiting, vec![0]),
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+        drop(m);
+        assert_eq!(os_threads(), before, "{clock:?}: an Err run left a thread");
+    }
+}

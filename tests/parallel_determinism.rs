@@ -12,9 +12,10 @@ use pvr_ampi::Ampi;
 use pvr_apps::jacobi3d::{self, JacobiConfig};
 use pvr_des::{FaultParams, FaultPlan, HopClass, NetworkModel, SimDuration, Topology};
 use pvr_privatize::{Method, Toolchain};
-use pvr_rts::{ClockMode, MachineBuilder, Parallelism, RankCtx};
+use pvr_rts::{ClockMode, EngineTallies, MachineBuilder, Parallelism, RankCtx};
 use pvr_trace::{TraceCounts, Tracer};
 use std::sync::Arc;
+use std::time::Duration;
 
 const ROUNDS: usize = 3;
 const METHODS: [Method; 3] = [Method::PieGlobals, Method::TlsGlobals, Method::Swapglobals];
@@ -60,15 +61,39 @@ struct Outcome {
     digest: u64,
     residuals: Residuals,
     counts: TraceCounts,
-    threads: usize,
-    epochs: u64,
+    engine: EngineTallies,
+    real_elapsed: Duration,
 }
 
+/// 3 PEs on the zero-cost network: one event per epoch, so `Threads(n)`
+/// goes through the machine's engine choice but never forms a parallel
+/// epoch — what this pins is the barrier merge order.
 fn run_one(method: Method, par: Parallelism, faults: bool) -> Outcome {
+    run_on(3, NetworkModel::ideal(), method, par, faults)
+}
+
+/// The same job on a network with latency: epochs are lookahead
+/// windows, several lanes hold events at once, and the pool drives them.
+fn run_windowed(pes: usize, par: Parallelism, faults: bool) -> Outcome {
+    run_on(
+        pes,
+        NetworkModel::infiniband(),
+        Method::PieGlobals,
+        par,
+        faults,
+    )
+}
+
+fn run_on(
+    pes: usize,
+    mut network: NetworkModel,
+    method: Method,
+    par: Parallelism,
+    faults: bool,
+) -> Outcome {
     let out: Arc<Mutex<Residuals>> = Arc::new(Mutex::new(Vec::new()));
-    let tracer = Tracer::new(3);
+    let tracer = Tracer::new(pes);
     tracer.enable();
-    let mut network = NetworkModel::ideal();
     let toolchain = if method == Method::Swapglobals {
         Toolchain::legacy_ld() // stock ld optimizes out the GOT hooks
     } else {
@@ -79,7 +104,7 @@ fn run_one(method: Method, par: Parallelism, faults: bool) -> Outcome {
         .toolchain(toolchain)
         .clock(ClockMode::Virtual)
         .parallelism(par)
-        .topology(Topology::non_smp(3))
+        .topology(Topology::non_smp(pes))
         .vp_ratio(2)
         .stack_size(256 * 1024)
         .tracer(tracer.clone());
@@ -95,9 +120,24 @@ fn run_one(method: Method, par: Parallelism, faults: bool) -> Outcome {
         digest: report.sim_digest(),
         residuals,
         counts: tracer.counts(),
-        threads: report.engine.threads,
-        epochs: report.engine.epochs,
+        engine: report.engine,
+        real_elapsed: report.real_elapsed,
     }
+}
+
+fn assert_same(par: &Outcome, serial: &Outcome, what: &str) {
+    assert_eq!(
+        par.digest, serial.digest,
+        "{what}: sim digest diverged from serial"
+    );
+    assert_eq!(
+        par.residuals, serial.residuals,
+        "{what}: residuals diverged from serial"
+    );
+    assert_eq!(
+        par.counts, serial.counts,
+        "{what}: trace event counts diverged from serial"
+    );
 }
 
 fn assert_identical(method: Method, faults: bool) {
@@ -105,18 +145,7 @@ fn assert_identical(method: Method, faults: bool) {
     assert!(!serial.residuals.is_empty(), "{method}: no results");
     for n in [2usize, 8] {
         let par = run_one(method, Parallelism::Threads(n), faults);
-        assert_eq!(
-            par.digest, serial.digest,
-            "{method} Threads({n}): sim digest diverged from serial"
-        );
-        assert_eq!(
-            par.residuals, serial.residuals,
-            "{method} Threads({n}): residuals diverged from serial"
-        );
-        assert_eq!(
-            par.counts, serial.counts,
-            "{method} Threads({n}): trace event counts diverged from serial"
-        );
+        assert_same(&par, &serial, &format!("{method} Threads({n})"));
     }
 }
 
@@ -139,14 +168,81 @@ fn fault_sweep_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn pe_count_the_thread_count_does_not_divide() {
+    // 5 PEs on 2 and on 3 workers: lanes are claimed, not dealt out in
+    // equal chunks, so an uneven geometry is the ordinary case — clean
+    // and under the lossy plan with a PE failure.
+    for faults in [false, true] {
+        let serial = run_windowed(5, Parallelism::Serial, faults);
+        assert!(!serial.residuals.is_empty());
+        for n in [2usize, 3] {
+            let par = run_windowed(5, Parallelism::Threads(n), faults);
+            assert_eq!(par.engine.threads, n);
+            assert!(par.engine.barriers > 0, "no epoch went to the pool");
+            assert_same(
+                &par,
+                &serial,
+                &format!("5 PEs, faults {faults}, Threads({n})"),
+            );
+        }
+    }
+}
+
+#[test]
+fn repeated_runs_of_one_configuration_agree() {
+    // Which worker drives which lane depends on timing, so one run of a
+    // configuration no longer stands for all of them: five in a row,
+    // each equal to serial (and so to each other).
+    for faults in [false, true] {
+        let serial = run_windowed(3, Parallelism::Serial, faults);
+        for n in [2usize, 3] {
+            for rep in 0..5 {
+                let par = run_windowed(3, Parallelism::Threads(n), faults);
+                assert!(par.engine.barriers > 0, "no epoch went to the pool");
+                assert_same(
+                    &par,
+                    &serial,
+                    &format!("faults {faults}, Threads({n}), run {rep}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn engine_tallies_report_parallel_shape() {
-    let par = run_one(Method::PieGlobals, Parallelism::Threads(8), false);
-    assert_eq!(par.threads, 3, "thread count must be clamped to the PE count");
+    let par = run_one(Method::PieGlobals, Parallelism::Threads(8), false).engine;
+    assert_eq!(
+        par.threads, 3,
+        "thread count must be clamped to the PE count"
+    );
     assert!(par.epochs > 0, "virtual runs are epoch-counted");
-    let serial = run_one(Method::PieGlobals, Parallelism::Serial, false);
+    let serial = run_one(Method::PieGlobals, Parallelism::Serial, false).engine;
     assert_eq!(serial.threads, 1);
     assert_eq!(
         par.epochs, serial.epochs,
         "epoch structure is engine-independent"
     );
+    assert_eq!(serial.barriers, 0);
+    assert_eq!(serial.parallel_wall, Duration::ZERO);
+
+    // `worker_wall.len()` is a divisor downstream (the benchmark's
+    // `rts.worker_busy_share`), so it must be the thread count even when
+    // a worker never got a lane; and no worker can have been busy for
+    // longer than the run took.
+    for (pes, n) in [(3, 2), (3, 8), (5, 2), (5, 3), (5, 4)] {
+        let run = run_windowed(pes, Parallelism::Threads(n), false);
+        let e = &run.engine;
+        assert_eq!(e.worker_wall.len(), e.threads, "{pes} PEs, Threads({n})");
+        for (w, wall) in e.worker_wall.iter().enumerate() {
+            assert!(
+                *wall <= run.real_elapsed,
+                "{pes} PEs, Threads({n}): worker {w} busy {wall:?} of a {:?} run",
+                run.real_elapsed
+            );
+        }
+        assert!(e.barriers > 0 && e.parallel_wall > Duration::ZERO);
+        assert!(e.parallel_wall <= run.real_elapsed);
+        assert!(e.parallel_busy <= e.worker_wall.iter().sum());
+    }
 }
