@@ -18,6 +18,10 @@
 //!   the adversarial shape, where a delta degenerates to a full image
 //!   plus diff bookkeeping and the ratio approaches 1×.
 //!
+//! Byte counts are *logical* image bytes (every region whole — what the
+//! network model is charged); the last column shows how much of one base
+//! capture the buffers actually hold (each region's live extent).
+//!
 //! Rows are merged into `BENCH_perf.json` under the `ckpt` section; the
 //! CI smoke gate greps the read-mostly rows: bytes ratio ≥10× (exact
 //! count) and an incremental pause below the full one.
@@ -88,6 +92,9 @@ struct Cell {
     /// Total checkpoint bytes shipped: full images (base captures) plus
     /// sparse delta payloads.
     bytes: u64,
+    /// The base images held at the end of the run, `(logical, stored)`:
+    /// what one capture counts and what its buffers hold.
+    base_image: (usize, usize),
 }
 
 fn run_cell(pes: usize, vp: usize, workload: Workload, incremental: bool) -> Cell {
@@ -109,7 +116,7 @@ fn run_cell(pes: usize, vp: usize, workload: Workload, incremental: bool) -> Cel
     let mut residuals = out.lock().clone();
     residuals.sort_by_key(|r| r.0);
     let bytes = tracer.counts().checkpoint_bytes + report.ckpt.delta_bytes;
-    Cell { report, residuals, bytes }
+    Cell { report, residuals, bytes, base_image: m.checkpoint_image_bytes() }
 }
 
 /// Run the sweep, merge rows into `BENCH_perf.json`, render the table.
@@ -129,6 +136,7 @@ pub fn report(quick: bool) -> String {
             let mut incr_ns = u64::MAX;
             let mut full_bytes = 0u64;
             let mut incr_bytes = 0u64;
+            let mut base_image = (0, 0);
             for _ in 0..reps {
                 let full = run_cell(pes, vp, workload, false);
                 let incr = run_cell(pes, vp, workload, true);
@@ -140,6 +148,7 @@ pub fn report(quick: bool) -> String {
                 incr_ns = incr_ns.min(incr.report.ckpt.pause_ns);
                 full_bytes = full.bytes;
                 incr_bytes = incr.bytes;
+                base_image = full.base_image;
             }
             let per_barrier = |ns: u64| ns as f64 / STEPS as f64;
             let pause_ratio = per_barrier(full_ns) / per_barrier(incr_ns).max(1.0);
@@ -172,6 +181,7 @@ pub fn report(quick: bool) -> String {
                 format!("{:.0} ns/barrier", per_barrier(full_ns)),
                 format!("{:.0} ns/barrier", per_barrier(incr_ns)),
                 format!("{pause_ratio:.2}x"),
+                "-".into(),
             ]);
             table.push(vec![
                 "bytes".into(),
@@ -180,6 +190,7 @@ pub fn report(quick: bool) -> String {
                 format!("{full_bytes} B"),
                 format!("{incr_bytes} B"),
                 format!("{:.2}x", full_bytes as f64 / (incr_bytes as f64).max(1.0)),
+                format!("{} B of {} B", base_image.1, base_image.0),
             ]);
         }
     }
@@ -193,7 +204,7 @@ pub fn report(quick: bool) -> String {
             "Checkpoint pause sweep — full per-barrier images vs incremental \
              delta chain (1 MiB data image, {STEPS} barriers); merged into {json_path}"
         ),
-        &["bench", "ranks", "workload", "full", "incremental", "ratio"],
+        &["bench", "ranks", "workload", "full", "incremental", "ratio", "stored (one base capture)"],
         &table,
     )
 }

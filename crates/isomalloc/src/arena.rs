@@ -136,8 +136,12 @@ struct Chunk {
 
 impl Chunk {
     fn new(size: usize) -> Chunk {
+        let mut region = Region::new_zeroed(RegionKind::HeapChunk, size);
+        // nothing handed out yet, nothing written: `try_alloc` raises the
+        // live extent to the allocation high-water mark
+        region.set_live(0..0);
         Chunk {
-            region: Region::new_zeroed(RegionKind::HeapChunk, size),
+            region,
             free: vec![FreeBlock {
                 offset: 0,
                 size,
@@ -182,6 +186,11 @@ impl Chunk {
                     };
                 } else {
                     self.free.remove(i);
+                }
+                // bytes past every allocation ever made are still the
+                // zeros the chunk was born with: images leave them out
+                if back_offset > self.region.live().end && !(mutant!(AlignedAllocNotRaised) && pad == 0) {
+                    self.region.set_live(0..back_offset);
                 }
                 return Some(aligned as *mut u8);
             }
@@ -537,6 +546,29 @@ mod tests {
             Err(AllocError::CapacityExceeded { .. }) => {}
             other => panic!("expected capacity error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn live_extent_is_the_allocation_high_water_mark() {
+        let mut a = Arena::with_chunk_size(1 << 16);
+        let hwm = |a: &Arena| a.regions().next().map(|r| r.live());
+        let p1 = a.alloc(1000, 8).unwrap();
+        assert_eq!(hwm(&a), Some(0..1000));
+        let p2 = a.alloc(24, 64).unwrap();
+        let end2 = p2.addr() + 24 - p1.addr();
+        assert_eq!(hwm(&a), Some(0..end2), "alignment padding is below the mark");
+        // freeing never lowers it (the bytes were written), and reuse of
+        // freed space below it does not move it
+        a.dealloc(p1);
+        let _p3 = a.alloc(512, 8).unwrap();
+        assert_eq!(hwm(&a), Some(0..end2));
+        // an allocation that fills the chunk to its last byte
+        let rest = (1 << 16) - end2;
+        let _p4 = a.alloc(rest, 1).unwrap();
+        assert_eq!(hwm(&a), Some(0..1 << 16));
+        // a second chunk starts empty-then-raised on its own
+        let _p5 = a.alloc(2000, 8).unwrap();
+        assert_eq!(a.regions().nth(1).map(|r| r.live()), Some(0..2000));
     }
 
     #[test]

@@ -34,6 +34,9 @@
 //! * [`pup`] — Charm++-style Pack/UnPack framework for typed data that
 //!   must cross address-space boundaries *by value* (messages, LB stats).
 
+#[macro_use]
+mod mutant;
+
 pub mod arena;
 pub mod checksum;
 pub mod pup;

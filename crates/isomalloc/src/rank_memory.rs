@@ -11,6 +11,16 @@
 //! 3. [`RankMemory::unpack_into`] — memcpy the bytes back into the rank's
 //!    regions at the destination.
 //!
+//! An image has two forms. Its *logical* form is a header, then every
+//! region's header and whole body: [`MigrationBuffer::len`], every
+//! [`ImageDelta`] offset and every byte count the runtime reports or
+//! charges the network for are in that coordinate space. Its *stored*
+//! form — the bytes the buffer holds — carries of each body only the
+//! region's live extent ([`Region::live`], cut outward to the 4 KiB diff
+//! grid): the rest is either the zero fill the region was born with or
+//! dead stack, so it is neither copied, sealed, compared nor restored. A
+//! region written end to end is simply the case "live extent = whole".
+//!
 //! Because all simulated nodes share one OS address space, the regions'
 //! base addresses are identical before and after — exactly the invariant
 //! Isomalloc buys with its mirrored virtual-address reservations, which is
@@ -21,6 +31,7 @@ use crate::checksum::{checksum64, fold64};
 use crate::region::{Region, RegionKind};
 use bytes::{Buf, BufMut, BytesMut};
 use std::fmt;
+use std::ops::Range;
 
 /// Identifies a non-heap region within a [`RankMemory`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,11 +60,24 @@ impl RankMemoryStats {
 /// ([`RankMemory::pack_with_sources_into`]).
 #[derive(Clone, Default)]
 pub struct MigrationBuffer {
+    /// The stored form.
     buf: BytesMut,
+    /// Length of the logical image `buf` stands for.
+    logical_len: usize,
 }
 
 impl MigrationBuffer {
+    /// Length of the *logical* image — what a migration moves as far as
+    /// the network model, the trace and every report are concerned, and
+    /// the space [`ImageDelta`] offsets index.
     pub fn len(&self) -> usize {
+        self.logical_len
+    }
+
+    /// Bytes the buffer actually holds: headers plus every region's live
+    /// extent. Equal to [`Self::len`] plus 16 bytes per region when every
+    /// region is live as a whole.
+    pub fn stored_len(&self) -> usize {
         self.buf.len()
     }
 
@@ -61,12 +85,14 @@ impl MigrationBuffer {
         self.buf.is_empty()
     }
 
+    /// The stored form (not indexable by logical offset).
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
     }
 
-    /// [`checksum64`] seal of the image. A checkpoint records it at pack
-    /// time and a restore refuses any image whose seal no longer matches.
+    /// [`checksum64`] seal of the stored image. A checkpoint records it at
+    /// pack time and a restore refuses any image whose seal no longer
+    /// matches.
     pub fn checksum(&self) -> u64 {
         checksum64(&self.buf)
     }
@@ -91,10 +117,9 @@ pub enum RegionDiffPlan {
 }
 
 /// A sparse byte patch against a packed [`MigrationBuffer`] image — the
-/// incremental-checkpoint delta. Offsets index the *packed image* (the
-/// same coordinate space [`RankMemory::pack`] writes, headers included),
-/// so a base image read through its delta chain, newest delta first, *is*
-/// the newest full image, byte for byte.
+/// incremental-checkpoint delta. Offsets index the *logical image*
+/// (headers included), so a base image read through its delta chain,
+/// newest delta first, *is* the newest full image on every live byte.
 #[derive(Debug, Clone, Default)]
 pub struct ImageDelta {
     /// `(image offset, payload)` per dirty page-chunk, ascending and
@@ -172,8 +197,58 @@ impl ImageDelta {
 const MAGIC: u32 = 0x50_56_52_4D; // "PVRM"
 /// Image header: magic (u32) + region count (u64).
 const HEADER_LEN: usize = 12;
-/// Per-region header: kind tag (u8) + body length (u64).
+/// Per-region header of the logical image: kind tag (u8) + body length
+/// (u64).
 const REGION_HEADER_LEN: usize = 9;
+/// Per-region header as stored: the logical one, then the stored range
+/// of the body (start u64, end u64). The body that follows is that range.
+const STORED_HEADER_LEN: usize = REGION_HEADER_LEN + 16;
+/// Bytes below a suspended stack pointer that still belong to the
+/// thread (the x86-64 SysV red zone).
+const RED_ZONE: usize = 128;
+
+/// What the previous capture holds at one diff chunk.
+enum Prev<'a> {
+    Bytes(&'a [u8]),
+    /// Outside the base's stored range and in no chained delta: the zero
+    /// fill the region was born with.
+    Zeros,
+    /// Partly inside the base's stored range, partly outside — only a
+    /// page size off the 4 KiB grid cuts such a chunk. There is no slice
+    /// to compare with; the chunk is carried.
+    Straddle,
+}
+
+impl<'a> Prev<'a> {
+    /// The previous bytes of the `n`-byte chunk at logical offset `o`:
+    /// the newest chained range starting there, else what the base
+    /// stores — `kept`, starting at logical offset `at`.
+    fn lookup(chain: &[&'a ImageDelta], o: usize, n: usize, (at, kept): (usize, &'a [u8])) -> Self {
+        debug_assert!(
+            chain.iter().all(|d| d.on_grid_at(o, n)),
+            "chain was cut on another offset grid than the chunk at {o}"
+        );
+        if let Some(bytes) = chain.iter().rev().find_map(|d| d.range_at(o)) {
+            Prev::Bytes(bytes)
+        } else if at <= o && o + n <= at + kept.len() {
+            Prev::Bytes(&kept[o - at..o - at + n])
+        } else if o + n <= at || at + kept.len() <= o {
+            Prev::Zeros
+        } else {
+            Prev::Straddle
+        }
+    }
+
+    /// Whether `chunk[sub]` differs from the same bytes of the previous
+    /// capture (a chunk of another length than its predecessor differs).
+    fn differs(&self, chunk: &[u8], sub: Range<usize>) -> bool {
+        match self {
+            Prev::Bytes(old) => old.len() != chunk.len() || old[sub.clone()] != chunk[sub],
+            Prev::Zeros => chunk[sub].iter().any(|&b| b != 0),
+            Prev::Straddle => !mutant!(StraddleTakenAsEqual),
+        }
+    }
+}
 
 /// Errors from unpacking a migration buffer or applying a delta to it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,6 +258,8 @@ pub enum UnpackError {
     /// migration must land on a memory image with identical shape.
     LayoutMismatch { expected: usize, got: usize },
     Truncated,
+    /// A region's stored range does not lie inside the region.
+    BadStoredRange { start: u64, end: u64 },
     /// A delta range is out of ascending order, overlaps its predecessor,
     /// or does not lie wholly inside one region's body.
     BadDeltaRange { offset: u64 },
@@ -196,6 +273,10 @@ impl fmt::Display for UnpackError {
                 write!(f, "migration buffer: layout mismatch ({expected} vs {got})")
             }
             UnpackError::Truncated => write!(f, "migration buffer: truncated"),
+            UnpackError::BadStoredRange { start, end } => write!(
+                f,
+                "migration buffer: stored range {start}..{end} is not inside its region"
+            ),
             UnpackError::BadDeltaRange { offset } => write!(
                 f,
                 "image delta: range at offset {offset} is out of order or not inside one region"
@@ -253,6 +334,27 @@ impl RankMemory {
         self.regions.iter()
     }
 
+    /// Set every stack region's live extent from its thread's suspended
+    /// stack pointer: `[sp − 128, top)`, the frames above `sp` and the
+    /// red zone below it. What lies deeper is dead — whatever returned
+    /// calls left there — and is not rank state. The whole region when
+    /// `sp` is `None` (a thread that never ran or has finished, or whose
+    /// context is kernel-side) or points outside it. The runtime calls
+    /// this before each capture, migration, fault scribble and restore.
+    pub fn set_stack_live(&mut self, sp: Option<usize>) {
+        for r in self.regions.iter_mut().filter(|r| r.kind() == RegionKind::Stack) {
+            let (base, len) = (r.base() as usize, r.len());
+            let red_zone = if mutant!(RedZoneDropped) { 0 } else { RED_ZONE };
+            let lo = match sp {
+                Some(sp) if (base..=base + len).contains(&sp) => {
+                    (sp - base).saturating_sub(red_zone)
+                }
+                _ => 0,
+            };
+            r.set_live(lo..len);
+        }
+    }
+
     pub fn stats(&self) -> RankMemoryStats {
         let mut s = RankMemoryStats {
             heap_bytes: self.heap.stats().capacity_bytes,
@@ -305,7 +407,8 @@ impl RankMemory {
     /// [`Self::pack_with`] into a buffer the caller keeps: `out` is
     /// cleared and refilled, so a buffer reused across migrations is
     /// allocated (and its pages faulted in) once, and every later pack is
-    /// the memcpy alone.
+    /// the memcpy alone. Of each region only the live extent, cut outward
+    /// to the diff grid, is read and stored.
     ///
     /// A region for which `source` returns `Some(bytes)` packs those
     /// bytes instead of its live memory (padded or truncated to the
@@ -319,27 +422,36 @@ impl RankMemory {
         include: impl Fn(RegionKind) -> bool,
         mut source: impl FnMut(&Region) -> Option<Vec<u8>>,
     ) {
-        let n = self.all_regions().filter(|r| include(r.kind())).count();
+        let (mut n, mut logical, mut stored) = (0usize, HEADER_LEN, HEADER_LEN);
+        for r in self.all_regions().filter(|r| include(r.kind())) {
+            n += 1;
+            logical += REGION_HEADER_LEN + r.len();
+            stored += STORED_HEADER_LEN + r.stored().len();
+        }
         let buf = &mut out.buf;
         buf.clear();
-        buf.reserve(HEADER_LEN + n * REGION_HEADER_LEN + self.migration_bytes_with(&include));
+        buf.reserve(stored);
         buf.put_u32(MAGIC);
         buf.put_u64(n as u64);
         for r in self.all_regions().filter(|r| include(r.kind())) {
+            let keep = r.stored();
             buf.put_u8(kind_tag(r.kind()));
             buf.put_u64(r.len() as u64);
+            buf.put_u64(keep.start as u64);
+            buf.put_u64(keep.end as u64);
             match source(r) {
                 Some(mut bytes) => {
                     bytes.resize(r.len(), 0);
-                    buf.put_slice(&bytes);
+                    buf.put_slice(&bytes[keep]);
                 }
-                None => buf.put_slice(r.as_slice()),
+                None => buf.put_slice(&r.as_slice()[keep]),
             }
         }
+        out.logical_len = logical;
         pvr_trace::emit(pvr_trace::EventKind::RegionCopy {
             dir: pvr_trace::CopyDir::Pack,
             regions: n as u32,
-            bytes: buf.len() as u64,
+            bytes: logical as u64,
         });
     }
 
@@ -361,7 +473,8 @@ impl RankMemory {
     /// The previous capture is `base` read through `chain` (oldest delta
     /// first) and is never materialized: the previous bytes of the chunk
     /// at image offset `o` are the newest chained delta's range starting
-    /// at `o`, else `base[o..]`. That lookup is exact because every delta
+    /// at `o`, else what `base` stores there, else (outside the base's
+    /// stored range) zeros. That lookup is exact because every delta
     /// of one chain is cut at the same offsets — `chain` must have been
     /// produced by this function against `base`, with the same
     /// `page_size` and the same kind of plan per region (a chunk whose
@@ -369,8 +482,11 @@ impl RankMemory {
     /// re-emitted). Debug builds assert it: no chained range may straddle
     /// an edge of a chunk being looked up.
     ///
-    /// `plan_for` chooses per region: [`RegionDiffPlan::Scan`] memcmps
-    /// the live bytes in `page_size` chunks; [`RegionDiffPlan::Pages`]
+    /// `plan_for` chooses per region: [`RegionDiffPlan::Scan`] walks the
+    /// `page_size` chunks that reach into the region's live extent and
+    /// compares the live bytes of each — dead stack below the suspended
+    /// `sp` is never read, so what a returned call left there cannot
+    /// dirty a chunk; [`RegionDiffPlan::Pages`]
     /// supplies an explicit dirty-page list (with read-through payloads),
     /// so the region's live memory is never touched. Either way, chunks
     /// byte-equal to the previous capture are skipped — stale dirty
@@ -389,28 +505,23 @@ impl RankMemory {
         mut plan_for: impl FnMut(&Region) -> RegionDiffPlan,
     ) -> Option<ImageDelta> {
         assert!(page_size > 0, "diff page size must be positive");
-        let b: &[u8] = &base.buf;
-        self.check_layout(b, |_| true).ok()?;
-        let prev = |o: usize, n: usize| -> &[u8] {
-            debug_assert!(
-                chain.iter().all(|d| d.on_grid_at(o, n)),
-                "chain was cut on another offset grid than the chunk at {o}"
-            );
-            chain
-                .iter()
-                .rev()
-                .find_map(|d| d.range_at(o))
-                .unwrap_or(&b[o..o + n])
-        };
+        // per region: (logical offset the stored bytes start at, the bytes)
+        let mut kept: Vec<(usize, &[u8])> = Vec::new();
+        self.walk(&base.buf, |_| true, |body, _, keep, bytes| {
+            kept.push((body + keep.start, bytes))
+        })
+        .ok()?;
         let mut ranges: Vec<(u64, Vec<u8>)> = Vec::new();
-        for (body, r) in self.bodies(|_| true) {
+        for ((body, r), kept) in self.bodies(|_| true).zip(kept) {
             let len = r.len();
             match plan_for(r) {
                 RegionDiffPlan::Scan => {
-                    let cur = r.as_slice();
-                    for p in (0..len).step_by(page_size) {
+                    let (cur, live) = (r.as_slice(), r.live());
+                    let first = live.start / page_size * page_size;
+                    for p in (first..live.end).step_by(page_size) {
                         let chunk = &cur[p..len.min(p + page_size)];
-                        if chunk != prev(body + p, chunk.len()) {
+                        let sub = live.start.max(p) - p..live.end.min(p + chunk.len()) - p;
+                        if Prev::lookup(chain, body + p, chunk.len(), kept).differs(chunk, sub) {
                             ranges.push(((body + p) as u64, chunk.to_vec()));
                         }
                     }
@@ -426,7 +537,8 @@ impl RankMemory {
                             return None;
                         }
                         floor = end;
-                        if bytes[..] != *prev(body + p, bytes.len()) {
+                        let prev = Prev::lookup(chain, body + p, bytes.len(), kept);
+                        if prev.differs(&bytes, 0..bytes.len()) {
                             ranges.push(((body + p) as u64, bytes));
                         }
                     }
@@ -438,12 +550,12 @@ impl RankMemory {
 
     /// Check that `buf` can be unpacked into this rank's regions
     /// **without mutating anything**: header magic, region count, and
-    /// every region's kind/size/byte coverage are validated exactly as
-    /// [`unpack_into`](RankMemory::unpack_into) would. A restore that
-    /// verifies every rank first and only then unpacks is failure-atomic
-    /// — verification failure leaves all memory untouched.
+    /// every region's kind/size/stored range/byte coverage are validated
+    /// exactly as [`unpack_into`](RankMemory::unpack_into) would. A restore
+    /// that verifies every rank first and only then unpacks is
+    /// failure-atomic — verification failure leaves all memory untouched.
     pub fn verify_layout(&self, buf: &MigrationBuffer) -> Result<(), UnpackError> {
-        self.check_layout(&buf.buf, |_| true).map(|_| ())
+        self.walk(&buf.buf, |_| true, |_, _, _, _| {}).map(|_| ())
     }
 
     /// Check that [`Self::apply_delta`] would write only inside this
@@ -507,6 +619,12 @@ impl RankMemory {
     /// The region layout (count, kinds, sizes, order) must match what was
     /// packed; migration in `pvr` always unpacks into the same logical
     /// memory image whose ownership travelled with the message.
+    ///
+    /// Each region receives its stored range; whatever else of its
+    /// *current* live extent the image does not carry is zeroed — it was
+    /// zero when the image was packed (heap allocated since) or is not
+    /// state (stack), and zero is what unpacking a dense image wrote
+    /// there. Bytes outside both are left alone.
     pub fn unpack_into(&mut self, buf: &MigrationBuffer) -> Result<(), UnpackError> {
         self.unpack_into_with(buf, |_| true)
     }
@@ -520,27 +638,49 @@ impl RankMemory {
         include: impl Fn(RegionKind) -> bool,
     ) -> Result<(), UnpackError> {
         let b: &[u8] = &buf.buf;
-        let n = self.check_layout(b, &include)?;
-        for (body, r) in self.bodies(&include) {
-            // SAFETY: `check_layout` proved `b` holds `r.len()` bytes at
-            // `body`; the region is pinned and `&mut self` owns it.
-            unsafe { std::ptr::copy_nonoverlapping(b[body..].as_ptr(), r.base_mut(), r.len()) };
-        }
+        self.walk(b, &include, |_, _, _, _| {})?;
+        let n = self.walk(b, &include, |_, r, keep, bytes| {
+            // SAFETY: `walk` proved `keep.end <= r.len()` and handed over
+            // exactly `keep.len()` bytes of `b`; the region is pinned and
+            // `&mut self` owns it.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    bytes.as_ptr(),
+                    r.base_mut().add(keep.start),
+                    keep.len(),
+                )
+            };
+            if mutant!(ZeroFillSkipped) {
+                return;
+            }
+            let now = r.stored();
+            for gap in [now.start..keep.start.min(now.end), keep.end.max(now.start)..now.end] {
+                if !gap.is_empty() {
+                    // SAFETY: `gap` lies inside `now`, which
+                    // `Region::stored` clamps to `0..r.len()`.
+                    unsafe { std::ptr::write_bytes(r.base_mut().add(gap.start), 0, gap.len()) };
+                }
+            }
+        })?;
         pvr_trace::emit(pvr_trace::EventKind::RegionCopy {
             dir: pvr_trace::CopyDir::Unpack,
             regions: n as u32,
-            bytes: b.len() as u64,
+            bytes: buf.len() as u64,
         });
         Ok(())
     }
 
-    /// Validate `b` against this rank's `include`d regions — magic,
-    /// region count, every region's kind, size and byte coverage —
-    /// mutating nothing. Returns the region count.
-    fn check_layout(
+    /// Walk the stored image `b` against this rank's `include`d regions,
+    /// mutating nothing: magic, region count, then per region its kind,
+    /// size, stored range (inside the region) and byte coverage are
+    /// validated, and `visit` gets the region's logical body offset, the
+    /// region, the stored range and the stored bytes. Returns the region
+    /// count. A caller that must not act on a bad image walks twice.
+    fn walk<'b>(
         &self,
-        b: &[u8],
+        b: &'b [u8],
         include: impl Fn(RegionKind) -> bool,
+        mut visit: impl FnMut(usize, &Region, Range<usize>, &'b [u8]),
     ) -> Result<usize, UnpackError> {
         let mut hdr = b;
         if hdr.remaining() < HEADER_LEN {
@@ -554,8 +694,9 @@ impl RankMemory {
         if n != expected {
             return Err(UnpackError::LayoutMismatch { expected, got: n });
         }
+        let mut at = HEADER_LEN;
         for (body, r) in self.bodies(&include) {
-            let Some(mut rh) = b.get(body - REGION_HEADER_LEN..body) else {
+            let Some(mut rh) = b.get(at..at + STORED_HEADER_LEN) else {
                 return Err(UnpackError::Truncated);
             };
             let got_tag = rh.get_u8();
@@ -566,15 +707,23 @@ impl RankMemory {
                     got: got_len,
                 });
             }
-            if b.len() < body + got_len {
+            let (start, end) = (rh.get_u64(), rh.get_u64());
+            let keep = match (usize::try_from(start), usize::try_from(end)) {
+                (Ok(lo), Ok(hi)) if lo <= hi && hi <= r.len() => lo..hi,
+                _ => return Err(UnpackError::BadStoredRange { start, end }),
+            };
+            at += STORED_HEADER_LEN;
+            let Some(bytes) = b.get(at..at + keep.len()) else {
                 return Err(UnpackError::Truncated);
-            }
+            };
+            at += keep.len();
+            visit(body, r, keep, bytes);
         }
         Ok(n)
     }
 
     /// `(image offset of the region's body, region)` for every region
-    /// passing `include`, in pack order — the packed coordinate space.
+    /// passing `include`, in pack order — the logical coordinate space.
     fn bodies<'a>(
         &'a self,
         include: impl Fn(RegionKind) -> bool + 'a,
@@ -633,10 +782,57 @@ mod tests {
         rm
     }
 
-    /// `base` with `chain` patched over it, oldest first — the image a
-    /// read-through of `base + chain` stands for.
+    impl MigrationBuffer {
+        /// The logical image this buffer stands for: every body at its
+        /// full length, zeros where nothing is stored. Parsed from the
+        /// stored bytes alone.
+        pub(super) fn logical(&self) -> Vec<u8> {
+            let mut b: &[u8] = &self.buf;
+            let mut out = Vec::with_capacity(self.len());
+            out.put_u32(b.get_u32());
+            let n = b.get_u64();
+            out.put_u64(n);
+            for _ in 0..n {
+                out.put_u8(b.get_u8());
+                let len = b.get_u64() as usize;
+                out.put_u64(len as u64);
+                let (lo, hi) = (b.get_u64() as usize, b.get_u64() as usize);
+                let body = out.len();
+                out.resize(body + len, 0);
+                out[body + lo..body + hi].copy_from_slice(&b[..hi - lo]);
+                b.advance(hi - lo);
+            }
+            assert_eq!(out.len(), self.len(), "logical length is what len() reports");
+            out
+        }
+
+        /// The stored form cut to its first `n` bytes.
+        pub(super) fn cut(&self, n: usize) -> MigrationBuffer {
+            MigrationBuffer {
+                buf: BytesMut::from(&self.as_slice()[..n]),
+                logical_len: self.logical_len,
+            }
+        }
+    }
+
+    /// The parent commit's packer, kept as the oracle: every region's
+    /// whole body, in logical form.
+    pub(super) fn dense_pack(rm: &RankMemory) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.put_u32(MAGIC);
+        out.put_u64(rm.all_regions().count() as u64);
+        for r in rm.all_regions() {
+            out.put_u8(kind_tag(r.kind()));
+            out.put_u64(r.len() as u64);
+            out.put_slice(r.as_slice());
+        }
+        out
+    }
+
+    /// `base` with `chain` patched over it, oldest first — the logical
+    /// image a read-through of `base + chain` stands for.
     fn materialize(base: &MigrationBuffer, chain: &[&ImageDelta]) -> Vec<u8> {
-        let mut img = base.as_slice().to_vec();
+        let mut img = base.logical();
         for d in chain {
             for (off, bytes) in &d.ranges {
                 let off = *off as usize;
@@ -646,11 +842,13 @@ mod tests {
         img
     }
 
-    /// Overwrite every region (heap chunks included) with `byte`.
+    /// Overwrite every region's stored range (heap chunks included) with
+    /// `byte` — what a fault can lose; the rest is zero fill or dead.
     fn scribble(rm: &mut RankMemory, byte: u8) {
         for r in rm.all_regions() {
-            // SAFETY: the region is pinned and `rm` is borrowed mutably.
-            unsafe { std::ptr::write_bytes(r.base_mut(), byte, r.len()) };
+            let lost = r.stored();
+            // SAFETY: inside the pinned region; `rm` is borrowed mutably.
+            unsafe { std::ptr::write_bytes(r.base_mut().add(lost.start), byte, lost.len()) };
         }
     }
 
@@ -703,15 +901,10 @@ mod tests {
     fn truncated_detected() {
         let rm = sample_rank();
         let img = rm.pack();
-        let cut = MigrationBuffer {
-            buf: BytesMut::from(&img.as_slice()[..img.len() / 2]),
-        };
+        assert_eq!(img.logical(), dense_pack(&rm), "nothing non-zero outside the live extents");
         let mut rm = sample_rank();
-        let err = rm.unpack_into(&cut).unwrap_err();
-        assert!(matches!(
-            err,
-            UnpackError::Truncated | UnpackError::LayoutMismatch { .. }
-        ));
+        let err = rm.unpack_into(&img.cut(img.stored_len() / 2)).unwrap_err();
+        assert_eq!(err, UnpackError::Truncated);
     }
 
     #[test]
@@ -729,10 +922,7 @@ mod tests {
         assert_eq!(rm.verify_layout(&img), Ok(()));
         // verification does not consume or mutate anything
         assert_eq!(rm.verify_layout(&img), Ok(()));
-        let cut = MigrationBuffer {
-            buf: BytesMut::from(&img.as_slice()[..img.len() - 1]),
-        };
-        assert!(rm.verify_layout(&cut).is_err());
+        assert!(rm.verify_layout(&img.cut(img.stored_len() - 1)).is_err());
         let mut bad = img.clone();
         bad.buf[0] ^= 0xFF;
         assert_eq!(rm.verify_layout(&bad), Err(UnpackError::BadMagic));
@@ -770,12 +960,13 @@ mod tests {
         assert!(delta.bytes() < base.len(), "delta is sparse");
         assert_eq!(rm.verify_delta(&delta), Ok(()));
         let now = rm.pack();
-        assert_eq!(materialize(&base, &[&delta]), now.as_slice(), "base + delta == fresh pack");
+        assert_eq!(now.logical(), dense_pack(&rm));
+        assert_eq!(materialize(&base, &[&delta]), now.logical(), "base + delta == fresh pack");
         // the restore path: base unpacked, delta written into live regions
         scribble(&mut rm, 0xDE);
         rm.unpack_into(&base).unwrap();
         rm.apply_delta(&delta).unwrap();
-        assert_eq!(rm.pack().as_slice(), now.as_slice());
+        assert_eq!(rm.pack().logical(), now.logical());
     }
 
     #[test]
@@ -819,7 +1010,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(delta.range_count(), 1, "byte-equal listed page skipped");
-        assert_eq!(materialize(&base, &[&delta]), rm.pack().as_slice());
+        assert_eq!(materialize(&base, &[&delta]), rm.pack().logical());
     }
 
     #[test]
@@ -921,7 +1112,7 @@ mod tests {
                 let now = rm.pack();
                 assert_eq!(
                     materialize(&base, &refs),
-                    now.as_slice(),
+                    now.logical(),
                     "seed {seed} capture {capture}: base + chain == fresh pack"
                 );
                 // and the staging-free restore agrees
@@ -963,7 +1154,7 @@ mod tests {
         assert!(d3.is_empty(), "unchanged since the previous capture");
         // a diff against the bare base would have missed delta 1 entirely
         assert!(diff(&rm, &[]).is_empty());
-        assert_eq!(materialize(&base, &[&d1, &d2, &d3]), rm.pack().as_slice());
+        assert_eq!(materialize(&base, &[&d1, &d2, &d3]), rm.pack().logical());
     }
 
     #[test]
@@ -1014,6 +1205,7 @@ mod tests {
         // a filtered pack into the same buffer shrinks it
         rm.pack_with_sources_into(&mut buf, |k| k == RegionKind::TlsSegment, |_| None);
         assert_eq!(buf.len(), HEADER_LEN + REGION_HEADER_LEN + 4);
+        assert_eq!(buf.stored_len(), HEADER_LEN + STORED_HEADER_LEN + 4);
     }
 
     #[test]
@@ -1031,8 +1223,9 @@ mod tests {
         let normal = rm.pack();
         assert_eq!(packed.len(), normal.len());
         assert_ne!(packed.checksum(), normal.checksum());
-        let tail = &packed.as_slice()[packed.len() - 4..];
-        assert_eq!(tail, &[0xFE, 0, 0, 0], "override padded with zeros");
+        let logical = packed.logical();
+        assert_eq!(logical[packed.len() - 4..], [0xFE, 0, 0, 0], "override padded with zeros");
+        assert_eq!(logical[..packed.len() - 4], normal.logical()[..packed.len() - 4]);
     }
 
     #[test]
@@ -1096,5 +1289,352 @@ mod filter_tests {
             rm.unpack_into(&no_code),
             Err(UnpackError::LayoutMismatch { .. })
         ));
+    }
+}
+
+/// The live-extent differential: random alloc / free / write / call /
+/// return scripts checked at every barrier against the dense oracle
+/// (`tests::dense_pack`) and against an extent model kept by the test
+/// itself, so a defect in how the crate keeps or uses extents cannot hide
+/// behind the same defect in the expectation. Six seeded mutants
+/// (`crate::mutant`) must each fail it.
+#[cfg(test)]
+mod extent_tests {
+    use super::tests::dense_pack;
+    use super::*;
+    use crate::arena::IsoPtr;
+    use crate::region::GRID;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const CHUNK: usize = 64 * 1024;
+    const STACK: usize = 48 * 1024;
+    const BALLAST: usize = 20_000;
+
+    /// What the script knows to be live, from what it did — not from what
+    /// the regions say.
+    struct Model {
+        /// Suspended stack pointer, as an offset into the stack region.
+        sp: usize,
+        allocs: Vec<IsoPtr>,
+        /// `(chunk base address, highest allocation end)` per heap chunk.
+        hwm: Vec<(usize, usize)>,
+    }
+
+    struct Rank {
+        rm: RankMemory,
+        stack: RegionId,
+        model: Model,
+    }
+
+    fn grid(live: &Range<usize>, len: usize) -> Range<usize> {
+        if live.is_empty() {
+            return 0..0;
+        }
+        live.start / GRID * GRID..len.min(live.end.div_ceil(GRID) * GRID)
+    }
+
+    impl Rank {
+        fn new() -> Rank {
+            let mut rm = RankMemory::with_heap(Arena::with_chunk_size(CHUNK));
+            let stack = rm.add_region(Region::new_zeroed(RegionKind::Stack, STACK));
+            rm.add_region(Region::from_bytes(RegionKind::TlsSegment, &[7; 24]));
+            // never written, declared so: COWglobals' code ballast
+            let mut ballast = Region::new_zeroed(RegionKind::CodeSegment, BALLAST);
+            ballast.set_live(0..0);
+            rm.add_region(ballast);
+            let model = Model { sp: STACK - 64, allocs: Vec::new(), hwm: Vec::new() };
+            Rank { rm, stack, model }
+        }
+
+        /// Exact live range per region, in `all_regions` order.
+        fn live(&self) -> Vec<Range<usize>> {
+            self.rm
+                .all_regions()
+                .map(|r| match r.kind() {
+                    RegionKind::HeapChunk => {
+                        let base = r.base() as usize;
+                        let hwm = self.model.hwm.iter().find(|(b, _)| *b == base);
+                        0..hwm.map_or(0, |(_, h)| *h)
+                    }
+                    RegionKind::Stack => self.model.sp - RED_ZONE..STACK,
+                    RegionKind::CodeSegment => 0..0,
+                    _ => 0..r.len(),
+                })
+                .collect()
+        }
+
+        fn refresh_sp(&mut self) {
+            let base = self.rm.region(self.stack).base() as usize;
+            self.rm.set_stack_live(Some(base + self.model.sp));
+        }
+
+        fn alloc(&mut self, size: usize, align: usize) -> IsoPtr {
+            let p = self.rm.heap().alloc(size, align).unwrap();
+            let chunk = self.rm.heap_ref().regions().find(|r| r.contains(p.addr())).unwrap();
+            let (base, end) = (chunk.base() as usize, p.addr() + size - chunk.base() as usize);
+            match self.model.hwm.iter_mut().find(|(b, _)| *b == base) {
+                Some((_, h)) => *h = (*h).max(end),
+                None => self.model.hwm.push((base, end)),
+            }
+            self.model.allocs.push(p);
+            p
+        }
+
+        fn stack_fill(&mut self, range: Range<usize>, rng: &mut StdRng) {
+            for b in &mut self.rm.region_mut(self.stack).as_mut_slice()[range] {
+                *b = rng.gen_range(1..=255u8);
+            }
+        }
+
+        /// One random step of the rank's program.
+        fn step(&mut self, rng: &mut StdRng) {
+            match rng.gen_range(0..9u32) {
+                // allocate; fill some, all or none of it
+                0 | 1 => {
+                    let size = match rng.gen_range(0..3u32) {
+                        0 => rng.gen_range(1..200usize),
+                        1 => rng.gen_range(200..6000usize),
+                        _ => rng.gen_range(6000..20_000usize),
+                    };
+                    let p = self.alloc(size, 1 << rng.gen_range(0..7u32));
+                    let filled = [0, size, size.min(17)][rng.gen_range(0..3usize)];
+                    // SAFETY: a live allocation nobody else holds.
+                    unsafe { p.as_mut_slice()[..filled].fill(rng.gen_range(1..=255u8)) };
+                }
+                2 => {
+                    if !self.model.allocs.is_empty() {
+                        let i = rng.gen_range(0..self.model.allocs.len());
+                        self.rm.heap().dealloc(self.model.allocs.swap_remove(i));
+                    }
+                }
+                3 | 4 => {
+                    if !self.model.allocs.is_empty() {
+                        let p = self.model.allocs[rng.gen_range(0..self.model.allocs.len())];
+                        let at = rng.gen_range(0..p.size);
+                        // small alphabet: rewrites and reverts (to zero, too) happen
+                        // SAFETY: inside a live allocation.
+                        unsafe { p.as_mut_slice()[at] = rng.gen_range(0..3u8) };
+                    }
+                }
+                // call deep and write frames; return at once (leaving the
+                // frames behind as dead bytes) or stay suspended down there
+                5 | 6 => {
+                    let depth = rng.gen_range(16..12_000usize).min(self.model.sp - 512);
+                    let mut deep = self.model.sp - depth;
+                    if rng.gen_bool(0.3) {
+                        // just above a grid line: the red zone is the cell below
+                        deep = (deep / GRID * GRID + rng.gen_range(0..RED_ZONE)).max(512);
+                    }
+                    self.stack_fill(deep - RED_ZONE..self.model.sp, rng);
+                    if rng.gen_bool(0.6) {
+                        self.model.sp = deep;
+                    }
+                }
+                // return
+                7 => {
+                    let up = rng.gen_range(0..8000usize);
+                    self.model.sp = (self.model.sp + up).min(STACK - 64);
+                }
+                // a leaf writes below `sp`, and a live frame above it
+                _ => {
+                    let sp = self.model.sp;
+                    let at = rng.gen_range(sp - RED_ZONE..sp);
+                    self.stack_fill(at..at + 1, rng);
+                    let at = rng.gen_range(sp..STACK);
+                    self.stack_fill(at..at + 1, rng);
+                }
+            }
+        }
+
+        /// (1): the stored image, expanded, is the dense image with
+        /// everything outside the grid-cut live extents zeroed.
+        fn check_pack_against_oracle(&self, img: &MigrationBuffer, what: &str) {
+            let mut expect = dense_pack(&self.rm);
+            for ((body, r), live) in self.rm.bodies(|_| true).zip(self.live()) {
+                let keep = grid(&live, r.len());
+                expect[body..body + keep.start].fill(0);
+                expect[body + keep.end..body + r.len()].fill(0);
+            }
+            assert!(img.logical() == expect, "{what}: stored image != dense oracle on live bytes");
+            let stored: usize = self.rm.bodies(|_| true).zip(self.live()).map(|((_, r), l)| grid(&l, r.len()).len()).sum();
+            let n = self.rm.all_regions().count();
+            assert_eq!(img.stored_len(), HEADER_LEN + n * STORED_HEADER_LEN + stored, "{what}");
+        }
+    }
+
+    /// A capture as the runtime holds it, and the truth it must restore.
+    struct Capture {
+        base: MigrationBuffer,
+        chain: Vec<ImageDelta>,
+        sp: usize,
+        /// `(live range, its bytes)` per region at the newest capture.
+        truth: Vec<(Range<usize>, Vec<u8>)>,
+    }
+
+    /// One script: barriers with base or delta captures (chain bound
+    /// `max_chain`, diff page `page`), and after each barrier a failure —
+    /// at once or some steps later — rolled back to that barrier.
+    fn run_script(seed: u64, page: usize, max_chain: usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rank = Rank::new();
+        let mut held: Option<Capture> = None;
+        for barrier in 0..7 {
+            let what = format!("seed {seed} page {page} chain {max_chain} barrier {barrier}");
+            for _ in 0..rng.gen_range(1..10) {
+                rank.step(&mut rng);
+            }
+            // the capture
+            rank.refresh_sp();
+            let delta = held.as_ref().filter(|c| c.chain.len() < max_chain).and_then(|c| {
+                let refs: Vec<&ImageDelta> = c.chain.iter().collect();
+                rank.rm.diff_pages_against_chain(&c.base, &refs, page, |_| RegionDiffPlan::Scan)
+            });
+            let fresh = rank.rm.pack();
+            rank.check_pack_against_oracle(&fresh, &what);
+            let truth = rank
+                .rm
+                .all_regions()
+                .zip(rank.live())
+                .map(|(r, live)| (live.clone(), r.as_slice()[live].to_vec()))
+                .collect();
+            let mut c = match (held.take(), delta) {
+                (Some(mut c), Some(d)) => {
+                    assert_eq!(rank.rm.verify_delta(&d), Ok(()), "{what}");
+                    c.chain.push(d);
+                    c
+                }
+                _ => Capture { base: fresh, chain: Vec::new(), sp: 0, truth: Vec::new() },
+            };
+            (c.sp, c.truth) = (rank.model.sp, truth);
+
+            // the rank runs on — deeper, shallower, allocating — and fails
+            for _ in 0..rng.gen_range(0..6) {
+                rank.step(&mut rng);
+            }
+            if rank.rm.verify_layout(&c.base).is_err() {
+                // the heap grew a chunk: no image of the old layout can be
+                // restored (the runtime refuses, too) — next barrier rebases
+                continue;
+            }
+            let at_failure = rank.live();
+            for (r, live) in rank.rm.all_regions().zip(&at_failure) {
+                // all of a stack may hold anything; elsewhere only what an
+                // image can carry is lost (the rest is zero and stays so)
+                let lost = if r.kind() == RegionKind::Stack { 0..r.len() } else { grid(live, r.len()) };
+                // SAFETY: inside the pinned region; nothing else holds it.
+                unsafe { std::ptr::write_bytes(r.base_mut().add(lost.start), 0xDE, lost.len()) };
+            }
+
+            // (2): roll back to the barrier; every byte live there is back
+            rank.model.sp = c.sp;
+            rank.refresh_sp();
+            rank.rm.unpack_into(&c.base).unwrap();
+            for d in &c.chain {
+                rank.rm.apply_delta(d).unwrap();
+            }
+            for ((r, (live, bytes)), now) in rank.rm.all_regions().zip(&c.truth).zip(&at_failure) {
+                assert!(
+                    r.as_slice()[live.clone()] == bytes[..],
+                    "{what}: {:?} not restored on its live bytes {live:?}",
+                    r.kind()
+                );
+                // (3): heap handed out after the capture reads as fresh
+                if r.kind() == RegionKind::HeapChunk {
+                    let past = grid(live, r.len()).end..grid(now, r.len()).end;
+                    assert!(
+                        r.as_slice()[past.clone()].iter().all(|&b| b == 0),
+                        "{what}: heap {past:?} allocated after the capture not zeroed"
+                    );
+                }
+            }
+            held = Some(c);
+        }
+    }
+
+    fn differential() {
+        for seed in 0..40u64 {
+            // on the grid, finer than it, and off it (chunks straddle cells)
+            for page in [GRID, 1024, 6144] {
+                run_script(seed, page, if seed % 2 == 0 { 8 } else { 2 });
+            }
+        }
+    }
+
+    #[test]
+    fn live_extent_images_agree_with_the_dense_oracle() {
+        differential();
+    }
+
+    #[test]
+    fn every_seeded_mutant_fails_the_differential() {
+        for m in crate::mutant::ALL {
+            let caught = std::panic::catch_unwind(|| crate::mutant::with(m, differential));
+            assert!(caught.is_err(), "mutant {m:?} survived the differential");
+        }
+    }
+
+    #[test]
+    fn unpack_zero_fills_what_was_allocated_after_the_capture() {
+        let mut rm = RankMemory::with_heap(Arena::with_chunk_size(CHUNK));
+        let a = rm.heap().alloc(1000, 8).unwrap();
+        unsafe { a.as_mut_slice().fill(0x5A) };
+        let img = rm.pack();
+        assert_eq!(img.stored_len(), HEADER_LEN + STORED_HEADER_LEN + GRID);
+        assert_eq!(img.len(), HEADER_LEN + REGION_HEADER_LEN + CHUNK);
+        let b = rm.heap().alloc(10_000, 8).unwrap();
+        unsafe { b.as_mut_slice().fill(0x77) };
+        unsafe { a.as_mut_slice().fill(0x11) };
+        // not rank state by the arena's account: far past the mark
+        let chunk = rm.heap_ref().regions().next().unwrap().base_mut();
+        unsafe { chunk.add(50_000).write(0x99) };
+        rm.unpack_into(&img).unwrap();
+        let chunk = rm.heap_ref().regions().next().unwrap().as_slice();
+        assert!(chunk[..1000].iter().all(|&x| x == 0x5A), "the captured bytes");
+        assert!(chunk[1000..3 * GRID].iter().all(|&x| x == 0), "[image end, high-water) zeroed");
+        assert_eq!(chunk[50_000], 0x99, "outside both extents: left alone");
+    }
+
+    #[test]
+    fn bad_images_are_rejected_with_memory_untouched() {
+        let mut rank = Rank::new();
+        let mut rng = StdRng::seed_from_u64(99);
+        for _ in 0..30 {
+            rank.step(&mut rng);
+        }
+        rank.refresh_sp();
+        let img = rank.rm.pack();
+        let before = dense_pack(&rank.rm);
+        let mut refuse = |bad: &MigrationBuffer, what: &str| -> UnpackError {
+            let err = rank.rm.verify_layout(bad).expect_err(what);
+            assert_eq!(rank.rm.unpack_into(bad), Err(err.clone()), "{what}");
+            assert!(rank.rm.diff_pages_against(bad, GRID, |_| RegionDiffPlan::Scan).is_none(), "{what}");
+            assert!(dense_pack(&rank.rm) == before, "{what}: memory touched");
+            err
+        };
+        for n in (0..img.stored_len()).step_by(997) {
+            assert_eq!(refuse(&img.cut(n), "truncated"), UnpackError::Truncated);
+        }
+        let mut bad = img.clone();
+        bad.buf[0] ^= 0xFF;
+        assert_eq!(refuse(&bad, "bad magic"), UnpackError::BadMagic);
+        let foreign = RankMemory::new().pack();
+        assert!(matches!(refuse(&foreign, "foreign layout"), UnpackError::LayoutMismatch { .. }));
+        // the first region's stored range: bytes 9..25 of its header
+        let range_at = HEADER_LEN + REGION_HEADER_LEN;
+        for (start, end) in [(0u64, CHUNK as u64 + 1), (GRID as u64, 0), (0, u64::MAX), (u64::MAX, u64::MAX)] {
+            let mut bad = img.clone();
+            bad.buf[range_at..range_at + 8].copy_from_slice(&start.to_be_bytes());
+            bad.buf[range_at + 8..range_at + 16].copy_from_slice(&end.to_be_bytes());
+            assert_eq!(
+                refuse(&bad, "stored range outside the region"),
+                UnpackError::BadStoredRange { start, end }
+            );
+        }
+        // a range inside the region but longer than the bytes that follow
+        let mut bad = img.cut(range_at + 16 + 10);
+        bad.buf[range_at + 8..range_at + 16].copy_from_slice(&(GRID as u64).to_be_bytes());
+        assert_eq!(refuse(&bad, "stored range past the buffer"), UnpackError::Truncated);
+        rank.rm.unpack_into(&img).unwrap();
     }
 }

@@ -1,6 +1,11 @@
 //! Pinned, tagged memory regions — the unit of rank-owned memory.
 
 use std::fmt;
+use std::ops::Range;
+
+/// Granularity at which a region's live extent is cut outward before it
+/// is stored in an image or diffed: the checkpoint diff page.
+pub(crate) const GRID: usize = 4096;
 
 /// What a region holds; used by migration accounting and by the
 /// privatization methods to decide what must travel with a rank.
@@ -39,6 +44,8 @@ impl RegionKind {
 pub struct Region {
     buf: Box<[u8]>,
     kind: RegionKind,
+    /// See [`Region::live`].
+    live: (usize, usize),
 }
 
 impl Region {
@@ -47,6 +54,7 @@ impl Region {
         Region {
             buf: vec![0u8; size].into_boxed_slice(),
             kind,
+            live: (0, size),
         }
     }
 
@@ -56,6 +64,7 @@ impl Region {
         Region {
             buf: bytes.to_vec().into_boxed_slice(),
             kind,
+            live: (0, bytes.len()),
         }
     }
 
@@ -69,6 +78,46 @@ impl Region {
 
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// The live extent: the byte range that may differ from a zeroed
+    /// region's initial fill. Images store, diff and restore only this
+    /// range (cut outward to the 4 KiB diff grid); everything outside it
+    /// is zero by construction or is not rank state (dead stack). A new
+    /// region is live as a whole; whoever knows better narrows it — the
+    /// arena keeps a chunk's at its allocation high-water mark, the
+    /// runtime a stack's at the suspended stack pointer.
+    pub fn live(&self) -> Range<usize> {
+        self.live.0..self.live.1
+    }
+
+    /// Declare the live extent (see [`Region::live`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `live.start <= live.end <= self.len()`.
+    pub fn set_live(&mut self, live: Range<usize>) {
+        assert!(
+            live.start <= live.end && live.end <= self.len(),
+            "live extent {live:?} outside a {}-byte region",
+            self.len()
+        );
+        // one spelling of "nothing live", so no caller has to test for it
+        self.live = if live.is_empty() { (0, 0) } else { (live.start, live.end) };
+    }
+
+    /// [`Region::live`] cut outward to [`GRID`] (clamped to the region):
+    /// the range an image stores.
+    pub(crate) fn stored(&self) -> Range<usize> {
+        let (lo, hi) = self.live;
+        let (lo, hi) = (lo / GRID * GRID, self.len().min(hi.div_ceil(GRID) * GRID));
+        if mutant!(ExtentShortLo) {
+            return (lo + GRID).min(hi)..hi;
+        }
+        if mutant!(ExtentShortHi) {
+            return lo..hi.saturating_sub(GRID).max(lo);
+        }
+        lo..hi
     }
 
     /// Stable base address.
@@ -108,6 +157,7 @@ impl fmt::Debug for Region {
             .field("kind", &self.kind)
             .field("base", &self.base())
             .field("len", &self.len())
+            .field("live", &self.live())
             .finish()
     }
 }
@@ -132,6 +182,28 @@ mod tests {
         let r = Region::from_bytes(RegionKind::CodeSegment, &src);
         assert_eq!(r.as_slice(), &src[..]);
         assert_ne!(r.base(), src.as_ptr());
+    }
+
+    #[test]
+    fn live_extent_defaults_to_whole_and_is_cut_outward_to_the_grid() {
+        let mut r = Region::new_zeroed(RegionKind::Stack, 3 * GRID + 100);
+        assert_eq!((r.live(), r.stored()), (0..r.len(), 0..r.len()));
+        r.set_live(GRID + 1..2 * GRID);
+        assert_eq!(r.stored(), GRID..2 * GRID);
+        r.set_live(GRID - 1..2 * GRID + 1);
+        assert_eq!(r.stored(), 0..3 * GRID);
+        r.set_live(3 * GRID + 5..3 * GRID + 6);
+        assert_eq!(r.stored(), 3 * GRID..r.len(), "clamped to the region");
+        r.set_live(700..700);
+        assert_eq!((r.live(), r.stored()), (0..0, 0..0), "empty stays empty");
+        let whole = Region::from_bytes(RegionKind::TlsSegment, &[1, 2, 3]);
+        assert_eq!(whole.stored(), 0..3);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn live_extent_past_the_region_rejected() {
+        Region::new_zeroed(RegionKind::Stack, 64).set_live(0..65);
     }
 
     #[test]

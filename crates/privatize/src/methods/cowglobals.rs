@@ -34,7 +34,8 @@
 //! Code is never copied: ranks share the loaded image's code read-only
 //! (it is immutable), and a zero ballast region of the code segment's
 //! size keeps the rank's migratable memory layout — and therefore every
-//! pack/unpack byte count — identical to PIEglobals'.
+//! pack/unpack byte count — identical to PIEglobals'. The ballast's live
+//! extent is empty, so an image counts it and stores nothing of it.
 
 use super::pieglobals::{build_startup_template, dlopen_and_locate, PatchTarget, StartupTemplate};
 use super::{Common, PieOptions};
@@ -134,8 +135,10 @@ impl Privatizer for CowGlobals {
         // Rank regions in PIEglobals' exact order and sizes, so migration
         // and checkpoint byte counts match the eager method bit-for-bit.
         // Code is shared read-only; the ballast preserves the layout.
-        let code_ballast =
+        let mut code_ballast =
             Region::new_zeroed(RegionKind::CodeSegment, image.code_region().len());
+        // never written: images count its bytes and carry none of them
+        code_ballast.set_live(0..0);
         let backing = Region::new_zeroed(RegionKind::DataSegment, tpl.data.len().max(1));
         let new_code = code_ballast.base() as usize;
         let new_data = backing.base() as usize;

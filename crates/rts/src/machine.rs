@@ -266,6 +266,18 @@ struct RankDelta {
     cow_since: u64,
 }
 
+impl RankDelta {
+    /// The copy of this delta a restore reads — the home PE's, or the
+    /// buddy's when the home PE is dead — if that holder has it yet.
+    fn held(&self, from_buddy: bool) -> Option<&pvr_isomalloc::ImageDelta> {
+        if from_buddy {
+            self.buddy_patch.as_ref()
+        } else {
+            Some(&self.patch)
+        }
+    }
+}
+
 /// One rank's entry in a coordinated checkpoint. The base image is
 /// immutable once packed and has two holders — the rank's home PE and
 /// that PE's buddy — so a single PE failure cannot lose it. Both holders
@@ -651,14 +663,18 @@ impl Machine {
         // the byte-level pack below never materializes the backing store
         // (cross-rank page sharing survives the migration round-trip).
         let mut buf = std::mem::take(&mut self.migrate_buf);
+        self.refresh_stack_extent(rank);
         self.pack_rank_read_through(rank, include, &mut buf);
-        let bytes = buf.len();
-        self.ranks[rank]
-            .memory
-            .unpack_into_with(&buf, include)
-            .expect("self-roundtrip cannot fail");
+        let (bytes, stored_bytes) = (buf.len(), buf.stored_len());
+        let unpacked = self.ranks[rank].memory.unpack_into_with(&buf, include);
         let real_time = t0.elapsed();
         self.migrate_buf = buf;
+        // The stored ranges are data read back from the buffer: a round
+        // trip that cannot fail is an argument, not a type.
+        unpacked.map_err(|e| RtsError::BadMigration {
+            rank,
+            detail: format!("image does not unpack at the destination: {e}"),
+        })?;
         let sim_cost = self
             .network
             .cost(&self.topology, from_pe, to_pe, bytes);
@@ -685,6 +701,7 @@ impl Machine {
             from_pe,
             to_pe,
             bytes,
+            stored_bytes,
             real_time,
             sim_cost,
         };
@@ -783,6 +800,33 @@ impl Machine {
             .map(|off| (pe + off) % n)
             .find(|&p| self.alive[p])
             .unwrap_or(pe)
+    }
+
+    /// Bring `rank`'s stack extent up to date with its ULT's suspended
+    /// stack pointer, which is returned — before anything reads, overwrites
+    /// or restores the rank's memory as an image. Nobody else knows where
+    /// a stack's live bytes end; the heap's extents keep themselves.
+    fn refresh_stack_extent(&mut self, rank: RankId) -> Option<usize> {
+        let state = &mut self.ranks[rank];
+        let sp = state.ult.as_ref().and_then(|u| u.suspended_sp());
+        state.memory.set_stack_live(sp);
+        sp
+    }
+
+    /// The fault model's "this rank's memory is gone": overwrite every
+    /// byte an image of the rank carries — each region's live extent,
+    /// heap chunks included — so any read of un-restored state is loud.
+    /// What is not rank state is left alone: heap never handed out, dead
+    /// stack, the stack guard's canaries at the stack's base.
+    fn scribble_rank(&mut self, rank: RankId) {
+        self.refresh_stack_extent(rank);
+        let memory = &self.ranks[rank].memory;
+        for reg in memory.heap_ref().regions().chain(memory.regions()) {
+            let live = reg.live();
+            // SAFETY: `live` lies inside the pinned region (`set_live`
+            // checks it), and the rank is suspended at a barrier.
+            unsafe { std::ptr::write_bytes(reg.base_mut().add(live.start), 0xDE, live.len()) };
+        }
     }
 
     /// Pack `rank`'s memory into `out` (cleared first), sourcing a COW
@@ -913,6 +957,7 @@ impl Machine {
             // The previous capture is the base read through the chain.
             let chain: Vec<&pvr_isomalloc::ImageDelta> =
                 e.deltas.iter().map(|d| &d.patch).collect();
+            let sp = self.refresh_stack_extent(r);
             let patch = self.ranks[r].memory.diff_pages_against_chain(
                 &e.image,
                 &chain,
@@ -942,7 +987,6 @@ impl Machine {
             total_pages += patch.range_count() as u64;
             total_bytes += patch.bytes() as u64;
             let checksum = patch.checksum();
-            let sp = self.ranks[r].ult.as_ref().and_then(|u| u.suspended_sp());
             e.deltas.push(RankDelta {
                 patch,
                 buddy_patch: None,
@@ -985,8 +1029,8 @@ impl Machine {
             // ones), so packing never materializes the backing store and
             // cross-rank page sharing survives every checkpoint.
             let mut image = pvr_isomalloc::MigrationBuffer::default();
+            let sp = self.refresh_stack_extent(r);
             self.pack_rank_read_through(r, |_| true, &mut image);
-            let sp = self.ranks[r].ult.as_ref().and_then(|u| u.suspended_sp());
             let checksum = image.checksum();
             let primary_pe = self.ranks[r].location;
             // Epoch floor for the first delta on top of this base: pages
@@ -1073,6 +1117,10 @@ impl Machine {
                 detail: format!("checkpoint restore failed: {e}"),
             }
         };
+        let unsealed = |rank: RankId| RtsError::Protocol {
+            rank,
+            detail: "checkpoint delta inside the cut is not held by the buddy".into(),
+        };
         let verify = || -> Result<(usize, Vec<bool>), RtsError> {
             // 1a: pick a live holder per rank and find the consistent
             // cut — the longest chain prefix every holder can supply.
@@ -1114,11 +1162,7 @@ impl Machine {
                 let memory = &self.ranks[rank].memory;
                 memory.verify_layout(&e.image).map_err(|e| unusable(rank, e))?;
                 for d in &e.deltas[..cut] {
-                    let patch = if from_buddy {
-                        d.buddy_patch.as_ref().expect("cut within sealed prefix")
-                    } else {
-                        &d.patch
-                    };
+                    let patch = d.held(from_buddy).ok_or_else(|| unsealed(rank))?;
                     if patch.checksum() != d.checksum {
                         return Err(RtsError::Protocol {
                             rank,
@@ -1146,28 +1190,31 @@ impl Machine {
         // over it in place (no staging image), then the suspension point
         // (stack pointer) those bytes belong to. The chain is truncated
         // to the cut: deltas past it (an unsealed tail whose primary
-        // died) are gone for every rank alike.
+        // died) are gone for every rank alike. Phase 1 proved every step
+        // below can succeed; should one fail regardless, it is an error
+        // the callers answer by abandoning the half-restored ranks.
         for (rank, e) in ckpt.entries.iter_mut().enumerate() {
             let from_buddy = use_buddy[rank];
+            let chain = &e.deltas[..cut];
+            // The cut's barrier state: its suspension point decides which
+            // stack bytes are state — the ones the restore writes, zeroing
+            // what the base does not store — whatever `sp` is now.
+            let sp = chain.iter().rev().find_map(|d| d.sp).or(e.sp);
+            let req = chain.last().map_or(&e.req, |d| &d.req);
             let memory = &mut self.ranks[rank].memory;
-            memory
-                .unpack_into(&e.image)
-                .expect("layout verified before unpack");
-            let mut sp = e.sp;
-            let mut req = &e.req;
-            for d in &e.deltas[..cut] {
-                let patch = if from_buddy {
-                    d.buddy_patch.as_ref().expect("verified above")
-                } else {
-                    &d.patch
-                };
-                memory
-                    .apply_delta(patch)
-                    .expect("delta ranges verified before unpack");
-                if d.sp.is_some() {
-                    sp = d.sp;
+            memory.set_stack_live(sp);
+            memory.unpack_into(&e.image).map_err(|e| unusable(rank, e))?;
+            for d in chain {
+                let patch = d.held(from_buddy).ok_or_else(|| unsealed(rank))?;
+                memory.apply_delta(patch).map_err(|e| unusable(rank, e))?;
+            }
+            #[cfg(test)]
+            if tests::restore_skips_heap() {
+                // seeded mutant: the heap stays as the fault left it
+                for reg in memory.heap_ref().regions() {
+                    // SAFETY: as in `scribble_rank`.
+                    unsafe { std::ptr::write_bytes(reg.base_mut(), 0xDE, reg.live().end) };
                 }
-                req = &d.req;
             }
             // The request table rolls back with the memory it belongs
             // to — the cut's barrier state.
@@ -1199,6 +1246,16 @@ impl Machine {
         self.tallies.recoveries += 1;
         self.trace(0, NO_RANK, EventKind::Recovery { ranks });
         Ok(())
+    }
+
+    /// Size of the base images of the checkpoint currently held, summed
+    /// over ranks: `(logical, stored)` — what the reports count and the
+    /// network model is charged, and what the buffers hold. `(0, 0)`
+    /// without a checkpoint.
+    pub fn checkpoint_image_bytes(&self) -> (usize, usize) {
+        self.last_checkpoint.iter().flat_map(|c| &c.entries).fold((0, 0), |(l, s), e| {
+            (l + e.image.len(), s + e.image.stored_len())
+        })
     }
 
     /// Checkpoint/restart totals: (checkpoints taken, recoveries done).
@@ -1249,17 +1306,9 @@ impl Machine {
         self.failed[pe] = true;
         self.geometry_dirty = true;
         self.pes[pe].ready.clear();
-        // The dead PE's rank images are gone: scribble them so any read
-        // of un-restored state is loud.
+        // The dead PE's rank images are gone.
         for &r in &lost {
-            let regions: Vec<(*mut u8, usize)> = self.ranks[r]
-                .memory
-                .regions()
-                .map(|reg| (reg.base_mut(), reg.len()))
-                .collect();
-            for (ptr, len) in regions {
-                unsafe { std::ptr::write_bytes(ptr, 0xDE, len) };
-            }
+            self.scribble_rank(r);
         }
         // Coordinated rollback of every rank (survivors included).
         if let Err(e) = self.restore_checkpoint() {
@@ -1712,14 +1761,7 @@ impl Machine {
             }
             // soft fault: scribble over every rank's memory...
             for r in 0..self.ranks.len() {
-                let regions: Vec<(*mut u8, usize)> = self.ranks[r]
-                    .memory
-                    .regions()
-                    .map(|reg| (reg.base_mut(), reg.len()))
-                    .collect();
-                for (ptr, len) in regions {
-                    unsafe { std::ptr::write_bytes(ptr, 0xDE, len) };
-                }
+                self.scribble_rank(r);
             }
             // ...and recover from the checkpoint before anything runs.
             if let Err(e) = self.restore_checkpoint() {
@@ -2477,6 +2519,16 @@ mod tests {
         MachineBuilder::new(test_binary())
     }
 
+    thread_local! {
+        static RESTORE_SKIPS_HEAP: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Seeded mutant read by `restore_checkpoint` (on the thread that
+    /// drives the barrier — the test's own).
+    pub(super) fn restore_skips_heap() -> bool {
+        RESTORE_SKIPS_HEAP.with(|m| m.get())
+    }
+
     #[test]
     fn single_rank_runs_to_completion() {
         let mut m = builder()
@@ -3057,6 +3109,57 @@ mod tests {
             faulty, reference,
             "recovered run must produce identical results"
         );
+        finals.lock().clear();
+
+        // The same fault with a restore that leaves the heap out must
+        // not pass: the fault really took the heap (before `scribble_rank`
+        // it never did, and this same-step rollback could not tell).
+        let f3 = finals.clone();
+        let mut m = builder()
+            .method(Method::PieGlobals)
+            .topology(Topology::non_smp(2))
+            .vp_ratio(2)
+            .checkpoint_period(1)
+            .inject_fault_at_lb_step(3)
+            .build(body_for(f3))
+            .unwrap();
+        RESTORE_SKIPS_HEAP.with(|s| s.set(true));
+        let ran = m.run();
+        RESTORE_SKIPS_HEAP.with(|s| s.set(false));
+        ran.unwrap();
+        let mut mutant = finals.lock().clone();
+        mutant.sort_by_key(|a| a.0);
+        assert_ne!(mutant, reference, "a heap-skipping restore went unnoticed");
+    }
+
+    #[test]
+    fn scribble_takes_the_live_extents_and_nothing_else() {
+        let mut m = builder()
+            .guards(true)
+            .build(Arc::new(|ctx: RankCtx| {
+                let data = ctx.heap_alloc_f64s(100);
+                data.fill(1.5);
+                let _ = ctx.recv();
+            }))
+            .unwrap();
+        m.drive_rank(0).unwrap();
+        let sp = m.ranks[0].ult.as_ref().unwrap().suspended_sp().expect("parked in recv");
+        m.scribble_rank(0);
+        let memory = &m.ranks[0].memory;
+        let chunk = memory.heap_ref().regions().next().expect("one heap chunk");
+        let hwm = chunk.live().end;
+        assert!(hwm >= 800 && hwm < chunk.len());
+        assert!(chunk.as_slice()[..hwm].iter().all(|&b| b == 0xDE), "the heap is lost with the rank");
+        assert!(chunk.as_slice()[hwm..].iter().all(|&b| b == 0), "never handed out: not state");
+        let stack = memory.regions().find(|r| r.kind() == RegionKind::Stack).unwrap();
+        let at = sp - stack.base() as usize;
+        assert_eq!(stack.live(), at - 128..stack.len());
+        assert!(stack.as_slice()[at - 128..].iter().all(|&b| b == 0xDE), "frames and red zone");
+        assert!(stack.as_slice()[..at - 128].iter().any(|&b| b != 0xDE), "dead stack left alone");
+        let ult = m.ranks[0].ult.as_ref().unwrap();
+        assert!(ult.check_stack_guard().is_ok(), "the canaries at the base are not rank state");
+        // the frames are gone: never resume or unwind this ULT
+        m.abandon_ranks(&[0]);
     }
 
     #[test]

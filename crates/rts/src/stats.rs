@@ -55,8 +55,12 @@ pub struct MigrationRecord {
     pub rank: usize,
     pub from_pe: usize,
     pub to_pe: usize,
-    /// Bytes actually packed and moved (heap + stack + TLS + segments).
+    /// The rank's image as the network model is charged for it: every
+    /// region whole (heap + stack + TLS + segments).
     pub bytes: usize,
+    /// Bytes the wire buffer held: of each region, what the rank has
+    /// written (see `pvr_isomalloc::MigrationBuffer::stored_len`).
+    pub stored_bytes: usize,
     /// Wall time of pack + transfer + unpack (real in both modes).
     pub real_time: Duration,
     /// Virtual network cost charged (virtual mode).
@@ -721,6 +725,7 @@ mod tests {
                 from_pe: 0,
                 to_pe: 1,
                 bytes: 1 << 20,
+                stored_bytes: 1 << 16,
                 real_time: Duration::from_micros(500),
                 sim_cost: SimDuration::from_micros(90),
             }],

@@ -115,6 +115,25 @@ echo "==> incremental-ckpt determinism gate (delta chain, Serial == Threads(n))"
 PVR_THREADS=1 cargo test -q -p pvr-bench --test incremental_ckpt
 PVR_THREADS=4 cargo test -q -p pvr-bench --test incremental_ckpt
 
+echo "==> dead-stack gate (incremental_engine_deterministic x100: 50 under PVR_THREADS=1, 50 under 4)"
+# A delta's size once depended on what returned calls had left below the
+# suspended sp (one 4 KiB chunk holding a host-allocator address), which
+# failed this test on chance. Dead stack is out of the diff now; a hundred
+# passes in a row, not four, is what says so.
+bin=$(cargo test -p pvr-bench --test incremental_ckpt --no-run 2>&1 | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
+[ -x "$bin" ] || {
+    echo "FAIL: could not locate the incremental_ckpt test binary"
+    exit 1
+}
+for threads in 1 4; do
+    for i in $(seq 1 50); do
+        PVR_THREADS=$threads "$bin" --exact incremental_engine_deterministic >/dev/null 2>&1 || {
+            echo "FAIL: incremental_engine_deterministic failed on iteration $i under PVR_THREADS=$threads"
+            exit 1
+        }
+    done
+done
+
 echo "==> overlap-smoke (Isend/Irecv halo must beat blocking by >= 1.3x)"
 out=$(cargo run --release -q -p pvr-bench --bin repro -- overlap --quick)
 echo "$out"

@@ -279,3 +279,101 @@ fn pe_failure_rolls_back_and_recomputes_a_full_round() {
     assert_eq!(tallies.pe_failures, 1);
     assert_eq!(tallies.recoveries, 1);
 }
+
+// ---------------------------------------------------------------------
+// What a fault takes and a restore brings back, beyond the application's
+// arrays: the guards' own bytes, and a stack the runtime cannot see into.
+// ---------------------------------------------------------------------
+
+/// Ring exchange with heap state, a block freed up front and one freed
+/// every step (poisoned and quarantined when the guards are on), every
+/// barrier reached from another call depth.
+fn churn_body(out: Arc<Mutex<Vec<(usize, f64)>>>) -> Arc<dyn Fn(RankCtx) + Send + Sync> {
+    #[inline(never)]
+    fn sync_from_depth(ctx: &RankCtx, depth: u64) -> f64 {
+        if depth == 0 {
+            ctx.at_sync();
+            return 0.0;
+        }
+        let mut frame = [depth as f64; 64];
+        std::hint::black_box(&mut frame);
+        sync_from_depth(ctx, depth - 1) + std::hint::black_box(&frame).iter().sum::<f64>()
+    }
+    Arc::new(move |ctx: RankCtx| {
+        let early = ctx.heap_alloc(256, 8);
+        ctx.heap_free(early, 256);
+        let data = ctx.heap_alloc_f64s(32);
+        let mut acc = ctx.rank() as f64 + 1.0;
+        for step in 0..4u64 {
+            for v in data.iter_mut() {
+                *v += acc;
+            }
+            let scratch = ctx.heap_alloc(128, 8);
+            unsafe { std::ptr::write_bytes(scratch, step as u8 + 1, 128) };
+            ctx.heap_free(scratch, 128);
+            let partner = (ctx.rank() + 1) % ctx.n_ranks();
+            ctx.send(partner, step, bytes::Bytes::copy_from_slice(&acc.to_le_bytes()));
+            let m = ctx.recv();
+            acc = acc * 1.25 + f64::from_le_bytes(m.payload[..8].try_into().unwrap());
+            acc += sync_from_depth(&ctx, [9, 0, 20, 3][step as usize]);
+        }
+        out.lock().push((ctx.rank(), acc + data.iter().sum::<f64>()));
+    })
+}
+
+fn churn_run(configure: impl FnOnce(MachineBuilder) -> MachineBuilder) -> (Vec<(usize, f64)>, RunReport) {
+    let out = Arc::new(Mutex::new(Vec::new()));
+    let b = MachineBuilder::new(pvr_apps::hello::binary())
+        .method(Method::PieGlobals)
+        .clock(ClockMode::Virtual)
+        .topology(Topology::non_smp(2))
+        .vp_ratio(2);
+    let mut m = configure(b).build(churn_body(out.clone())).unwrap();
+    let report = m.run().unwrap();
+    let mut v = out.lock().clone();
+    v.sort_by_key(|r| r.0);
+    (v, report)
+}
+
+/// Guards on, soft fault one barrier after the only capture so far. The
+/// fault takes every rank's heap — poisoned quarantine ranges included —
+/// and the live part of its stack; the stack canaries sit at the stack's
+/// base, below anything live, and are neither lost nor restored. The
+/// rollback must leave nothing for the guards to trip on, and the job
+/// must end where the unfaulted one does.
+#[test]
+fn guards_see_no_false_trip_across_a_rollback() {
+    let (clean, _) = churn_run(|b| b.guards(true).checkpoint_period(2));
+    for incremental in [false, true] {
+        let (faulty, report) = churn_run(|b| {
+            b.guards(true)
+                .checkpoint_period(2)
+                .ckpt_incremental(incremental)
+                .inject_fault_at_lb_step(2)
+        });
+        assert_eq!(faulty, clean, "incremental={incremental}: rollback under guards diverged");
+        assert_eq!(report.faults.recoveries, 1);
+        let h = &report.hardening;
+        assert_eq!((h.stack_guard_trips, h.arena_guard_trips), (0, 0), "{h:?}");
+        assert!(h.segment_audits > 0, "the guards were on: {h:?}");
+    }
+}
+
+/// The thread backend keeps a rank's context kernel-side: there is no
+/// suspended `sp`, the whole stack region is the image's extent, and a
+/// rollback cannot rewind the thread — so the fault strikes at the
+/// capture's own barrier, where there is nothing to rewind. Same answer
+/// as the asm backend, whose images carry the live stack only.
+#[test]
+fn thread_backend_restores_to_the_asm_backend_answer() {
+    let fault = |b: MachineBuilder| b.checkpoint_period(1).inject_fault_at_lb_step(2);
+    let (clean, _) = churn_run(|b| b.checkpoint_period(1));
+    for incremental in [false, true] {
+        let (asm, asm_report) = churn_run(|b| fault(b).ckpt_incremental(incremental));
+        let (thread, thread_report) =
+            churn_run(|b| fault(b).ckpt_incremental(incremental).ult_backend(pvr_ult::Backend::Thread));
+        assert_eq!(asm, clean, "incremental={incremental}");
+        assert_eq!(thread, asm, "incremental={incremental}: thread backend diverged");
+        assert_eq!((asm_report.faults.recoveries, thread_report.faults.recoveries), (1, 1));
+    }
+}

@@ -322,42 +322,130 @@ fn rescale_re_replicates_the_chain_not_a_flat_copy() {
 
 // ---------------------------------------------------------------------
 // Scripted-write harness: the test decides which heap pages are dirtied,
-// rewritten and reverted before which capture, and what every rank must
-// hold at the end follows from the script alone. Captures diff against
-// the base read *through* the delta chain (no materialized previous
-// image), and a restore writes base and deltas straight into live
-// regions — so a chunk the chain misrepresents shows up as a wrong word.
+// rewritten and reverted before which capture, how deep in calls each
+// barrier is reached and what is allocated between captures, and what
+// every rank must hold at the end follows from the script alone.
+// Captures diff against the base read *through* the delta chain (no
+// materialized previous image), and a restore writes base and deltas
+// straight into live regions — so a chunk the chain misrepresents shows
+// up as a wrong word.
 // ---------------------------------------------------------------------
 
 const PAGES: usize = 12;
 const WORDS_PER_PAGE: usize = 4096 / 8;
+/// Words of the array every frame of a deep call holds (3/4 KiB).
+const FRAME_WORDS: usize = 96;
+/// Words of the all-zero array a padded barrier is reached over (12 KiB:
+/// whole diff chunks of zeros, which no delta carries).
+const PAD_WORDS: usize = 1536;
 
-/// `script[s]` is the `(page, value)` writes applied before barrier `s + 1`.
-type Script = Vec<Vec<(usize, f64)>>;
+/// What a rank does before barrier `s + 1` (`script[s]`).
+#[derive(Clone, Default)]
+struct Step {
+    /// `(page, value)` writes into the array allocated up front.
+    writes: Vec<(usize, f64)>,
+    /// "Call deep, write, return": a call this many frames deep, each
+    /// writing an array, that is back before the barrier — what it wrote
+    /// stays behind as dead bytes below wherever the barrier is reached.
+    scratch: usize,
+    /// The barrier is reached from this many frames down, each holding an
+    /// array it wrote before and reads back after — so the suspended `sp`
+    /// moves from barrier to barrier.
+    depth: usize,
+    /// The deepest of those frames also holds a [`PAD_WORDS`] array of
+    /// zeros across the barrier: live stack that no image stores.
+    pad: bool,
+    /// "Allocate after the capture": a fresh two-page block whose word
+    /// gets this value added (fresh heap reads as zero).
+    alloc: Option<f64>,
+}
+
+type Script = Vec<Step>;
 type PageWords = Vec<(usize, Vec<f64>)>;
+
+fn writes(script: Vec<Vec<(usize, f64)>>) -> Script {
+    script.into_iter().map(|writes| Step { writes, ..Step::default() }).collect()
+}
+
+/// What frame `d` of the deep call before barrier `s + 1` keeps in its array.
+fn frame_value(s: usize, d: usize) -> f64 {
+    (s * 100 + d) as f64
+}
+
+/// Run `bottom` from `depth` frames down; every frame sums its array on
+/// the way back up.
+#[inline(never)]
+fn call_deep(s: usize, depth: usize, bottom: &dyn Fn() -> f64) -> f64 {
+    if depth == 0 {
+        return bottom();
+    }
+    let mut frame = [frame_value(s, depth); FRAME_WORDS];
+    std::hint::black_box(&mut frame);
+    let below = call_deep(s, depth - 1, bottom);
+    below + std::hint::black_box(&frame).iter().sum::<f64>()
+}
+
+/// The barrier, reached over an array of zeros that is summed after it.
+#[inline(never)]
+fn sync_over_zeros(ctx: &RankCtx) -> f64 {
+    let mut pad = [0.0f64; PAD_WORDS];
+    std::hint::black_box(&mut pad);
+    ctx.at_sync();
+    std::hint::black_box(&pad).iter().sum()
+}
 
 fn scripted_body(script: Arc<Script>, out: Arc<Mutex<PageWords>>) -> Arc<dyn Fn(RankCtx) + Send + Sync> {
     Arc::new(move |ctx: RankCtx| {
         let data = ctx.heap_alloc_f64s(PAGES * WORDS_PER_PAGE);
+        // later blocks are found through this table: rank heap, so it
+        // rolls back with the blocks it names
+        let blocks = ctx.heap_alloc(script.len() * 8, 8) as *mut *mut f64;
         // one word per 4 KiB stride, so distinct pages are distinct chunks
         let word = |page: usize| page * WORDS_PER_PAGE + ctx.rank();
-        for writes in script.iter() {
-            for &(page, value) in writes {
+        let mut frames = 0.0;
+        for (s, step) in script.iter().enumerate() {
+            for &(page, value) in &step.writes {
                 data[word(page)] = value;
             }
-            ctx.at_sync();
+            if let Some(value) = step.alloc {
+                let block = ctx.heap_alloc_f64s(2 * WORDS_PER_PAGE);
+                block[word(1)] += value;
+                // SAFETY: `blocks` has one slot per step.
+                unsafe { *blocks.add(s) = block.as_mut_ptr() };
+            }
+            frames += call_deep(s, step.scratch, &|| 0.0);
+            frames += call_deep(s, step.depth, &|| {
+                if step.pad {
+                    return sync_over_zeros(&ctx);
+                }
+                ctx.at_sync();
+                0.0
+            });
         }
-        out.lock().push((ctx.rank(), (0..PAGES).map(|p| data[word(p)]).collect()));
+        let mut words: Vec<f64> = (0..PAGES).map(|p| data[word(p)]).collect();
+        words.push(frames);
+        for s in 0..script.len() {
+            // SAFETY: a slot is null or a block this rank allocated.
+            let block = unsafe { *blocks.add(s) };
+            words.push(if block.is_null() { 0.0 } else { unsafe { *block.add(word(1)) } });
+        }
+        out.lock().push((ctx.rank(), words));
     })
 }
 
 /// What the script leaves in every rank: the last write to a page wins,
-/// an unwritten page keeps the allocator's zero.
+/// an unwritten page keeps the allocator's zero; then what the deep
+/// frames read back, then every later block's word.
 fn scripted_expectation(script: &Script, ranks: usize) -> PageWords {
     let mut words = vec![0.0; PAGES];
-    for &(page, value) in script.iter().flatten() {
+    for &(page, value) in script.iter().flat_map(|step| &step.writes) {
         words[page] = value;
     }
+    let frames = script.iter().enumerate().flat_map(|(s, step)| {
+        (1..=step.scratch).chain(1..=step.depth).map(move |d| FRAME_WORDS as f64 * frame_value(s, d))
+    });
+    words.push(frames.sum());
+    words.extend(script.iter().map(|step| step.alloc.unwrap_or(0.0)));
     (0..ranks).map(|r| (r, words.clone())).collect()
 }
 
@@ -414,13 +502,15 @@ fn random_write_sequences_restore_exactly_at_every_chain_length() {
     const BARRIERS: usize = 6;
     for seed in 1..=3u64 {
         let mut rng = seed;
-        let script: Script = (0..BARRIERS)
-            .map(|_| {
-                (0..lcg(&mut rng) % 5)
-                    .map(|_| (lcg(&mut rng) % PAGES, (lcg(&mut rng) % 3) as f64))
-                    .collect()
-            })
-            .collect();
+        let script = writes(
+            (0..BARRIERS)
+                .map(|_| {
+                    (0..lcg(&mut rng) % 5)
+                        .map(|_| (lcg(&mut rng) % PAGES, (lcg(&mut rng) % 3) as f64))
+                        .collect()
+                })
+                .collect(),
+        );
         let expected = scripted_expectation(&script, 4);
         assert_eq!(scripted_run(&script, |b| b).words, expected, "seed {seed}: clean");
         for max_chain in [8u32, 2] {
@@ -449,8 +539,8 @@ fn random_write_sequences_restore_exactly_at_every_chain_length() {
 #[test]
 fn reverted_chunk_is_re_emitted_by_the_next_delta_only() {
     // barrier 1 is the base; deltas are captured at barriers 2, 3, 4, 5
-    let with_revert: Script = vec![vec![], vec![(3, 7.0)], vec![(3, 0.0)], vec![], vec![]];
-    let control: Script = vec![vec![]; 5];
+    let with_revert = writes(vec![vec![], vec![(3, 7.0)], vec![(3, 0.0)], vec![], vec![]]);
+    let control = writes(vec![vec![]; 5]);
     let run = |s: &Script| scripted_run(s, |b| b.inject_fault_at_lb_step(5));
     let (a, c) = (run(&with_revert), run(&control));
     assert_eq!(a.words, scripted_expectation(&with_revert, 4), "reverted value must survive the rollback");
@@ -471,6 +561,79 @@ fn reverted_chunk_is_re_emitted_by_the_next_delta_only() {
         a.deltas,
         c.deltas
     );
+}
+
+/// A moving stack and a growing heap under rollback. Every barrier is
+/// reached from another call depth (deeper at one barrier than at the
+/// next, deeper at the failure than at the cut and the other way round),
+/// over dead frames of calls that returned, and blocks are allocated
+/// between captures. The first script is the one a restore that zeroed by
+/// the *failure's* `sp` gets wrong: barrier 3 is captured deep over live
+/// zeros no image stores, a deeper call then leaves frames there, and the
+/// failure comes at a shallow barrier 4. With a capture at every
+/// barrier the rollback lands on the failure's own barrier; with one at
+/// every other barrier it lands one barrier back, on another `sp` and a
+/// lower allocation mark. Chain bounds 8 and 2; every rank must end with
+/// exactly what the script says, whichever engine, privatization method
+/// and checkpoint mode ran it.
+#[test]
+fn moving_stack_and_growing_heap_restore_exactly() {
+    const BARRIERS: usize = 6;
+    for seed in 0..=2u64 {
+        let mut rng = seed;
+        let script: Script = if seed == 0 {
+            vec![
+                Step::default(),
+                Step { depth: 3, alloc: Some(2.0), ..Step::default() },
+                Step { depth: 6, pad: true, ..Step::default() },
+                Step { scratch: 30, alloc: Some(5.0), ..Step::default() },
+                Step { depth: 12, ..Step::default() },
+                Step::default(),
+            ]
+        } else {
+            (0..BARRIERS)
+                .map(|_| Step {
+                    writes: (0..lcg(&mut rng) % 3)
+                        .map(|_| (lcg(&mut rng) % PAGES, (lcg(&mut rng) % 3) as f64))
+                        .collect(),
+                    scratch: [0, 30, 0, 16][lcg(&mut rng) % 4],
+                    depth: [0, 24, 3, 0, 12, 30][lcg(&mut rng) % 6],
+                    pad: lcg(&mut rng).is_multiple_of(3),
+                    alloc: lcg(&mut rng).is_multiple_of(2).then(|| (1 + lcg(&mut rng) % 9) as f64),
+                })
+                .collect()
+        };
+        assert!(script.iter().any(|s| s.depth >= 12) && script.iter().any(|s| s.alloc.is_some()));
+        let expected = scripted_expectation(&script, 4);
+        let clean = scripted_run(&script, |b| b);
+        assert_eq!(clean.words, expected, "seed {seed}: clean");
+        for period in [1u32, 2] {
+            for max_chain in [8u32, 2] {
+                for fault_at in 2..=BARRIERS as u32 {
+                    let what = format!("seed {seed} period {period} max_chain {max_chain} fault at {fault_at}");
+                    let inject = |b: MachineBuilder| {
+                        b.checkpoint_period(period).ckpt_max_chain(max_chain).inject_fault_at_lb_step(fault_at)
+                    };
+                    let incr = scripted_run(&script, inject);
+                    assert_eq!(incr.words, expected, "{what}: wrong bytes after the rollback");
+                    assert_eq!(incr.report.faults.recoveries, 1, "{what}");
+                    let threads = scripted_run(&script, |b| inject(b).parallelism(Parallelism::Threads(4)));
+                    assert_eq!(threads.words, expected, "{what}: Threads(4)");
+                    assert_eq!(
+                        (threads.report.sim_digest(), &threads.deltas),
+                        (incr.report.sim_digest(), &incr.deltas),
+                        "{what}: Serial vs Threads(4)"
+                    );
+                    if max_chain == 8 {
+                        let cow = scripted_run(&script, |b| inject(b).method(Method::CowGlobals));
+                        assert_eq!(cow.words, expected, "{what}: COWglobals");
+                        let full = scripted_run(&script, |b| inject(b).ckpt_incremental(false));
+                        assert_eq!(full.words, expected, "{what}: full mode");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// A restore at a cut *shorter* than the primary's chain, then capturing
