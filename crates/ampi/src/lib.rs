@@ -85,8 +85,8 @@ pub(crate) struct State {
     pub reaped: BTreeMap<u64, Option<RtsMessage>>,
     /// Pending `recv_then` continuations by request id.
     pub continuations: BTreeMap<u64, ContEntry>,
-    /// Live continuation nesting depth (capped by
-    /// `MachineConfig::continuation_depth`).
+    /// Live continuation nesting depth (capped in
+    /// `Ampi::run_continuations`).
     pub cont_depth: u32,
 }
 

@@ -33,6 +33,10 @@ pub const ANY_SOURCE: Option<usize> = None;
 /// `MPI_ANY_TAG`.
 pub const ANY_TAG: Option<u32> = None;
 
+/// How deep `recv_then` closures may nest by driving progress from
+/// inside one another (see `Ampi::run_continuations`).
+const CONTINUATION_DEPTH: u32 = 8;
+
 /// Completed-receive metadata (`MPI_Status`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Status {
@@ -320,8 +324,8 @@ impl Ampi {
     /// message matching `(comm, src, tag)` arrives, the library runs `f`
     /// from the next [`Ampi::progress`]/[`Ampi::progress_wait`] call —
     /// the rank never suspends in a wait for it. Nesting (a continuation
-    /// driving progress that runs further continuations) is capped by
-    /// `MachineConfig::continuation_depth`.
+    /// driving progress that runs further continuations) is capped at
+    /// eight levels; one more panics the rank.
     pub fn recv_then(
         &self,
         comm: CommId,
@@ -371,10 +375,9 @@ impl Ampi {
         self.state.borrow().continuations.len()
     }
 
-    /// Run delivered continuations under the configured nesting cap.
+    /// Run delivered continuations under the nesting cap.
     fn run_continuations(&self, outcomes: Outcomes) -> usize {
         let n = outcomes.len();
-        let cap = self.ctx.continuation_depth();
         for (id, msg) in outcomes {
             let entry = self
                 .state
@@ -387,9 +390,9 @@ impl Ampi {
                 let mut st = self.state.borrow_mut();
                 st.cont_depth += 1;
                 assert!(
-                    st.cont_depth <= cap,
-                    "continuation depth cap ({cap}) exceeded: a recv_then closure is \
-                     recursively driving progress (MachineConfig::continuation_depth)"
+                    st.cont_depth <= CONTINUATION_DEPTH,
+                    "continuation depth cap ({CONTINUATION_DEPTH}) exceeded: a recv_then \
+                     closure is recursively driving progress"
                 );
             }
             (entry.f)(self, payload, status);

@@ -60,7 +60,7 @@ struct Cell {
 /// `VarAccess` API, and read the privatizer's fault/dedup accounting.
 fn run_cow_cell(ranks: usize, workload: Workload) -> Cell {
     let binary = startup_binary();
-    let env = PrivatizeEnv::new(binary).with_perf_fast(true);
+    let env = PrivatizeEnv::new(binary);
     let mut p = create_privatizer(Method::CowGlobals, env, Options::default()).unwrap();
     let mut mems: Vec<pvr_isomalloc::RankMemory> =
         (0..ranks).map(|_| pvr_isomalloc::RankMemory::new()).collect();
@@ -87,7 +87,7 @@ fn run_cow_cell(ranks: usize, workload: Workload) -> Cell {
         + (stats.pages_privatized * stats.page_size) as f64 / ranks as f64;
 
     // Eager baseline: PIEglobals copies code+data+TLS for every rank.
-    let env = PrivatizeEnv::new(startup_binary()).with_perf_fast(true);
+    let env = PrivatizeEnv::new(startup_binary());
     let pie = create_privatizer(Method::PieGlobals, env, Options::default()).unwrap();
     let pie_bytes_per_rank = pie.per_rank_copied_bytes() as f64;
 
@@ -116,8 +116,8 @@ pub fn report(quick: bool) -> String {
         let mut pie_ns = f64::INFINITY;
         let mut cow_ns = f64::INFINITY;
         for _ in 0..reps {
-            pie_ns = pie_ns.min(startup_ns_per_rank(&binary, Method::PieGlobals, n, true));
-            cow_ns = cow_ns.min(startup_ns_per_rank(&binary, Method::CowGlobals, n, true));
+            pie_ns = pie_ns.min(startup_ns_per_rank(&binary, Method::PieGlobals, n));
+            cow_ns = cow_ns.min(startup_ns_per_rank(&binary, Method::CowGlobals, n));
         }
         json.push(JsonRow {
             section: "cow",

@@ -20,8 +20,8 @@
 //! `pvr-trace` observability layer (`repro -- trace`), [`faults_exp`]
 //! the fault-injection/recovery stack (`repro -- faults`),
 //! [`degrade_exp`] the capability-probe fallback chain and memory-safety
-//! guards (`repro -- degrade`), [`perf_exp`] the hot-path before/after
-//! baseline (`repro -- perf`, writes `BENCH_perf.json`),
+//! guards (`repro -- degrade`), [`perf_exp`] epoch dispatch and the
+//! matching-depth sweep (`repro -- perf`, writes `BENCH_perf.json`),
 //! [`cow_exp`] the COWglobals dedup/startup sweep (`repro -- cow`,
 //! merged into the same JSON), [`elastic_exp`] the elastic rescale
 //! sweep (`repro -- elastic`, also merged there), and [`overlap_exp`]

@@ -1,61 +1,33 @@
-//! `perf` — hot-path microbenchmark baseline for the PR-5 fast paths.
+//! `perf` — the engine measurements `benchmark/` does not have yet.
 //!
-//! Every optimization behind `perf_fast_paths` keeps its reference
-//! implementation alive as an oracle, which means the speedup is
-//! directly measurable: run the same workload with the knob off
-//! ("before") and on ("after"). This experiment benchmarks the three
-//! hot paths the overhaul targeted —
+//! Per-layer costs (message lifecycle, epoch extraction, startup per
+//! method, datatype pack/unpack, ping-pong round trip) are `benchmark/`'s
+//! per-layer metrics, measured on named workloads over a stated window.
+//! What is left here until it moves there too:
 //!
-//! 1. **message round-trip**: the per-message wire lifecycle
-//!    (construct, seal, retransmit-clone, verify) against the seed
-//!    implementation it replaced, plus a 2-PE ping-pong through the
-//!    full engine (outbox pooling, inline payloads, lane recycling),
-//! 2. **epoch extraction**: `EventQueue::drain_until` vs the
-//!    one-pop-per-event `pop_window` oracle, and **epoch dispatch**: a
-//!    parallel epoch of two empty lanes on the worker pool vs the
-//!    per-epoch scoped spawn + join the pool replaced,
-//! 3. **privatization startup**: memoized template/patch-list (PIE),
-//!    prebuilt TLS block template, and FS link-instead-of-copy, per
-//!    method at 8/64/256 ranks,
+//! 1. **epoch dispatch**: a parallel epoch of two empty lanes on the
+//!    worker pool vs the per-epoch scoped spawn + join the pool replaced,
+//! 2. the **matching-depth sweep** ([`match_depth_ns`]): per-message
+//!    cost of the posted and the unexpected queue from depth 1 to 4096,
+//!    which a matching engine that scans grows linearly in and a hashed
+//!    one is flat in,
 //!
-//! plus the datatype pack/unpack path as an ungated tracked baseline
-//! and the **matching-depth sweep** ([`match_depth_ns`]): per-message
-//! cost of the posted and the unexpected queue from depth 1 to 4096,
-//! which a matching engine that scans grows linearly in and a hashed
-//! one is flat in.
-//! Results are rendered as a table and written to `BENCH_perf.json`
-//! so CI can track the numbers over time.
+//! and the startup probe ([`startup_binary`], [`startup_ns_per_rank`])
+//! the COW and checkpoint sweeps share. Results are rendered as tables
+//! and written to `BENCH_perf.json`.
 
 use crate::render_table;
 use bytes::Bytes;
 use pvr_ampi::{Ampi, RecvReq, COMM_WORLD};
 use pvr_apps::jacobi3d;
-use pvr_des::{EventQueue, SimTime, Topology};
+use pvr_des::Topology;
 use pvr_privatize::methods::Options;
 use pvr_privatize::{create_privatizer, regs, Method, PrivatizeEnv};
-use pvr_progimage::{
-    link, CtorSpec, FunctionSpec, GlobalSpec, ImageSpec, ProgramBinary, SharedFs, VarClass,
-};
-use pvr_rts::{ClockMode, MachineBuilder, Parallelism, RankCtx, RtsMessage};
+use pvr_progimage::{link, CtorSpec, FunctionSpec, GlobalSpec, ImageSpec, ProgramBinary, VarClass};
+use pvr_rts::{ClockMode, MachineBuilder, MachineConfig, Parallelism, RankCtx};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// One before/after measurement. `ranks` is the scale parameter of the
-/// bench (message count scale, event count, or rank count — see `name`).
-pub struct BenchRow {
-    pub name: &'static str,
-    pub ranks: usize,
-    pub method: String,
-    pub before_ns: f64,
-    pub after_ns: f64,
-}
-
-impl BenchRow {
-    pub fn speedup(&self) -> f64 {
-        self.before_ns / self.after_ns.max(1e-9)
-    }
-}
 
 /// Best-of-`reps` wall time for `f`, in nanoseconds per `ops` operations.
 fn best_ns_per_op(reps: usize, ops: usize, mut f: impl FnMut()) -> f64 {
@@ -69,169 +41,15 @@ fn best_ns_per_op(reps: usize, ops: usize, mut f: impl FnMut()) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// 1. Message round-trip through the full engine
+// 1. Epoch dispatch: the worker pool vs a scoped spawn + join per epoch
 // ---------------------------------------------------------------------
 
-fn run_pingpong(n_msgs: usize, fast: bool) -> f64 {
-    let body: Arc<dyn Fn(RankCtx) + Send + Sync> = Arc::new(move |ctx: RankCtx| {
-        let mpi = Ampi::init(ctx);
-        let payload = Bytes::copy_from_slice(&[7u8; 32]);
-        if mpi.rank() == 0 {
-            for _ in 0..n_msgs {
-                mpi.send_bytes(COMM_WORLD, 1, 0, payload.clone());
-                mpi.recv_bytes(COMM_WORLD, Some(1), Some(0));
-            }
-        } else {
-            for _ in 0..n_msgs {
-                mpi.recv_bytes(COMM_WORLD, Some(0), Some(0));
-                mpi.send_bytes(COMM_WORLD, 0, 0, payload.clone());
-            }
-        }
-    });
-    // TLSglobals: cheapest startup of the migratable methods, so the
-    // measurement is the message path, not privatization.
-    let mut m = MachineBuilder::new(jacobi3d::binary())
-        .method(Method::TlsGlobals)
-        .clock(ClockMode::Virtual)
-        .topology(Topology::non_smp(2))
-        .vp_ratio(1)
-        .stack_size(256 * 1024)
-        .perf_fast_paths(fast)
-        .build(body)
-        .unwrap();
-    let t0 = Instant::now();
-    m.run().unwrap();
-    t0.elapsed().as_nanos() as f64 / n_msgs as f64
-}
-
-fn bench_engine_pingpong(quick: bool) -> BenchRow {
-    let n_msgs = if quick { 2000 } else { 20_000 };
-    let reps = if quick { 3 } else { 5 };
-    let mut before = f64::INFINITY;
-    let mut after = f64::INFINITY;
-    for _ in 0..reps {
-        before = before.min(run_pingpong(n_msgs, false));
-        after = after.min(run_pingpong(n_msgs, true));
-    }
-    BenchRow {
-        name: "engine_pingpong",
-        ranks: 2,
-        method: "tlsglobals".into(),
-        before_ns: before,
-        after_ns: after,
-    }
-}
-
-/// One message's fault-free wire lifecycle at the object level:
-/// construct the payload from the sender's buffer, wrap it in an
-/// [`RtsMessage`], clone it into the delivery event, fold over the
-/// bytes at the receiver, drop everything. This is the per-message
-/// work the engine does on the default (fault-free) path, where the
-/// integrity seal is skipped entirely.
-///
-/// "Before" reproduces the seed `Bytes`, which was always
-/// `Arc<[u8]>`-backed: every payload construction was a heap
-/// allocation + copy, every delivery clone an atomic refcount bump,
-/// every drop an atomic decrement with the last one freeing. "After"
-/// is the shipping small-payload representation: ≤64-byte payloads
-/// live inline in the message, so the whole lifecycle is two small
-/// memcpys with no allocator or atomics traffic.
-fn bench_msg_roundtrip(quick: bool) -> BenchRow {
-    let iters = if quick { 400_000 } else { 4_000_000 };
-    let reps = if quick { 3 } else { 5 };
-    let data = [0x42u8; 32];
-
-    let before = best_ns_per_op(reps, iters, || {
-        let mut acc = 0u64;
-        for i in 0..iters {
-            let payload: Arc<[u8]> = Arc::from(&data[..]); // seed Bytes: always heap
-            let tag = i as u64;
-            let delivery = payload.clone(); // Arc refcount bump
-            drop(payload); // sender's handle: atomic decrement
-            let mut sum = tag;
-            for &b in delivery.iter() {
-                sum = sum.wrapping_add(b as u64); // receiver reads
-            }
-            acc ^= sum;
-            // `delivery` drop: last refcount, frees the allocation
-        }
-        std::hint::black_box(acc);
-    });
-    let after = best_ns_per_op(reps, iters, || {
-        let mut acc = 0u64;
-        for i in 0..iters {
-            let m = RtsMessage::new(0, 1, i as u64, Bytes::copy_from_slice(&data));
-            let delivery = m.clone(); // inline payload: plain memcpy
-            drop(m);
-            let mut sum = delivery.tag;
-            for &b in delivery.payload.as_ref() {
-                sum = sum.wrapping_add(b as u64);
-            }
-            acc ^= sum;
-        }
-        std::hint::black_box(acc);
-    });
-    BenchRow {
-        name: "msg_roundtrip",
-        ranks: 2,
-        method: "wire-lifecycle".into(),
-        before_ns: before,
-        after_ns: after,
-    }
-}
-
-// ---------------------------------------------------------------------
-// 2. Epoch extraction: drain_until vs the pop_window oracle
-// ---------------------------------------------------------------------
-
-fn fill_queue(n: usize) -> EventQueue<u64> {
-    let mut q = EventQueue::with_capacity(n);
-    // Deterministic pseudo-random arrival times (LCG), so the heap sees
-    // realistic disorder rather than presorted input.
-    let mut x = 0x9e3779b97f4a7c15u64;
-    for i in 0..n {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        q.schedule(SimTime(x % (n as u64 * 8)), i as u64);
-    }
-    q
-}
-
-fn bench_epoch_extract(quick: bool) -> BenchRow {
-    let n = if quick { 40_000 } else { 400_000 };
-    let reps = if quick { 3 } else { 5 };
-    // The engine's dominant regime: the lookahead window swallows every
-    // pending event, so one epoch drains the whole queue. The fill is
-    // identical for both paths and excluded from the timing.
-    let mut before = f64::INFINITY;
-    let mut after = f64::INFINITY;
-    for _ in 0..reps {
-        let mut q = fill_queue(n);
-        let t0 = Instant::now();
-        let got = q.pop_window(SimTime::MAX).len();
-        before = before.min(t0.elapsed().as_nanos() as f64 / n as f64);
-        assert_eq!(got, n);
-
-        let mut q = fill_queue(n);
-        let mut scratch: Vec<(SimTime, u64)> = Vec::new();
-        let t0 = Instant::now();
-        q.drain_until(SimTime::MAX, &mut scratch);
-        after = after.min(t0.elapsed().as_nanos() as f64 / n as f64);
-        assert_eq!(scratch.len(), n);
-    }
-    BenchRow {
-        name: "epoch_extract",
-        ranks: n,
-        method: "event-queue".into(),
-        before_ns: before,
-        after_ns: after,
-    }
-}
-
-/// What a parallel epoch costs beyond its lanes' work: ns per epoch of
-/// two lanes holding one no-op `PeWake` each on the `Threads(2)` pool
-/// ("after"), against what the engine did per epoch before it had a
-/// pool — a scoped spawn and join of two threads ("before").
-fn bench_epoch_dispatch(quick: bool) -> BenchRow {
+/// What a parallel epoch costs beyond its lanes' work, `(before,
+/// after)`: ns per epoch of two lanes holding one no-op `PeWake` each on
+/// the `Threads(2)` pool ("after"), against what the engine did per
+/// epoch before it had a pool — a scoped spawn and join of two threads
+/// ("before").
+fn epoch_dispatch_ns(quick: bool) -> (f64, f64) {
     let epochs = if quick { 2_000 } else { 20_000 };
     let reps = if quick { 3 } else { 5 };
     let before = best_ns_per_op(reps, epochs, || {
@@ -256,24 +74,18 @@ fn bench_epoch_dispatch(quick: bool) -> BenchRow {
     let after = (0..reps)
         .map(|_| m.bench_epoch_dispatch(epochs).as_nanos() as f64 / epochs as f64)
         .fold(f64::INFINITY, f64::min);
-    BenchRow {
-        name: "epoch_dispatch",
-        ranks: 2,
-        method: "spawn+join -> pool".into(),
-        before_ns: before,
-        after_ns: after,
-    }
+    (before, after)
 }
 
 // ---------------------------------------------------------------------
-// 3. Privatization startup, per method and rank count
+// 2. Privatization startup probe (shared with `cow_exp`, `ckpt_exp`)
 // ---------------------------------------------------------------------
 
 /// A data-heavy program image, the shape where startup cost lives: the
 /// PIEglobals conservative scan walks every (nonzero) data word per
 /// rank, the FSglobals deploy copies the whole binary per rank, and the
-/// TLS block carries a large initialized variable. Shared with the COW
-/// sweep (`cow_exp`) so its before/after is against the same image.
+/// TLS block carries a large initialized variable. The COW and the
+/// checkpoint sweeps (`cow_exp`, `ckpt_exp`) measure against this image.
 pub(crate) fn startup_binary() -> Arc<ProgramBinary> {
     let big = vec![0x5Au8; 1 << 20]; // nonzero: every word reaches classify()
     let mut b = ImageSpec::builder("perf_startup")
@@ -316,13 +128,9 @@ pub(crate) fn startup_ns_per_rank(
     binary: &Arc<ProgramBinary>,
     method: Method,
     n_ranks: usize,
-    fast: bool,
 ) -> f64 {
     assert!(n_ranks >= 2, "need at least one rank past the warmup rank");
-    let mut env = PrivatizeEnv::new(binary.clone()).with_perf_fast(fast);
-    if method == Method::FsGlobals {
-        env = env.with_shared_fs(Some(Arc::new(parking_lot::Mutex::new(SharedFs::new()))));
-    }
+    let env = PrivatizeEnv::new(binary.clone());
     let mut p = create_privatizer(method, env, Options::default()).unwrap();
     // Rank memory is pre-created (and dropped) outside the timed window:
     // the measurement is the privatizer's work, not arena setup.
@@ -345,69 +153,12 @@ pub(crate) fn startup_ns_per_rank(
     ns
 }
 
-fn bench_startup(quick: bool) -> Vec<BenchRow> {
-    let rank_counts: &[usize] = if quick { &[8, 64] } else { &[8, 64, 256] };
-    let methods = [Method::TlsGlobals, Method::FsGlobals, Method::PieGlobals];
-    let reps = if quick { 2 } else { 3 };
-    let binary = startup_binary();
-    let mut rows = Vec::new();
-    for &n in rank_counts {
-        for method in methods {
-            let mut before = f64::INFINITY;
-            let mut after = f64::INFINITY;
-            for _ in 0..reps {
-                before = before.min(startup_ns_per_rank(&binary, method, n, false));
-                after = after.min(startup_ns_per_rank(&binary, method, n, true));
-            }
-            rows.push(BenchRow {
-                name: "startup",
-                ranks: n,
-                method: method.name().into(),
-                before_ns: before,
-                after_ns: after,
-            });
-        }
-    }
-    rows
-}
-
 // ---------------------------------------------------------------------
-// 4. Datatype pack/unpack (ungated tracked baseline)
+// 3. Matching depth: posted and unexpected queues, 1 -> 4096 deep
 // ---------------------------------------------------------------------
 
-fn bench_pack_unpack(quick: bool) -> BenchRow {
-    use pvr_ampi::Datatype;
-    let iters = if quick { 20_000 } else { 200_000 };
-    let reps = if quick { 2 } else { 3 };
-    let dt = Datatype::vector(32, 4, 8); // 128 elements, strided
-    let src: Vec<f64> = (0..256).map(|i| i as f64).collect();
-    let mut dst = vec![0.0f64; 256];
-    let mut measure = || {
-        best_ns_per_op(reps, iters, || {
-            for _ in 0..iters {
-                let wire = dt.pack(&src);
-                dt.unpack(&wire, &mut dst);
-            }
-        })
-    };
-    // Not gated by `perf_fast_paths`: measured twice as a stable
-    // baseline; the JSON tracks drift, not a speedup.
-    let before = measure();
-    let after = measure();
-    BenchRow {
-        name: "pack_unpack",
-        ranks: 128,
-        method: "vector-datatype".into(),
-        before_ns: before,
-        after_ns: after,
-    }
-}
-
-// ---------------------------------------------------------------------
-// 5. Matching depth: posted and unexpected queues, 1 -> 4096 deep
-// ---------------------------------------------------------------------
-
-/// Depths of the matching sweep; `max_outstanding_reqs` is raised to fit.
+/// Depths of the matching sweep; `max_outstanding_reqs` is raised to fit
+/// the ones past its default.
 const MATCH_DEPTHS: [usize; 7] = [1, 4, 16, 64, 256, 1024, 4096];
 
 /// Wall-clock ns per message with `depth` receives outstanding, over
@@ -461,15 +212,13 @@ pub fn match_depth_ns(depth: usize, msgs: usize) -> (f64, f64) {
             }
         }
     });
-    let mut m = MachineBuilder::new(jacobi3d::binary())
-        .method(Method::TlsGlobals)
-        .clock(ClockMode::Virtual)
-        .topology(Topology::non_smp(2))
-        .vp_ratio(1)
-        .stack_size(256 * 1024)
-        .max_outstanding_reqs(depth)
-        .build(body)
-        .unwrap();
+    let mut cfg = MachineConfig::new(jacobi3d::binary());
+    cfg.method = Method::TlsGlobals;
+    cfg.clock = ClockMode::Virtual;
+    cfg.topology = Topology::non_smp(2);
+    cfg.stack_size = 256 * 1024;
+    cfg.max_outstanding_reqs = cfg.max_outstanding_reqs.max(depth);
+    let mut m = cfg.build(body).unwrap();
     m.run().unwrap();
     let per_msg = |i: usize| spent[i].load(Ordering::Relaxed) as f64 / (rounds * depth) as f64;
     (per_msg(0), per_msg(1))
@@ -534,68 +283,48 @@ fn match_depth_report(quick: bool) -> String {
 // Reporting
 // ---------------------------------------------------------------------
 
-fn write_json(path: &str, quick: bool, rows: &[BenchRow]) -> std::io::Result<()> {
-    let json: Vec<crate::JsonRow> = rows
-        .iter()
-        .map(|r| crate::JsonRow {
-            section: "perf",
-            name: r.name.to_string(),
-            ranks: r.ranks,
-            method: r.method.clone(),
-            // Startup rows report the median marginal rank cost (see
-            // `startup_ns_per_rank`); the rest are best-of-reps ns/op.
-            unit: if r.name == "startup" { "ns/rank (median)" } else { "ns/op" },
-            quick,
-            before: r.before_ns,
-            after: r.after_ns,
-            ratio: r.speedup(),
-        })
-        .collect();
-    crate::merge_bench_json(path, "perf", &json)
-}
-
-/// Run the full suite, write `BENCH_perf.json`, render the table.
+/// Run both measurements, write `BENCH_perf.json`, render the tables.
 pub fn report(quick: bool) -> String {
-    let mut rows = Vec::new();
-    eprintln!("[perf] message round-trip ...");
-    rows.push(bench_msg_roundtrip(quick));
-    eprintln!("[perf] engine ping-pong ...");
-    rows.push(bench_engine_pingpong(quick));
-    eprintln!("[perf] epoch extraction ...");
-    rows.push(bench_epoch_extract(quick));
     eprintln!("[perf] epoch dispatch ...");
-    rows.push(bench_epoch_dispatch(quick));
-    eprintln!("[perf] startup sweep ...");
-    rows.extend(bench_startup(quick));
-    eprintln!("[perf] pack/unpack ...");
-    rows.push(bench_pack_unpack(quick));
-
+    let (before, after) = epoch_dispatch_ns(quick);
+    let speedup = before / after.max(1e-9);
     let json_path = "BENCH_perf.json";
-    if let Err(e) = write_json(json_path, quick, &rows) {
+    let row = crate::JsonRow {
+        section: "perf",
+        name: "epoch_dispatch".into(),
+        ranks: 2,
+        method: "spawn+join -> pool".into(),
+        unit: "ns/op",
+        quick,
+        before,
+        after,
+        ratio: speedup,
+    };
+    if let Err(e) = crate::merge_bench_json(json_path, "perf", &[row]) {
         eprintln!("[perf] warning: could not write {json_path}: {e}");
     }
-
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.to_string(),
-                r.ranks.to_string(),
-                r.method.clone(),
-                format!("{:.0}", r.before_ns),
-                format!("{:.0}", r.after_ns),
-                format!("{:.2}x", r.speedup()),
-            ]
-        })
-        .collect();
-    let baseline = render_table(
+    let dispatch = render_table(
         &format!(
-            "Hot-path baseline — reference (perf_fast_paths=off) vs fast \
-             (on); written to {json_path}"
+            "Epoch dispatch — ns per parallel epoch of two empty lanes: a scoped spawn + \
+             join of two threads (before) vs the worker pool (after); written to {json_path}"
         ),
-        &["bench", "scale", "method", "before ns/op", "after ns/op", "speedup"],
-        &table_rows,
+        &[
+            "bench",
+            "lanes",
+            "method",
+            "before ns/op",
+            "after ns/op",
+            "speedup",
+        ],
+        &[vec![
+            "epoch_dispatch".into(),
+            "2".into(),
+            "spawn+join -> pool".into(),
+            format!("{before:.0}"),
+            format!("{after:.0}"),
+            format!("{speedup:.2}x"),
+        ]],
     );
     eprintln!("[perf] matching-depth sweep ...");
-    format!("{baseline}\n{}", match_depth_report(quick))
+    format!("{dispatch}\n{}", match_depth_report(quick))
 }

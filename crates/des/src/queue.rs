@@ -145,23 +145,11 @@ impl<E> EventQueue<E> {
         self.seq
     }
 
-    /// Drain every event with timestamp strictly below `horizon`, in
-    /// (time, insertion sequence) order, advancing `now` to the latest
-    /// timestamp drained.
-    ///
-    /// This is the epoch-extraction primitive for conservative parallel
-    /// simulation: with a lookahead `L` no smaller than the minimum
-    /// cross-PE event latency, every event in the window
-    /// `[peek_time(), peek_time() + L)` is causally independent across
-    /// PEs and the whole window can execute concurrently. Events
-    /// generated while the window runs land at or beyond `horizon`, so
-    /// re-inserting them afterwards can never schedule into the past.
-    ///
-    /// Returns an empty vector when the queue is empty or the head is
-    /// already at/after `horizon`.
-    pub fn pop_window(&mut self, horizon: SimTime) -> Vec<(SimTime, E)> {
-        // Reference implementation: one heap pop per event. Kept as the
-        // oracle `drain_until` is checked against — do not "optimize".
+    /// [`Self::drain_until`] as one heap pop per event into a fresh
+    /// vector: the oracle the tests check it against — do not
+    /// "optimize".
+    #[cfg(test)]
+    fn pop_window(&mut self, horizon: SimTime) -> Vec<(SimTime, E)> {
         let mut out = Vec::new();
         while let Some(t) = self.peek_time() {
             if t >= horizon {
@@ -174,13 +162,21 @@ impl<E> EventQueue<E> {
 
     /// Bulk epoch extraction: append every event with timestamp strictly
     /// below `horizon` to `out`, in (time, insertion sequence) order,
-    /// advancing `now` to the latest timestamp drained.
+    /// advancing `now` to the latest timestamp drained. Appends nothing
+    /// when the queue is empty or its head is already at/after `horizon`.
     ///
-    /// Semantically identical to `pop_window`, but (a) the caller owns
-    /// and reuses the output buffer, so steady-state extraction never
-    /// allocates, and (b) when the horizon clears the whole queue the
-    /// heap is emptied with one `O(n log n)` sort instead of `n`
-    /// heap-pop siftings — the common case for the parallel engine,
+    /// This is the epoch-extraction primitive for conservative parallel
+    /// simulation: with a lookahead `L` no smaller than the minimum
+    /// cross-PE event latency, every event in the window
+    /// `[peek_time(), peek_time() + L)` is causally independent across
+    /// PEs and the whole window can execute concurrently. Events
+    /// generated while the window runs land at or beyond `horizon`, so
+    /// re-inserting them afterwards can never schedule into the past.
+    ///
+    /// The caller owns and reuses the output buffer, so steady-state
+    /// extraction never allocates, and when the horizon clears the whole
+    /// queue the heap is emptied with one `O(n log n)` sort instead of
+    /// `n` heap-pop siftings — the common case for the parallel engine,
     /// whose lookahead window usually swallows every pending event.
     pub fn drain_until(&mut self, horizon: SimTime, out: &mut Vec<(SimTime, E)>) {
         if self.heap.is_empty() {
@@ -188,7 +184,7 @@ impl<E> EventQueue<E> {
         }
         // Below this length, `n` heap pops beat the flatten-sort's fixed
         // cost; the pop loop keeps tiny epochs (e.g. a 2-rank ping-pong)
-        // as cheap as the reference path.
+        // as cheap as popping them one by one.
         const SORT_CUTOFF: usize = 32;
         if self.max_at < horizon && self.heap.len() > SORT_CUTOFF {
             // Whole-queue drain: flatten and sort once instead of `n`

@@ -15,7 +15,7 @@ pub struct SimDuration(pub u64);
 impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
     /// The end of virtual time — useful as an "unbounded" horizon for
-    /// [`crate::EventQueue::pop_window`].
+    /// [`crate::EventQueue::drain_until`].
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     pub fn nanos(self) -> u64 {

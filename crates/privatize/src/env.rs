@@ -164,11 +164,6 @@ pub struct PrivatizeEnv {
     /// Number of OS processes concurrently hammering the shared FS
     /// (affects FSglobals' contention cost).
     pub concurrent_processes: usize,
-    /// Startup fast paths: memoized segment templates/patch lists
-    /// (PIEglobals, TLSglobals) and the shared-FS link fast path
-    /// (FSglobals). On by default; off selects the reference startup
-    /// code, which produces bit-identical rank state and accounting.
-    pub perf_fast: bool,
 }
 
 impl PrivatizeEnv {
@@ -185,7 +180,6 @@ impl PrivatizeEnv {
             toolchain,
             pes_per_process: 1,
             concurrent_processes: 1,
-            perf_fast: true,
         }
     }
 
@@ -211,13 +205,6 @@ impl PrivatizeEnv {
 
     pub fn with_concurrent_processes(mut self, n: usize) -> Self {
         self.concurrent_processes = n;
-        self
-    }
-
-    /// Select the memoized startup fast paths (`true`, the default) or
-    /// the reference startup code (`false`).
-    pub fn with_perf_fast(mut self, on: bool) -> Self {
-        self.perf_fast = on;
         self
     }
 

@@ -38,11 +38,6 @@ pub struct FsGlobals {
     /// Deleted on drop so a torn-down startup (method fallback, error)
     /// releases its FS footprint instead of leaking it.
     created_paths: Vec<String>,
-    /// Per-rank copies as FS links (one physical copy per job, a link
-    /// per rank) instead of full byte duplication. The link path charges
-    /// identical capacity/cost (see [`pvr_progimage::SharedFs::link_file`]),
-    /// so every probe, `NoSpace`, and reported duration is unchanged.
-    fast: bool,
 }
 
 impl FsGlobals {
@@ -61,7 +56,6 @@ impl FsGlobals {
                     .to_string(),
             });
         }
-        let fast = env.perf_fast;
         let common = Common::new(env)?;
 
         // Deploy the original binary to the shared FS (once per job).
@@ -103,7 +97,6 @@ impl FsGlobals {
             copied_bytes,
             deployed_path,
             created_paths,
-            fast,
         })
     }
 }
@@ -147,14 +140,14 @@ impl Privatizer for FsGlobals {
         };
         {
             let mut fs = fs_arc.lock();
-            // Fast path: link instead of copy — same capacity and
-            // simulated cost, no host-side byte duplication.
-            let copy_cost = if self.fast {
-                fs.link_file(&self.deployed_path, &copy_path, clients)
-            } else {
-                fs.copy_file(&self.deployed_path, &copy_path, clients)
-            };
-            self.io_cost += copy_cost.map_err(PrivatizeError::Fs)?;
+            // Per-rank copies are FS links (one physical copy per job,
+            // a link per rank): a link charges the capacity and cost of
+            // a full copy (see `SharedFs::link_file`), so every probe,
+            // `NoSpace` and reported duration is that of a copy, without
+            // the host-side byte duplication.
+            self.io_cost += fs
+                .link_file(&self.deployed_path, &copy_path, clients)
+                .map_err(PrivatizeError::Fs)?;
             // The copy exists on the FS from here on; track it so it is
             // cleaned up on any failure below and on drop.
             self.created_paths.push(copy_path.clone());
@@ -350,42 +343,6 @@ mod tests {
             let mut mem = RankMemory::new();
             p.instantiate_rank(rank, &mut mem).unwrap();
         }
-    }
-
-    #[test]
-    fn link_fast_path_matches_copy_accounting() {
-        let fs_fast = Arc::new(Mutex::new(SharedFs::new()));
-        let fs_ref = Arc::new(Mutex::new(SharedFs::new()));
-        let mut fast =
-            FsGlobals::new(PrivatizeEnv::new(bin()).with_shared_fs(Some(fs_fast.clone())))
-                .unwrap();
-        let mut reference = FsGlobals::new(
-            PrivatizeEnv::new(bin())
-                .with_shared_fs(Some(fs_ref.clone()))
-                .with_perf_fast(false),
-        )
-        .unwrap();
-        for rank in 0..4 {
-            let mut m0 = RankMemory::new();
-            let mut m1 = RankMemory::new();
-            let a = fast.instantiate_rank(rank, &mut m0).unwrap();
-            let b = reference.instantiate_rank(rank, &mut m1).unwrap();
-            a.access("g").write_u64(rank as u64);
-            b.access("g").write_u64(rank as u64);
-        }
-        // every observable: identical — simulated I/O, capacity charged,
-        // op count
-        assert_eq!(
-            fast.simulated_startup_cost(),
-            reference.simulated_startup_cost()
-        );
-        assert_eq!(fs_fast.lock().bytes_used(), fs_ref.lock().bytes_used());
-        assert_eq!(fs_fast.lock().op_count(), fs_ref.lock().op_count());
-        // the win: one physical binary on the FS instead of one per rank
-        assert!(
-            fs_fast.lock().physical_bytes_used() < fs_ref.lock().physical_bytes_used(),
-            "links must not duplicate bytes"
-        );
     }
 
     #[test]

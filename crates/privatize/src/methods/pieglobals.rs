@@ -89,8 +89,8 @@ pub(crate) enum PatchTarget {
 ///
 /// Snapshotted at first instantiation — not at construction — because a
 /// program (and our false-positive regression test) may write to the
-/// original image between `dlopen` and privatization, and the reference
-/// scan sees those writes.
+/// original image between `dlopen` and privatization, and a per-rank
+/// scan would see those writes.
 pub(crate) struct StartupTemplate {
     /// Data-segment bytes to memcpy per rank.
     pub(crate) data: Vec<u8>,
@@ -253,9 +253,8 @@ pub struct PieGlobals {
     /// Bytes of fixups applied, by strategy, for reporting/tests.
     pub fixups_applied: usize,
     pub false_positive_candidates: usize,
-    /// Memoized startup template (fast path; built lazily).
+    /// Memoized startup template (built lazily).
     template: Option<StartupTemplate>,
-    fast: bool,
 }
 
 impl PieGlobals {
@@ -267,7 +266,6 @@ impl PieGlobals {
                     .to_string(),
             });
         }
-        let fast = env.perf_fast;
         let mut env = env;
         let (image, orig) = dlopen_and_locate(&mut env)?;
         let tls_block_size = env.binary.layout.tls_size.max(8);
@@ -281,12 +279,12 @@ impl PieGlobals {
             fixups_applied: 0,
             false_positive_candidates: 0,
             template: None,
-            fast,
         })
     }
 
     /// Rebase one value if it points into the original segments or a ctor
     /// heap allocation; returns the new value and what matched.
+    #[cfg(test)]
     fn rebase_value(
         &self,
         v: u64,
@@ -309,10 +307,11 @@ impl PieGlobals {
         None
     }
 
-    /// Fast startup: memcpy the memoized template into rank memory and
-    /// apply the patch list. Produces bit-identical segments, fixup
-    /// counts, and trace events to [`Self::instantiate_segments_reference`].
-    fn instantiate_segments_fast(
+    /// Steps 3-4: memcpy the memoized template into rank memory and
+    /// apply the patch list. The unit tests hold its segments and fixup
+    /// counts to those of the paper's literal per-rank scan
+    /// (`instantiate_segments_reference`, compiled for tests only).
+    fn instantiate_segments(
         &mut self,
         image: &LoadedImage,
         mem: &mut RankMemory,
@@ -332,7 +331,7 @@ impl PieGlobals {
         image: &LoadedImage,
         mem: &mut RankMemory,
     ) -> Result<(usize, usize, usize), PrivatizeError> {
-        // Step 3 (fast): code straight from the image, data from the
+        // Step 3: code straight from the image, data from the
         // snapshot — both one memcpy.
         let code_copy = Region::from_bytes(RegionKind::CodeSegment, image.code_region().as_slice());
         let data_copy = Region::from_bytes(RegionKind::DataSegment, &tpl.data);
@@ -360,8 +359,8 @@ impl PieGlobals {
             clone_bases.push(clone.ptr as usize);
         }
 
-        // Step 4 (fast): patch-list replay — no scanning, one add and
-        // one write per recorded fixup.
+        // Step 4: patch-list replay — no scanning, one add and one
+        // write per recorded fixup.
         let resolve = |t: PatchTarget| -> u64 {
             match t {
                 PatchTarget::Code { off } => (new_code + off) as u64,
@@ -394,9 +393,71 @@ impl PieGlobals {
         Ok((new_code, new_data, data_len))
     }
 
-    /// Reference startup (steps 3-4): full per-rank scan and fixup —
-    /// kept verbatim as the oracle the template path must match; do not
-    /// optimize.
+    /// Steps 5-6 over a rank's copied and fixed-up segments (`(code
+    /// base, data base, data length)`, from steps 3-4): the TLS block,
+    /// the access table and the `pieglobalsfind` bookkeeping.
+    fn finish_rank(
+        &mut self,
+        rank: usize,
+        image: &LoadedImage,
+        mem: &mut RankMemory,
+        (new_code, new_data, data_len): (usize, usize, usize),
+    ) -> Result<RankInstance, PrivatizeError> {
+        let binary = self.common.env.binary.clone();
+        let layout = &binary.layout;
+
+        // Step 5: per-rank TLS block (TLSglobals combination).
+        let mut tls_block = Region::new_zeroed(RegionKind::TlsSegment, self.tls_block_size);
+        let tpl = image.tls_template();
+        tls_block.as_mut_slice()[..tpl.len()].copy_from_slice(tpl);
+        let tls_base = tls_block.base_mut();
+        pvr_trace::emit(pvr_trace::EventKind::SegmentCopy {
+            segment: pvr_trace::Segment::Tls,
+            bytes: self.tls_block_size as u64,
+        });
+        mem.add_region(tls_block);
+
+        // Resolve accesses: data vars → direct into the rank's data copy;
+        // TLS vars → TLS register + offset.
+        let mut accesses: HashMap<String, VarAccess> = HashMap::new();
+        for v in &binary.spec.vars {
+            let acc = match v.class {
+                VarClass::Global | VarClass::Static => {
+                    if self.opts.dedup_readonly && v.mutability == Mutability::ReadOnly {
+                        VarAccess::Direct(image.data_addr_of(&v.name).unwrap())
+                    } else {
+                        let off = layout.data_syms[&v.name].offset;
+                        VarAccess::Direct((new_data + off) as *mut u8)
+                    }
+                }
+                VarClass::ThreadLocal => VarAccess::Tls {
+                    offset: layout.tls_syms[&v.name].offset,
+                },
+            };
+            accesses.insert(v.name.clone(), acc);
+        }
+
+        self.ranks.push(RankRanges {
+            rank,
+            code_base: new_code,
+            code_len: image.code_region().len(),
+            data_base: new_data,
+            data_len,
+        });
+
+        Ok(RankInstance::new(
+            rank,
+            Method::PieGlobals,
+            accesses,
+            CtxAction::SetTls(tls_base),
+            new_code,
+        ))
+    }
+
+    /// Reference startup (steps 3-4): the paper's full per-rank scan and
+    /// fixup — kept verbatim as the oracle the template path must match;
+    /// do not optimize.
+    #[cfg(test)]
     fn instantiate_segments_reference(
         &mut self,
         image: &LoadedImage,
@@ -513,62 +574,9 @@ impl Privatizer for PieGlobals {
         rank: usize,
         mem: &mut RankMemory,
     ) -> Result<RankInstance, PrivatizeError> {
-        let binary = self.common.env.binary.clone();
-        let layout = &binary.layout;
         let image = self.common.base_image.clone();
-
-        let (new_code, new_data, data_len) = if self.fast {
-            self.instantiate_segments_fast(&image, mem)?
-        } else {
-            self.instantiate_segments_reference(&image, mem)?
-        };
-
-        // Step 5: per-rank TLS block (TLSglobals combination).
-        let mut tls_block = Region::new_zeroed(RegionKind::TlsSegment, self.tls_block_size);
-        let tpl = image.tls_template();
-        tls_block.as_mut_slice()[..tpl.len()].copy_from_slice(tpl);
-        let tls_base = tls_block.base_mut();
-        pvr_trace::emit(pvr_trace::EventKind::SegmentCopy {
-            segment: pvr_trace::Segment::Tls,
-            bytes: self.tls_block_size as u64,
-        });
-        mem.add_region(tls_block);
-
-        // Resolve accesses: data vars → direct into the rank's data copy;
-        // TLS vars → TLS register + offset.
-        let mut accesses: HashMap<String, VarAccess> = HashMap::new();
-        for v in &binary.spec.vars {
-            let acc = match v.class {
-                VarClass::Global | VarClass::Static => {
-                    if self.opts.dedup_readonly && v.mutability == Mutability::ReadOnly {
-                        VarAccess::Direct(image.data_addr_of(&v.name).unwrap())
-                    } else {
-                        let off = layout.data_syms[&v.name].offset;
-                        VarAccess::Direct((new_data + off) as *mut u8)
-                    }
-                }
-                VarClass::ThreadLocal => VarAccess::Tls {
-                    offset: layout.tls_syms[&v.name].offset,
-                },
-            };
-            accesses.insert(v.name.clone(), acc);
-        }
-
-        self.ranks.push(RankRanges {
-            rank,
-            code_base: new_code,
-            code_len: image.code_region().len(),
-            data_base: new_data,
-            data_len,
-        });
-
-        Ok(RankInstance::new(
-            rank,
-            Method::PieGlobals,
-            accesses,
-            CtxAction::SetTls(tls_base),
-            new_code,
-        ))
+        let segments = self.instantiate_segments(&image, mem)?;
+        self.finish_rank(rank, &image, mem, segments)
     }
 
     fn supports_migration(&self) -> bool {
@@ -683,6 +691,18 @@ mod tests {
         PieGlobals::new(PrivatizeEnv::new(bin()), opts).unwrap()
     }
 
+    /// `instantiate_rank` with steps 3-4 done by the oracle: the paper's
+    /// literal per-rank scan instead of the memoized template.
+    fn instantiate_rank_by_scan(
+        p: &mut PieGlobals,
+        rank: usize,
+        mem: &mut RankMemory,
+    ) -> RankInstance {
+        let image = p.common.base_image.clone();
+        let segments = p.instantiate_segments_reference(&image, mem).unwrap();
+        p.finish_rank(rank, &image, mem, segments).unwrap()
+    }
+
     #[test]
     fn all_var_classes_privatized() {
         let mut p = make(PieOptions::default());
@@ -757,26 +777,20 @@ mod tests {
     #[test]
     fn conservative_scan_corrupts_false_positive_but_relocations_do_not() {
         // An integer that happens to equal an address inside the original
-        // code segment — the paper's acknowledged hazard. Swept over both
-        // startup paths: the template snapshot happens at the first
-        // instantiation, so the fast path must see pre-privatization
+        // code segment — the paper's acknowledged hazard. Swept over the
+        // template and the per-rank scan: the template snapshot happens
+        // at the first instantiation, so it must see pre-privatization
         // writes to the image exactly like the reference scan does.
-        for (scan, expect_corruption, fast) in [
+        for (scan, expect_corruption, template) in [
             (ScanPolicy::ConservativeScan, true, true),
             (ScanPolicy::ConservativeScan, true, false),
             (ScanPolicy::Relocations, false, true),
             (ScanPolicy::Relocations, false, false),
         ] {
-            let binary = bin();
-            let env = PrivatizeEnv::new(binary).with_perf_fast(fast);
-            let mut p = PieGlobals::new(
-                env,
-                PieOptions {
-                    scan,
-                    dedup_readonly: false,
-                },
-            )
-            .unwrap();
+            let mut p = make(PieOptions {
+                scan,
+                dedup_readonly: false,
+            });
             // Write the colliding integer into `g` of the ORIGINAL image
             // (as if computed at startup before privatization).
             let fake = (p.orig.code_base + 24) as u64;
@@ -784,7 +798,11 @@ mod tests {
                 (p.common.base_image.data_addr_of("g").unwrap() as *mut u64).write(fake);
             }
             let mut m = RankMemory::new();
-            let r = p.instantiate_rank(0, &mut m).unwrap();
+            let r = if template {
+                p.instantiate_rank(0, &mut m).unwrap()
+            } else {
+                instantiate_rank_by_scan(&mut p, 0, &mut m)
+            };
             let got = r.access("g").read_u64();
             if expect_corruption {
                 assert_ne!(got, fake, "conservative scan rebased the integer");
@@ -801,15 +819,19 @@ mod tests {
                 scan,
                 dedup_readonly: false,
             };
-            let mut fast = PieGlobals::new(PrivatizeEnv::new(bin()), opts).unwrap();
-            let mut reference =
-                PieGlobals::new(PrivatizeEnv::new(bin()).with_perf_fast(false), opts).unwrap();
-            assert!(fast.fast && !reference.fast);
+            let mut fast = make(opts);
+            let mut reference = make(opts);
             for rank in 0..3 {
                 let mut mf = RankMemory::new();
                 let mut mr = RankMemory::new();
-                for (p, mem) in [(&mut fast, &mut mf), (&mut reference, &mut mr)] {
-                    let r = p.instantiate_rank(rank, mem).unwrap();
+                for (p, mem, template) in
+                    [(&mut fast, &mut mf, true), (&mut reference, &mut mr, false)]
+                {
+                    let r = if template {
+                        p.instantiate_rank(rank, mem).unwrap()
+                    } else {
+                        instantiate_rank_by_scan(p, rank, mem)
+                    };
                     r.activate();
                     // vtable → rank's own code copy, resolving to the
                     // same symbol

@@ -92,7 +92,6 @@ pub struct TlsGlobals {
     /// every entry's init bytes laid in at its offset. Per-rank startup
     /// is then a single memcpy instead of a per-entry copy loop.
     block_template: Box<[u8]>,
-    fast: bool,
 }
 
 impl TlsGlobals {
@@ -145,7 +144,6 @@ impl TlsGlobals {
         }
 
         let pes = env.pes_per_process;
-        let fast = env.perf_fast;
         let common = Common::new(env)?;
         let spec = common.env.binary.spec.clone();
         let layout = &common.env.binary.layout;
@@ -234,7 +232,6 @@ impl TlsGlobals {
             pe_blocks,
             process_level,
             block_template,
-            fast,
         })
     }
 
@@ -274,20 +271,9 @@ impl Privatizer for TlsGlobals {
     ) -> Result<RankInstance, PrivatizeError> {
         // Per-rank TLS segment copy, in rank memory (migratable: Table 1
         // says TLSglobals supports migration; the per-rank TLS block is
-        // exactly "the TLS segment copied once per virtual rank").
-        let block = if self.fast {
-            // one memcpy from the prebuilt template
-            Region::from_bytes(RegionKind::TlsSegment, &self.block_template)
-        } else {
-            // reference path: zeroed block + per-entry init copies —
-            // kept verbatim as the oracle the template must match.
-            let mut block = Region::new_zeroed(RegionKind::TlsSegment, self.block_size);
-            for e in &self.entries {
-                let len = e.init.len().min(e.size);
-                block.as_mut_slice()[e.offset..e.offset + len].copy_from_slice(&e.init[..len]);
-            }
-            block
-        };
+        // exactly "the TLS segment copied once per virtual rank"): one
+        // memcpy from the prebuilt template.
+        let block = Region::from_bytes(RegionKind::TlsSegment, &self.block_template);
         let base = block.base_mut();
         pvr_trace::emit(pvr_trace::EventKind::SegmentCopy {
             segment: pvr_trace::Segment::Tls,
@@ -436,37 +422,6 @@ mod tests {
         let p = TlsGlobals::new(env, TagPolicy::All, true).unwrap();
         assert_eq!(p.method(), Method::MpcPrivatize);
         assert!(!p.supports_migration(), "Table 1: not implemented");
-    }
-
-    #[test]
-    fn template_block_bit_identical_to_reference_init() {
-        let mk = |fast: bool| {
-            TlsGlobals::new(
-                PrivatizeEnv::new(bin()).with_perf_fast(fast),
-                TagPolicy::All,
-                false,
-            )
-            .unwrap()
-        };
-        let mut fast = mk(true);
-        let mut reference = mk(false);
-        let mut mf = RankMemory::new();
-        let mut mr = RankMemory::new();
-        let inst_f = fast.instantiate_rank(0, &mut mf).unwrap();
-        let inst_r = reference.instantiate_rank(0, &mut mr).unwrap();
-        assert_eq!(fast.block_size, reference.block_size);
-        let (CtxAction::SetTls(bf), CtxAction::SetTls(br)) =
-            (inst_f.ctx_action(), inst_r.ctx_action())
-        else {
-            panic!("expected SetTls on both paths");
-        };
-        let (sf, sr) = unsafe {
-            (
-                std::slice::from_raw_parts(bf, fast.block_size),
-                std::slice::from_raw_parts(br, reference.block_size),
-            )
-        };
-        assert_eq!(sf, sr, "template memcpy must equal per-entry init");
     }
 
     #[test]

@@ -197,12 +197,8 @@ pub struct RankCtx {
     pub(crate) slot: Arc<Mutex<Slot>>,
     pub(crate) shared: Arc<RankShared>,
     pub(crate) instance: Arc<RankInstance>,
-    pub(crate) work_model: WorkModel,
     pub(crate) virtual_mode: bool,
     pub(crate) binary: std::sync::Arc<pvr_progimage::ProgramBinary>,
-    /// Configured nesting cap for completion continuations
-    /// (`MachineConfig::continuation_depth`), enforced by `pvr-ampi`.
-    pub(crate) continuation_depth: u32,
 }
 
 impl RankCtx {
@@ -235,7 +231,7 @@ impl RankCtx {
 
     /// The work model for converting kernel op counts into virtual time.
     pub fn work_model(&self) -> WorkModel {
-        self.work_model
+        WorkModel::default()
     }
 
     pub fn is_virtual_time(&self) -> bool {
@@ -340,12 +336,6 @@ impl RankCtx {
     pub fn heap_alloc_f64s(&self, len: usize) -> &'static mut [f64] {
         let p = self.heap_alloc(len * 8, 8) as *mut f64;
         unsafe { std::slice::from_raw_parts_mut(p, len) }
-    }
-
-    /// The configured continuation nesting cap (how deep completion
-    /// closures may recursively trigger further completion closures).
-    pub fn continuation_depth(&self) -> u32 {
-        self.continuation_depth
     }
 
     /// Post a nonblocking send. Returns the request id; completion is

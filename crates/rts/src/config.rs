@@ -6,7 +6,7 @@
 //! fill the struct directly and call [`MachineConfig::validate`] to get
 //! every configuration check in one place before paying for startup.
 
-use crate::command::{RankCtx, RankShared, Slot, WorkModel};
+use crate::command::{RankCtx, RankShared, Slot};
 use crate::lb::LoadBalancer;
 use crate::location::LocationManager;
 use crate::machine::{ClockMode, Machine, ReliableState};
@@ -103,6 +103,21 @@ fn degradable(e: &PrivatizeError) -> bool {
 /// Privatizers and rank states produced by one startup attempt.
 type BuiltJob = (Vec<Box<dyn Privatizer>>, Vec<RankState>);
 
+/// Smallest rank stack [`MachineConfig::validate`] accepts.
+const MIN_STACK_SIZE: usize = 16 * 1024;
+
+/// Whether startup gives each simulated OS process (one privatizer) its
+/// own builder thread, so that their segment copies overlap: only with
+/// more than one process, and only when every instantiate path is
+/// process-local. Rank state is the same either way; wall-clock is not.
+fn parallel_startup(privatizers: &[Box<dyn Privatizer>]) -> bool {
+    #[cfg(test)]
+    if tests::sequential_startup_forced() {
+        return false;
+    }
+    privatizers.len() > 1 && privatizers.iter().all(|p| p.parallel_startup_safe())
+}
+
 /// Complete description of a job, as plain data. Every knob the old
 /// 20-method builder chain set is a public field here; [`Self::validate`]
 /// gathers all the configuration checks in one place.
@@ -119,7 +134,6 @@ pub struct MachineConfig {
     pub network: NetworkModel,
     pub balancer: Option<Box<dyn LoadBalancer>>,
     pub stack_size: usize,
-    pub work_model: WorkModel,
     pub ult_backend: Backend,
     pub code_dedup_migration: bool,
     pub checkpoint_period: u32,
@@ -159,21 +173,12 @@ pub struct MachineConfig {
     /// [`crate::RtsError::RequestOverflow`] — a leak detector, not a
     /// flow-control valve. Must be ≥ 1.
     pub max_outstanding_reqs: usize,
-    /// Cap on nested continuation depth in the AMPI layer
-    /// (`recv_then` closures posting further `recv_then`s). Must be ≥ 1.
-    pub continuation_depth: u32,
     pub tracer: Option<Arc<Tracer>>,
     pub fallback: bool,
     pub fallback_chain: Vec<Method>,
     pub guards: bool,
     /// Worker-thread policy for [`Machine::run`].
     pub parallelism: Parallelism,
-    /// Hot-path fast paths: bulk epoch extraction (`drain_until`),
-    /// recycled lane queues/outboxes, zero-copy corruption injection,
-    /// and memoized privatization startup. Defaults to on; turning it
-    /// off selects the reference oracle paths, which produce
-    /// bit-identical results (asserted by `tests/perf_equivalence.rs`).
-    pub perf_fast_paths: bool,
 }
 
 impl MachineConfig {
@@ -190,7 +195,6 @@ impl MachineConfig {
             network: NetworkModel::infiniband(),
             balancer: None,
             stack_size: 128 * 1024,
-            work_model: WorkModel::default(),
             ult_backend: Backend::native(),
             code_dedup_migration: false,
             checkpoint_period: 0,
@@ -206,13 +210,11 @@ impl MachineConfig {
             retransmit_base: SimDuration::from_micros(20),
             retransmit_max_attempts: 10,
             max_outstanding_reqs: 1024,
-            continuation_depth: 8,
             tracer: None,
             fallback: false,
             fallback_chain: vec![Method::PipGlobals, Method::FsGlobals, Method::PieGlobals],
             guards: false,
             parallelism: Parallelism::Auto,
-            perf_fast_paths: true,
         }
     }
 
@@ -224,6 +226,12 @@ impl MachineConfig {
         let n_pes = self.topology.total_pes();
         if self.vp_ratio == 0 {
             return invalid("vp_ratio: at least one virtual rank per PE is required".into());
+        }
+        if self.stack_size < MIN_STACK_SIZE {
+            return invalid(format!(
+                "stack_size: {} bytes is under the {MIN_STACK_SIZE}-byte floor of a rank stack",
+                self.stack_size
+            ));
         }
         if (self.inject_fault_at_lb_step.is_some() || !self.inject_pe_failures.is_empty())
             && self.checkpoint_period == 0
@@ -338,13 +346,6 @@ impl MachineConfig {
                     .into(),
             );
         }
-        if self.continuation_depth == 0 {
-            return invalid(
-                "continuation_depth: recv_then needs at least one level of continuation \
-                 nesting (use plain recv if continuations are unwanted)"
-                    .into(),
-            );
-        }
         if self.guards && self.method == Method::Unprivatized {
             return invalid(
                 "guards: the stack/arena/segment guards assume privatized per-rank state; \
@@ -401,7 +402,6 @@ impl MachineConfig {
                 .with_pes(topo.pes_per_process)
                 .with_shared_fs(self.shared_fs.clone())
                 .with_concurrent_processes(topo.total_processes())
-                .with_perf_fast(self.perf_fast_paths)
         };
 
         // Candidate methods, in trial order: the requested method, then
@@ -471,15 +471,13 @@ impl MachineConfig {
             .as_ref()
             .map(|t| pvr_trace::ThreadScope::install(t.clone()));
 
-        // Per-rank instantiation body, shared by the sequential reference
-        // path and the parallel per-process fast path. Captures only
-        // values that are safe to share across the builder threads.
+        // Per-rank instantiation body, shared by the sequential and the
+        // parallel per-process startup. Captures only values that are
+        // safe to share across the builder threads.
         let tracer_on = self.tracer.is_some();
         let guards = self.guards;
         let stack_size = self.stack_size;
-        let work_model = self.work_model;
         let virtual_mode = self.clock == ClockMode::Virtual;
-        let continuation_depth = self.continuation_depth;
         let ult_backend = self.ult_backend;
         let binary = self.binary.clone();
         let rank_body = body.clone();
@@ -513,9 +511,7 @@ impl MachineConfig {
                 slot: slot.clone(),
                 shared: shared.clone(),
                 instance: instance.clone(),
-                work_model,
                 virtual_mode,
-                continuation_depth,
                 binary: binary.clone(),
             };
             let body = rank_body.clone();
@@ -551,16 +547,8 @@ impl MachineConfig {
             for _proc in 0..topo.total_processes() {
                 privatizers.push(create_privatizer(method, mk_env(), self.options.clone())?);
             }
-            // Parallel startup (tentpole 3): when every privatizer's
-            // instantiate path is process-local, one builder thread per
-            // simulated OS process performs its ranks' segment copies
-            // concurrently. Rank state is identical to the sequential
-            // path; only wall-clock startup changes.
-            let par_startup = self.perf_fast_paths
-                && topo.total_processes() > 1
-                && privatizers.iter().all(|p| p.parallel_startup_safe());
             let mut ranks: Vec<RankState> = Vec::with_capacity(n_ranks);
-            if par_startup {
+            if parallel_startup(&privatizers) {
                 let rank_pes: Vec<usize> = (0..n_ranks).map(|r| location.lookup(r)).collect();
                 let results: Vec<Result<Vec<(usize, RankState)>, PrivatizeError>> =
                     std::thread::scope(|s| {
@@ -769,7 +757,6 @@ impl MachineConfig {
             last_ran: None,
             parallelism: self.parallelism,
             engine: EngineTallies::default(),
-            perf_fast: self.perf_fast_paths,
             lane_slots: Vec::new(),
             merge_buf: Vec::new(),
             migrate_buf: pvr_isomalloc::MigrationBuffer::default(),
@@ -788,16 +775,6 @@ impl MachineBuilder {
         MachineBuilder {
             cfg: MachineConfig::new(binary),
         }
-    }
-
-    /// The accumulated configuration, for inspection or direct tweaks.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
-    /// Unwrap into the underlying [`MachineConfig`].
-    pub fn into_config(self) -> MachineConfig {
-        self.cfg
     }
 
     pub fn topology(mut self, t: Topology) -> Self {
@@ -822,7 +799,6 @@ impl MachineBuilder {
 
     /// Virtual ranks per PE (overdecomposition ratio).
     pub fn vp_ratio(mut self, r: usize) -> Self {
-        assert!(r > 0);
         self.cfg.vp_ratio = r;
         self
     }
@@ -849,12 +825,7 @@ impl MachineBuilder {
     }
 
     pub fn stack_size(mut self, s: usize) -> Self {
-        self.cfg.stack_size = s.max(16 * 1024);
-        self
-    }
-
-    pub fn work_model(mut self, w: WorkModel) -> Self {
-        self.cfg.work_model = w;
+        self.cfg.stack_size = s;
         self
     }
 
@@ -979,13 +950,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Cap on nested `recv_then` continuation depth in the AMPI layer
-    /// (default 8; ≥ 1).
-    pub fn continuation_depth(mut self, n: u32) -> Self {
-        self.cfg.continuation_depth = n;
-        self
-    }
-
     /// Attach an event recorder (see `pvr-trace`). The tracer still has
     /// to be enabled to record; with no tracer attached — the default —
     /// every instrumentation hook reduces to a branch on `None`.
@@ -1039,19 +1003,114 @@ impl MachineBuilder {
         self
     }
 
-    /// Hot-path fast paths (bulk epoch extraction, recycled lane state,
-    /// zero-copy corruption injection, memoized startup); defaults to
-    /// on. Off selects the bit-identical reference oracle paths.
-    pub fn perf_fast_paths(mut self, on: bool) -> Self {
-        self.cfg.perf_fast_paths = on;
-        self
-    }
-
     /// Instantiate the job (forwards to [`MachineConfig::build`]).
     pub fn build(
         self,
         body: Arc<dyn Fn(RankCtx) + Send + Sync + 'static>,
     ) -> Result<Machine, ConfigError> {
         self.cfg.build(body)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::command::MatchSpec;
+    use bytes::Bytes;
+    use pvr_progimage::{link, ImageSpec};
+    use pvr_trace::TraceCounts;
+    use std::cell::Cell;
+
+    thread_local! {
+        static SEQUENTIAL_STARTUP: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Read by `parallel_startup`, on the thread that calls `build` —
+    /// the test's own.
+    pub(super) fn sequential_startup_forced() -> bool {
+        SEQUENTIAL_STARTUP.with(|f| f.get())
+    }
+
+    type Residuals = Vec<(usize, Vec<f64>)>;
+
+    /// Jacobi relaxation of a ring cut into one 16-cell strip per rank:
+    /// four halo-exchanging sweeps, then a migrating barrier, three
+    /// times. The grid is on the rank heap and the sweep counter (the halo
+    /// tag) in a privatized global: the run reads what startup built.
+    fn jacobi(ctx: &RankCtx) -> Vec<f64> {
+        const CELLS: usize = 16;
+        let (me, n) = (ctx.rank(), ctx.n_ranks());
+        let (left, right) = ((me + n - 1) % n, (me + 1) % n);
+        let sweeps = ctx.instance().access("sweeps");
+        let u = ctx.heap_alloc_f64s(CELLS + 2);
+        for (i, c) in u.iter_mut().enumerate() {
+            *c = ((me * CELLS + i) % 7) as f64;
+        }
+        let halo = |from: usize, tag: u64| {
+            let spec = MatchSpec {
+                src: Some(from),
+                tag_mask: u64::MAX,
+                tag_value: tag,
+            };
+            f64::from_le_bytes(ctx.recv_match(spec).payload[..].try_into().unwrap())
+        };
+        let mut history = Vec::new();
+        for _round in 0..3 {
+            let mut residual = 0.0;
+            for _sweep in 0..4 {
+                let tag = sweeps.read_u64();
+                ctx.send(left, tag, Bytes::copy_from_slice(&u[1].to_le_bytes()));
+                ctx.send(right, tag, Bytes::copy_from_slice(&u[CELLS].to_le_bytes()));
+                u[0] = halo(left, tag);
+                u[CELLS + 1] = halo(right, tag);
+                let old = u.to_vec();
+                for i in 1..=CELLS {
+                    u[i] = 0.5 * (old[i - 1] + old[i + 1]);
+                }
+                residual = u.iter().zip(&old).map(|(a, b)| (a - b) * (a - b)).sum();
+                ctx.compute(SimDuration::from_micros(5 + me as u64));
+                sweeps.write_u64(tag + 1);
+            }
+            history.push(residual);
+            ctx.at_sync();
+        }
+        history
+    }
+
+    fn run_jacobi(method: Method, sequential: bool) -> (u64, Residuals, TraceCounts) {
+        let out: Arc<Mutex<Residuals>> = Arc::default();
+        let sink = out.clone();
+        let tracer = Tracer::new(3);
+        tracer.enable();
+        SEQUENTIAL_STARTUP.with(|f| f.set(sequential));
+        let binary = link(ImageSpec::builder("jacobi").global("sweeps", 8).build());
+        let built = MachineBuilder::new(binary)
+            .method(method)
+            .clock(ClockMode::Virtual)
+            .topology(Topology::non_smp(3))
+            .vp_ratio(2)
+            .balancer(Box::new(crate::lb::RotateLb))
+            .tracer(tracer.clone())
+            .build(Arc::new(move |ctx: RankCtx| {
+                let history = jacobi(&ctx); // no lock held across the rank's blocking calls
+                sink.lock().push((ctx.rank(), history));
+            }));
+        SEQUENTIAL_STARTUP.with(|f| f.set(false));
+        let report = built.unwrap().run().unwrap();
+        let mut residuals = out.lock().clone();
+        residuals.sort_by_key(|r| r.0);
+        (report.sim_digest(), residuals, tracer.counts())
+    }
+
+    #[test]
+    fn parallel_startup_matches_sequential_startup() {
+        for method in [Method::PieGlobals, Method::TlsGlobals] {
+            let parallel = run_jacobi(method, false);
+            assert!(
+                parallel.1.len() == 6 && parallel.2.migrations > 0,
+                "{method}: {parallel:?}"
+            );
+            assert_eq!(parallel, run_jacobi(method, true), "{method}");
+        }
     }
 }

@@ -433,13 +433,9 @@ pub struct Machine {
     pub(crate) parallelism: Parallelism,
     /// Engine activity counters for the [`RunReport`].
     pub(crate) engine: EngineTallies,
-    /// Hot-path fast paths enabled (bulk epoch extraction, lane slot
-    /// reuse, zero-copy corruption injection). Off = reference oracle
-    /// paths; both produce bit-identical results.
-    pub(crate) perf_fast: bool,
     /// Recycled per-PE lane scheduler state (event queue + outbox),
-    /// indexed by PE — with `perf_fast`, steady-state epochs allocate
-    /// no fresh lane structures.
+    /// indexed by PE: steady-state epochs allocate no fresh lane
+    /// structures.
     pub(crate) lane_slots: Vec<(EventQueue<Event>, Outbox)>,
     /// Recycled barrier-merge staging buffer.
     pub(crate) merge_buf: Vec<(SimTime, PeId, Event)>,
@@ -2035,14 +2031,14 @@ impl Machine {
     /// preserved within each lane. Drains `batch` so the caller can
     /// reuse the buffer.
     ///
-    /// With `perf_fast`, lane queues and outboxes are recycled from
-    /// `lane_slots` (returned by [`Self::merge_lanes`]) so steady-state
+    /// Lane queues and outboxes are recycled from `lane_slots`
+    /// (returned by [`Self::merge_lanes`]) so steady-state
     /// epochs allocate nothing. Recycling is safe for the queue's
     /// monotonic `now`: every event in the next epoch's batch is at or
     /// beyond the previous horizon, which bounds every lane's `now`.
     fn make_lanes(&mut self, batch: &mut Vec<(SimTime, Event)>, horizon: SimTime) -> Vec<Lane> {
         let n = self.pes.len();
-        if self.perf_fast && self.lane_slots.len() != n {
+        if self.lane_slots.len() != n {
             // First epoch (or the PE count changed): pre-size each
             // lane's queue and outbox from the run shape so the
             // steady state never reallocates.
@@ -2053,11 +2049,7 @@ impl Machine {
         }
         let mut lanes: Vec<Lane> = (0..n)
             .map(|pe| {
-                let (queue, out) = if self.perf_fast {
-                    std::mem::take(&mut self.lane_slots[pe])
-                } else {
-                    (EventQueue::new(), Outbox::default())
-                };
+                let (queue, out) = std::mem::take(&mut self.lane_slots[pe]);
                 Lane {
                     pe,
                     state: std::mem::take(&mut self.pes[pe]),
@@ -2126,7 +2118,7 @@ impl Machine {
             }
             // Recycle the lane's (now empty) queue and outbox so the
             // next epoch's `make_lanes` allocates nothing.
-            if self.perf_fast && pe < self.lane_slots.len() {
+            if pe < self.lane_slots.len() {
                 lane.out.reset();
                 self.lane_slots[pe] = (lane.queue, lane.out);
             }
@@ -2197,7 +2189,6 @@ impl Machine {
             epoch_start: self.epoch,
             n_ranks: self.ranks.len(),
             max_outstanding_reqs: self.max_outstanding_reqs,
-            perf_fast: self.perf_fast,
         }
     }
 
@@ -2405,34 +2396,14 @@ impl Machine {
         let mut batch: Vec<(SimTime, Event)> = Vec::new();
         while self.done_count < self.ranks.len() {
             debug_assert!(batch.is_empty());
-            if self.perf_fast {
-                // Fast path: bulk epoch extraction in one pass.
-                match lookahead {
-                    Lookahead::Unbounded => self.queue.drain_until(SimTime::MAX, &mut batch),
-                    Lookahead::SingleEvent => batch.extend(self.queue.pop()),
-                    Lookahead::Window(l) => {
-                        if let Some(t0) = self.queue.peek_time() {
-                            self.queue.drain_until(t0.saturating_add(l), &mut batch);
-                        }
+            match lookahead {
+                Lookahead::Unbounded => self.queue.drain_until(SimTime::MAX, &mut batch),
+                Lookahead::SingleEvent => batch.extend(self.queue.pop()),
+                Lookahead::Window(l) => {
+                    if let Some(t0) = self.queue.peek_time() {
+                        self.queue.drain_until(t0.saturating_add(l), &mut batch);
                     }
                 }
-            } else {
-                // Reference path: one heap pop per event (the oracle the
-                // fast path is checked against).
-                batch = match lookahead {
-                    Lookahead::Unbounded => {
-                        let mut b = Vec::new();
-                        while let Some(e) = self.queue.pop() {
-                            b.push(e);
-                        }
-                        b
-                    }
-                    Lookahead::SingleEvent => self.queue.pop().into_iter().collect(),
-                    Lookahead::Window(l) => match self.queue.peek_time() {
-                        None => Vec::new(),
-                        Some(t0) => self.queue.pop_window(t0.saturating_add(l)),
-                    },
-                };
             }
             if batch.is_empty() {
                 if self.lb_due() {

@@ -337,8 +337,8 @@ pub struct EngineTallies {
     pub barriers: u64,
     /// Message sends whose payload fit the envelope pool's inline
     /// small-payload storage (≤ 64 B: no heap allocation on the send
-    /// path). Counted identically on fast and reference paths — the
-    /// classification depends only on the message stream.
+    /// path). The classification depends only on the message stream,
+    /// so every engine counts the same.
     pub pool_hits: u64,
     /// Message sends whose payload spilled to a refcounted heap buffer.
     pub pool_misses: u64,

@@ -297,9 +297,6 @@ pub(crate) struct EngineShared<'e> {
     /// Request-table size cap per rank (open entries, pending or
     /// unreaped); exceeding it is a protocol error.
     pub max_outstanding_reqs: usize,
-    /// Hot-path fast paths enabled (zero-copy corruption injection);
-    /// off = reference oracle behavior, bit-identical results.
-    pub perf_fast: bool,
 }
 
 /// The execution context a worker drives: shared machine state plus the
@@ -320,27 +317,6 @@ pub(crate) struct ExecCtx<'a, 'e, 'g> {
 /// Answer a rank's pending command.
 fn respond(rs: &RankState, resp: Response) {
     rs.slot.lock().resp = Some(resp);
-}
-
-/// Flip one payload bit (or a checksum bit for empty payloads) — the
-/// receiver's integrity check is what detects this.
-///
-/// `fast` selects [`RtsMessage::corrupt_payload`], which never
-/// allocates; the reference path keeps the historical full-payload copy
-/// as the oracle. Both fail `intact()` identically, and a corrupted
-/// copy's payload bytes are never otherwise observed, so the two are
-/// bit-identical at the run level.
-fn corrupt_in_flight(msg: &mut RtsMessage, fast: bool) {
-    if fast {
-        msg.corrupt_payload();
-    } else if msg.payload.is_empty() {
-        msg.checksum ^= 1;
-    } else {
-        let mut bytes = msg.payload.as_ref().to_vec();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        msg.payload = bytes::Bytes::from(bytes);
-    }
 }
 
 impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
@@ -512,7 +488,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
             // never copies a heap buffer.
             let mut copy = msg.clone();
             if d.corrupt {
-                corrupt_in_flight(&mut copy, self.shared.perf_fast);
+                copy.corrupt_payload();
             }
             let at = (t_send + cost + d.jitter).max_of(self.lanes[self.li].queue.now());
             self.emit(
@@ -749,8 +725,8 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
         let msg = RtsMessage::new(r, to, tag, payload);
         // Envelope-pool accounting: an inline payload's whole lifecycle
         // (send, retransmit copies, delivery) is allocation-free. The
-        // classification depends only on the message stream, so fast
-        // and reference paths tally identically.
+        // classification depends only on the message stream, so every
+        // engine tallies identically.
         let inline = msg.payload.is_inline();
         let out = &mut self.lanes[self.li].out;
         if inline {

@@ -14,7 +14,7 @@ use pvr_ampi::{util, Ampi, ANY_SOURCE, COMM_WORLD};
 use pvr_apps::jacobi3d::{self, JacobiConfig};
 use pvr_des::{FaultParams, FaultPlan, HopClass, NetworkModel, SimDuration, Topology};
 use pvr_privatize::Method;
-use pvr_rts::{lb::RotateLb, ClockMode, MachineBuilder, Parallelism, RankCtx, RunReport};
+use pvr_rts::{lb::RotateLb, ClockMode, MachineBuilder, Parallelism, RankCtx, RtsError, RunReport};
 use pvr_trace::{TraceCounts, Tracer};
 use std::sync::Arc;
 
@@ -407,6 +407,82 @@ fn leaked_requests_are_tallied_and_finalize_stays_clean() {
         "both abandoned requests must be tallied, got {}",
         outcome.report.req.leaked
     );
+}
+
+/// The 3-PE machine of [`run_virtual`], one rank per PE, run to the
+/// error `body` must end it in.
+fn run_to_error(
+    configure: impl FnOnce(MachineBuilder) -> MachineBuilder,
+    body: impl Fn(&Ampi) + Send + Sync + 'static,
+) -> RtsError {
+    let builder = MachineBuilder::new(jacobi3d::binary())
+        .method(Method::PieGlobals)
+        .clock(ClockMode::Virtual)
+        .topology(Topology::non_smp(3))
+        .stack_size(256 * 1024);
+    configure(builder)
+        .build(Arc::new(move |ctx: RankCtx| body(&Ampi::init(ctx))))
+        .unwrap()
+        .run()
+        .map(|_| ())
+        .unwrap_err()
+}
+
+#[test]
+fn irecv_past_the_request_cap_is_request_overflow() {
+    const CAP: usize = 4;
+    for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+        let err = run_to_error(
+            |b| b.parallelism(par).max_outstanding_reqs(CAP),
+            |mpi| {
+                if mpi.rank() == 1 {
+                    // never matched, never reaped: the CAP + 1st post is the overflow
+                    for tag in 0..=CAP as u32 {
+                        let _leaked = mpi.irecv(COMM_WORLD, Some(0), Some(tag));
+                    }
+                }
+                mpi.barrier(COMM_WORLD);
+            },
+        );
+        match err {
+            RtsError::RequestOverflow {
+                rank: 1,
+                outstanding: CAP,
+                limit: CAP,
+            } => {}
+            other => panic!("{par:?}: expected RequestOverflow on rank 1, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn continuations_nested_past_the_depth_cap_fail_the_rank_not_the_process() {
+    // Each closure registers the next link and drives progress from
+    // inside itself: one nesting level per message, twelve messages.
+    fn nest(mpi: &Ampi, tag: u32) {
+        mpi.recv_then(COMM_WORLD, Some(0), Some(tag), move |mpi, _, _| {
+            nest(mpi, tag + 1);
+            mpi.progress_wait();
+        });
+    }
+    let err = run_to_error(
+        |b| b,
+        |mpi| match mpi.rank() {
+            0 => (0..12).for_each(|tag| mpi.send_bytes(COMM_WORLD, 1, tag, Bytes::new())),
+            1 => {
+                nest(mpi, 0);
+                mpi.progress_wait();
+            }
+            _ => {}
+        },
+    );
+    match err {
+        RtsError::RankPanicked {
+            rank: 1,
+            ref message,
+        } if message.contains("continuation depth cap (8) exceeded") => {}
+        other => panic!("expected rank 1 to panic on the depth cap, got {other:?}"),
+    }
 }
 
 /// ROADMAP item 5's acceptance: matching cost is flat in queue depth.

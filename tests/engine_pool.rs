@@ -11,6 +11,7 @@ use bytes::Bytes;
 use pvr_apps::hello;
 use pvr_rts::{ClockMode, MachineBuilder, Parallelism, RankCtx, RtsError, Topology};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The `Threads:` line of `/proc/self/status`.
 fn os_threads() -> usize {
@@ -20,6 +21,22 @@ fn os_threads() -> usize {
         .find_map(|l| l.strip_prefix("Threads:"))
         .expect("Threads: line");
     line.trim().parse().expect("thread count")
+}
+
+/// [`os_threads`] once it reads `want`, or whatever it reads after two
+/// seconds of not doing so. `join` returns when the thread's exit wakes
+/// it, which is a moment before the kernel drops the task from the
+/// count; a leaked helper never exits, so a leak still reads high at the
+/// deadline.
+fn settled_threads(want: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let n = os_threads();
+        if n == want || Instant::now() >= deadline {
+            return n;
+        }
+        std::thread::yield_now();
+    }
 }
 
 /// Every rank passes a token once around the ring: each PE has events in
@@ -55,7 +72,11 @@ fn runs_leave_no_thread_behind() {
             );
             // The machine is still alive here: the helpers belong to the
             // run, not to the machine.
-            assert_eq!(os_threads(), before, "{clock:?} run {i} left a thread");
+            assert_eq!(
+                settled_threads(before),
+                before,
+                "{clock:?} run {i} left a thread"
+            );
         }
     }
 
@@ -72,6 +93,10 @@ fn runs_leave_no_thread_behind() {
             other => panic!("expected deadlock, got {other:?}"),
         }
         drop(m);
-        assert_eq!(os_threads(), before, "{clock:?}: an Err run left a thread");
+        assert_eq!(
+            settled_threads(before),
+            before,
+            "{clock:?}: an Err run left a thread"
+        );
     }
 }

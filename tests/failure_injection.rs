@@ -7,8 +7,21 @@ use pvr_ampi::{Ampi, COMM_WORLD};
 use pvr_apps::hello;
 use pvr_privatize::{Method, PrivatizeError};
 use pvr_progimage::{DlError, FsError, SharedFs};
-use pvr_rts::{ConfigError, MachineBuilder, RankCtx, RtsError, Topology};
+use pvr_rts::{ConfigError, Machine, MachineBuilder, MachineConfig, RankCtx, RtsError, Topology};
 use std::sync::Arc;
+
+/// `built` must be the typed build-time rejection whose text names `needle`.
+fn assert_invalid(built: Result<Machine, ConfigError>, needle: &str) {
+    match built {
+        Err(ConfigError::Invalid { detail }) => {
+            assert!(detail.contains(needle), "expected {needle:?} in: {detail}")
+        }
+        other => panic!(
+            "expected Invalid for {needle:?}, got {:?}",
+            other.map(|_| ())
+        ),
+    }
+}
 
 #[test]
 fn pip_namespace_exhaustion_is_a_clean_startup_error() {
@@ -175,13 +188,30 @@ fn fault_injection_without_checkpoints_rejected_at_build_time() {
             .topology(Topology::non_smp(2))
             .inject_pe_failure_at_lb_step(2, 1),
     ] {
-        match build.build(body.clone()) {
-            Err(ConfigError::Invalid { detail }) => {
-                assert!(detail.contains("checkpoint_period"), "{detail}")
-            }
-            other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
-        }
+        assert_invalid(build.build(body.clone()), "checkpoint_period");
     }
+}
+
+#[test]
+fn undersized_stack_rejected_at_build_time() {
+    // Under the floor `pvr-ult` panics on (`stack region too small`);
+    // `validate()` gets there first, whichever way the value came in.
+    let body: Arc<dyn Fn(RankCtx) + Send + Sync> = Arc::new(|_ctx| {});
+    let mut direct = MachineConfig::new(hello::binary());
+    direct.stack_size = 256;
+    assert_invalid(direct.build(body.clone()), "stack_size");
+    let through_builder = MachineBuilder::new(hello::binary()).stack_size(256);
+    assert_invalid(through_builder.build(body), "stack_size");
+}
+
+#[test]
+fn zero_vp_ratio_rejected_at_build_time() {
+    let body: Arc<dyn Fn(RankCtx) + Send + Sync> = Arc::new(|_ctx| {});
+    let mut direct = MachineConfig::new(hello::binary());
+    direct.vp_ratio = 0;
+    assert_invalid(direct.build(body.clone()), "vp_ratio");
+    let through_builder = MachineBuilder::new(hello::binary()).vp_ratio(0);
+    assert_invalid(through_builder.build(body), "vp_ratio");
 }
 
 /// Checkpoint/restart across every migratable privatization method: a
@@ -334,12 +364,7 @@ fn incremental_ckpt_bad_configs_rejected_at_build_time() {
             "1-based",
         ),
     ] {
-        match build.build(body.clone()) {
-            Err(ConfigError::Invalid { detail }) => {
-                assert!(detail.contains(needle), "expected {needle:?} in: {detail}")
-            }
-            other => panic!("expected Invalid for {needle:?}, got {:?}", other.map(|_| ())),
-        }
+        assert_invalid(build.build(body.clone()), needle);
     }
 }
 
