@@ -81,18 +81,11 @@ pub fn run(cfg: &TraceRunConfig) -> TraceRun {
     }
 }
 
-/// Lines comparing the trace's counters with the `RunReport`'s.
+/// Lines comparing the trace's counters with the `RunReport`'s: every
+/// row of [`RunReport::trace_rows`].
 pub fn reconciliation(run: &TraceRun) -> String {
-    let c = &run.snapshot.counts;
-    let r = &run.report;
-    let rows = [
-        ("context switches", c.ctx_switches, r.context_switches),
-        ("messages delivered", c.msgs_recv, r.messages_delivered),
-        ("migrations", c.migrations, r.migrations.len() as u64),
-        ("LB steps", c.lb_steps, u64::from(r.lb_steps)),
-    ];
     let mut out = String::from("trace vs RunReport:\n");
-    for (name, traced, reported) in rows {
+    for (name, traced, reported) in run.report.trace_rows(&run.snapshot.counts) {
         let mark = if traced == reported { "ok" } else { "MISMATCH" };
         out.push_str(&format!(
             "  {name:<20} trace {traced:>8}   report {reported:>8}   {mark}\n"
@@ -123,12 +116,11 @@ mod tests {
     #[test]
     fn traced_run_reconciles_and_renders() {
         let run = run(&TraceRunConfig::default());
-        let c = &run.snapshot.counts;
-        assert_eq!(c.ctx_switches, run.report.context_switches);
-        assert_eq!(c.msgs_recv, run.report.messages_delivered);
         assert!(run.report.lb_steps >= 1, "AMPI_Migrate must trigger LB");
+        let rows = reconciliation(&run);
+        let n_rows = run.report.trace_rows(&run.snapshot.counts).len();
+        assert_eq!(rows.matches("   ok\n").count(), n_rows, "{rows}");
         let text = report();
-        assert!(text.contains("ok"));
-        assert!(!text.contains("MISMATCH"));
+        assert!(text.contains("ctx_switches") && !text.contains("MISMATCH"), "{text}");
     }
 }

@@ -12,7 +12,7 @@ use crate::location::LocationManager;
 use crate::machine::{ClockMode, Machine, ReliableState};
 use crate::pe::PeState;
 use crate::rank::{RankState, RankStatus};
-use crate::stats::{EngineTallies, FaultTallies, HardeningTallies};
+use crate::stats::{EngineTallies, HardeningTallies, Tallies};
 use crate::worker::{HlsBlocks, RankTable};
 use crate::PeId;
 use parking_lot::Mutex;
@@ -711,8 +711,10 @@ impl MachineConfig {
             queue: EventQueue::with_capacity((n_ranks * 8 + n_pes).max(64)),
             done_count: 0,
             at_sync_count: 0,
-            total_switches: 0,
-            messages_delivered: 0,
+            tallies: Tallies {
+                hardening,
+                ..Default::default()
+            },
             lb_steps: 0,
             migrations: Vec::new(),
             epoch: Instant::now(),
@@ -724,7 +726,6 @@ impl MachineConfig {
             ckpt_incremental: self.ckpt_incremental,
             ckpt_max_chain: self.ckpt_max_chain,
             corrupt_ckpt_delta_at: self.corrupt_ckpt_delta_at,
-            ckpt_tallies: Default::default(),
             inject_fault_at_lb_step: self.inject_fault_at_lb_step,
             inject_pe_failures: self.inject_pe_failures,
             last_checkpoint: None,
@@ -735,7 +736,6 @@ impl MachineConfig {
             pending_rescale: None,
             restore_geometry_at: self.restore_geometry_at,
             geometry_dirty: false,
-            elastic: Default::default(),
             reliable: self.network.fault_plan().map(|plan| {
                 Mutex::new(ReliableState {
                     plan: *plan,
@@ -746,12 +746,9 @@ impl MachineConfig {
                     recv: Default::default(),
                 })
             }),
-            tallies: FaultTallies::default(),
             tracer: self.tracer,
             guards: self.guards,
             method_requested: self.method,
-            hardening,
-            req: Default::default(),
             max_outstanding_reqs: self.max_outstanding_reqs,
             segment_baseline,
             last_ran: None,

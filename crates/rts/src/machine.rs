@@ -11,7 +11,7 @@ use crate::location::LocationManager;
 use crate::message::RtsMessage;
 use crate::pe::PeState;
 use crate::rank::RankStatus;
-use crate::stats::{CowTallies, EngineTallies};
+use crate::stats::{CowTallies, EngineTallies, Tallies};
 pub use crate::stats::{FaultTallies, HardeningTallies, LbRecord, MigrationRecord, RunReport};
 use crate::worker::{
     self, EngineShared, GuardCtx, HlsBlocks, Lane, Outbox, RankTable, StopReason,
@@ -350,8 +350,9 @@ pub struct Machine {
     pub(crate) queue: EventQueue<Event>,
     pub(crate) done_count: usize,
     pub(crate) at_sync_count: usize,
-    pub(crate) total_switches: u64,
-    pub(crate) messages_delivered: u64,
+    /// Every exact count of the run so far; `run` copies it into the
+    /// [`RunReport`].
+    pub(crate) tallies: Tallies,
     pub(crate) lb_steps: u32,
     pub(crate) migrations: Vec<MigrationRecord>,
     pub(crate) epoch: Instant,
@@ -369,8 +370,6 @@ pub struct Machine {
     /// Fault injection `(lb_step, byte)`: corrupt one payload byte of
     /// the delta captured at that step (failure-atomic-abort exercise).
     pub(crate) corrupt_ckpt_delta_at: Option<(u32, usize)>,
-    /// Incremental-checkpoint tallies, mirrored into the [`RunReport`].
-    pub(crate) ckpt_tallies: crate::stats::CkptTallies,
     pub(crate) inject_fault_at_lb_step: Option<u32>,
     /// PE-failure injection schedule `(lb_step, pe)`, drained in order;
     /// multiple entries at the same step cascade within one barrier.
@@ -402,14 +401,10 @@ pub struct Machine {
     /// Set whenever the active set changes mid-run so `run_virtual`
     /// recomputes its lookahead window.
     pub(crate) geometry_dirty: bool,
-    /// Elastic tallies, mirrored into the [`RunReport`].
-    pub(crate) elastic: crate::stats::ElasticTallies,
     /// Reliable-delivery state, present when the network carries a
     /// fault plan. Behind a mutex so concurrent lanes can share it; the
     /// per-pair keying keeps its evolution deterministic regardless.
     pub(crate) reliable: Option<Mutex<ReliableState>>,
-    /// Fault/recovery tallies, mirrored into the [`RunReport`].
-    pub(crate) tallies: FaultTallies,
     pub(crate) tracer: Option<Arc<Tracer>>,
     /// Memory-safety guards active (stack red zones, arena poisoning,
     /// segment audits).
@@ -417,10 +412,6 @@ pub struct Machine {
     /// The method the configuration asked for (`method()` reports what
     /// actually landed).
     pub(crate) method_requested: Method,
-    /// Probe/fallback/guard tallies, mirrored into the [`RunReport`].
-    pub(crate) hardening: HardeningTallies,
-    /// Nonblocking-request tallies, mirrored into the [`RunReport`].
-    pub(crate) req: crate::stats::ReqTallies,
     /// Request-table size cap per rank (`MachineConfig` knob).
     pub(crate) max_outstanding_reqs: usize,
     /// Per-rank privatized-data-segment checksums (empty with guards
@@ -465,7 +456,7 @@ impl Machine {
 
     /// Probe/fallback/guard tallies accumulated so far.
     pub fn hardening_stats(&self) -> HardeningTallies {
-        self.hardening
+        self.tallies.hardening
     }
 
     /// Test/experiment hook: scribble over the base of `rank`'s ULT
@@ -875,9 +866,9 @@ impl Machine {
         }
         ckpt.unsealed = false;
         let epoch = Self::chain_len(self.last_checkpoint.as_ref().expect("just sealed")) as u32;
-        self.ckpt_tallies.seals += 1;
-        self.ckpt_tallies.async_drains += 1;
-        self.ckpt_tallies.async_bytes += bytes;
+        self.tallies.ckpt.seals += 1;
+        self.tallies.ckpt.async_drains += 1;
+        self.tallies.ckpt.async_bytes += bytes;
         self.trace(0, NO_RANK, EventKind::CkptAsyncDrain { bytes });
         self.trace(
             0,
@@ -920,7 +911,7 @@ impl Machine {
                     .as_ref()
                     .map(|c| c.entries.iter().map(|e| e.image.len() as u64).sum())
                     .unwrap_or(0);
-                self.ckpt_tallies.compactions += 1;
+                self.tallies.ckpt.compactions += 1;
                 self.trace(
                     0,
                     NO_RANK,
@@ -995,12 +986,12 @@ impl Machine {
         ckpt.unsealed = true;
         let chain = Self::chain_len(&ckpt) as u32;
         self.last_checkpoint = Some(ckpt);
-        self.ckpt_tallies.deltas += 1;
-        self.ckpt_tallies.pages_delta += total_pages;
-        self.ckpt_tallies.delta_bytes += total_bytes;
-        self.ckpt_tallies.max_in_flight_bytes =
-            self.ckpt_tallies.max_in_flight_bytes.max(total_bytes);
-        self.ckpt_tallies.max_chain_len = self.ckpt_tallies.max_chain_len.max(chain);
+        self.tallies.ckpt.deltas += 1;
+        self.tallies.ckpt.pages_delta += total_pages;
+        self.tallies.ckpt.delta_bytes += total_bytes;
+        self.tallies.ckpt.max_in_flight_bytes =
+            self.tallies.ckpt.max_in_flight_bytes.max(total_bytes);
+        self.tallies.ckpt.max_chain_len = self.tallies.ckpt.max_chain_len.max(chain);
         self.trace(
             0,
             NO_RANK,
@@ -1062,14 +1053,14 @@ impl Machine {
         if let Some(first) = degenerate.first() {
             let pe = first.primary_pe as u32;
             let ranks = degenerate.len() as u32;
-            self.tallies.degenerate_buddies += ranks;
+            self.tallies.faults.degenerate_buddies += ranks;
             self.trace(0, NO_RANK, EventKind::BuddyDegenerate { pe, ranks });
         }
         self.last_checkpoint = Some(Checkpoint {
             entries,
             unsealed: false,
         });
-        self.tallies.checkpoints += 1;
+        self.tallies.faults.checkpoints += 1;
         self.trace(
             0,
             NO_RANK,
@@ -1234,12 +1225,7 @@ impl Machine {
             .any(|e| e.deltas.last().is_some_and(|d| d.buddy_patch.is_none()));
         let ranks = ckpt.entries.len() as u32;
         self.last_checkpoint = Some(ckpt);
-        self.ckpt_tallies.chain_len = self
-            .last_checkpoint
-            .as_ref()
-            .map(|c| Self::chain_len(c) as u32)
-            .unwrap_or(0);
-        self.tallies.recoveries += 1;
+        self.tallies.faults.recoveries += 1;
         self.trace(0, NO_RANK, EventKind::Recovery { ranks });
         Ok(())
     }
@@ -1256,7 +1242,7 @@ impl Machine {
 
     /// Checkpoint/restart totals: (checkpoints taken, recoveries done).
     pub fn fault_tolerance_stats(&self) -> (u32, u32) {
-        (self.tallies.checkpoints, self.tallies.recoveries)
+        (self.tallies.faults.checkpoints, self.tallies.faults.recoveries)
     }
 
     /// Kill PE `pe`: its resident ranks lose their memory, the machine
@@ -1289,7 +1275,7 @@ impl Machine {
             });
         }
         let lost: Vec<RankId> = self.location.residents(pe).collect();
-        self.tallies.pe_failures += 1;
+        self.tallies.faults.pe_failures += 1;
         self.trace(
             pe,
             NO_RANK,
@@ -1367,7 +1353,7 @@ impl Machine {
 
     /// Elastic tallies accumulated so far.
     pub fn elastic_stats(&self) -> crate::stats::ElasticTallies {
-        self.elastic
+        self.tallies.elastic
     }
 
     /// The canonical active set for `target` PEs: the lowest-indexed
@@ -1451,10 +1437,10 @@ impl Machine {
             }
         }
         self.geometry_dirty = true;
-        self.elastic.rescales += 1;
-        self.elastic.pes_activated += activated.len() as u32;
-        self.elastic.pes_deactivated += deactivated.len() as u32;
-        self.elastic.ranks_drained += drained;
+        self.tallies.elastic.rescales += 1;
+        self.tallies.elastic.pes_activated += activated.len() as u32;
+        self.tallies.elastic.pes_deactivated += deactivated.len() as u32;
+        self.tallies.elastic.ranks_drained += drained;
         self.trace(
             0,
             NO_RANK,
@@ -1514,7 +1500,7 @@ impl Machine {
                 .map(|e| e.primary_pe as u32);
             self.last_checkpoint = Some(ckpt);
             if let Some(pe) = degenerate_pe {
-                self.tallies.degenerate_buddies += degenerate;
+                self.tallies.faults.degenerate_buddies += degenerate;
                 self.trace(
                     0,
                     NO_RANK,
@@ -1524,7 +1510,7 @@ impl Machine {
                     },
                 );
             }
-            self.elastic.re_replications += 1;
+            self.tallies.elastic.re_replications += 1;
             self.trace(0, NO_RANK, EventKind::ReReplicate { ranks, bytes });
             return;
         }
@@ -1539,7 +1525,7 @@ impl Machine {
                 )
             })
             .unwrap_or((0, 0));
-        self.elastic.re_replications += 1;
+        self.tallies.elastic.re_replications += 1;
         self.trace(0, NO_RANK, EventKind::ReReplicate { ranks, bytes });
     }
 
@@ -1570,10 +1556,10 @@ impl Machine {
         }
         match new_active.len().cmp(&old_count) {
             std::cmp::Ordering::Greater => {
-                self.elastic.pes_activated += (new_active.len() - old_count) as u32
+                self.tallies.elastic.pes_activated += (new_active.len() - old_count) as u32
             }
             std::cmp::Ordering::Less => {
-                self.elastic.pes_deactivated += (old_count - new_active.len()) as u32
+                self.tallies.elastic.pes_deactivated += (old_count - new_active.len()) as u32
             }
             std::cmp::Ordering::Equal => {}
         }
@@ -1588,7 +1574,7 @@ impl Machine {
             self.ranks[r].location = pe;
         }
         self.geometry_dirty = true;
-        self.elastic.geometry_restores += 1;
+        self.tallies.elastic.geometry_restores += 1;
         self.trace(
             0,
             NO_RANK,
@@ -1627,7 +1613,7 @@ impl Machine {
                         kind: arena_trip_kind(&v),
                     },
                 );
-                self.hardening.arena_guard_trips += 1;
+                self.tallies.hardening.arena_guard_trips += 1;
                 return Err(RtsError::ArenaGuard {
                     rank: r,
                     detail: v.to_string(),
@@ -1657,7 +1643,7 @@ impl Machine {
                     dirty,
                 },
             );
-            self.hardening.segment_audits += 1;
+            self.tallies.hardening.segment_audits += 1;
             if let Some(q) = victim {
                 // The per-slice check clears after every resume, so bleed
                 // surfacing only at the barrier was written outside any
@@ -1726,7 +1712,7 @@ impl Machine {
             } else {
                 self.take_checkpoint();
             }
-            self.ckpt_tallies.pause_ns += t0.elapsed().as_nanos() as u64;
+            self.tallies.ckpt.pause_ns += t0.elapsed().as_nanos() as u64;
         }
         // Fault injection: flip one payload byte of this step's delta
         // capture (its checksum was recorded pre-flip, so a restore from
@@ -1822,7 +1808,7 @@ impl Machine {
         };
         if let Some(target) = requested {
             if failed_this_step {
-                self.elastic.rescales_aborted += 1;
+                self.tallies.elastic.rescales_aborted += 1;
                 self.trace(
                     0,
                     NO_RANK,
@@ -2085,8 +2071,7 @@ impl Machine {
                 merged.push((t, pe, ev));
             }
             let out = &mut lane.out;
-            self.total_switches += out.switches;
-            self.messages_delivered += out.delivered;
+            self.tallies.absorb(&out.tallies);
             self.done_count += out.done;
             self.at_sync_count += out.at_sync;
             for ((a, b), v) in std::mem::take(&mut out.comm_bytes) {
@@ -2095,11 +2080,6 @@ impl Machine {
             for _ in 0..out.forwards {
                 self.location.note_forward();
             }
-            self.tallies.absorb(&out.faults);
-            self.hardening.absorb(&out.hardening);
-            self.req.absorb(&out.req);
-            self.engine.pool_hits += out.pool_hits;
-            self.engine.pool_misses += out.pool_misses;
             if let Some(lr) = out.last_ran {
                 self.last_ran = Some(lr);
             }
@@ -2267,12 +2247,13 @@ impl Machine {
                 t.set_pe_clock(pe, p.busy.nanos(), p.idle.nanos());
             }
         }
-        let cow = self.collect_cow_tallies();
-        self.ckpt_tallies.chain_len = self
+        self.tallies.cow = self.collect_cow_tallies();
+        self.tallies.ckpt.chain_len = self
             .last_checkpoint
             .as_ref()
             .map(|c| Self::chain_len(c) as u32)
             .unwrap_or(0);
+        let t = self.tallies;
         Ok(RunReport {
             sim_elapsed: self
                 .pes
@@ -2283,21 +2264,25 @@ impl Machine {
                 - SimTime::ZERO,
             real_elapsed,
             pe_busy_idle: self.pes.iter().map(|p| (p.busy, p.idle)).collect(),
-            context_switches: self.total_switches,
-            messages_delivered: self.messages_delivered,
+            context_switches: t.switches,
+            messages_delivered: t.delivered,
             lb_steps: self.lb_steps,
             migrations: self.migrations.clone(),
             pe_clocks: self.pes.iter().map(|p| p.clock).collect(),
             lb_history: self.lb_history.clone(),
-            faults: self.tallies,
+            faults: t.faults,
             method_requested: self.method_requested,
             method_landed: self.method(),
-            hardening: self.hardening,
-            cow,
-            elastic: self.elastic,
-            ckpt: self.ckpt_tallies,
-            req: self.req,
-            engine: self.engine.clone(),
+            hardening: t.hardening,
+            cow: t.cow,
+            elastic: t.elastic,
+            ckpt: t.ckpt,
+            req: t.req,
+            engine: EngineTallies {
+                pool_hits: t.pool_hits,
+                pool_misses: t.pool_misses,
+                ..self.engine.clone()
+            },
         })
     }
 
@@ -2488,6 +2473,13 @@ mod tests {
 
     fn builder() -> MachineBuilder {
         MachineBuilder::new(test_binary())
+    }
+
+    /// Trace events and `RunReport` tallies reconcile exactly, row by row.
+    fn assert_reconciled(report: &RunReport, t: &Tracer) {
+        for (row, traced, reported) in report.trace_rows(&t.counts()) {
+            assert_eq!(traced, reported, "{row}");
+        }
     }
 
     thread_local! {
@@ -3226,10 +3218,7 @@ mod tests {
             }
             let mut m = b.build(body_for(out.clone())).unwrap();
             let report = m.run().unwrap();
-            // trace events and RunReport tallies reconcile exactly
-            let c = t.snapshot().counts;
-            assert_eq!(c.method_probes, report.hardening.probes);
-            assert_eq!(c.method_fallbacks, report.hardening.fallbacks);
+            assert_reconciled(&report, &t);
             let landed = m.method();
             let mut v = out.lock().clone();
             v.sort();
@@ -3273,13 +3262,12 @@ mod tests {
         assert_eq!(m.method(), Method::PieGlobals);
         assert_eq!(fs.lock().file_count(), 0, "failed attempt must delete its copies");
         assert_eq!(fs.lock().bytes_used(), 0);
-        m.run().unwrap();
+        let report = m.run().unwrap();
         let h = m.hardening_stats();
         assert_eq!(h.probes, 3);
         assert_eq!(h.fallbacks, 2, "fs (mid-startup) -> pip (probe) -> pie");
-        let c = t.snapshot().counts;
-        assert_eq!(c.method_fallbacks, h.fallbacks);
-        assert_eq!(c.method_probes, h.probes);
+        assert_eq!(report.hardening, h);
+        assert_reconciled(&report, &t);
     }
 
     #[test]
@@ -3489,7 +3477,7 @@ mod tests {
         assert_eq!(report.hardening.segment_audits, 2, "one audit per barrier");
         assert_eq!(report.hardening.stack_guard_trips, 0);
         assert_eq!(report.hardening.arena_guard_trips, 0);
-        assert_eq!(t.snapshot().counts.segment_audits, report.hardening.segment_audits);
+        assert_reconciled(&report, &t);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use pvr_des::{SimDuration, SimTime};
 use pvr_privatize::Method;
+use pvr_trace::TraceCounts;
 use std::time::Duration;
 
 /// One load-balancing step's record — the "LB database" entry the
@@ -67,266 +68,275 @@ pub struct MigrationRecord {
     pub sim_cost: SimDuration,
 }
 
-/// Exact tallies of fault-injection and recovery activity during a run.
+/// The one declaration of a block of exact tallies: each field once, with
+/// how two tallies of it fold — `sum` adds, `peak` keeps the larger
+/// (maxima, and levels read when the run ends), `wall` adds but is
+/// wall-clock, so it is neither activity nor part of the digests, and
+/// `block` is a field that is itself such a struct. Generates the struct
+/// and `absorb`; for a `pub` block of the [`RunReport`] also `is_clean`
+/// and the walk [`RunReport::sim_digest`] makes of it.
 ///
-/// Every field increments at the same site that emits the corresponding
-/// `pvr-trace` event, so integration tests can reconcile the two exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultTallies {
-    /// Data-message copies dropped in transit by the fault plan.
-    pub msgs_dropped: u64,
-    /// Ack copies dropped in transit.
-    pub acks_dropped: u64,
-    /// Copies discarded at the receiver for checksum mismatch.
-    pub msgs_corrupted: u64,
-    /// Extra copies injected by network duplication.
-    pub duplicates_injected: u64,
-    /// Copies discarded by receive-side dedup (network duplicates and
-    /// spurious retransmits).
-    pub duplicates_suppressed: u64,
-    /// Retransmissions issued by the reliable delivery layer.
-    pub retransmits: u64,
-    /// Coordinated checkpoints taken at LB steps.
-    pub checkpoints: u32,
-    /// Coordinated rollback/restore operations performed.
-    pub recoveries: u32,
-    /// PEs killed by fault injection.
-    pub pe_failures: u32,
-    /// Checkpoint entries whose buddy degenerated to the primary itself
-    /// (single alive PE): the image exists only once, so one more PE
-    /// loss is unrecoverable.
-    pub degenerate_buddies: u32,
+/// A field that mirrors a trace counter is bumped beside the `trace(…)`
+/// call that emits the counter's event, and [`RunReport::trace_rows`]
+/// pairs the two; a field no row reads says why in its doc.
+macro_rules! tallies {
+    (
+        $(#[$sdoc:meta])*
+        pub struct $name:ident { $($(#[$fdoc:meta])* $kind:ident $field:ident: $ty:ty,)* }
+    ) => {
+        tallies! { @carrier $(#[$sdoc])* pub struct $name { $($(#[$fdoc])* $kind $field: $ty,)* } }
+
+        impl $name {
+            /// True when the run saw none of this activity: every field is
+            /// zero, wall-clock ones aside.
+            pub fn is_clean(&self) -> bool {
+                true $(&& tallies!(@clean $kind self.$field))*
+            }
+
+            /// Every field but the wall-clock ones, in declaration order.
+            fn digest(&self, put: &mut impl FnMut(u64)) {
+                $(tallies!(@digest $kind put, self.$field);)*
+            }
+
+            /// `(kind, name, value)` of every field, in declaration order.
+            #[cfg(test)]
+            fn fields(&self) -> Vec<(&'static str, &'static str, u64)> {
+                vec![$((stringify!($kind), stringify!($field), u64::from(self.$field)),)*]
+            }
+
+            #[cfg(test)]
+            fn set(&mut self, name: &str, v: u32) {
+                $(if name == stringify!($field) { self.$field = v.into() })*
+            }
+        }
+    };
+    (
+        $(@carrier)? $(#[$sdoc:meta])*
+        $vis:vis struct $name:ident { $($(#[$fdoc:meta])* $kind:ident $field:ident: $ty:ty,)* }
+    ) => {
+        $(#[$sdoc])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $($(#[$fdoc])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            /// Fold another tally into this one (epoch-barrier merge).
+            pub(crate) fn absorb(&mut self, o: &$name) {
+                $(tallies!(@absorb $kind self.$field, o.$field);)*
+            }
+        }
+    };
+    (@absorb peak $a:expr, $b:expr) => { $a = $a.max($b) };
+    (@absorb block $a:expr, $b:expr) => { $a.absorb(&$b) };
+    (@absorb $sum_or_wall:ident $a:expr, $b:expr) => { $a += $b };
+    (@clean wall $v:expr) => { true };
+    (@clean $kind:ident $v:expr) => { $v == 0 };
+    (@digest wall $put:ident, $v:expr) => {};
+    (@digest $kind:ident $put:ident, $v:expr) => { $put(u64::from($v)) };
 }
 
-impl FaultTallies {
-    /// True when the run saw no fault or recovery activity at all.
-    pub fn is_clean(&self) -> bool {
-        *self == FaultTallies::default()
-    }
-
-    /// Fold another tally into this one (epoch-barrier merge).
-    pub(crate) fn absorb(&mut self, o: &FaultTallies) {
-        self.msgs_dropped += o.msgs_dropped;
-        self.acks_dropped += o.acks_dropped;
-        self.msgs_corrupted += o.msgs_corrupted;
-        self.duplicates_injected += o.duplicates_injected;
-        self.duplicates_suppressed += o.duplicates_suppressed;
-        self.retransmits += o.retransmits;
-        self.checkpoints += o.checkpoints;
-        self.recoveries += o.recoveries;
-        self.pe_failures += o.pe_failures;
-        self.degenerate_buddies += o.degenerate_buddies;
-    }
-}
-
-/// Exact tallies of elastic (dynamic PE set) activity during a run.
-///
-/// Every field increments at the same site that emits the corresponding
-/// `pvr-trace` event (`Rescale`, `RescaleAborted`, `ReReplicate`,
-/// `GeometryRestore`), so integration tests can reconcile the two
-/// exactly. All-zero on fixed-geometry runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ElasticTallies {
-    /// Rescales committed at LB barriers (grow or shrink).
-    pub rescales: u32,
-    /// Planned rescales abandoned because a PE failure struck the same
-    /// barrier (failure-atomicity: geometry kept, work rolled back by
-    /// the normal recovery path).
-    pub rescales_aborted: u32,
-    /// PEs brought into the active set by committed rescales.
-    pub pes_activated: u32,
-    /// PEs drained and removed from the active set by committed
-    /// rescales.
-    pub pes_deactivated: u32,
-    /// Ranks migrated off deactivated PEs during rescale drains.
-    pub ranks_drained: u32,
-    /// Fresh buddy checkpoints taken on a new geometry after a rescale
-    /// or geometry restore committed.
-    pub re_replications: u32,
-    /// Checkpoints restored onto a geometry different from the one that
-    /// took them.
-    pub geometry_restores: u32,
-}
-
-impl ElasticTallies {
-    /// True when the run never changed its PE geometry.
-    pub fn is_clean(&self) -> bool {
-        *self == ElasticTallies::default()
-    }
-}
-
-/// Exact tallies of privatization-hardening activity: capability probes,
-/// method fallbacks, and memory-safety guard trips.
-///
-/// Like [`FaultTallies`], every field increments at the same site that
-/// emits the corresponding `pvr-trace` event (`MethodProbe`,
-/// `MethodFallback`, `StackGuardTrip`, `ArenaGuardTrip`, `SegmentAudit`),
-/// so the two reconcile exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HardeningTallies {
-    /// Capability probes evaluated at startup (one per candidate method
-    /// when the fallback chain is enabled).
-    pub probes: u64,
-    /// Degradations from one method to the next in the fallback chain
-    /// (probe-predicted or mid-startup).
-    pub fallbacks: u64,
-    /// ULT stack red zones found clobbered.
-    pub stack_guard_trips: u64,
-    /// Isomalloc arena guard violations (double free, use-after-free,
-    /// foreign pointer).
-    pub arena_guard_trips: u64,
-    /// Segment-integrity audits performed (per-slice trips and barrier
-    /// sweeps).
-    pub segment_audits: u64,
-}
-
-impl HardeningTallies {
-    /// True when no probing, degradation, or guard activity occurred.
-    pub fn is_clean(&self) -> bool {
-        *self == HardeningTallies::default()
-    }
-
-    /// Fold another tally into this one (epoch-barrier merge).
-    pub(crate) fn absorb(&mut self, o: &HardeningTallies) {
-        self.probes += o.probes;
-        self.fallbacks += o.fallbacks;
-        self.stack_guard_trips += o.stack_guard_trips;
-        self.arena_guard_trips += o.arena_guard_trips;
-        self.segment_audits += o.segment_audits;
+tallies! {
+    /// Exact tallies of fault-injection and recovery activity during a run.
+    pub struct FaultTallies {
+        /// Data-message copies dropped in transit by the fault plan.
+        sum msgs_dropped: u64,
+        /// Ack copies dropped in transit.
+        sum acks_dropped: u64,
+        /// Copies discarded at the receiver for checksum mismatch.
+        sum msgs_corrupted: u64,
+        /// Extra copies injected by network duplication. No row: a copy is
+        /// traced where it ends (delivered, dropped or suppressed), not
+        /// where the plan makes it.
+        sum duplicates_injected: u64,
+        /// Copies discarded by receive-side dedup (network duplicates and
+        /// spurious retransmits).
+        sum duplicates_suppressed: u64,
+        /// Retransmissions issued by the reliable delivery layer.
+        sum retransmits: u64,
+        /// Coordinated checkpoints taken at LB steps.
+        sum checkpoints: u32,
+        /// Coordinated rollback/restore operations performed.
+        sum recoveries: u32,
+        /// PEs killed by fault injection.
+        sum pe_failures: u32,
+        /// Checkpoint entries whose buddy degenerated to the primary itself
+        /// (single alive PE): the image exists only once, so one more PE
+        /// loss is unrecoverable. No row: this counts ranks, while the
+        /// `buddy_degenerates` counter counts `BuddyDegenerate` warnings,
+        /// one per checkpoint.
+        sum degenerate_buddies: u32,
     }
 }
 
-/// Exact tallies of copy-on-write privatization activity (CowGlobals).
-///
-/// Like [`FaultTallies`], every fault/privatization increment happens at
-/// the same site that emits the corresponding `pvr-trace` event
-/// (`PageFault`, `PagePrivatized`, `DedupAudit`), so integration tests
-/// can reconcile the two exactly. All-zero for eager methods.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CowTallies {
-    /// Simulated page faults taken (first write to a shared page).
-    pub page_faults: u64,
-    /// Pages privatized (equals `page_faults` in this model).
-    pub pages_privatized: u64,
-    /// Pages of the per-rank data segment that never diverged on any
-    /// rank — the dedup audit's shared-page count.
-    pub shared_pages: u64,
-    /// Pages per rank data segment.
-    pub total_pages: u64,
-    /// Ranks whose COW segment was force-materialized (private copy of
-    /// every page). Checkpoint packing must keep this zero — a nonzero
-    /// count under checkpointing is the dedup-defeat regression.
-    pub materialized_ranks: u64,
-}
-
-impl CowTallies {
-    /// True when the run had no page-granular privatization activity.
-    pub fn is_clean(&self) -> bool {
-        *self == CowTallies::default()
+tallies! {
+    /// Exact tallies of elastic (dynamic PE set) activity during a run.
+    /// All-zero on fixed-geometry runs. `pes_activated`, `pes_deactivated`
+    /// and `ranks_drained` have no row: they add up fields of the `Rescale`
+    /// and `GeometryRestore` events, which no counter sums.
+    pub struct ElasticTallies {
+        /// Rescales committed at LB barriers (grow or shrink).
+        sum rescales: u32,
+        /// Planned rescales abandoned because a PE failure struck the same
+        /// barrier (failure-atomicity: geometry kept, work rolled back by
+        /// the normal recovery path).
+        sum rescales_aborted: u32,
+        /// PEs brought into the active set by committed rescales.
+        sum pes_activated: u32,
+        /// PEs drained and removed from the active set by committed
+        /// rescales.
+        sum pes_deactivated: u32,
+        /// Ranks migrated off deactivated PEs during rescale drains.
+        sum ranks_drained: u32,
+        /// Fresh buddy checkpoints taken on a new geometry after a rescale
+        /// or geometry restore committed.
+        sum re_replications: u32,
+        /// Checkpoints restored onto a geometry different from the one that
+        /// took them.
+        sum geometry_restores: u32,
     }
 }
 
-/// Exact tallies of incremental/asynchronous checkpoint activity.
-///
-/// Like [`FaultTallies`], every field increments at the same site that
-/// emits the corresponding `pvr-trace` event (`CkptDelta`, `CkptSeal`,
-/// `CkptAsyncDrain`, `CkptCompact`), so integration tests can reconcile
-/// the two exactly. All-zero when `ckpt_incremental` is off — except
-/// `pause_ns`, which measures checkpoint capture pause in both modes
-/// and is wall-clock (excluded from the digests).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CkptTallies {
-    /// Incremental delta captures taken at LB barriers.
-    pub deltas: u32,
-    /// Dirty page-chunks captured across all delta captures.
-    pub pages_delta: u64,
-    /// Sparse patch payload bytes across all delta captures.
-    pub delta_bytes: u64,
-    /// Consistent-cut seals of in-flight deltas at the following barrier.
-    pub seals: u32,
-    /// Asynchronous drains of sealed deltas to buddy PEs.
-    pub async_drains: u32,
-    /// Delta payload bytes streamed to buddies asynchronously.
-    pub async_bytes: u64,
-    /// Peak unsealed (in-flight) delta bytes observed between barriers.
-    pub max_in_flight_bytes: u64,
-    /// Delta-chain compactions (fresh base capture replacing a chain).
-    pub compactions: u32,
-    /// Delta-chain length at end of run (0 when the last capture was a
-    /// base, or in full mode).
-    pub chain_len: u32,
-    /// Longest delta chain observed during the run.
-    pub max_chain_len: u32,
-    /// Wall-clock nanoseconds spent inside checkpoint captures (the
-    /// application pause). Measured in both full and incremental modes;
-    /// excluded from the digests because wall-clock varies run to run.
-    pub pause_ns: u64,
-}
-
-impl CkptTallies {
-    /// True when the run saw no incremental-checkpoint activity (a full
-    /// checkpoint pause alone does not count as activity).
-    pub fn is_clean(&self) -> bool {
-        let mut z = *self;
-        z.pause_ns = 0;
-        z == CkptTallies::default()
+tallies! {
+    /// Exact tallies of privatization-hardening activity: capability probes,
+    /// method fallbacks, and memory-safety guard trips.
+    pub struct HardeningTallies {
+        /// Capability probes evaluated at startup (one per candidate method
+        /// when the fallback chain is enabled).
+        sum probes: u64,
+        /// Degradations from one method to the next in the fallback chain
+        /// (probe-predicted or mid-startup).
+        sum fallbacks: u64,
+        /// ULT stack red zones found clobbered.
+        sum stack_guard_trips: u64,
+        /// Isomalloc arena guard violations (double free, use-after-free,
+        /// foreign pointer).
+        sum arena_guard_trips: u64,
+        /// Segment-integrity audits performed (per-slice trips and barrier
+        /// sweeps).
+        sum segment_audits: u64,
     }
 }
 
-/// Exact tallies of nonblocking-request activity during a run.
-///
-/// Like [`FaultTallies`], every field increments at the same site that
-/// emits the corresponding `pvr-trace` event (`ReqPost`, `ReqComplete`,
-/// `ReqContinuation`, `ReqWaitBlock`), so integration tests can
-/// reconcile the two exactly. All-zero on blocking-only runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReqTallies {
-    /// Isend requests posted into rank request tables.
-    pub send_posts: u64,
-    /// Irecv requests posted into rank request tables (including posts
-    /// that claimed an already-arrived unexpected message).
-    pub recv_posts: u64,
-    /// Isend requests completed (payload handed to the runtime, or the
-    /// reliable-delivery ack arrived).
-    pub send_completes: u64,
-    /// Irecv requests completed (matched against an arriving or already
-    /// buffered message).
-    pub recv_completes: u64,
-    /// Completions delivered through a registered continuation closure
-    /// instead of resuming a suspended ULT.
-    pub continuations: u64,
-    /// Wait-family suspensions taken because at least one awaited
-    /// request was still pending.
-    pub wait_blocks: u64,
-    /// Requests still open (never completed or never reaped) when their
-    /// rank finished — the leaked-request count cleaned up at finalize.
-    pub leaked: u64,
+tallies! {
+    /// Exact tallies of copy-on-write privatization activity (CowGlobals),
+    /// read from the privatizers when the run ends. All-zero for eager
+    /// methods. `shared_pages` and `total_pages` have no row: they are
+    /// levels, carried as fields of the one `DedupAudit` event.
+    pub struct CowTallies {
+        /// Simulated page faults taken (first write to a shared page).
+        sum page_faults: u64,
+        /// Pages privatized (equals `page_faults` in this model).
+        sum pages_privatized: u64,
+        /// Pages of the per-rank data segment that never diverged on any
+        /// rank — the dedup audit's shared-page count.
+        peak shared_pages: u64,
+        /// Pages per rank data segment.
+        peak total_pages: u64,
+        /// Ranks whose COW segment was force-materialized (private copy of
+        /// every page). Checkpoint packing must keep this zero — a nonzero
+        /// count under checkpointing is the dedup-defeat regression. No
+        /// row: materializing emits no event.
+        sum materialized_ranks: u64,
+    }
 }
 
-impl ReqTallies {
-    /// True when the run used no nonblocking-request machinery.
-    pub fn is_clean(&self) -> bool {
-        *self == ReqTallies::default()
+tallies! {
+    /// Exact tallies of incremental/asynchronous checkpoint activity.
+    /// All-zero when `ckpt_incremental` is off — except `pause_ns`, which
+    /// measures checkpoint capture pause in both modes. The three `peak`
+    /// fields and `pause_ns` have no row: they are maxima, a level and a
+    /// duration, and trace counters only count events and sum quantities.
+    pub struct CkptTallies {
+        /// Incremental delta captures taken at LB barriers.
+        sum deltas: u32,
+        /// Dirty page-chunks captured across all delta captures.
+        sum pages_delta: u64,
+        /// Sparse patch payload bytes across all delta captures.
+        sum delta_bytes: u64,
+        /// Consistent-cut seals of in-flight deltas at the following barrier.
+        sum seals: u32,
+        /// Asynchronous drains of sealed deltas to buddy PEs.
+        sum async_drains: u32,
+        /// Delta payload bytes streamed to buddies asynchronously.
+        sum async_bytes: u64,
+        /// Peak unsealed (in-flight) delta bytes observed between barriers.
+        peak max_in_flight_bytes: u64,
+        /// Delta-chain compactions (fresh base capture replacing a chain).
+        sum compactions: u32,
+        /// Delta-chain length at end of run (0 when the last capture was a
+        /// base, or in full mode).
+        peak chain_len: u32,
+        /// Longest delta chain observed during the run.
+        peak max_chain_len: u32,
+        /// Wall-clock nanoseconds spent inside checkpoint captures (the
+        /// application pause). Measured in both full and incremental modes;
+        /// excluded from the digests because wall-clock varies run to run.
+        wall pause_ns: u64,
     }
+}
 
-    /// Fold another tally into this one (epoch-barrier merge).
-    pub(crate) fn absorb(&mut self, o: &ReqTallies) {
-        self.send_posts += o.send_posts;
-        self.recv_posts += o.recv_posts;
-        self.send_completes += o.send_completes;
-        self.recv_completes += o.recv_completes;
-        self.continuations += o.continuations;
-        self.wait_blocks += o.wait_blocks;
-        self.leaked += o.leaked;
+tallies! {
+    /// Exact tallies of nonblocking-request activity during a run.
+    /// All-zero on blocking-only runs. Posts and completes reconcile as
+    /// send + recv (rows `req_posts`, `req_completes`).
+    pub struct ReqTallies {
+        /// Isend requests posted into rank request tables.
+        sum send_posts: u64,
+        /// Irecv requests posted into rank request tables (including posts
+        /// that claimed an already-arrived unexpected message).
+        sum recv_posts: u64,
+        /// Isend requests completed (payload handed to the runtime, or the
+        /// reliable-delivery ack arrived).
+        sum send_completes: u64,
+        /// Irecv requests completed (matched against an arriving or already
+        /// buffered message).
+        sum recv_completes: u64,
+        /// Completions delivered through a registered continuation closure
+        /// instead of resuming a suspended ULT.
+        sum continuations: u64,
+        /// Wait-family suspensions taken because at least one awaited
+        /// request was still pending.
+        sum wait_blocks: u64,
+        /// Requests still open (never completed or never reaped) when their
+        /// rank finished — the leaked-request count cleaned up at finalize.
+        /// No row: tallied at rank completion, after the request's own
+        /// events, with no event of its own.
+        sum leaked: u64,
+    }
+}
+
+tallies! {
+    /// Every exact count of a run in one value: a lane's
+    /// [`Outbox`](crate::worker::Outbox) carries one per epoch, the
+    /// [`Machine`](crate::Machine) absorbs them into its own at the barrier
+    /// and copies that into the [`RunReport`].
+    pub(crate) struct Tallies {
+        /// ULT context switches ([`RunReport::context_switches`]).
+        sum switches: u64,
+        /// Messages handed to their target rank
+        /// ([`RunReport::messages_delivered`]).
+        sum delivered: u64,
+        /// Reported as [`EngineTallies::pool_hits`].
+        sum pool_hits: u64,
+        /// Reported as [`EngineTallies::pool_misses`].
+        sum pool_misses: u64,
+        block faults: FaultTallies,
+        block hardening: HardeningTallies,
+        block cow: CowTallies,
+        block elastic: ElasticTallies,
+        block ckpt: CkptTallies,
+        block req: ReqTallies,
     }
 }
 
 /// Execution-engine counters: how the run was actually driven.
 ///
-/// Unlike the rest of [`RunReport`], these are *not* part of the
-/// deterministic simulation result — worker wall-clocks vary run to run
-/// and the epoch/barrier split depends only on the engine, so
-/// [`RunReport::sim_digest`] deliberately excludes this block.
+/// [`RunReport::sim_digest`] excludes this block: `threads`, `barriers`
+/// and the wall-clocks depend on the engine and the host, not on the
+/// simulation. `pool_hits` and `pool_misses` are exact all the same —
+/// every engine counts the same, and they have rows in
+/// [`RunReport::trace_rows`] — and `epochs` is exact in virtual time.
 #[derive(Debug, Clone, Default)]
 pub struct EngineTallies {
     /// Worker threads the engine actually used (1 = serial path).
@@ -435,51 +445,10 @@ impl RunReport {
     pub fn sim_digest(&self) -> u64 {
         let mut digest = self.sim_digest_core();
         let mut put = |v: u64| fnv_mix(&mut digest, v.to_le_bytes());
-        put(self.cow.page_faults);
-        put(self.cow.pages_privatized);
-        put(self.cow.shared_pages);
-        put(self.cow.total_pages);
-        put(self.cow.materialized_ranks);
-        let k = &self.ckpt;
-        for v in [
-            k.deltas as u64,
-            k.pages_delta,
-            k.delta_bytes,
-            k.seals as u64,
-            k.async_drains as u64,
-            k.async_bytes,
-            k.max_in_flight_bytes,
-            k.compactions as u64,
-            k.chain_len as u64,
-            k.max_chain_len as u64,
-            // pause_ns deliberately excluded: wall-clock.
-        ] {
-            put(v);
-        }
-        let e = &self.elastic;
-        for v in [
-            e.rescales,
-            e.rescales_aborted,
-            e.pes_activated,
-            e.pes_deactivated,
-            e.ranks_drained,
-            e.re_replications,
-            e.geometry_restores,
-        ] {
-            put(v as u64);
-        }
-        let q = &self.req;
-        for v in [
-            q.send_posts,
-            q.recv_posts,
-            q.send_completes,
-            q.recv_completes,
-            q.continuations,
-            q.wait_blocks,
-            q.leaked,
-        ] {
-            put(v);
-        }
+        self.cow.digest(&mut put);
+        self.ckpt.digest(&mut put);
+        self.elastic.digest(&mut put);
+        self.req.digest(&mut put);
         for name in [self.method_requested, self.method_landed] {
             fnv_mix(&mut digest, name.to_string().bytes());
         }
@@ -527,32 +496,61 @@ impl RunReport {
             put(r.migrations as u64);
             put(r.comm_bytes);
         }
-        let f = &self.faults;
-        for v in [
-            f.msgs_dropped,
-            f.acks_dropped,
-            f.msgs_corrupted,
-            f.duplicates_injected,
-            f.duplicates_suppressed,
-            f.retransmits,
-            f.checkpoints as u64,
-            f.recoveries as u64,
-            f.pe_failures as u64,
-            f.degenerate_buddies as u64,
-        ] {
-            put(v);
-        }
-        let hd = &self.hardening;
-        for v in [
-            hd.probes,
-            hd.fallbacks,
-            hd.stack_guard_trips,
-            hd.arena_guard_trips,
-            hd.segment_audits,
-        ] {
-            put(v);
-        }
+        self.faults.digest(&mut put);
+        self.hardening.digest(&mut put);
         digest
+    }
+
+    /// The reconciliation list: `(row, traced, reported)` for every trace
+    /// counter a tally of this report mirrors, `row` being the counter's
+    /// name in [`TraceCounts`] and in the JSON export. On a run traced
+    /// from `build` on, the two columns are equal on every row.
+    pub fn trace_rows(&self, c: &TraceCounts) -> Vec<(&'static str, u64, u64)> {
+        macro_rules! row {
+            ($counter:ident, $reported:expr) => {
+                (stringify!($counter), c.$counter, $reported)
+            };
+        }
+        let (f, h, e, k, q) = (&self.faults, &self.hardening, &self.elastic, &self.ckpt, &self.req);
+        vec![
+            row!(ctx_switches, self.context_switches),
+            row!(msgs_recv, self.messages_delivered),
+            row!(migrations, self.migrations.len() as u64),
+            row!(migration_bytes, self.total_migration_bytes() as u64),
+            row!(lb_steps, self.lb_steps.into()),
+            row!(msg_drops, f.msgs_dropped),
+            row!(ack_drops, f.acks_dropped),
+            row!(msg_corrupts, f.msgs_corrupted),
+            row!(msg_retransmits, f.retransmits),
+            row!(dup_suppressed, f.duplicates_suppressed),
+            row!(pe_fails, f.pe_failures.into()),
+            row!(checkpoints, f.checkpoints.into()),
+            row!(recoveries, f.recoveries.into()),
+            row!(method_probes, h.probes),
+            row!(method_fallbacks, h.fallbacks),
+            row!(stack_guard_trips, h.stack_guard_trips),
+            row!(arena_guard_trips, h.arena_guard_trips),
+            row!(segment_audits, h.segment_audits),
+            row!(pool_hits, self.engine.pool_hits),
+            row!(pool_misses, self.engine.pool_misses),
+            row!(page_faults, self.cow.page_faults),
+            row!(pages_privatized, self.cow.pages_privatized),
+            row!(rescales, e.rescales.into()),
+            row!(rescale_aborts, e.rescales_aborted.into()),
+            row!(re_replications, e.re_replications.into()),
+            row!(geometry_restores, e.geometry_restores.into()),
+            row!(ckpt_deltas, k.deltas.into()),
+            row!(ckpt_delta_pages, k.pages_delta),
+            row!(ckpt_delta_bytes, k.delta_bytes),
+            row!(ckpt_seals, k.seals.into()),
+            row!(ckpt_async_drains, k.async_drains.into()),
+            row!(ckpt_async_bytes, k.async_bytes),
+            row!(ckpt_compacts, k.compactions.into()),
+            row!(req_posts, q.send_posts + q.recv_posts),
+            row!(req_completes, q.send_completes + q.recv_completes),
+            row!(req_continuations, q.continuations),
+            row!(req_wait_blocks, q.wait_blocks),
+        ]
     }
 
     /// Human-readable run summary (examples and demos).
@@ -708,6 +706,30 @@ impl RunReport {
 mod tests {
     use super::*;
 
+    /// A report of a run in which nothing happened.
+    fn blank() -> RunReport {
+        RunReport {
+            sim_elapsed: SimDuration::from_millis(1),
+            real_elapsed: Duration::from_millis(1),
+            pe_busy_idle: vec![],
+            context_switches: 0,
+            messages_delivered: 0,
+            lb_steps: 0,
+            migrations: vec![],
+            pe_clocks: vec![],
+            lb_history: vec![],
+            faults: FaultTallies::default(),
+            method_requested: Method::PieGlobals,
+            method_landed: Method::PieGlobals,
+            hardening: HardeningTallies::default(),
+            cow: CowTallies::default(),
+            elastic: ElasticTallies::default(),
+            ckpt: CkptTallies::default(),
+            req: ReqTallies::default(),
+            engine: EngineTallies::default(),
+        }
+    }
+
     #[test]
     fn summary_renders() {
         let r = RunReport {
@@ -738,15 +760,7 @@ mod tests {
                 migrations: 2,
                 comm_bytes: 1024,
             }],
-            faults: FaultTallies::default(),
-            method_requested: Method::PieGlobals,
-            method_landed: Method::PieGlobals,
-            hardening: HardeningTallies::default(),
-            cow: CowTallies::default(),
-            elastic: ElasticTallies::default(),
-            ckpt: CkptTallies::default(),
-            req: ReqTallies::default(),
-            engine: EngineTallies::default(),
+            ..blank()
         };
         let s = r.summary();
         assert!(s.contains("context switches: 42"));
@@ -765,15 +779,7 @@ mod tests {
     #[test]
     fn summary_renders_fault_lines_when_active() {
         let r = RunReport {
-            sim_elapsed: SimDuration::from_millis(1),
-            real_elapsed: Duration::from_millis(1),
-            pe_busy_idle: vec![],
-            context_switches: 0,
-            messages_delivered: 0,
             lb_steps: 1,
-            migrations: vec![],
-            pe_clocks: vec![],
-            lb_history: vec![],
             faults: FaultTallies {
                 msgs_dropped: 3,
                 acks_dropped: 1,
@@ -783,14 +789,7 @@ mod tests {
                 pe_failures: 1,
                 ..Default::default()
             },
-            method_requested: Method::PieGlobals,
-            method_landed: Method::PieGlobals,
-            hardening: HardeningTallies::default(),
-            cow: CowTallies::default(),
-            elastic: ElasticTallies::default(),
-            ckpt: CkptTallies::default(),
-            req: ReqTallies::default(),
-            engine: EngineTallies::default(),
+            ..blank()
         };
         let s = r.summary();
         assert!(s.contains("faults: 4 drops (1 ack)"), "{s}");
@@ -800,16 +799,6 @@ mod tests {
     #[test]
     fn summary_renders_degradation_and_hardening_lines() {
         let r = RunReport {
-            sim_elapsed: SimDuration::from_millis(1),
-            real_elapsed: Duration::from_millis(1),
-            pe_busy_idle: vec![],
-            context_switches: 0,
-            messages_delivered: 0,
-            lb_steps: 0,
-            migrations: vec![],
-            pe_clocks: vec![],
-            lb_history: vec![],
-            faults: FaultTallies::default(),
             method_requested: Method::PipGlobals,
             method_landed: Method::FsGlobals,
             hardening: HardeningTallies {
@@ -818,11 +807,7 @@ mod tests {
                 segment_audits: 2,
                 ..Default::default()
             },
-            cow: CowTallies::default(),
-            elastic: ElasticTallies::default(),
-            ckpt: CkptTallies::default(),
-            req: ReqTallies::default(),
-            engine: EngineTallies::default(),
+            ..blank()
         };
         let s = r.summary();
         assert!(s.contains("method: pipglobals degraded to fsglobals (1 fallbacks)"), "{s}");
@@ -831,6 +816,50 @@ mod tests {
             "{s}"
         );
         assert!(!r.hardening.is_clean());
+    }
+
+    /// What the `tallies!` arms are trusted for: `absorb` folds every field
+    /// by its kind, and a field counts as activity and enters the digests
+    /// exactly when it is not `wall`.
+    #[test]
+    fn tally_tables_absorb_by_kind_and_digest_every_exact_field() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut rng = move || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (seed >> 34) as u32 // < 2^30: two of them add up inside a u32 field
+        };
+        let (base, base_core) = (blank().sim_digest(), blank().sim_digest_core());
+        macro_rules! check {
+            ($($block:ident: $ty:ident, in core digest: $core:expr;)*) => {$(
+                let (mut a, mut b) = ($ty::default(), $ty::default());
+                for (_, name, _) in a.fields() {
+                    a.set(name, rng());
+                    b.set(name, rng());
+                }
+                let mut sum = a;
+                sum.absorb(&b);
+                for (((kind, name, x), (_, _, y)), (_, _, z)) in
+                    a.fields().into_iter().zip(b.fields()).zip(sum.fields())
+                {
+                    let want = if kind == "peak" { x.max(y) } else { x + y };
+                    assert_eq!(z, want, "{}::{name} absorbs as {kind}", stringify!($ty));
+                    let mut r = blank();
+                    r.$block.set(name, 1);
+                    let exact = kind != "wall";
+                    assert_eq!(r.$block.is_clean(), !exact, "{name}: is_clean");
+                    assert_eq!(r.sim_digest() != base, exact, "{name}: sim_digest");
+                    assert_eq!(r.sim_digest_core() != base_core, exact && $core, "{name}: core");
+                }
+            )*};
+        }
+        check! {
+            faults: FaultTallies, in core digest: true;
+            hardening: HardeningTallies, in core digest: true;
+            cow: CowTallies, in core digest: false;
+            elastic: ElasticTallies, in core digest: false;
+            ckpt: CkptTallies, in core digest: false;
+            req: ReqTallies, in core digest: false;
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::matching::Arrival;
 use crate::message::RtsMessage;
 use crate::pe::PeState;
 use crate::rank::{RankState, RankStatus};
-use crate::stats::{FaultTallies, HardeningTallies, ReqTallies};
+use crate::stats::Tallies;
 use crate::{PeId, RankId};
 use parking_lot::Mutex;
 use pvr_des::{EventQueue, FaultPlan, FaultStream, NetworkModel, SimDuration, SimTime, Topology};
@@ -182,18 +182,14 @@ pub(crate) struct Outbox {
     /// Events for other PEs (or beyond this lane's horizon), merged into
     /// the global queue at the barrier in deterministic order.
     pub events: Vec<(SimTime, Event)>,
-    pub switches: u64,
-    pub delivered: u64,
+    /// Every exact count this lane's ranks raised during the epoch.
+    pub tallies: Tallies,
     pub done: usize,
     pub at_sync: usize,
     pub comm_bytes: BTreeMap<(RankId, RankId), u64>,
     /// Stale-location forward hops taken (merged into the location
     /// manager's counter at the barrier).
     pub forwards: u64,
-    pub faults: FaultTallies,
-    pub hardening: HardeningTallies,
-    /// Nonblocking-request activity on this lane's ranks.
-    pub req: ReqTallies,
     /// Deferred retransmit-exhaustion verdicts (see [`Exhausted`]).
     pub exhausted: Vec<Exhausted>,
     /// Real-time mode: messages for PEs outside this worker's lane set.
@@ -204,11 +200,6 @@ pub(crate) struct Outbox {
     /// runs surface the same failure as serial ones.
     pub error: Option<(SimTime, u8, RtsError)>,
     pub last_ran: Option<RankId>,
-    /// Message sends whose payload fit the envelope pool's inline
-    /// small-payload storage (no heap allocation on the send path).
-    pub pool_hits: u64,
-    /// Message sends whose payload spilled to a heap buffer.
-    pub pool_misses: u64,
 }
 
 impl Outbox {
@@ -226,38 +217,26 @@ impl Outbox {
     pub fn reset(&mut self) {
         let Outbox {
             events,
-            switches,
-            delivered,
+            tallies,
             done,
             at_sync,
             comm_bytes,
             forwards,
-            faults,
-            hardening,
-            req,
             exhausted,
             unrouted,
             error,
             last_ran,
-            pool_hits,
-            pool_misses,
         } = self;
         events.clear();
-        *switches = 0;
-        *delivered = 0;
+        *tallies = Tallies::default();
         *done = 0;
         *at_sync = 0;
         comm_bytes.clear();
         *forwards = 0;
-        *faults = FaultTallies::default();
-        *hardening = HardeningTallies::default();
-        *req = ReqTallies::default();
         exhausted.clear();
         unrouted.clear();
         *error = None;
         *last_ran = None;
-        *pool_hits = 0;
-        *pool_misses = 0;
     }
 }
 
@@ -462,7 +441,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
         // not a heap vector, so the per-transmit path allocates nothing.
         let mut copies = [Some(primary), None];
         if primary.duplicate {
-            self.lane().out.faults.duplicates_injected += 1;
+            self.lane().out.tallies.faults.duplicates_injected += 1;
             // The duplicate's own fate is decided independently; its
             // `duplicate` flag is ignored to prevent cascades.
             copies[1] = Some(plan.decide(
@@ -472,7 +451,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
         }
         for d in copies.into_iter().flatten() {
             if d.drop {
-                self.lane().out.faults.msgs_dropped += 1;
+                self.lane().out.tallies.faults.msgs_dropped += 1;
                 self.trace(
                     from as u32,
                     EventKind::MsgDrop {
@@ -527,7 +506,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
     fn receive_transport(&mut self, msg: RtsMessage, t: SimTime) {
         let (from, to, seq) = (msg.from, msg.to, msg.seq);
         if !msg.intact() {
-            self.lane().out.faults.msgs_corrupted += 1;
+            self.lane().out.tallies.faults.msgs_corrupted += 1;
             self.trace(
                 to as u32,
                 EventKind::MsgCorrupt {
@@ -563,7 +542,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
             }
         };
         if is_dup {
-            self.lane().out.faults.duplicates_suppressed += 1;
+            self.lane().out.tallies.faults.duplicates_suppressed += 1;
             self.trace(
                 to as u32,
                 EventKind::MsgDupSuppressed {
@@ -614,7 +593,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
             ),
         );
         if d.drop {
-            self.lane().out.faults.acks_dropped += 1;
+            self.lane().out.tallies.faults.acks_dropped += 1;
             self.trace(
                 NO_RANK,
                 EventKind::MsgDrop {
@@ -637,7 +616,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
     /// this worker owns.
     pub(crate) fn deposit(&mut self, tl: usize, msg: RtsMessage) {
         let to = msg.to;
-        self.lanes[tl].out.delivered += 1;
+        self.lanes[tl].out.tallies.delivered += 1;
         // SAFETY: the rank lives on lanes[tl].pe, owned by this worker.
         let rs = unsafe { self.shared.ranks.resident_mut(to) };
         rs.messages_received += 1;
@@ -690,7 +669,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
         // SAFETY: the rank lives on lanes[tl].pe, owned by this worker.
         let rs = unsafe { self.shared.ranks.resident_mut(owner) };
         let (send, satisfied) = rs.matcher.complete(id, msg);
-        let req = &mut self.lanes[tl].out.req;
+        let req = &mut self.lanes[tl].out.tallies.req;
         if send {
             req.send_completes += 1;
         } else {
@@ -730,9 +709,9 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
         let inline = msg.payload.is_inline();
         let out = &mut self.lanes[self.li].out;
         if inline {
-            out.pool_hits += 1;
+            out.tallies.pool_hits += 1;
         } else {
-            out.pool_misses += 1;
+            out.tallies.pool_misses += 1;
         }
         *out.comm_bytes.entry((r, to)).or_default() += msg.wire_bytes() as u64;
         self.trace(r as u32, EventKind::MsgPool { inline });
@@ -772,7 +751,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
         if !cont {
             return;
         }
-        self.lanes[tl].out.req.continuations += outcomes.len() as u64;
+        self.lanes[tl].out.tallies.req.continuations += outcomes.len() as u64;
         for (id, _) in outcomes {
             self.trace_at(tl, owner as u32, EventKind::ReqContinuation { req: *id });
         }
@@ -808,7 +787,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
             {
                 let lane = &mut self.lanes[self.li];
                 lane.state.switches += 1;
-                lane.out.switches += 1;
+                lane.out.tallies.switches += 1;
             }
             if self.shared.tracer.is_some() {
                 pvr_trace::set_context(pe, r as u32, now_ns);
@@ -847,7 +826,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                     // Leaked requests (never waited on, or completed but
                     // never reaped) are cleaned up here so a finished
                     // rank's table cannot pin messages or wake logic.
-                    self.lanes[self.li].out.req.leaked += rs.matcher.clear_reqs() as u64;
+                    self.lanes[self.li].out.tallies.req.leaked += rs.matcher.clear_reqs() as u64;
                     self.lanes[self.li].out.done += 1;
                     return Ok(StopReason::Done);
                 }
@@ -945,7 +924,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                                     kind: arena_trip_kind(&v),
                                 },
                             );
-                            self.lanes[self.li].out.hardening.arena_guard_trips += 1;
+                            self.lanes[self.li].out.tallies.hardening.arena_guard_trips += 1;
                             // No response: the rank's corrupted-heap state
                             // must not run further; its suspended ULT is
                             // cancelled at teardown (same as AllocHeap
@@ -962,7 +941,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                     let msg = self.outgoing(r, to, tag, payload, "isend")?;
                     rs.messages_sent += 1;
                     let id = rs.matcher.post_send();
-                    self.lanes[self.li].out.req.send_posts += 1;
+                    self.lanes[self.li].out.tallies.req.send_posts += 1;
                     self.trace(r as u32, EventKind::ReqPost { req: id, send: true });
                     respond(rs, Response::ReqId(id));
                     // `rs` must not be used past here: a send-to-self
@@ -985,7 +964,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                     // An already-buffered match is claimed now, oldest
                     // first, which preserves non-overtaking.
                     let (id, claimed) = rs.matcher.post_recv(spec);
-                    self.lanes[self.li].out.req.recv_posts += 1;
+                    self.lanes[self.li].out.tallies.req.recv_posts += 1;
                     self.trace(r as u32, EventKind::ReqPost { req: id, send: false });
                     respond(rs, Response::ReqId(id));
                     if let Some(m) = claimed {
@@ -999,7 +978,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                     }
                     Err(pending) => {
                         rs.status = RankStatus::Waiting;
-                        self.lanes[self.li].out.req.wait_blocks += 1;
+                        self.lanes[self.li].out.tallies.req.wait_blocks += 1;
                         self.trace(r as u32, EventKind::Block);
                         let waiting = pending as u32;
                         self.trace(r as u32, EventKind::ReqWaitBlock { waiting });
@@ -1037,7 +1016,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                 stack_size: *stack_size as u64,
             },
         );
-        self.lanes[self.li].out.hardening.stack_guard_trips += 1;
+        self.lanes[self.li].out.tallies.hardening.stack_guard_trips += 1;
         if let Some(u) = rs.ult.as_mut() {
             u.abandon();
         }
@@ -1088,7 +1067,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                     dirty,
                 },
             );
-            self.lanes[self.li].out.hardening.segment_audits += 1;
+            self.lanes[self.li].out.tallies.hardening.segment_audits += 1;
             return Err(RtsError::SegmentBleed { rank: q, writer });
         }
         Ok(())
@@ -1200,7 +1179,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                         .get(&key)
                         .expect("checked in_flight")
                         .clone();
-                    self.lane().out.faults.retransmits += 1;
+                    self.lane().out.tallies.faults.retransmits += 1;
                     self.trace(
                         from as u32,
                         EventKind::MsgRetransmit {

@@ -326,3 +326,7 @@ pub struct Event {
     pub rank: u32,
     pub kind: EventKind,
 }
+
+// Every ring slot is one `Event`: a variant that grows it grows every
+// PE's ring (16 Ki slots by default), so that is a decision, not a drift.
+const _: () = assert!(std::mem::size_of::<Event>() == 64);

@@ -7,224 +7,166 @@
 //! * **Enabled never allocates on the hot path.** Every ring buffer is
 //!   allocated to full capacity up front; recording into a full ring
 //!   overwrites the oldest event instead of growing.
-//! * **Counts stay exact.** A fixed array of counters is bumped on every
-//!   record, so aggregate numbers (context switches, migrations, LB
-//!   steps…) remain correct even after rings wrap — that is what lets
-//!   the integration tests reconcile a trace against a `RunReport`.
+//! * **Counts stay exact.** The counters of the `counters!` table are
+//!   bumped on every record, so aggregate numbers (context switches,
+//!   migrations, LB steps…) remain correct even after rings wrap — that
+//!   is what lets the integration tests reconcile a trace against a
+//!   `RunReport`.
 
 use crate::event::{Event, EventKind};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default ring capacity per PE (events). At 48 bytes per event this is
-/// under 1 MB per PE.
+/// Default ring capacity per PE (events). An [`Event`] is 64 bytes, so
+/// this is exactly 1 MiB per PE.
 pub const DEFAULT_PE_CAPACITY: usize = 16 * 1024;
 
-/// Aggregate counters, bumped on every recorded event.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceCounts {
-    pub ctx_switches: u64,
-    pub blocks: u64,
-    pub unblocks: u64,
-    pub msgs_sent: u64,
-    pub msgs_recv: u64,
-    pub send_bytes: u64,
-    pub recv_bytes: u64,
-    pub migrations: u64,
-    pub migration_bytes: u64,
-    pub lb_steps: u64,
-    pub segment_copies: u64,
-    pub segment_copy_bytes: u64,
-    pub got_fixups: u64,
-    pub priv_installs: u64,
-    pub region_copies: u64,
-    pub region_copy_bytes: u64,
-    pub mpi_calls: u64,
+/// The one declaration of every counter. An `event` counter takes one
+/// bump per recorded event of its kind, so the `event` counters sum to
+/// [`TraceCounts::total_events`]; a `sum` counter accumulates a quantity
+/// the event carries (bytes, pages). Generates [`TraceCounts`], the
+/// atomics [`Tracer::count`] bumps by field name, the load between the
+/// two and the name/value walk the JSON export uses — a new counter is a
+/// line here plus its `count()` arm.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $kind:ident $name:ident,)*) => {
+        /// Aggregate counters, bumped on every recorded event.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct TraceCounts {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl TraceCounts {
+            /// Total events recorded (one per counted occurrence; byte
+            /// counters excluded).
+            pub fn total_events(&self) -> u64 {
+                0 $(+ counters!(@$kind self.$name))*
+            }
+
+            /// Every counter as `(name, value)`, in declaration order.
+            pub(crate) fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
+            }
+
+            /// Counters numbered 1, 2, … in declaration order.
+            #[cfg(test)]
+            pub(crate) fn numbered() -> TraceCounts {
+                let mut n = 0;
+                TraceCounts { $($name: { n += 1; n },)* }
+            }
+        }
+
+        /// The live form of [`TraceCounts`].
+        #[derive(Default)]
+        struct Counters {
+            $($name: AtomicU64,)*
+        }
+
+        impl Counters {
+            fn load(&self) -> TraceCounts {
+                TraceCounts { $($name: self.$name.load(Ordering::Relaxed),)* }
+            }
+        }
+    };
+    (@event $v:expr) => { $v };
+    (@sum $v:expr) => { 0 };
+}
+
+counters! {
+    event ctx_switches,
+    event blocks,
+    event unblocks,
+    event msgs_sent,
+    event msgs_recv,
+    sum send_bytes,
+    sum recv_bytes,
+    event migrations,
+    sum migration_bytes,
+    event lb_steps,
+    event segment_copies,
+    sum segment_copy_bytes,
+    event got_fixups,
+    event priv_installs,
+    event region_copies,
+    sum region_copy_bytes,
+    event mpi_calls,
     /// Data-message copies dropped in transit by the fault plan.
-    pub msg_drops: u64,
+    event msg_drops,
     /// Ack copies dropped in transit by the fault plan.
-    pub ack_drops: u64,
+    event ack_drops,
     /// Copies discarded at the receiver for checksum mismatch.
-    pub msg_corrupts: u64,
+    event msg_corrupts,
     /// Retransmissions issued by the reliable-delivery layer.
-    pub msg_retransmits: u64,
+    event msg_retransmits,
     /// Duplicate copies suppressed by receive-side dedup.
-    pub dup_suppressed: u64,
+    event dup_suppressed,
     /// PEs killed by fault injection.
-    pub pe_fails: u64,
+    event pe_fails,
     /// Coordinated checkpoints taken.
-    pub checkpoints: u64,
+    event checkpoints,
     /// Total bytes of primary checkpoint images.
-    pub checkpoint_bytes: u64,
+    sum checkpoint_bytes,
     /// Coordinated rollback/restore operations.
-    pub recoveries: u64,
+    event recoveries,
     /// Capability probes evaluated at startup (one per method rated).
-    pub method_probes: u64,
+    event method_probes,
     /// Method degradations taken by the fallback chain.
-    pub method_fallbacks: u64,
+    event method_fallbacks,
     /// ULT stack red-zone violations detected.
-    pub stack_guard_trips: u64,
+    event stack_guard_trips,
     /// Arena guard violations (double free / UAF / foreign pointer).
-    pub arena_guard_trips: u64,
+    event arena_guard_trips,
     /// Segment-integrity audits performed at barriers.
-    pub segment_audits: u64,
+    event segment_audits,
     /// Message sends whose payload fit the envelope pool's inline
     /// storage (allocation-free lifecycle).
-    pub pool_hits: u64,
+    event pool_hits,
     /// Message sends whose payload spilled to a refcounted heap buffer.
-    pub pool_misses: u64,
+    event pool_misses,
     /// Simulated copy-on-write faults (writes trapping on shared pages).
-    pub page_faults: u64,
+    event page_faults,
     /// Pages privatized by the COW fault handler.
-    pub pages_privatized: u64,
+    event pages_privatized,
     /// Bytes copied template → backing store by page privatizations.
-    pub page_copy_bytes: u64,
+    sum page_copy_bytes,
     /// End-of-run COW deduplication audits.
-    pub dedup_audits: u64,
+    event dedup_audits,
     /// Elastic rescales committed (active-PE set changed at a barrier).
-    pub rescales: u64,
+    event rescales,
     /// Rescales abandoned because a PE failure struck the same barrier.
-    pub rescale_aborts: u64,
+    event rescale_aborts,
     /// Buddy-checkpoint re-replications onto a new geometry.
-    pub re_replications: u64,
+    event re_replications,
     /// Total bytes of primary images in re-replicated checkpoints.
-    pub re_replication_bytes: u64,
+    sum re_replication_bytes,
     /// Checkpoints restored onto a different geometry than taken.
-    pub geometry_restores: u64,
+    event geometry_restores,
     /// Degenerate-buddy warnings (buddy == primary: single alive PE).
-    pub buddy_degenerates: u64,
+    event buddy_degenerates,
     /// Incremental checkpoint delta captures at LB barriers.
-    pub ckpt_deltas: u64,
+    event ckpt_deltas,
     /// Dirty page-chunks captured across all delta captures.
-    pub ckpt_delta_pages: u64,
+    sum ckpt_delta_pages,
     /// Sparse patch payload bytes across all delta captures.
-    pub ckpt_delta_bytes: u64,
+    sum ckpt_delta_bytes,
     /// Consistent-cut seals of in-flight deltas at LB barriers.
-    pub ckpt_seals: u64,
+    event ckpt_seals,
     /// Asynchronous delta drains to buddy PEs.
-    pub ckpt_async_drains: u64,
+    event ckpt_async_drains,
     /// Delta payload bytes drained asynchronously to buddy PEs.
-    pub ckpt_async_bytes: u64,
+    sum ckpt_async_bytes,
     /// Delta-chain compactions (fresh base replacing a chain).
-    pub ckpt_compacts: u64,
+    event ckpt_compacts,
     /// Nonblocking requests posted (`ReqPost`).
-    pub req_posts: u64,
+    event req_posts,
     /// Nonblocking requests completed (`ReqComplete`).
-    pub req_completes: u64,
+    event req_completes,
     /// Completions that ran a continuation closure (`ReqContinuation`).
-    pub req_continuations: u64,
+    event req_continuations,
     /// Wait-family suspensions on pending requests (`ReqWaitBlock`).
-    pub req_wait_blocks: u64,
+    event req_wait_blocks,
 }
-
-impl TraceCounts {
-    /// Total events recorded (one per counted occurrence; byte counters
-    /// excluded).
-    pub fn total_events(&self) -> u64 {
-        self.ctx_switches
-            + self.blocks
-            + self.unblocks
-            + self.msgs_sent
-            + self.msgs_recv
-            + self.migrations
-            + self.lb_steps
-            + self.segment_copies
-            + self.got_fixups
-            + self.priv_installs
-            + self.region_copies
-            + self.mpi_calls
-            + self.msg_drops
-            + self.ack_drops
-            + self.msg_corrupts
-            + self.msg_retransmits
-            + self.dup_suppressed
-            + self.pe_fails
-            + self.checkpoints
-            + self.recoveries
-            + self.method_probes
-            + self.method_fallbacks
-            + self.stack_guard_trips
-            + self.arena_guard_trips
-            + self.segment_audits
-            + self.pool_hits
-            + self.pool_misses
-            + self.page_faults
-            + self.pages_privatized
-            + self.dedup_audits
-            + self.rescales
-            + self.rescale_aborts
-            + self.re_replications
-            + self.geometry_restores
-            + self.buddy_degenerates
-            + self.ckpt_deltas
-            + self.ckpt_seals
-            + self.ckpt_async_drains
-            + self.ckpt_compacts
-            + self.req_posts
-            + self.req_completes
-            + self.req_continuations
-            + self.req_wait_blocks
-    }
-}
-
-const N_COUNTERS: usize = 54;
-
-// Counter slot indices (mirrors TraceCounts field order).
-const C_CTX: usize = 0;
-const C_BLOCK: usize = 1;
-const C_UNBLOCK: usize = 2;
-const C_SEND: usize = 3;
-const C_RECV: usize = 4;
-const C_SEND_BYTES: usize = 5;
-const C_RECV_BYTES: usize = 6;
-const C_MIG: usize = 7;
-const C_MIG_BYTES: usize = 8;
-const C_LB: usize = 9;
-const C_SEG: usize = 10;
-const C_SEG_BYTES: usize = 11;
-const C_GOT: usize = 12;
-const C_PRIV: usize = 13;
-const C_REGION: usize = 14;
-const C_REGION_BYTES: usize = 15;
-const C_MPI: usize = 16;
-const C_MSG_DROP: usize = 17;
-const C_ACK_DROP: usize = 18;
-const C_CORRUPT: usize = 19;
-const C_RETRANSMIT: usize = 20;
-const C_DUP_SUPPRESSED: usize = 21;
-const C_PE_FAIL: usize = 22;
-const C_CHECKPOINT: usize = 23;
-const C_CHECKPOINT_BYTES: usize = 24;
-const C_RECOVERY: usize = 25;
-const C_METHOD_PROBE: usize = 26;
-const C_METHOD_FALLBACK: usize = 27;
-const C_STACK_GUARD: usize = 28;
-const C_ARENA_GUARD: usize = 29;
-const C_SEGMENT_AUDIT: usize = 30;
-const C_POOL_HIT: usize = 31;
-const C_POOL_MISS: usize = 32;
-const C_PAGE_FAULT: usize = 33;
-const C_PAGE_PRIV: usize = 34;
-const C_PAGE_COPY_BYTES: usize = 35;
-const C_DEDUP_AUDIT: usize = 36;
-const C_RESCALE: usize = 37;
-const C_RESCALE_ABORT: usize = 38;
-const C_REREPLICATE: usize = 39;
-const C_REREPLICATE_BYTES: usize = 40;
-const C_GEOM_RESTORE: usize = 41;
-const C_BUDDY_DEGEN: usize = 42;
-const C_CKPT_DELTA: usize = 43;
-const C_CKPT_DELTA_PAGES: usize = 44;
-const C_CKPT_DELTA_BYTES: usize = 45;
-const C_CKPT_SEAL: usize = 46;
-const C_CKPT_ASYNC_DRAIN: usize = 47;
-const C_CKPT_ASYNC_BYTES: usize = 48;
-const C_CKPT_COMPACT: usize = 49;
-const C_REQ_POST: usize = 50;
-const C_REQ_COMPLETE: usize = 51;
-const C_REQ_CONT: usize = 52;
-const C_REQ_WAIT: usize = 53;
 
 /// Fixed-capacity ring of the most recent events on one PE.
 struct PeRing {
@@ -272,7 +214,7 @@ pub struct Tracer {
     enabled: AtomicBool,
     seq: AtomicU64,
     dropped: AtomicU64,
-    counters: [AtomicU64; N_COUNTERS],
+    counters: Counters,
     pes: Vec<Mutex<PeRing>>,
     /// Final (busy_ns, idle_ns) per PE, filled by the machine at run end
     /// so summaries can report utilization without a `RunReport`.
@@ -293,7 +235,7 @@ impl Tracer {
             enabled: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            counters: Counters::default(),
             pes: (0..n_pes.max(1)).map(|_| Mutex::new(PeRing::new(capacity))).collect(),
             pe_clocks: Mutex::new(vec![(0, 0); n_pes.max(1)]),
         })
@@ -343,86 +285,87 @@ impl Tracer {
     }
 
     fn count(&self, kind: EventKind) {
-        let bump = |i: usize, by: u64| {
-            self.counters[i].fetch_add(by, Ordering::Relaxed);
+        let c = &self.counters;
+        let bump = |counter: &AtomicU64, by: u64| {
+            counter.fetch_add(by, Ordering::Relaxed);
         };
         match kind {
-            EventKind::CtxSwitchIn { .. } => bump(C_CTX, 1),
-            EventKind::Block => bump(C_BLOCK, 1),
-            EventKind::Unblock => bump(C_UNBLOCK, 1),
+            EventKind::CtxSwitchIn { .. } => bump(&c.ctx_switches, 1),
+            EventKind::Block => bump(&c.blocks, 1),
+            EventKind::Unblock => bump(&c.unblocks, 1),
             EventKind::MsgSend { bytes, .. } => {
-                bump(C_SEND, 1);
-                bump(C_SEND_BYTES, bytes as u64);
+                bump(&c.msgs_sent, 1);
+                bump(&c.send_bytes, bytes as u64);
             }
             EventKind::MsgRecv { bytes, .. } => {
-                bump(C_RECV, 1);
-                bump(C_RECV_BYTES, bytes as u64);
+                bump(&c.msgs_recv, 1);
+                bump(&c.recv_bytes, bytes as u64);
             }
             EventKind::Migration { bytes, .. } => {
-                bump(C_MIG, 1);
-                bump(C_MIG_BYTES, bytes);
+                bump(&c.migrations, 1);
+                bump(&c.migration_bytes, bytes);
             }
-            EventKind::LbStep { .. } => bump(C_LB, 1),
+            EventKind::LbStep { .. } => bump(&c.lb_steps, 1),
             EventKind::SegmentCopy { bytes, .. } => {
-                bump(C_SEG, 1);
-                bump(C_SEG_BYTES, bytes);
+                bump(&c.segment_copies, 1);
+                bump(&c.segment_copy_bytes, bytes);
             }
-            EventKind::GotFixup { .. } => bump(C_GOT, 1),
-            EventKind::PrivInstall { .. } => bump(C_PRIV, 1),
+            EventKind::GotFixup { .. } => bump(&c.got_fixups, 1),
+            EventKind::PrivInstall { .. } => bump(&c.priv_installs, 1),
             EventKind::RegionCopy { bytes, .. } => {
-                bump(C_REGION, 1);
-                bump(C_REGION_BYTES, bytes);
+                bump(&c.region_copies, 1);
+                bump(&c.region_copy_bytes, bytes);
             }
-            EventKind::MpiCall { .. } => bump(C_MPI, 1),
+            EventKind::MpiCall { .. } => bump(&c.mpi_calls, 1),
             EventKind::MsgDrop { ack, .. } => {
-                bump(if ack { C_ACK_DROP } else { C_MSG_DROP }, 1)
+                bump(if ack { &c.ack_drops } else { &c.msg_drops }, 1)
             }
-            EventKind::MsgCorrupt { .. } => bump(C_CORRUPT, 1),
-            EventKind::MsgRetransmit { .. } => bump(C_RETRANSMIT, 1),
-            EventKind::MsgDupSuppressed { .. } => bump(C_DUP_SUPPRESSED, 1),
-            EventKind::PeFail { .. } => bump(C_PE_FAIL, 1),
+            EventKind::MsgCorrupt { .. } => bump(&c.msg_corrupts, 1),
+            EventKind::MsgRetransmit { .. } => bump(&c.msg_retransmits, 1),
+            EventKind::MsgDupSuppressed { .. } => bump(&c.dup_suppressed, 1),
+            EventKind::PeFail { .. } => bump(&c.pe_fails, 1),
             EventKind::CheckpointTaken { bytes, .. } => {
-                bump(C_CHECKPOINT, 1);
-                bump(C_CHECKPOINT_BYTES, bytes);
+                bump(&c.checkpoints, 1);
+                bump(&c.checkpoint_bytes, bytes);
             }
-            EventKind::Recovery { .. } => bump(C_RECOVERY, 1),
-            EventKind::MethodProbe { .. } => bump(C_METHOD_PROBE, 1),
-            EventKind::MethodFallback { .. } => bump(C_METHOD_FALLBACK, 1),
-            EventKind::StackGuardTrip { .. } => bump(C_STACK_GUARD, 1),
-            EventKind::ArenaGuardTrip { .. } => bump(C_ARENA_GUARD, 1),
-            EventKind::SegmentAudit { .. } => bump(C_SEGMENT_AUDIT, 1),
+            EventKind::Recovery { .. } => bump(&c.recoveries, 1),
+            EventKind::MethodProbe { .. } => bump(&c.method_probes, 1),
+            EventKind::MethodFallback { .. } => bump(&c.method_fallbacks, 1),
+            EventKind::StackGuardTrip { .. } => bump(&c.stack_guard_trips, 1),
+            EventKind::ArenaGuardTrip { .. } => bump(&c.arena_guard_trips, 1),
+            EventKind::SegmentAudit { .. } => bump(&c.segment_audits, 1),
             EventKind::MsgPool { inline } => {
-                bump(if inline { C_POOL_HIT } else { C_POOL_MISS }, 1)
+                bump(if inline { &c.pool_hits } else { &c.pool_misses }, 1)
             }
-            EventKind::PageFault { .. } => bump(C_PAGE_FAULT, 1),
+            EventKind::PageFault { .. } => bump(&c.page_faults, 1),
             EventKind::PagePrivatized { bytes, .. } => {
-                bump(C_PAGE_PRIV, 1);
-                bump(C_PAGE_COPY_BYTES, bytes);
+                bump(&c.pages_privatized, 1);
+                bump(&c.page_copy_bytes, bytes);
             }
-            EventKind::DedupAudit { .. } => bump(C_DEDUP_AUDIT, 1),
-            EventKind::Rescale { .. } => bump(C_RESCALE, 1),
-            EventKind::RescaleAborted { .. } => bump(C_RESCALE_ABORT, 1),
+            EventKind::DedupAudit { .. } => bump(&c.dedup_audits, 1),
+            EventKind::Rescale { .. } => bump(&c.rescales, 1),
+            EventKind::RescaleAborted { .. } => bump(&c.rescale_aborts, 1),
             EventKind::ReReplicate { bytes, .. } => {
-                bump(C_REREPLICATE, 1);
-                bump(C_REREPLICATE_BYTES, bytes);
+                bump(&c.re_replications, 1);
+                bump(&c.re_replication_bytes, bytes);
             }
-            EventKind::GeometryRestore { .. } => bump(C_GEOM_RESTORE, 1),
-            EventKind::BuddyDegenerate { .. } => bump(C_BUDDY_DEGEN, 1),
+            EventKind::GeometryRestore { .. } => bump(&c.geometry_restores, 1),
+            EventKind::BuddyDegenerate { .. } => bump(&c.buddy_degenerates, 1),
             EventKind::CkptDelta { pages, bytes, .. } => {
-                bump(C_CKPT_DELTA, 1);
-                bump(C_CKPT_DELTA_PAGES, pages);
-                bump(C_CKPT_DELTA_BYTES, bytes);
+                bump(&c.ckpt_deltas, 1);
+                bump(&c.ckpt_delta_pages, pages);
+                bump(&c.ckpt_delta_bytes, bytes);
             }
-            EventKind::CkptSeal { .. } => bump(C_CKPT_SEAL, 1),
+            EventKind::CkptSeal { .. } => bump(&c.ckpt_seals, 1),
             EventKind::CkptAsyncDrain { bytes } => {
-                bump(C_CKPT_ASYNC_DRAIN, 1);
-                bump(C_CKPT_ASYNC_BYTES, bytes);
+                bump(&c.ckpt_async_drains, 1);
+                bump(&c.ckpt_async_bytes, bytes);
             }
-            EventKind::CkptCompact { .. } => bump(C_CKPT_COMPACT, 1),
-            EventKind::ReqPost { .. } => bump(C_REQ_POST, 1),
-            EventKind::ReqComplete { .. } => bump(C_REQ_COMPLETE, 1),
-            EventKind::ReqContinuation { .. } => bump(C_REQ_CONT, 1),
-            EventKind::ReqWaitBlock { .. } => bump(C_REQ_WAIT, 1),
+            EventKind::CkptCompact { .. } => bump(&c.ckpt_compacts, 1),
+            EventKind::ReqPost { .. } => bump(&c.req_posts, 1),
+            EventKind::ReqComplete { .. } => bump(&c.req_completes, 1),
+            EventKind::ReqContinuation { .. } => bump(&c.req_continuations, 1),
+            EventKind::ReqWaitBlock { .. } => bump(&c.req_wait_blocks, 1),
         }
     }
 
@@ -437,63 +380,7 @@ impl Tracer {
 
     /// Exact aggregate counts so far.
     pub fn counts(&self) -> TraceCounts {
-        let c = |i: usize| self.counters[i].load(Ordering::Relaxed);
-        TraceCounts {
-            ctx_switches: c(C_CTX),
-            blocks: c(C_BLOCK),
-            unblocks: c(C_UNBLOCK),
-            msgs_sent: c(C_SEND),
-            msgs_recv: c(C_RECV),
-            send_bytes: c(C_SEND_BYTES),
-            recv_bytes: c(C_RECV_BYTES),
-            migrations: c(C_MIG),
-            migration_bytes: c(C_MIG_BYTES),
-            lb_steps: c(C_LB),
-            segment_copies: c(C_SEG),
-            segment_copy_bytes: c(C_SEG_BYTES),
-            got_fixups: c(C_GOT),
-            priv_installs: c(C_PRIV),
-            region_copies: c(C_REGION),
-            region_copy_bytes: c(C_REGION_BYTES),
-            mpi_calls: c(C_MPI),
-            msg_drops: c(C_MSG_DROP),
-            ack_drops: c(C_ACK_DROP),
-            msg_corrupts: c(C_CORRUPT),
-            msg_retransmits: c(C_RETRANSMIT),
-            dup_suppressed: c(C_DUP_SUPPRESSED),
-            pe_fails: c(C_PE_FAIL),
-            checkpoints: c(C_CHECKPOINT),
-            checkpoint_bytes: c(C_CHECKPOINT_BYTES),
-            recoveries: c(C_RECOVERY),
-            method_probes: c(C_METHOD_PROBE),
-            method_fallbacks: c(C_METHOD_FALLBACK),
-            stack_guard_trips: c(C_STACK_GUARD),
-            arena_guard_trips: c(C_ARENA_GUARD),
-            segment_audits: c(C_SEGMENT_AUDIT),
-            pool_hits: c(C_POOL_HIT),
-            pool_misses: c(C_POOL_MISS),
-            page_faults: c(C_PAGE_FAULT),
-            pages_privatized: c(C_PAGE_PRIV),
-            page_copy_bytes: c(C_PAGE_COPY_BYTES),
-            dedup_audits: c(C_DEDUP_AUDIT),
-            rescales: c(C_RESCALE),
-            rescale_aborts: c(C_RESCALE_ABORT),
-            re_replications: c(C_REREPLICATE),
-            re_replication_bytes: c(C_REREPLICATE_BYTES),
-            geometry_restores: c(C_GEOM_RESTORE),
-            buddy_degenerates: c(C_BUDDY_DEGEN),
-            ckpt_deltas: c(C_CKPT_DELTA),
-            ckpt_delta_pages: c(C_CKPT_DELTA_PAGES),
-            ckpt_delta_bytes: c(C_CKPT_DELTA_BYTES),
-            ckpt_seals: c(C_CKPT_SEAL),
-            ckpt_async_drains: c(C_CKPT_ASYNC_DRAIN),
-            ckpt_async_bytes: c(C_CKPT_ASYNC_BYTES),
-            ckpt_compacts: c(C_CKPT_COMPACT),
-            req_posts: c(C_REQ_POST),
-            req_completes: c(C_REQ_COMPLETE),
-            req_continuations: c(C_REQ_CONT),
-            req_wait_blocks: c(C_REQ_WAIT),
-        }
+        self.counters.load()
     }
 
     /// Events overwritten because a PE's ring was full.
@@ -619,6 +506,86 @@ mod tests {
         // sequence numbers are strictly increasing across PEs
         for w in merged.windows(2) {
             assert!(w[0].seq < w[1].seq);
+        }
+    }
+
+    /// One sample of every `EventKind` variant, both sides of the two a
+    /// flag splits between counters. Each arm names the sample after its
+    /// own: a new variant does not compile until it has an arm here, and
+    /// it is sampled once the arm before it points at it.
+    fn samples() -> Vec<EventKind> {
+        use crate::event::{ArenaTrip, CopyDir, PrivReg, ProbeVerdict, Segment};
+        use EventKind::*;
+        let mut out = Vec::new();
+        let mut next = Some(CtxSwitchIn { ctx_work: true });
+        while let Some(kind) = next {
+            out.push(kind);
+            next = match kind {
+                CtxSwitchIn { .. } => Some(Block),
+                Block => Some(Unblock),
+                Unblock => Some(MsgSend { to: 1, tag: 2, bytes: 3 }),
+                MsgSend { .. } => Some(MsgRecv { from: 1, tag: 2, bytes: 3 }),
+                MsgRecv { .. } => Some(Migration { from_pe: 0, to_pe: 1, bytes: 4 }),
+                Migration { .. } => Some(LbStep { step: 1, migrations: 1 }),
+                LbStep { .. } => Some(SegmentCopy { segment: Segment::Data, bytes: 5 }),
+                SegmentCopy { .. } => Some(GotFixup { entries: 6 }),
+                GotFixup { .. } => Some(PrivInstall { reg: PrivReg::Got }),
+                PrivInstall { .. } => Some(RegionCopy { dir: CopyDir::Pack, regions: 2, bytes: 7 }),
+                RegionCopy { .. } => Some(MpiCall { name: "MPI_Send" }),
+                MpiCall { .. } => Some(MsgDrop { from: 0, to: 1, seq: 1, ack: false }),
+                MsgDrop { ack: false, .. } => Some(MsgDrop { from: 1, to: 0, seq: 1, ack: true }),
+                MsgDrop { ack: true, .. } => Some(MsgCorrupt { from: 0, to: 1, seq: 2 }),
+                MsgCorrupt { .. } => Some(MsgRetransmit { from: 0, to: 1, seq: 2, attempt: 1 }),
+                MsgRetransmit { .. } => Some(MsgDupSuppressed { from: 0, to: 1, seq: 2 }),
+                MsgDupSuppressed { .. } => Some(PeFail { pe: 1, ranks_lost: 2 }),
+                PeFail { .. } => Some(CheckpointTaken { step: 1, bytes: 8 }),
+                CheckpointTaken { .. } => Some(Recovery { ranks: 2 }),
+                Recovery { .. } => Some(MethodProbe { method: "pip", verdict: ProbeVerdict::Feasible }),
+                MethodProbe { .. } => Some(MethodFallback { from: "pip", to: "fs" }),
+                MethodFallback { .. } => Some(StackGuardTrip { stack_size: 4096 }),
+                StackGuardTrip { .. } => Some(ArenaGuardTrip { kind: ArenaTrip::DoubleFree }),
+                ArenaGuardTrip { .. } => Some(SegmentAudit { ranks: 2, dirty: 0 }),
+                SegmentAudit { .. } => Some(MsgPool { inline: true }),
+                MsgPool { inline: true } => Some(MsgPool { inline: false }),
+                MsgPool { inline: false } => Some(PageFault { page: 1 }),
+                PageFault { .. } => Some(PagePrivatized { page: 1, bytes: 9 }),
+                PagePrivatized { .. } => {
+                    Some(DedupAudit { ranks: 2, shared_pages: 3, total_pages: 4 })
+                }
+                DedupAudit { .. } => Some(Rescale { from_pes: 4, to_pes: 2, moved_ranks: 3 }),
+                Rescale { .. } => Some(RescaleAborted { from_pes: 2, to_pes: 4 }),
+                RescaleAborted { .. } => Some(ReReplicate { ranks: 2, bytes: 10 }),
+                ReReplicate { .. } => Some(GeometryRestore { ranks: 2, to_pes: 3 }),
+                GeometryRestore { .. } => Some(BuddyDegenerate { pe: 0, ranks: 2 }),
+                BuddyDegenerate { .. } => {
+                    Some(CkptDelta { step: 2, ranks: 2, pages: 11, bytes: 12 })
+                }
+                CkptDelta { .. } => Some(CkptSeal { step: 3, epoch: 1 }),
+                CkptSeal { .. } => Some(CkptAsyncDrain { bytes: 13 }),
+                CkptAsyncDrain { .. } => Some(CkptCompact { chain: 2, bytes: 14 }),
+                CkptCompact { .. } => Some(ReqPost { req: 1, send: true }),
+                ReqPost { .. } => Some(ReqComplete { req: 1, send: true }),
+                ReqComplete { .. } => Some(ReqContinuation { req: 1 }),
+                ReqContinuation { .. } => Some(ReqWaitBlock { waiting: 1 }),
+                ReqWaitBlock { .. } => None,
+            };
+        }
+        out
+    }
+
+    #[test]
+    fn every_event_kind_counts_as_exactly_one_event() {
+        let t = Tracer::new(1);
+        t.enable();
+        let samples = samples();
+        for (i, kind) in samples.iter().enumerate() {
+            t.record(0, 0, i as u64, *kind);
+            assert_eq!(t.counts().total_events(), i as u64 + 1, "{}", kind.tag());
+        }
+        // Every sampled quantity is nonzero, so a counter still at zero
+        // has no `count()` arm (or an arm bumps a neighbour twice).
+        for (name, value) in t.counts().fields() {
+            assert!(value > 0, "{name} was never bumped");
         }
     }
 

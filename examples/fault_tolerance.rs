@@ -163,8 +163,8 @@ fn main() {
         "  checkpoints {} ({} bytes) / PE failures {} / rollbacks {}",
         c.checkpoints, c.checkpoint_bytes, c.pe_fails, c.recoveries
     );
-    assert_eq!(c.msg_drops, f.msgs_dropped, "trace/report drop tallies");
-    assert_eq!(c.msg_retransmits, f.retransmits, "trace/report retransmits");
-    assert_eq!(c.pe_fails, u64::from(f.pe_failures), "trace/report PE fails");
+    for (row, traced, reported) in report.trace_rows(&c) {
+        assert_eq!(traced, reported, "trace/report {row}");
+    }
     println!("\ntrace and RunReport agree — the recovery is fully observable.");
 }

@@ -3,6 +3,27 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# repeat_test BINARY TEST COUNT THREADS...: run one test of one pvr-bench
+# integration-test binary COUNT times in a row under each PVR_THREADS value
+# ("" leaves the variable as it is), straight from the built binary.
+repeat_test() {
+    local target=$1 name=$2 count=$3 bin threads i
+    shift 3
+    bin=$(cargo test -p pvr-bench --test "$target" --no-run 2>&1 | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
+    [ -x "$bin" ] || {
+        echo "FAIL: could not locate the $target test binary"
+        exit 1
+    }
+    for threads in "$@"; do
+        for i in $(seq 1 "$count"); do
+            env ${threads:+PVR_THREADS=$threads} "$bin" --exact "$name" >/dev/null 2>&1 || {
+                echo "FAIL: $name failed on iteration $i under PVR_THREADS=${threads:-(as inherited)}"
+                exit 1
+            }
+        done
+    done
+}
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -83,10 +104,6 @@ cargo test -q -p pvr-bench --test cow_equivalence
 echo "==> elastic-smoke (rescale sweep: policy growth must beat fixed-small)"
 cargo run --release -q -p pvr-bench --bin repro -- elastic --quick
 
-echo "==> elastic determinism gate (rescale under faults, Serial == Threads(n))"
-PVR_THREADS=1 cargo test -q -p pvr-bench --test elastic
-PVR_THREADS=4 cargo test -q -p pvr-bench --test elastic
-
 echo "==> ckpt-smoke (incremental checkpoint sweep: read-mostly bytes >= 10x fewer, pause below full)"
 out=$(cargo run --release -q -p pvr-bench --bin repro -- ckpt --quick)
 echo "$out"
@@ -106,45 +123,19 @@ awk -v r="$pause_ratio" 'BEGIN { exit !(r + 0 > 1.0) }' || {
     exit 1
 }
 
-echo "==> incremental-ckpt determinism gate (delta chain, Serial == Threads(n))"
-PVR_THREADS=1 cargo test -q -p pvr-bench --test incremental_ckpt
-PVR_THREADS=4 cargo test -q -p pvr-bench --test incremental_ckpt
-
 echo "==> dead-stack gate (incremental_engine_deterministic x100: 50 under PVR_THREADS=1, 50 under 4)"
 # A delta's size once depended on what returned calls had left below the
 # suspended sp (one 4 KiB chunk holding a host-allocator address), which
 # failed this test on chance. Dead stack is out of the diff now; a hundred
 # passes in a row, not four, is what says so.
-bin=$(cargo test -p pvr-bench --test incremental_ckpt --no-run 2>&1 | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
-[ -x "$bin" ] || {
-    echo "FAIL: could not locate the incremental_ckpt test binary"
-    exit 1
-}
-for threads in 1 4; do
-    for i in $(seq 1 50); do
-        PVR_THREADS=$threads "$bin" --exact incremental_engine_deterministic >/dev/null 2>&1 || {
-            echo "FAIL: incremental_engine_deterministic failed on iteration $i under PVR_THREADS=$threads"
-            exit 1
-        }
-    done
-done
+repeat_test incremental_ckpt incremental_engine_deterministic 50 1 4
 
 echo "==> worker-pool lifetime gate (runs_leave_no_thread_behind x50)"
 # The test reads this process's thread count right after a run has
 # joined its helpers; the kernel drops a joined thread from that count a
 # moment after `join` returns, so the test waits for the count to settle.
 # Fifty passes in a row say the wait is long enough and nothing leaks.
-bin=$(cargo test -p pvr-bench --test engine_pool --no-run 2>&1 | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
-[ -x "$bin" ] || {
-    echo "FAIL: could not locate the engine_pool test binary"
-    exit 1
-}
-for i in $(seq 1 50); do
-    "$bin" --exact runs_leave_no_thread_behind >/dev/null 2>&1 || {
-        echo "FAIL: runs_leave_no_thread_behind failed on iteration $i"
-        exit 1
-    }
-done
+repeat_test engine_pool runs_leave_no_thread_behind 50 ""
 
 echo "==> overlap-smoke (Isend/Irecv halo must beat blocking by >= 1.3x)"
 out=$(cargo run --release -q -p pvr-bench --bin repro -- overlap --quick)
@@ -157,10 +148,6 @@ awk -v s="$speedup" 'BEGIN { exit !(s + 0 >= 1.3) }' || {
     echo "FAIL: nonblocking halo speedup ${speedup}x < 1.3x (overlap broken)"
     exit 1
 }
-
-echo "==> request-engine determinism gate (async_comm, Serial == Threads(n))"
-PVR_THREADS=1 cargo test -q -p pvr-bench --test async_comm
-PVR_THREADS=4 cargo test -q -p pvr-bench --test async_comm
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -76,13 +76,13 @@ fn run_virtual(
         }))
         .unwrap();
     let report = m.run().unwrap();
+    let counts = tracer.counts();
+    for (row, traced, reported) in report.trace_rows(&counts) {
+        assert_eq!(traced, reported, "{method} {par:?} lossy={lossy}: {row}");
+    }
     let mut data = out.lock().clone();
     data.sort_by_key(|d| d.0);
-    Outcome {
-        report,
-        counts: tracer.counts(),
-        data,
-    }
+    Outcome { report, counts, data }
 }
 
 /// The overlap workload: ring halo exchange with the Irecv-first idiom,

@@ -84,6 +84,10 @@ fn run_one(method: Method, par: Parallelism, faults: bool) -> Outcome {
     }
     let mut m = b.network(network).build(jacobi_body(out.clone())).unwrap();
     let report = m.run().unwrap();
+    // every scenario of this file: trace counters == RunReport tallies
+    for (row, traced, reported) in report.trace_rows(&tracer.counts()) {
+        assert_eq!(traced, reported, "{method} {par:?} faults={faults}: {row}");
+    }
     let mut residuals = out.lock().clone();
     residuals.sort_by_key(|r| r.0);
     Outcome {
@@ -195,13 +199,7 @@ fn cow_tallies_reconcile_with_trace_events() {
         o.cow.page_faults, o.cow.pages_privatized,
         "every simulated fault privatizes exactly one page"
     );
-    assert_eq!(
-        o.counts.page_faults, o.cow.page_faults,
-        "PageFault trace events must reconcile with the RunReport tally"
-    );
-    assert_eq!(
-        o.counts.pages_privatized, o.cow.pages_privatized,
-        "PagePrivatized trace events must reconcile with the RunReport tally"
-    );
+    // `run_one` reconciled every row; the COW ones must not be vacuous
+    assert!(o.counts.page_faults > 0, "a Jacobi run writes its globals");
     assert_eq!(o.counts.dedup_audits, 1, "dedup audit fires exactly once per run");
 }

@@ -53,11 +53,23 @@ fn base(pes: usize, vp: usize) -> MachineBuilder {
 
 fn run(b: MachineBuilder) -> (RunReport, Residuals) {
     let out: Arc<Mutex<Residuals>> = Arc::new(Mutex::new(Vec::new()));
-    let mut m = b.build(ring_body(out.clone())).unwrap();
+    let tracer = Tracer::new(4);
+    tracer.enable();
+    let mut m = b.tracer(tracer.clone()).build(ring_body(out.clone())).unwrap();
     let report = m.run().unwrap();
+    assert_reconciled(&report, &tracer);
     let mut v = out.lock().clone();
     v.sort_by_key(|r| r.0);
     (report, v)
+}
+
+/// DESIGN §5h: `Rescale`, `RescaleAborted`, `ReReplicate` and
+/// `GeometryRestore` events reconcile with the elastic tallies — as
+/// every other row of `trace_rows` does, in every scenario of this file.
+fn assert_reconciled(report: &RunReport, tracer: &Tracer) {
+    for (row, traced, reported) in report.trace_rows(&tracer.counts()) {
+        assert_eq!(traced, reported, "{row}");
+    }
 }
 
 fn lossy_plan(seed: u64) -> FaultPlan {
@@ -130,6 +142,7 @@ fn rescale_under_faults_is_engine_deterministic() {
             .build(ring_body(out.clone()))
             .unwrap();
         let report = m.run().unwrap();
+        assert_reconciled(&report, &tracer);
         let mut v = out.lock().clone();
         v.sort_by_key(|r| r.0);
         (report, v, tracer.counts().total_events())
@@ -250,6 +263,7 @@ fn degenerate_buddy_is_detected_and_counted() {
         .build(ring_body(out.clone()))
         .unwrap();
     let report = m.run().unwrap();
+    assert_reconciled(&report, &tracer);
     // checkpoints at steps 3.. run with one alive PE: every rank's entry
     // degenerates, once per remaining barrier
     assert!(

@@ -84,9 +84,20 @@ fn jacobi_run(incremental: bool, par: Parallelism, faults: bool) -> Outcome {
     }
     let mut m = b.network(network).build(jacobi_body(out.clone())).unwrap();
     let report = m.run().unwrap();
+    let counts = tracer.counts();
+    assert_reconciled(&report, &counts);
     let mut residuals = out.lock().clone();
     residuals.sort_by_key(|r| r.0);
-    Outcome { report, residuals, counts: tracer.counts() }
+    Outcome { report, residuals, counts }
+}
+
+/// Exact reconciliation (PR 1 convention), in every scenario of this
+/// file: each tally with a row in `trace_rows` is bumped at the site that
+/// emits its trace event, so the counts agree to the unit.
+fn assert_reconciled(report: &RunReport, counts: &TraceCounts) {
+    for (row, traced, reported) in report.trace_rows(counts) {
+        assert_eq!(traced, reported, "{row}");
+    }
 }
 
 /// Clean runs: incremental mode must leave the application's numerical
@@ -175,25 +186,15 @@ fn incremental_recovers_from_pe_failure_bit_identically() {
     );
 }
 
-/// Exact reconciliation (PR 1 convention): every `CkptTallies` field has
-/// a trace event emitted at the same site; the counts must agree to the
-/// unit, and `CheckpointTaken` counts bases only.
+/// `jacobi_run` reconciled every row; on this run the checkpoint rows
+/// are not vacuous, and `CheckpointTaken` counts bases only.
 #[test]
 fn ckpt_tallies_reconcile_with_trace_events() {
     let o = jacobi_run(true, Parallelism::Serial, false);
     let ck = &o.report.ckpt;
     let c = &o.counts;
-    assert_eq!(c.ckpt_deltas, ck.deltas as u64, "CkptDelta events vs tally");
-    assert_eq!(c.ckpt_delta_pages, ck.pages_delta, "delta pages vs tally");
-    assert_eq!(c.ckpt_delta_bytes, ck.delta_bytes, "delta bytes vs tally");
-    assert_eq!(c.ckpt_seals, ck.seals as u64, "CkptSeal events vs tally");
-    assert_eq!(c.ckpt_async_drains, ck.async_drains as u64, "CkptAsyncDrain events vs tally");
-    assert_eq!(c.ckpt_async_bytes, ck.async_bytes, "async bytes vs tally");
-    assert_eq!(c.ckpt_compacts, ck.compactions as u64, "CkptCompact events vs tally");
-    assert_eq!(
-        c.checkpoints, o.report.faults.checkpoints as u64,
-        "CheckpointTaken must fire for base captures only"
-    );
+    assert!(c.ckpt_deltas > 0 && c.ckpt_seals > 0 && c.ckpt_async_bytes > 0, "{c:?}");
+    assert_eq!(c.checkpoints, 1, "one base, then deltas");
     assert!(ck.max_chain_len >= ck.chain_len, "{ck:?}");
     assert!(o.report.summary().contains("ckpt:"), "{}", o.report.summary());
 }
@@ -237,8 +238,11 @@ fn ring_base(pes: usize, vp: usize) -> MachineBuilder {
 
 fn ring_run(b: MachineBuilder) -> (RunReport, RingResiduals) {
     let out: Arc<Mutex<RingResiduals>> = Arc::new(Mutex::new(Vec::new()));
-    let mut m = b.build(ring_body(out.clone())).unwrap();
+    let tracer = Tracer::new(4);
+    tracer.enable();
+    let mut m = b.tracer(tracer.clone()).build(ring_body(out.clone())).unwrap();
     let report = m.run().unwrap();
+    assert_reconciled(&report, &tracer.counts());
     let mut v = out.lock().clone();
     v.sort_by_key(|r| r.0);
     (report, v)

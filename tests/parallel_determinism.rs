@@ -114,6 +114,9 @@ fn run_on(
     }
     let mut m = b.network(network).build(jacobi_body(out.clone())).unwrap();
     let report = m.run().unwrap();
+    for (row, traced, reported) in report.trace_rows(&tracer.counts()) {
+        assert_eq!(traced, reported, "{method} {par:?} faults={faults}: {row}");
+    }
     let mut residuals = out.lock().clone();
     residuals.sort_by_key(|r| r.0);
     Outcome {
