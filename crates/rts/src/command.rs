@@ -3,20 +3,26 @@
 //! A virtual rank is a ULT. Every effectful operation (send, matched
 //! receive, posting and waiting on nonblocking requests, declaring
 //! computed work, heap allocation, reaching a load-balancing sync point)
-//! is performed by writing a [`Command`] into the rank's slot and
-//! yielding; the PE scheduler handles it and resumes the rank with a
-//! [`Response`]. This is exactly the shape of AMPI: blocking MPI calls
-//! trap into the scheduler, which may context-switch to another ready
-//! rank. Every receive, blocking or posted, carries a [`MatchSpec`] for
-//! the rank's matching engine ([`crate::matching`]).
+//! is a [`Command`] the lane's scheduler code (`ExecCtx::handle`)
+//! executes **on the rank's own stack**; one that completes returns its
+//! [`Response`] without a context switch. Only a call that must wait
+//! suspends the ULT, and the scheduler may switch to another ready rank.
+//! This is the shape of AMPI: blocking MPI calls that cannot complete
+//! trap into the scheduler, posting a nonblocking operation never does.
+//! Every receive, blocking or posted, carries a [`MatchSpec`] for the
+//! rank's matching engine ([`crate::matching`]).
 
+use crate::machine::RtsError;
 use crate::matching::Outcomes;
 use crate::message::RtsMessage;
+use crate::worker::{ExecCtx, Handled, StopReason};
 use crate::{PeId, RankId};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use pvr_des::SimDuration;
 use pvr_privatize::RankInstance;
+use pvr_ult::{ResumeError, Ult, UltState};
+use std::cell::Cell;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -53,7 +59,9 @@ impl MatchSpec {
     }
 }
 
-/// What a rank asks of its scheduler.
+/// What a rank asks of its scheduler. Only `RecvMatch`, `ReqWait`,
+/// `Yield` and `AtSync` can suspend the rank; every other command is
+/// answered on the rank's stack.
 #[derive(Debug)]
 pub enum Command {
     /// Post a message; completes immediately (buffered send).
@@ -114,9 +122,11 @@ pub enum Command {
     ReqTest { ids: Vec<u64>, cont: bool },
 }
 
-/// The scheduler's reply.
+/// The scheduler's reply. A rank-side method that needs a value back
+/// checks the kind it got ([`RtsError::Protocol`] otherwise).
 #[derive(Debug)]
 pub enum Response {
+    /// Nothing to carry back; also what a yield or sync point resumes with.
     Ack,
     Message(RtsMessage),
     NoMessage,
@@ -131,13 +141,62 @@ pub enum Response {
     ReqOutcomes(Outcomes),
 }
 
-/// Mailbox-sized shared cell between one rank and the scheduler. The two
-/// never run concurrently (cooperative, single OS thread), but the mutex
-/// keeps the types honest and is uncontended.
+/// The cell one rank and its scheduler share.
+///
+/// # Ownership contract
+///
+/// Extends [`RankTable`](crate::worker::RankTable)'s. Rank and scheduler
+/// never run concurrently — the scheduler touches the slot only while
+/// the rank's ULT is suspended, the rank only while it is resumed — and
+/// every hand-off is ordered: one OS thread switching stacks (asm
+/// backend), `Backend::Thread`'s mutex, the worker pool's epoch edges.
+/// So the fields are plain cells.
+///
+/// `exec` is the lane's `ExecCtx`, lifetime erased, set exactly while
+/// [`Slot::resume`] is inside `try_resume`: the scheduler frame that
+/// owns the `ExecCtx` is suspended there, so the rank may use it
+/// exclusively. [`RankCtx`] is `Clone + Send`, so `RankCtx::call` checks
+/// before it dereferences — it must be in a ULT and `exec` must be set —
+/// and a handle that escaped to a foreign OS thread or outlived
+/// `Machine::run` panics instead of racing. A handle used from *another
+/// rank's* body while its own rank runs on a different worker is not
+/// detected: like `resident_mut`'s partition, that is the caller's side
+/// of the contract.
 #[derive(Default)]
 pub struct Slot {
-    pub cmd: Option<Command>,
-    pub resp: Option<Response>,
+    exec: Cell<Option<NonNull<()>>>,
+    /// Why the rank left its stack: set by the rank before it yields,
+    /// taken by `run_rank_slice` after the resume returns.
+    stop: Cell<Option<Result<StopReason, RtsError>>>,
+    /// The answer to the receive or wait the rank is parked in.
+    resp: Cell<Option<Response>>,
+}
+
+// SAFETY: the ownership contract above — each cell is only accessed by
+// whichever of rank and scheduler currently runs, and every change of
+// hands is a synchronising edge.
+unsafe impl Send for Slot {}
+unsafe impl Sync for Slot {}
+
+impl Slot {
+    /// Resume `ult` with `exec` published to it for exactly that span,
+    /// and say why it came back, if it said (`try_resume` catches the
+    /// body's panics, so no unwind skips the reset).
+    pub(crate) fn resume(
+        &self,
+        exec: &mut ExecCtx<'_, '_, '_>,
+        ult: &mut Ult,
+    ) -> (Result<UltState, ResumeError>, Option<Result<StopReason, RtsError>>) {
+        self.exec.set(Some(NonNull::from(exec).cast()));
+        let outcome = ult.try_resume();
+        self.exec.set(None);
+        (outcome, self.stop.take())
+    }
+
+    /// Answer the call the rank is parked in (scheduler side).
+    pub(crate) fn answer(&self, resp: Response) {
+        self.resp.set(Some(resp));
+    }
 }
 
 /// Live, lock-free-readable facts about a rank that change as it runs.
@@ -145,7 +204,7 @@ pub struct RankShared {
     /// Where the rank currently lives (updated on migration).
     pub current_pe: AtomicUsize,
     /// The rank's view of "now", nanoseconds (virtual clock in virtual
-    /// mode; updated before each resume).
+    /// mode; updated before each resume and by `compute`).
     pub now_ns: AtomicU64,
 }
 
@@ -185,16 +244,21 @@ impl WorkModel {
 ///
 /// Ranks are cooperatively scheduled on one OS thread. Never hold a
 /// process-wide lock (e.g. a `Mutex` shared with other ranks) across a
-/// blocking call ([`RankCtx::recv`], [`RankCtx::at_sync`], any
-/// collective): the scheduler will switch to another rank on the same
-/// thread, and if that rank takes the same lock the whole process
+/// call that can suspend the rank ([`RankCtx::recv`],
+/// [`RankCtx::req_wait`], [`RankCtx::yield_now`], [`RankCtx::at_sync`],
+/// any collective): the scheduler will switch to another rank on the
+/// same thread, and if that rank takes the same lock the whole process
 /// deadlocks — the moral equivalent of calling a blocking MPI function
-/// inside a critical section.
+/// inside a critical section. Calls that cannot suspend (sends, posts,
+/// tests, `compute`, heap calls) never leave the rank's stack.
+///
+/// A handle is valid only inside its own rank's body: a call from
+/// another OS thread, or after `Machine::run` returned, panics ([`Slot`]).
 #[derive(Clone)]
 pub struct RankCtx {
     pub(crate) rank: RankId,
     pub(crate) n_ranks: usize,
-    pub(crate) slot: Arc<Mutex<Slot>>,
+    pub(crate) slot: Arc<Slot>,
     pub(crate) shared: Arc<RankShared>,
     pub(crate) instance: Arc<RankInstance>,
     pub(crate) virtual_mode: bool,
@@ -244,26 +308,43 @@ impl RankCtx {
         &self.binary
     }
 
+    /// Execute `cmd` on this stack through the lane's `ExecCtx`; leave
+    /// the stack only if it must wait (or failed).
     fn call(&self, cmd: Command) -> Response {
-        {
-            let mut s = self.slot.lock();
-            debug_assert!(s.cmd.is_none(), "re-entrant rank command");
-            s.cmd = Some(cmd);
-        }
+        assert!(pvr_ult::in_ult(), "RankCtx used outside a rank's ULT");
+        let Some(exec) = self.slot.exec.get() else {
+            panic!("RankCtx of rank {} used while it is not running", self.rank)
+        };
+        // SAFETY: `exec` is set only for the span of this rank's resume,
+        // when the rank is the `ExecCtx`'s only user (`Slot`'s contract);
+        // the checks above turn away a foreign OS thread and a handle
+        // whose rank is suspended or finished.
+        let exec = unsafe { exec.cast::<ExecCtx<'_, '_, '_>>().as_mut() };
+        let stop = match exec.handle(self.rank, cmd) {
+            Ok(Handled::Done(resp)) => return resp,
+            Ok(Handled::Park(why)) => Ok(why),
+            Err(e) => Err(e),
+        };
+        self.slot.stop.set(Some(stop));
         pvr_ult::yield_now();
-        self.slot
-            .lock()
-            .resp
-            .take()
-            .expect("scheduler must respond before resuming a rank")
+        self.slot.resp.take().unwrap_or(Response::Ack)
+    }
+
+    /// End the run with [`RtsError::Protocol`]: rank and lane code
+    /// disagree about a call. A rank that raised an error is not resumed.
+    fn protocol(&self, detail: &str) -> ! {
+        loop {
+            self.slot.stop.set(Some(Err(RtsError::Protocol {
+                rank: self.rank,
+                detail: detail.into(),
+            })));
+            pvr_ult::yield_now();
+        }
     }
 
     /// Post a message to another rank (buffered; returns immediately).
     pub fn send(&self, to: RankId, tag: u64, payload: Bytes) {
-        match self.call(Command::Send { to, tag, payload }) {
-            Response::Ack => {}
-            r => panic!("unexpected response to Send: {r:?}"),
-        }
+        self.call(Command::Send { to, tag, payload });
     }
 
     /// Block until any message arrives (oldest first).
@@ -280,10 +361,10 @@ impl RankCtx {
     /// oldest such. Arrivals `spec` rejects stay buffered, in order, and
     /// do not resume the rank.
     pub fn recv_match(&self, spec: MatchSpec) -> RtsMessage {
-        match self.call(Command::RecvMatch { spec }) {
-            Response::Message(m) => m,
-            r => panic!("unexpected response to RecvMatch: {r:?}"),
-        }
+        let Response::Message(m) = self.call(Command::RecvMatch { spec }) else {
+            self.protocol("unexpected response to RecvMatch")
+        };
+        m
     }
 
     /// The oldest buffered message `spec` accepts, if any; never blocks.
@@ -291,43 +372,34 @@ impl RankCtx {
         match self.call(Command::TryRecvMatch { spec }) {
             Response::Message(m) => Some(m),
             Response::NoMessage => None,
-            r => panic!("unexpected response to TryRecvMatch: {r:?}"),
+            _ => self.protocol("unexpected response to TryRecvMatch"),
         }
     }
 
     /// Declare computed work (virtual mode; free no-op in real time).
     pub fn compute(&self, work: SimDuration) {
-        match self.call(Command::Compute(work)) {
-            Response::Ack => {}
-            r => panic!("unexpected response to Compute: {r:?}"),
-        }
+        self.call(Command::Compute(work));
     }
 
     /// Cooperatively yield to other ranks on this PE.
     pub fn yield_now(&self) {
-        match self.call(Command::Yield) {
-            Response::Ack => {}
-            r => panic!("unexpected response to Yield: {r:?}"),
-        }
+        self.call(Command::Yield);
     }
 
     /// Load-balancing sync point: blocks until every rank arrives, then
     /// the configured balancer may migrate ranks before all resume.
     pub fn at_sync(&self) {
-        match self.call(Command::AtSync) {
-            Response::Ack => {}
-            r => panic!("unexpected response to AtSync: {r:?}"),
-        }
+        self.call(Command::AtSync);
     }
 
     /// Allocate zeroed memory from this rank's migratable (Isomalloc)
     /// heap. Freed only when the rank is torn down — matching how the
     /// apps use per-rank grids for the lifetime of a run.
     pub fn heap_alloc(&self, size: usize, align: usize) -> *mut u8 {
-        match self.call(Command::AllocHeap { size, align }) {
-            Response::Addr(a) => a as *mut u8,
-            r => panic!("unexpected response to AllocHeap: {r:?}"),
-        }
+        let Response::Addr(a) = self.call(Command::AllocHeap { size, align }) else {
+            self.protocol("unexpected response to AllocHeap")
+        };
+        a as *mut u8
     }
 
     /// Allocate a zeroed `f64` slice on the rank's migratable heap. The
@@ -341,18 +413,18 @@ impl RankCtx {
     /// Post a nonblocking send. Returns the request id; completion is
     /// observed via [`RankCtx::req_wait`] / [`RankCtx::req_test`].
     pub fn req_post_send(&self, to: RankId, tag: u64, payload: Bytes) -> u64 {
-        match self.call(Command::ReqPostSend { to, tag, payload }) {
-            Response::ReqId(id) => id,
-            r => panic!("unexpected response to ReqPostSend: {r:?}"),
-        }
+        let Response::ReqId(id) = self.call(Command::ReqPostSend { to, tag, payload }) else {
+            self.protocol("unexpected response to ReqPostSend")
+        };
+        id
     }
 
     /// Post a nonblocking receive matched at delivery time by `spec`.
     pub fn req_post_recv(&self, spec: MatchSpec) -> u64 {
-        match self.call(Command::ReqPostRecv { spec }) {
-            Response::ReqId(id) => id,
-            r => panic!("unexpected response to ReqPostRecv: {r:?}"),
-        }
+        let Response::ReqId(id) = self.call(Command::ReqPostRecv { spec }) else {
+            self.protocol("unexpected response to ReqPostRecv")
+        };
+        id
     }
 
     /// Block until the identified requests complete (all, or any one if
@@ -361,19 +433,19 @@ impl RankCtx {
     /// `cont` tags the completions as continuation-delivered for the
     /// tallies.
     pub fn req_wait(&self, ids: Vec<u64>, any: bool, cont: bool) -> Outcomes {
-        match self.call(Command::ReqWait { ids, any, cont }) {
-            Response::ReqOutcomes(v) => v,
-            r => panic!("unexpected response to ReqWait: {r:?}"),
-        }
+        let Response::ReqOutcomes(v) = self.call(Command::ReqWait { ids, any, cont }) else {
+            self.protocol("unexpected response to ReqWait")
+        };
+        v
     }
 
     /// Reap whichever of the identified requests have already completed;
     /// never blocks.
     pub fn req_test(&self, ids: Vec<u64>, cont: bool) -> Outcomes {
-        match self.call(Command::ReqTest { ids, cont }) {
-            Response::ReqOutcomes(v) => v,
-            r => panic!("unexpected response to ReqTest: {r:?}"),
-        }
+        let Response::ReqOutcomes(v) = self.call(Command::ReqTest { ids, cont }) else {
+            self.protocol("unexpected response to ReqTest")
+        };
+        v
     }
 
     /// Free a previous [`RankCtx::heap_alloc`] (`size` must match the
@@ -382,12 +454,9 @@ impl RankCtx {
     /// the stale pointer ends the run with a clean error naming this
     /// rank rather than corrupting another rank's memory.
     pub fn heap_free(&self, ptr: *mut u8, size: usize) {
-        match self.call(Command::FreeHeap {
+        self.call(Command::FreeHeap {
             addr: ptr as usize,
             size,
-        }) {
-            Response::Ack => {}
-            r => panic!("unexpected response to FreeHeap: {r:?}"),
-        }
+        });
     }
 }

@@ -103,8 +103,10 @@ fn degradable(e: &PrivatizeError) -> bool {
 /// Privatizers and rank states produced by one startup attempt.
 type BuiltJob = (Vec<Box<dyn Privatizer>>, Vec<RankState>);
 
-/// Smallest rank stack [`MachineConfig::validate`] accepts.
-const MIN_STACK_SIZE: usize = 16 * 1024;
+/// Smallest rank stack [`MachineConfig::validate`] accepts: twice what
+/// the deepest command handler needs in a debug build (see
+/// [`MachineBuilder::stack_size`]).
+pub(crate) const MIN_STACK_SIZE: usize = 32 * 1024;
 
 /// Whether startup gives each simulated OS process (one privatizer) its
 /// own builder thread, so that their segment copies overlap: only with
@@ -500,7 +502,7 @@ impl MachineConfig {
             mem.add_region(stack_region);
             let stack = unsafe { StackMem::from_raw(stack_ptr, stack_size) };
 
-            let slot = Arc::new(Mutex::new(Slot::default()));
+            let slot = Arc::new(Slot::default());
             let shared = Arc::new(RankShared {
                 current_pe: AtomicUsize::new(pe),
                 now_ns: AtomicU64::new(0),
@@ -821,6 +823,13 @@ impl MachineBuilder {
         self
     }
 
+    /// Bytes of ULT stack per rank (default 128 KiB, floor 32 KiB). It
+    /// carries the rank's frames *and* the runtime's command handlers,
+    /// which run on it. Their worst case below the calling frame (a
+    /// reliable send to self, lossy plan, tracing on) is 3.5 KiB
+    /// optimised and 13.1 KiB in a debug build: a tenth of the smallest
+    /// stack any test or benchmark configures (128 KiB). Measured at the
+    /// floor by `deepest_handler_fits_the_smallest_stack`.
     pub fn stack_size(mut self, s: usize) -> Self {
         self.cfg.stack_size = s;
         self

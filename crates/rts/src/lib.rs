@@ -33,7 +33,7 @@
 //! termination detector; wall-clock scheduling makes those runs
 //! inherently nondeterministic, as on any real SMP machine.
 //! Memory-safety guards ([`MachineConfig`]'s `guards`) scan every rank
-//! after every resume and therefore force serial execution.
+//! each time one leaves its stack and therefore force serial execution.
 //!
 //! ## Structure
 //!
@@ -42,10 +42,10 @@
 //! * [`config`] — [`MachineConfig`] / [`MachineBuilder`]: validated
 //!   job configuration, startup (binary load, privatizer selection,
 //!   fallback chain), and [`ConfigError`].
-//! * [`command`] — the rank ⇄ scheduler protocol: a rank performs
-//!   communication by writing a [`command::Command`] into its slot and
-//!   yielding; the scheduler responds and resumes it. This mirrors how
-//!   blocking MPI calls trap into AMPI's scheduler.
+//! * [`command`] — the rank ⇄ scheduler protocol: the lane's scheduler
+//!   code executes a rank's [`command::Command`] on the rank's own
+//!   stack, and only a call that must wait suspends the ULT. This
+//!   mirrors how blocking MPI calls trap into AMPI's scheduler.
 //! * [`matching`] — the per-rank matching engine: hashed posted and
 //!   unexpected queues, the request table, counted waits.
 //! * `worker` / `engine_serial` / `engine_parallel` (private) — the

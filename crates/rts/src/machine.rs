@@ -2461,6 +2461,7 @@ mod tests {
     use crate::config::{ConfigError, MachineBuilder};
     use bytes::Bytes;
     use pvr_progimage::{link, ImageSpec, ProgramBinary, SharedFs};
+    use std::sync::atomic::AtomicUsize;
 
     fn test_binary() -> Arc<ProgramBinary> {
         link(
@@ -3450,6 +3451,271 @@ mod tests {
         }
         assert_eq!(m.hardening_stats().segment_audits, 1);
         assert_eq!(t.snapshot().counts.segment_audits, 1);
+    }
+
+    /// Base address and length of `rank`'s ULT stack region.
+    fn stack_region(m: &Machine, rank: RankId) -> (usize, usize) {
+        m.ranks[rank]
+            .memory
+            .regions()
+            .find(|reg| reg.kind() == RegionKind::Stack)
+            .map(|reg| (reg.base_mut() as usize, reg.len()))
+            .expect("every rank has a stack region")
+    }
+
+    /// Guards are audited when a rank leaves its stack, not after every
+    /// command: a bleed between two posts is still caught, and still
+    /// pinned on the rank that held the PE.
+    #[test]
+    fn segment_bleed_between_two_posts_trips_the_guard_when_the_writer_parks() {
+        let victim = Arc::new(AtomicUsize::new(0));
+        let v = victim.clone();
+        let mut m = builder()
+            .method(Method::PieGlobals)
+            .vp_ratio(2)
+            .guards(true)
+            .build(Arc::new(move |ctx: RankCtx| {
+                if ctx.rank() == 0 {
+                    let r = ctx.req_post_recv(MatchSpec::ANY);
+                    let p = v.load(Ordering::Relaxed) as *mut u8;
+                    unsafe { *p = (*p).wrapping_add(1) }; // rank 1's global
+                    let s = ctx.req_post_send(1, 0, Bytes::new());
+                    ctx.req_wait(vec![r, s], false, false);
+                    unreachable!("the writer is never resumed");
+                }
+            }))
+            .unwrap();
+        let (base, _) = m
+            .privatizers
+            .iter()
+            .find_map(|p| p.rank_data_segment(1))
+            .unwrap();
+        victim.store(base as usize, Ordering::Relaxed);
+        match m.run() {
+            Err(RtsError::SegmentBleed { rank: 1, writer: 0 }) => {}
+            other => panic!("expected SegmentBleed, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(m.hardening_stats().segment_audits, 1);
+    }
+
+    #[test]
+    fn red_zone_clobbered_in_a_post_loop_trips_the_stack_guard_when_the_rank_parks() {
+        let red_zone = Arc::new(AtomicUsize::new(0));
+        let z = red_zone.clone();
+        let mut m = builder()
+            .method(Method::PieGlobals)
+            .guards(true)
+            .build(Arc::new(move |ctx: RankCtx| {
+                let mut ids = Vec::new();
+                for i in 0..8 {
+                    ids.push(ctx.req_post_recv(MatchSpec::ANY));
+                    if i == 3 {
+                        // what a frame (the rank's, or a handler's on its
+                        // stack) does when it grows past the stack's base
+                        let base = z.load(Ordering::Relaxed) as *mut u64;
+                        unsafe { base.write(0xDEAD_DEAD) };
+                    }
+                }
+                ctx.req_wait(ids, false, false);
+                unreachable!("an overflowed rank is never resumed");
+            }))
+            .unwrap();
+        red_zone.store(stack_region(&m, 0).0, Ordering::Relaxed);
+        match m.run() {
+            Err(RtsError::StackGuard { rank: 0, detail }) => {
+                assert!(detail.contains("red zone"), "{detail}")
+            }
+            other => panic!("expected StackGuard, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(m.hardening_stats().stack_guard_trips, 1);
+    }
+
+    /// A command that fails on the rank's stack ends the run exactly as
+    /// one that failed in the scheduler did: the rank is not resumed, and
+    /// both engines pick the same error among the lanes that raised one
+    /// (both at the first event, so the lower PE's).
+    #[test]
+    fn handler_error_mid_slice_stops_the_rank_and_both_engines_pick_the_same_error() {
+        let mut picked = Vec::new();
+        for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let reached = Arc::new([const { AtomicUsize::new(0) }; 2]);
+            let resumed = Arc::new(AtomicUsize::new(0));
+            let (at, after) = (reached.clone(), resumed.clone());
+            let mut m = builder()
+                .clock(ClockMode::Virtual)
+                .topology(Topology::non_smp(2))
+                .parallelism(par)
+                .build(Arc::new(move |ctx: RankCtx| {
+                    ctx.compute(SimDuration::from_micros(5));
+                    at[ctx.rank()].store(1, Ordering::Relaxed);
+                    if ctx.rank() == 0 {
+                        // default cap 1024: the 1 025th open request
+                        for _ in 0..=1024 {
+                            ctx.req_post_recv(MatchSpec::ANY);
+                        }
+                    } else {
+                        let mut not_from_the_heap = 0u64;
+                        ctx.heap_free(&mut not_from_the_heap as *mut u64 as *mut u8, 8);
+                    }
+                    after.fetch_add(1, Ordering::Relaxed);
+                }))
+                .unwrap();
+            let err = m.run().map(|_| ()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    RtsError::RequestOverflow {
+                        rank: 0,
+                        outstanding: 1024,
+                        limit: 1024
+                    }
+                ),
+                "{par:?}: {err:?}"
+            );
+            assert_eq!(m.tallies.req.recv_posts, 1024, "{par:?}");
+            assert_eq!(m.hardening_stats().arena_guard_trips, 1, "{par:?}");
+            for r in 0..2 {
+                assert_eq!(reached[r].load(Ordering::Relaxed), 1, "{par:?}: rank {r} ran");
+            }
+            drop(m); // cancels the two suspended ULTs
+            assert_eq!(resumed.load(Ordering::Relaxed), 0, "{par:?}");
+            picked.push(format!("{err:?}"));
+        }
+        assert_eq!(picked[0], picked[1]);
+    }
+
+    /// Roughly the caller's stack pointer: the address of a local one
+    /// small frame below it.
+    #[inline(never)]
+    fn sp_here() -> usize {
+        let here = 0u8;
+        std::hint::black_box(&here) as *const u8 as usize
+    }
+
+    /// Handlers run on the rank's stack, so the deepest of them must fit
+    /// the smallest stack a configuration may ask for and leave the rank
+    /// its own frames. The deepest are the reliable sends: a `send` or
+    /// `isend` to self under a lossy plan with tracing on (seal, fault
+    /// decisions, duplicate copy, retransmit timer, trace records).
+    /// `MachineBuilder::stack_size` quotes the figures this prints.
+    #[test]
+    fn deepest_handler_fits_the_smallest_stack() {
+        use crate::config::MIN_STACK_SIZE;
+        use pvr_des::{FaultParams, FaultPlan, HopClass};
+        let caller_sp = Arc::new(AtomicUsize::new(0));
+        let sp = caller_sp.clone();
+        let t = Tracer::new(1);
+        t.enable();
+        let plan = FaultPlan::new(3).with_class(
+            HopClass::IntraProcess,
+            FaultParams {
+                drop_p: 0.2,
+                dup_p: 0.5,
+                corrupt_p: 0.2,
+                jitter_max: SimDuration::from_nanos(500),
+            },
+        );
+        let mut m = builder()
+            .clock(ClockMode::Virtual)
+            .network(NetworkModel::ideal().with_faults(plan))
+            .tracer(t)
+            .stack_size(MIN_STACK_SIZE)
+            .build(Arc::new(move |ctx: RankCtx| {
+                sp.store(sp_here(), Ordering::Relaxed);
+                for tag in 0..32 {
+                    let r = ctx.req_post_recv(MatchSpec::ANY);
+                    let s = ctx.req_post_send(0, tag, Bytes::from(vec![7u8; 256]));
+                    ctx.send(0, tag, Bytes::from(vec![7u8; 256]));
+                    ctx.req_test(vec![r, s], false);
+                    ctx.try_recv();
+                    ctx.compute(SimDuration::from_nanos(10));
+                    let p = ctx.heap_alloc(64, 8);
+                    ctx.heap_free(p, 64);
+                    ctx.req_wait(vec![r], false, false);
+                }
+            }))
+            .unwrap();
+        let (base, len) = stack_region(&m, 0);
+        m.run().unwrap();
+        // the region starts zeroed: the lowest word ever written is how
+        // deep the calls below the body reached
+        let words = unsafe { std::slice::from_raw_parts(base as *const u64, len / 8) };
+        let lowest = base + 8 * words.iter().position(|&w| w != 0).unwrap();
+        let depth = caller_sp.load(Ordering::Relaxed) - lowest;
+        eprintln!("deepest handler: {depth} bytes below its caller");
+        assert!(
+            depth <= MIN_STACK_SIZE / 2,
+            "handlers reach {depth} bytes below their caller: over half the {MIN_STACK_SIZE}-byte floor"
+        );
+    }
+
+    /// What used to be `expect`s and `panic!`s between rank and scheduler
+    /// is the one typed error: a parked receive resumed with no message,
+    /// and a body that yields behind the runtime's back.
+    #[test]
+    fn rank_and_scheduler_disagreeing_is_a_protocol_error_not_a_panic() {
+        let mut m = builder()
+            .vp_ratio(2)
+            .build(Arc::new(|ctx: RankCtx| match ctx.rank() {
+                0 => drop(ctx.recv()),
+                _ => pvr_ult::yield_now(),
+            }))
+            .unwrap();
+        assert!(matches!(m.run_rank_slice(0), Ok(StopReason::BlockedRecv)));
+        for (rank, what) in [(0, "RecvMatch"), (1, "without issuing a command")] {
+            match m.run_rank_slice(rank) {
+                Err(RtsError::Protocol { rank: r, detail }) => {
+                    assert_eq!(r, rank);
+                    assert!(detail.contains(what), "{detail}");
+                }
+                other => panic!("expected Protocol, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rank_ctx_on_a_foreign_thread_panics_instead_of_racing() {
+        let mut m = builder()
+            .build(Arc::new(|ctx: RankCtx| {
+                let stray = ctx.clone();
+                let sent = std::thread::spawn(move || stray.send(0, 0, Bytes::new())).join();
+                if let Err(p) = sent {
+                    std::panic::resume_unwind(p);
+                }
+            }))
+            .unwrap();
+        match m.run() {
+            Err(RtsError::RankPanicked { rank: 0, message }) => {
+                assert!(message.contains("outside a rank's ULT"), "{message}")
+            }
+            other => panic!("expected RankPanicked, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn rank_ctx_used_after_the_run_panics_cleanly() {
+        let kept = Arc::new(Mutex::new(None));
+        let k = kept.clone();
+        let mut m = builder()
+            .build(Arc::new(move |ctx: RankCtx| *k.lock() = Some(ctx)))
+            .unwrap();
+        m.run().unwrap();
+        let ctx = kept.lock().take().unwrap();
+        // from a plain thread: not in a ULT
+        let stale = ctx.clone();
+        let plain = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            stale.compute(SimDuration::from_nanos(1))
+        }));
+        assert!(plain.is_err());
+        // from some other ULT: in a ULT, but its rank is not running
+        let mut other = pvr_ult::Ult::new(64 * 1024, move || ctx.send(0, 0, Bytes::new()));
+        match other.try_resume() {
+            Err(pvr_ult::ResumeError::Panicked(p)) => {
+                let message = p.downcast_ref::<String>().cloned().unwrap_or_default();
+                assert!(message.contains("not running"), "{message}");
+            }
+            _ => panic!("a stale RankCtx must panic, not run"),
+        }
     }
 
     #[test]

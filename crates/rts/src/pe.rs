@@ -17,8 +17,6 @@ pub struct PeState {
     pub idle: SimDuration,
     /// Busy virtual time.
     pub busy: SimDuration,
-    /// Context switches performed by this PE.
-    pub switches: u64,
 }
 
 impl PeState {

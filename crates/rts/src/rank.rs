@@ -3,7 +3,6 @@
 use crate::command::{RankShared, Slot};
 use crate::matching::Matcher;
 use crate::{PeId, RankId};
-use parking_lot::Mutex;
 use pvr_des::SimDuration;
 use pvr_isomalloc::RankMemory;
 use pvr_privatize::RankInstance;
@@ -36,7 +35,7 @@ pub struct RankState {
     /// PIEglobals — its code/data segment copies.
     pub memory: RankMemory,
     pub instance: Arc<RankInstance>,
-    pub slot: Arc<Mutex<Slot>>,
+    pub slot: Arc<Slot>,
     pub shared: Arc<RankShared>,
     pub status: RankStatus,
     pub location: PeId,

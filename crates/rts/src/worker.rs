@@ -64,6 +64,15 @@ pub(crate) enum StopReason {
     Done,
 }
 
+/// What [`ExecCtx::handle`] made of a command.
+pub(crate) enum Handled {
+    /// Completed on the rank's stack: the rank keeps running.
+    Done(Response),
+    /// The rank must wait and leaves its stack; whoever completes a
+    /// receive or a wait answers it through the rank's slot.
+    Park(StopReason),
+}
+
 /// The rank table, shared read-mostly across lanes with per-rank `&mut`
 /// access for the owning lane.
 ///
@@ -291,11 +300,6 @@ pub(crate) struct ExecCtx<'a, 'e, 'g> {
     pub li: usize,
     /// Present only on the serial engine with guards enabled.
     pub guard: Option<&'a mut GuardCtx<'g>>,
-}
-
-/// Answer a rank's pending command.
-fn respond(rs: &RankState, resp: Response) {
-    rs.slot.lock().resp = Some(resp);
 }
 
 impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
@@ -634,7 +638,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
         match rs.matcher.arrive(msg) {
             Arrival::Posted(id, m) => self.complete_req(tl, to, id, Some(m)),
             Arrival::Parked(m) => {
-                respond(rs, Response::Message(m));
+                rs.slot.answer(Response::Message(m));
                 self.wake(tl, to);
             }
             Arrival::Queued => {}
@@ -679,7 +683,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
         if satisfied {
             let (cont, outcomes) = rs.matcher.take_wait();
             self.tally_continuations(tl, owner, cont, &outcomes);
-            respond(rs, Response::ReqOutcomes(outcomes));
+            rs.slot.answer(Response::ReqOutcomes(outcomes));
             self.wake(tl, owner);
         }
     }
@@ -768,232 +772,237 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
         self.deposit(tl, msg);
     }
 
-    /// Drive one rank until it blocks, parks, yields, or completes. The
-    /// rank must live on the current lane.
+    /// Drive one rank until it leaves its stack: a call that must wait,
+    /// an error, or the end of its body. Commands that complete run
+    /// inside the resume ([`ExecCtx::handle`]). The rank must live on the
+    /// current lane.
     pub(crate) fn run_rank_slice(&mut self, r: RankId) -> Result<StopReason, RtsError> {
-        loop {
-            let pe = self.pe();
-            // SAFETY: `r` is resident on this lane's PE (caller checks).
-            let rs = unsafe { self.shared.ranks.resident_mut(r) };
-            // Context switch: install the rank's privatization registers
-            // and this PE's hierarchical-local-storage block.
-            rs.instance.activate();
-            let hls = self.shared.hls.get(pe);
-            if !hls.is_null() {
-                pvr_privatize::regs::set_pe_base(hls);
-            }
-            let now_ns = self.now_ns_at(self.li);
-            rs.shared.now_ns.store(now_ns, Ordering::Relaxed);
-            {
-                let lane = &mut self.lanes[self.li];
-                lane.state.switches += 1;
-                lane.out.tallies.switches += 1;
-            }
-            if self.shared.tracer.is_some() {
-                pvr_trace::set_context(pe, r as u32, now_ns);
-                self.trace(
-                    r as u32,
-                    EventKind::CtxSwitchIn {
-                        ctx_work: rs.instance.has_ctx_work(),
-                    },
-                );
-            }
+        let pe = self.pe();
+        // SAFETY: `r` is resident on this lane's PE (caller checks).
+        let rs = unsafe { self.shared.ranks.resident_mut(r) };
+        // Context switch: install the rank's privatization registers
+        // and this PE's hierarchical-local-storage block.
+        rs.instance.activate();
+        let hls = self.shared.hls.get(pe);
+        if !hls.is_null() {
+            pvr_privatize::regs::set_pe_base(hls);
+        }
+        let now_ns = self.now_ns_at(self.li);
+        rs.shared.now_ns.store(now_ns, Ordering::Relaxed);
+        let out = &mut self.lanes[self.li].out;
+        out.tallies.switches += 1;
+        out.last_ran = Some(r);
+        if self.shared.tracer.is_some() {
+            pvr_trace::set_context(pe, r as u32, now_ns);
+            self.trace(
+                r as u32,
+                EventKind::CtxSwitchIn {
+                    ctx_work: rs.instance.has_ctx_work(),
+                },
+            );
+        }
 
-            let mut ult = rs.ult.take().expect("rank ULT present");
-            // Only real-time runs measure load by the wall clock.
-            let t0 = (self.shared.clock == ClockMode::RealTime).then(Instant::now);
-            self.lanes[self.li].out.last_ran = Some(r);
-            let outcome = ult.try_resume();
-            rs.ult = Some(ult);
+        let mut ult = rs.ult.take().expect("rank ULT present");
+        // the rank's calls re-derive its state: hold no borrow across them
+        let slot = rs.slot.clone();
+        // Only real-time runs measure load by the wall clock.
+        let t0 = (self.shared.clock == ClockMode::RealTime).then(Instant::now);
+        let (outcome, stop) = slot.resume(self, &mut ult);
+        // SAFETY: as above; the rank is suspended again.
+        let rs = unsafe { self.shared.ranks.resident_mut(r) };
+        rs.ult = Some(ult);
 
-            if let Some(t0) = t0 {
-                let d: SimDuration = t0.elapsed().into();
-                rs.load_since_lb += d;
-                rs.total_load += d;
+        if let Some(t0) = t0 {
+            let d: SimDuration = t0.elapsed().into();
+            rs.load_since_lb += d;
+            rs.total_load += d;
+        }
+
+        if self.guard.is_some() {
+            self.check_stack_guard(r)?;
+            self.check_segment_bleed(r)?;
+        }
+
+        // SAFETY: re-derive after the guard checks (which take their
+        // own exclusive borrows of this rank).
+        let rs = unsafe { self.shared.ranks.resident_mut(r) };
+        match outcome {
+            Ok(pvr_ult::UltState::Complete) => {
+                rs.status = RankStatus::Done;
+                // Leaked requests (never waited on, or completed but
+                // never reaped) are cleaned up here so a finished
+                // rank's table cannot pin messages or wake logic.
+                self.lanes[self.li].out.tallies.req.leaked += rs.matcher.clear_reqs() as u64;
+                self.lanes[self.li].out.done += 1;
+                Ok(StopReason::Done)
             }
-
-            if self.guard.is_some() {
-                self.check_stack_guard(r)?;
-                self.check_segment_bleed(r)?;
+            Err(e) => {
+                rs.status = RankStatus::Done;
+                self.lanes[self.li].out.done += 1;
+                let message = match e {
+                    pvr_ult::ResumeError::Panicked(p) => p
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| p.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "<non-string panic>".into()),
+                    pvr_ult::ResumeError::Completed => "resume after completion".into(),
+                };
+                Err(RtsError::RankPanicked { rank: r, message })
             }
-
-            // SAFETY: re-derive after the guard checks (which take their
-            // own exclusive borrows of this rank).
-            let rs = unsafe { self.shared.ranks.resident_mut(r) };
-            match outcome {
-                Ok(pvr_ult::UltState::Complete) => {
-                    rs.status = RankStatus::Done;
-                    // Leaked requests (never waited on, or completed but
-                    // never reaped) are cleaned up here so a finished
-                    // rank's table cannot pin messages or wake logic.
-                    self.lanes[self.li].out.tallies.req.leaked += rs.matcher.clear_reqs() as u64;
-                    self.lanes[self.li].out.done += 1;
-                    return Ok(StopReason::Done);
-                }
-                Err(e) => {
-                    rs.status = RankStatus::Done;
-                    self.lanes[self.li].out.done += 1;
-                    let message = match e {
-                        pvr_ult::ResumeError::Panicked(p) => p
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| p.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "<non-string panic>".into()),
-                        pvr_ult::ResumeError::Completed => "resume after completion".into(),
-                    };
-                    return Err(RtsError::RankPanicked { rank: r, message });
-                }
-                Ok(pvr_ult::UltState::Suspended) => {}
-            }
-
-            let cmd = rs.slot.lock().cmd.take();
-            let Some(cmd) = cmd else {
-                return Err(RtsError::Protocol {
+            // A rank that raised an error stays suspended for good: its
+            // ULT is cancelled at teardown.
+            Ok(pvr_ult::UltState::Suspended) => stop.unwrap_or_else(|| {
+                Err(RtsError::Protocol {
                     rank: r,
                     detail: "rank yielded without issuing a command".into(),
-                });
-            };
-
-            match cmd {
-                Command::Send { to, tag, payload } => {
-                    let msg = self.outgoing(r, to, tag, payload, "send")?;
-                    rs.messages_sent += 1;
-                    respond(rs, Response::Ack);
-                    // `rs` must not be used past here: a send-to-self
-                    // re-derives the same rank inside `route`.
-                    self.route(msg);
-                }
-                Command::RecvMatch { spec } => match rs.matcher.recv(spec, true) {
-                    Some(m) => respond(rs, Response::Message(m)),
-                    None => {
-                        rs.status = RankStatus::Waiting;
-                        self.trace(r as u32, EventKind::Block);
-                        // answered by `deposit` when a message the spec
-                        // accepts arrives
-                        return Ok(StopReason::BlockedRecv);
-                    }
-                },
-                Command::TryRecvMatch { spec } => {
-                    let resp = match rs.matcher.recv(spec, false) {
-                        Some(m) => Response::Message(m),
-                        None => Response::NoMessage,
-                    };
-                    respond(rs, resp);
-                }
-                Command::Compute(d) => {
-                    if self.shared.clock == ClockMode::Virtual {
-                        self.lanes[self.li].state.work(d);
-                        rs.load_since_lb += d;
-                        rs.total_load += d;
-                        rs.shared
-                            .now_ns
-                            .store(self.lanes[self.li].state.clock.nanos(), Ordering::Relaxed);
-                    }
-                    respond(rs, Response::Ack);
-                }
-                Command::Yield => {
-                    respond(rs, Response::Ack);
-                    self.lanes[self.li].state.ready.push_back(r);
-                    return Ok(StopReason::Yielded);
-                }
-                Command::AtSync => {
-                    respond(rs, Response::Ack);
-                    rs.status = RankStatus::AtSync;
-                    self.lanes[self.li].out.at_sync += 1;
-                    return Ok(StopReason::AtSync);
-                }
-                Command::AllocHeap { size, align } => {
-                    let ptr = rs
-                        .memory
-                        .heap()
-                        .alloc(size, align)
-                        .map_err(|e| RtsError::Privatize(PrivatizeError::Alloc(e)))?;
-                    respond(rs, Response::Addr(ptr.ptr as usize));
-                }
-                Command::FreeHeap { addr, size } => {
-                    let res = rs.memory.heap().try_dealloc(IsoPtr {
-                        ptr: addr as *mut u8,
-                        size,
-                    });
-                    match res {
-                        Ok(()) => respond(rs, Response::Ack),
-                        Err(v) => {
-                            self.trace(
-                                r as u32,
-                                EventKind::ArenaGuardTrip {
-                                    kind: arena_trip_kind(&v),
-                                },
-                            );
-                            self.lanes[self.li].out.tallies.hardening.arena_guard_trips += 1;
-                            // No response: the rank's corrupted-heap state
-                            // must not run further; its suspended ULT is
-                            // cancelled at teardown (same as AllocHeap
-                            // failure).
-                            return Err(RtsError::ArenaGuard {
-                                rank: r,
-                                detail: v.to_string(),
-                            });
-                        }
-                    }
-                }
-                Command::ReqPostSend { to, tag, payload } => {
-                    self.check_req_capacity(r, rs.matcher.open_reqs())?;
-                    let msg = self.outgoing(r, to, tag, payload, "isend")?;
-                    rs.messages_sent += 1;
-                    let id = rs.matcher.post_send();
-                    self.lanes[self.li].out.tallies.req.send_posts += 1;
-                    self.trace(r as u32, EventKind::ReqPost { req: id, send: true });
-                    respond(rs, Response::ReqId(id));
-                    // `rs` must not be used past here: a send-to-self
-                    // re-derives the same rank inside `route`/`deposit`.
-                    if self.shared.clock == ClockMode::Virtual && self.shared.reliable.is_some() {
-                        // completes when the payload's ack arrives back
-                        // on this (the sender's) lane
-                        let seq = self.send_reliable(msg);
-                        let rs = unsafe { self.shared.ranks.resident_mut(r) };
-                        rs.matcher.await_ack(to, seq, id);
-                    } else {
-                        // unconditional delivery: buffered-send
-                        // semantics, complete at post
-                        self.route(msg);
-                        self.complete_req(self.li, r, id, None);
-                    }
-                }
-                Command::ReqPostRecv { spec } => {
-                    self.check_req_capacity(r, rs.matcher.open_reqs())?;
-                    // An already-buffered match is claimed now, oldest
-                    // first, which preserves non-overtaking.
-                    let (id, claimed) = rs.matcher.post_recv(spec);
-                    self.lanes[self.li].out.tallies.req.recv_posts += 1;
-                    self.trace(r as u32, EventKind::ReqPost { req: id, send: false });
-                    respond(rs, Response::ReqId(id));
-                    if let Some(m) = claimed {
-                        self.complete_req(self.li, r, id, Some(m));
-                    }
-                }
-                Command::ReqWait { ids, any, cont } => match rs.matcher.wait(ids, any, cont) {
-                    Ok(outcomes) => {
-                        self.tally_continuations(self.li, r, cont, &outcomes);
-                        respond(rs, Response::ReqOutcomes(outcomes));
-                    }
-                    Err(pending) => {
-                        rs.status = RankStatus::Waiting;
-                        self.lanes[self.li].out.tallies.req.wait_blocks += 1;
-                        self.trace(r as u32, EventKind::Block);
-                        let waiting = pending as u32;
-                        self.trace(r as u32, EventKind::ReqWaitBlock { waiting });
-                        // answered by `complete_req` when the wait set
-                        // is satisfied
-                        return Ok(StopReason::BlockedRecv);
-                    }
-                },
-                Command::ReqTest { ids, cont } => {
-                    let outcomes = rs.matcher.reap(&ids, true);
-                    self.tally_continuations(self.li, r, cont, &outcomes);
-                    respond(rs, Response::ReqOutcomes(outcomes));
-                }
-            }
+                })
+            }),
         }
+    }
+
+    /// Execute one command of rank `r`, the rank this lane is running:
+    /// called **on `r`'s own stack** by `RankCtx::call`, through the
+    /// pointer `run_rank_slice` published for the span of the resume.
+    /// `Done` costs no context switch; `Park` and `Err` end the slice.
+    pub(crate) fn handle(&mut self, r: RankId, cmd: Command) -> Result<Handled, RtsError> {
+        debug_assert_eq!(self.lanes[self.li].out.last_ran, Some(r));
+        // SAFETY: `r` is resident on this lane's PE and is the caller.
+        let rs = unsafe { self.shared.ranks.resident_mut(r) };
+        let resp = match cmd {
+            Command::Send { to, tag, payload } => {
+                let msg = self.outgoing(r, to, tag, payload, "send")?;
+                rs.messages_sent += 1;
+                // `rs` must not be used past here: a send-to-self
+                // re-derives the same rank inside `route`.
+                self.route(msg);
+                Response::Ack
+            }
+            Command::RecvMatch { spec } => match rs.matcher.recv(spec, true) {
+                Some(m) => Response::Message(m),
+                None => {
+                    rs.status = RankStatus::Waiting;
+                    self.trace(r as u32, EventKind::Block);
+                    // answered by `deposit` when a message the spec
+                    // accepts arrives
+                    return Ok(Handled::Park(StopReason::BlockedRecv));
+                }
+            },
+            Command::TryRecvMatch { spec } => match rs.matcher.recv(spec, false) {
+                Some(m) => Response::Message(m),
+                None => Response::NoMessage,
+            },
+            Command::Compute(d) => {
+                if self.shared.clock == ClockMode::Virtual {
+                    self.lanes[self.li].state.work(d);
+                    rs.load_since_lb += d;
+                    rs.total_load += d;
+                    let now_ns = self.lanes[self.li].state.clock.nanos();
+                    rs.shared.now_ns.store(now_ns, Ordering::Relaxed);
+                    if self.shared.tracer.is_some() {
+                        // the rank keeps running: its own emissions
+                        // (`MpiCall`) are stamped with the advanced clock
+                        pvr_trace::set_context(self.pe(), r as u32, now_ns);
+                    }
+                }
+                Response::Ack
+            }
+            Command::Yield => {
+                self.lanes[self.li].state.ready.push_back(r);
+                return Ok(Handled::Park(StopReason::Yielded));
+            }
+            Command::AtSync => {
+                rs.status = RankStatus::AtSync;
+                self.lanes[self.li].out.at_sync += 1;
+                return Ok(Handled::Park(StopReason::AtSync));
+            }
+            Command::AllocHeap { size, align } => {
+                let ptr = rs
+                    .memory
+                    .heap()
+                    .alloc(size, align)
+                    .map_err(|e| RtsError::Privatize(PrivatizeError::Alloc(e)))?;
+                Response::Addr(ptr.ptr as usize)
+            }
+            Command::FreeHeap { addr, size } => {
+                let res = rs.memory.heap().try_dealloc(IsoPtr {
+                    ptr: addr as *mut u8,
+                    size,
+                });
+                if let Err(v) = res {
+                    self.trace(
+                        r as u32,
+                        EventKind::ArenaGuardTrip {
+                            kind: arena_trip_kind(&v),
+                        },
+                    );
+                    self.lanes[self.li].out.tallies.hardening.arena_guard_trips += 1;
+                    // The rank's corrupted-heap state must not run
+                    // further (same as AllocHeap failure).
+                    return Err(RtsError::ArenaGuard {
+                        rank: r,
+                        detail: v.to_string(),
+                    });
+                }
+                Response::Ack
+            }
+            Command::ReqPostSend { to, tag, payload } => {
+                self.check_req_capacity(r, rs.matcher.open_reqs())?;
+                let msg = self.outgoing(r, to, tag, payload, "isend")?;
+                rs.messages_sent += 1;
+                let id = rs.matcher.post_send();
+                self.lanes[self.li].out.tallies.req.send_posts += 1;
+                self.trace(r as u32, EventKind::ReqPost { req: id, send: true });
+                // `rs` must not be used past here: a send-to-self
+                // re-derives the same rank inside `route`/`deposit`.
+                if self.shared.clock == ClockMode::Virtual && self.shared.reliable.is_some() {
+                    // completes when the payload's ack arrives back
+                    // on this (the sender's) lane
+                    let seq = self.send_reliable(msg);
+                    let rs = unsafe { self.shared.ranks.resident_mut(r) };
+                    rs.matcher.await_ack(to, seq, id);
+                } else {
+                    // unconditional delivery: buffered-send
+                    // semantics, complete at post
+                    self.route(msg);
+                    self.complete_req(self.li, r, id, None);
+                }
+                Response::ReqId(id)
+            }
+            Command::ReqPostRecv { spec } => {
+                self.check_req_capacity(r, rs.matcher.open_reqs())?;
+                // An already-buffered match is claimed now, oldest
+                // first, which preserves non-overtaking.
+                let (id, claimed) = rs.matcher.post_recv(spec);
+                self.lanes[self.li].out.tallies.req.recv_posts += 1;
+                self.trace(r as u32, EventKind::ReqPost { req: id, send: false });
+                if let Some(m) = claimed {
+                    self.complete_req(self.li, r, id, Some(m));
+                }
+                Response::ReqId(id)
+            }
+            Command::ReqWait { ids, any, cont } => match rs.matcher.wait(ids, any, cont) {
+                Ok(outcomes) => {
+                    self.tally_continuations(self.li, r, cont, &outcomes);
+                    Response::ReqOutcomes(outcomes)
+                }
+                Err(pending) => {
+                    rs.status = RankStatus::Waiting;
+                    self.lanes[self.li].out.tallies.req.wait_blocks += 1;
+                    self.trace(r as u32, EventKind::Block);
+                    let waiting = pending as u32;
+                    self.trace(r as u32, EventKind::ReqWaitBlock { waiting });
+                    // answered by `complete_req` when the wait set
+                    // is satisfied
+                    return Ok(Handled::Park(StopReason::BlockedRecv));
+                }
+            },
+            Command::ReqTest { ids, cont } => {
+                let outcomes = rs.matcher.reap(&ids, true);
+                self.tally_continuations(self.li, r, cont, &outcomes);
+                Response::ReqOutcomes(outcomes)
+            }
+        };
+        Ok(Handled::Done(resp))
     }
 
     /// Verify `r`'s stack red zone after a resume. A clobbered canary

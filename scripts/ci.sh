@@ -36,18 +36,6 @@ PVR_THREADS=4 cargo test -q --workspace
 echo "==> benchmark harness (benchmark/ builds against the public API; one repetition of every workload, all checks)"
 cargo test --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> seeded fault-sweep smoke (determinism gate)"
-cargo test -q -p pvr-bench --test fault_recovery seeded_fault_sweep_is_deterministic
-
-echo "==> parallel-engine determinism gate (Serial == Threads(n), bit-identical)"
-cargo test -q -p pvr-bench --test parallel_determinism
-
-echo "==> degradation-matrix gate (fallback chain lands + bit-identical)"
-cargo test -q -p pvr-bench --test privatization_matrix fallback_chain_matrix_lands_and_matches_direct_runs
-
-echo "==> guard-trip smoke (stack/arena/segment guards catch seeded corruption)"
-cargo test -q -p pvr-rts guard
-
 cores=$(nproc 2>/dev/null || echo 1)
 if [ "$cores" -ge 2 ]; then
     echo "==> engine-scaling smoke ($cores cores: parallel Jacobi must not lose to serial)"
@@ -98,9 +86,6 @@ awk -v s="$shared" 'BEGIN { exit !(s + 0 > 0) }' || {
     exit 1
 }
 
-echo "==> COW equivalence gate (COWglobals == eager PIEglobals, bit-identical)"
-cargo test -q -p pvr-bench --test cow_equivalence
-
 echo "==> elastic-smoke (rescale sweep: policy growth must beat fixed-small)"
 cargo run --release -q -p pvr-bench --bin repro -- elastic --quick
 
@@ -129,6 +114,11 @@ echo "==> dead-stack gate (incremental_engine_deterministic x100: 50 under PVR_T
 # failed this test on chance. Dead stack is out of the diff now; a hundred
 # passes in a row, not four, is what says so.
 repeat_test incremental_ckpt incremental_engine_deterministic 50 1 4
+
+echo "==> no-trap gate (only_a_rank_that_must_wait_leaves_its_stack x40: 20 under PVR_THREADS=1, 20 under 4)"
+# context_switches == ranks + wait_blocks, exactly: the one gate that
+# fails if a later change quietly puts a switch back on every command.
+repeat_test async_comm only_a_rank_that_must_wait_leaves_its_stack 20 1 4
 
 echo "==> worker-pool lifetime gate (runs_leave_no_thread_behind x50)"
 # The test reads this process's thread count right after a run has

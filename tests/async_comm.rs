@@ -409,6 +409,84 @@ fn leaked_requests_are_tallied_and_finalize_stays_clean() {
     );
 }
 
+/// The benchmark's `msg_window` regime at test size: 8 ranks in a ring
+/// (`non_smp(4)` x vp 2), 50 rounds of 64 `irecv` + 64 `isend_bytes` of
+/// 32 B, `waitall`, `waitall_sends`. Nothing else that could suspend a
+/// rank: no barrier, no blocking receive.
+fn window_run(par: Parallelism, backend: pvr_ult::Backend) -> RunReport {
+    const WINDOW: usize = 64;
+    let mut m = MachineBuilder::new(jacobi3d::binary())
+        .method(Method::TlsGlobals)
+        .clock(ClockMode::Virtual)
+        .parallelism(par)
+        .ult_backend(backend)
+        .topology(Topology::non_smp(4))
+        .vp_ratio(2)
+        .stack_size(256 * 1024)
+        .build(Arc::new(|ctx: RankCtx| {
+            let mpi = Ampi::init(ctx);
+            let (me, p) = (mpi.rank(), mpi.size());
+            let (succ, pred) = ((me + 1) % p, (me + p - 1) % p);
+            for _ in 0..50 {
+                let recvs: Vec<_> = (0..WINDOW)
+                    .map(|_| mpi.irecv(COMM_WORLD, Some(pred), Some(7)))
+                    .collect();
+                let sends: Vec<_> = (0..WINDOW)
+                    .map(|k| mpi.isend_bytes(COMM_WORLD, succ, 7, Bytes::from(vec![k as u8; 32])))
+                    .collect();
+                assert_eq!(mpi.waitall(recvs).len(), WINDOW);
+                mpi.waitall_sends(sends);
+            }
+            mpi.finalize();
+        }))
+        .unwrap();
+    m.run().unwrap()
+}
+
+/// Posting costs no context switch: a rank is switched in once to start
+/// and once after each wait that really suspended it, and never for an
+/// `irecv`, an `isend` or a wait that was already satisfied. Exact, so a
+/// change that puts a switch back on every command fails here
+/// (`scripts/ci.sh` repeats this test under both thread counts).
+#[test]
+fn only_a_rank_that_must_wait_leaves_its_stack() {
+    let serial = window_run(Parallelism::Serial, pvr_ult::Backend::native());
+    assert_eq!(serial.messages_delivered, 8 * 64 * 50);
+    assert_eq!(serial.req.recv_posts, 8 * 64 * 50);
+    assert!(serial.req.wait_blocks > 0, "some wait must really suspend");
+    assert_eq!(
+        serial.context_switches,
+        8 + serial.req.wait_blocks,
+        "one switch per first resume and one per real suspension"
+    );
+    let threads = window_run(Parallelism::Threads(2), pvr_ult::Backend::native());
+    assert_eq!(threads.sim_digest(), serial.sim_digest());
+    // handlers run on the carrier thread of a `Backend::Thread` rank
+    let carrier = window_run(Parallelism::Serial, pvr_ult::Backend::Thread);
+    assert_eq!(carrier.sim_digest(), serial.sim_digest());
+    assert_eq!(carrier.context_switches, serial.context_switches);
+}
+
+#[test]
+fn a_rank_that_never_waits_finishes_in_one_context_switch() {
+    let mut m = MachineBuilder::new(jacobi3d::binary())
+        .method(Method::TlsGlobals)
+        .clock(ClockMode::Virtual)
+        .topology(Topology::non_smp(1))
+        .build(Arc::new(|ctx: RankCtx| {
+            for _ in 0..100 {
+                ctx.compute(SimDuration::from_micros(1));
+                let p = ctx.heap_alloc(64, 8);
+                ctx.heap_free(p, 64);
+                assert!(ctx.try_recv().is_none());
+            }
+        }))
+        .unwrap();
+    let report = m.run().unwrap();
+    assert_eq!(report.sim_elapsed, SimDuration::from_micros(100));
+    assert_eq!(report.context_switches, 1);
+}
+
 /// The 3-PE machine of [`run_virtual`], one rank per PE, run to the
 /// error `body` must end it in.
 fn run_to_error(
