@@ -306,13 +306,6 @@ pub trait Privatizer: Send {
         None
     }
 
-    /// Called by the runtime immediately before `rank`'s memory is packed
-    /// (migration or checkpoint). A no-op for every current method:
-    /// lazily populated regions (CowGlobals) are packed through
-    /// [`Self::cow_segment_snapshot`] read-through overrides instead of
-    /// being materialized, so COW page sharing survives packing.
-    fn prepare_pack(&mut self, _rank: usize) {}
-
     /// Copy-on-write accounting for the dedup audit and RunReport
     /// tallies. `None` for methods without a page-granular segment model.
     fn cow_stats(&self) -> Option<CowStats> {

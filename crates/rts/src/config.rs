@@ -6,12 +6,15 @@
 //! fill the struct directly and call [`MachineConfig::validate`] to get
 //! every configuration check in one place before paying for startup.
 
+use crate::barrier::BarrierAction;
+use crate::checkpoint::Checkpoints;
 use crate::command::{RankCtx, RankShared, Slot};
 use crate::lb::LoadBalancer;
 use crate::location::LocationManager;
 use crate::machine::{ClockMode, Machine, ReliableState};
 use crate::pe::PeState;
 use crate::rank::{RankState, RankStatus};
+use crate::rescale::Geometry;
 use crate::stats::{EngineTallies, HardeningTallies, Tallies};
 use crate::worker::{HlsBlocks, RankTable};
 use crate::PeId;
@@ -148,26 +151,16 @@ pub struct MachineConfig {
     /// Maximum delta-chain length before the next periodic checkpoint
     /// compacts the chain into a fresh full base; must be ≥ 1.
     pub ckpt_max_chain: u32,
-    /// Fault injection: corrupt one payload byte (index = second element,
-    /// wrapped) of the delta captured at LB step `k` (first element)
-    /// after it is taken, exercising the failure-atomic restore abort.
-    /// Requires `ckpt_incremental`.
-    pub corrupt_ckpt_delta_at: Option<(u32, usize)>,
-    pub inject_fault_at_lb_step: Option<u32>,
-    /// PE-failure injection schedule `(lb_step, pe)`; multiple entries
-    /// (including at the same step) cascade.
-    pub inject_pe_failures: Vec<(u32, PeId)>,
+    /// What the LB barriers do besides balancing: `(lb_step, action)`
+    /// pairs, steps 1-based, in any order — [`BarrierAction`] says in
+    /// which order a barrier applies its step's actions.
+    pub barrier_script: Vec<(u32, BarrierAction)>,
     /// Start with this many active PEs (default: all). The build-time PE
     /// count stays the capacity; the rest sit deactivated until an
     /// elastic grow brings them up.
     pub active_pes: Option<usize>,
-    /// Elastic rescale schedule `(lb_step, target_active_pes)`.
-    pub rescale_at: Vec<(u32, usize)>,
     /// Automatic rescale policy, consulted at every LB barrier.
     pub rescale_policy: Option<Box<dyn crate::rescale::RescalePolicy>>,
-    /// At LB step `k`, restore the last checkpoint onto `n` active PEs
-    /// (restart-on-different-geometry). Requires `checkpoint_period > 0`.
-    pub restore_geometry_at: Option<(u32, usize)>,
     pub retransmit_base: SimDuration,
     pub retransmit_max_attempts: u32,
     /// Cap on open nonblocking requests per rank (posted, not yet
@@ -202,13 +195,9 @@ impl MachineConfig {
             checkpoint_period: 0,
             ckpt_incremental: false,
             ckpt_max_chain: 8,
-            corrupt_ckpt_delta_at: None,
-            inject_fault_at_lb_step: None,
-            inject_pe_failures: Vec::new(),
+            barrier_script: Vec::new(),
             active_pes: None,
-            rescale_at: Vec::new(),
             rescale_policy: None,
-            restore_geometry_at: None,
             retransmit_base: SimDuration::from_micros(20),
             retransmit_max_attempts: 10,
             max_outstanding_reqs: 1024,
@@ -235,20 +224,6 @@ impl MachineConfig {
                 self.stack_size
             ));
         }
-        if (self.inject_fault_at_lb_step.is_some() || !self.inject_pe_failures.is_empty())
-            && self.checkpoint_period == 0
-        {
-            return invalid(
-                "fault injection requires checkpoint_period > 0 (no checkpoint would be \
-                 available to recover from)"
-                    .into(),
-            );
-        }
-        if let Some(k) = self.inject_fault_at_lb_step {
-            if k == 0 {
-                return invalid("inject_fault_at_lb_step: LB steps are 1-based".into());
-            }
-        }
         if self.ckpt_incremental && self.checkpoint_period == 0 {
             return invalid(
                 "ckpt_incremental requires checkpoint_period > 0 (there would be no \
@@ -263,66 +238,33 @@ impl MachineConfig {
                     .into(),
             );
         }
-        if let Some((k, _)) = self.corrupt_ckpt_delta_at {
-            if !self.ckpt_incremental {
-                return invalid(
-                    "corrupt_ckpt_delta_at targets incremental delta captures; it requires \
-                     ckpt_incremental"
-                        .into(),
-                );
-            }
-            if k == 0 {
-                return invalid("corrupt_ckpt_delta_at: LB steps are 1-based".into());
-            }
-        }
-        for &(k, pe) in &self.inject_pe_failures {
-            if k == 0 {
-                return invalid("inject_pe_failure_at_lb_step: LB steps are 1-based".into());
-            }
-            if pe >= n_pes {
-                return invalid(format!(
-                    "inject_pe_failure_at_lb_step: PE {pe} out of range (job has {n_pes} PEs)"
-                ));
-            }
-            if n_pes < 2 {
-                return invalid(
-                    "inject_pe_failure_at_lb_step: surviving on fewer PEs needs at least 2 PEs"
-                        .into(),
-                );
-            }
+        for &(step, action) in &self.barrier_script {
+            use BarrierAction::*;
+            let defect = match action {
+                _ if step == 0 => "LB steps are 1-based".into(),
+                SoftFault | FailPe(_) | RestoreGeometry(_) if self.checkpoint_period == 0 => {
+                    "it requires checkpoint_period > 0 (no checkpoint would be available to \
+                     recover from)"
+                        .into()
+                }
+                CorruptDelta { .. } if !self.ckpt_incremental => {
+                    "it targets incremental delta captures and requires ckpt_incremental".into()
+                }
+                FailPe(pe) if pe >= n_pes => {
+                    format!("PE {pe} out of range (job has {n_pes} PEs)")
+                }
+                FailPe(_) if n_pes < 2 => "surviving on fewer PEs needs at least 2 PEs".into(),
+                RestoreGeometry(n) | Rescale(n) if n == 0 || n > n_pes => {
+                    format!("target {n} out of range (capacity is {n_pes} PEs)")
+                }
+                _ => continue,
+            };
+            return invalid(format!("barrier_script: {action:?} at LB step {step}: {defect}"));
         }
         if let Some(a) = self.active_pes {
             if a == 0 || a > n_pes {
                 return invalid(format!(
                     "active_pes: {a} out of range (the build-time capacity is {n_pes} PEs)"
-                ));
-            }
-        }
-        for &(k, n) in &self.rescale_at {
-            if k == 0 {
-                return invalid("rescale_at_lb_step: LB steps are 1-based".into());
-            }
-            if n == 0 || n > n_pes {
-                return invalid(format!(
-                    "rescale_at_lb_step: target {n} out of range (capacity is {n_pes} PEs)"
-                ));
-            }
-        }
-        if let Some((k, n)) = self.restore_geometry_at {
-            if self.checkpoint_period == 0 {
-                return invalid(
-                    "restore_geometry_at_lb_step requires checkpoint_period > 0 (no \
-                     checkpoint would be available to restore)"
-                        .into(),
-                );
-            }
-            if k == 0 {
-                return invalid("restore_geometry_at_lb_step: LB steps are 1-based".into());
-            }
-            if n == 0 || n > n_pes {
-                return invalid(format!(
-                    "restore_geometry_at_lb_step: target {n} out of range (capacity is \
-                     {n_pes} PEs)"
                 ));
             }
         }
@@ -656,10 +598,12 @@ impl MachineConfig {
             });
         };
 
-        let needs_rank_movement = !self.inject_pe_failures.is_empty()
-            || !self.rescale_at.is_empty()
-            || self.rescale_policy.is_some()
-            || self.restore_geometry_at.is_some();
+        let moves_ranks = |&(_, action): &(u32, BarrierAction)| {
+            use BarrierAction::*;
+            matches!(action, FailPe(_) | RestoreGeometry(_) | Rescale(_))
+        };
+        let needs_rank_movement =
+            self.rescale_policy.is_some() || self.barrier_script.iter().any(moves_ranks);
         if needs_rank_movement && !privatizers[0].supports_migration() {
             return Err(ConfigError::Invalid {
                 detail: format!(
@@ -678,6 +622,10 @@ impl MachineConfig {
         } else {
             Vec::new()
         };
+
+        // Stable: a step's actions of one kind keep the order given.
+        let mut barrier_script = self.barrier_script;
+        barrier_script.sort_by_key(|&(step, action)| (step, action.order()));
 
         let mut pes: Vec<PeState> = (0..n_pes).map(|_| PeState::default()).collect();
         for r in 0..n_ranks {
@@ -724,20 +672,15 @@ impl MachineConfig {
             lb_history: Vec::new(),
             comm_bytes: std::collections::BTreeMap::new(),
             code_dedup_migration: self.code_dedup_migration,
-            checkpoint_period: self.checkpoint_period,
-            ckpt_incremental: self.ckpt_incremental,
-            ckpt_max_chain: self.ckpt_max_chain,
-            corrupt_ckpt_delta_at: self.corrupt_ckpt_delta_at,
-            inject_fault_at_lb_step: self.inject_fault_at_lb_step,
-            inject_pe_failures: self.inject_pe_failures,
-            last_checkpoint: None,
-            alive: (0..n_pes).map(|p| p < n_active).collect(),
-            failed: vec![false; n_pes],
-            rescale_at: self.rescale_at,
+            ckpt: Checkpoints {
+                period: self.checkpoint_period,
+                incremental: self.ckpt_incremental,
+                max_chain: self.ckpt_max_chain,
+                last: None,
+            },
+            barrier_script: barrier_script.into(),
+            geometry: Geometry::new(n_pes, n_active),
             rescale_policy: self.rescale_policy,
-            pending_rescale: None,
-            restore_geometry_at: self.restore_geometry_at,
-            geometry_dirty: false,
             reliable: self.network.fault_plan().map(|plan| {
                 Mutex::new(ReliableState {
                     plan: *plan,
@@ -876,31 +819,24 @@ impl MachineBuilder {
         self
     }
 
-    /// Fault injection: corrupt one payload byte of the incremental delta
-    /// captured at LB step `k` (byte index `at`, wrapped over the patch
-    /// payload). A later restore must detect the checksum mismatch and
-    /// abort failure-atomically. Requires [`Self::ckpt_incremental`].
+    /// Script [`BarrierAction::CorruptDelta`] (byte index `at`) at LB
+    /// step `k`.
     pub fn corrupt_ckpt_delta_at(mut self, k: u32, at: usize) -> Self {
-        self.cfg.corrupt_ckpt_delta_at = Some((k, at));
+        self.cfg.barrier_script.push((k, BarrierAction::CorruptDelta { byte: at }));
         self
     }
 
-    /// Failure injection: at LB step `k`, simulate a soft memory fault
-    /// (all rank memories corrupted) and recover from the most recent
-    /// checkpoint. Requires `checkpoint_period > 0`.
+    /// Script [`BarrierAction::SoftFault`] at LB step `k`.
     pub fn inject_fault_at_lb_step(mut self, k: u32) -> Self {
-        self.cfg.inject_fault_at_lb_step = Some(k);
+        self.cfg.barrier_script.push((k, BarrierAction::SoftFault));
         self
     }
 
-    /// Failure injection: at LB step `k`, kill PE `pe` outright. The
-    /// PE's resident ranks lose their memory; buddy checkpointing
-    /// restores them onto surviving PEs and the job shrinks to the
-    /// remaining PEs. Requires `checkpoint_period > 0`, a migratable
-    /// privatization method, and at least two PEs. Call repeatedly to
-    /// schedule cascading failures (including several at one step).
+    /// Script [`BarrierAction::FailPe`] of PE `pe` at LB step `k`. Call
+    /// repeatedly to schedule cascading failures (including several at
+    /// one step).
     pub fn inject_pe_failure_at_lb_step(mut self, k: u32, pe: PeId) -> Self {
-        self.cfg.inject_pe_failures.push((k, pe));
+        self.cfg.barrier_script.push((k, BarrierAction::FailPe(pe)));
         self
     }
 
@@ -914,10 +850,9 @@ impl MachineBuilder {
         self
     }
 
-    /// Elastic rescale schedule: at LB step `k`, rescale the active set
-    /// to `n` PEs (grow or shrink; clamped to the usable capacity).
+    /// Script [`BarrierAction::Rescale`] to `n` PEs at LB step `k`.
     pub fn rescale_at_lb_step(mut self, k: u32, n: usize) -> Self {
-        self.cfg.rescale_at.push((k, n));
+        self.cfg.barrier_script.push((k, BarrierAction::Rescale(n)));
         self
     }
 
@@ -928,13 +863,10 @@ impl MachineBuilder {
         self
     }
 
-    /// Restart-on-different-geometry injection: at LB step `k`, restore
-    /// the most recent coordinated checkpoint onto `n` active PEs —
-    /// rollback on the current geometry, then canonical block
-    /// re-placement across the target active set, then re-replication.
-    /// Requires `checkpoint_period > 0` and a migratable method.
+    /// Script [`BarrierAction::RestoreGeometry`] onto `n` PEs at LB
+    /// step `k`.
     pub fn restore_geometry_at_lb_step(mut self, k: u32, n: usize) -> Self {
-        self.cfg.restore_geometry_at = Some((k, n));
+        self.cfg.barrier_script.push((k, BarrierAction::RestoreGeometry(n)));
         self
     }
 

@@ -38,7 +38,11 @@
 //! ## Structure
 //!
 //! * [`machine::Machine`] — the whole simulated job: topology, PEs,
-//!   ranks, scheduler, migration, LB.
+//!   ranks, the epoch driver, migration.
+//! * `barrier` / `checkpoint` (private) and [`rescale`] — the LB barrier
+//!   as a list of phases ([`BarrierAction`] states their order), and
+//!   the two protocols it drives, each with the state only it touches:
+//!   buddy checkpoints, and the geometry of active and failed PEs.
 //! * [`config`] — [`MachineConfig`] / [`MachineBuilder`]: validated
 //!   job configuration, startup (binary load, privatizer selection,
 //!   fallback chain), and [`ConfigError`].
@@ -57,6 +61,8 @@
 //! * [`location`] — rank → PE directory (Charm++'s distributed location
 //!   manager, centralized here).
 
+mod barrier;
+mod checkpoint;
 pub mod command;
 pub mod config;
 mod engine_parallel;
@@ -72,6 +78,7 @@ pub mod rescale;
 pub mod stats;
 mod worker;
 
+pub use barrier::BarrierAction;
 pub use command::{MatchSpec, RankCtx, WorkModel};
 pub use config::{ConfigError, MachineBuilder, MachineConfig, Parallelism};
 pub use lb::{LbStats, LoadBalancer};

@@ -4,13 +4,16 @@
 //! PEs), driven deterministically by one OS thread. See the crate docs
 //! for the real-time vs virtual-time distinction.
 
+use crate::barrier::BarrierAction;
+use crate::checkpoint::Checkpoints;
 use crate::config::Parallelism;
 use crate::engine_parallel::{self, WorkerPool};
-use crate::lb::{LbStats, LoadBalancer};
+use crate::lb::LoadBalancer;
 use crate::location::LocationManager;
 use crate::message::RtsMessage;
 use crate::pe::PeState;
 use crate::rank::RankStatus;
+use crate::rescale::Geometry;
 use crate::stats::{CowTallies, EngineTallies, Tallies};
 pub use crate::stats::{FaultTallies, HardeningTallies, LbRecord, MigrationRecord, RunReport};
 use crate::worker::{
@@ -22,6 +25,7 @@ use pvr_des::{EventQueue, FaultPlan, NetworkModel, SimDuration, SimTime, Topolog
 use pvr_isomalloc::{GuardViolation, RegionKind};
 use pvr_privatize::{Method, PrivatizeError, Privatizer};
 use pvr_trace::{ArenaTrip, EventKind, Tracer, NO_RANK};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -241,80 +245,6 @@ pub(crate) struct ReliableState {
     pub(crate) recv: std::collections::HashMap<(RankId, RankId), PairRecv>,
 }
 
-/// One incremental checkpoint delta for one rank: the sparse patch that
-/// turns the previous capture's image into this capture's image.
-///
-/// The primary copy (`patch`) exists as soon as the delta is captured;
-/// the buddy copy (`buddy_patch`) appears only when the delta is
-/// *sealed* at the next LB barrier — modeling the asynchronous stream to
-/// the buddy PE completing between barriers. A restore that must fall
-/// back to the buddy can therefore only use the sealed prefix of the
-/// chain (the consistent cut).
-struct RankDelta {
-    /// Primary copy of the sparse patch (home PE).
-    patch: pvr_isomalloc::ImageDelta,
-    /// Buddy copy; `Some` once the async stream sealed at a barrier.
-    buddy_patch: Option<pvr_isomalloc::ImageDelta>,
-    /// Checksum of `patch` at capture time, verified before restore.
-    checksum: u64,
-    /// Suspended stack pointer observed together with this capture.
-    sp: Option<usize>,
-    /// Request-engine state observed together with this capture.
-    req: crate::matching::ReqState,
-    /// Dirty-epoch floor for the *next* delta capture of this rank's COW
-    /// segment (0 when the rank has no COW segment).
-    cow_since: u64,
-}
-
-impl RankDelta {
-    /// The copy of this delta a restore reads — the home PE's, or the
-    /// buddy's when the home PE is dead — if that holder has it yet.
-    fn held(&self, from_buddy: bool) -> Option<&pvr_isomalloc::ImageDelta> {
-        if from_buddy {
-            self.buddy_patch.as_ref()
-        } else {
-            Some(&self.patch)
-        }
-    }
-}
-
-/// One rank's entry in a coordinated checkpoint. The base image is
-/// immutable once packed and has two holders — the rank's home PE and
-/// that PE's buddy — so a single PE failure cannot lose it. Both holders
-/// are this one buffer: the simulation's PEs share an address space, the
-/// copy to the buddy belongs to the asynchronous stream, not to the pause
-/// the capture is timed by, and which holder a restore reads from is
-/// decided by PE liveness alone. In incremental mode a bounded chain of
-/// [`RankDelta`]s rides on top of the base; the newest captured image is
-/// the base read through that chain and is never built.
-struct CheckpointEntry {
-    image: pvr_isomalloc::MigrationBuffer,
-    /// Suspended stack pointer observed together with the image.
-    sp: Option<usize>,
-    /// Request-engine state observed together with the image, restored
-    /// with it so rolled-back ranks see the barrier's request table.
-    req: crate::matching::ReqState,
-    /// Checksum of the image at pack time, verified before restore.
-    checksum: u64,
-    /// PE holding `image` and the unsealed tail of `deltas`.
-    primary_pe: PeId,
-    /// PE holding the second copy of `image` and the sealed deltas.
-    buddy_pe: PeId,
-    /// Incremental delta chain on top of `image`, oldest first.
-    deltas: Vec<RankDelta>,
-    /// Dirty-epoch floor for the first delta after the base capture.
-    base_cow_since: u64,
-}
-
-/// A coordinated checkpoint: one entry per rank, taken at an LB barrier.
-pub(crate) struct Checkpoint {
-    entries: Vec<CheckpointEntry>,
-    /// True while the most recent delta capture has not yet been sealed
-    /// to the buddies (its async stream is still in flight). At most the
-    /// last delta of each entry's chain can be unsealed.
-    unsealed: bool,
-}
-
 /// Map an arena guard violation to its trace-event kind.
 pub(crate) fn arena_trip_kind(v: &GuardViolation) -> ArenaTrip {
     match v {
@@ -360,47 +290,20 @@ pub struct Machine {
     /// each context switch alongside the rank's registers.
     pub(crate) pe_hls_blocks: HlsBlocks,
     pub(crate) code_dedup_migration: bool,
-    pub(crate) checkpoint_period: u32,
-    /// Incremental checkpointing: periodic captures between base images
-    /// take dirty-page deltas chained on the base.
-    pub(crate) ckpt_incremental: bool,
-    /// Delta-chain length bound; a due capture at the bound compacts
-    /// into a fresh base.
-    pub(crate) ckpt_max_chain: u32,
-    /// Fault injection `(lb_step, byte)`: corrupt one payload byte of
-    /// the delta captured at that step (failure-atomic-abort exercise).
-    pub(crate) corrupt_ckpt_delta_at: Option<(u32, usize)>,
-    pub(crate) inject_fault_at_lb_step: Option<u32>,
-    /// PE-failure injection schedule `(lb_step, pe)`, drained in order;
-    /// multiple entries at the same step cascade within one barrier.
-    pub(crate) inject_pe_failures: Vec<(u32, PeId)>,
+    /// Checkpoint configuration and the checkpoint held.
+    pub(crate) ckpt: Checkpoints,
+    /// What the barriers still to come do besides balancing, sorted by
+    /// `(step, BarrierAction::order)`; each barrier pops its own step's.
+    pub(crate) barrier_script: VecDeque<(u32, BarrierAction)>,
     /// Bytes exchanged per (from, to) rank pair since the last LB step
     /// (ordered so LB inputs are independent of merge order).
     pub(crate) comm_bytes: std::collections::BTreeMap<(RankId, RankId), u64>,
     pub(crate) lb_history: Vec<LbRecord>,
-    /// Most recent coordinated checkpoint (buddy-replicated per rank).
-    pub(crate) last_checkpoint: Option<Checkpoint>,
-    /// Liveness per PE: the *active set*. A PE leaves it by failing
-    /// (permanently) or by an elastic shrink (re-activatable by a grow).
-    pub(crate) alive: Vec<bool>,
-    /// PEs killed by fault injection — permanently unusable; an elastic
-    /// grow only reactivates PEs that are `!failed`.
-    pub(crate) failed: Vec<bool>,
-    /// Rescale schedule `(lb_step, target_active_pes)` from the config,
-    /// drained in order at LB barriers.
-    pub(crate) rescale_at: Vec<(u32, usize)>,
-    /// Automatic rescale policy, consulted at every LB barrier after the
-    /// schedule.
+    /// Which PEs are active, and which have failed.
+    pub(crate) geometry: Geometry,
+    /// Automatic rescale policy, consulted at every LB barrier the
+    /// script asks no rescale of.
     pub(crate) rescale_policy: Option<Box<dyn crate::rescale::RescalePolicy>>,
-    /// A rescale requested via [`Machine::rescale`] before/between runs,
-    /// applied at the next LB barrier.
-    pub(crate) pending_rescale: Option<usize>,
-    /// Restore the last checkpoint onto a different geometry at this LB
-    /// step `(lb_step, target_active_pes)`.
-    pub(crate) restore_geometry_at: Option<(u32, usize)>,
-    /// Set whenever the active set changes mid-run so `run_virtual`
-    /// recomputes its lookahead window.
-    pub(crate) geometry_dirty: bool,
     /// Reliable-delivery state, present when the network carries a
     /// fault plan. Behind a mutex so concurrent lanes can share it; the
     /// per-pair keying keeps its evolution deterministic regardless.
@@ -509,10 +412,16 @@ impl Machine {
     /// Record a scheduler-side trace event. Free (one `Option` branch)
     /// when no tracer is attached.
     #[inline]
-    fn trace(&self, pe: PeId, rank: u32, kind: EventKind) {
+    pub(crate) fn trace(&self, pe: PeId, rank: u32, kind: EventKind) {
         if let Some(t) = &self.tracer {
             t.record(pe, rank, self.trace_now_ns(pe), kind);
         }
+    }
+
+    /// Record an event of the whole job (a barrier's, a checkpoint's):
+    /// on PE 0's track, against no rank.
+    pub(crate) fn trace_job(&self, kind: EventKind) {
+        self.trace(0, NO_RANK, kind);
     }
 
     /// Install the tracer as this thread's emission target for the
@@ -607,7 +516,7 @@ impl Machine {
                 detail: format!("destination PE {to_pe} out of range"),
             });
         }
-        if !self.alive[to_pe] {
+        if !self.geometry.alive()[to_pe] {
             return Err(RtsError::BadMigration {
                 rank,
                 detail: format!("destination PE {to_pe} has failed"),
@@ -666,21 +575,11 @@ impl Machine {
             .network
             .cost(&self.topology, from_pe, to_pe, bytes);
 
-        // Commit location.
-        self.location.update(rank, to_pe);
-        self.ranks[rank].location = to_pe;
-        self.ranks[rank]
-            .shared
-            .current_pe
-            .store(to_pe, Ordering::Relaxed);
+        self.place(rank, to_pe);
         self.ranks[rank].migrations += 1;
         if self.ranks[rank].status == RankStatus::Ready {
             self.pes[from_pe].ready.retain(|&x| x != rank);
-            self.pes[to_pe].ready.push_back(rank);
-            if self.clock == ClockMode::Virtual {
-                let at = self.queue.now().max_of(self.pes[to_pe].clock);
-                self.queue.schedule(at, Event::PeWake { pe: to_pe });
-            }
+            self.enqueue_ready(rank, to_pe);
         }
 
         let rec = MigrationRecord {
@@ -704,6 +603,24 @@ impl Machine {
         drop(trace_scope);
         self.migrations.push(rec);
         Ok(rec)
+    }
+
+    /// `rank` now lives on `pe` — the commit point of every move, in the
+    /// three places that say where a rank is: the directory, the rank's
+    /// state, and what [`crate::RankCtx::my_pe`] reads.
+    pub(crate) fn place(&mut self, rank: RankId, pe: PeId) {
+        self.location.update(rank, pe);
+        self.ranks[rank].location = pe;
+        self.ranks[rank].shared.current_pe.store(pe, Ordering::Relaxed);
+    }
+
+    /// Put a ready `rank` on `pe`'s queue and, in virtual time, wake the PE.
+    pub(crate) fn enqueue_ready(&mut self, rank: RankId, pe: PeId) {
+        self.pes[pe].ready.push_back(rank);
+        if self.clock == ClockMode::Virtual {
+            let at = self.queue.now().max_of(self.pes[pe].clock);
+            self.queue.schedule(at, Event::PeWake { pe });
+        }
     }
 
     /// Hand a message to its target's matching engine — the barrier-time
@@ -770,50 +687,15 @@ impl Machine {
         out
     }
 
-    fn live_count(&self) -> usize {
-        self.ranks.len() - self.done_count
-    }
-
-    fn lb_due(&self) -> bool {
-        self.at_sync_count > 0 && self.at_sync_count == self.live_count()
-    }
-
-    /// The buddy PE that holds a second copy of `pe`'s checkpoint
-    /// images: the next alive PE cyclically (or `pe` itself when it is
-    /// the only survivor).
-    fn buddy_of(&self, pe: PeId) -> PeId {
-        let n = self.pes.len();
-        (1..n)
-            .map(|off| (pe + off) % n)
-            .find(|&p| self.alive[p])
-            .unwrap_or(pe)
-    }
-
     /// Bring `rank`'s stack extent up to date with its ULT's suspended
     /// stack pointer, which is returned — before anything reads, overwrites
     /// or restores the rank's memory as an image. Nobody else knows where
     /// a stack's live bytes end; the heap's extents keep themselves.
-    fn refresh_stack_extent(&mut self, rank: RankId) -> Option<usize> {
+    pub(crate) fn refresh_stack_extent(&mut self, rank: RankId) -> Option<usize> {
         let state = &mut self.ranks[rank];
         let sp = state.ult.as_ref().and_then(|u| u.suspended_sp());
         state.memory.set_stack_live(sp);
         sp
-    }
-
-    /// The fault model's "this rank's memory is gone": overwrite every
-    /// byte an image of the rank carries — each region's live extent,
-    /// heap chunks included — so any read of un-restored state is loud.
-    /// What is not rank state is left alone: heap never handed out, dead
-    /// stack, the stack guard's canaries at the stack's base.
-    fn scribble_rank(&mut self, rank: RankId) {
-        self.refresh_stack_extent(rank);
-        let memory = &self.ranks[rank].memory;
-        for reg in memory.heap_ref().regions().chain(memory.regions()) {
-            let live = reg.live();
-            // SAFETY: `live` lies inside the pinned region (`set_live`
-            // checks it), and the rank is suspended at a barrier.
-            unsafe { std::ptr::write_bytes(reg.base_mut().add(live.start), 0xDE, live.len()) };
-        }
     }
 
     /// Pack `rank`'s memory into `out` (cleared first), sourcing a COW
@@ -822,7 +704,7 @@ impl Machine {
     /// (shared pages read the template, which the backing region mirrors
     /// on unpack), but the segment's page sharing — and hence the dedup
     /// audit's numbers — survive the pack.
-    fn pack_rank_read_through(
+    pub(crate) fn pack_rank_read_through(
         &self,
         rank: RankId,
         include: impl Fn(pvr_isomalloc::RegionKind) -> bool,
@@ -838,771 +720,14 @@ impl Machine {
         });
     }
 
-    /// Current maximum delta-chain length across the checkpoint's ranks.
-    fn chain_len(ckpt: &Checkpoint) -> usize {
-        ckpt.entries.iter().map(|e| e.deltas.len()).max().unwrap_or(0)
-    }
-
-    /// Seal the in-flight delta capture, if any: the asynchronous stream
-    /// to each buddy PE completes, so every rank's latest delta gains its
-    /// buddy copy and the chain's sealed prefix (what a buddy-side
-    /// restore may use) extends to the full chain. Called at the top of
-    /// every LB barrier — the consistent-cut marker.
-    fn seal_pending_delta(&mut self) {
-        let Some(ckpt) = self.last_checkpoint.as_mut() else {
-            return;
-        };
-        if !ckpt.unsealed {
-            return;
-        }
-        let mut bytes = 0u64;
-        for e in ckpt.entries.iter_mut() {
-            if let Some(d) = e.deltas.last_mut() {
-                if d.buddy_patch.is_none() {
-                    bytes += d.patch.bytes() as u64;
-                    d.buddy_patch = Some(d.patch.clone());
-                }
-            }
-        }
-        ckpt.unsealed = false;
-        let epoch = Self::chain_len(self.last_checkpoint.as_ref().expect("just sealed")) as u32;
-        self.tallies.ckpt.seals += 1;
-        self.tallies.ckpt.async_drains += 1;
-        self.tallies.ckpt.async_bytes += bytes;
-        self.trace(0, NO_RANK, EventKind::CkptAsyncDrain { bytes });
-        self.trace(
-            0,
-            NO_RANK,
-            EventKind::CkptSeal {
-                step: self.lb_steps,
-                epoch,
-            },
-        );
-    }
-
-    /// Take one periodic capture in incremental mode: a fresh base when
-    /// no usable chain exists (first capture, a rank's layout drifted
-    /// from the previous image, or the chain hit `ckpt_max_chain` —
-    /// compaction), otherwise a dirty-page delta appended to the chain.
-    fn take_incremental_checkpoint(&mut self) {
-        let need_base = match &self.last_checkpoint {
-            None => true,
-            Some(c) => {
-                c.entries.len() != self.ranks.len()
-                    || Self::chain_len(c) as u32 >= self.ckpt_max_chain
-                    // A dead holder degrades the chain to (at most) one
-                    // live copy; re-establish two-copy redundancy with a
-                    // fresh base, exactly as full mode does each barrier.
-                    || c.entries
-                        .iter()
-                        .any(|e| !self.alive[e.primary_pe] || !self.alive[e.buddy_pe])
-                    || c.entries.iter().enumerate().any(|(r, e)| {
-                        self.ranks[r].memory.verify_layout(&e.image).is_err()
-                    })
-            }
-        };
-        if need_base {
-            let prior_chain = self.last_checkpoint.as_ref().map(Self::chain_len).unwrap_or(0);
-            self.take_checkpoint();
-            if prior_chain > 0 {
-                // The fresh base replaced a delta chain: compaction.
-                let bytes = self
-                    .last_checkpoint
-                    .as_ref()
-                    .map(|c| c.entries.iter().map(|e| e.image.len() as u64).sum())
-                    .unwrap_or(0);
-                self.tallies.ckpt.compactions += 1;
-                self.trace(
-                    0,
-                    NO_RANK,
-                    EventKind::CkptCompact {
-                        chain: prior_chain as u32,
-                        bytes,
-                    },
-                );
-            }
-            return;
-        }
-
-        let mut ckpt = self.last_checkpoint.take().expect("chain checked above");
-        let mut total_pages = 0u64;
-        let mut total_bytes = 0u64;
-        let mut dirty_ranks = 0u32;
-        for (r, e) in ckpt.entries.iter_mut().enumerate() {
-            let since = e
-                .deltas
-                .last()
-                .map(|d| d.cow_since)
-                .unwrap_or(e.base_cow_since);
-            // COW segments hand over their epoch-stamped dirty pages
-            // (read through the page table) and advance their epoch;
-            // every other region is scanned against the previous image.
-            let mut cow = self
-                .privatizers
-                .iter_mut()
-                .find_map(|p| p.cow_delta_pages(r, since));
-            // The previous capture is the base read through the chain.
-            let chain: Vec<&pvr_isomalloc::ImageDelta> =
-                e.deltas.iter().map(|d| &d.patch).collect();
-            let sp = self.refresh_stack_extent(r);
-            let patch = self.ranks[r].memory.diff_pages_against_chain(
-                &e.image,
-                &chain,
-                pvr_progimage::DEFAULT_PAGE_SIZE,
-                |reg| match &mut cow {
-                    Some(c) if reg.base() as usize == c.seg_base => {
-                        pvr_isomalloc::RegionDiffPlan::Pages {
-                            page_size: c.page_size,
-                            pages: std::mem::take(&mut c.pages),
-                        }
-                    }
-                    _ => pvr_isomalloc::RegionDiffPlan::Scan,
-                },
-            );
-            let Some(patch) = patch else {
-                // Layout drifted between the verify above and the diff
-                // (cannot happen at a quiescent barrier; defensive):
-                // discard the partial delta pass and take a fresh base.
-                self.last_checkpoint = Some(ckpt);
-                self.take_checkpoint();
-                return;
-            };
-            let cow_since = cow.map(|c| c.next_since).unwrap_or(0);
-            if !patch.is_empty() {
-                dirty_ranks += 1;
-            }
-            total_pages += patch.range_count() as u64;
-            total_bytes += patch.bytes() as u64;
-            let checksum = patch.checksum();
-            e.deltas.push(RankDelta {
-                patch,
-                buddy_patch: None,
-                checksum,
-                sp,
-                req: self.ranks[r].matcher.snapshot(),
-                cow_since,
-            });
-        }
-        ckpt.unsealed = true;
-        let chain = Self::chain_len(&ckpt) as u32;
-        self.last_checkpoint = Some(ckpt);
-        self.tallies.ckpt.deltas += 1;
-        self.tallies.ckpt.pages_delta += total_pages;
-        self.tallies.ckpt.delta_bytes += total_bytes;
-        self.tallies.ckpt.max_in_flight_bytes =
-            self.tallies.ckpt.max_in_flight_bytes.max(total_bytes);
-        self.tallies.ckpt.max_chain_len = self.tallies.ckpt.max_chain_len.max(chain);
-        self.trace(
-            0,
-            NO_RANK,
-            EventKind::CkptDelta {
-                step: self.lb_steps,
-                ranks: dirty_ranks,
-                pages: total_pages,
-                bytes: total_bytes,
-            },
-        );
-    }
-
-    /// Take a coordinated checkpoint: pack every live rank's memory
-    /// (valid at an LB barrier, where all live ranks are parked at
-    /// `AtSync` with drained mailboxes). Each image is replicated to the
-    /// home PE's buddy so one PE failure cannot lose it.
-    fn take_checkpoint(&mut self) {
-        let mut entries: Vec<CheckpointEntry> = Vec::with_capacity(self.ranks.len());
-        for r in 0..self.ranks.len() {
-            // COW methods supply a read-through view of their page table
-            // (template bytes for shared pages, backing bytes for private
-            // ones), so packing never materializes the backing store and
-            // cross-rank page sharing survives every checkpoint.
-            let mut image = pvr_isomalloc::MigrationBuffer::default();
-            let sp = self.refresh_stack_extent(r);
-            self.pack_rank_read_through(r, |_| true, &mut image);
-            let checksum = image.checksum();
-            let primary_pe = self.ranks[r].location;
-            // Epoch floor for the first delta on top of this base: pages
-            // dirtied from here on belong to the next capture.
-            let base_cow_since = if self.ckpt_incremental {
-                self.privatizers
-                    .iter_mut()
-                    .map(|p| p.cow_advance_epoch(r))
-                    .find(|&e| e > 0)
-                    .unwrap_or(0)
-            } else {
-                0
-            };
-            entries.push(CheckpointEntry {
-                image,
-                sp,
-                req: self.ranks[r].matcher.snapshot(),
-                checksum,
-                primary_pe,
-                buddy_pe: self.buddy_of(primary_pe),
-                deltas: Vec::new(),
-                base_cow_since,
-            });
-        }
-        let bytes: u64 = entries.iter().map(|e| e.image.len() as u64).sum();
-        // Degenerate-redundancy audit: with a single alive PE the buddy
-        // *is* the primary, so those images exist only once — warn
-        // loudly instead of silently halving the fault tolerance.
-        let degenerate: Vec<&CheckpointEntry> = entries
-            .iter()
-            .filter(|e| e.buddy_pe == e.primary_pe)
-            .collect();
-        if let Some(first) = degenerate.first() {
-            let pe = first.primary_pe as u32;
-            let ranks = degenerate.len() as u32;
-            self.tallies.faults.degenerate_buddies += ranks;
-            self.trace(0, NO_RANK, EventKind::BuddyDegenerate { pe, ranks });
-        }
-        self.last_checkpoint = Some(Checkpoint {
-            entries,
-            unsealed: false,
-        });
-        self.tallies.faults.checkpoints += 1;
-        self.trace(
-            0,
-            NO_RANK,
-            EventKind::CheckpointTaken {
-                step: self.lb_steps,
-                bytes,
-            },
-        );
-    }
-
-    /// Restore every rank's memory from the last checkpoint. Ranks
-    /// resume from the sync point at which the checkpoint was taken and
-    /// recompute forward — classic coordinated rollback.
-    ///
-    /// With a delta chain, the restored state is the *consistent cut*:
-    /// the longest chain prefix available on a live holder for every
-    /// rank. A rank whose primary PE is alive offers its whole chain; a
-    /// rank falling back to its buddy offers only the sealed prefix (the
-    /// async stream never delivered the unsealed tail). The minimum over
-    /// all ranks is applied everywhere, so the job resumes from one
-    /// coordinated barrier — possibly an earlier one than the latest
-    /// delta capture.
-    ///
-    /// Failure-atomic: every base image and every chained delta up to
-    /// the cut is selected (from a live holder), checksummed,
-    /// layout/bounds-verified before any rank is mutated, so a restore
-    /// that cannot succeed leaves all rank memory untouched and the
-    /// checkpoint still in place.
-    fn restore_checkpoint(&mut self) -> Result<(), RtsError> {
-        let Some(mut ckpt) = self.last_checkpoint.take() else {
-            return Err(RtsError::Protocol {
-                rank: usize::MAX,
-                detail: "fault injected with no checkpoint available".into(),
-            });
-        };
-
-        // Phase 1: verify everything, mutating nothing.
-        let unusable = |rank: RankId, e: pvr_isomalloc::rank_memory::UnpackError| {
-            RtsError::Protocol {
-                rank,
-                detail: format!("checkpoint restore failed: {e}"),
-            }
-        };
-        let unsealed = |rank: RankId| RtsError::Protocol {
-            rank,
-            detail: "checkpoint delta inside the cut is not held by the buddy".into(),
-        };
-        let verify = || -> Result<(usize, Vec<bool>), RtsError> {
-            // 1a: pick a live holder per rank and find the consistent
-            // cut — the longest chain prefix every holder can supply.
-            let mut cut = usize::MAX;
-            let mut use_buddy = Vec::with_capacity(ckpt.entries.len());
-            for (rank, e) in ckpt.entries.iter().enumerate() {
-                let from_buddy = if self.alive[e.primary_pe] {
-                    false
-                } else if self.alive[e.buddy_pe] {
-                    true
-                } else {
-                    return Err(RtsError::CheckpointLost {
-                        rank,
-                        primary_pe: e.primary_pe,
-                        buddy_pe: e.buddy_pe,
-                    });
-                };
-                let avail = if from_buddy {
-                    e.deltas
-                        .iter()
-                        .take_while(|d| d.buddy_patch.is_some())
-                        .count()
-                } else {
-                    e.deltas.len()
-                };
-                cut = cut.min(avail);
-                use_buddy.push(from_buddy);
-            }
-            let cut = if ckpt.entries.is_empty() { 0 } else { cut };
-            // 1b: verify base checksums, layouts, and every delta up to
-            // the cut (checksum + range placement) for the chosen holders.
-            for (rank, (e, &from_buddy)) in ckpt.entries.iter().zip(&use_buddy).enumerate() {
-                if e.image.checksum() != e.checksum {
-                    return Err(RtsError::Protocol {
-                        rank,
-                        detail: "checkpoint image checksum mismatch".into(),
-                    });
-                }
-                let memory = &self.ranks[rank].memory;
-                memory.verify_layout(&e.image).map_err(|e| unusable(rank, e))?;
-                for d in &e.deltas[..cut] {
-                    let patch = d.held(from_buddy).ok_or_else(|| unsealed(rank))?;
-                    if patch.checksum() != d.checksum {
-                        return Err(RtsError::Protocol {
-                            rank,
-                            detail: "checkpoint delta checksum mismatch".into(),
-                        });
-                    }
-                    // Patches land in live regions, not a staging image:
-                    // every range must sit inside one region's body.
-                    memory.verify_delta(patch).map_err(|e| unusable(rank, e))?;
-                }
-            }
-            Ok((cut, use_buddy))
-        };
-        let (cut, use_buddy) = match verify() {
-            Ok(v) => v,
-            Err(e) => {
-                // nothing was touched; keep the checkpoint for later
-                self.last_checkpoint = Some(ckpt);
-                return Err(e);
-            }
-        };
-
-        // Phase 2: restore is two-phase per rank — the base unpacked
-        // into the rank's regions and every delta up to the cut written
-        // over it in place (no staging image), then the suspension point
-        // (stack pointer) those bytes belong to. The chain is truncated
-        // to the cut: deltas past it (an unsealed tail whose primary
-        // died) are gone for every rank alike. Phase 1 proved every step
-        // below can succeed; should one fail regardless, it is an error
-        // the callers answer by abandoning the half-restored ranks.
-        for (rank, e) in ckpt.entries.iter_mut().enumerate() {
-            let from_buddy = use_buddy[rank];
-            let chain = &e.deltas[..cut];
-            // The cut's barrier state: its suspension point decides which
-            // stack bytes are state — the ones the restore writes, zeroing
-            // what the base does not store — whatever `sp` is now.
-            let sp = chain.iter().rev().find_map(|d| d.sp).or(e.sp);
-            let req = chain.last().map_or(&e.req, |d| &d.req);
-            let memory = &mut self.ranks[rank].memory;
-            memory.set_stack_live(sp);
-            memory.unpack_into(&e.image).map_err(|e| unusable(rank, e))?;
-            for d in chain {
-                let patch = d.held(from_buddy).ok_or_else(|| unsealed(rank))?;
-                memory.apply_delta(patch).map_err(|e| unusable(rank, e))?;
-            }
-            #[cfg(test)]
-            if tests::restore_skips_heap() {
-                // seeded mutant: the heap stays as the fault left it
-                for reg in memory.heap_ref().regions() {
-                    // SAFETY: as in `scribble_rank`.
-                    unsafe { std::ptr::write_bytes(reg.base_mut(), 0xDE, reg.live().end) };
-                }
-            }
-            // The request table rolls back with the memory it belongs
-            // to — the cut's barrier state.
-            self.ranks[rank].matcher.restore(req);
-            e.deltas.truncate(cut);
-            if let Some(sp) = sp {
-                // SAFETY: the stack bytes were just restored to exactly
-                // the state observed together with this sp.
-                unsafe {
-                    self.ranks[rank]
-                        .ult
-                        .as_mut()
-                        .expect("rank ULT present")
-                        .restore_suspended_sp(sp);
-                }
-            }
-        }
-        ckpt.unsealed = ckpt
-            .entries
-            .iter()
-            .any(|e| e.deltas.last().is_some_and(|d| d.buddy_patch.is_none()));
-        let ranks = ckpt.entries.len() as u32;
-        self.last_checkpoint = Some(ckpt);
-        self.tallies.faults.recoveries += 1;
-        self.trace(0, NO_RANK, EventKind::Recovery { ranks });
-        Ok(())
-    }
-
-    /// Size of the base images of the checkpoint currently held, summed
-    /// over ranks: `(logical, stored)` — what the reports count and the
-    /// network model is charged, and what the buffers hold. `(0, 0)`
-    /// without a checkpoint.
-    pub fn checkpoint_image_bytes(&self) -> (usize, usize) {
-        self.last_checkpoint.iter().flat_map(|c| &c.entries).fold((0, 0), |(l, s), e| {
-            (l + e.image.len(), s + e.image.stored_len())
-        })
-    }
-
-    /// Checkpoint/restart totals: (checkpoints taken, recoveries done).
-    pub fn fault_tolerance_stats(&self) -> (u32, u32) {
-        (self.tallies.faults.checkpoints, self.tallies.faults.recoveries)
-    }
-
-    /// Kill PE `pe`: its resident ranks lose their memory, the machine
-    /// rolls every rank back to the last coordinated checkpoint, and the
-    /// dead PE's ranks are adopted by the surviving PEs (buddy images
-    /// make the rollback possible even though the primary copy died with
-    /// the PE).
-    fn fail_pe(&mut self, pe: PeId) -> Result<(), RtsError> {
-        if !self.alive[pe] {
-            return Ok(());
-        }
-        if self.alive.iter().filter(|a| **a).count() < 2 {
-            return Err(RtsError::Protocol {
-                rank: usize::MAX,
-                detail: format!("cannot fail PE {pe}: it is the last alive PE"),
-            });
-        }
-        if self.done_count > 0 {
-            return Err(RtsError::Protocol {
-                rank: usize::MAX,
-                detail: "PE failure after rank completion is unsupported \
-                         (completed ranks cannot roll back)"
-                    .into(),
-            });
-        }
-        if self.last_checkpoint.is_none() {
-            return Err(RtsError::Protocol {
-                rank: usize::MAX,
-                detail: "fault injected with no checkpoint available".into(),
-            });
-        }
-        let lost: Vec<RankId> = self.location.residents(pe).collect();
-        self.tallies.faults.pe_failures += 1;
-        self.trace(
-            pe,
-            NO_RANK,
-            EventKind::PeFail {
-                pe: pe as u32,
-                ranks_lost: lost.len() as u32,
-            },
-        );
-        self.alive[pe] = false;
-        self.failed[pe] = true;
-        self.geometry_dirty = true;
-        self.pes[pe].ready.clear();
-        // The dead PE's rank images are gone.
-        for &r in &lost {
-            self.scribble_rank(r);
-        }
-        // Coordinated rollback of every rank (survivors included).
-        if let Err(e) = self.restore_checkpoint() {
-            // The scribbled stacks can never be unwound safely; abandon
-            // those ULTs so Machine teardown doesn't resume onto them.
-            self.abandon_ranks(&lost);
-            return Err(e);
-        }
-        self.reseed_guards_after_restore();
-        // Survivors adopt the dead PE's ranks (least-loaded first).
-        for r in lost {
-            let target = self.least_loaded_alive_pe();
-            let rec = self.migrate_now(r, target)?;
-            if self.clock == ClockMode::Virtual {
-                self.pes[target].work(rec.sim_cost);
-            }
-        }
-        Ok(())
-    }
-
-    /// The alive PE with the smallest resident load (sum of its ranks'
-    /// load since the last LB step), ties broken by PE id.
-    fn least_loaded_alive_pe(&self) -> PeId {
-        (0..self.pes.len())
-            .filter(|&p| self.alive[p])
-            .min_by(|&a, &b| {
-                let load = |pe: PeId| -> SimDuration {
-                    self.location
-                        .residents(pe)
-                        .map(|r| self.ranks[r].load_since_lb)
-                        .fold(SimDuration::ZERO, |acc, d| acc + d)
-                };
-                load(a).cmp(&load(b)).then(a.cmp(&b))
-            })
-            .expect("at least one alive PE")
-    }
-
-    /// First alive PE at or cyclically after `p` (placement repair after
-    /// a PE death).
-    fn first_alive_from(&self, p: PeId) -> PeId {
-        let n = self.pes.len();
-        (0..n)
-            .map(|off| (p + off) % n)
-            .find(|&q| self.alive[q])
-            .expect("at least one alive PE")
-    }
-
-    /// PEs currently in the active set.
-    pub fn active_pes(&self) -> usize {
-        self.alive.iter().filter(|a| **a).count()
-    }
-
-    /// Request an elastic rescale of the active set to `n` PEs, applied
-    /// at the next LB barrier (clamped to `1..=usable` where usable
-    /// excludes permanently-failed PEs). The build-time PE count is the
-    /// capacity: `n` beyond it is clamped down.
-    pub fn rescale(&mut self, n: usize) {
-        self.pending_rescale = Some(n);
-    }
-
-    /// Elastic tallies accumulated so far.
-    pub fn elastic_stats(&self) -> crate::stats::ElasticTallies {
-        self.tallies.elastic
-    }
-
-    /// The canonical active set for `target` PEs: the lowest-indexed
-    /// `target` non-failed PEs. Canonicalizing makes a rescale's outcome
-    /// a pure function of (failed set, target), independent of the
-    /// rescale history — the determinism bar's foundation.
-    fn canonical_active(&self, target: usize) -> Vec<PeId> {
-        let usable: Vec<PeId> = (0..self.pes.len()).filter(|&p| !self.failed[p]).collect();
-        let target = target.clamp(1, usable.len());
-        usable[..target].to_vec()
-    }
-
-    /// What a [`crate::rescale::RescalePolicy`] sees at this barrier:
-    /// per-active-PE window loads (resident ranks' load since the last
-    /// LB step), in active-PE order.
-    fn rescale_stats(&self) -> crate::rescale::RescaleStats {
-        let active: Vec<PeId> = (0..self.pes.len()).filter(|&p| self.alive[p]).collect();
-        let pe_loads = active
-            .iter()
-            .map(|&p| {
-                self.location
-                    .residents(p)
-                    .map(|r| self.ranks[r].load_since_lb.as_secs_f64())
-                    .sum()
-            })
-            .collect();
-        crate::rescale::RescaleStats {
-            active_pes: active.len(),
-            capacity: self.pes.len(),
-            usable_pes: self.failed.iter().filter(|f| !**f).count(),
-            pe_loads,
-            step: self.lb_steps,
-        }
-    }
-
-    /// Commit an elastic rescale at an LB barrier (every live rank is
-    /// parked at `AtSync`, ready queues are empty). Grown PEs rejoin the
-    /// active set (their lanes and event-queue slices already exist at
-    /// capacity; the barrier's clock advance below brings their stale
-    /// clocks up). Shrunk PEs are drained by migrating their residents
-    /// to the least-loaded surviving PEs. Afterwards the buddy
-    /// checkpoints are re-replicated onto the new geometry so no rank
-    /// has fewer than two live copies.
-    fn do_rescale(&mut self, target: usize) -> Result<(), RtsError> {
-        let new_active = self.canonical_active(target);
-        let old_count = self.active_pes();
-        let is_active = |p: PeId| new_active.contains(&p);
-        let activated: Vec<PeId> = (0..self.pes.len())
-            .filter(|&p| is_active(p) && !self.alive[p])
-            .collect();
-        let deactivated: Vec<PeId> = (0..self.pes.len())
-            .filter(|&p| !is_active(p) && self.alive[p])
-            .collect();
-        if activated.is_empty() && deactivated.is_empty() {
-            return Ok(());
-        }
-        for &p in &activated {
-            self.alive[p] = true;
-        }
-        for &d in &deactivated {
-            self.alive[d] = false;
-            debug_assert!(self.pes[d].ready.is_empty(), "barrier ready queue not empty");
-        }
-        // Drain the shrunk PEs: at the barrier their residents are all
-        // AtSync (or Done, which never runs again and needs no move).
-        let mut drained = 0u32;
-        for &d in &deactivated {
-            let residents: Vec<RankId> = self.location.residents(d).collect();
-            for r in residents {
-                if self.ranks[r].status == RankStatus::Done {
-                    continue;
-                }
-                let to = self.least_loaded_alive_pe();
-                let rec = self.migrate_now(r, to)?;
-                if self.clock == ClockMode::Virtual {
-                    // both endpoints pay the transfer, as in LB moves
-                    self.pes[d].work(rec.sim_cost);
-                    self.pes[to].work(rec.sim_cost);
-                }
-                drained += 1;
-            }
-        }
-        self.geometry_dirty = true;
-        self.tallies.elastic.rescales += 1;
-        self.tallies.elastic.pes_activated += activated.len() as u32;
-        self.tallies.elastic.pes_deactivated += deactivated.len() as u32;
-        self.tallies.elastic.ranks_drained += drained;
-        self.trace(
-            0,
-            NO_RANK,
-            EventKind::Rescale {
-                from_pes: old_count as u32,
-                to_pes: new_active.len() as u32,
-                moved_ranks: drained,
-            },
-        );
-        self.re_replicate();
-        Ok(())
-    }
-
-    /// Re-replicate the checkpoint images onto the current geometry.
-    ///
-    /// Full mode: a fresh coordinated checkpoint whose primary/buddy
-    /// assignment is computed over the new active set. Incremental mode
-    /// with a live chain: the chain itself is re-homed — any in-flight
-    /// delta is sealed first, then every entry's primary/buddy move to
-    /// the rank's current PE and its buddy, and the re-replication
-    /// traffic is the base plus the sealed chain (not a flattened copy,
-    /// and not a fresh capture — no `CheckpointTaken` is emitted). Gated
-    /// like the periodic checkpoint (completed ranks cannot be
-    /// re-captured).
-    fn re_replicate(&mut self) {
-        if self.checkpoint_period == 0 || self.done_count > 0 {
-            return;
-        }
-        if self.ckpt_incremental && self.last_checkpoint.is_some() {
-            // Chain re-homing: complete the async stream, then move the
-            // copies (the byte movement is the re-replication traffic).
-            self.seal_pending_delta();
-            let mut ckpt = self.last_checkpoint.take().expect("checked above");
-            let mut bytes = 0u64;
-            for (r, e) in ckpt.entries.iter_mut().enumerate() {
-                let primary = self.ranks[r].location;
-                e.primary_pe = primary;
-                e.buddy_pe = self.buddy_of(primary);
-                bytes += e.image.len() as u64;
-                bytes += e
-                    .deltas
-                    .iter()
-                    .filter(|d| d.buddy_patch.is_some())
-                    .map(|d| d.patch.bytes() as u64)
-                    .sum::<u64>();
-            }
-            let ranks = ckpt.entries.len() as u32;
-            let degenerate = ckpt
-                .entries
-                .iter()
-                .filter(|e| e.buddy_pe == e.primary_pe)
-                .count() as u32;
-            let degenerate_pe = ckpt
-                .entries
-                .iter()
-                .find(|e| e.buddy_pe == e.primary_pe)
-                .map(|e| e.primary_pe as u32);
-            self.last_checkpoint = Some(ckpt);
-            if let Some(pe) = degenerate_pe {
-                self.tallies.faults.degenerate_buddies += degenerate;
-                self.trace(
-                    0,
-                    NO_RANK,
-                    EventKind::BuddyDegenerate {
-                        pe,
-                        ranks: degenerate,
-                    },
-                );
-            }
-            self.tallies.elastic.re_replications += 1;
-            self.trace(0, NO_RANK, EventKind::ReReplicate { ranks, bytes });
-            return;
-        }
-        self.take_checkpoint();
-        let (ranks, bytes) = self
-            .last_checkpoint
-            .as_ref()
-            .map(|c| {
-                (
-                    c.entries.len() as u32,
-                    c.entries.iter().map(|e| e.image.len() as u64).sum(),
-                )
-            })
-            .unwrap_or((0, 0));
-        self.tallies.elastic.re_replications += 1;
-        self.trace(0, NO_RANK, EventKind::ReReplicate { ranks, bytes });
-    }
-
-    /// Restore the last checkpoint onto a different geometry: coordinated
-    /// rollback (holders selected on the *current* active set — the
-    /// checkpoint predates the geometry change), then switch the active
-    /// set to the canonical `target` PEs and re-place every live rank in
-    /// block order across them, exactly as a restart at that geometry
-    /// would. Placement is a directory update, not a migration: the rank
-    /// images were just restored, so there is no memory to move and no
-    /// transfer to charge. Finishes by re-replicating the checkpoint on
-    /// the new geometry.
-    fn do_geometry_restore(&mut self, target: usize) -> Result<(), RtsError> {
-        if self.done_count > 0 {
-            return Err(RtsError::Protocol {
-                rank: usize::MAX,
-                detail: "geometry restore after rank completion is unsupported \
-                         (completed ranks cannot roll back)"
-                    .into(),
-            });
-        }
-        self.restore_checkpoint()?;
-        self.reseed_guards_after_restore();
-        let new_active = self.canonical_active(target);
-        let old_count = self.active_pes();
-        for p in 0..self.pes.len() {
-            self.alive[p] = new_active.contains(&p);
-        }
-        match new_active.len().cmp(&old_count) {
-            std::cmp::Ordering::Greater => {
-                self.tallies.elastic.pes_activated += (new_active.len() - old_count) as u32
-            }
-            std::cmp::Ordering::Less => {
-                self.tallies.elastic.pes_deactivated += (old_count - new_active.len()) as u32
-            }
-            std::cmp::Ordering::Equal => {}
-        }
-        // Restart-style block placement over the new active list — the
-        // same mapping `LocationManager::new_block` would produce for a
-        // fresh machine with this many PEs.
-        let n_ranks = self.ranks.len();
-        let ratio = n_ranks.div_ceil(new_active.len());
-        for r in 0..n_ranks {
-            let pe = new_active[(r / ratio).min(new_active.len() - 1)];
-            self.location.update(r, pe);
-            self.ranks[r].location = pe;
-        }
-        self.geometry_dirty = true;
-        self.tallies.elastic.geometry_restores += 1;
-        self.trace(
-            0,
-            NO_RANK,
-            EventKind::GeometryRestore {
-                ranks: n_ranks as u32,
-                to_pes: new_active.len() as u32,
-            },
-        );
-        self.re_replicate();
-        Ok(())
-    }
-
-    /// Write off ranks whose memory was scribbled by an injected fault and
-    /// could not be restored: their suspended stacks must never be resumed
-    /// (not even for cancellation-unwind at drop), so the ULTs leak.
-    fn abandon_ranks(&mut self, ranks: &[RankId]) {
-        for &r in ranks {
-            if let Some(ult) = self.ranks[r].ult.as_mut() {
-                ult.abandon();
-            }
-        }
-    }
-
     /// Barrier-time guard audits, run while every live rank is quiescent:
     /// sweep each rank's arena quarantine for writes through stale
     /// pointers, then checksum every privatized data segment and emit the
-    /// summary `SegmentAudit` event.
-    fn audit_guards_at_barrier(&mut self) -> Result<(), RtsError> {
+    /// summary `SegmentAudit` event. Nothing to do with guards off.
+    pub(crate) fn audit(&mut self) -> Result<(), RtsError> {
+        if !self.guards {
+            return Ok(());
+        }
         for r in 0..self.ranks.len() {
             if let Err(v) = self.ranks[r].memory.heap_ref().audit_quarantine() {
                 let pe = self.ranks[r].location;
@@ -1635,14 +760,10 @@ impl Machine {
                     victim.get_or_insert(q);
                 }
             }
-            self.trace(
-                0,
-                NO_RANK,
-                EventKind::SegmentAudit {
-                    ranks: audited,
-                    dirty,
-                },
-            );
+            self.trace_job(EventKind::SegmentAudit {
+                ranks: audited,
+                dirty,
+            });
             self.tallies.hardening.segment_audits += 1;
             if let Some(q) = victim {
                 // The per-slice check clears after every resume, so bleed
@@ -1661,7 +782,7 @@ impl Machine {
     /// Recovery rewrites rank memory wholesale: reseed the segment
     /// baselines and reset each arena's quarantine so stale poison
     /// expectations don't fire as false guard trips on restored bytes.
-    fn reseed_guards_after_restore(&mut self) {
+    pub(crate) fn reseed_guards_after_restore(&mut self) {
         if !self.guards {
             return;
         }
@@ -1677,267 +798,6 @@ impl Machine {
                 .map(|q| segment_checksum_in(&self.privatizers, q))
                 .collect();
         }
-    }
-
-    /// Run one LB step: measure, rebalance, migrate, release.
-    fn do_lb_step(&mut self) -> Result<(), RtsError> {
-        self.lb_steps += 1;
-        let migrations_before = self.migrations.len();
-
-        // The previous barrier's delta capture finished streaming to the
-        // buddies somewhere between the barriers; reaching this barrier
-        // seals it — the consistent-cut marker.
-        if self.ckpt_incremental {
-            self.seal_pending_delta();
-        }
-
-        // Guard audits run first, on quiescent pre-checkpoint state, so a
-        // checkpoint can never capture (and later faithfully restore)
-        // corruption the guards would have caught.
-        if self.guards {
-            self.audit_guards_at_barrier()?;
-        }
-
-        // Coordinated checkpointing and fault injection happen at the
-        // barrier, where every live rank is quiescent.
-        if self.checkpoint_period > 0
-            && self.done_count == 0
-            && self.lb_steps % self.checkpoint_period == 1 % self.checkpoint_period.max(1)
-        {
-            // The capture *is* the application pause (the async buddy
-            // stream is not): wall-clock it in both modes.
-            let t0 = Instant::now();
-            if self.ckpt_incremental {
-                self.take_incremental_checkpoint();
-            } else {
-                self.take_checkpoint();
-            }
-            self.tallies.ckpt.pause_ns += t0.elapsed().as_nanos() as u64;
-        }
-        // Fault injection: flip one payload byte of this step's delta
-        // capture (its checksum was recorded pre-flip, so a restore from
-        // this chain must detect the mismatch and abort atomically).
-        if let Some((step, at)) = self.corrupt_ckpt_delta_at {
-            if step == self.lb_steps {
-                self.corrupt_ckpt_delta_at = None;
-                if let Some(ckpt) = self.last_checkpoint.as_mut() {
-                    for e in ckpt.entries.iter_mut() {
-                        let corrupted = e
-                            .deltas
-                            .last_mut()
-                            .is_some_and(|d| d.patch.corrupt_byte(at));
-                        if corrupted {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if self.inject_fault_at_lb_step == Some(self.lb_steps) {
-            // refuse before destroying anything if recovery is impossible
-            if self.last_checkpoint.is_none() {
-                return Err(RtsError::Protocol {
-                    rank: usize::MAX,
-                    detail: "fault injected with no checkpoint available".into(),
-                });
-            }
-            // soft fault: scribble over every rank's memory...
-            for r in 0..self.ranks.len() {
-                self.scribble_rank(r);
-            }
-            // ...and recover from the checkpoint before anything runs.
-            if let Err(e) = self.restore_checkpoint() {
-                // Every stack is scribbled; abandon all ULTs so teardown
-                // doesn't unwind onto garbage frames.
-                let all: Vec<RankId> = (0..self.ranks.len()).collect();
-                self.abandon_ranks(&all);
-                return Err(e);
-            }
-            self.reseed_guards_after_restore();
-            self.inject_fault_at_lb_step = None;
-        }
-        // Drain this step's PE-failure schedule in order; entries at the
-        // same step cascade within one barrier (each runs its own
-        // rollback, so the second failure exercises the buddy copies the
-        // first one left behind).
-        let mut failed_this_step = false;
-        while let Some(idx) = self
-            .inject_pe_failures
-            .iter()
-            .position(|&(step, _)| step == self.lb_steps)
-        {
-            let (_, pe) = self.inject_pe_failures.remove(idx);
-            self.fail_pe(pe)?;
-            failed_this_step = true;
-        }
-
-        // Restart-on-different-geometry injection: roll back to the last
-        // checkpoint, then re-place every rank onto the target active
-        // set as a restart would (no migration traffic — the images were
-        // just restored, placement is free).
-        if let Some((step, target)) = self.restore_geometry_at {
-            if step == self.lb_steps {
-                self.restore_geometry_at = None;
-                self.do_geometry_restore(target)?;
-            }
-        }
-
-        // Elastic rescale decision: an explicit `Machine::rescale`
-        // request wins, then the config schedule, then the policy.
-        // Failure-atomicity: if a PE failure struck this same barrier,
-        // the planned rescale is abandoned and the pre-failure recovery
-        // path keeps the (shrunken) pre-rescale geometry.
-        let requested = if let Some(n) = self.pending_rescale.take() {
-            Some(n)
-        } else {
-            let mut scheduled = None;
-            while let Some(idx) = self
-                .rescale_at
-                .iter()
-                .position(|&(step, _)| step == self.lb_steps)
-            {
-                scheduled = Some(self.rescale_at.remove(idx).1);
-            }
-            if scheduled.is_some() {
-                scheduled
-            } else if let Some(policy) = &self.rescale_policy {
-                policy.decide(&self.rescale_stats())
-            } else {
-                None
-            }
-        };
-        if let Some(target) = requested {
-            if failed_this_step {
-                self.tallies.elastic.rescales_aborted += 1;
-                self.trace(
-                    0,
-                    NO_RANK,
-                    EventKind::RescaleAborted {
-                        from_pes: self.active_pes() as u32,
-                        to_pes: target as u32,
-                    },
-                );
-            } else {
-                self.do_rescale(target)?;
-            }
-        }
-
-        // Virtual mode: the sync point is a barrier — all alive PEs meet
-        // at the max alive clock.
-        if self.clock == ClockMode::Virtual {
-            let max_clock = self
-                .pes
-                .iter()
-                .zip(&self.alive)
-                .filter(|(_, alive)| **alive)
-                .map(|(p, _)| p.clock)
-                .max()
-                .unwrap_or(SimTime::ZERO);
-            for (pe, alive) in self.pes.iter_mut().zip(&self.alive) {
-                if *alive {
-                    pe.advance_to(max_clock);
-                }
-            }
-        }
-
-        if let Some(balancer) = self.balancer.take() {
-            // Balancers see the *active* geometry: dead and deactivated
-            // PEs are compacted out, so `n_pes` is the live count and
-            // placements are dense indices into the active list. With
-            // every PE alive this is the identity mapping; after a
-            // failure or rescale it keeps strategies spreading load over
-            // exactly the PEs that can run ranks.
-            let active: Vec<PeId> = (0..self.pes.len()).filter(|&p| self.alive[p]).collect();
-            let mut dense = vec![0usize; self.pes.len()];
-            for (i, &p) in active.iter().enumerate() {
-                dense[p] = i;
-            }
-            let stats = LbStats {
-                loads: self
-                    .ranks
-                    .iter()
-                    .map(|r| r.load_since_lb.as_secs_f64())
-                    .collect(),
-                placement: self
-                    .location
-                    .placements()
-                    .iter()
-                    .map(|&p| dense[p])
-                    .collect(),
-                n_pes: active.len(),
-                migration_bytes: self.ranks.iter().map(|r| r.migration_bytes()).collect(),
-                comm_bytes: self
-                    .comm_bytes
-                    .iter()
-                    .map(|(&(a, b), &v)| (a, b, v))
-                    .collect(),
-            };
-            let mut new_placement = balancer.rebalance(&stats);
-            self.balancer = Some(balancer);
-            assert_eq!(new_placement.len(), self.ranks.len());
-
-            // LB database entry (in the dense active-PE view, matching
-            // what the strategy was shown)
-            self.lb_history.push(LbRecord {
-                step: self.lb_steps,
-                at: self.pes.iter().map(|p| p.clock).max().unwrap_or(SimTime::ZERO),
-                pe_loads_before: stats.pe_loads(&stats.placement),
-                pe_loads_after: stats.pe_loads(&new_placement),
-                migrations: stats.migration_count(&new_placement),
-                comm_bytes: stats.comm_bytes.iter().map(|&(_, _, b)| b).sum(),
-            });
-
-            // Map dense indices back to real PEs. A buggy strategy may
-            // return an out-of-range slot; repair it to an alive PE
-            // instead of panicking — LB output is advisory.
-            for p in new_placement.iter_mut() {
-                *p = match active.get(*p) {
-                    Some(&pe) => pe,
-                    None => self.first_alive_from((*p).min(self.pes.len() - 1)),
-                };
-            }
-
-            for (r, &new_pe) in new_placement.iter().enumerate() {
-                if self.ranks[r].status == RankStatus::Done {
-                    continue;
-                }
-                if new_pe != self.ranks[r].location {
-                    let rec = self.migrate_now(r, new_pe)?;
-                    if self.clock == ClockMode::Virtual {
-                        // both endpoints pay the transfer
-                        let from = rec.from_pe;
-                        let to = rec.to_pe;
-                        self.pes[from].work(rec.sim_cost);
-                        self.pes[to].work(rec.sim_cost);
-                    }
-                }
-            }
-        }
-
-        // reset loads, the comm graph, and release everyone
-        self.comm_bytes.clear();
-        for r in 0..self.ranks.len() {
-            self.ranks[r].load_since_lb = SimDuration::ZERO;
-            if self.ranks[r].status == RankStatus::AtSync {
-                self.ranks[r].status = RankStatus::Ready;
-                let pe = self.ranks[r].location;
-                self.pes[pe].ready.push_back(r);
-                if self.clock == ClockMode::Virtual {
-                    let at = self.queue.now().max_of(self.pes[pe].clock);
-                    self.queue.schedule(at, Event::PeWake { pe });
-                }
-            }
-        }
-        self.at_sync_count = 0;
-        self.trace(
-            0,
-            NO_RANK,
-            EventKind::LbStep {
-                step: self.lb_steps,
-                migrations: (self.migrations.len() - migrations_before) as u32,
-            },
-        );
-        Ok(())
     }
 
     /// Worker threads `run` will actually use: the configured
@@ -1969,10 +829,10 @@ impl Machine {
     /// Only *active* PE pairs count: dead and deactivated PEs source no
     /// events, so links touching them cannot constrain the window. The
     /// machine recomputes this whenever the active set changes
-    /// (`geometry_dirty`) — epoch partitioning does not affect merged
+    /// (`Geometry::take_dirty`) — epoch partitioning does not affect merged
     /// results, so a mid-run window change preserves bit-identity.
     fn lookahead(&self) -> Lookahead {
-        let active: Vec<PeId> = (0..self.pes.len()).filter(|&p| self.alive[p]).collect();
+        let active = self.geometry.active();
         if active.len() <= 1 {
             return Lookahead::Unbounded;
         }
@@ -2163,7 +1023,7 @@ impl Machine {
             location: &self.location,
             ranks: &self.ranks,
             hls: &self.pe_hls_blocks,
-            alive: &self.alive,
+            alive: self.geometry.alive(),
             tracer: self.tracer.as_ref(),
             reliable: self.reliable.as_ref(),
             epoch_start: self.epoch,
@@ -2248,11 +1108,7 @@ impl Machine {
             }
         }
         self.tallies.cow = self.collect_cow_tallies();
-        self.tallies.ckpt.chain_len = self
-            .last_checkpoint
-            .as_ref()
-            .map(|c| Self::chain_len(c) as u32)
-            .unwrap_or(0);
+        self.tallies.ckpt.chain_len = self.ckpt.chain_len();
         let t = self.tallies;
         Ok(RunReport {
             sim_elapsed: self
@@ -2334,37 +1190,48 @@ impl Machine {
         }
         let diverged: u64 = union.iter().map(|w| w.count_ones() as u64).sum();
         cow.shared_pages = cow.total_pages.saturating_sub(diverged);
-        self.trace(
-            0,
-            pvr_trace::NO_RANK,
-            pvr_trace::EventKind::DedupAudit {
-                ranks: ranks as u32,
-                shared_pages: cow.shared_pages,
-                total_pages: cow.total_pages,
-            },
-        );
+        self.trace_job(pvr_trace::EventKind::DedupAudit {
+            ranks: ranks as u32,
+            shared_pages: cow.shared_pages,
+            total_pages: cow.total_pages,
+        });
         cow
     }
 
+    /// Run the LB barrier if every live rank is parked at it, and bring
+    /// `lookahead` up to date if that changed the active set. Returns
+    /// whether a barrier ran.
+    fn barrier_if_due(&mut self, lookahead: &mut Lookahead) -> Result<bool, RtsError> {
+        let live = self.ranks.len() - self.done_count;
+        let due = self.at_sync_count > 0 && self.at_sync_count == live;
+        if due {
+            self.do_lb_step()?;
+            if self.geometry.take_dirty() {
+                *lookahead = self.lookahead();
+            }
+        }
+        Ok(due)
+    }
+
+    /// Nothing can run and no barrier is due: the job is finished, or
+    /// its live ranks are blocked forever.
+    fn finished_or_deadlocked(&self) -> Result<(), RtsError> {
+        let waiting: Vec<RankId> =
+            (0..self.ranks.len()).filter(|&r| !self.ranks[r].is_done()).collect();
+        if waiting.is_empty() {
+            Ok(())
+        } else {
+            Err(RtsError::Deadlock { waiting })
+        }
+    }
+
     fn run_real(&mut self, pool: Option<&WorkerPool>) -> Result<(), RtsError> {
+        // Real time forms no epochs; the barrier keeps this current anyway.
+        let mut lookahead = Lookahead::Unbounded;
         while self.done_count < self.ranks.len() {
             let progressed = self.run_real_burst(pool)?;
-            if self.lb_due() {
-                self.do_lb_step()?;
-                continue;
-            }
-            if !progressed {
-                let waiting: Vec<RankId> = self
-                    .ranks
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| !r.is_done())
-                    .map(|(i, _)| i)
-                    .collect();
-                if waiting.is_empty() {
-                    break;
-                }
-                return Err(RtsError::Deadlock { waiting });
+            if !self.barrier_if_due(&mut lookahead)? && !progressed {
+                return self.finished_or_deadlocked();
             }
         }
         Ok(())
@@ -2391,25 +1258,10 @@ impl Machine {
                 }
             }
             if batch.is_empty() {
-                if self.lb_due() {
-                    self.do_lb_step()?;
-                    if self.geometry_dirty {
-                        lookahead = self.lookahead();
-                        self.geometry_dirty = false;
-                    }
+                if self.barrier_if_due(&mut lookahead)? {
                     continue;
                 }
-                let waiting: Vec<RankId> = self
-                    .ranks
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| !r.is_done())
-                    .map(|(i, _)| i)
-                    .collect();
-                if waiting.is_empty() {
-                    break;
-                }
-                return Err(RtsError::Deadlock { waiting });
+                return self.finished_or_deadlocked();
             }
             let horizon = match lookahead {
                 Lookahead::Unbounded => SimTime::MAX,
@@ -2419,13 +1271,7 @@ impl Machine {
                 Lookahead::Window(l) => batch[0].0.saturating_add(l),
             };
             self.run_epoch(&mut batch, horizon, pool)?;
-            if self.lb_due() {
-                self.do_lb_step()?;
-                if self.geometry_dirty {
-                    lookahead = self.lookahead();
-                    self.geometry_dirty = false;
-                }
-            }
+            self.barrier_if_due(&mut lookahead)?;
         }
         Ok(())
     }
@@ -2455,7 +1301,7 @@ impl fmt::Debug for Machine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::command::{MatchSpec, RankCtx};
     use crate::config::{ConfigError, MachineBuilder};
@@ -2489,7 +1335,7 @@ mod tests {
 
     /// Seeded mutant read by `restore_checkpoint` (on the thread that
     /// drives the barrier — the test's own).
-    pub(super) fn restore_skips_heap() -> bool {
+    pub(crate) fn restore_skips_heap() -> bool {
         RESTORE_SKIPS_HEAP.with(|m| m.get())
     }
 

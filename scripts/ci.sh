@@ -24,6 +24,25 @@ repeat_test() {
     done
 }
 
+# nontest_lines FILE: the lines of FILE before its first top-level
+# `#[cfg(test)]` (all of them when it has none).
+nontest_lines() {
+    awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
+}
+
+echo "==> size ratchet (pvr-rts sources before their tests: machine.rs <= 1450 lines, any other <= 1300)"
+# `machine.rs` was 2 456 such lines until the barrier's protocols moved
+# out with their state (ROADMAP item 3); nothing may quietly grow back.
+for f in crates/rts/src/*.rs; do
+    limit=1300
+    [ "$f" = crates/rts/src/machine.rs ] && limit=1450
+    n=$(nontest_lines "$f")
+    [ "$n" -le "$limit" ] || {
+        echo "FAIL: $f has $n lines before its tests (limit $limit): split it along a protocol"
+        exit 1
+    }
+done
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -11,7 +11,8 @@ use parking_lot::Mutex;
 use pvr_des::{FaultParams, FaultPlan, HopClass, NetworkModel, SimDuration, Topology};
 use pvr_privatize::Method;
 use pvr_rts::{
-    ClockMode, MachineBuilder, Parallelism, RankCtx, RtsError, RunReport, UtilizationRescale,
+    BarrierAction, ClockMode, MachineBuilder, MachineConfig, Parallelism, RankCtx, RtsError,
+    RunReport, UtilizationRescale,
 };
 use pvr_trace::Tracer;
 use std::sync::Arc;
@@ -356,4 +357,165 @@ fn machine_rescale_api_applies_at_next_barrier() {
     assert_eq!(m2.active_pes(), 2, "capacity is the hard ceiling");
     assert_eq!(clamped.elastic.rescales, 0, "clamped no-op must not count");
     assert_eq!(clamped.elastic.pes_activated, 0);
+}
+
+/// However a rank was moved — drained by a rescale, adopted after a PE
+/// failure, re-placed by a geometry restore — what it reads as its PE is
+/// where the directory says it lives.
+#[test]
+fn my_pe_follows_every_kind_of_move() {
+    type Seen = Arc<Mutex<Vec<(usize, usize)>>>;
+    let body = |seen: Seen| -> Arc<dyn Fn(RankCtx) + Send + Sync> {
+        Arc::new(move |ctx: RankCtx| {
+            for _ in 0..3 {
+                ctx.at_sync();
+            }
+            seen.lock().push((ctx.rank(), ctx.my_pe()));
+        })
+    };
+    for (what, b) in [
+        ("rescale", base(4, 2).rescale_at_lb_step(2, 2)),
+        ("PE failure", base(4, 2).inject_pe_failure_at_lb_step(2, 3)),
+        ("geometry restore", base(4, 2).active_pes(3).restore_geometry_at_lb_step(2, 2)),
+    ] {
+        let seen: Seen = Arc::default();
+        let mut m = b.build(body(seen.clone())).unwrap();
+        m.run().unwrap();
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 8, "{what}");
+        assert!(seen.iter().any(|&(r, pe)| pe != r / 2), "{what}: nothing moved");
+        for &(rank, pe) in seen.iter() {
+            assert_eq!(pe, m.location_of(rank), "{what}: rank {rank}'s my_pe() is stale");
+        }
+    }
+}
+
+fn digests_agree(b: impl Fn() -> MachineBuilder) -> RunReport {
+    let (serial, res1) = run(b().parallelism(Parallelism::Serial));
+    let (threads, res4) = run(b().parallelism(Parallelism::Threads(4)));
+    assert_eq!(serial.sim_digest(), threads.sim_digest(), "engine-dependent digest");
+    assert_eq!(res1, res4, "engine-dependent residuals");
+    let (_, clean) = run(base(4, 2));
+    assert_eq!(res1, clean, "diverged from the clean run");
+    serial
+}
+
+/// A spare that died stays dead: killing a PE outside the active set
+/// marks it unusable (nothing to roll back — it hosts no rank), so the
+/// next grow does not bring it back up.
+#[test]
+fn a_dead_spare_is_never_reactivated() {
+    let report = digests_agree(|| {
+        base(4, 2).active_pes(3).inject_pe_failure_at_lb_step(2, 3).rescale_at_lb_step(3, 4)
+    });
+    assert_eq!(report.faults.pe_failures, 1, "the spare's death is counted");
+    assert_eq!(report.faults.recoveries, 0, "no rank was lost: nothing rolls back");
+    let e = &report.elastic;
+    assert_eq!((e.rescales, e.pes_activated), (0, 0), "PE 3 must stay down: {e:?}");
+    assert_eq!(report.pe_clocks[3], pvr_des::SimTime::ZERO, "a dead spare never runs");
+}
+
+/// Only a *live* PE's death abandons the barrier's rescale: a spare's
+/// does not, and neither does a second injection on a PE already dead.
+#[test]
+fn a_failure_that_kills_no_live_pe_does_not_abandon_the_rescale() {
+    let spare = digests_agree(|| {
+        base(4, 2).active_pes(3).inject_pe_failure_at_lb_step(2, 3).rescale_at_lb_step(2, 2)
+    });
+    assert_eq!(spare.faults.pe_failures, 1);
+    assert_eq!((spare.elastic.rescales, spare.elastic.rescales_aborted), (1, 0));
+
+    let twice = digests_agree(|| {
+        base(4, 2)
+            .inject_pe_failure_at_lb_step(2, 3)
+            .inject_pe_failure_at_lb_step(3, 3)
+            .rescale_at_lb_step(3, 2)
+    });
+    assert_eq!(twice.faults.pe_failures, 1, "a dead PE cannot die again");
+    assert_eq!((twice.elastic.rescales, twice.elastic.rescales_aborted), (1, 0));
+}
+
+fn scripted(script: &[(u32, BarrierAction)]) -> MachineBuilder {
+    script.iter().fold(base(4, 2), |b, &(k, action)| match action {
+        BarrierAction::CorruptDelta { byte } => b.corrupt_ckpt_delta_at(k, byte),
+        BarrierAction::SoftFault => b.inject_fault_at_lb_step(k),
+        BarrierAction::FailPe(pe) => b.inject_pe_failure_at_lb_step(k, pe),
+        BarrierAction::RestoreGeometry(n) => b.restore_geometry_at_lb_step(k, n),
+        BarrierAction::Rescale(n) => b.rescale_at_lb_step(k, n),
+    })
+}
+
+/// Run `script` written in every rotation, each also reversed (every
+/// entry visits every slot, every pair appears in both orders): the
+/// residuals are the clean run's and the digest is one. Returns the
+/// last report.
+fn in_every_order(script: &[(u32, BarrierAction)]) -> RunReport {
+    let (_, clean) = run(base(4, 2));
+    let mut reports = Vec::new();
+    for rot in 0..script.len() {
+        for reversed in [false, true] {
+            let mut s = script.to_vec();
+            s.rotate_left(rot);
+            if reversed {
+                s.reverse();
+            }
+            let (report, residuals) = run(scripted(&s));
+            assert_eq!(residuals, clean, "{s:?}");
+            reports.push(report);
+        }
+    }
+    let digests: Vec<u64> = reports.iter().map(RunReport::sim_digest).collect();
+    assert!(digests.windows(2).all(|w| w[0] == w[1]), "{script:?}: {digests:x?}");
+    reports.pop().unwrap()
+}
+
+/// The order of a barrier is a property of its actions
+/// ([`BarrierAction`]), not of how the script was written.
+#[test]
+fn a_barrier_applies_its_actions_in_one_order_however_the_script_was_written() {
+    use BarrierAction::*;
+    let script = [(2, FailPe(3)), (2, Rescale(2)), (4, SoftFault), (4, RestoreGeometry(3))];
+    let report = in_every_order(&script);
+    let digest = report.sim_digest();
+    let e = &report.elastic;
+    assert_eq!((e.rescales_aborted, e.rescales, e.geometry_restores), (1, 0, 1));
+    assert_eq!(report.faults.recoveries, 3);
+
+    // Within one step, too: the PE dies first (a rollback of its own),
+    // then the restore. The other way round PE 3 would be a spare by the
+    // time it is killed, and one rollback would be missing.
+    let report = in_every_order(&[(3, RestoreGeometry(3)), (3, FailPe(3))]);
+    assert_eq!((report.faults.pe_failures, report.faults.recoveries), (1, 2));
+    assert_eq!(report.elastic.geometry_restores, 1);
+
+    // The first script through the `pub` field, as a generator fills it.
+    let mut cfg = MachineConfig::new(pvr_apps::hello::binary());
+    cfg.method = Method::PieGlobals;
+    cfg.clock = ClockMode::Virtual;
+    cfg.topology = Topology::non_smp(4);
+    cfg.vp_ratio = 2;
+    cfg.checkpoint_period = 1;
+    cfg.barrier_script = script.iter().rev().copied().collect();
+    let out: Arc<Mutex<Residuals>> = Arc::default();
+    let filled = cfg.build(ring_body(out)).unwrap().run().unwrap();
+    assert_eq!(filled.sim_digest(), digest);
+}
+
+/// Actions of one kind keep the order they were given in: two PEs dying
+/// at one barrier cascade in script order, so swapping them changes who
+/// adopts whom — and nothing the application computes.
+#[test]
+fn two_failures_at_one_step_cascade_in_the_order_given() {
+    let moves = |r: &RunReport| -> Vec<(usize, usize, usize)> {
+        r.migrations.iter().map(|m| (m.rank, m.from_pe, m.to_pe)).collect()
+    };
+    let (a, res_a) =
+        run(base(4, 2).inject_pe_failure_at_lb_step(2, 3).inject_pe_failure_at_lb_step(2, 1));
+    let (b, res_b) =
+        run(base(4, 2).inject_pe_failure_at_lb_step(2, 1).inject_pe_failure_at_lb_step(2, 3));
+    assert_eq!(res_a, res_b);
+    assert_eq!((a.faults.pe_failures, b.faults.pe_failures), (2, 2));
+    assert_eq!(moves(&a)[0].1, 3, "PE 3 was given first");
+    assert_eq!(moves(&b)[0].1, 1, "PE 1 was given first");
+    assert_ne!(moves(&a), moves(&b));
 }

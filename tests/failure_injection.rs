@@ -7,7 +7,10 @@ use pvr_ampi::{Ampi, COMM_WORLD};
 use pvr_apps::hello;
 use pvr_privatize::{Method, PrivatizeError};
 use pvr_progimage::{DlError, FsError, SharedFs};
-use pvr_rts::{ConfigError, Machine, MachineBuilder, MachineConfig, RankCtx, RtsError, Topology};
+use pvr_rts::{
+    BarrierAction, ConfigError, Machine, MachineBuilder, MachineConfig, RankCtx, RtsError,
+    Topology,
+};
 use std::sync::Arc;
 
 /// `built` must be the typed build-time rejection whose text names `needle`.
@@ -366,6 +369,84 @@ fn incremental_ckpt_bad_configs_rejected_at_build_time() {
     ] {
         assert_invalid(build.build(body.clone()), needle);
     }
+}
+
+/// Every way a `barrier_script` entry can be wrong, through the `pub`
+/// field (what a scenario generator fills): `(action, defect) -> needle`.
+#[test]
+fn every_barrier_script_defect_is_rejected_by_validate() {
+    use BarrierAction::*;
+    // A 2-PE job with incremental checkpoints every step: every action
+    // is acceptable at step 1, so each row below has exactly one defect.
+    let ok = || {
+        let mut cfg = MachineConfig::new(hello::binary());
+        cfg.topology = Topology::non_smp(2);
+        cfg.checkpoint_period = 1;
+        cfg.ckpt_incremental = true;
+        cfg
+    };
+    let all = [CorruptDelta { byte: 0 }, SoftFault, FailPe(1), RestoreGeometry(2), Rescale(2)];
+    for action in all {
+        let mut cfg = ok();
+        cfg.barrier_script = vec![(1, action)];
+        cfg.validate().unwrap_or_else(|e| panic!("{action:?} at step 1 is fine: {e}"));
+    }
+    type Defect = fn(&mut MachineConfig);
+    let no_checkpoint: Defect = |c| (c.checkpoint_period, c.ckpt_incremental) = (0, false);
+    let mut table: Vec<(u32, BarrierAction, Defect, &str)> = Vec::new();
+    for action in all {
+        table.push((0, action, |_| {}, "1-based"));
+    }
+    for action in [SoftFault, FailPe(1), RestoreGeometry(2)] {
+        table.push((1, action, no_checkpoint, "checkpoint_period"));
+    }
+    for action in [RestoreGeometry(0), RestoreGeometry(3), Rescale(0), Rescale(3)] {
+        table.push((1, action, |_| {}, "out of range (capacity is 2 PEs)"));
+    }
+    table.push((1, CorruptDelta { byte: 0 }, |c| c.ckpt_incremental = false, "requires ckpt_incremental"));
+    table.push((1, FailPe(2), |_| {}, "PE 2 out of range"));
+    table.push((1, FailPe(0), |c| c.topology = Topology::non_smp(1), "at least 2 PEs"));
+    for (step, action, defect, needle) in table {
+        let mut cfg = ok();
+        defect(&mut cfg);
+        // a sound entry ahead of it: the loop reaches every entry
+        cfg.barrier_script = vec![(1, Rescale(1)), (step, action)];
+        match cfg.validate() {
+            Err(ConfigError::Invalid { detail }) => {
+                assert!(detail.contains(needle), "{action:?}: expected {needle:?} in: {detail}");
+                assert!(detail.contains(&format!("{action:?}")), "names the entry: {detail}");
+            }
+            other => panic!("{action:?} at step {step}: expected {needle:?}, got {other:?}"),
+        }
+    }
+    // Rescale alone needs no checkpoint.
+    let mut cfg = ok();
+    no_checkpoint(&mut cfg);
+    cfg.barrier_script = vec![(3, Rescale(1))];
+    cfg.validate().unwrap();
+}
+
+/// Moving ranks needs a method that can: known only once a method has
+/// landed, so `build()` — not `validate()` — refuses.
+#[test]
+fn rank_moving_actions_rejected_for_non_migratable_methods() {
+    use BarrierAction::*;
+    let body: Arc<dyn Fn(RankCtx) + Send + Sync> = Arc::new(|_ctx| {});
+    for action in [FailPe(1), Rescale(1), RestoreGeometry(1)] {
+        let mut cfg = MachineConfig::new(hello::binary());
+        cfg.method = Method::PipGlobals;
+        cfg.topology = Topology::non_smp(2);
+        cfg.checkpoint_period = 1;
+        cfg.barrier_script = vec![(2, action)];
+        cfg.validate().unwrap();
+        assert_invalid(cfg.build(body.clone()), "does not support migration");
+    }
+    // an action that moves nobody is fine on the same method
+    let mut cfg = MachineConfig::new(hello::binary());
+    cfg.method = Method::PipGlobals;
+    cfg.checkpoint_period = 1;
+    cfg.barrier_script = vec![(2, SoftFault)];
+    cfg.build(body).unwrap();
 }
 
 #[test]
