@@ -11,12 +11,30 @@ pub fn f64s_to_bytes(data: &[f64]) -> Bytes {
     Bytes::from(v)
 }
 
-/// Deserialize little-endian `f64`s.
-pub fn bytes_to_f64s(b: &[u8]) -> Vec<f64> {
+/// The payload's little-endian `f64`s, in order.
+fn decode_f64s(b: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
     assert_eq!(b.len() % 8, 0, "payload is not a whole number of f64s");
     b.chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+}
+
+/// Deserialize little-endian `f64`s.
+pub fn bytes_to_f64s(b: &[u8]) -> Vec<f64> {
+    decode_f64s(b).collect()
+}
+
+/// Deserialize little-endian `f64`s into `out`, which must be exactly
+/// as long as the payload.
+pub fn bytes_into_f64s(b: &[u8], out: &mut [f64]) {
+    let vals = decode_f64s(b);
+    assert_eq!(
+        vals.len(),
+        out.len(),
+        "payload and destination differ in f64 count"
+    );
+    for (x, v) in out.iter_mut().zip(vals) {
+        *x = v;
+    }
 }
 
 /// Serialize a `u64` slice little-endian.
@@ -43,7 +61,11 @@ mod tests {
     proptest! {
         #[test]
         fn prop_f64_roundtrip(v in proptest::collection::vec(any::<f64>().prop_filter("finite", |x| x.is_finite()), 0..64)) {
-            prop_assert_eq!(bytes_to_f64s(&f64s_to_bytes(&v)), v);
+            let wire = f64s_to_bytes(&v);
+            let mut out = vec![f64::NAN; v.len()];
+            bytes_into_f64s(&wire, &mut out);
+            prop_assert_eq!(&out, &v);
+            prop_assert_eq!(bytes_to_f64s(&wire), v);
         }
 
         #[test]
@@ -56,5 +78,11 @@ mod tests {
     #[should_panic(expected = "whole number")]
     fn ragged_payload_rejected() {
         let _ = bytes_to_f64s(&[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in f64 count")]
+    fn mismatched_destination_rejected() {
+        bytes_into_f64s(&f64s_to_bytes(&[1.0, 2.0]), &mut [0.0; 3]);
     }
 }

@@ -9,9 +9,16 @@
 //! Decomposition: 1-D slabs along z, two ghost planes per rank, halo
 //! exchange via `MPI_Sendrecv`, convergence via `MPI_Allreduce`.
 //! Grid arrays live on the rank's Isomalloc heap (they migrate with it).
+//!
+//! The kernel is one `sweep`, shared with `serial_reference`: it zips six
+//! row slices, so the inner loop has no bounds checks; it still calls
+//! `omega()` (the privatized read) once per point and sums the residual
+//! sequentially in (k, j, i) order; and the two grids swap roles after each
+//! sweep instead of being copied back.
 
 use pvr_ampi::{util, Ampi, Op, COMM_WORLD};
 use pvr_progimage::{link, FunctionSpec, GlobalSpec, ImageSpec, ProgramBinary, VarClass};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Paper-reported code-segment size for the standalone Jacobi-3D: ~3 MB.
@@ -96,20 +103,12 @@ pub fn run(mpi: &Ampi, cfg: JacobiConfig) -> JacobiStats {
     let p = mpi.size();
     let (nx, ny, nz) = (cfg.nx, cfg.ny, cfg.nz);
     let plane = nx * ny;
-    // nz interior planes + 2 ghost planes
-    let volume = (nz + 2) * plane;
-    let old: &mut [f64] = mpi.ctx().heap_alloc_f64s(volume);
-    let new: &mut [f64] = mpi.ctx().heap_alloc_f64s(volume);
-
-    let idx = |i: usize, j: usize, k: usize| k * plane + j * nx + i;
-
+    let volume = (nz + 2) * plane; // nz interior planes + 2 ghost planes
+    let mut old: &mut [f64] = mpi.ctx().heap_alloc_f64s(volume);
+    let mut new: &mut [f64] = mpi.ctx().heap_alloc_f64s(volume);
     // Dirichlet boundary: x == 0 face fixed at 1.0.
-    for k in 0..nz + 2 {
-        for j in 0..ny {
-            old[idx(0, j, k)] = 1.0;
-            new[idx(0, j, k)] = 1.0;
-        }
-    }
+    old.iter_mut().step_by(nx).for_each(|x| *x = 1.0);
+    new.iter_mut().step_by(nx).for_each(|x| *x = 1.0);
 
     let mut residual = 0.0;
     for iter in 0..cfg.iters {
@@ -133,44 +132,22 @@ pub fn run(mpi: &Ampi, cfg: JacobiConfig) -> JacobiStats {
         }
         if let Some(req) = r_above {
             let (data, _) = mpi.wait(req);
-            old[(nz + 1) * plane..(nz + 2) * plane]
-                .copy_from_slice(&util::bytes_to_f64s(&data));
+            util::bytes_into_f64s(&data, &mut old[(nz + 1) * plane..]);
         }
         if let Some(req) = r_below {
             let (data, _) = mpi.wait(req);
-            old[0..plane].copy_from_slice(&util::bytes_to_f64s(&data));
+            util::bytes_into_f64s(&data, &mut old[..plane]);
         }
         mpi.waitall_sends(sends);
 
         // the sweep — every scalar read through the privatization path
-        let mut local_res = 0.0f64;
         let lnx = g_nx.read_u64() as usize;
         let lny = g_ny.read_u64() as usize;
         let lnz = g_nz.read_u64() as usize;
-        for k in 1..=lnz {
-            // skip global-domain boundary planes
-            if (me == 0 && k == 1) || (me == p - 1 && k == lnz) {
-                continue;
-            }
-            for j in 1..lny - 1 {
-                for i in 1..lnx - 1 {
-                    // innermost loop: privatized global read (omega)
-                    let omega = g_omega.read_f64();
-                    let c = idx(i, j, k);
-                    let sum = old[c - 1]
-                        + old[c + 1]
-                        + old[c - lnx]
-                        + old[c + lnx]
-                        + old[c - plane]
-                        + old[c + plane];
-                    let v = omega * sum;
-                    local_res += (v - old[c]).abs();
-                    new[c] = v;
-                }
-            }
-        }
-        g_res.write_f64(local_res);
-        old.copy_from_slice(new);
+        let planes = owned_planes(me, p, lnz);
+        g_res.write_f64(sweep(old, new, lnx, lny, planes, || g_omega.read_f64()));
+        // swap, not copy: unwritten cells agree in both grids; ghosts are refilled first
+        std::mem::swap(&mut old, &mut new);
 
         // declare modeled work for virtual-time runs
         if mpi.ctx().is_virtual_time() {
@@ -188,45 +165,68 @@ pub fn run(mpi: &Ampi, cfg: JacobiConfig) -> JacobiStats {
     JacobiStats {
         residual,
         points_per_iter: nx * ny * nz,
-        iters_done: g_iter.read_u64() + 1,
+        iters_done: if cfg.iters == 0 {
+            0
+        } else {
+            g_iter.read_u64() + 1
+        },
     }
 }
 
-/// Serial reference implementation over the *global* grid (for tests):
-/// the distributed answer must match this bit-for-bit.
-pub fn serial_reference(nx: usize, ny: usize, nz_total: usize, iters: usize) -> f64 {
+/// The planes rank `me` of `p` updates: `1..=nz` less the domain's first and last.
+fn owned_planes(me: usize, p: usize, nz: usize) -> RangeInclusive<usize> {
+    let first = if me == 0 { 2 } else { 1 };
+    let last = if me + 1 < p { nz } else { nz.saturating_sub(1) };
+    first..=last
+}
+
+/// Relax the interior of `planes` from `old` into `new` (plane-major); returns
+/// `Σ |new − old|` over the points it updates, calling `omega` once per point.
+fn sweep(
+    old: &[f64],
+    new: &mut [f64],
+    nx: usize,
+    ny: usize,
+    planes: RangeInclusive<usize>,
+    omega: impl Fn() -> f64,
+) -> f64 {
     let plane = nx * ny;
-    let volume = (nz_total + 2) * plane;
-    let mut old = vec![0.0f64; volume];
-    let mut new = vec![0.0f64; volume];
-    let idx = |i: usize, j: usize, k: usize| k * plane + j * nx + i;
-    for k in 0..nz_total + 2 {
-        for j in 0..ny {
-            old[idx(0, j, k)] = 1.0;
-            new[idx(0, j, k)] = 1.0;
-        }
-    }
-    let omega = 1.0 / 6.0;
-    let mut residual = 0.0;
-    for _ in 0..iters {
-        residual = 0.0;
-        for k in 2..=nz_total.saturating_sub(1) {
-            for j in 1..ny - 1 {
-                for i in 1..nx - 1 {
-                    let c = idx(i, j, k);
-                    let sum = old[c - 1]
-                        + old[c + 1]
-                        + old[c - nx]
-                        + old[c + nx]
-                        + old[c - plane]
-                        + old[c + plane];
-                    let v = omega * sum;
-                    residual += (v - old[c]).abs();
-                    new[c] = v;
-                }
+    let mut res = 0.0;
+    for k in planes {
+        for j in 1..ny - 1 {
+            let c = k * plane + j * nx;
+            let row = &old[c..c + nx];
+            let north = &old[c - nx..c];
+            let south = &old[c + nx..c + 2 * nx];
+            let back = &old[c - plane..c - plane + nx];
+            let front = &old[c + plane..c + plane + nx];
+            // zipped, not indexed, so the inner loop carries no bounds checks
+            let lanes = (new[c + 1..c + nx].iter_mut().zip(row.windows(3)))
+                .zip(north[1..].iter().zip(&south[1..]))
+                .zip(back[1..].iter().zip(&front[1..]));
+            for (((out, w), (n, s)), (b, f)) in lanes {
+                let sum = w[0] + w[2] + n + s + b + f;
+                let v = omega() * sum;
+                res += (v - w[1]).abs();
+                *out = v;
             }
         }
-        old.copy_from_slice(&new);
+    }
+    res
+}
+
+/// Serial reference implementation over the *global* grid (for tests):
+/// the distributed answer must match this to rounding.
+pub fn serial_reference(nx: usize, ny: usize, nz_total: usize, iters: usize) -> f64 {
+    let volume = (nz_total + 2) * nx * ny;
+    let mut a = vec![0.0f64; volume];
+    a.iter_mut().step_by(nx).for_each(|x| *x = 1.0);
+    let mut b = a.clone();
+    let (mut old, mut new) = (&mut a[..], &mut b[..]);
+    let mut residual = 0.0;
+    for _ in 0..iters {
+        residual = sweep(old, new, nx, ny, owned_planes(0, 1, nz_total), || 1.0 / 6.0);
+        std::mem::swap(&mut old, &mut new);
     }
     residual
 }
@@ -243,9 +243,18 @@ mod tests {
     use pvr_privatize::Method;
     use pvr_rts::{MachineBuilder, Topology};
 
-    fn run_distributed(method: Method, ranks: usize, cfg: JacobiConfig) -> f64 {
-        let residuals = Arc::new(Mutex::new(Vec::new()));
-        let r2 = residuals.clone();
+    /// Residual bits of the kernel as first written (a triple-indexed loop
+    /// that copied the grid back after every sweep): a kernel edit that
+    /// changes the numerics fails here instead of drifting inside a
+    /// tolerance. `serial_reference(12, 12, 12, 5)`:
+    const SERIAL_12_BITS: u64 = 0x401e_7b42_5ed0_97d3;
+    /// `distributed_matches_serial_reference`'s 3-rank PIEglobals run.
+    const DIST_3X4_BITS: u64 = 0x401e_7b42_5ed0_97ac;
+
+    /// Every rank's stats, in rank order.
+    fn run_ranks(method: Method, ranks: usize, cfg: JacobiConfig) -> Vec<JacobiStats> {
+        let stats = Arc::new(Mutex::new(vec![None; ranks]));
+        let s2 = stats.clone();
         let mut m = MachineBuilder::new(binary())
             .method(method)
             .topology(Topology::smp(1))
@@ -253,17 +262,22 @@ mod tests {
             .stack_size(256 * 1024)
             .build(Arc::new(move |ctx| {
                 let mpi = Ampi::init(ctx);
-                let stats = run(&mpi, cfg);
-                r2.lock().push(stats.residual);
+                let st = run(&mpi, cfg);
+                s2.lock()[mpi.rank()] = Some(st);
             }))
             .unwrap();
         m.run().unwrap();
-        let v = residuals.lock();
+        let v = stats.lock();
+        v.iter().map(|s| s.expect("every rank reports")).collect()
+    }
+
+    fn run_distributed(method: Method, ranks: usize, cfg: JacobiConfig) -> f64 {
+        let v = run_ranks(method, ranks, cfg);
         // all ranks agree on the global residual (allreduce)
         for w in v.windows(2) {
-            assert_eq!(w[0], w[1]);
+            assert_eq!(w[0].residual, w[1].residual);
         }
-        v[0]
+        v[0].residual
     }
 
     #[test]
@@ -316,5 +330,117 @@ mod tests {
         let r5 = serial_reference(10, 10, 10, 5);
         let r50 = serial_reference(10, 10, 10, 50);
         assert!(r50 < r5, "relaxation must converge: {r50} !< {r5}");
+    }
+
+    #[test]
+    fn residual_bits_are_pinned() {
+        assert_eq!(serial_reference(12, 12, 12, 5).to_bits(), SERIAL_12_BITS);
+        let cfg = JacobiConfig {
+            nx: 12,
+            ny: 12,
+            nz: 4,
+            iters: 5,
+        };
+        assert_eq!(
+            run_distributed(Method::PieGlobals, 3, cfg).to_bits(),
+            DIST_3X4_BITS
+        );
+    }
+
+    #[test]
+    fn iters_done_counts_the_sweeps_run() {
+        for iters in [0, 3] {
+            let cfg = JacobiConfig {
+                nx: 6,
+                ny: 6,
+                nz: 3,
+                iters,
+            };
+            for st in run_ranks(Method::PieGlobals, 2, cfg) {
+                assert_eq!(st.iters_done, iters as u64, "iters {iters}");
+            }
+        }
+    }
+
+    /// The kernel as first written: one triple-indexed loop over rank
+    /// `me`'s planes, skipping the global domain's boundary planes.
+    fn oracle(
+        old: &[f64],
+        new: &mut [f64],
+        nx: usize,
+        ny: usize,
+        nz: usize,
+        me: usize,
+        p: usize,
+    ) -> f64 {
+        let omega = 1.0 / 6.0;
+        let plane = nx * ny;
+        let idx = |i: usize, j: usize, k: usize| k * plane + j * nx + i;
+        let mut res = 0.0f64;
+        for k in 1..=nz {
+            if (me == 0 && k == 1) || (me == p - 1 && k == nz) {
+                continue;
+            }
+            for j in 1..ny - 1 {
+                for i in 1..nx - 1 {
+                    let c = idx(i, j, k);
+                    let sum = old[c - 1]
+                        + old[c + 1]
+                        + old[c - nx]
+                        + old[c + nx]
+                        + old[c - plane]
+                        + old[c + plane];
+                    let v = omega * sum;
+                    res += (v - old[c]).abs();
+                    new[c] = v;
+                }
+            }
+        }
+        res
+    }
+
+    /// `sweep` is the oracle bit for bit — every updated point and the
+    /// residual — on odd shapes, on every rank position (first, middle,
+    /// last, only) and on a one-plane slab; and it reads `omega` once
+    /// per updated point, as the privatized read in the inner loop must.
+    #[test]
+    fn sweep_is_the_oracle_bit_for_bit() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut noise = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for nx in [3, 4, 7, 12] {
+            for ny in [3, 4, 7, 12] {
+                for nz in [1, 2, 5] {
+                    for (me, p) in [(0, 1), (0, 3), (1, 3), (2, 3)] {
+                        let volume = (nz + 2) * nx * ny;
+                        let old: Vec<f64> = (0..volume).map(|_| noise()).collect();
+                        let init: Vec<f64> = (0..volume).map(|_| noise()).collect();
+                        let mut want = init.clone();
+                        let want_res = oracle(&old, &mut want, nx, ny, nz, me, p);
+                        let mut got = init;
+                        let calls = std::cell::Cell::new(0usize);
+                        let planes = owned_planes(me, p, nz);
+                        let n_planes = planes.clone().count();
+                        let got_res = sweep(&old, &mut got, nx, ny, planes, || {
+                            calls.set(calls.get() + 1);
+                            1.0 / 6.0
+                        });
+                        let case = format!("nx {nx} ny {ny} nz {nz} rank {me} of {p}");
+                        assert_eq!(got_res.to_bits(), want_res.to_bits(), "{case}: residual");
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(&want), "{case}: grid");
+                        assert_eq!(
+                            calls.get(),
+                            (nx - 2) * (ny - 2) * n_planes,
+                            "{case}: omega reads"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

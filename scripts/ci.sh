@@ -87,6 +87,13 @@ else
     echo "==> engine-scaling smoke skipped ($cores core: no real parallelism available)"
 fi
 
+echo "==> fig7-gate (optimized Jacobi under every Fig. 7 method: residuals must be identical)"
+# The workspace test passes are debug builds; this runs the stencil kernel
+# optimized under unprivatized, TLS, PIP, FS, PIE and swap globals, and
+# `report()` asserts every method's residual equals the baseline's. No
+# timing bound.
+cargo run --release -q -p pvr-bench --bin repro -- fig7
+
 echo "==> perf-smoke (epoch dispatch + matching-depth sweep must produce BENCH_perf.json)"
 cargo run --release -q -p pvr-bench --bin repro -- perf --quick
 [ -s BENCH_perf.json ] || {
