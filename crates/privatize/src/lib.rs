@@ -237,7 +237,11 @@ pub struct CowDeltaPages {
 }
 
 /// One privatization strategy instantiated for one (simulated) OS process.
-pub trait Privatizer: Send {
+///
+/// `Sync` because the runtime lends its privatizers to every worker of an
+/// epoch; the one caller that reaches them from a lane (the guards'
+/// segment scan) runs on a single worker.
+pub trait Privatizer: Send + Sync {
     fn method(&self) -> Method;
 
     /// Create the per-rank instance: allocate/duplicate whatever the

@@ -184,7 +184,7 @@ impl Slot {
     /// body's panics, so no unwind skips the reset).
     pub(crate) fn resume(
         &self,
-        exec: &mut ExecCtx<'_, '_, '_>,
+        exec: &mut ExecCtx<'_, '_>,
         ult: &mut Ult,
     ) -> (Result<UltState, ResumeError>, Option<Result<StopReason, RtsError>>) {
         self.exec.set(Some(NonNull::from(exec).cast()));
@@ -319,7 +319,7 @@ impl RankCtx {
         // when the rank is the `ExecCtx`'s only user (`Slot`'s contract);
         // the checks above turn away a foreign OS thread and a handle
         // whose rank is suspended or finished.
-        let exec = unsafe { exec.cast::<ExecCtx<'_, '_, '_>>().as_mut() };
+        let exec = unsafe { exec.cast::<ExecCtx<'_, '_>>().as_mut() };
         let stop = match exec.handle(self.rank, cmd) {
             Ok(Handled::Done(resp)) => return resp,
             Ok(Handled::Park(why)) => Ok(why),

@@ -9,6 +9,7 @@
 use crate::barrier::BarrierAction;
 use crate::checkpoint::Checkpoints;
 use crate::command::{RankCtx, RankShared, Slot};
+use crate::guards::Guards;
 use crate::lb::LoadBalancer;
 use crate::location::LocationManager;
 use crate::machine::{ClockMode, Machine, ReliableState};
@@ -48,7 +49,7 @@ unsafe impl<T> Send for SendCell<T> {}
 /// How many OS threads drive the PEs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
-    /// One thread drives every PE (the PR-2/3 behavior).
+    /// One thread drives every PE: the worker pool with no helper.
     Serial,
     /// A worker pool of `n` threads; clamped to the PE count at run time.
     Threads(usize),
@@ -613,15 +614,7 @@ impl MachineConfig {
             });
         }
 
-        // Segment-integrity baseline: one checksum per rank's privatized
-        // data segment (None for methods without per-rank segments).
-        let segment_baseline: Vec<Option<u64>> = if self.guards {
-            (0..n_ranks)
-                .map(|r| crate::machine::segment_checksum_in(&privatizers, r))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let guards = self.guards.then(|| Guards::new(&privatizers, n_ranks));
 
         // Stable: a step's actions of one kind keep the order given.
         let mut barrier_script = self.barrier_script;
@@ -692,11 +685,9 @@ impl MachineConfig {
                 })
             }),
             tracer: self.tracer,
-            guards: self.guards,
+            guards,
             method_requested: self.method,
             max_outstanding_reqs: self.max_outstanding_reqs,
-            segment_baseline,
-            last_ran: None,
             parallelism: self.parallelism,
             engine: EngineTallies::default(),
             lane_slots: Vec::new(),

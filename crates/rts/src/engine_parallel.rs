@@ -1,6 +1,7 @@
-//! The multi-threaded engine: one long-lived [`WorkerPool`] per
+//! The engine, at every thread count: one long-lived [`WorkerPool`] per
 //! [`Machine::run`](crate::machine::Machine::run), and the two jobs the
-//! machine broadcasts on it.
+//! machine broadcasts on it. `Parallelism::Serial` is a pool of one —
+//! the driver with no helper — running the same jobs as any other.
 //!
 //! ## The pool
 //!
@@ -31,8 +32,8 @@
 //! the machine merges outboxes in PE order afterwards. Lane → worker
 //! assignment is therefore timing-dependent while results stay
 //! bit-identical to serial runs. At most `active lanes - 1` helpers are
-//! woken, and an epoch the driver drains before a helper arrives simply
-//! finds that helper nothing to claim.
+//! woken (none on a pool of one), and an epoch the driver drains before a
+//! helper arrives simply finds that helper nothing to claim.
 //!
 //! ## Real-time mode: contiguous chunks
 //!
@@ -47,7 +48,9 @@
 //! per-worker idle flags give the classic all-idle-and-nothing-pending
 //! termination detector; the one remaining mutex+condvar pair exists
 //! purely to park idle workers (with a timeout backstop against lost
-//! wakeups). Real-time parallel runs are *not* deterministic —
+//! wakeups). On a pool of one the single chunk is every lane, and the
+//! burst ends at the first sweep that runs nothing. Real-time parallel
+//! runs are *not* deterministic —
 //! wall-clock scheduling never is — which is why the determinism suite
 //! pins virtual mode only.
 
@@ -55,6 +58,7 @@ use crate::message::RtsMessage;
 use crate::worker::{self, EngineShared, ExecCtx, Lane};
 use parking_lot::{Condvar, Mutex};
 use pvr_des::SimTime;
+use pvr_trace::ThreadScope;
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
@@ -109,9 +113,8 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Start `threads - 1` helpers (`threads >= 2`).
+    /// Start `threads - 1` helpers (none for `threads <= 1`).
     pub(crate) fn new(threads: usize) -> WorkerPool {
-        assert!(threads >= 2, "a pool of one is the serial engine");
         let host = thread::available_parallelism().map_or(1, |n| n.get());
         let shared = Arc::new(PoolShared {
             job: Mutex::new(None),
@@ -229,6 +232,17 @@ fn helper_loop(shared: &PoolShared, w: usize) {
     }
 }
 
+/// A worker's trace scope for one job. The driver already runs inside
+/// the run's scope: a job it runs alone keeps that scope, so attribution
+/// carries from slice to slice as it would with no pool at all; a job
+/// shared with helpers starts every worker, the driver too, from a fresh
+/// one, so what a worker attributes cannot depend on which lanes it
+/// happened to drive before.
+fn job_scope(shared: &EngineShared<'_>, helpers: bool) -> Option<ThreadScope> {
+    let tracer = shared.tracer.filter(|_| helpers)?;
+    Some(ThreadScope::install(tracer.clone()))
+}
+
 /// Drive one epoch's non-empty lanes on the pool, each worker claiming
 /// the next lane when it finishes one. `active` is the number of
 /// non-empty lanes. Returns per-worker busy wall-clock.
@@ -238,12 +252,11 @@ pub(crate) fn run_epoch_lanes(
     pool: &WorkerPool,
     active: usize,
 ) -> Vec<Duration> {
+    let helpers = active.saturating_sub(1).min(pool.threads() - 1);
     let busy = Mutex::new(vec![Duration::ZERO; pool.threads()]);
     let unclaimed = Mutex::new(lanes.iter_mut());
-    pool.broadcast(active.saturating_sub(1), &|w| {
-        let _scope = shared
-            .tracer
-            .map(|t| pvr_trace::ThreadScope::install(t.clone()));
+    pool.broadcast(helpers, &|w| {
+        let _scope = job_scope(shared, helpers > 0);
         let t0 = Instant::now();
         loop {
             // The claim: the lock is held for the `find` only, and the
@@ -257,7 +270,6 @@ pub(crate) fn run_epoch_lanes(
                 lanes: std::slice::from_mut(lane),
                 pe_base,
                 li: 0,
-                guard: None,
             });
         }
         busy.lock()[w] = t0.elapsed();
@@ -346,6 +358,7 @@ pub(crate) fn real_burst(
     // because exactly `n_workers` threads run the job and each takes one
     // chunk. `c` (the hub index) is the chunk's, not the pool worker's.
     pool.broadcast(n_workers - 1, &|_| {
+        let _scope = job_scope(shared, n_workers > 1);
         let _end_burst = EndBurstOnUnwind(&hub);
         let (c, slice) = chunks.lock().next().expect("one chunk per worker");
         let wall = worker_loop(shared, slice, c, chunk, &hub);
@@ -365,9 +378,6 @@ fn worker_loop(
     chunk: usize,
     hub: &RealHub,
 ) -> Duration {
-    let _scope = shared
-        .tracer
-        .map(|t| pvr_trace::ThreadScope::install(t.clone()));
     let t0 = Instant::now();
     let pe_base = slice[0].pe;
     loop {
@@ -381,7 +391,6 @@ fn worker_loop(
             lanes: &mut *slice,
             pe_base,
             li: 0,
-            guard: None,
         };
         for m in inbound {
             ctx.deposit_external(m);
@@ -495,6 +504,29 @@ mod tests {
         pool.broadcast(7, &|w| ran.lock().push(w));
         ran.lock().sort_unstable();
         assert_eq!(*ran.lock(), [0, 1, 2], "clamped to the pool");
+    }
+
+    #[test]
+    fn a_pool_of_one_runs_every_job_on_the_caller_and_keeps_the_panic_rule() {
+        let pool = WorkerPool::new(1);
+        assert_eq!(pool.threads(), 1);
+        assert!(pool.helpers.is_empty(), "a pool of one starts no thread");
+        let caller = thread::current().id();
+        let ran = Mutex::new(Vec::new());
+        pool.broadcast(5, &|w| ran.lock().push((w, thread::current().id())));
+        assert_eq!(
+            *ran.lock(),
+            [(0, caller)],
+            "no helper to wake: the caller alone"
+        );
+        let err = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.broadcast(0, &|_| panic!("lane blew up on the caller"))
+        }))
+        .expect_err("the job's panic must reach the caller");
+        assert_eq!(panic_message(err), "lane blew up on the caller");
+        let err = panic::catch_unwind(AssertUnwindSafe(|| pool.broadcast(0, &|_| {})))
+            .expect_err("a pool that saw a panic takes no further jobs");
+        assert!(panic_message(err).contains("reused after a panic"));
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //! exchange messages through sharded inboxes with an all-idle
 //! termination detector; wall-clock scheduling makes those runs
 //! inherently nondeterministic, as on any real SMP machine.
-//! Memory-safety guards ([`MachineConfig`]'s `guards`) scan every rank
-//! each time one leaves its stack and therefore force serial execution.
+//! `Serial` is the same pool with no helper thread. Memory-safety guards
+//! ([`MachineConfig`]'s `guards`) scan every rank each time one leaves
+//! its stack and therefore keep a run on that pool of one.
 //!
 //! ## Structure
 //!
@@ -52,10 +53,10 @@
 //!   mirrors how blocking MPI calls trap into AMPI's scheduler.
 //! * [`matching`] — the per-rank matching engine: hashed posted and
 //!   unexpected queues, the request table, counted waits.
-//! * `worker` / `engine_serial` / `engine_parallel` (private) — the
-//!   execution engine: per-PE lane state, the shared engine view, and
-//!   the serial driver and the worker pool that both run the same lane
-//!   code.
+//! * `worker` / `engine_parallel` / `guards` (private) — the execution
+//!   engine: per-PE lane state, the shared engine view, the worker pool
+//!   (of one thread or many) that drives the lanes, and the
+//!   memory-safety guards' state and checks, which every lane shares.
 //! * [`lb`] — load balancing strategies (GreedyLB, RefineLB,
 //!   GreedyRefineLB — the paper's choice for ADCIRC — RotateLB, RandomLB).
 //! * [`location`] — rank → PE directory (Charm++'s distributed location
@@ -66,7 +67,7 @@ mod checkpoint;
 pub mod command;
 pub mod config;
 mod engine_parallel;
-mod engine_serial;
+mod guards;
 pub mod lb;
 pub mod location;
 pub mod machine;

@@ -8,6 +8,7 @@ use crate::barrier::BarrierAction;
 use crate::checkpoint::Checkpoints;
 use crate::config::Parallelism;
 use crate::engine_parallel::{self, WorkerPool};
+use crate::guards::Guards;
 use crate::lb::LoadBalancer;
 use crate::location::LocationManager;
 use crate::message::RtsMessage;
@@ -16,13 +17,11 @@ use crate::rank::RankStatus;
 use crate::rescale::Geometry;
 use crate::stats::{CowTallies, EngineTallies, Tallies};
 pub use crate::stats::{FaultTallies, HardeningTallies, LbRecord, MigrationRecord, RunReport};
-use crate::worker::{
-    self, EngineShared, GuardCtx, HlsBlocks, Lane, Outbox, RankTable, StopReason,
-};
-use crate::{engine_serial, PeId, RankId};
+use crate::worker::{self, EngineShared, HlsBlocks, Lane, Outbox, RankTable, StopReason};
+use crate::{PeId, RankId};
 use parking_lot::Mutex;
 use pvr_des::{EventQueue, FaultPlan, NetworkModel, SimDuration, SimTime, Topology};
-use pvr_isomalloc::{GuardViolation, RegionKind};
+use pvr_isomalloc::GuardViolation;
 use pvr_privatize::{Method, PrivatizeError, Privatizer};
 use pvr_trace::{ArenaTrip, EventKind, Tracer, NO_RANK};
 use std::collections::VecDeque;
@@ -254,17 +253,6 @@ pub(crate) fn arena_trip_kind(v: &GuardViolation) -> ArenaTrip {
     }
 }
 
-/// Checksum `rank`'s privatized data segment, whichever per-process
-/// privatizer owns it (`None` for methods without per-rank segments).
-pub(crate) fn segment_checksum_in(privatizers: &[Box<dyn Privatizer>], rank: usize) -> Option<u64> {
-    privatizers.iter().find_map(|p| {
-        p.rank_data_segment(rank).map(|(base, len)| {
-            let bytes = unsafe { std::slice::from_raw_parts(base, len) };
-            pvr_isomalloc::checksum64(bytes)
-        })
-    })
-}
-
 /// A running (or runnable) job. Built by
 /// [`MachineConfig::build`](crate::config::MachineConfig::build) (or the
 /// [`MachineBuilder`](crate::config::MachineBuilder) facade).
@@ -309,20 +297,14 @@ pub struct Machine {
     /// per-pair keying keeps its evolution deterministic regardless.
     pub(crate) reliable: Option<Mutex<ReliableState>>,
     pub(crate) tracer: Option<Arc<Tracer>>,
-    /// Memory-safety guards active (stack red zones, arena poisoning,
-    /// segment audits).
-    pub(crate) guards: bool,
+    /// Present when the memory-safety guards are on (stack red zones,
+    /// arena poisoning, segment audits).
+    pub(crate) guards: Option<Guards>,
     /// The method the configuration asked for (`method()` reports what
     /// actually landed).
     pub(crate) method_requested: Method,
     /// Request-table size cap per rank (`MachineConfig` knob).
     pub(crate) max_outstanding_reqs: usize,
-    /// Per-rank privatized-data-segment checksums (empty with guards
-    /// off; `None` entries for methods without per-rank segments).
-    pub(crate) segment_baseline: Vec<Option<u64>>,
-    /// The rank most recently resumed — the attributed writer when a
-    /// barrier-time segment audit finds bleed.
-    pub(crate) last_ran: Option<RankId>,
     /// How `run` drives the PEs (serial, fixed thread count, or auto).
     pub(crate) parallelism: Parallelism,
     /// Engine activity counters for the [`RunReport`].
@@ -360,39 +342,6 @@ impl Machine {
     /// Probe/fallback/guard tallies accumulated so far.
     pub fn hardening_stats(&self) -> HardeningTallies {
         self.tallies.hardening
-    }
-
-    /// Test/experiment hook: scribble over the base of `rank`'s ULT
-    /// stack region — where the red zone canaries live — simulating a
-    /// stack overflow for the guard to catch at the next guard check.
-    pub fn corrupt_rank_stack(&mut self, rank: RankId) {
-        let target: Option<(*mut u8, usize)> = self.ranks[rank]
-            .memory
-            .regions()
-            .find(|reg| reg.kind() == RegionKind::Stack)
-            .map(|reg| (reg.base_mut(), reg.len()));
-        if let Some((base, len)) = target {
-            let n = (pvr_ult::RED_ZONE_WORDS * 8).min(len);
-            unsafe { std::ptr::write_bytes(base, 0xAB, n) };
-        }
-    }
-
-    /// Test/experiment hook: flip one byte inside `rank`'s privatized
-    /// data segment from outside any rank's execution — simulating
-    /// cross-rank global bleed for the segment audit to catch.
-    pub fn corrupt_rank_segment(&mut self, rank: RankId) {
-        if let Some((base, len)) = self
-            .privatizers
-            .iter()
-            .find_map(|p| p.rank_data_segment(rank))
-        {
-            if len > 0 {
-                unsafe {
-                    let p = base as *mut u8;
-                    *p = (*p).wrapping_add(1);
-                }
-            }
-        }
     }
 
     /// The attached event recorder, if any.
@@ -648,43 +597,22 @@ impl Machine {
     fn with_lane<T>(
         &mut self,
         pe: PeId,
-        f: impl FnOnce(&mut worker::ExecCtx<'_, '_, '_>) -> T,
+        f: impl FnOnce(&mut worker::ExecCtx<'_, '_>) -> T,
     ) -> (T, Result<(), RtsError>) {
-        let mut lanes = vec![Lane {
+        let mut lane = Lane {
             pe,
             state: std::mem::take(&mut self.pes[pe]),
             queue: EventQueue::new(),
             horizon: SimTime::ZERO,
             out: Outbox::default(),
-        }];
-        let res = self.with_engine(|shared, guard| {
-            f(&mut worker::ExecCtx {
-                shared,
-                lanes: &mut lanes,
-                pe_base: pe,
-                li: 0,
-                guard,
-            })
-        });
-        (res, self.merge_lanes(lanes))
-    }
-
-    /// Run `f` on the shared engine view and, when guards are on, the
-    /// guard context (which only the serial engines can carry).
-    fn with_engine<T>(
-        &mut self,
-        f: impl FnOnce(&EngineShared<'_>, Option<&mut GuardCtx<'_>>) -> T,
-    ) -> T {
-        // Moved out so the guard context's `&mut` doesn't alias the
-        // shared engine view's borrow of `self`.
-        let mut baseline = std::mem::take(&mut self.segment_baseline);
-        let mut guard_ctx = GuardCtx {
-            privatizers: &self.privatizers,
-            baseline: &mut baseline,
         };
-        let out = f(&self.engine_shared(), self.guards.then_some(&mut guard_ctx));
-        self.segment_baseline = baseline;
-        out
+        let res = f(&mut worker::ExecCtx {
+            shared: &self.engine_shared(),
+            lanes: std::slice::from_mut(&mut lane),
+            pe_base: pe,
+            li: 0,
+        });
+        (res, self.merge_lanes([lane]))
     }
 
     /// Bring `rank`'s stack extent up to date with its ULT's suspended
@@ -720,86 +648,6 @@ impl Machine {
         });
     }
 
-    /// Barrier-time guard audits, run while every live rank is quiescent:
-    /// sweep each rank's arena quarantine for writes through stale
-    /// pointers, then checksum every privatized data segment and emit the
-    /// summary `SegmentAudit` event. Nothing to do with guards off.
-    pub(crate) fn audit(&mut self) -> Result<(), RtsError> {
-        if !self.guards {
-            return Ok(());
-        }
-        for r in 0..self.ranks.len() {
-            if let Err(v) = self.ranks[r].memory.heap_ref().audit_quarantine() {
-                let pe = self.ranks[r].location;
-                self.trace(
-                    pe,
-                    r as u32,
-                    EventKind::ArenaGuardTrip {
-                        kind: arena_trip_kind(&v),
-                    },
-                );
-                self.tallies.hardening.arena_guard_trips += 1;
-                return Err(RtsError::ArenaGuard {
-                    rank: r,
-                    detail: v.to_string(),
-                });
-            }
-        }
-        if !self.segment_baseline.is_empty() {
-            let mut audited = 0u32;
-            let mut dirty = 0u32;
-            let mut victim: Option<RankId> = None;
-            for q in 0..self.ranks.len() {
-                let Some(sum) = segment_checksum_in(&self.privatizers, q) else {
-                    continue;
-                };
-                audited += 1;
-                if self.segment_baseline[q] != Some(sum) {
-                    self.segment_baseline[q] = Some(sum);
-                    dirty += 1;
-                    victim.get_or_insert(q);
-                }
-            }
-            self.trace_job(EventKind::SegmentAudit {
-                ranks: audited,
-                dirty,
-            });
-            self.tallies.hardening.segment_audits += 1;
-            if let Some(q) = victim {
-                // The per-slice check clears after every resume, so bleed
-                // surfacing only at the barrier was written outside any
-                // rank's slice; the best attribution is the last resumed
-                // rank.
-                return Err(RtsError::SegmentBleed {
-                    rank: q,
-                    writer: self.last_ran.unwrap_or(RankId::MAX),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Recovery rewrites rank memory wholesale: reseed the segment
-    /// baselines and reset each arena's quarantine so stale poison
-    /// expectations don't fire as false guard trips on restored bytes.
-    pub(crate) fn reseed_guards_after_restore(&mut self) {
-        if !self.guards {
-            return;
-        }
-        for r in 0..self.ranks.len() {
-            let heap = self.ranks[r].memory.heap();
-            if heap.guard_enabled() {
-                heap.set_guard(false);
-                heap.set_guard(true);
-            }
-        }
-        if !self.segment_baseline.is_empty() {
-            self.segment_baseline = (0..self.ranks.len())
-                .map(|q| segment_checksum_in(&self.privatizers, q))
-                .collect();
-        }
-    }
-
     /// Worker threads `run` will actually use: the configured
     /// [`Parallelism`] (with `Auto` reading `PVR_THREADS`), clamped to
     /// the PE count, and forced to 1 when guards or an unprivatized
@@ -815,7 +663,7 @@ impl Machine {
                 .unwrap_or(1),
         };
         let capped = requested.min(self.pes.len().max(1));
-        if self.guards || self.method() == Method::Unprivatized {
+        if self.guards.is_some() || self.method() == Method::Unprivatized {
             1
         } else {
             capped
@@ -918,7 +766,7 @@ impl Machine {
     /// (time, source PE, emission index) order, resolve deferred
     /// retransmit-exhaustion verdicts, and surface the canonical
     /// (earliest) error if any lane failed.
-    fn merge_lanes(&mut self, lanes: Vec<Lane>) -> Result<(), RtsError> {
+    fn merge_lanes(&mut self, lanes: impl IntoIterator<Item = Lane>) -> Result<(), RtsError> {
         let mut merged: Vec<(SimTime, PeId, Event)> = std::mem::take(&mut self.merge_buf);
         let mut exhausted: Vec<(PeId, worker::Exhausted)> = Vec::new();
         let mut errors: Vec<(SimTime, PeId, u8, RtsError)> = Vec::new();
@@ -940,8 +788,8 @@ impl Machine {
             for _ in 0..out.forwards {
                 self.location.note_forward();
             }
-            if let Some(lr) = out.last_ran {
-                self.last_ran = Some(lr);
+            if let (Some(guards), Some(r)) = (&mut self.guards, out.last_ran) {
+                guards.last_ran = Some(r);
             }
             for (t, ev) in out.events.drain(..) {
                 merged.push((t, pe, ev));
@@ -1014,7 +862,7 @@ impl Machine {
     }
 
     /// Shared state handle for one epoch/burst. Borrows are per-field so
-    /// engines can hold it alongside `&mut` lanes and guard state.
+    /// engines can hold it alongside `&mut` lanes.
     fn engine_shared(&self) -> EngineShared<'_> {
         EngineShared {
             clock: self.clock,
@@ -1026,6 +874,8 @@ impl Machine {
             alive: self.geometry.alive(),
             tracer: self.tracer.as_ref(),
             reliable: self.reliable.as_ref(),
+            privatizers: &self.privatizers,
+            guards: self.guards.as_ref(),
             epoch_start: self.epoch,
             n_ranks: self.ranks.len(),
             max_outstanding_reqs: self.max_outstanding_reqs,
@@ -1033,8 +883,8 @@ impl Machine {
     }
 
     /// Fold one epoch's or burst's per-worker wall-clocks into the engine
-    /// tallies. `parallel_since` is when it went to the pool (`None`: it
-    /// ran on the serial engine).
+    /// tallies. `parallel_since` is when it went to more than one worker
+    /// (`None`: the driver ran it alone).
     fn record_walls(&mut self, parallel_since: Option<Instant>, walls: Vec<Duration>) {
         if let Some(t0) = parallel_since {
             self.engine.barriers += 1;
@@ -1046,39 +896,33 @@ impl Machine {
         }
     }
 
-    /// Execute one epoch: split the batch into lanes, drive them (on the
-    /// pool when there is one and more than one lane has events), and
-    /// merge at the barrier. Serial and parallel paths run the *same*
-    /// lane code, so the per-epoch engine choice cannot change results.
+    /// Execute one epoch: split the batch into lanes, let the pool's
+    /// workers claim the ones with events, and merge at the barrier.
+    /// Every lane runs the same lane code whoever claims it, so neither
+    /// the thread count nor the claim order can change results.
     fn run_epoch(
         &mut self,
         batch: &mut Vec<(SimTime, Event)>,
         horizon: SimTime,
-        pool: Option<&WorkerPool>,
+        pool: &WorkerPool,
     ) -> Result<(), RtsError> {
         self.engine.epochs += 1;
         let mut lanes = self.make_lanes(batch, horizon);
         let active = lanes.iter().filter(|l| !l.queue.is_empty()).count();
-        let pool = pool.filter(|_| active > 1);
-        let t0 = pool.map(|_| Instant::now());
-        let walls = self.with_engine(|shared, guard| match pool {
-            Some(pool) => engine_parallel::run_epoch_lanes(shared, &mut lanes, pool, active),
-            None => engine_serial::run_epoch_lanes(shared, &mut lanes, guard),
-        });
+        let t0 = (pool.threads() > 1 && active > 1).then(Instant::now);
+        let walls =
+            engine_parallel::run_epoch_lanes(&self.engine_shared(), &mut lanes, pool, active);
         self.record_walls(t0, walls);
         self.merge_lanes(lanes)
     }
 
     /// One real-time scheduler burst: round-robin fair sweeps until no
     /// PE can make progress. Returns whether any slice ran.
-    fn run_real_burst(&mut self, pool: Option<&WorkerPool>) -> Result<bool, RtsError> {
+    fn run_real_burst(&mut self, pool: &WorkerPool) -> Result<bool, RtsError> {
         self.engine.epochs += 1;
         let mut lanes = self.make_lanes(&mut Vec::new(), SimTime::ZERO);
-        let t0 = pool.map(|_| Instant::now());
-        let (ran, walls) = self.with_engine(|shared, guard| match pool {
-            Some(pool) => engine_parallel::real_burst(shared, &mut lanes, pool),
-            None => engine_serial::real_burst(shared, &mut lanes, guard),
-        });
+        let t0 = (pool.threads() > 1).then(Instant::now);
+        let (ran, walls) = engine_parallel::real_burst(&self.engine_shared(), &mut lanes, pool);
         self.record_walls(t0, walls);
         self.merge_lanes(lanes)?;
         Ok(ran > 0)
@@ -1095,10 +939,10 @@ impl Machine {
         let t0 = Instant::now();
         // The helpers live for this call: `pool` is dropped — and its
         // threads joined — on the `?` paths below as on the normal one.
-        let pool = (threads > 1).then(|| WorkerPool::new(threads));
+        let pool = WorkerPool::new(threads);
         match self.clock {
-            ClockMode::RealTime => self.run_real(pool.as_ref())?,
-            ClockMode::Virtual => self.run_virtual(pool.as_ref())?,
+            ClockMode::RealTime => self.run_real(&pool)?,
+            ClockMode::Virtual => self.run_virtual(&pool)?,
         }
         drop(pool);
         let real_elapsed = t0.elapsed();
@@ -1143,10 +987,10 @@ impl Machine {
     }
 
     /// Bench hook (`repro -- perf`, row `epoch_dispatch`): on a machine
-    /// whose run is over, drive `epochs` parallel epochs of two lanes
-    /// holding one no-op `PeWake` each — all an epoch costs beyond its
-    /// lanes' work — and return the wall-clock they took. Panics unless
-    /// the machine has two PEs or more and runs on two threads or more.
+    /// whose run is over, drive `epochs` epochs of two lanes holding one
+    /// no-op `PeWake` each — all an epoch costs beyond its lanes' work —
+    /// on the pool `run` would use, and return the wall-clock they took.
+    /// Panics unless the machine has two PEs or more.
     #[doc(hidden)]
     pub fn bench_epoch_dispatch(&mut self, epochs: usize) -> Duration {
         let pool = WorkerPool::new(self.effective_threads());
@@ -1156,7 +1000,7 @@ impl Machine {
         let t0 = Instant::now();
         for _ in 0..epochs {
             batch.extend((0..2).map(|pe| (SimTime::ZERO, Event::PeWake { pe })));
-            self.run_epoch(&mut batch, SimTime::MAX, Some(&pool))
+            self.run_epoch(&mut batch, SimTime::MAX, &pool)
                 .expect("an idle PE's wake raises nothing");
         }
         t0.elapsed()
@@ -1225,7 +1069,7 @@ impl Machine {
         }
     }
 
-    fn run_real(&mut self, pool: Option<&WorkerPool>) -> Result<(), RtsError> {
+    fn run_real(&mut self, pool: &WorkerPool) -> Result<(), RtsError> {
         // Real time forms no epochs; the barrier keeps this current anyway.
         let mut lookahead = Lookahead::Unbounded;
         while self.done_count < self.ranks.len() {
@@ -1237,7 +1081,7 @@ impl Machine {
         Ok(())
     }
 
-    fn run_virtual(&mut self, pool: Option<&WorkerPool>) -> Result<(), RtsError> {
+    fn run_virtual(&mut self, pool: &WorkerPool) -> Result<(), RtsError> {
         // all PEs start at t=0
         for pe in 0..self.pes.len() {
             self.queue.schedule(SimTime::ZERO, Event::PeWake { pe });
@@ -1306,6 +1150,7 @@ pub(crate) mod tests {
     use crate::command::{MatchSpec, RankCtx};
     use crate::config::{ConfigError, MachineBuilder};
     use bytes::Bytes;
+    use pvr_isomalloc::RegionKind;
     use pvr_progimage::{link, ImageSpec, ProgramBinary, SharedFs};
     use std::sync::atomic::AtomicUsize;
 
@@ -1318,7 +1163,7 @@ pub(crate) mod tests {
         )
     }
 
-    fn builder() -> MachineBuilder {
+    pub(crate) fn builder() -> MachineBuilder {
         MachineBuilder::new(test_binary())
     }
 

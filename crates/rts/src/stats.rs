@@ -339,11 +339,12 @@ tallies! {
 /// [`RunReport::trace_rows`] — and `epochs` is exact in virtual time.
 #[derive(Debug, Clone, Default)]
 pub struct EngineTallies {
-    /// Worker threads the engine actually used (1 = serial path).
+    /// Worker threads the engine actually used (1 = the driver alone).
     pub threads: usize,
     /// Epochs (virtual mode) or scheduler bursts (real-time mode) driven.
     pub epochs: u64,
-    /// Epoch barriers crossed by the parallel engine (0 on serial runs).
+    /// Epochs and bursts that went to more than one worker (0 on a pool
+    /// of one).
     pub barriers: u64,
     /// Message sends whose payload fit the envelope pool's inline
     /// small-payload storage (≤ 64 B: no heap allocation on the send
@@ -353,8 +354,8 @@ pub struct EngineTallies {
     /// Message sends whose payload spilled to a refcounted heap buffer.
     pub pool_misses: u64,
     /// Wall-clock each worker spent executing lane events, indexed by
-    /// worker id (0 = the driving thread, which also runs every serial
-    /// epoch); always `threads` entries after a run.
+    /// worker id (0 = the driving thread, which also runs every epoch
+    /// with one active lane); always `threads` entries after a run.
     pub worker_wall: Vec<Duration>,
     /// Driving-thread wall-clock summed over the parallel epochs and
     /// bursts, dispatch and the wait for the slowest worker included.

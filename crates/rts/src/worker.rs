@@ -1,5 +1,5 @@
 //! Lane-level execution: the per-PE slice of a [`Machine`](crate::machine::Machine)
-//! that an engine (serial or parallel) drives during one epoch.
+//! that the engine's workers drive during one epoch.
 //!
 //! The epoch-barrier protocol keeps parallel runs bit-identical to serial
 //! ones: the machine pops the global DES queue into a time window, splits
@@ -32,12 +32,15 @@
 //! * **Reliable-delivery state**: a single `Mutex<ReliableState>` — all
 //!   per-pair counters are keyed so that each key is only mutated by one
 //!   lane per epoch (see the per-field notes in `machine.rs`).
+//! * **Guards** (`crate::guards::Guards`) and the privatizers their
+//!   segment scan reads through: the baseline sits behind a mutex, and a
+//!   guarded machine runs on one worker, so the scan never meets a rank
+//!   running elsewhere.
 
 use crate::command::{Command, Response};
+use crate::guards::Guards;
 use crate::location::LocationManager;
-use crate::machine::{
-    arena_trip_kind, segment_checksum_in, ClockMode, Event, ReliableState, RtsError,
-};
+use crate::machine::{arena_trip_kind, ClockMode, Event, ReliableState, RtsError};
 use crate::matching::Arrival;
 use crate::message::RtsMessage;
 use crate::pe::PeState;
@@ -261,13 +264,6 @@ pub(crate) struct Lane {
     pub out: Outbox,
 }
 
-/// Memory-safety guard context — serial-only (guards force one thread),
-/// so it can hold plain `&mut` state across all lanes.
-pub(crate) struct GuardCtx<'g> {
-    pub privatizers: &'g [Box<dyn Privatizer>],
-    pub baseline: &'g mut Vec<Option<u64>>,
-}
-
 /// Machine state shared immutably (or behind locks) by every lane for
 /// the duration of one epoch. Must be `Sync`.
 pub(crate) struct EngineShared<'e> {
@@ -280,6 +276,10 @@ pub(crate) struct EngineShared<'e> {
     pub alive: &'e [bool],
     pub tracer: Option<&'e Arc<Tracer>>,
     pub reliable: Option<&'e Mutex<ReliableState>>,
+    pub privatizers: &'e [Box<dyn Privatizer>],
+    /// Present when the memory-safety guards are on: every resume ends
+    /// with [`ExecCtx::check_guards`].
+    pub guards: Option<&'e Guards>,
     pub epoch_start: Instant,
     pub n_ranks: usize,
     /// Request-table size cap per rank (open entries, pending or
@@ -288,21 +288,19 @@ pub(crate) struct EngineShared<'e> {
 }
 
 /// The execution context a worker drives: shared machine state plus the
-/// lanes this context may touch — all of them on the serial engine, the
-/// one claimed lane in a parallel virtual-time epoch, a worker's
-/// contiguous chunk in a parallel real-time burst.
-pub(crate) struct ExecCtx<'a, 'e, 'g> {
+/// lanes this context may touch — the one claimed lane in a virtual-time
+/// epoch (and at a barrier, `Machine::with_lane`'s), a worker's
+/// contiguous chunk in a real-time burst (every lane on a pool of one).
+pub(crate) struct ExecCtx<'a, 'e> {
     pub shared: &'a EngineShared<'e>,
     pub lanes: &'a mut [Lane],
     /// PE id of `lanes[0]` — the lanes are a contiguous PE range.
     pub pe_base: PeId,
     /// Index into `lanes` of the lane currently being driven.
     pub li: usize,
-    /// Present only on the serial engine with guards enabled.
-    pub guard: Option<&'a mut GuardCtx<'g>>,
 }
 
-impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
+impl<'a, 'e> ExecCtx<'a, 'e> {
     fn pe(&self) -> PeId {
         self.lanes[self.li].pe
     }
@@ -331,7 +329,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
     }
 
     #[inline]
-    fn trace(&self, rank: u32, kind: EventKind) {
+    pub(crate) fn trace(&self, rank: u32, kind: EventKind) {
         self.trace_at(self.li, rank, kind);
     }
 
@@ -818,9 +816,8 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
             rs.total_load += d;
         }
 
-        if self.guard.is_some() {
-            self.check_stack_guard(r)?;
-            self.check_segment_bleed(r)?;
+        if let Some(guards) = self.shared.guards {
+            self.check_guards(guards, r)?;
         }
 
         // SAFETY: re-derive after the guard checks (which take their
@@ -1005,83 +1002,6 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
         Ok(Handled::Done(resp))
     }
 
-    /// Verify `r`'s stack red zone after a resume. A clobbered canary
-    /// ends the run with a clean, rank-attributed error; the corrupt
-    /// stack is abandoned, never resumed or unwound.
-    fn check_stack_guard(&mut self, r: RankId) -> Result<(), RtsError> {
-        // SAFETY: `r` is resident on this lane's PE.
-        let rs = unsafe { self.shared.ranks.resident_mut(r) };
-        let trip = match rs.ult.as_ref() {
-            Some(u) if u.stack_guarded() => u.check_stack_guard().err(),
-            _ => None,
-        };
-        let Some(e) = trip else {
-            return Ok(());
-        };
-        let pvr_ult::UltError::StackOverflow { stack_size } = &e;
-        self.trace(
-            r as u32,
-            EventKind::StackGuardTrip {
-                stack_size: *stack_size as u64,
-            },
-        );
-        self.lanes[self.li].out.tallies.hardening.stack_guard_trips += 1;
-        if let Some(u) = rs.ult.as_mut() {
-            u.abandon();
-        }
-        rs.status = RankStatus::Done;
-        self.lanes[self.li].out.done += 1;
-        Err(RtsError::StackGuard {
-            rank: r,
-            detail: e.to_string(),
-        })
-    }
-
-    /// After rank `writer` ran, recompute every rank's privatized-data-
-    /// segment checksum. The writer's own segment may legitimately change
-    /// (those are its globals); any *other* rank's segment changing while
-    /// `writer` held the PE is cross-rank global bleed, attributed to
-    /// `writer`. Guards force serial execution, so scanning all ranks
-    /// here cannot race another lane.
-    fn check_segment_bleed(&mut self, writer: RankId) -> Result<(), RtsError> {
-        let n_ranks = self.shared.n_ranks;
-        let (victim, dirty) = {
-            let Some(g) = self.guard.as_mut() else {
-                return Ok(());
-            };
-            if g.baseline.is_empty() {
-                return Ok(());
-            }
-            let mut victim: Option<RankId> = None;
-            let mut dirty = 0u32;
-            for q in 0..n_ranks {
-                let Some(sum) = segment_checksum_in(g.privatizers, q) else {
-                    continue;
-                };
-                if q == writer {
-                    g.baseline[q] = Some(sum);
-                } else if g.baseline[q] != Some(sum) {
-                    g.baseline[q] = Some(sum);
-                    dirty += 1;
-                    victim.get_or_insert(q);
-                }
-            }
-            (victim, dirty)
-        };
-        if let Some(q) = victim {
-            self.trace(
-                writer as u32,
-                EventKind::SegmentAudit {
-                    ranks: n_ranks as u32,
-                    dirty,
-                },
-            );
-            self.lanes[self.li].out.tallies.hardening.segment_audits += 1;
-            return Err(RtsError::SegmentBleed { rank: q, writer });
-        }
-        Ok(())
-    }
-
     /// Dispatch one virtual-mode event on the current lane.
     fn exec_event(&mut self, t: SimTime, ev: Event) -> Result<(), RtsError> {
         match ev {
@@ -1228,7 +1148,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
 /// queue in (time, seq) order until drained. The first error stops this
 /// lane (class 0) but not its siblings; the barrier picks the canonical
 /// error across lanes.
-pub(crate) fn run_epoch_lane(ctx: &mut ExecCtx<'_, '_, '_>) {
+pub(crate) fn run_epoch_lane(ctx: &mut ExecCtx<'_, '_>) {
     while let Some((t, ev)) = ctx.lanes[ctx.li].queue.pop() {
         if let Err(e) = ctx.exec_event(t, ev) {
             ctx.lanes[ctx.li].out.error = Some((t, 0, e));
@@ -1240,7 +1160,7 @@ pub(crate) fn run_epoch_lane(ctx: &mut ExecCtx<'_, '_, '_>) {
 /// One fair scheduling sweep in real-time mode: each alive PE runs at
 /// most one rank slice, round-robin, so an early PE's deep ready queue
 /// cannot starve later PEs. Returns how many slices ran.
-pub(crate) fn real_sweep(ctx: &mut ExecCtx<'_, '_, '_>) -> Result<u32, RtsError> {
+pub(crate) fn real_sweep(ctx: &mut ExecCtx<'_, '_>) -> Result<u32, RtsError> {
     let mut ran = 0u32;
     for li in 0..ctx.lanes.len() {
         ctx.li = li;

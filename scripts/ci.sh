@@ -30,12 +30,13 @@ nontest_lines() {
     awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
 }
 
-echo "==> size ratchet (pvr-rts sources before their tests: machine.rs <= 1450 lines, any other <= 1300)"
+echo "==> size ratchet (pvr-rts sources before their tests: machine.rs <= 1200 lines, any other <= 1300)"
 # `machine.rs` was 2 456 such lines until the barrier's protocols moved
-# out with their state (ROADMAP item 3); nothing may quietly grow back.
+# out with their state, and 1 302 until the guards did (ROADMAP item 3);
+# nothing may quietly grow back.
 for f in crates/rts/src/*.rs; do
     limit=1300
-    [ "$f" = crates/rts/src/machine.rs ] && limit=1450
+    [ "$f" = crates/rts/src/machine.rs ] && limit=1200
     n=$(nontest_lines "$f")
     [ "$n" -le "$limit" ] || {
         echo "FAIL: $f has $n lines before its tests (limit $limit): split it along a protocol"

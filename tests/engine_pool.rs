@@ -1,5 +1,5 @@
-//! Acceptance: the parallel engine's worker pool lives exactly as long
-//! as one `Machine::run`.
+//! Acceptance: the engine's worker pool lives exactly as long as one
+//! `Machine::run`, and a pool of one is the driving thread alone.
 //!
 //! One test function on purpose: it reads this process's thread count,
 //! and a sibling test running beside it in the same binary would move
@@ -10,6 +10,7 @@
 use bytes::Bytes;
 use pvr_apps::hello;
 use pvr_rts::{ClockMode, MachineBuilder, Parallelism, RankCtx, RtsError, Topology};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -98,5 +99,28 @@ fn runs_leave_no_thread_behind() {
             before,
             "{clock:?}: an Err run left a thread"
         );
+    }
+
+    // `Serial` is a pool of one, and so is every guarded run: not even
+    // for the span of the run does a thread start.
+    let most = Arc::new(AtomicUsize::new(0));
+    let m2 = most.clone();
+    let counting: Arc<dyn Fn(RankCtx) + Send + Sync> = Arc::new(move |ctx: RankCtx| {
+        m2.fetch_max(os_threads(), Relaxed);
+        ring_body()(ctx);
+    });
+    for clock in [ClockMode::Virtual, ClockMode::RealTime] {
+        for pool_of_one in [
+            builder(clock).parallelism(Parallelism::Serial),
+            builder(clock).parallelism(Parallelism::Auto).guards(true),
+        ] {
+            let report = pool_of_one.build(counting.clone()).unwrap().run().unwrap();
+            assert_eq!((report.engine.threads, report.engine.barriers), (1, 0));
+            assert_eq!(
+                most.swap(0, Relaxed),
+                before,
+                "{clock:?}: a pool of one started a thread"
+            );
+        }
     }
 }
