@@ -5,9 +5,9 @@
 //! active method's access path (direct / TLS-register / GOT). The paper
 //! found no measurable per-access penalty with optimized builds; here the
 //! indirections are real loads, so small differences are visible in
-//! debug terms but should stay within noise in release builds — run
-//! `cargo bench -p pvr-bench --bench fig7_jacobi` for the statistically
-//! careful version.
+//! debug terms but should stay within noise in release builds; the
+//! benchmark's `jacobi3d` workload (`apps.jacobi_ns_per_point`) is the
+//! statistically careful version.
 
 use crate::{fmt_dur, render_table};
 use parking_lot::Mutex;
@@ -130,7 +130,8 @@ mod tests {
             // generous bound: no hidden per-access blowup (the paper
             // found none either)
             // generous: unit tests run concurrently on one core, so wall
-            // time is noisy; the Criterion bench is the real measurement
+            // time is noisy; the benchmark's `jacobi3d` workload is the
+            // real measurement
             assert!(
                 r.time_per_iter.as_secs_f64() < baseline * 8.0,
                 "{} shows a per-access blowup: {:?} vs baseline {:?}",

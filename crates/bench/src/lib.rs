@@ -3,8 +3,8 @@
 //! One module per table/figure of the paper's §4, each exposing a
 //! `run(...)` that produces the data and a rendered report. The `repro`
 //! binary drives them (`cargo run --release -p pvr-bench --bin repro --
-//! all`); the Criterion benches under `benches/` cover the
-//! latency-sensitive measurements with proper statistics.
+//! all`); the repository's `benchmark/` package measures the
+//! latency-sensitive layers with proper statistics.
 //!
 //! | Paper artifact | Module | Regenerate with |
 //! |---|---|---|

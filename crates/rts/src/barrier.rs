@@ -106,7 +106,7 @@ impl Machine {
     /// no rank has completed (a completed rank cannot be captured).
     fn capture_if_due(&mut self) {
         let period = self.ckpt.period;
-        if period == 0 || self.done_count > 0 || self.lb_steps % period != 1 % period {
+        if period == 0 || self.driver.done_count > 0 || self.lb_steps % period != 1 % period {
             return;
         }
         // The capture *is* the application pause (the async buddy
@@ -129,7 +129,7 @@ impl Machine {
             match action {
                 BarrierAction::CorruptDelta { byte } => self.ckpt.corrupt_newest_delta(byte),
                 BarrierAction::SoftFault => {
-                    let all: Vec<RankId> = (0..self.ranks.len()).collect();
+                    let all: Vec<RankId> = (0..self.shared.ranks.len()).collect();
                     self.rollback(&all)?;
                 }
                 BarrierAction::FailPe(pe) => pe_died |= self.fail_pe(pe)?,
@@ -162,15 +162,19 @@ impl Machine {
     /// Virtual mode: the sync point is a barrier — all active PEs meet
     /// at the max active clock.
     fn equalize_clocks(&mut self) {
-        if self.clock != ClockMode::Virtual {
+        if self.shared.clock != ClockMode::Virtual {
             return;
         }
-        let active = self.geometry.active();
-        let Some(max_clock) = active.iter().map(|&p| self.pes[p].clock).max() else {
+        let active = self.shared.geometry.active();
+        let Some(max_clock) = active
+            .iter()
+            .map(|&p| self.driver.lanes[p].state.clock)
+            .max()
+        else {
             return;
         };
         for p in active {
-            self.pes[p].advance_to(max_clock);
+            self.driver.lanes[p].state.advance_to(max_clock);
         }
     }
 
@@ -185,25 +189,26 @@ impl Machine {
         // every PE alive this is the identity mapping; after a
         // failure or rescale it keeps strategies spreading load over
         // exactly the PEs that can run ranks.
-        let active = self.geometry.active();
-        let mut dense = vec![0usize; self.pes.len()];
+        let (shared, n_pes) = (&self.shared, self.n_pes());
+        let active = shared.geometry.active();
+        let mut dense = vec![0usize; n_pes];
         for (i, &p) in active.iter().enumerate() {
             dense[p] = i;
         }
+        let ranks = &shared.ranks;
         let stats = LbStats {
-            loads: self
-                .ranks
+            loads: ranks
                 .iter()
                 .map(|r| r.load_since_lb.as_secs_f64())
                 .collect(),
-            placement: self
+            placement: shared
                 .location
                 .placements()
                 .iter()
                 .map(|&p| dense[p])
                 .collect(),
             n_pes: active.len(),
-            migration_bytes: self.ranks.iter().map(|r| r.migration_bytes()).collect(),
+            migration_bytes: ranks.iter().map(|r| r.migration_bytes()).collect(),
             comm_bytes: self
                 .comm_bytes
                 .iter()
@@ -212,13 +217,19 @@ impl Machine {
         };
         let new_placement = balancer.rebalance(&stats);
         self.balancer = Some(balancer);
-        assert_eq!(new_placement.len(), self.ranks.len());
+        assert_eq!(new_placement.len(), self.shared.ranks.len());
 
         // LB database entry (in the dense active-PE view, matching
         // what the strategy was shown)
         self.lb_history.push(LbRecord {
             step: self.lb_steps,
-            at: self.pes.iter().map(|p| p.clock).max().unwrap_or(SimTime::ZERO),
+            at: self
+                .driver
+                .lanes
+                .iter()
+                .map(|l| l.state.clock)
+                .max()
+                .unwrap_or(SimTime::ZERO),
             pe_loads_before: stats.pe_loads(&stats.placement),
             pe_loads_after: stats.pe_loads(&new_placement),
             migrations: stats.migration_count(&new_placement),
@@ -231,9 +242,10 @@ impl Machine {
             // instead of panicking — LB output is advisory.
             let new_pe = match active.get(slot) {
                 Some(&pe) => pe,
-                None => self.geometry.first_alive_from(slot.min(self.pes.len() - 1)),
+                None => self.shared.geometry.first_alive_from(slot.min(n_pes - 1)),
             };
-            if self.ranks[r].status != RankStatus::Done && new_pe != self.ranks[r].location {
+            let pe = self.shared.location.lookup(r);
+            if self.shared.ranks[r].status != RankStatus::Done && new_pe != pe {
                 self.migrate_charged(r, new_pe, true)?;
             }
         }
@@ -243,14 +255,14 @@ impl Machine {
     /// Reset loads and the comm graph, and release everyone.
     fn release(&mut self, migrations_before: usize) {
         self.comm_bytes.clear();
-        for r in 0..self.ranks.len() {
-            self.ranks[r].load_since_lb = SimDuration::ZERO;
-            if self.ranks[r].status == RankStatus::AtSync {
-                self.ranks[r].status = RankStatus::Ready;
-                self.enqueue_ready(r, self.ranks[r].location);
+        for r in 0..self.shared.ranks.len() {
+            self.shared.ranks[r].load_since_lb = SimDuration::ZERO;
+            if self.shared.ranks[r].status == RankStatus::AtSync {
+                self.shared.ranks[r].status = RankStatus::Ready;
+                self.enqueue_ready(r, self.shared.location.lookup(r));
             }
         }
-        self.at_sync_count = 0;
+        self.driver.at_sync_count = 0;
         self.trace_job(EventKind::LbStep {
             step: self.lb_steps,
             migrations: (self.migrations.len() - migrations_before) as u32,
@@ -267,7 +279,7 @@ impl Machine {
 
     /// `what` rolls ranks back, which a completed rank cannot do.
     pub(crate) fn no_rank_completed(&self, what: &str) -> Result<(), RtsError> {
-        if self.done_count == 0 {
+        if self.driver.done_count == 0 {
             return Ok(());
         }
         let why = "is unsupported (completed ranks cannot roll back)";
@@ -302,7 +314,7 @@ impl Machine {
     /// stack, the stack guard's canaries at the stack's base.
     pub(crate) fn scribble_rank(&mut self, rank: RankId) {
         self.refresh_stack_extent(rank);
-        let memory = &self.ranks[rank].memory;
+        let memory = &self.shared.ranks[rank].memory;
         for reg in memory.heap_ref().regions().chain(memory.regions()) {
             let live = reg.live();
             // SAFETY: `live` lies inside the pinned region (`set_live`
@@ -316,7 +328,7 @@ impl Machine {
     /// (not even for cancellation-unwind at drop), so the ULTs leak.
     pub(crate) fn abandon_ranks(&mut self, ranks: &[RankId]) {
         for &r in ranks {
-            if let Some(ult) = self.ranks[r].ult.as_mut() {
+            if let Some(ult) = self.shared.ranks[r].ult.as_mut() {
                 ult.abandon();
             }
         }
@@ -332,11 +344,11 @@ impl Machine {
         source_pays: bool,
     ) -> Result<(), RtsError> {
         let rec = self.migrate_now(rank, to)?;
-        if self.clock == ClockMode::Virtual {
+        if self.shared.clock == ClockMode::Virtual {
             if source_pays {
-                self.pes[rec.from_pe].work(rec.sim_cost);
+                self.driver.lanes[rec.from_pe].state.work(rec.sim_cost);
             }
-            self.pes[to].work(rec.sim_cost);
+            self.driver.lanes[to].state.work(rec.sim_cost);
         }
         Ok(())
     }

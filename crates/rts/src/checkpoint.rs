@@ -153,8 +153,8 @@ impl Machine {
     /// Whether the next incremental capture can append a delta to
     /// `ckpt`'s chain rather than start from a fresh base.
     fn chain_usable(&self, ckpt: &Checkpoint) -> bool {
-        let alive = self.geometry.alive();
-        ckpt.entries.len() == self.ranks.len()
+        let alive = self.shared.geometry.alive();
+        ckpt.entries.len() == self.shared.ranks.len()
             && (ckpt.chain_len() as u32) < self.ckpt.max_chain
             // A dead holder degrades the chain to (at most) one live
             // copy; re-establish two-copy redundancy with a fresh base,
@@ -164,7 +164,7 @@ impl Machine {
                 .entries
                 .iter()
                 .enumerate()
-                .all(|(r, e)| self.ranks[r].memory.verify_layout(&e.image).is_ok())
+                .all(|(r, e)| self.shared.ranks[r].memory.verify_layout(&e.image).is_ok())
     }
 
     /// Take one periodic capture in incremental mode: a fresh base when
@@ -200,6 +200,7 @@ impl Machine {
             // (read through the page table) and advance their epoch;
             // every other region is scanned against the previous image.
             let mut cow = self
+                .shared
                 .privatizers
                 .iter_mut()
                 .find_map(|p| p.cow_delta_pages(r, since));
@@ -207,7 +208,7 @@ impl Machine {
             let chain: Vec<&pvr_isomalloc::ImageDelta> =
                 e.deltas.iter().map(|d| &d.patch).collect();
             let sp = self.refresh_stack_extent(r);
-            let patch = self.ranks[r].memory.diff_pages_against_chain(
+            let patch = self.shared.ranks[r].memory.diff_pages_against_chain(
                 &e.image,
                 &chain,
                 pvr_progimage::DEFAULT_PAGE_SIZE,
@@ -240,7 +241,7 @@ impl Machine {
                 buddy_patch: None,
                 checksum,
                 sp,
-                req: self.ranks[r].matcher.snapshot(),
+                req: self.shared.ranks[r].matcher.snapshot(),
                 cow_since,
             });
         }
@@ -266,8 +267,8 @@ impl Machine {
     /// `AtSync` with drained mailboxes). Each image is replicated to the
     /// home PE's buddy so one PE failure cannot lose it.
     pub(crate) fn take_checkpoint(&mut self) {
-        let mut entries: Vec<CheckpointEntry> = Vec::with_capacity(self.ranks.len());
-        for r in 0..self.ranks.len() {
+        let mut entries: Vec<CheckpointEntry> = Vec::with_capacity(self.shared.ranks.len());
+        for r in 0..self.shared.ranks.len() {
             // COW methods supply a read-through view of their page table
             // (template bytes for shared pages, backing bytes for private
             // ones), so packing never materializes the backing store and
@@ -276,11 +277,12 @@ impl Machine {
             let sp = self.refresh_stack_extent(r);
             self.pack_rank_read_through(r, |_| true, &mut image);
             let checksum = image.checksum();
-            let primary_pe = self.ranks[r].location;
+            let primary_pe = self.shared.location.lookup(r);
             // Epoch floor for the first delta on top of this base: pages
             // dirtied from here on belong to the next capture.
             let base_cow_since = if self.ckpt.incremental {
-                self.privatizers
+                self.shared
+                    .privatizers
                     .iter_mut()
                     .map(|p| p.cow_advance_epoch(r))
                     .find(|&e| e > 0)
@@ -291,10 +293,10 @@ impl Machine {
             entries.push(CheckpointEntry {
                 image,
                 sp,
-                req: self.ranks[r].matcher.snapshot(),
+                req: self.shared.ranks[r].matcher.snapshot(),
                 checksum,
                 primary_pe,
-                buddy_pe: self.geometry.buddy_of(primary_pe),
+                buddy_pe: self.shared.geometry.buddy_of(primary_pe),
                 deltas: Vec::new(),
                 base_cow_since,
             });
@@ -336,8 +338,8 @@ impl Machine {
         let ckpt = self.ckpt.last.as_mut().filter(|_| self.ckpt.incremental)?;
         let mut bytes = 0u64;
         for (r, e) in ckpt.entries.iter_mut().enumerate() {
-            e.primary_pe = self.ranks[r].location;
-            e.buddy_pe = self.geometry.buddy_of(e.primary_pe);
+            e.primary_pe = self.shared.location.lookup(r);
+            e.buddy_pe = self.shared.geometry.buddy_of(e.primary_pe);
             let sealed = e.deltas.iter().filter(|d| d.buddy_patch.is_some());
             bytes += e.image.len() as u64 + sealed.map(|d| d.patch.bytes() as u64).sum::<u64>();
         }
@@ -395,7 +397,7 @@ impl Machine {
     /// cut, and verify every image and delta inside it. Returns the cut
     /// and, per rank, whether its buddy is the holder.
     fn verify_checkpoint(&self, ckpt: &Checkpoint) -> Result<(usize, Vec<bool>), RtsError> {
-        let alive = self.geometry.alive();
+        let alive = self.shared.geometry.alive();
         // 1a: pick a live holder per rank and find the consistent
         // cut — the longest chain prefix every holder can supply.
         let mut cut = usize::MAX;
@@ -426,7 +428,7 @@ impl Machine {
                     detail: "checkpoint image checksum mismatch".into(),
                 });
             }
-            let memory = &self.ranks[rank].memory;
+            let memory = &self.shared.ranks[rank].memory;
             memory.verify_layout(&e.image).map_err(|e| unusable(rank, e))?;
             for d in &e.deltas[..cut] {
                 let patch = d.held(from_buddy).ok_or_else(|| unsealed(rank))?;
@@ -459,7 +461,7 @@ impl Machine {
         // what the base does not store — whatever `sp` is now.
         let sp = chain.iter().rev().find_map(|d| d.sp).or(e.sp);
         let req = chain.last().map_or(&e.req, |d| &d.req);
-        let memory = &mut self.ranks[rank].memory;
+        let memory = &mut self.shared.ranks[rank].memory;
         memory.set_stack_live(sp);
         memory.unpack_into(&e.image).map_err(|e| unusable(rank, e))?;
         for d in chain {
@@ -476,9 +478,9 @@ impl Machine {
         }
         // The request table rolls back with the memory it belongs
         // to — the cut's barrier state.
-        self.ranks[rank].matcher.restore(req);
+        self.shared.ranks[rank].matcher.restore(req);
         e.deltas.truncate(cut);
-        if let (Some(sp), Some(ult)) = (sp, self.ranks[rank].ult.as_mut()) {
+        if let (Some(sp), Some(ult)) = (sp, self.shared.ranks[rank].ult.as_mut()) {
             // SAFETY: the stack bytes were just restored to exactly
             // the state observed together with this sp.
             unsafe { ult.restore_suspended_sp(sp) };

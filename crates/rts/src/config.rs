@@ -9,18 +9,18 @@
 use crate::barrier::BarrierAction;
 use crate::checkpoint::Checkpoints;
 use crate::command::{RankCtx, RankShared, Slot};
+use crate::driver::Driver;
 use crate::guards::Guards;
 use crate::lb::LoadBalancer;
 use crate::location::LocationManager;
 use crate::machine::{ClockMode, Machine, ReliableState};
-use crate::pe::PeState;
 use crate::rank::{RankState, RankStatus};
 use crate::rescale::Geometry;
-use crate::stats::{EngineTallies, HardeningTallies, Tallies};
-use crate::worker::{HlsBlocks, RankTable};
+use crate::stats::{HardeningTallies, Tallies};
+use crate::worker::{HlsBlocks, RankTable, Shared};
 use crate::PeId;
 use parking_lot::Mutex;
-use pvr_des::{EventQueue, NetworkModel, SimDuration, Topology};
+use pvr_des::{NetworkModel, SimDuration, Topology};
 use pvr_isomalloc::{RankMemory, Region, RegionKind};
 use pvr_privatize::methods::Options as MethodOptions;
 use pvr_privatize::{
@@ -472,7 +472,6 @@ impl MachineConfig {
                 slot,
                 shared,
                 status: RankStatus::Ready,
-                location: pe,
                 matcher: Default::default(),
                 load_since_lb: SimDuration::ZERO,
                 total_load: SimDuration::ZERO,
@@ -620,10 +619,16 @@ impl MachineConfig {
         let mut barrier_script = self.barrier_script;
         barrier_script.sort_by_key(|&(step, action)| (step, action.order()));
 
-        let mut pes: Vec<PeState> = (0..n_pes).map(|_| PeState::default()).collect();
-        for r in 0..n_ranks {
-            pes[location.lookup(r)].ready.push_back(r);
-        }
+        let reliable = self.network.fault_plan().map(|plan| {
+            Mutex::new(ReliableState {
+                plan: *plan,
+                base_rto: self.retransmit_base,
+                max_attempts: self.retransmit_max_attempts,
+                send_seq: Default::default(),
+                inflight: Default::default(),
+                recv: Default::default(),
+            })
+        });
 
         // Per-PE hierarchical-local-storage blocks (MPC HLS): resolved
         // once so the context-switch path pays a plain load.
@@ -640,28 +645,29 @@ impl MachineConfig {
         );
 
         Ok(Machine {
-            topology: topo,
-            clock: self.clock,
-            network: self.network,
+            driver: Driver::new(&location, n_pes, self.parallelism),
+            shared: Shared {
+                clock: self.clock,
+                topology: topo,
+                network: self.network,
+                location,
+                ranks: RankTable::new(ranks),
+                hls: pe_hls_blocks,
+                geometry: Geometry::new(n_pes, n_active),
+                tracer: self.tracer,
+                reliable,
+                privatizers,
+                guards,
+                epoch: Instant::now(),
+                max_outstanding_reqs: self.max_outstanding_reqs,
+            },
             balancer: self.balancer,
-            privatizers,
-            location,
-            ranks: RankTable::new(ranks),
-            pes,
-            // Pre-sized from the run shape: PeWakes per PE plus a few
-            // in-flight deliveries/acks/timers per rank covers the
-            // steady state, so scheduling never reallocates.
-            queue: EventQueue::with_capacity((n_ranks * 8 + n_pes).max(64)),
-            done_count: 0,
-            at_sync_count: 0,
             tallies: Tallies {
                 hardening,
                 ..Default::default()
             },
             lb_steps: 0,
             migrations: Vec::new(),
-            epoch: Instant::now(),
-            pe_hls_blocks,
             lb_history: Vec::new(),
             comm_bytes: std::collections::BTreeMap::new(),
             code_dedup_migration: self.code_dedup_migration,
@@ -672,26 +678,8 @@ impl MachineConfig {
                 last: None,
             },
             barrier_script: barrier_script.into(),
-            geometry: Geometry::new(n_pes, n_active),
             rescale_policy: self.rescale_policy,
-            reliable: self.network.fault_plan().map(|plan| {
-                Mutex::new(ReliableState {
-                    plan: *plan,
-                    base_rto: self.retransmit_base,
-                    max_attempts: self.retransmit_max_attempts,
-                    send_seq: Default::default(),
-                    inflight: Default::default(),
-                    recv: Default::default(),
-                })
-            }),
-            tracer: self.tracer,
-            guards,
             method_requested: self.method,
-            max_outstanding_reqs: self.max_outstanding_reqs,
-            parallelism: self.parallelism,
-            engine: EngineTallies::default(),
-            lane_slots: Vec::new(),
-            merge_buf: Vec::new(),
             migrate_buf: pvr_isomalloc::MigrationBuffer::default(),
         })
     }

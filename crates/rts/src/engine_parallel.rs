@@ -25,8 +25,8 @@
 //!
 //! An epoch is one `broadcast` ([`run_epoch_lanes`]) in which workers
 //! *claim* the next non-empty lane from a shared iterator and drive it
-//! through a one-lane [`ExecCtx`] — the same context
-//! `Machine::with_lane` builds. A virtual-mode lane touches only its own
+//! through its own [`ExecCtx`] — one context, one lane, as at a barrier
+//! (`Machine::with_lane`). A virtual-mode lane touches only its own
 //! queue, PE state and outbox and the ranks resident on its PE, so which
 //! worker drives it (and in which order) cannot change what it produces;
 //! the machine merges outboxes in PE order afterwards. Lane → worker
@@ -38,24 +38,25 @@
 //! ## Real-time mode: contiguous chunks
 //!
 //! A burst is one `broadcast` ([`real_burst`]) of [`worker_loop`]: each
-//! worker takes one contiguous chunk of lanes (a real-time lane deposits
-//! directly into sibling lanes of its own chunk, which is what
-//! `ExecCtx::owned_lane` resolves) and exchanges cross-worker messages
-//! through sharded per-worker inboxes ([`RealHub`]) — a sender locks
-//! only its target's shard, so two workers exchanging messages with two
-//! *other* workers never contend. A lock-free pending counter
-//! (incremented before the shard push, decremented after the take) plus
-//! per-worker idle flags give the classic all-idle-and-nothing-pending
-//! termination detector; the one remaining mutex+condvar pair exists
-//! purely to park idle workers (with a timeout backstop against lost
-//! wakeups). On a pool of one the single chunk is every lane, and the
-//! burst ends at the first sweep that runs nothing. Real-time parallel
-//! runs are *not* deterministic —
-//! wall-clock scheduling never is — which is why the determinism suite
-//! pins virtual mode only.
+//! worker takes one contiguous chunk of lanes and sweeps it, one context
+//! per lane and one rank slice per PE per sweep. What a slice sends to a
+//! sibling lane of the same chunk is handed straight to that lane's
+//! `deposit` before the sweep moves on; only what it sends to another
+//! worker's lane crosses the hub — sharded per-worker inboxes
+//! ([`RealHub`]), so a sender locks only its target's shard, and two
+//! workers exchanging messages with two *other* workers never contend. A
+//! lock-free pending counter (incremented before the shard push,
+//! decremented after the take) plus per-worker idle flags give the
+//! classic all-idle-and-nothing-pending termination detector; the one
+//! remaining mutex+condvar pair exists purely to park idle workers (with
+//! a timeout backstop against lost wakeups). On a pool of one the single
+//! chunk is every lane, and the burst ends at the first sweep that runs
+//! nothing. Real-time parallel runs are *not* deterministic — wall-clock
+//! scheduling never is — which is why the determinism suite pins virtual
+//! mode only.
 
 use crate::message::RtsMessage;
-use crate::worker::{self, EngineShared, ExecCtx, Lane};
+use crate::worker::{ExecCtx, Lane, Shared};
 use parking_lot::{Condvar, Mutex};
 use pvr_des::SimTime;
 use pvr_trace::ThreadScope;
@@ -238,8 +239,8 @@ fn helper_loop(shared: &PoolShared, w: usize) {
 /// shared with helpers starts every worker, the driver too, from a fresh
 /// one, so what a worker attributes cannot depend on which lanes it
 /// happened to drive before.
-fn job_scope(shared: &EngineShared<'_>, helpers: bool) -> Option<ThreadScope> {
-    let tracer = shared.tracer.filter(|_| helpers)?;
+fn job_scope(shared: &Shared, helpers: bool) -> Option<ThreadScope> {
+    let tracer = shared.tracer.as_ref().filter(|_| helpers)?;
     Some(ThreadScope::install(tracer.clone()))
 }
 
@@ -247,7 +248,7 @@ fn job_scope(shared: &EngineShared<'_>, helpers: bool) -> Option<ThreadScope> {
 /// the next lane when it finishes one. `active` is the number of
 /// non-empty lanes. Returns per-worker busy wall-clock.
 pub(crate) fn run_epoch_lanes(
-    shared: &EngineShared<'_>,
+    shared: &Shared,
     lanes: &mut [Lane],
     pool: &WorkerPool,
     active: usize,
@@ -264,13 +265,7 @@ pub(crate) fn run_epoch_lanes(
             let Some(lane) = unclaimed.lock().find(|l| !l.queue.is_empty()) else {
                 break;
             };
-            let pe_base = lane.pe;
-            worker::run_epoch_lane(&mut ExecCtx {
-                shared,
-                lanes: std::slice::from_mut(lane),
-                pe_base,
-                li: 0,
-            });
+            ExecCtx { shared, lane }.run_epoch();
         }
         busy.lock()[w] = t0.elapsed();
     });
@@ -337,7 +332,7 @@ impl Drop for EndBurstOnUnwind<'_> {
 /// [`worker_loop`] on its own contiguous chunk of lanes until global
 /// quiescence. Returns (slices run, per-worker wall).
 pub(crate) fn real_burst(
-    shared: &EngineShared<'_>,
+    shared: &Shared,
     lanes: &mut [Lane],
     pool: &WorkerPool,
 ) -> (u64, Vec<Duration>) {
@@ -368,49 +363,63 @@ pub(crate) fn real_burst(
 }
 
 /// One worker's life for a real-time burst: drain own shard, sweep own
-/// lanes fairly, push cross-worker sends into their targets' shards,
-/// park when idle; terminate on global quiescence (every worker idle,
-/// nothing in flight).
+/// lanes fairly — handing what a slice sends to a sibling lane straight
+/// to it — push cross-worker sends into their targets' shards, park when
+/// idle; terminate on global quiescence (every worker idle, nothing in
+/// flight).
 fn worker_loop(
-    shared: &EngineShared<'_>,
+    shared: &Shared,
     slice: &mut [Lane],
     w: usize,
     chunk: usize,
     hub: &RealHub,
 ) -> Duration {
     let t0 = Instant::now();
-    let pe_base = slice[0].pe;
+    let first = slice[0].pe;
+    // Reused across sweeps: one lane's sends, and the sends for other
+    // workers' lanes collected over a sweep.
+    let mut mail: Vec<RtsMessage> = Vec::new();
+    let mut outbound: Vec<RtsMessage> = Vec::new();
     loop {
         if hub.over.load(SeqCst) {
             break;
         }
         let inbound: Vec<RtsMessage> = std::mem::take(&mut *hub.shards[w].lock());
         hub.pending.fetch_sub(inbound.len(), SeqCst);
-        let mut ctx = ExecCtx {
-            shared,
-            lanes: &mut *slice,
-            pe_base,
-            li: 0,
-        };
         for m in inbound {
-            ctx.deposit_external(m);
+            let lane = &mut slice[shared.location.lookup(m.to) - first];
+            ExecCtx { shared, lane }.deposit(m);
         }
-        let ran = match worker::real_sweep(&mut ctx) {
-            Ok(n) => n,
-            Err(e) => {
-                let li = ctx.li;
-                slice[li].out.error = Some((SimTime::ZERO, 0, e));
-                hub.finish();
-                break;
+        let mut ran = 0u64;
+        for li in 0..slice.len() {
+            match (ExecCtx {
+                shared,
+                lane: &mut slice[li],
+            })
+            .real_slice()
+            {
+                Ok(slice_ran) => ran += slice_ran as u64,
+                Err(e) => {
+                    // Unsent mail stays with the lane: the barrier
+                    // delivers it.
+                    slice[li].out.unrouted.append(&mut outbound);
+                    slice[li].out.error = Some((SimTime::ZERO, 0, e));
+                    hub.finish();
+                    return t0.elapsed();
+                }
             }
-        };
-        hub.ran_total.fetch_add(ran as u64, SeqCst);
-        let mut outbound = Vec::new();
-        for lane in slice.iter_mut() {
-            outbound.append(&mut lane.out.unrouted);
+            mail.append(&mut slice[li].out.unrouted);
+            for m in mail.drain(..) {
+                let pe = shared.location.lookup(m.to);
+                match pe.checked_sub(first).and_then(|i| slice.get_mut(i)) {
+                    Some(lane) => ExecCtx { shared, lane }.deposit(m),
+                    None => outbound.push(m),
+                }
+            }
         }
+        hub.ran_total.fetch_add(ran, SeqCst);
         let posted = outbound.len();
-        for m in outbound {
+        for m in outbound.drain(..) {
             let dest_w = shared.location.lookup(m.to) / chunk;
             // Count the message in flight before it becomes visible, so
             // a `pending == 0` read can never miss a published message.

@@ -3,7 +3,7 @@
 //! segment — checked after every resume on the lane, and again at every
 //! LB barrier. The canaries and the quarantines live in rank memory;
 //! what the guards keep besides is [`Guards`], which every lane reaches
-//! through the engine's shared view, like the reliable-delivery state.
+//! through the machine's `Shared`, like the reliable-delivery state.
 //!
 //! The per-slice segment check reads *every* rank's segment, so a rank
 //! running on another worker at that moment would look like bleed: a
@@ -93,7 +93,7 @@ impl Guards {
     }
 }
 
-impl ExecCtx<'_, '_> {
+impl ExecCtx<'_> {
     /// After rank `r` left its stack: its red zone must be intact, and no
     /// other rank's segment may have changed while it held the PE.
     pub(crate) fn check_guards(&mut self, guards: &Guards, r: RankId) -> Result<(), RtsError> {
@@ -120,12 +120,12 @@ impl ExecCtx<'_, '_> {
                 stack_size: *stack_size as u64,
             },
         );
-        self.lanes[self.li].out.tallies.hardening.stack_guard_trips += 1;
+        self.lane.out.tallies.hardening.stack_guard_trips += 1;
         if let Some(u) = rs.ult.as_mut() {
             u.abandon();
         }
         rs.status = RankStatus::Done;
-        self.lanes[self.li].out.done += 1;
+        self.lane.out.done += 1;
         Err(RtsError::StackGuard {
             rank: r,
             detail: e.to_string(),
@@ -135,18 +135,18 @@ impl ExecCtx<'_, '_> {
     /// Any *other* rank's segment changing while `writer` held the PE is
     /// cross-rank global bleed, attributed to `writer`.
     fn check_segment_bleed(&mut self, guards: &Guards, writer: RankId) -> Result<(), RtsError> {
-        let scan = guards.scan(self.shared.privatizers, Some(writer));
+        let scan = guards.scan(&self.shared.privatizers, Some(writer));
         let Some(q) = scan.victim else {
             return Ok(());
         };
         self.trace(
             writer as u32,
             EventKind::SegmentAudit {
-                ranks: self.shared.n_ranks as u32,
+                ranks: self.shared.ranks.len() as u32,
                 dirty: scan.dirty,
             },
         );
-        self.lanes[self.li].out.tallies.hardening.segment_audits += 1;
+        self.lane.out.tallies.hardening.segment_audits += 1;
         Err(RtsError::SegmentBleed { rank: q, writer })
     }
 }
@@ -156,7 +156,7 @@ impl Machine {
     /// stack region — where the red zone canaries live — simulating a
     /// stack overflow for the guard to catch at the next guard check.
     pub fn corrupt_rank_stack(&mut self, rank: RankId) {
-        let target: Option<(*mut u8, usize)> = self.ranks[rank]
+        let target: Option<(*mut u8, usize)> = self.shared.ranks[rank]
             .memory
             .regions()
             .find(|reg| reg.kind() == RegionKind::Stack)
@@ -174,6 +174,7 @@ impl Machine {
     /// cross-rank global bleed for the segment audit to catch.
     pub fn corrupt_rank_segment(&mut self, rank: RankId) {
         if let Some((base, len)) = self
+            .shared
             .privatizers
             .iter()
             .find_map(|p| p.rank_data_segment(rank))
@@ -194,12 +195,12 @@ impl Machine {
     /// pointers, then checksum every privatized data segment and emit the
     /// summary `SegmentAudit` event. Nothing to do with guards off.
     pub(crate) fn audit(&mut self) -> Result<(), RtsError> {
-        let Some(guards) = &self.guards else {
+        let Some(guards) = &self.shared.guards else {
             return Ok(());
         };
-        for r in 0..self.ranks.len() {
-            if let Err(v) = self.ranks[r].memory.heap_ref().audit_quarantine() {
-                let pe = self.ranks[r].location;
+        for r in 0..self.shared.ranks.len() {
+            if let Err(v) = self.shared.ranks[r].memory.heap_ref().audit_quarantine() {
+                let pe = self.shared.location.lookup(r);
                 self.trace(
                     pe,
                     r as u32,
@@ -214,7 +215,7 @@ impl Machine {
                 });
             }
         }
-        let scan = guards.scan(&self.privatizers, None);
+        let scan = guards.scan(&self.shared.privatizers, None);
         // The per-slice check clears after every resume, so bleed
         // surfacing only at the barrier was written outside any rank's
         // slice; the best attribution is the last resumed rank.
@@ -234,17 +235,17 @@ impl Machine {
     /// baselines and reset each arena's quarantine so stale poison
     /// expectations don't fire as false guard trips on restored bytes.
     pub(crate) fn reseed_guards_after_restore(&mut self) {
-        let Some(guards) = &mut self.guards else {
+        let Some(guards) = &mut self.shared.guards else {
             return;
         };
-        for r in 0..self.ranks.len() {
-            let heap = self.ranks[r].memory.heap();
+        for r in 0..self.shared.ranks.len() {
+            let heap = self.shared.ranks[r].memory.heap();
             if heap.guard_enabled() {
                 heap.set_guard(false);
                 heap.set_guard(true);
             }
         }
-        *guards.baseline.get_mut() = checksums(&self.privatizers, self.ranks.len());
+        *guards.baseline.get_mut() = checksums(&self.shared.privatizers, self.shared.ranks.len());
     }
 }
 
@@ -270,13 +271,13 @@ mod tests {
     #[test]
     fn a_scan_blames_the_lowest_changed_segment_other_than_the_writers() {
         let mut m = guarded().build(Arc::new(|_ctx: RankCtx| {})).unwrap();
-        let guards = m.guards.take().expect("guards on");
+        let guards = m.shared.guards.take().expect("guards on");
         m.corrupt_rank_segment(3);
         m.corrupt_rank_segment(1);
         m.corrupt_rank_segment(2);
-        let scan = guards.scan(&m.privatizers, Some(1));
+        let scan = guards.scan(&m.shared.privatizers, Some(1));
         assert_eq!((scan.audited, scan.dirty, scan.victim), (4, 2, Some(2)));
-        let scan = guards.scan(&m.privatizers, None);
+        let scan = guards.scan(&m.shared.privatizers, None);
         assert_eq!(
             (scan.dirty, scan.victim),
             (0, None),
@@ -327,6 +328,7 @@ mod tests {
             }))
             .unwrap();
         let (base, _) = m
+            .shared
             .privatizers
             .iter()
             .find_map(|p| p.rank_data_segment(3))

@@ -38,8 +38,12 @@
 //!
 //! ## Structure
 //!
-//! * [`machine::Machine`] — the whole simulated job: topology, PEs,
-//!   ranks, the epoch driver, migration.
+//! * [`machine::Machine`] — the whole simulated job: the shared view
+//!   its lanes read, the lanes, the barrier protocols' state, and what a
+//!   harness may do between runs (migrate, drive or feed a rank).
+//! * `driver` (private) — `Machine::run`: one lane per PE for the whole
+//!   run, the virtual-time epoch loop (split a window into the lanes,
+//!   run them, merge at the barrier) and the real-time burst loop.
 //! * `barrier` / `checkpoint` (private) and [`rescale`] — the LB barrier
 //!   as a list of phases ([`BarrierAction`] states their order), and
 //!   the two protocols it drives, each with the state only it touches:
@@ -54,9 +58,10 @@
 //! * [`matching`] — the per-rank matching engine: hashed posted and
 //!   unexpected queues, the request table, counted waits.
 //! * `worker` / `engine_parallel` / `guards` (private) — the execution
-//!   engine: per-PE lane state, the shared engine view, the worker pool
-//!   (of one thread or many) that drives the lanes, and the
-//!   memory-safety guards' state and checks, which every lane shares.
+//!   engine: a lane's scheduler code (`ExecCtx`: one context, one lane),
+//!   the `Shared` state every lane reads, the worker pool (of one thread
+//!   or many) that drives the lanes, and the memory-safety guards' state
+//!   and checks, which every lane shares.
 //! * [`lb`] — load balancing strategies (GreedyLB, RefineLB,
 //!   GreedyRefineLB — the paper's choice for ADCIRC — RotateLB, RandomLB).
 //! * [`location`] — rank → PE directory (Charm++'s distributed location
@@ -66,6 +71,7 @@ mod barrier;
 mod checkpoint;
 pub mod command;
 pub mod config;
+mod driver;
 mod engine_parallel;
 mod guards;
 pub mod lb;

@@ -1,26 +1,20 @@
-//! The machine: topology + PEs + ranks + scheduler + migration + LB.
+//! The machine: one simulated job — its shared view (`worker::Shared`),
+//! its lanes (`driver.rs`), and the barrier protocols' state — and what a harness may
+//! do to it between runs: migrate a rank, drive or feed one.
 //!
-//! One `Machine` is a whole simulated job (possibly many nodes/processes/
-//! PEs), driven deterministically by one OS thread. See the crate docs
-//! for the real-time vs virtual-time distinction.
+//! See the crate docs for the real-time vs virtual-time distinction.
 
 use crate::barrier::BarrierAction;
 use crate::checkpoint::Checkpoints;
-use crate::config::Parallelism;
-use crate::engine_parallel::{self, WorkerPool};
-use crate::guards::Guards;
+use crate::driver::Driver;
 use crate::lb::LoadBalancer;
-use crate::location::LocationManager;
 use crate::message::RtsMessage;
-use crate::pe::PeState;
 use crate::rank::RankStatus;
-use crate::rescale::Geometry;
-use crate::stats::{CowTallies, EngineTallies, Tallies};
+use crate::stats::{CowTallies, Tallies};
 pub use crate::stats::{FaultTallies, HardeningTallies, LbRecord, MigrationRecord, RunReport};
-use crate::worker::{self, EngineShared, HlsBlocks, Lane, Outbox, RankTable, StopReason};
+use crate::worker::Shared;
 use crate::{PeId, RankId};
-use parking_lot::Mutex;
-use pvr_des::{EventQueue, FaultPlan, NetworkModel, SimDuration, SimTime, Topology};
+use pvr_des::{FaultPlan, SimDuration};
 use pvr_isomalloc::GuardViolation;
 use pvr_privatize::{Method, PrivatizeError, Privatizer};
 use pvr_trace::{ArenaTrip, EventKind, Tracer, NO_RANK};
@@ -244,6 +238,35 @@ pub(crate) struct ReliableState {
     pub(crate) recv: std::collections::HashMap<(RankId, RankId), PairRecv>,
 }
 
+impl ReliableState {
+    /// Transmission `attempts` of `(from, to, seq)` was the last the
+    /// budget allows, and no ack has come back. If the receiver released
+    /// the message, only its acks were lost: forget it quietly.
+    /// Otherwise it is undeliverable.
+    pub(crate) fn give_up(
+        &mut self,
+        from: RankId,
+        to: RankId,
+        seq: u64,
+        attempts: u32,
+    ) -> Result<(), RtsError> {
+        let released = self
+            .recv
+            .get(&(from, to))
+            .is_some_and(|p| p.next_expected > seq);
+        if !released && self.inflight.contains_key(&(from, to, seq)) {
+            return Err(RtsError::DeliveryFailed {
+                from,
+                to,
+                seq,
+                attempts,
+            });
+        }
+        self.inflight.remove(&(from, to, seq));
+        Ok(())
+    }
+}
+
 /// Map an arena guard violation to its trace-event kind.
 pub(crate) fn arena_trip_kind(v: &GuardViolation) -> ArenaTrip {
     match v {
@@ -257,26 +280,17 @@ pub(crate) fn arena_trip_kind(v: &GuardViolation) -> ArenaTrip {
 /// [`MachineConfig::build`](crate::config::MachineConfig::build) (or the
 /// [`MachineBuilder`](crate::config::MachineBuilder) facade).
 pub struct Machine {
-    pub topology: Topology,
-    pub(crate) clock: ClockMode,
-    pub(crate) network: NetworkModel,
+    /// What every lane reads and only barriers write.
+    pub(crate) shared: Shared,
+    /// The lanes, one per PE for the whole run, and the loop that runs
+    /// them (`driver.rs`).
+    pub(crate) driver: Driver,
     pub(crate) balancer: Option<Box<dyn LoadBalancer>>,
-    pub(crate) privatizers: Vec<Box<dyn Privatizer>>,
-    pub(crate) location: LocationManager,
-    pub(crate) ranks: RankTable,
-    pub(crate) pes: Vec<PeState>,
-    pub(crate) queue: EventQueue<Event>,
-    pub(crate) done_count: usize,
-    pub(crate) at_sync_count: usize,
     /// Every exact count of the run so far; `run` copies it into the
     /// [`RunReport`].
     pub(crate) tallies: Tallies,
     pub(crate) lb_steps: u32,
     pub(crate) migrations: Vec<MigrationRecord>,
-    pub(crate) epoch: Instant,
-    /// Per-PE HLS block (null when the method has none); installed at
-    /// each context switch alongside the rank's registers.
-    pub(crate) pe_hls_blocks: HlsBlocks,
     pub(crate) code_dedup_migration: bool,
     /// Checkpoint configuration and the checkpoint held.
     pub(crate) ckpt: Checkpoints,
@@ -287,34 +301,12 @@ pub struct Machine {
     /// (ordered so LB inputs are independent of merge order).
     pub(crate) comm_bytes: std::collections::BTreeMap<(RankId, RankId), u64>,
     pub(crate) lb_history: Vec<LbRecord>,
-    /// Which PEs are active, and which have failed.
-    pub(crate) geometry: Geometry,
     /// Automatic rescale policy, consulted at every LB barrier the
     /// script asks no rescale of.
     pub(crate) rescale_policy: Option<Box<dyn crate::rescale::RescalePolicy>>,
-    /// Reliable-delivery state, present when the network carries a
-    /// fault plan. Behind a mutex so concurrent lanes can share it; the
-    /// per-pair keying keeps its evolution deterministic regardless.
-    pub(crate) reliable: Option<Mutex<ReliableState>>,
-    pub(crate) tracer: Option<Arc<Tracer>>,
-    /// Present when the memory-safety guards are on (stack red zones,
-    /// arena poisoning, segment audits).
-    pub(crate) guards: Option<Guards>,
     /// The method the configuration asked for (`method()` reports what
     /// actually landed).
     pub(crate) method_requested: Method,
-    /// Request-table size cap per rank (`MachineConfig` knob).
-    pub(crate) max_outstanding_reqs: usize,
-    /// How `run` drives the PEs (serial, fixed thread count, or auto).
-    pub(crate) parallelism: Parallelism,
-    /// Engine activity counters for the [`RunReport`].
-    pub(crate) engine: EngineTallies,
-    /// Recycled per-PE lane scheduler state (event queue + outbox),
-    /// indexed by PE: steady-state epochs allocate no fresh lane
-    /// structures.
-    pub(crate) lane_slots: Vec<(EventQueue<Event>, Outbox)>,
-    /// Recycled barrier-merge staging buffer.
-    pub(crate) merge_buf: Vec<(SimTime, PeId, Event)>,
     /// Wire buffer of [`Machine::migrate_now`], reused across migrations
     /// so each one costs its two memcpys, not a fresh mapping as well.
     pub(crate) migrate_buf: pvr_isomalloc::MigrationBuffer,
@@ -322,15 +314,15 @@ pub struct Machine {
 
 impl Machine {
     pub fn n_ranks(&self) -> usize {
-        self.ranks.len()
+        self.shared.ranks.len()
     }
 
     pub fn n_pes(&self) -> usize {
-        self.pes.len()
+        self.driver.lanes.len()
     }
 
     pub fn method(&self) -> Method {
-        self.privatizers[0].method()
+        self.shared.privatizers[0].method()
     }
 
     /// The method the configuration asked for; differs from
@@ -346,25 +338,14 @@ impl Machine {
 
     /// The attached event recorder, if any.
     pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.tracer.as_ref()
+        self.shared.tracer.as_ref()
     }
 
-    /// Nanosecond timestamp for trace events on `pe`: the virtual clock
-    /// in virtual mode, wall time since the machine epoch otherwise.
-    fn trace_now_ns(&self, pe: PeId) -> u64 {
-        match self.clock {
-            ClockMode::Virtual => self.pes[pe].clock.nanos(),
-            ClockMode::RealTime => self.epoch.elapsed().as_nanos() as u64,
-        }
-    }
-
-    /// Record a scheduler-side trace event. Free (one `Option` branch)
-    /// when no tracer is attached.
+    /// Record a scheduler-side trace event on `pe`'s track, stamped with
+    /// its clock. Free (one `Option` branch) when no tracer is attached.
     #[inline]
     pub(crate) fn trace(&self, pe: PeId, rank: u32, kind: EventKind) {
-        if let Some(t) = &self.tracer {
-            t.record(pe, rank, self.trace_now_ns(pe), kind);
-        }
+        self.shared.trace(&self.driver.lanes[pe], rank, kind);
     }
 
     /// Record an event of the whole job (a barrier's, a checkpoint's):
@@ -376,8 +357,9 @@ impl Machine {
     /// Install the tracer as this thread's emission target for the
     /// duration of a public entry point, so hooks in the library crates
     /// (`pvr-ampi`, `pvr-privatize`, `pvr-isomalloc`) reach it.
-    fn trace_scope(&self) -> Option<pvr_trace::ThreadScope> {
-        self.tracer
+    pub(crate) fn trace_scope(&self) -> Option<pvr_trace::ThreadScope> {
+        self.shared
+            .tracer
             .as_ref()
             .map(|t| pvr_trace::ThreadScope::install(t.clone()))
     }
@@ -385,7 +367,8 @@ impl Machine {
     /// Simulated I/O charged during startup (FSglobals) — add to measured
     /// build time for the Fig. 5 startup comparison.
     pub fn simulated_startup_cost(&self) -> Duration {
-        self.privatizers
+        self.shared
+            .privatizers
             .iter()
             .map(|p| p.simulated_startup_cost())
             .sum()
@@ -393,31 +376,31 @@ impl Machine {
 
     /// Bytes of segment copies per rank (startup accounting).
     pub fn per_rank_copied_bytes(&self) -> usize {
-        self.privatizers[0].per_rank_copied_bytes()
+        self.shared.privatizers[0].per_rank_copied_bytes()
     }
 
     pub fn location_of(&self, rank: RankId) -> PeId {
-        self.location.lookup(rank)
+        self.shared.location.lookup(rank)
     }
 
     pub fn resident_count(&self, pe: PeId) -> usize {
-        self.location.resident_count(pe)
+        self.shared.location.resident_count(pe)
     }
 
     /// Rank memory footprint (for reports/tests).
     pub fn rank_migration_bytes(&self, rank: RankId) -> usize {
-        self.ranks[rank].migration_bytes()
+        self.shared.ranks[rank].migration_bytes()
     }
 
     /// Access a privatizer (e.g. for `pieglobalsfind` queries).
     pub fn privatizer(&self, process: usize) -> &dyn Privatizer {
-        self.privatizers[process].as_ref()
+        self.shared.privatizers[process].as_ref()
     }
 
     /// A rank's privatization instance (demos/tests: resolving the
     /// rank's view of a global from outside the rank).
     pub fn rank_instance(&self, rank: RankId) -> &Arc<pvr_privatize::RankInstance> {
-        &self.ranks[rank].instance
+        &self.shared.ranks[rank].instance
     }
 
     /// Resolve a user reduction operator (encoded as a code-segment
@@ -431,11 +414,11 @@ impl Machine {
         pe: PeId,
         offset: usize,
     ) -> Result<pvr_progimage::spec::Callable, RtsError> {
-        if self.method() == Method::PieGlobals && self.location.resident_count(pe) == 0 {
+        if self.method() == Method::PieGlobals && self.shared.location.resident_count(pe) == 0 {
             return Err(RtsError::EmptyPeReduction { pe });
         }
-        let proc = self.topology.process_of_pe(pe);
-        self.privatizers[proc]
+        let proc = self.shared.topology.process_of_pe(pe);
+        self.shared.privatizers[proc]
             .callable_for_offset(offset)
             .ok_or(RtsError::Protocol {
                 rank: usize::MAX,
@@ -459,19 +442,19 @@ impl Machine {
     /// Explicitly migrate a suspended rank (the Fig. 8 harness; LB uses
     /// the same path).
     pub fn migrate_now(&mut self, rank: RankId, to_pe: PeId) -> Result<MigrationRecord, RtsError> {
-        if to_pe >= self.pes.len() {
+        if to_pe >= self.n_pes() {
             return Err(RtsError::BadMigration {
                 rank,
                 detail: format!("destination PE {to_pe} out of range"),
             });
         }
-        if !self.geometry.alive()[to_pe] {
+        if !self.shared.geometry.alive()[to_pe] {
             return Err(RtsError::BadMigration {
                 rank,
                 detail: format!("destination PE {to_pe} has failed"),
             });
         }
-        if !self.privatizers[0].supports_migration() {
+        if !self.shared.privatizers[0].supports_migration() {
             return Err(RtsError::BadMigration {
                 rank,
                 detail: format!(
@@ -480,8 +463,8 @@ impl Machine {
                 ),
             });
         }
-        let from_pe = self.ranks[rank].location;
-        if self.ranks[rank].status == RankStatus::Done {
+        let from_pe = self.shared.location.lookup(rank);
+        if self.shared.ranks[rank].status == RankStatus::Done {
             return Err(RtsError::BadMigration {
                 rank,
                 detail: "rank already completed".into(),
@@ -490,7 +473,8 @@ impl Machine {
         // Region-copy events from pack/unpack land against this rank.
         let trace_scope = self.trace_scope();
         if trace_scope.is_some() {
-            pvr_trace::set_context(from_pe, rank as u32, self.trace_now_ns(from_pe));
+            let now_ns = self.shared.now_ns(&self.driver.lanes[from_pe]);
+            pvr_trace::set_context(from_pe, rank as u32, now_ns);
         }
 
         // Pack (real memcpy) → "transfer" → unpack (real memcpy). The
@@ -511,7 +495,9 @@ impl Machine {
         self.refresh_stack_extent(rank);
         self.pack_rank_read_through(rank, include, &mut buf);
         let (bytes, stored_bytes) = (buf.len(), buf.stored_len());
-        let unpacked = self.ranks[rank].memory.unpack_into_with(&buf, include);
+        let unpacked = self.shared.ranks[rank]
+            .memory
+            .unpack_into_with(&buf, include);
         let real_time = t0.elapsed();
         self.migrate_buf = buf;
         // The stored ranges are data read back from the buffer: a round
@@ -520,14 +506,16 @@ impl Machine {
             rank,
             detail: format!("image does not unpack at the destination: {e}"),
         })?;
-        let sim_cost = self
-            .network
-            .cost(&self.topology, from_pe, to_pe, bytes);
+        let shared = &self.shared;
+        let sim_cost = shared.network.cost(&shared.topology, from_pe, to_pe, bytes);
 
         self.place(rank, to_pe);
-        self.ranks[rank].migrations += 1;
-        if self.ranks[rank].status == RankStatus::Ready {
-            self.pes[from_pe].ready.retain(|&x| x != rank);
+        self.shared.ranks[rank].migrations += 1;
+        if self.shared.ranks[rank].status == RankStatus::Ready {
+            self.driver.lanes[from_pe]
+                .state
+                .ready
+                .retain(|&x| x != rank);
             self.enqueue_ready(rank, to_pe);
         }
 
@@ -555,64 +543,24 @@ impl Machine {
     }
 
     /// `rank` now lives on `pe` — the commit point of every move, in the
-    /// three places that say where a rank is: the directory, the rank's
-    /// state, and what [`crate::RankCtx::my_pe`] reads.
+    /// two places that say where a rank is: the directory, and what
+    /// [`crate::RankCtx::my_pe`] reads.
     pub(crate) fn place(&mut self, rank: RankId, pe: PeId) {
-        self.location.update(rank, pe);
-        self.ranks[rank].location = pe;
-        self.ranks[rank].shared.current_pe.store(pe, Ordering::Relaxed);
+        self.shared.location.update(rank, pe);
+        self.shared.ranks[rank]
+            .shared
+            .current_pe
+            .store(pe, Ordering::Relaxed);
     }
 
     /// Put a ready `rank` on `pe`'s queue and, in virtual time, wake the PE.
     pub(crate) fn enqueue_ready(&mut self, rank: RankId, pe: PeId) {
-        self.pes[pe].ready.push_back(rank);
-        if self.clock == ClockMode::Virtual {
-            let at = self.queue.now().max_of(self.pes[pe].clock);
-            self.queue.schedule(at, Event::PeWake { pe });
+        let state = &mut self.driver.lanes[pe].state;
+        state.ready.push_back(rank);
+        if self.shared.clock == ClockMode::Virtual {
+            let at = self.driver.queue.now().max_of(state.clock);
+            self.driver.queue.schedule(at, Event::PeWake { pe });
         }
-    }
-
-    /// Hand a message to its target's matching engine — the barrier-time
-    /// path (harness injection, real-time hub spill-over), through the
-    /// same lane code the engines run during epochs.
-    pub(crate) fn deposit(&mut self, msg: RtsMessage) {
-        let pe = self.location.lookup(msg.to);
-        let merged = self.with_lane(pe, |ctx| ctx.deposit(0, msg)).1;
-        debug_assert!(merged.is_ok(), "a deposit raises no lane error");
-    }
-
-    /// Drive one rank until it blocks, parks, yields, or completes
-    /// (harness/test entry point).
-    pub(crate) fn run_rank_slice(&mut self, r: RankId) -> Result<StopReason, RtsError> {
-        let pe = self.location.lookup(r);
-        let (res, merged) = self.with_lane(pe, |ctx| ctx.run_rank_slice(r));
-        let stop = res?;
-        merged?;
-        Ok(stop)
-    }
-
-    /// Run `f` as a one-lane engine invocation on `pe` and merge the
-    /// lane back. Horizon ZERO: every emission crosses the barrier,
-    /// exactly reproducing global-queue scheduling.
-    fn with_lane<T>(
-        &mut self,
-        pe: PeId,
-        f: impl FnOnce(&mut worker::ExecCtx<'_, '_>) -> T,
-    ) -> (T, Result<(), RtsError>) {
-        let mut lane = Lane {
-            pe,
-            state: std::mem::take(&mut self.pes[pe]),
-            queue: EventQueue::new(),
-            horizon: SimTime::ZERO,
-            out: Outbox::default(),
-        };
-        let res = f(&mut worker::ExecCtx {
-            shared: &self.engine_shared(),
-            lanes: std::slice::from_mut(&mut lane),
-            pe_base: pe,
-            li: 0,
-        });
-        (res, self.merge_lanes([lane]))
     }
 
     /// Bring `rank`'s stack extent up to date with its ULT's suspended
@@ -620,7 +568,7 @@ impl Machine {
     /// or restores the rank's memory as an image. Nobody else knows where
     /// a stack's live bytes end; the heap's extents keep themselves.
     pub(crate) fn refresh_stack_extent(&mut self, rank: RankId) -> Option<usize> {
-        let state = &mut self.ranks[rank];
+        let state = &mut self.shared.ranks[rank];
         let sp = state.ult.as_ref().and_then(|u| u.suspended_sp());
         state.memory.set_stack_live(sp);
         sp
@@ -639,371 +587,16 @@ impl Machine {
         out: &mut pvr_isomalloc::MigrationBuffer,
     ) {
         let mut snap = self
+            .shared
             .privatizers
             .iter()
             .find_map(|p| p.cow_segment_snapshot(rank));
-        self.ranks[rank].memory.pack_with_sources_into(out, include, |reg| {
-            let (_, bytes) = snap.take_if(|(seg_base, _)| reg.base() as usize == *seg_base)?;
-            Some(bytes)
-        });
-    }
-
-    /// Worker threads `run` will actually use: the configured
-    /// [`Parallelism`] (with `Auto` reading `PVR_THREADS`), clamped to
-    /// the PE count, and forced to 1 when guards or an unprivatized
-    /// method require the single-threaded engine.
-    pub(crate) fn effective_threads(&self) -> usize {
-        let requested = match self.parallelism {
-            Parallelism::Serial => 1,
-            Parallelism::Threads(n) => n.max(1),
-            Parallelism::Auto => std::env::var("PVR_THREADS")
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(1),
-        };
-        let capped = requested.min(self.pes.len().max(1));
-        if self.guards.is_some() || self.method() == Method::Unprivatized {
-            1
-        } else {
-            capped
-        }
-    }
-
-    /// Conservative lookahead for epoch formation: the minimum cost any
-    /// cross-PE event can incur. Events popped within one window can
-    /// only schedule onto *other* lanes at or beyond the horizon, which
-    /// is what makes concurrent lane execution safe.
-    /// Only *active* PE pairs count: dead and deactivated PEs source no
-    /// events, so links touching them cannot constrain the window. The
-    /// machine recomputes this whenever the active set changes
-    /// (`Geometry::take_dirty`) — epoch partitioning does not affect merged
-    /// results, so a mid-run window change preserves bit-identity.
-    fn lookahead(&self) -> Lookahead {
-        let active = self.geometry.active();
-        if active.len() <= 1 {
-            return Lookahead::Unbounded;
-        }
-        let mut min_cost: Option<SimDuration> = None;
-        for &a in &active {
-            for &b in &active {
-                if a == b {
-                    continue;
-                }
-                let c = self.network.cost(&self.topology, a, b, 0);
-                min_cost = Some(match min_cost {
-                    Some(m) if m <= c => m,
-                    _ => c,
-                });
-            }
-        }
-        match min_cost {
-            None => Lookahead::Unbounded,
-            // An ideal network gives zero lookahead: fall back to
-            // one-event epochs (still parallel-safe; rarely parallel-
-            // profitable, which the dynamic engine choice handles).
-            Some(c) if c.nanos() == 0 => Lookahead::SingleEvent,
-            Some(c) => Lookahead::Window(c),
-        }
-    }
-
-    /// Which lane an event belongs to. `Deliver` follows the target's
-    /// *current* placement (stale `dest_pe` stamps still pay the forward
-    /// hop); reliable-layer timers run on the sender's lane.
-    fn event_pe(&self, ev: &Event) -> PeId {
-        match ev {
-            Event::Deliver { msg, .. } => self.location.lookup(msg.to),
-            Event::PeWake { pe } => *pe,
-            Event::Ack { from, .. } | Event::Retransmit { from, .. } => {
-                self.location.lookup(*from)
-            }
-        }
-    }
-
-    /// Split an epoch's event batch into per-PE lanes, moving each PE's
-    /// scheduler state into its lane. Batch order (time, global seq) is
-    /// preserved within each lane. Drains `batch` so the caller can
-    /// reuse the buffer.
-    ///
-    /// Lane queues and outboxes are recycled from `lane_slots`
-    /// (returned by [`Self::merge_lanes`]) so steady-state
-    /// epochs allocate nothing. Recycling is safe for the queue's
-    /// monotonic `now`: every event in the next epoch's batch is at or
-    /// beyond the previous horizon, which bounds every lane's `now`.
-    fn make_lanes(&mut self, batch: &mut Vec<(SimTime, Event)>, horizon: SimTime) -> Vec<Lane> {
-        let n = self.pes.len();
-        if self.lane_slots.len() != n {
-            // First epoch (or the PE count changed): pre-size each
-            // lane's queue and outbox from the run shape so the
-            // steady state never reallocates.
-            let cap = (self.ranks.len() * 4 / n.max(1)).max(16);
-            self.lane_slots = (0..n)
-                .map(|_| (EventQueue::with_capacity(cap), Outbox::with_capacity(cap)))
-                .collect();
-        }
-        let mut lanes: Vec<Lane> = (0..n)
-            .map(|pe| {
-                let (queue, out) = std::mem::take(&mut self.lane_slots[pe]);
-                Lane {
-                    pe,
-                    state: std::mem::take(&mut self.pes[pe]),
-                    queue,
-                    horizon,
-                    out,
-                }
-            })
-            .collect();
-        for (t, ev) in batch.drain(..) {
-            let pe = self.event_pe(&ev);
-            lanes[pe].queue.schedule(t, ev);
-        }
-        lanes
-    }
-
-    /// Fold completed lanes back into the machine at the barrier:
-    /// restore PE state, absorb counter deltas in PE order, merge
-    /// cross-lane events into the global queue in deterministic
-    /// (time, source PE, emission index) order, resolve deferred
-    /// retransmit-exhaustion verdicts, and surface the canonical
-    /// (earliest) error if any lane failed.
-    fn merge_lanes(&mut self, lanes: impl IntoIterator<Item = Lane>) -> Result<(), RtsError> {
-        let mut merged: Vec<(SimTime, PeId, Event)> = std::mem::take(&mut self.merge_buf);
-        let mut exhausted: Vec<(PeId, worker::Exhausted)> = Vec::new();
-        let mut errors: Vec<(SimTime, PeId, u8, RtsError)> = Vec::new();
-        for mut lane in lanes {
-            let pe = lane.pe;
-            self.pes[pe] = std::mem::take(&mut lane.state);
-            // A lane that errored stops mid-window; reinstate its
-            // unprocessed events so machine state stays coherent.
-            while let Some((t, ev)) = lane.queue.pop() {
-                merged.push((t, pe, ev));
-            }
-            let out = &mut lane.out;
-            self.tallies.absorb(&out.tallies);
-            self.done_count += out.done;
-            self.at_sync_count += out.at_sync;
-            for ((a, b), v) in std::mem::take(&mut out.comm_bytes) {
-                *self.comm_bytes.entry((a, b)).or_default() += v;
-            }
-            for _ in 0..out.forwards {
-                self.location.note_forward();
-            }
-            if let (Some(guards), Some(r)) = (&mut self.guards, out.last_ran) {
-                guards.last_ran = Some(r);
-            }
-            for (t, ev) in out.events.drain(..) {
-                merged.push((t, pe, ev));
-            }
-            for ex in out.exhausted.drain(..) {
-                exhausted.push((pe, ex));
-            }
-            if let Some((t, class, e)) = out.error.take() {
-                errors.push((t, pe, class, e));
-            }
-            let unrouted = std::mem::take(&mut out.unrouted);
-            for msg in unrouted {
-                self.deposit(msg);
-            }
-            // Recycle the lane's (now empty) queue and outbox so the
-            // next epoch's `make_lanes` allocates nothing.
-            if pe < self.lane_slots.len() {
-                lane.out.reset();
-                self.lane_slots[pe] = (lane.queue, lane.out);
-            }
-        }
-        // Stable sort on (time, source PE); the per-lane emission index
-        // is the push order the sort preserves, and the global queue's
-        // sequence number is the final tie-break.
-        merged.sort_by_key(|e| (e.0, e.1));
-        for (t, _, ev) in merged.drain(..) {
-            let at = t.max_of(self.queue.now());
-            self.queue.schedule(at, ev);
-        }
-        self.merge_buf = merged;
-        // Deferred retransmit exhaustions, judged against post-epoch
-        // receive state in deterministic (time, sender PE) order.
-        exhausted.sort_by_key(|&(pe, ref ex)| (ex.at, pe));
-        for (pe, ex) in exhausted {
-            let verdict = {
-                let mut rel = self
-                    .reliable
-                    .as_ref()
-                    .expect("reliable layer active")
-                    .lock();
-                if !rel.inflight.contains_key(&(ex.from, ex.to, ex.seq)) {
-                    continue;
-                }
-                let delivered = rel
-                    .recv
-                    .get(&(ex.from, ex.to))
-                    .is_some_and(|p| p.next_expected > ex.seq);
-                if delivered {
-                    // Receiver released it; only the acks were lost.
-                    rel.inflight.remove(&(ex.from, ex.to, ex.seq));
-                    None
-                } else {
-                    Some(RtsError::DeliveryFailed {
-                        from: ex.from,
-                        to: ex.to,
-                        seq: ex.seq,
-                        attempts: ex.attempts,
-                    })
-                }
-            };
-            if let Some(e) = verdict {
-                errors.push((ex.at, pe, 1, e));
-            }
-        }
-        errors.sort_by_key(|&(t, pe, class, _)| (t, pe, class));
-        match errors.into_iter().next() {
-            Some((_, _, _, e)) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Shared state handle for one epoch/burst. Borrows are per-field so
-    /// engines can hold it alongside `&mut` lanes.
-    fn engine_shared(&self) -> EngineShared<'_> {
-        EngineShared {
-            clock: self.clock,
-            topology: &self.topology,
-            network: &self.network,
-            location: &self.location,
-            ranks: &self.ranks,
-            hls: &self.pe_hls_blocks,
-            alive: self.geometry.alive(),
-            tracer: self.tracer.as_ref(),
-            reliable: self.reliable.as_ref(),
-            privatizers: &self.privatizers,
-            guards: self.guards.as_ref(),
-            epoch_start: self.epoch,
-            n_ranks: self.ranks.len(),
-            max_outstanding_reqs: self.max_outstanding_reqs,
-        }
-    }
-
-    /// Fold one epoch's or burst's per-worker wall-clocks into the engine
-    /// tallies. `parallel_since` is when it went to more than one worker
-    /// (`None`: the driver ran it alone).
-    fn record_walls(&mut self, parallel_since: Option<Instant>, walls: Vec<Duration>) {
-        if let Some(t0) = parallel_since {
-            self.engine.barriers += 1;
-            self.engine.parallel_wall += t0.elapsed();
-            self.engine.parallel_busy += walls.iter().sum::<Duration>();
-        }
-        for (total, w) in self.engine.worker_wall.iter_mut().zip(walls) {
-            *total += w;
-        }
-    }
-
-    /// Execute one epoch: split the batch into lanes, let the pool's
-    /// workers claim the ones with events, and merge at the barrier.
-    /// Every lane runs the same lane code whoever claims it, so neither
-    /// the thread count nor the claim order can change results.
-    fn run_epoch(
-        &mut self,
-        batch: &mut Vec<(SimTime, Event)>,
-        horizon: SimTime,
-        pool: &WorkerPool,
-    ) -> Result<(), RtsError> {
-        self.engine.epochs += 1;
-        let mut lanes = self.make_lanes(batch, horizon);
-        let active = lanes.iter().filter(|l| !l.queue.is_empty()).count();
-        let t0 = (pool.threads() > 1 && active > 1).then(Instant::now);
-        let walls =
-            engine_parallel::run_epoch_lanes(&self.engine_shared(), &mut lanes, pool, active);
-        self.record_walls(t0, walls);
-        self.merge_lanes(lanes)
-    }
-
-    /// One real-time scheduler burst: round-robin fair sweeps until no
-    /// PE can make progress. Returns whether any slice ran.
-    fn run_real_burst(&mut self, pool: &WorkerPool) -> Result<bool, RtsError> {
-        self.engine.epochs += 1;
-        let mut lanes = self.make_lanes(&mut Vec::new(), SimTime::ZERO);
-        let t0 = (pool.threads() > 1).then(Instant::now);
-        let (ran, walls) = engine_parallel::real_burst(&self.engine_shared(), &mut lanes, pool);
-        self.record_walls(t0, walls);
-        self.merge_lanes(lanes)?;
-        Ok(ran > 0)
-    }
-
-    /// Run the job to completion.
-    pub fn run(&mut self) -> Result<RunReport, RtsError> {
-        let _scope = self.trace_scope();
-        let threads = self.effective_threads();
-        self.engine.threads = threads;
-        if self.engine.worker_wall.len() < threads {
-            self.engine.worker_wall.resize(threads, Duration::ZERO);
-        }
-        let t0 = Instant::now();
-        // The helpers live for this call: `pool` is dropped — and its
-        // threads joined — on the `?` paths below as on the normal one.
-        let pool = WorkerPool::new(threads);
-        match self.clock {
-            ClockMode::RealTime => self.run_real(&pool)?,
-            ClockMode::Virtual => self.run_virtual(&pool)?,
-        }
-        drop(pool);
-        let real_elapsed = t0.elapsed();
-        if let Some(t) = &self.tracer {
-            for (pe, p) in self.pes.iter().enumerate() {
-                t.set_pe_clock(pe, p.busy.nanos(), p.idle.nanos());
-            }
-        }
-        self.tallies.cow = self.collect_cow_tallies();
-        self.tallies.ckpt.chain_len = self.ckpt.chain_len();
-        let t = self.tallies;
-        Ok(RunReport {
-            sim_elapsed: self
-                .pes
-                .iter()
-                .map(|p| p.clock)
-                .max()
-                .unwrap_or(SimTime::ZERO)
-                - SimTime::ZERO,
-            real_elapsed,
-            pe_busy_idle: self.pes.iter().map(|p| (p.busy, p.idle)).collect(),
-            context_switches: t.switches,
-            messages_delivered: t.delivered,
-            lb_steps: self.lb_steps,
-            migrations: self.migrations.clone(),
-            pe_clocks: self.pes.iter().map(|p| p.clock).collect(),
-            lb_history: self.lb_history.clone(),
-            faults: t.faults,
-            method_requested: self.method_requested,
-            method_landed: self.method(),
-            hardening: t.hardening,
-            cow: t.cow,
-            elastic: t.elastic,
-            ckpt: t.ckpt,
-            req: t.req,
-            engine: EngineTallies {
-                pool_hits: t.pool_hits,
-                pool_misses: t.pool_misses,
-                ..self.engine.clone()
-            },
-        })
-    }
-
-    /// Bench hook (`repro -- perf`, row `epoch_dispatch`): on a machine
-    /// whose run is over, drive `epochs` epochs of two lanes holding one
-    /// no-op `PeWake` each — all an epoch costs beyond its lanes' work —
-    /// on the pool `run` would use, and return the wall-clock they took.
-    /// Panics unless the machine has two PEs or more.
-    #[doc(hidden)]
-    pub fn bench_epoch_dispatch(&mut self, epochs: usize) -> Duration {
-        let pool = WorkerPool::new(self.effective_threads());
-        // Fresh lane queues: theirs start at time zero, like the wakes.
-        self.lane_slots.clear();
-        let mut batch = Vec::new();
-        let t0 = Instant::now();
-        for _ in 0..epochs {
-            batch.extend((0..2).map(|pe| (SimTime::ZERO, Event::PeWake { pe })));
-            self.run_epoch(&mut batch, SimTime::MAX, &pool)
-                .expect("an idle PE's wake raises nothing");
-        }
-        t0.elapsed()
+        self.shared.ranks[rank]
+            .memory
+            .pack_with_sources_into(out, include, |reg| {
+                let (_, bytes) = snap.take_if(|(seg_base, _)| reg.base() as usize == *seg_base)?;
+                Some(bytes)
+            });
     }
 
     /// Sum copy-on-write accounting across the per-process privatizers
@@ -1011,11 +604,11 @@ impl Machine {
     /// faulted-page masks, count the pages that never diverged on any
     /// rank, and emit one `DedupAudit` trace event. All-zero (and no
     /// event) for eager methods.
-    fn collect_cow_tallies(&mut self) -> CowTallies {
+    pub(crate) fn collect_cow_tallies(&mut self) -> CowTallies {
         let mut cow = CowTallies::default();
         let mut ranks: u64 = 0;
         let mut union: Vec<u64> = Vec::new();
-        for p in &self.privatizers {
+        for p in &self.shared.privatizers {
             let Some(s) = p.cow_stats() else { continue };
             cow.page_faults += s.page_faults;
             cow.pages_privatized += s.pages_privatized;
@@ -1041,105 +634,15 @@ impl Machine {
         });
         cow
     }
-
-    /// Run the LB barrier if every live rank is parked at it, and bring
-    /// `lookahead` up to date if that changed the active set. Returns
-    /// whether a barrier ran.
-    fn barrier_if_due(&mut self, lookahead: &mut Lookahead) -> Result<bool, RtsError> {
-        let live = self.ranks.len() - self.done_count;
-        let due = self.at_sync_count > 0 && self.at_sync_count == live;
-        if due {
-            self.do_lb_step()?;
-            if self.geometry.take_dirty() {
-                *lookahead = self.lookahead();
-            }
-        }
-        Ok(due)
-    }
-
-    /// Nothing can run and no barrier is due: the job is finished, or
-    /// its live ranks are blocked forever.
-    fn finished_or_deadlocked(&self) -> Result<(), RtsError> {
-        let waiting: Vec<RankId> =
-            (0..self.ranks.len()).filter(|&r| !self.ranks[r].is_done()).collect();
-        if waiting.is_empty() {
-            Ok(())
-        } else {
-            Err(RtsError::Deadlock { waiting })
-        }
-    }
-
-    fn run_real(&mut self, pool: &WorkerPool) -> Result<(), RtsError> {
-        // Real time forms no epochs; the barrier keeps this current anyway.
-        let mut lookahead = Lookahead::Unbounded;
-        while self.done_count < self.ranks.len() {
-            let progressed = self.run_real_burst(pool)?;
-            if !self.barrier_if_due(&mut lookahead)? && !progressed {
-                return self.finished_or_deadlocked();
-            }
-        }
-        Ok(())
-    }
-
-    fn run_virtual(&mut self, pool: &WorkerPool) -> Result<(), RtsError> {
-        // all PEs start at t=0
-        for pe in 0..self.pes.len() {
-            self.queue.schedule(SimTime::ZERO, Event::PeWake { pe });
-        }
-        let mut lookahead = self.lookahead();
-        // Reused across epochs: `drain_until` and `make_lanes` both
-        // drain it, so one warm buffer serves the whole run.
-        let mut batch: Vec<(SimTime, Event)> = Vec::new();
-        while self.done_count < self.ranks.len() {
-            debug_assert!(batch.is_empty());
-            match lookahead {
-                Lookahead::Unbounded => self.queue.drain_until(SimTime::MAX, &mut batch),
-                Lookahead::SingleEvent => batch.extend(self.queue.pop()),
-                Lookahead::Window(l) => {
-                    if let Some(t0) = self.queue.peek_time() {
-                        self.queue.drain_until(t0.saturating_add(l), &mut batch);
-                    }
-                }
-            }
-            if batch.is_empty() {
-                if self.barrier_if_due(&mut lookahead)? {
-                    continue;
-                }
-                return self.finished_or_deadlocked();
-            }
-            let horizon = match lookahead {
-                Lookahead::Unbounded => SimTime::MAX,
-                // Horizon at the event's own time: every emission
-                // crosses the barrier, replicating global-queue order.
-                Lookahead::SingleEvent => batch[0].0,
-                Lookahead::Window(l) => batch[0].0.saturating_add(l),
-            };
-            self.run_epoch(&mut batch, horizon, pool)?;
-            self.barrier_if_due(&mut lookahead)?;
-        }
-        Ok(())
-    }
-}
-
-/// Epoch-window policy derived from the network model (see
-/// [`Machine::lookahead`]).
-#[derive(Debug, Clone, Copy)]
-enum Lookahead {
-    /// One PE (or no cross-PE pairs): a single epoch covers everything.
-    Unbounded,
-    /// Zero minimum cross-PE cost: one event per epoch.
-    SingleEvent,
-    /// Minimum cross-PE cost `L`: epochs are `[t0, t0 + L)` windows.
-    Window(SimDuration),
 }
 
 impl fmt::Debug for Machine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Machine")
             .field("method", &self.method())
-            .field("pes", &self.pes.len())
-            .field("ranks", &self.ranks.len())
-            .field("clock", &self.clock)
+            .field("pes", &self.n_pes())
+            .field("ranks", &self.n_ranks())
+            .field("clock", &self.shared.clock)
             .finish()
     }
 }
@@ -1148,8 +651,11 @@ impl fmt::Debug for Machine {
 pub(crate) mod tests {
     use super::*;
     use crate::command::{MatchSpec, RankCtx};
-    use crate::config::{ConfigError, MachineBuilder};
+    use crate::config::{ConfigError, MachineBuilder, Parallelism};
+    use crate::worker::StopReason;
     use bytes::Bytes;
+    use parking_lot::Mutex;
+    use pvr_des::{NetworkModel, Topology};
     use pvr_isomalloc::RegionKind;
     use pvr_progimage::{link, ImageSpec, ProgramBinary, SharedFs};
     use std::sync::atomic::AtomicUsize;
@@ -1461,16 +967,24 @@ pub(crate) mod tests {
         // wrong tag, wrong source: buffered, the rank stays suspended
         m.deposit(RtsMessage::new(1, 0, 8, Bytes::new()));
         m.deposit(RtsMessage::new(0, 0, 9, Bytes::new()));
-        assert_eq!(m.ranks[0].status, RankStatus::Waiting);
-        assert_eq!(m.ranks[0].matcher.buffered(), 2);
+        assert_eq!(m.shared.ranks[0].status, RankStatus::Waiting);
+        assert_eq!(m.shared.ranks[0].matcher.buffered(), 2);
         // the suspended receive moves with the rank
         m.migrate_now(0, 1).unwrap();
         m.deposit(RtsMessage::new(1, 0, 7, Bytes::new()));
-        assert_eq!(m.ranks[0].status, RankStatus::Waiting);
-        assert_eq!(m.pes[1].ready, [1], "not requeued by arrivals it rejects");
+        assert_eq!(m.shared.ranks[0].status, RankStatus::Waiting);
+        assert_eq!(
+            m.driver.lanes[1].state.ready,
+            [1],
+            "not requeued by arrivals it rejects"
+        );
         m.deposit(RtsMessage::new(1, 0, 9, Bytes::from_static(b"wanted")));
-        assert_eq!(m.ranks[0].status, RankStatus::Ready);
-        assert_eq!(m.pes[1].ready, [1, 0], "requeued on its new PE");
+        assert_eq!(m.shared.ranks[0].status, RankStatus::Ready);
+        assert_eq!(
+            m.driver.lanes[1].state.ready,
+            [1, 0],
+            "requeued on its new PE"
+        );
         let report = m.run().unwrap();
         assert!(report.req.is_clean(), "a blocking receive is not a request");
     }
@@ -1798,9 +1312,14 @@ pub(crate) mod tests {
             }))
             .unwrap();
         m.drive_rank(0).unwrap();
-        let sp = m.ranks[0].ult.as_ref().unwrap().suspended_sp().expect("parked in recv");
+        let sp = m.shared.ranks[0]
+            .ult
+            .as_ref()
+            .unwrap()
+            .suspended_sp()
+            .expect("parked in recv");
         m.scribble_rank(0);
-        let memory = &m.ranks[0].memory;
+        let memory = &m.shared.ranks[0].memory;
         let chunk = memory.heap_ref().regions().next().expect("one heap chunk");
         let hwm = chunk.live().end;
         assert!(hwm >= 800 && hwm < chunk.len());
@@ -1811,7 +1330,7 @@ pub(crate) mod tests {
         assert_eq!(stack.live(), at - 128..stack.len());
         assert!(stack.as_slice()[at - 128..].iter().all(|&b| b == 0xDE), "frames and red zone");
         assert!(stack.as_slice()[..at - 128].iter().any(|&b| b != 0xDE), "dead stack left alone");
-        let ult = m.ranks[0].ult.as_ref().unwrap();
+        let ult = m.shared.ranks[0].ult.as_ref().unwrap();
         assert!(ult.check_stack_guard().is_ok(), "the canaries at the base are not rank state");
         // the frames are gone: never resume or unwind this ULT
         m.abandon_ranks(&[0]);
@@ -2146,7 +1665,7 @@ pub(crate) mod tests {
 
     /// Base address and length of `rank`'s ULT stack region.
     fn stack_region(m: &Machine, rank: RankId) -> (usize, usize) {
-        m.ranks[rank]
+        m.shared.ranks[rank]
             .memory
             .regions()
             .find(|reg| reg.kind() == RegionKind::Stack)
@@ -2177,7 +1696,7 @@ pub(crate) mod tests {
             }))
             .unwrap();
         let (base, _) = m
-            .privatizers
+            .shared.privatizers
             .iter()
             .find_map(|p| p.rank_data_segment(1))
             .unwrap();

@@ -2,7 +2,7 @@
 
 use crate::command::{RankShared, Slot};
 use crate::matching::Matcher;
-use crate::{PeId, RankId};
+use crate::RankId;
 use pvr_des::SimDuration;
 use pvr_isomalloc::RankMemory;
 use pvr_privatize::RankInstance;
@@ -38,7 +38,6 @@ pub struct RankState {
     pub slot: Arc<Slot>,
     pub shared: Arc<RankShared>,
     pub status: RankStatus,
-    pub location: PeId,
     /// Posted receives, the request table, the unexpected queue and the
     /// sends awaiting their ack.
     pub matcher: Matcher,
@@ -72,7 +71,6 @@ impl std::fmt::Debug for RankState {
         f.debug_struct("RankState")
             .field("rank", &self.id())
             .field("status", &self.status)
-            .field("pe", &self.location)
             .field("unexpected", &self.matcher.buffered())
             .finish()
     }

@@ -201,7 +201,7 @@ impl Geometry {
 impl Machine {
     /// PEs currently in the active set.
     pub fn active_pes(&self) -> usize {
-        self.geometry.active().len()
+        self.shared.geometry.active().len()
     }
 
     /// Request an elastic rescale of the active set to `n` PEs, applied
@@ -222,25 +222,28 @@ impl Machine {
 
     /// The loads, since the last LB step, of the ranks resident on `pe`.
     fn window_loads(&self, pe: PeId) -> impl Iterator<Item = SimDuration> + '_ {
-        self.location.residents(pe).map(|r| self.ranks[r].load_since_lb)
+        self.shared
+            .location
+            .residents(pe)
+            .map(|r| self.shared.ranks[r].load_since_lb)
     }
 
     /// The alive PE with the smallest window load, ties broken by PE id.
     fn least_loaded_alive_pe(&self) -> PeId {
         let load = |pe| self.window_loads(pe).fold(SimDuration::ZERO, |acc, d| acc + d);
-        let active = self.geometry.active().into_iter();
+        let active = self.shared.geometry.active().into_iter();
         active.min_by_key(|&p| (load(p), p)).expect("at least one alive PE")
     }
 
     /// What a [`RescalePolicy`] sees at this barrier: per-active-PE
     /// window loads, in active-PE order.
     pub(crate) fn rescale_stats(&self) -> RescaleStats {
-        let active = self.geometry.active();
+        let active = self.shared.geometry.active();
         let load = |&pe: &PeId| self.window_loads(pe).map(|d| d.as_secs_f64()).sum();
         RescaleStats {
             active_pes: active.len(),
-            capacity: self.pes.len(),
-            usable_pes: self.geometry.usable(),
+            capacity: self.driver.lanes.len(),
+            usable_pes: self.shared.geometry.usable(),
             pe_loads: active.iter().map(load).collect(),
             step: self.lb_steps,
         }
@@ -255,16 +258,16 @@ impl Machine {
     /// brings it back. A PE that already failed cannot fail again.
     /// Returns whether a live PE died.
     pub(crate) fn fail_pe(&mut self, pe: PeId) -> Result<bool, RtsError> {
-        if self.geometry.failed()[pe] {
+        if self.shared.geometry.failed()[pe] {
             return Ok(false);
         }
         let mut lost: Vec<RankId> = Vec::new();
-        if self.geometry.alive()[pe] {
+        if self.shared.geometry.alive()[pe] {
             if self.active_pes() < 2 {
                 return Self::refuse(format!("cannot fail PE {pe}: it is the last alive PE"));
             }
             self.no_rank_completed("PE failure")?;
-            lost.extend(self.location.residents(pe));
+            lost.extend(self.shared.location.residents(pe));
         }
         self.tallies.faults.pe_failures += 1;
         self.trace(
@@ -275,10 +278,10 @@ impl Machine {
                 ranks_lost: lost.len() as u32,
             },
         );
-        if !self.geometry.kill(pe) {
+        if !self.shared.geometry.kill(pe) {
             return Ok(false);
         }
-        self.pes[pe].ready.clear();
+        self.driver.lanes[pe].state.ready.clear();
         // The dead PE's rank images are gone; coordinated rollback of
         // every rank (survivors included).
         self.rollback(&lost)?;
@@ -299,9 +302,9 @@ impl Machine {
     /// re-replicated onto the new geometry so no rank has fewer than two
     /// live copies.
     pub(crate) fn do_rescale(&mut self, target: usize) -> Result<(), RtsError> {
-        let new_active = self.geometry.canonical(target);
+        let new_active = self.shared.geometry.canonical(target);
         let old_count = self.active_pes();
-        let (activated, deactivated) = self.geometry.set_active(&new_active);
+        let (activated, deactivated) = self.shared.geometry.set_active(&new_active);
         if activated.is_empty() && deactivated.is_empty() {
             return Ok(());
         }
@@ -309,10 +312,13 @@ impl Machine {
         // AtSync (or Done, which never runs again and needs no move).
         let mut drained = 0u32;
         for &d in &deactivated {
-            debug_assert!(self.pes[d].ready.is_empty(), "barrier ready queue not empty");
-            let residents: Vec<RankId> = self.location.residents(d).collect();
+            debug_assert!(
+                self.driver.lanes[d].state.ready.is_empty(),
+                "barrier ready queue not empty"
+            );
+            let residents: Vec<RankId> = self.shared.location.residents(d).collect();
             for r in residents {
-                if self.ranks[r].status != RankStatus::Done {
+                if self.shared.ranks[r].status != RankStatus::Done {
                     // both endpoints pay the transfer, as in LB moves
                     self.migrate_charged(r, self.least_loaded_alive_pe(), true)?;
                     drained += 1;
@@ -341,7 +347,7 @@ impl Machine {
     /// `CheckpointTaken` is emitted). Gated like the periodic checkpoint
     /// (completed ranks cannot be re-captured).
     fn re_replicate(&mut self) {
-        if self.ckpt.period == 0 || self.done_count > 0 {
+        if self.ckpt.period == 0 || self.driver.done_count > 0 {
             return;
         }
         self.seal();
@@ -349,7 +355,7 @@ impl Machine {
             self.take_checkpoint();
             self.checkpoint_image_bytes().0 as u64
         });
-        let ranks = self.ranks.len() as u32;
+        let ranks = self.shared.ranks.len() as u32;
         self.tallies.elastic.re_replications += 1;
         self.trace_job(EventKind::ReReplicate { ranks, bytes });
     }
@@ -366,14 +372,14 @@ impl Machine {
     pub(crate) fn do_geometry_restore(&mut self, target: usize) -> Result<(), RtsError> {
         self.no_rank_completed("geometry restore")?;
         self.rollback(&[])?;
-        let new_active = self.geometry.canonical(target);
-        let (activated, deactivated) = self.geometry.set_active(&new_active);
+        let new_active = self.shared.geometry.canonical(target);
+        let (activated, deactivated) = self.shared.geometry.set_active(&new_active);
         self.tallies.elastic.pes_activated += activated.len() as u32;
         self.tallies.elastic.pes_deactivated += deactivated.len() as u32;
         // Restart-style block placement over the new active list — the
         // same mapping `LocationManager::new_block` would produce for a
         // fresh machine with this many PEs.
-        let n_ranks = self.ranks.len();
+        let n_ranks = self.shared.ranks.len();
         let ratio = n_ranks.div_ceil(new_active.len());
         for r in 0..n_ranks {
             self.place(r, new_active[(r / ratio).min(new_active.len() - 1)]);

@@ -1,19 +1,30 @@
-//! Lane-level execution: the per-PE slice of a [`Machine`](crate::machine::Machine)
-//! that the engine's workers drive during one epoch.
+//! Lane-level execution: a PE's scheduler, driven through an
+//! [`ExecCtx`] — one context, one lane.
 //!
-//! The epoch-barrier protocol keeps parallel runs bit-identical to serial
-//! ones: the machine pops the global DES queue into a time window, splits
-//! the batch into per-PE [`Lane`]s, and the engine's workers drive each
-//! lane exactly once. During an epoch a lane touches only its own ranks
-//! (enforced by the [`RankTable`] ownership contract below); everything
-//! that would cross a lane boundary — events for other PEs, tallies,
-//! errors, retransmit-exhaustion verdicts — is buffered in the lane's
-//! [`Outbox`] and merged deterministically at the barrier.
+//! The machine keeps one [`Lane`] per PE for the whole run (the PE's
+//! scheduler state, its slice of the event queue, its outbox) and one
+//! [`Shared`] that every lane reads and only barriers write. The
+//! epoch-barrier protocol keeps parallel runs bit-identical to serial
+//! ones: the machine pops the global DES queue into a time window,
+//! schedules the batch into the lanes' queues, and the engine's workers
+//! drive each lane exactly once. During an epoch a lane touches only its
+//! own ranks (enforced by the [`RankTable`] ownership contract below);
+//! everything that would cross a lane boundary — events for other PEs,
+//! tallies, errors, retransmit-exhaustion verdicts — is buffered in the
+//! lane's [`Outbox`] and merged deterministically at the barrier.
 //!
 //! ## Send-safety audit
 //!
 //! What actually crosses threads here, and why each is sound:
 //!
+//! * **Lanes**: owned by the machine for the whole run; during an epoch
+//!   or a burst each is reached through exactly one `ExecCtx` at a time
+//!   — the one that claimed it in virtual time, its worker's in real
+//!   time, where a worker drives its chunk one lane after another and
+//!   hands a message for a sibling lane to that lane's
+//!   [`ExecCtx::deposit`] between two slices. Which OS thread drives a
+//!   lane differs from epoch to epoch; nothing a lane reads depends on
+//!   it.
 //! * **ULTs** (`RankState::ult`): a suspended ULT is a heap stack plus a
 //!   saved stack pointer; it is only ever resumed by the lane that owns
 //!   the rank, and rank ownership is frozen for the whole epoch
@@ -21,17 +32,18 @@
 //!   threads *while running* — only while suspended, which is a plain
 //!   memory hand-off ordered by the worker pool's publish (`Release`
 //!   store of the job's generation) and completion (`Release` decrement
-//!   of its pending count) edges. Which OS thread drives a lane differs
-//!   from epoch to epoch; nothing a lane reads depends on it.
+//!   of its pending count) edges.
 //! * **Privatization registers** (`pvr_privatize::regs`): thread-locals,
-//!   re-installed by `activate()`/`set_pe_base` at every context switch,
-//!   so concurrent lanes never observe each other's bases.
+//!   re-installed by `activate()` and the PE's HLS block at every
+//!   context switch, so concurrent lanes never observe each other's
+//!   bases.
 //! * **Tracer**: `Sync` by construction (atomic counters + per-PE ring
 //!   mutexes); each lane writes only its own PE rings, so per-PE event
 //!   streams stay deterministic.
-//! * **Reliable-delivery state**: a single `Mutex<ReliableState>` — all
-//!   per-pair counters are keyed so that each key is only mutated by one
-//!   lane per epoch (see the per-field notes in `machine.rs`).
+//! * **Reliable-delivery state**: a single `Mutex<ReliableState>`, locked
+//!   once per call of the layer's functions — all per-pair counters are
+//!   keyed so that each key is only mutated by one lane per epoch (see
+//!   the per-field notes in `machine.rs`).
 //! * **Guards** (`crate::guards::Guards`) and the privatizers their
 //!   segment scan reads through: the baseline sits behind a mutex, and a
 //!   guarded machine runs on one worker, so the scan never meets a rank
@@ -45,6 +57,7 @@ use crate::matching::Arrival;
 use crate::message::RtsMessage;
 use crate::pe::PeState;
 use crate::rank::{RankState, RankStatus};
+use crate::rescale::Geometry;
 use crate::stats::Tallies;
 use crate::{PeId, RankId};
 use parking_lot::Mutex;
@@ -204,7 +217,8 @@ pub(crate) struct Outbox {
     pub forwards: u64,
     /// Deferred retransmit-exhaustion verdicts (see [`Exhausted`]).
     pub exhausted: Vec<Exhausted>,
-    /// Real-time mode: messages for PEs outside this worker's lane set.
+    /// Real-time mode: messages for other PEs, handed on by whoever
+    /// drives this lane.
     pub unrouted: Vec<RtsMessage>,
     /// First error this lane hit: (sim time, error class, error). Class
     /// 0 = raised in-lane, class 1 = deferred exhaustion — the barrier
@@ -252,8 +266,9 @@ impl Outbox {
     }
 }
 
-/// One PE's share of an epoch: its scheduler state, its slice of the
-/// event batch, and the outbox for everything that crosses the barrier.
+/// One PE's scheduler for the whole run: its state, its share of the
+/// current epoch's events, and the outbox for everything that crosses
+/// the barrier.
 pub(crate) struct Lane {
     pub pe: PeId,
     pub state: PeState,
@@ -264,80 +279,92 @@ pub(crate) struct Lane {
     pub out: Outbox,
 }
 
-/// Machine state shared immutably (or behind locks) by every lane for
-/// the duration of one epoch. Must be `Sync`.
-pub(crate) struct EngineShared<'e> {
+impl Lane {
+    /// PE `pe`'s lane, its queue and outbox pre-sized for `cap` events
+    /// so that steady-state epochs allocate nothing.
+    pub(crate) fn new(pe: PeId, cap: usize) -> Lane {
+        Lane {
+            pe,
+            state: PeState::default(),
+            queue: EventQueue::with_capacity(cap),
+            horizon: SimTime::ZERO,
+            out: Outbox::with_capacity(cap),
+        }
+    }
+}
+
+/// What every lane reads and only a barrier (holding `&mut Machine`)
+/// writes. The machine owns it; each [`ExecCtx`] borrows it shared, so
+/// it must be `Sync`.
+pub(crate) struct Shared {
     pub clock: ClockMode,
-    pub topology: &'e Topology,
-    pub network: &'e NetworkModel,
-    pub location: &'e LocationManager,
-    pub ranks: &'e RankTable,
-    pub hls: &'e HlsBlocks,
-    pub alive: &'e [bool],
-    pub tracer: Option<&'e Arc<Tracer>>,
-    pub reliable: Option<&'e Mutex<ReliableState>>,
-    pub privatizers: &'e [Box<dyn Privatizer>],
+    pub topology: Topology,
+    pub network: NetworkModel,
+    /// Where each rank lives: the one record of placement.
+    pub location: LocationManager,
+    pub ranks: RankTable,
+    /// Per-PE HLS block (null when the method has none); installed at
+    /// each context switch alongside the rank's registers.
+    pub hls: HlsBlocks,
+    /// Which PEs are active, and which have failed.
+    pub geometry: Geometry,
+    pub tracer: Option<Arc<Tracer>>,
+    /// Reliable-delivery state, present when the network carries a
+    /// fault plan. Behind a mutex so concurrent lanes can share it; the
+    /// per-pair keying keeps its evolution deterministic regardless.
+    pub reliable: Option<Mutex<ReliableState>>,
+    /// One privatizer per simulated OS process.
+    pub privatizers: Vec<Box<dyn Privatizer>>,
     /// Present when the memory-safety guards are on: every resume ends
     /// with [`ExecCtx::check_guards`].
-    pub guards: Option<&'e Guards>,
-    pub epoch_start: Instant,
-    pub n_ranks: usize,
+    pub guards: Option<Guards>,
+    /// Wall-clock origin of real-time trace stamps.
+    pub epoch: Instant,
     /// Request-table size cap per rank (open entries, pending or
     /// unreaped); exceeding it is a protocol error.
     pub max_outstanding_reqs: usize,
 }
 
-/// The execution context a worker drives: shared machine state plus the
-/// lanes this context may touch — the one claimed lane in a virtual-time
-/// epoch (and at a barrier, `Machine::with_lane`'s), a worker's
-/// contiguous chunk in a real-time burst (every lane on a pool of one).
-pub(crate) struct ExecCtx<'a, 'e> {
-    pub shared: &'a EngineShared<'e>,
-    pub lanes: &'a mut [Lane],
-    /// PE id of `lanes[0]` — the lanes are a contiguous PE range.
-    pub pe_base: PeId,
-    /// Index into `lanes` of the lane currently being driven.
-    pub li: usize,
+impl Shared {
+    /// Trace timestamp on `lane`'s PE: its virtual clock in virtual
+    /// mode, wall time since the machine was built otherwise.
+    pub(crate) fn now_ns(&self, lane: &Lane) -> u64 {
+        match self.clock {
+            ClockMode::Virtual => lane.state.clock.nanos(),
+            ClockMode::RealTime => self.epoch.elapsed().as_nanos() as u64,
+        }
+    }
+
+    /// Record a scheduler-side event on `lane`'s PE. Free (one `Option`
+    /// branch) when no tracer is attached.
+    #[inline]
+    pub(crate) fn trace(&self, lane: &Lane, rank: u32, kind: EventKind) {
+        if let Some(t) = &self.tracer {
+            t.record(lane.pe, rank, self.now_ns(lane), kind);
+        }
+    }
 }
 
-impl<'a, 'e> ExecCtx<'a, 'e> {
-    fn pe(&self) -> PeId {
-        self.lanes[self.li].pe
-    }
+/// The execution context a worker drives: the shared machine state and
+/// exactly one lane — the one claimed in a virtual-time epoch, each lane
+/// of a worker's chunk in turn in a real-time burst, and at a barrier
+/// `Machine::with_lane`'s.
+pub(crate) struct ExecCtx<'a> {
+    pub shared: &'a Shared,
+    pub lane: &'a mut Lane,
+}
 
-    fn lane(&mut self) -> &mut Lane {
-        &mut self.lanes[self.li]
-    }
-
-    /// Lane index for `pe` if this worker owns it.
-    fn owned_lane(&self, pe: PeId) -> Option<usize> {
-        pe.checked_sub(self.pe_base).filter(|&i| i < self.lanes.len())
-    }
-
-    fn now_ns_at(&self, tl: usize) -> u64 {
-        match self.shared.clock {
-            ClockMode::Virtual => self.lanes[tl].state.clock.nanos(),
-            ClockMode::RealTime => self.shared.epoch_start.elapsed().as_nanos() as u64,
-        }
-    }
-
-    #[inline]
-    fn trace_at(&self, tl: usize, rank: u32, kind: EventKind) {
-        if let Some(t) = self.shared.tracer {
-            t.record(self.lanes[tl].pe, rank, self.now_ns_at(tl), kind);
-        }
-    }
-
+impl ExecCtx<'_> {
     #[inline]
     pub(crate) fn trace(&self, rank: u32, kind: EventKind) {
-        self.trace_at(self.li, rank, kind);
+        self.shared.trace(self.lane, rank, kind);
     }
 
     /// Schedule `ev` at `at`: locally when it targets this lane's PE
     /// inside the current window, otherwise via the outbox for the
     /// barrier merge.
     fn emit(&mut self, target_pe: PeId, at: SimTime, ev: Event) {
-        let lane = &mut self.lanes[self.li];
+        let lane = &mut *self.lane;
         if target_pe == lane.pe && at < lane.horizon {
             let at = at.max_of(lane.queue.now());
             lane.queue.schedule(at, ev);
@@ -346,32 +373,25 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
         }
     }
 
-    /// Route a message (immediately in real time; as an event in virtual
-    /// time, through the reliable-delivery layer when the network is
-    /// lossy).
+    /// Route a message: in real time, deposit it now when its target
+    /// lives on this lane and leave it in the outbox for whoever drives
+    /// the target's lane otherwise; in virtual time, as an event —
+    /// through the reliable-delivery layer when the network is lossy.
     fn route(&mut self, msg: RtsMessage) {
-        match self.shared.clock {
-            ClockMode::RealTime => {
-                let dest_pe = self.shared.location.lookup(msg.to);
-                match self.owned_lane(dest_pe) {
-                    Some(tl) => self.deposit(tl, msg),
-                    None => self.lane().out.unrouted.push(msg),
-                }
+        let shared = self.shared;
+        let dest_pe = shared.location.lookup(msg.to);
+        match (shared.clock, &shared.reliable) {
+            (ClockMode::RealTime, _) if dest_pe == self.lane.pe => self.deposit(msg),
+            (ClockMode::RealTime, _) => self.lane.out.unrouted.push(msg),
+            (ClockMode::Virtual, Some(rel)) => {
+                self.send_reliable(rel, msg);
             }
-            ClockMode::Virtual if self.shared.reliable.is_some() => {
-                self.send_reliable(msg);
-            }
-            ClockMode::Virtual => {
-                let from_pe = self.pe();
-                let dest_pe = self.shared.location.lookup(msg.to);
-                let cost = self.shared.network.cost(
-                    self.shared.topology,
-                    from_pe,
-                    dest_pe,
-                    msg.wire_bytes(),
-                );
-                let at = self.lanes[self.li].state.clock + cost;
-                let at = at.max_of(self.lanes[self.li].queue.now());
+            (ClockMode::Virtual, None) => {
+                let (topology, from_pe) = (&shared.topology, self.lane.pe);
+                let cost = shared
+                    .network
+                    .cost(topology, from_pe, dest_pe, msg.wire_bytes());
+                let at = (self.lane.state.clock + cost).max_of(self.lane.queue.now());
                 self.emit(
                     dest_pe,
                     at,
@@ -389,24 +409,18 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
     /// record the message in-flight, and transmit attempt 0. Returns the
     /// assigned sequence number so a nonblocking send can key its
     /// completion on the matching ack.
-    fn send_reliable(&mut self, mut msg: RtsMessage) -> u64 {
-        let seq;
+    fn send_reliable(&mut self, rel: &Mutex<ReliableState>, mut msg: RtsMessage) -> u64 {
         {
-            let mut rel = self
-                .shared
-                .reliable
-                .expect("reliable layer active")
-                .lock();
+            let mut rel = rel.lock();
             let counter = rel.send_seq.entry((msg.from, msg.to)).or_insert(0);
             *counter += 1;
             msg.seq = *counter;
-            seq = msg.seq;
             msg.seal();
             rel.inflight.insert((msg.from, msg.to, msg.seq), msg.clone());
         }
-        let lane = &self.lanes[self.li];
-        let t_send = lane.state.clock.max_of(lane.queue.now());
-        self.transmit(t_send, msg, 0);
+        let seq = msg.seq;
+        let t_send = self.lane.state.clock.max_of(self.lane.queue.now());
+        self.transmit(rel, t_send, msg, 0);
         seq
     }
 
@@ -417,21 +431,23 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
     /// Always runs on the *sender's* lane (sends and `Retransmit` events
     /// are both partitioned there), so the fault-plan decisions for one
     /// (src, dst) pair are made in deterministic time order.
-    fn transmit(&mut self, t_send: SimTime, msg: RtsMessage, attempt: u32) {
+    fn transmit(
+        &mut self,
+        rel: &Mutex<ReliableState>,
+        t_send: SimTime,
+        msg: RtsMessage,
+        attempt: u32,
+    ) {
+        let shared = self.shared;
         let (from, to, seq) = (msg.from, msg.to, msg.seq);
-        let from_pe = self.shared.location.lookup(from);
-        let dest_pe = self.shared.location.lookup(to);
-        let class = NetworkModel::classify(self.shared.topology, from_pe, dest_pe);
-        let cost = self
-            .shared
+        let from_pe = shared.location.lookup(from);
+        let dest_pe = shared.location.lookup(to);
+        let class = NetworkModel::classify(&shared.topology, from_pe, dest_pe);
+        let cost = shared
             .network
-            .cost(self.shared.topology, from_pe, dest_pe, msg.wire_bytes());
+            .cost(&shared.topology, from_pe, dest_pe, msg.wire_bytes());
         let (plan, base_rto) = {
-            let rel = self
-                .shared
-                .reliable
-                .expect("reliable layer active")
-                .lock();
+            let rel = rel.lock();
             (rel.plan, rel.base_rto)
         };
 
@@ -443,7 +459,7 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
         // not a heap vector, so the per-transmit path allocates nothing.
         let mut copies = [Some(primary), None];
         if primary.duplicate {
-            self.lane().out.tallies.faults.duplicates_injected += 1;
+            self.lane.out.tallies.faults.duplicates_injected += 1;
             // The duplicate's own fate is decided independently; its
             // `duplicate` flag is ignored to prevent cascades.
             copies[1] = Some(plan.decide(
@@ -453,7 +469,7 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
         }
         for d in copies.into_iter().flatten() {
             if d.drop {
-                self.lane().out.tallies.faults.msgs_dropped += 1;
+                self.lane.out.tallies.faults.msgs_dropped += 1;
                 self.trace(
                     from as u32,
                     EventKind::MsgDrop {
@@ -471,7 +487,7 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
             if d.corrupt {
                 copy.corrupt_payload();
             }
-            let at = (t_send + cost + d.jitter).max_of(self.lanes[self.li].queue.now());
+            let at = (t_send + cost + d.jitter).max_of(self.lane.queue.now());
             self.emit(
                 dest_pe,
                 at,
@@ -488,8 +504,8 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
         let rtt_estimate = SimDuration::from_nanos(cost.nanos().saturating_mul(4));
         let rto =
             SimDuration::from_nanos((base_rto.nanos() + rtt_estimate.nanos()) << attempt.min(20));
-        let at = (t_send + rto).max_of(self.lanes[self.li].queue.now());
-        let own_pe = self.pe();
+        let at = (t_send + rto).max_of(self.lane.queue.now());
+        let own_pe = self.lane.pe;
         self.emit(
             own_pe,
             at,
@@ -502,13 +518,61 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
         );
     }
 
+    /// The retransmit timer armed at transmission `attempt` of `(from,
+    /// to, seq)` fired on the sender's lane: nothing to do if an ack came
+    /// since, a retransmission while the budget lasts, and otherwise the
+    /// verdict — now, when the receiver lives on this lane (its reorder
+    /// state at `t` is final), at the barrier when it lives elsewhere.
+    fn retransmit(
+        &mut self,
+        rel: &Mutex<ReliableState>,
+        t: SimTime,
+        (from, to, seq): (RankId, RankId, u64),
+        attempt: u32,
+    ) -> Result<(), RtsError> {
+        let next = attempt + 1;
+        let msg = {
+            let mut state = rel.lock();
+            let Some(msg) = state.inflight.get(&(from, to, seq)) else {
+                return Ok(()); // acked since the timer was armed
+            };
+            if next < state.max_attempts {
+                msg.clone()
+            } else if self.shared.location.lookup(to) == self.lane.pe {
+                return state.give_up(from, to, seq, next);
+            } else {
+                drop(state);
+                self.lane.out.exhausted.push(Exhausted {
+                    at: t,
+                    from,
+                    to,
+                    seq,
+                    attempts: next,
+                });
+                return Ok(());
+            }
+        };
+        self.lane.out.tallies.faults.retransmits += 1;
+        self.trace(
+            from as u32,
+            EventKind::MsgRetransmit {
+                from: from as u32,
+                to: to as u32,
+                seq,
+                attempt: next,
+            },
+        );
+        self.transmit(rel, t, msg, next);
+        Ok(())
+    }
+
     /// Receive one arriving copy under reliable delivery: verify
     /// integrity, acknowledge, dedup/reorder, and deposit newly in-order
     /// messages to the application. Runs on the receiver's lane.
-    fn receive_transport(&mut self, msg: RtsMessage, t: SimTime) {
+    fn receive_transport(&mut self, rel: &Mutex<ReliableState>, msg: RtsMessage, t: SimTime) {
         let (from, to, seq) = (msg.from, msg.to, msg.seq);
         if !msg.intact() {
-            self.lane().out.tallies.faults.msgs_corrupted += 1;
+            self.lane.out.tallies.faults.msgs_corrupted += 1;
             self.trace(
                 to as u32,
                 EventKind::MsgCorrupt {
@@ -522,14 +586,10 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
         }
         // Ack every intact arrival (duplicates re-ack so a sender whose
         // earlier ack was dropped stops retransmitting).
-        self.send_ack(from, to, seq, t);
+        self.send_ack(rel, from, to, seq, t);
 
         let (is_dup, ready) = {
-            let mut rel = self
-                .shared
-                .reliable
-                .expect("reliable layer active")
-                .lock();
+            let mut rel = rel.lock();
             let pair = rel.recv.entry((from, to)).or_default();
             if seq < pair.next_expected || pair.pending.contains_key(&seq) {
                 (true, Vec::new())
@@ -544,7 +604,7 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
             }
         };
         if is_dup {
-            self.lane().out.tallies.faults.duplicates_suppressed += 1;
+            self.lane.out.tallies.faults.duplicates_suppressed += 1;
             self.trace(
                 to as u32,
                 EventKind::MsgDupSuppressed {
@@ -556,7 +616,7 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
             return;
         }
         for m in ready {
-            self.deposit(self.li, m);
+            self.deposit(m);
         }
     }
 
@@ -564,20 +624,21 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
     /// to the fault plan's drop and jitter on the reverse path. The ack
     /// instance counter is per-(src,dst) pair so its fault decisions
     /// don't depend on cross-pair interleaving.
-    fn send_ack(&mut self, from: RankId, to: RankId, seq: u64, t: SimTime) {
-        let recv_pe = self.pe();
-        let send_pe = self.shared.location.lookup(from);
-        let class = NetworkModel::classify(self.shared.topology, recv_pe, send_pe);
-        let cost = self
-            .shared
-            .network
-            .cost(self.shared.topology, recv_pe, send_pe, 32);
+    fn send_ack(
+        &mut self,
+        rel: &Mutex<ReliableState>,
+        from: RankId,
+        to: RankId,
+        seq: u64,
+        t: SimTime,
+    ) {
+        let shared = self.shared;
+        let recv_pe = self.lane.pe;
+        let send_pe = shared.location.lookup(from);
+        let class = NetworkModel::classify(&shared.topology, recv_pe, send_pe);
+        let cost = shared.network.cost(&shared.topology, recv_pe, send_pe, 32);
         let (plan, instance) = {
-            let mut rel = self
-                .shared
-                .reliable
-                .expect("reliable layer active")
-                .lock();
+            let mut rel = rel.lock();
             let plan = rel.plan;
             let pair = rel.recv.entry((from, to)).or_default();
             pair.ack_seq += 1;
@@ -595,7 +656,7 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
             ),
         );
         if d.drop {
-            self.lane().out.tallies.faults.acks_dropped += 1;
+            self.lane.out.tallies.faults.acks_dropped += 1;
             self.trace(
                 NO_RANK,
                 EventKind::MsgDrop {
@@ -607,24 +668,23 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
             );
             return;
         }
-        let at = (t + cost + d.jitter).max_of(self.lanes[self.li].queue.now());
+        let at = (t + cost + d.jitter).max_of(self.lane.queue.now());
         self.emit(send_pe, at, Event::Ack { from, to, seq });
     }
 
     /// Hand a message to its target's matching engine: it completes the
     /// oldest posted receive it satisfies — at delivery time, not when
     /// the rank later waits — or answers the blocking receive the rank
-    /// is parked in, or is buffered as unexpected. `tl` must be a lane
-    /// this worker owns.
-    pub(crate) fn deposit(&mut self, tl: usize, msg: RtsMessage) {
+    /// is parked in, or is buffered as unexpected. The target must live
+    /// on this lane.
+    pub(crate) fn deposit(&mut self, msg: RtsMessage) {
         let to = msg.to;
-        self.lanes[tl].out.tallies.delivered += 1;
-        // SAFETY: the rank lives on lanes[tl].pe, owned by this worker.
+        self.lane.out.tallies.delivered += 1;
+        // SAFETY: the rank lives on this lane's PE (caller routes here).
         let rs = unsafe { self.shared.ranks.resident_mut(to) };
         rs.messages_received += 1;
         if self.shared.tracer.is_some() {
-            self.trace_at(
-                tl,
+            self.trace(
                 to as u32,
                 EventKind::MsgRecv {
                     from: msg.from as u32,
@@ -634,55 +694,51 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
             );
         }
         match rs.matcher.arrive(msg) {
-            Arrival::Posted(id, m) => self.complete_req(tl, to, id, Some(m)),
+            Arrival::Posted(id, m) => self.complete_req(to, id, Some(m)),
             Arrival::Parked(m) => {
                 rs.slot.answer(Response::Message(m));
-                self.wake(tl, to);
+                self.wake(to);
             }
             Arrival::Queued => {}
         }
     }
 
     /// Resume a rank whose blocking call was just answered: requeue it
-    /// on lane `tl`, scheduling a `PeWake` in virtual mode so the lane's
+    /// on this lane, scheduling a `PeWake` in virtual mode so the lane's
     /// queue drives it (routed through the outbox past the epoch
     /// horizon).
-    fn wake(&mut self, tl: usize, r: RankId) {
-        // SAFETY: the rank lives on lanes[tl].pe, owned by this worker.
+    fn wake(&mut self, r: RankId) {
+        // SAFETY: the rank lives on this lane's PE.
         unsafe { self.shared.ranks.resident_mut(r) }.status = RankStatus::Ready;
-        self.trace_at(tl, r as u32, EventKind::Unblock);
-        let lane = &mut self.lanes[tl];
-        lane.state.ready.push_back(r);
+        self.trace(r as u32, EventKind::Unblock);
+        self.lane.state.ready.push_back(r);
         if self.shared.clock == ClockMode::Virtual {
-            let at = lane.queue.now().max_of(lane.state.clock);
-            if at < lane.horizon {
-                lane.queue.schedule(at, Event::PeWake { pe: lane.pe });
-            } else {
-                lane.out.events.push((at, Event::PeWake { pe: lane.pe }));
-            }
+            let pe = self.lane.pe;
+            let at = self.lane.queue.now().max_of(self.lane.state.clock);
+            self.emit(pe, at, Event::PeWake { pe });
         }
     }
 
     /// Mark request `id` on rank `owner` complete, emit/tally the
     /// completion, and — if that satisfies the wait `owner` is suspended
     /// in — reap the wait's outcomes, answer the pending command and
-    /// resume the rank. `tl` must be the lane owning `owner`.
-    fn complete_req(&mut self, tl: usize, owner: RankId, id: u64, msg: Option<RtsMessage>) {
-        // SAFETY: the rank lives on lanes[tl].pe, owned by this worker.
+    /// resume the rank. `owner` must live on this lane.
+    fn complete_req(&mut self, owner: RankId, id: u64, msg: Option<RtsMessage>) {
+        // SAFETY: the rank lives on this lane's PE.
         let rs = unsafe { self.shared.ranks.resident_mut(owner) };
         let (send, satisfied) = rs.matcher.complete(id, msg);
-        let req = &mut self.lanes[tl].out.tallies.req;
+        let req = &mut self.lane.out.tallies.req;
         if send {
             req.send_completes += 1;
         } else {
             req.recv_completes += 1;
         }
-        self.trace_at(tl, owner as u32, EventKind::ReqComplete { req: id, send });
+        self.trace(owner as u32, EventKind::ReqComplete { req: id, send });
         if satisfied {
             let (cont, outcomes) = rs.matcher.take_wait();
-            self.tally_continuations(tl, owner, cont, &outcomes);
+            self.tally_continuations(owner, cont, &outcomes);
             rs.slot.answer(Response::ReqOutcomes(outcomes));
-            self.wake(tl, owner);
+            self.wake(owner);
         }
     }
 
@@ -697,7 +753,7 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
         payload: bytes::Bytes,
         what: &str,
     ) -> Result<RtsMessage, RtsError> {
-        if to >= self.shared.n_ranks {
+        if to >= self.shared.ranks.len() {
             return Err(RtsError::Protocol {
                 rank: r,
                 detail: format!("{what} to nonexistent rank {to}"),
@@ -709,7 +765,7 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
         // classification depends only on the message stream, so every
         // engine tallies identically.
         let inline = msg.payload.is_inline();
-        let out = &mut self.lanes[self.li].out;
+        let out = &mut self.lane.out;
         if inline {
             out.tallies.pool_hits += 1;
         } else {
@@ -745,7 +801,6 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
     /// wait or test.
     fn tally_continuations(
         &mut self,
-        tl: usize,
         owner: RankId,
         cont: bool,
         outcomes: &[(u64, Option<RtsMessage>)],
@@ -753,29 +808,18 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
         if !cont {
             return;
         }
-        self.lanes[tl].out.tallies.req.continuations += outcomes.len() as u64;
+        self.lane.out.tallies.req.continuations += outcomes.len() as u64;
         for (id, _) in outcomes {
-            self.trace_at(tl, owner as u32, EventKind::ReqContinuation { req: *id });
+            self.trace(owner as u32, EventKind::ReqContinuation { req: *id });
         }
-    }
-
-    /// Deposit a message that arrived from another worker's hub post
-    /// (parallel real-time mode). The destination rank must live on one
-    /// of this worker's lanes — the hub routes by PE owner.
-    pub(crate) fn deposit_external(&mut self, msg: RtsMessage) {
-        let dest_pe = self.shared.location.lookup(msg.to);
-        let tl = self
-            .owned_lane(dest_pe)
-            .expect("hub routed message to wrong worker");
-        self.deposit(tl, msg);
     }
 
     /// Drive one rank until it leaves its stack: a call that must wait,
     /// an error, or the end of its body. Commands that complete run
-    /// inside the resume ([`ExecCtx::handle`]). The rank must live on the
-    /// current lane.
+    /// inside the resume ([`ExecCtx::handle`]). The rank must live on
+    /// this lane.
     pub(crate) fn run_rank_slice(&mut self, r: RankId) -> Result<StopReason, RtsError> {
-        let pe = self.pe();
+        let pe = self.lane.pe;
         // SAFETY: `r` is resident on this lane's PE (caller checks).
         let rs = unsafe { self.shared.ranks.resident_mut(r) };
         // Context switch: install the rank's privatization registers
@@ -785,9 +829,9 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
         if !hls.is_null() {
             pvr_privatize::regs::set_pe_base(hls);
         }
-        let now_ns = self.now_ns_at(self.li);
+        let now_ns = self.shared.now_ns(self.lane);
         rs.shared.now_ns.store(now_ns, Ordering::Relaxed);
-        let out = &mut self.lanes[self.li].out;
+        let out = &mut self.lane.out;
         out.tallies.switches += 1;
         out.last_ran = Some(r);
         if self.shared.tracer.is_some() {
@@ -816,7 +860,7 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
             rs.total_load += d;
         }
 
-        if let Some(guards) = self.shared.guards {
+        if let Some(guards) = &self.shared.guards {
             self.check_guards(guards, r)?;
         }
 
@@ -829,13 +873,13 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
                 // Leaked requests (never waited on, or completed but
                 // never reaped) are cleaned up here so a finished
                 // rank's table cannot pin messages or wake logic.
-                self.lanes[self.li].out.tallies.req.leaked += rs.matcher.clear_reqs() as u64;
-                self.lanes[self.li].out.done += 1;
+                self.lane.out.tallies.req.leaked += rs.matcher.clear_reqs() as u64;
+                self.lane.out.done += 1;
                 Ok(StopReason::Done)
             }
             Err(e) => {
                 rs.status = RankStatus::Done;
-                self.lanes[self.li].out.done += 1;
+                self.lane.out.done += 1;
                 let message = match e {
                     pvr_ult::ResumeError::Panicked(p) => p
                         .downcast_ref::<&str>()
@@ -862,9 +906,10 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
     /// pointer `run_rank_slice` published for the span of the resume.
     /// `Done` costs no context switch; `Park` and `Err` end the slice.
     pub(crate) fn handle(&mut self, r: RankId, cmd: Command) -> Result<Handled, RtsError> {
-        debug_assert_eq!(self.lanes[self.li].out.last_ran, Some(r));
+        debug_assert_eq!(self.lane.out.last_ran, Some(r));
+        let shared = self.shared;
         // SAFETY: `r` is resident on this lane's PE and is the caller.
-        let rs = unsafe { self.shared.ranks.resident_mut(r) };
+        let rs = unsafe { shared.ranks.resident_mut(r) };
         let resp = match cmd {
             Command::Send { to, tag, payload } => {
                 let msg = self.outgoing(r, to, tag, payload, "send")?;
@@ -889,27 +934,27 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
                 None => Response::NoMessage,
             },
             Command::Compute(d) => {
-                if self.shared.clock == ClockMode::Virtual {
-                    self.lanes[self.li].state.work(d);
+                if shared.clock == ClockMode::Virtual {
+                    self.lane.state.work(d);
                     rs.load_since_lb += d;
                     rs.total_load += d;
-                    let now_ns = self.lanes[self.li].state.clock.nanos();
+                    let now_ns = self.lane.state.clock.nanos();
                     rs.shared.now_ns.store(now_ns, Ordering::Relaxed);
-                    if self.shared.tracer.is_some() {
+                    if shared.tracer.is_some() {
                         // the rank keeps running: its own emissions
                         // (`MpiCall`) are stamped with the advanced clock
-                        pvr_trace::set_context(self.pe(), r as u32, now_ns);
+                        pvr_trace::set_context(self.lane.pe, r as u32, now_ns);
                     }
                 }
                 Response::Ack
             }
             Command::Yield => {
-                self.lanes[self.li].state.ready.push_back(r);
+                self.lane.state.ready.push_back(r);
                 return Ok(Handled::Park(StopReason::Yielded));
             }
             Command::AtSync => {
                 rs.status = RankStatus::AtSync;
-                self.lanes[self.li].out.at_sync += 1;
+                self.lane.out.at_sync += 1;
                 return Ok(Handled::Park(StopReason::AtSync));
             }
             Command::AllocHeap { size, align } => {
@@ -932,7 +977,7 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
                             kind: arena_trip_kind(&v),
                         },
                     );
-                    self.lanes[self.li].out.tallies.hardening.arena_guard_trips += 1;
+                    self.lane.out.tallies.hardening.arena_guard_trips += 1;
                     // The rank's corrupted-heap state must not run
                     // further (same as AllocHeap failure).
                     return Err(RtsError::ArenaGuard {
@@ -947,21 +992,24 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
                 let msg = self.outgoing(r, to, tag, payload, "isend")?;
                 rs.messages_sent += 1;
                 let id = rs.matcher.post_send();
-                self.lanes[self.li].out.tallies.req.send_posts += 1;
+                self.lane.out.tallies.req.send_posts += 1;
                 self.trace(r as u32, EventKind::ReqPost { req: id, send: true });
                 // `rs` must not be used past here: a send-to-self
                 // re-derives the same rank inside `route`/`deposit`.
-                if self.shared.clock == ClockMode::Virtual && self.shared.reliable.is_some() {
-                    // completes when the payload's ack arrives back
-                    // on this (the sender's) lane
-                    let seq = self.send_reliable(msg);
-                    let rs = unsafe { self.shared.ranks.resident_mut(r) };
-                    rs.matcher.await_ack(to, seq, id);
-                } else {
-                    // unconditional delivery: buffered-send
-                    // semantics, complete at post
-                    self.route(msg);
-                    self.complete_req(self.li, r, id, None);
+                match (shared.clock, &shared.reliable) {
+                    (ClockMode::Virtual, Some(rel)) => {
+                        // completes when the payload's ack arrives back
+                        // on this (the sender's) lane
+                        let seq = self.send_reliable(rel, msg);
+                        let rs = unsafe { shared.ranks.resident_mut(r) };
+                        rs.matcher.await_ack(to, seq, id);
+                    }
+                    _ => {
+                        // unconditional delivery: buffered-send
+                        // semantics, complete at post
+                        self.route(msg);
+                        self.complete_req(r, id, None);
+                    }
                 }
                 Response::ReqId(id)
             }
@@ -970,21 +1018,21 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
                 // An already-buffered match is claimed now, oldest
                 // first, which preserves non-overtaking.
                 let (id, claimed) = rs.matcher.post_recv(spec);
-                self.lanes[self.li].out.tallies.req.recv_posts += 1;
+                self.lane.out.tallies.req.recv_posts += 1;
                 self.trace(r as u32, EventKind::ReqPost { req: id, send: false });
                 if let Some(m) = claimed {
-                    self.complete_req(self.li, r, id, Some(m));
+                    self.complete_req(r, id, Some(m));
                 }
                 Response::ReqId(id)
             }
             Command::ReqWait { ids, any, cont } => match rs.matcher.wait(ids, any, cont) {
                 Ok(outcomes) => {
-                    self.tally_continuations(self.li, r, cont, &outcomes);
+                    self.tally_continuations(r, cont, &outcomes);
                     Response::ReqOutcomes(outcomes)
                 }
                 Err(pending) => {
                     rs.status = RankStatus::Waiting;
-                    self.lanes[self.li].out.tallies.req.wait_blocks += 1;
+                    self.lane.out.tallies.req.wait_blocks += 1;
                     self.trace(r as u32, EventKind::Block);
                     let waiting = pending as u32;
                     self.trace(r as u32, EventKind::ReqWaitBlock { waiting });
@@ -995,38 +1043,36 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
             },
             Command::ReqTest { ids, cont } => {
                 let outcomes = rs.matcher.reap(&ids, true);
-                self.tally_continuations(self.li, r, cont, &outcomes);
+                self.tally_continuations(r, cont, &outcomes);
                 Response::ReqOutcomes(outcomes)
             }
         };
         Ok(Handled::Done(resp))
     }
 
-    /// Dispatch one virtual-mode event on the current lane.
+    /// Dispatch one virtual-mode event on this lane.
     fn exec_event(&mut self, t: SimTime, ev: Event) -> Result<(), RtsError> {
+        let shared = self.shared;
         match ev {
             Event::Deliver {
                 msg,
                 dest_pe,
                 forwarded,
             } => {
-                let actual_pe = self.shared.location.lookup(msg.to);
+                let actual_pe = shared.location.lookup(msg.to);
                 debug_assert_eq!(
-                    actual_pe,
-                    self.pe(),
+                    actual_pe, self.lane.pe,
                     "Deliver events are partitioned to the target's lane"
                 );
                 if actual_pe != dest_pe && !forwarded {
                     // stale location: forward one extra hop (the cost is
                     // charged even though the lane partition already
                     // brought us to the right PE)
-                    self.lane().out.forwards += 1;
-                    let cost = self.shared.network.cost(
-                        self.shared.topology,
-                        dest_pe,
-                        actual_pe,
-                        msg.wire_bytes(),
-                    );
+                    self.lane.out.forwards += 1;
+                    let cost =
+                        shared
+                            .network
+                            .cost(&shared.topology, dest_pe, actual_pe, msg.wire_bytes());
                     self.emit(
                         actual_pe,
                         t + cost,
@@ -1036,22 +1082,22 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
                             forwarded: true,
                         },
                     );
-                } else if self.shared.reliable.is_some() {
-                    self.receive_transport(msg, t);
+                } else if let Some(rel) = &shared.reliable {
+                    self.receive_transport(rel, msg, t);
                 } else {
-                    self.deposit(self.li, msg);
+                    self.deposit(msg);
                 }
             }
             Event::Ack { from, to, seq } => {
-                if let Some(rel) = self.shared.reliable {
+                if let Some(rel) = &shared.reliable {
                     rel.lock().inflight.remove(&(from, to, seq));
                 }
                 // Ack events are partitioned to the sender's lane, so a
                 // nonblocking send waiting on this ack completes here.
                 // SAFETY: `from` is resident on this lane's PE.
-                let rs = unsafe { self.shared.ranks.resident_mut(from) };
+                let rs = unsafe { shared.ranks.resident_mut(from) };
                 if let Some(id) = rs.matcher.acked(to, seq) {
-                    self.complete_req(self.li, from, id, None);
+                    self.complete_req(from, id, None);
                 }
             }
             Event::Retransmit {
@@ -1060,125 +1106,61 @@ impl<'a, 'e> ExecCtx<'a, 'e> {
                 seq,
                 attempt,
             } => {
-                let key = (from, to, seq);
-                let rel = self.shared.reliable.expect("reliable layer active");
-                let in_flight = rel.lock().inflight.contains_key(&key);
-                if !in_flight {
-                    return Ok(()); // acked since the timer was armed
-                }
-                let next = attempt + 1;
-                let max_attempts = rel.lock().max_attempts;
-                if next >= max_attempts {
-                    if self.shared.location.lookup(to) == self.pe() {
-                        // Receiver lives on this very lane: its reorder
-                        // state at time `t` is final, decide now.
-                        let delivered = rel
-                            .lock()
-                            .recv
-                            .get(&(from, to))
-                            .is_some_and(|p| p.next_expected > seq);
-                        if delivered {
-                            // The receiver released it; only the acks
-                            // were lost. Stop retransmitting quietly.
-                            rel.lock().inflight.remove(&key);
-                        } else {
-                            return Err(RtsError::DeliveryFailed {
-                                from,
-                                to,
-                                seq,
-                                attempts: next,
-                            });
-                        }
-                    } else {
-                        // The receiver's lane may still deliver this seq
-                        // within the epoch; the verdict is decided at the
-                        // barrier from post-epoch reorder state.
-                        self.lane().out.exhausted.push(Exhausted {
-                            at: t,
-                            from,
-                            to,
-                            seq,
-                            attempts: next,
-                        });
-                    }
-                } else {
-                    let msg = rel
-                        .lock()
-                        .inflight
-                        .get(&key)
-                        .expect("checked in_flight")
-                        .clone();
-                    self.lane().out.tallies.faults.retransmits += 1;
-                    self.trace(
-                        from as u32,
-                        EventKind::MsgRetransmit {
-                            from: from as u32,
-                            to: to as u32,
-                            seq,
-                            attempt: next,
-                        },
-                    );
-                    self.transmit(t, msg, next);
+                // only the reliable layer arms retransmit timers
+                if let Some(rel) = &shared.reliable {
+                    self.retransmit(rel, t, (from, to, seq), attempt)?;
                 }
             }
             Event::PeWake { pe } => {
-                debug_assert_eq!(pe, self.pe());
-                if !self.shared.alive[pe] {
+                debug_assert_eq!(pe, self.lane.pe);
+                if !shared.geometry.alive()[pe] {
                     return Ok(());
                 }
-                self.lanes[self.li].state.advance_to(t);
-                while let Some(r) = self.lanes[self.li].state.ready.pop_front() {
-                    if self.shared.location.lookup(r) != pe {
-                        // migrated while queued; its new PE owns it
-                        continue;
-                    }
-                    // SAFETY: `r` is resident here, checked above.
-                    if unsafe { self.shared.ranks.resident_mut(r) }.status == RankStatus::Done {
-                        continue;
-                    }
+                self.lane.state.advance_to(t);
+                while let Some(r) = self.next_ready() {
                     self.run_rank_slice(r)?;
                 }
             }
         }
         Ok(())
     }
-}
 
-/// Drive one lane through its share of an epoch: pop the lane-local
-/// queue in (time, seq) order until drained. The first error stops this
-/// lane (class 0) but not its siblings; the barrier picks the canonical
-/// error across lanes.
-pub(crate) fn run_epoch_lane(ctx: &mut ExecCtx<'_, '_>) {
-    while let Some((t, ev)) = ctx.lanes[ctx.li].queue.pop() {
-        if let Err(e) = ctx.exec_event(t, ev) {
-            ctx.lanes[ctx.li].out.error = Some((t, 0, e));
-            return;
+    /// Pop this PE's next runnable rank, skipping ranks that migrated
+    /// while queued (their new PE owns them) or completed.
+    fn next_ready(&mut self) -> Option<RankId> {
+        let pe = self.lane.pe;
+        while let Some(r) = self.lane.state.ready.pop_front() {
+            if self.shared.location.lookup(r) == pe && !self.shared.ranks[r].is_done() {
+                return Some(r);
+            }
+        }
+        None
+    }
+
+    /// Drive this lane through its share of an epoch: pop the lane's
+    /// queue in (time, seq) order until drained. The first error stops
+    /// this lane (class 0) but not its siblings; the barrier picks the
+    /// canonical error across lanes.
+    pub(crate) fn run_epoch(&mut self) {
+        while let Some((t, ev)) = self.lane.queue.pop() {
+            if let Err(e) = self.exec_event(t, ev) {
+                self.lane.out.error = Some((t, 0, e));
+                return;
+            }
         }
     }
-}
 
-/// One fair scheduling sweep in real-time mode: each alive PE runs at
-/// most one rank slice, round-robin, so an early PE's deep ready queue
-/// cannot starve later PEs. Returns how many slices ran.
-pub(crate) fn real_sweep(ctx: &mut ExecCtx<'_, '_>) -> Result<u32, RtsError> {
-    let mut ran = 0u32;
-    for li in 0..ctx.lanes.len() {
-        ctx.li = li;
-        let pe = ctx.lanes[li].pe;
-        if !ctx.shared.alive[pe] {
-            continue;
+    /// This lane's turn in a real-time sweep: at most one rank slice, so
+    /// an early PE's deep ready queue cannot starve later PEs. Returns
+    /// whether a slice ran.
+    pub(crate) fn real_slice(&mut self) -> Result<bool, RtsError> {
+        if !self.shared.geometry.alive()[self.lane.pe] {
+            return Ok(false);
         }
-        while let Some(r) = ctx.lanes[li].state.ready.pop_front() {
-            if ctx.shared.location.lookup(r) != pe {
-                continue; // migrated while queued
-            }
-            if ctx.shared.ranks[r].status == RankStatus::Done {
-                continue;
-            }
-            ctx.run_rank_slice(r)?;
-            ran += 1;
-            break; // one slice per PE per sweep (fairness)
-        }
+        let Some(r) = self.next_ready() else {
+            return Ok(false);
+        };
+        self.run_rank_slice(r)?;
+        Ok(true)
     }
-    Ok(ran)
 }

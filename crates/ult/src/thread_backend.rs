@@ -3,8 +3,8 @@
 //! Functionally identical to the asm backend, but a "context switch" is a
 //! park/unpark handshake through a mutex+condvar — microseconds instead of
 //! nanoseconds. This is what MPI-ranks-as-pthreads would cost, and it is
-//! the ablation baseline for the Fig. 6 context-switch benchmark (see
-//! `pvr-bench/benches/ablation_backend.rs`).
+//! the ablation baseline for the Fig. 6 context-switch benchmark (the
+//! pthread row of `repro -- fig6`).
 
 use crate::stack::StackMem;
 use crate::RawOutcome;

@@ -14,7 +14,9 @@ use pvr_ampi::{util, Ampi, ANY_SOURCE, COMM_WORLD};
 use pvr_apps::jacobi3d::{self, JacobiConfig};
 use pvr_des::{FaultParams, FaultPlan, HopClass, NetworkModel, SimDuration, Topology};
 use pvr_privatize::Method;
-use pvr_rts::{lb::RotateLb, ClockMode, MachineBuilder, Parallelism, RankCtx, RtsError, RunReport};
+use pvr_rts::{
+    lb::RotateLb, ClockMode, MachineBuilder, MatchSpec, Parallelism, RankCtx, RtsError, RunReport,
+};
 use pvr_trace::{TraceCounts, Tracer};
 use std::sync::Arc;
 
@@ -465,6 +467,60 @@ fn only_a_rank_that_must_wait_leaves_its_stack() {
     let carrier = window_run(Parallelism::Serial, pvr_ult::Backend::Thread);
     assert_eq!(carrier.sim_digest(), serial.sim_digest());
     assert_eq!(carrier.context_switches, serial.context_switches);
+}
+
+/// The real-time hand-off: 8 ranks in a ring on `non_smp(4)` x vp 2, so
+/// under `Threads(2)` (two PEs per worker) the hops are same-PE (0 -> 1),
+/// same-worker cross-PE (1 -> 2) and cross-worker (3 -> 4, 7 -> 0);
+/// under `Serial` every cross-PE hop is a sibling lane's. 50 rounds of
+/// 64-deep `req_post_recv` / `req_post_send` windows, 20 runs per
+/// engine: every message arrives exactly once, in its pair's order.
+#[test]
+fn real_time_windows_arrive_once_and_in_pair_order_on_every_hop() {
+    const WINDOW: u64 = 64;
+    const ROUNDS: u64 = 50;
+    for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+        for run in 0..20 {
+            let misordered = Arc::new(Mutex::new(Vec::new()));
+            let sink = misordered.clone();
+            let mut m = MachineBuilder::new(jacobi3d::binary())
+                .method(Method::TlsGlobals)
+                .clock(ClockMode::RealTime)
+                .parallelism(par)
+                .topology(Topology::non_smp(4))
+                .vp_ratio(2)
+                .build(Arc::new(move |ctx: RankCtx| {
+                    let (me, n) = (ctx.rank(), ctx.n_ranks());
+                    let (succ, pred) = ((me + 1) % n, (me + n - 1) % n);
+                    let from_pred = MatchSpec {
+                        src: Some(pred),
+                        ..MatchSpec::ANY
+                    };
+                    for round in 0..ROUNDS {
+                        let mut ids: Vec<u64> =
+                            (0..WINDOW).map(|_| ctx.req_post_recv(from_pred)).collect();
+                        for k in 0..WINDOW {
+                            let seq = round * WINDOW + k;
+                            let payload = Bytes::copy_from_slice(&seq.to_le_bytes());
+                            ids.push(ctx.req_post_send(succ, 0, payload));
+                        }
+                        let outcomes = ctx.req_wait(ids, false, false);
+                        for (k, (_, msg)) in outcomes.iter().take(WINDOW as usize).enumerate() {
+                            let msg = msg.as_ref().expect("a receive completes with its message");
+                            let got = u64::from_le_bytes(msg.payload[..8].try_into().unwrap());
+                            if got != round * WINDOW + k as u64 {
+                                sink.lock().push((me, round, k, got));
+                            }
+                        }
+                    }
+                }))
+                .unwrap();
+            let report = m.run().unwrap();
+            let what = format!("{par:?} run {run}");
+            assert_eq!(*misordered.lock(), [], "{what}: (rank, round, slot, got)");
+            assert_eq!(report.messages_delivered, 8 * ROUNDS * WINDOW, "{what}");
+        }
+    }
 }
 
 #[test]

@@ -12,7 +12,7 @@ use pvr_ampi::Ampi;
 use pvr_apps::jacobi3d::{self, JacobiConfig};
 use pvr_des::{FaultParams, FaultPlan, HopClass, NetworkModel, SimDuration, Topology};
 use pvr_privatize::Method;
-use pvr_rts::{ClockMode, MachineBuilder, RankCtx, RtsError, RunReport};
+use pvr_rts::{ClockMode, MachineBuilder, Parallelism, RankCtx, RtsError, RunReport};
 use pvr_trace::Tracer;
 use std::sync::Arc;
 
@@ -169,6 +169,56 @@ fn retransmit_exhaustion_degrades_to_a_clean_error() {
             assert_eq!(attempts, 3);
         }
         other => panic!("expected DeliveryFailed, got {:?}", other.map(|_| ())),
+    }
+}
+
+/// Every copy dropped, one message from rank 0 to rank 1: the budget
+/// runs out at the same attempt whether the receiver shares the sender's
+/// lane (`smp(1)` with two ranks: decided on the lane) or lives on
+/// another (`non_smp(2)`: decided at the barrier), under either engine.
+#[test]
+fn retransmit_exhaustion_is_one_error_on_one_lane_and_across_lanes() {
+    let drop_all = FaultParams {
+        drop_p: 1.0,
+        dup_p: 0.0,
+        corrupt_p: 0.0,
+        jitter_max: SimDuration::ZERO,
+    };
+    let cases = [
+        (HopClass::IntraProcess, Topology::smp(1), 2),
+        (HopClass::InterNode, Topology::non_smp(2), 1),
+    ];
+    for (class, topology, vp) in cases {
+        for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let plan = FaultPlan::new(7).with_class(class, drop_all);
+            let mut m = MachineBuilder::new(pvr_apps::hello::binary())
+                .clock(ClockMode::Virtual)
+                .parallelism(par)
+                .topology(topology)
+                .vp_ratio(vp)
+                .network(NetworkModel::ideal().with_faults(plan))
+                .retransmit_params(SimDuration::from_micros(10), 3)
+                .build(Arc::new(|ctx: RankCtx| {
+                    if ctx.rank() == 0 {
+                        ctx.send(1, 0, bytes::Bytes::from_static(b"doomed"));
+                    } else {
+                        let _ = ctx.recv();
+                    }
+                }))
+                .unwrap();
+            match m.run() {
+                Err(RtsError::DeliveryFailed {
+                    from: 0,
+                    to: 1,
+                    attempts: 3,
+                    ..
+                }) => {}
+                other => panic!(
+                    "{class:?} {par:?}: expected DeliveryFailed, got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+        }
     }
 }
 
