@@ -11,8 +11,10 @@
 //!
 //! Contents:
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
-//! * [`EventQueue`] — deterministic priority queue (ties broken by
-//!   insertion order, so runs are reproducible).
+//! * [`EventQueue`] — deterministic priority queue keyed `(time,
+//!   stamp)`: ties break by a caller's stamp, or by insertion order for
+//!   unstamped events, so runs are reproducible; events that arrive in
+//!   key order skip its heap.
 //! * [`NetworkModel`] — per-hop-class latency + bandwidth costs
 //!   (intra-process, intra-node, inter-node), defaults shaped after a
 //!   Mellanox InfiniBand cluster like the paper's.

@@ -1,23 +1,46 @@
 //! Deterministic event queue.
 //!
-//! Ordered by (time, insertion sequence): events scheduled for the same
-//! instant pop in the order they were scheduled, so every virtual-time
-//! run is exactly reproducible — a property the LB experiments and the
-//! test suite rely on.
+//! Ordered by key `(time, stamp)`, so every virtual-time run is exactly
+//! reproducible — a property the LB experiments and the test suite rely
+//! on. [`EventQueue::schedule`] numbers its events itself, in insertion
+//! order, from [`UNSTAMPED`] up; [`EventQueue::schedule_stamped`] takes
+//! the stamp from the caller, who keeps one counter for several queues
+//! (`pvr-rts` keeps one queue per PE and stamps every event that crosses
+//! a barrier in the order one global queue would have numbered it). An
+//! unstamped event therefore sorts after every stamped event of the same
+//! time, and same-time events of either kind pop in the order of their
+//! stamps.
+//!
+//! The entries live in two places. An event whose key is at least the
+//! key of the last event in the *run* — a FIFO of keys in increasing
+//! order — is appended to it, and leaves from its front: O(1) both ways,
+//! which is what a simulation whose events mostly arrive in time order
+//! pays. Any other event goes to a binary heap, and a pop takes the
+//! smaller of the two heads. Entries are kept inline in both.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+
+/// The first stamp [`EventQueue::schedule`] gives an event; callers of
+/// [`EventQueue::schedule_stamped`] stay below it.
+pub const UNSTAMPED: u64 = 1 << 63;
 
 struct Entry<E> {
     at: SimTime,
-    seq: u64,
+    stamp: u64,
     event: E,
+}
+
+impl<E> Entry<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.stamp)
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 
@@ -31,22 +54,26 @@ impl<E> PartialOrd for Entry<E> {
 
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
-/// A future-event list for one simulation.
+/// A future-event list for one simulation (or for one PE of one).
 pub struct EventQueue<E> {
+    /// Events that arrived in key order, keys increasing front to back.
+    run: VecDeque<Entry<E>>,
+    /// Every other event.
     heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// Stamp of the next [`Self::schedule`]d event.
     seq: u64,
     now: SimTime,
     /// Latest timestamp ever scheduled — lets `drain_until` detect the
-    /// "whole queue drains" case and skip per-event heap sifting.
+    /// "whole queue drains" case and sort once instead of popping.
     max_at: SimTime,
-    /// Reused staging buffer for whole-queue drains, so bulk extraction
-    /// allocates nothing once warm.
-    scratch: Vec<Reverse<Entry<E>>>,
-    /// Debug-only high-water mark of the heap's live length, used by
+    /// Reused staging buffer for whole-queue drains, so they do not
+    /// allocate once warm.
+    scratch: Vec<Entry<E>>,
+    /// Debug-only high-water mark of the queue's live length, used by
     /// tests to assert zero steady-state reallocation after
     /// `with_capacity` sizing.
     #[cfg(debug_assertions)]
@@ -58,12 +85,13 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// A queue whose backing heap is pre-sized for `cap` simultaneous
-    /// in-flight events, so steady-state scheduling never reallocates.
+    /// A queue pre-sized for `cap` simultaneous in-flight events, so
+    /// steady-state scheduling never reallocates.
     pub fn with_capacity(cap: usize) -> EventQueue<E> {
         EventQueue {
+            run: VecDeque::with_capacity(cap),
             heap: BinaryHeap::with_capacity(cap),
-            seq: 0,
+            seq: UNSTAMPED,
             now: SimTime::ZERO,
             max_at: SimTime::ZERO,
             scratch: Vec::with_capacity(cap),
@@ -72,17 +100,14 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Grow the backing heap to hold at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
-    /// Allocated capacity of the backing heap.
+    /// Allocated capacity of the smaller of the run and the heap: how
+    /// many events the queue holds without reallocating, wherever they
+    /// land.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+        self.run.capacity().min(self.heap.capacity())
     }
 
-    /// Debug-only: the largest live length the heap ever reached.
+    /// Debug-only: the largest live length the queue ever reached.
     /// Together with `capacity()` this lets tests assert that a
     /// pre-sized queue never reallocated.
     #[cfg(debug_assertions)]
@@ -95,59 +120,138 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Schedule `event` at absolute time `at`.
+    /// Schedule `event` at absolute time `at`, after every event already
+    /// scheduled for `at`.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past — causality violations are bugs.
     pub fn schedule(&mut self, at: SimTime, event: E) {
+        let stamp = self.seq;
+        self.seq += 1;
+        self.push(at, stamp, event);
+    }
+
+    /// Schedule `event` at `at` with the caller's `stamp`: it pops after
+    /// the same-time events of lower stamp and before those of higher
+    /// stamp and every unstamped one. Stamps must be unique among the
+    /// queue's events.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past or `stamp` is not below
+    /// [`UNSTAMPED`].
+    pub fn schedule_stamped(&mut self, at: SimTime, stamp: u64, event: E) {
+        assert!(stamp < UNSTAMPED, "stamp {stamp} out of range");
+        self.push(at, stamp, event);
+    }
+
+    fn push(&mut self, at: SimTime, stamp: u64, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past ({:?} < {:?})",
             at,
             self.now
         );
-        self.heap.push(Reverse(Entry {
-            at,
-            seq: self.seq,
-            event,
-        }));
-        self.seq += 1;
+        let e = Entry { at, stamp, event };
+        match self.run.back() {
+            Some(tail) if e.key() < tail.key() => self.heap.push(Reverse(e)),
+            _ => self.run.push_back(e),
+        }
         self.max_at = self.max_at.max(at);
         #[cfg(debug_assertions)]
         {
-            self.high_water = self.high_water.max(self.heap.len());
+            self.high_water = self.high_water.max(self.len());
         }
     }
 
-    /// Pop the next event, advancing `now` to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(e) = self.heap.pop()?;
-        self.now = e.at;
-        Some((e.at, e.event))
+    /// Where the next event is — the run's front (`true`) or the heap's
+    /// top — and its key; `None` when the queue is empty.
+    fn head(&self) -> Option<(bool, (SimTime, u64))> {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(r), Some(Reverse(h))) if h.key() < r.key() => Some((false, h.key())),
+            (Some(r), _) => Some((true, r.key())),
+            (None, Some(Reverse(h))) => Some((false, h.key())),
+            (None, None) => None,
+        }
+    }
+
+    /// Key `(time, stamp)` of the next event without popping.
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.head().map(|(_, key)| key)
     }
 
     /// Timestamp of the next event without popping.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
+        self.peek_key().map(|(at, _)| at)
+    }
+
+    fn pop_entry(&mut self, in_run: bool) -> Entry<E> {
+        let e = if in_run {
+            self.run.pop_front()
+        } else {
+            self.heap.pop().map(|Reverse(e)| e)
+        };
+        let e = e.expect("the head is where `head` said");
+        self.now = e.at;
+        e
+    }
+
+    /// Pop the next event, advancing `now` to its timestamp.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let (in_run, _) = self.head()?;
+        let e = self.pop_entry(in_run);
+        Some((e.at, e.event))
+    }
+
+    /// Pop the next event if its key is below `bound`, advancing `now`
+    /// to its timestamp; returns its time and stamp with it.
+    pub fn pop_before(&mut self, bound: (SimTime, u64)) -> Option<(SimTime, u64, E)> {
+        let (in_run, key) = self.head()?;
+        if key >= bound {
+            return None;
+        }
+        let e = self.pop_entry(in_run);
+        Some((e.at, e.stamp, e.event))
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
-    /// Total events ever scheduled (diagnostics).
-    pub fn scheduled_count(&self) -> u64 {
-        self.seq
+    /// Move every event `pred` accepts to `out` as `(time, stamp,
+    /// event)`, in no particular order; `now` is unchanged. For events
+    /// that must leave this queue for another one with their keys. One
+    /// pass over the queue, in place: the run keeps its order and the
+    /// heap is rebuilt in linear time.
+    pub fn extract(&mut self, mut pred: impl FnMut(&E) -> bool, out: &mut Vec<(SimTime, u64, E)>) {
+        for _ in 0..self.run.len() {
+            let e = self.run.pop_front().expect("counted");
+            if pred(&e.event) {
+                out.push((e.at, e.stamp, e.event));
+            } else {
+                self.run.push_back(e);
+            }
+        }
+        let mut rest = std::mem::take(&mut self.heap).into_vec();
+        let mut i = 0;
+        while i < rest.len() {
+            if pred(&rest[i].0.event) {
+                let Reverse(e) = rest.swap_remove(i);
+                out.push((e.at, e.stamp, e.event));
+            } else {
+                i += 1;
+            }
+        }
+        self.heap = BinaryHeap::from(rest);
     }
 
-    /// [`Self::drain_until`] as one heap pop per event into a fresh
-    /// vector: the oracle the tests check it against — do not
-    /// "optimize".
+    /// [`Self::drain_until`] as one pop per event into a fresh vector:
+    /// the oracle the tests check it against — do not "optimize".
     #[cfg(test)]
     fn pop_window(&mut self, horizon: SimTime) -> Vec<(SimTime, E)> {
         let mut out = Vec::new();
@@ -160,53 +264,36 @@ impl<E> EventQueue<E> {
         out
     }
 
-    /// Bulk epoch extraction: append every event with timestamp strictly
-    /// below `horizon` to `out`, in (time, insertion sequence) order,
-    /// advancing `now` to the latest timestamp drained. Appends nothing
-    /// when the queue is empty or its head is already at/after `horizon`.
-    ///
-    /// This is the epoch-extraction primitive for conservative parallel
-    /// simulation: with a lookahead `L` no smaller than the minimum
-    /// cross-PE event latency, every event in the window
-    /// `[peek_time(), peek_time() + L)` is causally independent across
-    /// PEs and the whole window can execute concurrently. Events
-    /// generated while the window runs land at or beyond `horizon`, so
-    /// re-inserting them afterwards can never schedule into the past.
+    /// Bulk extraction: append every event with timestamp strictly below
+    /// `horizon` to `out`, in key order, advancing `now` to the latest
+    /// timestamp drained. Appends nothing when the queue is empty or its
+    /// head is already at/after `horizon`.
     ///
     /// The caller owns and reuses the output buffer, so steady-state
-    /// extraction never allocates, and when the horizon clears the whole
-    /// queue the heap is emptied with one `O(n log n)` sort instead of
-    /// `n` heap-pop siftings — the common case for the parallel engine,
-    /// whose lookahead window usually swallows every pending event.
+    /// extraction never allocates, and when the horizon clears a queue
+    /// of more than a few events it is emptied with one `O(n log n)`
+    /// sort instead of `n` heap-pop siftings.
     pub fn drain_until(&mut self, horizon: SimTime, out: &mut Vec<(SimTime, E)>) {
-        if self.heap.is_empty() {
-            return;
-        }
-        // Below this length, `n` heap pops beat the flatten-sort's fixed
-        // cost; the pop loop keeps tiny epochs (e.g. a 2-rank ping-pong)
-        // as cheap as popping them one by one.
+        // Below this length, `n` pops beat the flatten-sort's fixed
+        // cost.
         const SORT_CUTOFF: usize = 32;
-        if self.max_at < horizon && self.heap.len() > SORT_CUTOFF {
-            // Whole-queue drain: flatten and sort once instead of `n`
-            // heap-pop siftings. `drain` keeps the heap's allocation and
-            // the scratch buffer is reused, so a warm queue extracts
-            // with zero allocations. `sort_unstable` is safe because
-            // (at, seq) is a total order with no duplicates (seq is
-            // unique).
-            self.scratch.extend(self.heap.drain());
-            self.scratch.sort_unstable_by_key(|Reverse(a)| (a.at, a.seq));
-            if let Some(Reverse(last)) = self.scratch.last() {
+        if self.max_at < horizon && self.len() > SORT_CUTOFF {
+            // Whole-queue drain: flatten and sort once. `drain` keeps the
+            // buffers' allocations and the scratch buffer is reused, so a
+            // warm queue extracts with zero allocations. `sort_unstable`
+            // is safe because keys are unique.
+            self.scratch.extend(self.run.drain(..));
+            self.scratch.extend(self.heap.drain().map(|Reverse(e)| e));
+            self.scratch.sort_unstable_by_key(Entry::key);
+            if let Some(last) = self.scratch.last() {
                 self.now = last.at;
             }
             out.reserve(self.scratch.len());
-            out.extend(self.scratch.drain(..).map(|Reverse(e)| (e.at, e.event)));
+            out.extend(self.scratch.drain(..).map(|e| (e.at, e.event)));
             return;
         }
-        while let Some(t) = self.peek_time() {
-            if t >= horizon {
-                break;
-            }
-            out.push(self.pop().expect("peeked event must pop"));
+        while let Some((at, _, event)) = self.pop_before((horizon, 0)) {
+            out.push((at, event));
         }
     }
 }
@@ -306,11 +393,7 @@ mod tests {
         let w = q.pop_window(SimTime(20));
         assert_eq!(
             w,
-            vec![
-                (SimTime(10), "a"),
-                (SimTime(10), "a2"),
-                (SimTime(19), "b")
-            ]
+            vec![(SimTime(10), "a"), (SimTime(10), "a2"), (SimTime(19), "b")]
         );
         assert_eq!(q.now(), SimTime(19));
         assert_eq!(q.len(), 1);
@@ -361,24 +444,32 @@ mod tests {
 
     #[test]
     fn drain_until_bulk_path_preserves_fifo_and_capacity() {
-        // max_at < horizon takes the sort-once path; insertion order
-        // within a timestamp must still hold, and the heap's
-        // pre-allocated buffer must survive the drain.
-        let mut q = EventQueue::with_capacity(16);
-        for i in 0..8 {
+        // 50 events, above SORT_CUTOFF, all below the horizon: the
+        // sort-once path. 40 same-time events fill the run, 10 earlier
+        // ones land below its tail in the heap; the flattened sort must
+        // merge both, keep insertion order within a timestamp, and leave
+        // both pre-sized buffers as they were.
+        let mut q = EventQueue::with_capacity(64);
+        for i in 0..40 {
             q.schedule(SimTime(7), i);
         }
+        for i in 40..50 {
+            q.schedule(SimTime(3 + i % 3), i);
+        }
         let cap = q.capacity();
+        let mut want: Vec<(SimTime, u64)> = (40..50).map(|i| (SimTime(3 + i % 3), i)).collect();
+        want.sort_by_key(|&(t, _)| t);
+        want.extend((0..40).map(|i| (SimTime(7), i)));
         let mut out = Vec::new();
         q.drain_until(SimTime::MAX, &mut out);
-        assert_eq!(
-            out,
-            (0..8).map(|i| (SimTime(7), i)).collect::<Vec<_>>(),
-            "bulk drain must keep same-timestamp FIFO"
-        );
+        assert_eq!(out, want, "bulk drain must merge run and heap in key order");
         assert_eq!(q.now(), SimTime(7));
-        assert!(q.capacity() >= cap, "bulk drain must not shrink the heap");
-        // The queue stays usable: later windows keep global seq order.
+        assert!(q.is_empty());
+        assert!(
+            q.capacity() >= cap,
+            "bulk drain must not shrink either buffer"
+        );
+        // The queue stays usable: later windows keep insertion order.
         q.schedule(SimTime(9), 100);
         q.schedule(SimTime(9), 101);
         out.clear();
@@ -399,11 +490,185 @@ mod tests {
         assert_eq!(q.high_water(), 1, "pops must drain the live count");
         assert!(
             q.high_water() <= q.capacity(),
-            "steady-state run must fit the pre-sized heap"
+            "steady-state run must fit the pre-sized queue"
         );
     }
 
+    #[test]
+    fn stamps_order_ties_and_unstamped_events_follow() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(5), "local-a");
+        q.schedule_stamped(SimTime(5), 9, "stamp-9");
+        q.schedule_stamped(SimTime(5), 2, "stamp-2");
+        q.schedule(SimTime(5), "local-b");
+        q.schedule_stamped(SimTime(4), 30, "earlier");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            ["earlier", "stamp-2", "stamp-9", "local-a", "local-b"]
+        );
+    }
+
+    #[test]
+    fn pop_before_stops_at_the_bound_key() {
+        let mut q = EventQueue::new();
+        q.schedule_stamped(SimTime(7), 3, 'a');
+        q.schedule_stamped(SimTime(7), 5, 'b');
+        assert_eq!(q.pop_before((SimTime(7), 4)), Some((SimTime(7), 3, 'a')));
+        assert_eq!(q.pop_before((SimTime(7), 4)), None);
+        assert_eq!(q.now(), SimTime(7));
+        assert_eq!(q.pop_before((SimTime(8), 0)), Some((SimTime(7), 5, 'b')));
+        assert_eq!(q.pop_before((SimTime::MAX, 0)), None);
+    }
+
+    #[test]
+    fn extract_keeps_keys_and_leaves_the_rest_in_order() {
+        let mut q = EventQueue::new();
+        for (t, stamp) in [(3u64, 1u64), (1, 2), (3, 0), (2, 4), (9, 3)] {
+            q.schedule_stamped(SimTime(t), stamp, (t, stamp));
+        }
+        q.pop();
+        let mut out = Vec::new();
+        q.extract(|&(_, stamp)| stamp % 2 == 0, &mut out);
+        out.sort_unstable_by_key(|&(at, stamp, _)| (at, stamp));
+        assert_eq!(out, vec![(SimTime(2), 4, (2, 4)), (SimTime(3), 0, (3, 0))]);
+        assert_eq!(q.now(), SimTime(1));
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(rest, vec![(3, 1), (9, 3)]);
+    }
+
+    /// One step of the differential test below.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `schedule` at `now + dt`.
+        Schedule(u64),
+        /// `schedule_stamped` at `now + dt`, with the next stamp of a
+        /// shuffled pool (so stamps arrive out of order).
+        Stamped(u64),
+        /// `n` stamped events at `now + dt`, `now + dt + 1`, …: keys in
+        /// order, the run's case, and enough of them for `drain_until`'s
+        /// sort path.
+        Burst(u64, usize),
+        Pop,
+        /// `pop_before((now + dt, stamp))`.
+        PopBefore(u64, u64),
+        /// `drain_until(now + dt)`, or `SimTime::MAX` for `None`.
+        Drain(Option<u64>),
+        /// `extract` the events whose id is a multiple of `k`.
+        Extract(usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Small offsets, so equal times are common.
+        prop_oneof![
+            3 => (0u64..4).prop_map(Op::Schedule),
+            3 => (0u64..4).prop_map(Op::Stamped),
+            1 => (0u64..4, 1usize..48).prop_map(|(dt, n)| Op::Burst(dt, n)),
+            3 => Just(Op::Pop),
+            2 => (0u64..4, 0u64..600).prop_map(|(dt, s)| Op::PopBefore(dt, s)),
+            1 => (0u64..240).prop_map(|dt| Op::Drain((dt < 200).then_some(dt))),
+            1 => (1usize..4).prop_map(Op::Extract),
+        ]
+    }
+
+    /// Run `ops` against the queue and a `BTreeMap` keyed `(time, stamp)`,
+    /// comparing every popped or extracted event, `now()` and `len()`
+    /// after each step.
+    fn check_against_oracle(ops: &[Op], stamps: &[u64]) {
+        use std::collections::BTreeMap;
+        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut oracle: BTreeMap<(SimTime, u64), usize> = BTreeMap::new();
+        let (mut oracle_now, mut oracle_seq) = (SimTime::ZERO, UNSTAMPED);
+        let mut stamps = stamps.iter().copied();
+        let mut ids = 0usize..;
+        for op in ops {
+            let now = q.now().0;
+            match *op {
+                Op::Schedule(dt) => {
+                    let id = ids.next().unwrap();
+                    q.schedule(SimTime(now + dt), id);
+                    oracle.insert((SimTime(now + dt), oracle_seq), id);
+                    oracle_seq += 1;
+                }
+                Op::Stamped(dt) => {
+                    let (id, stamp) = (ids.next().unwrap(), stamps.next().unwrap());
+                    q.schedule_stamped(SimTime(now + dt), stamp, id);
+                    oracle.insert((SimTime(now + dt), stamp), id);
+                }
+                Op::Burst(dt, n) => {
+                    for k in 0..n as u64 {
+                        let (id, stamp) = (ids.next().unwrap(), stamps.next().unwrap());
+                        q.schedule_stamped(SimTime(now + dt + k), stamp, id);
+                        oracle.insert((SimTime(now + dt + k), stamp), id);
+                    }
+                }
+                Op::Pop => {
+                    let want = oracle.pop_first().map(|((at, _), v)| (at, v));
+                    if let Some((at, _)) = want {
+                        oracle_now = at;
+                    }
+                    prop_assert_eq!(q.pop(), want);
+                }
+                Op::PopBefore(dt, s) => {
+                    let bound = (SimTime(now + dt), s);
+                    let want = match oracle.first_key_value() {
+                        Some((&key, _)) if key < bound => oracle.pop_first(),
+                        _ => None,
+                    };
+                    let want = want.map(|((at, stamp), v)| {
+                        oracle_now = at;
+                        (at, stamp, v)
+                    });
+                    prop_assert_eq!(q.pop_before(bound), want);
+                }
+                Op::Drain(dt) => {
+                    let horizon = dt.map_or(SimTime::MAX, |dt| SimTime(now + dt));
+                    let mut want = Vec::new();
+                    while let Some(e) = oracle.first_entry().filter(|e| e.key().0 < horizon) {
+                        let ((at, _), v) = e.remove_entry();
+                        oracle_now = at;
+                        want.push((at, v));
+                    }
+                    let mut got = Vec::new();
+                    q.drain_until(horizon, &mut got);
+                    prop_assert_eq!(got, want);
+                }
+                Op::Extract(k) => {
+                    let mut want = Vec::new();
+                    oracle.retain(|&(at, stamp), &mut v| {
+                        let hit = v % k == 0;
+                        if hit {
+                            want.push((at, stamp, v));
+                        }
+                        !hit
+                    });
+                    let mut got = Vec::new();
+                    q.extract(|&v| v % k == 0, &mut got);
+                    got.sort_unstable_by_key(|&(at, stamp, _)| (at, stamp));
+                    prop_assert_eq!(got, want);
+                }
+            }
+            prop_assert_eq!(q.now(), oracle_now);
+            prop_assert_eq!(q.len(), oracle.len());
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_queue_matches_btreemap_oracle(
+            ops in proptest::collection::vec(op(), 1..80),
+            seed in any::<u64>(),
+        ) {
+            // 0..4096 in a seeded Fisher-Yates order
+            let mut stamps: Vec<u64> = (0..4096).collect();
+            let mut x = seed;
+            for i in (1..stamps.len()).rev() {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                stamps.swap(i, (x >> 33) as usize % (i + 1));
+            }
+            check_against_oracle(&ops, &stamps);
+        }
+
         #[test]
         fn prop_drain_until_equals_pop_window(
             times in proptest::collection::vec(0u64..100, 1..200),

@@ -1,12 +1,21 @@
 //! The driver: how a [`Machine`] runs its lanes between barriers. In
-//! virtual time, lookahead-bounded epochs — the global queue drained
-//! into a window, the window's events scheduled into the lanes, the
-//! lanes run on the worker pool and merged back at the barrier; in real
-//! time, bursts of fair sweeps. [`Driver`] is the state only this loop
-//! touches: the global queue, the lanes — one per PE for the whole run —
-//! and the engine's counters. Like `barrier.rs`, the code is `impl
-//! Machine`: an epoch reads `worker::Shared` and writes the lanes, a barrier
+//! virtual time, lookahead-bounded epochs — each lane holds its PE's
+//! future events, the epoch's bound comes from the lane heads, the lanes
+//! with events below it run on the worker pool, and the barrier merges
+//! their outboxes straight into the target lanes; in real time, bursts
+//! of fair sweeps. [`Driver`] is the state only this loop touches: the
+//! lanes — one per PE for the whole run — the run-wide stamp counter and
+//! the engine's counters. Like `barrier.rs`, the code is `impl Machine`:
+//! an epoch reads `worker::Shared` and writes the lanes, a barrier
 //! writes both.
+//!
+//! Exactness rests on the stamps: every event that enters a lane from
+//! outside its own epoch (the first wakes, the barrier merge, a barrier's
+//! wakes, `with_lane`'s emissions) takes the next value of one counter,
+//! in the order a single global queue would number it, and is clamped to
+//! `now` — the latest time of an event already queued when its epoch
+//! began — and to its lane's queue time. A move re-homes the moved
+//! rank's events with their keys (`rehome_events`).
 
 use crate::config::Parallelism;
 use crate::engine_parallel::{self, WorkerPool};
@@ -23,12 +32,20 @@ use std::time::{Duration, Instant};
 
 /// The event loop's state.
 pub(crate) struct Driver {
-    /// Events no lane may run before the epoch that contains them.
-    pub(crate) queue: EventQueue<Event>,
-    /// One lane per PE, for the whole run.
+    /// One lane per PE, for the whole run: the only home of its PE's
+    /// future events.
     pub(crate) lanes: Vec<Lane>,
-    /// Recycled barrier-merge staging buffer.
-    merge_buf: Vec<(SimTime, PeId, Event)>,
+    /// The next stamp `Machine::schedule` gives.
+    stamp: u64,
+    /// The latest time of an event already queued when its epoch began:
+    /// what barrier-time scheduling clamps to.
+    now: SimTime,
+    /// Recycled barrier-merge keys: (time, source PE, emission index).
+    merge_keys: Vec<(SimTime, PeId, usize)>,
+    /// Recycled buffer of the events a move re-homes.
+    rehome: Vec<(SimTime, u64, Event)>,
+    /// Per-worker busy wall-clock of the last epoch.
+    walls: Vec<Duration>,
     pub(crate) done_count: usize,
     pub(crate) at_sync_count: usize,
     /// Engine activity counters for the [`RunReport`].
@@ -53,11 +70,12 @@ impl Driver {
             lanes[location.lookup(r)].state.ready.push_back(r);
         }
         Driver {
-            // PeWakes per PE plus a few in-flight deliveries/acks/timers
-            // per rank.
-            queue: EventQueue::with_capacity((n_ranks * 8 + n_pes).max(64)),
             lanes,
-            merge_buf: Vec::new(),
+            stamp: 0,
+            now: SimTime::ZERO,
+            merge_keys: Vec::new(),
+            rehome: Vec::new(),
+            walls: Vec::new(),
             done_count: 0,
             at_sync_count: 0,
             engine: EngineTallies::default(),
@@ -83,11 +101,12 @@ impl Machine {
     pub fn run(&mut self) -> Result<RunReport, RtsError> {
         let _scope = self.trace_scope();
         let threads = self.effective_threads();
-        let engine = &mut self.driver.engine;
+        let Driver { engine, walls, .. } = &mut self.driver;
         engine.threads = threads;
         if engine.worker_wall.len() < threads {
             engine.worker_wall.resize(threads, Duration::ZERO);
         }
+        walls.resize(threads, Duration::ZERO);
         let t0 = Instant::now();
         // The helpers live for this call: `pool` is dropped — and its
         // threads joined — on the `?` paths below as on the normal one.
@@ -144,16 +163,19 @@ impl Machine {
     /// Panics unless the machine has two PEs or more.
     #[doc(hidden)]
     pub fn bench_epoch_dispatch(&mut self, epochs: usize) -> Duration {
-        let pool = WorkerPool::new(self.effective_threads());
-        // Fresh lane queues: theirs start at time zero, like the wakes.
+        let threads = self.effective_threads();
+        let pool = WorkerPool::new(threads);
+        self.driver.walls.resize(threads, Duration::ZERO);
+        // Fresh lane queues: nothing the run left behind runs here.
         for lane in &mut self.driver.lanes {
             lane.queue = EventQueue::new();
         }
-        let mut batch = Vec::new();
         let t0 = Instant::now();
         for _ in 0..epochs {
-            batch.extend((0..2).map(|pe| (SimTime::ZERO, Event::PeWake { pe })));
-            self.run_epoch(&mut batch, SimTime::MAX, &pool)
+            for pe in 0..2 {
+                self.schedule(SimTime::ZERO, Event::PeWake { pe });
+            }
+            self.run_epoch((SimTime::MAX, 0), &pool)
                 .expect("an idle PE's wake raises nothing");
         }
         t0.elapsed()
@@ -201,15 +223,15 @@ impl Machine {
     }
 
     /// Run `f` on `pe`'s lane at a barrier and merge the lane back.
-    /// Horizon ZERO: every emission crosses the barrier, exactly
-    /// reproducing global-queue scheduling.
+    /// Bound zero: every emission crosses the barrier and is stamped
+    /// there, like every other barrier-time event.
     fn with_lane<T>(
         &mut self,
         pe: PeId,
         f: impl FnOnce(&mut ExecCtx<'_>) -> T,
     ) -> (T, Result<(), RtsError>) {
         let lane = &mut self.driver.lanes[pe];
-        lane.horizon = SimTime::ZERO;
+        lane.bound = (SimTime::ZERO, 0);
         let res = f(&mut ExecCtx {
             shared: &self.shared,
             lane,
@@ -248,54 +270,61 @@ impl Machine {
         }
     }
 
-    /// Which lane an event belongs to. `Deliver` follows the target's
-    /// *current* placement (stale `dest_pe` stamps still pay the forward
-    /// hop); reliable-layer timers run on the sender's lane.
-    fn event_pe(&self, ev: &Event) -> PeId {
-        let location = &self.shared.location;
-        match ev {
-            Event::Deliver { msg, .. } => location.lookup(msg.to),
-            Event::PeWake { pe } => *pe,
-            Event::Ack { from, .. } | Event::Retransmit { from, .. } => location.lookup(*from),
+    /// Schedule `ev` onto its PE's lane from outside any epoch — the
+    /// first wakes, the barrier merge, a barrier's wakes — with the next
+    /// stamp, no earlier than `now` or the lane's queue time. (A lane's
+    /// queue time can pass `now` when its epoch ran it ahead on its own
+    /// events — timers, acks — past the latest event it was handed.)
+    fn schedule(&mut self, at: SimTime, ev: Event) {
+        let d = &mut self.driver;
+        let lane = &mut d.lanes[event_pe(&self.shared.location, &ev)];
+        let at = at.max_of(d.now).max_of(lane.queue.now());
+        lane.queue.schedule_stamped(at, d.stamp, ev);
+        d.stamp += 1;
+    }
+
+    /// Put a ready `rank` on `pe`'s queue and, in virtual time, wake the PE.
+    pub(crate) fn enqueue_ready(&mut self, rank: RankId, pe: PeId) {
+        let state = &mut self.driver.lanes[pe].state;
+        state.ready.push_back(rank);
+        if self.shared.clock == ClockMode::Virtual {
+            let at = state.clock;
+            self.schedule(at, Event::PeWake { pe });
         }
     }
 
-    /// Schedule an epoch's event batch into the lanes' queues and set
-    /// every lane's horizon. Batch order (time, global seq) is preserved
-    /// within each lane. Drains `batch` so the caller can reuse it.
-    ///
-    /// The lanes' queues persist across epochs, which is safe for their
-    /// monotonic `now`: every event in the next epoch's batch is at or
-    /// beyond the previous horizon, which bounds every lane's `now`.
-    fn make_lanes(&mut self, batch: &mut Vec<(SimTime, Event)>, horizon: SimTime) {
-        for lane in &mut self.driver.lanes {
-            lane.horizon = horizon;
-        }
-        for (t, ev) in batch.drain(..) {
-            let pe = self.event_pe(&ev);
-            self.driver.lanes[pe].queue.schedule(t, ev);
+    /// A rank left `from` (`Machine::place`): move the events of `from`'s
+    /// lane that now belong elsewhere — deliveries to the rank, acks and
+    /// retransmit timers of its sends — to their lanes with their keys,
+    /// clamped to the new lane's queue time.
+    pub(crate) fn rehome_events(&mut self, from: PeId) {
+        let Driver { lanes, rehome, .. } = &mut self.driver;
+        let location = &self.shared.location;
+        lanes[from]
+            .queue
+            .extract(|ev| event_pe(location, ev) != from, rehome);
+        for (at, stamp, ev) in rehome.drain(..) {
+            let queue = &mut lanes[event_pe(location, &ev)].queue;
+            queue.schedule_stamped(at.max_of(queue.now()), stamp, ev);
         }
     }
 
     /// Fold lanes `pes` into the machine at the barrier: absorb counter
-    /// deltas in PE order, merge cross-lane events into the global queue
+    /// deltas in PE order, move every outbox event into its target lane
     /// in deterministic (time, source PE, emission index) order, deposit
     /// what a real-time burst left undelivered, resolve deferred
     /// retransmit-exhaustion verdicts, and surface the canonical
     /// (earliest) error if any lane failed. Every merged lane is left
-    /// with an empty queue and outbox.
+    /// with an empty outbox; a lane that failed keeps the events it did
+    /// not run.
     fn merge_lanes(&mut self, pes: Range<PeId>) -> Result<(), RtsError> {
-        let mut merged = std::mem::take(&mut self.driver.merge_buf);
+        let mut keys = std::mem::take(&mut self.driver.merge_keys);
         let mut exhausted: Vec<(PeId, Exhausted)> = Vec::new();
         let mut errors: Vec<(SimTime, PeId, u8, RtsError)> = Vec::new();
         let mut unrouted: Vec<RtsMessage> = Vec::new();
-        for pe in pes {
+        for pe in pes.clone() {
             let lane = &mut self.driver.lanes[pe];
-            // A lane that errored stops mid-window; reinstate its
-            // unprocessed events so machine state stays coherent.
-            while let Some((t, ev)) = lane.queue.pop() {
-                merged.push((t, pe, ev));
-            }
+            self.driver.now = self.driver.now.max_of(lane.stamped_now);
             let out = &mut lane.out;
             self.tallies.absorb(&out.tallies);
             self.driver.done_count += out.done;
@@ -309,23 +338,30 @@ impl Machine {
             if let (Some(guards), Some(r)) = (&mut self.shared.guards, out.last_ran) {
                 guards.last_ran = Some(r);
             }
-            merged.extend(out.events.drain(..).map(|(t, ev)| (t, pe, ev)));
+            keys.extend(out.events.iter().enumerate().map(|(i, e)| {
+                let (t, _) = e.as_ref().expect("an outbox event merges once");
+                (*t, pe, i)
+            }));
             exhausted.extend(out.exhausted.drain(..).map(|ex| (pe, ex)));
             if let Some((t, class, e)) = out.error.take() {
                 errors.push((t, pe, class, e));
             }
             unrouted.append(&mut out.unrouted);
-            out.reset();
         }
-        // Stable sort on (time, source PE); the per-lane emission index
-        // is the push order the sort preserves, and the global queue's
-        // sequence number is the final tie-break.
-        merged.sort_by_key(|e| (e.0, e.1));
-        for (t, _, ev) in merged.drain(..) {
-            let at = t.max_of(self.driver.queue.now());
-            self.driver.queue.schedule(at, ev);
+        // Stamped in (time, source PE, emission index) order: the order
+        // that decides ties, also among the events `now` clamps.
+        keys.sort_unstable();
+        for &(_, pe, i) in &keys {
+            let (t, ev) = self.driver.lanes[pe].out.events[i]
+                .take()
+                .expect("an outbox event merges once");
+            self.schedule(t, ev);
         }
-        self.driver.merge_buf = merged;
+        keys.clear();
+        self.driver.merge_keys = keys;
+        for pe in pes {
+            self.driver.lanes[pe].out.reset();
+        }
         for msg in unrouted {
             self.deposit(msg);
         }
@@ -350,35 +386,55 @@ impl Machine {
     /// Fold one epoch's or burst's per-worker wall-clocks into the engine
     /// tallies. `parallel_since` is when it went to more than one worker
     /// (`None`: the driver ran it alone).
-    fn record_walls(&mut self, parallel_since: Option<Instant>, walls: Vec<Duration>) {
-        let engine = &mut self.driver.engine;
+    fn record_walls(
+        engine: &mut EngineTallies,
+        parallel_since: Option<Instant>,
+        walls: &[Duration],
+    ) {
         if let Some(t0) = parallel_since {
             engine.barriers += 1;
             engine.parallel_wall += t0.elapsed();
             engine.parallel_busy += walls.iter().sum::<Duration>();
         }
         for (total, w) in engine.worker_wall.iter_mut().zip(walls) {
-            *total += w;
+            *total += *w;
         }
     }
 
-    /// Execute one epoch: schedule the batch into the lanes, let the
-    /// pool's workers claim the ones with events, and merge at the
+    /// The next epoch's bound from the lane heads: `Window(L)` runs every
+    /// event before `t0 + L`, where `t0` is the earliest head;
+    /// `SingleEvent` only the `(time, stamp)`-smallest event; `Unbounded`
+    /// everything. `None` when no lane has an event below it.
+    fn epoch_bound(&self, lookahead: Lookahead) -> Option<(SimTime, u64)> {
+        let lanes = &self.driver.lanes;
+        let head = lanes.iter().filter_map(|l| l.queue.peek_key()).min()?;
+        let bound = match lookahead {
+            Lookahead::Unbounded => (SimTime::MAX, 0),
+            Lookahead::SingleEvent => (head.0, head.1 + 1),
+            Lookahead::Window(l) => (head.0.saturating_add(l), 0),
+        };
+        (head < bound).then_some(bound)
+    }
+
+    /// Execute one epoch: give every lane the bound, let the pool's
+    /// workers claim the lanes with events below it, and merge at the
     /// barrier. Every lane runs the same lane code whoever claims it, so
     /// neither the thread count nor the claim order can change results.
-    fn run_epoch(
-        &mut self,
-        batch: &mut Vec<(SimTime, Event)>,
-        horizon: SimTime,
-        pool: &WorkerPool,
-    ) -> Result<(), RtsError> {
-        self.driver.engine.epochs += 1;
-        self.make_lanes(batch, horizon);
-        let lanes = &mut self.driver.lanes;
-        let active = lanes.iter().filter(|l| !l.queue.is_empty()).count();
+    fn run_epoch(&mut self, bound: (SimTime, u64), pool: &WorkerPool) -> Result<(), RtsError> {
+        let Driver {
+            lanes,
+            walls,
+            engine,
+            ..
+        } = &mut self.driver;
+        engine.epochs += 1;
+        for lane in lanes.iter_mut() {
+            lane.bound = bound;
+        }
+        let active = lanes.iter().filter(|l| l.has_work()).count();
         let t0 = (pool.threads() > 1 && active > 1).then(Instant::now);
-        let walls = engine_parallel::run_epoch_lanes(&self.shared, lanes, pool, active);
-        self.record_walls(t0, walls);
+        engine_parallel::run_epoch_lanes(&self.shared, lanes, pool, active, walls);
+        Self::record_walls(engine, t0, walls);
         self.merge_lanes(0..self.driver.lanes.len())
     }
 
@@ -388,7 +444,7 @@ impl Machine {
         self.driver.engine.epochs += 1;
         let t0 = (pool.threads() > 1).then(Instant::now);
         let (ran, walls) = engine_parallel::real_burst(&self.shared, &mut self.driver.lanes, pool);
-        self.record_walls(t0, walls);
+        Self::record_walls(&mut self.driver.engine, t0, &walls);
         self.merge_lanes(0..self.driver.lanes.len())?;
         Ok(ran > 0)
     }
@@ -436,42 +492,30 @@ impl Machine {
     fn run_virtual(&mut self, pool: &WorkerPool) -> Result<(), RtsError> {
         // all PEs start at t=0
         for pe in 0..self.driver.lanes.len() {
-            self.driver
-                .queue
-                .schedule(SimTime::ZERO, Event::PeWake { pe });
+            self.schedule(SimTime::ZERO, Event::PeWake { pe });
         }
         let mut lookahead = self.lookahead();
-        // Reused across epochs: `drain_until` and `make_lanes` both
-        // drain it, so one warm buffer serves the whole run.
-        let mut batch: Vec<(SimTime, Event)> = Vec::new();
         while self.driver.done_count < self.shared.ranks.len() {
-            debug_assert!(batch.is_empty());
-            let queue = &mut self.driver.queue;
-            match lookahead {
-                Lookahead::Unbounded => queue.drain_until(SimTime::MAX, &mut batch),
-                Lookahead::SingleEvent => batch.extend(queue.pop()),
-                Lookahead::Window(l) => {
-                    if let Some(t0) = queue.peek_time() {
-                        queue.drain_until(t0.saturating_add(l), &mut batch);
-                    }
-                }
-            }
-            if batch.is_empty() {
+            let Some(bound) = self.epoch_bound(lookahead) else {
                 if self.barrier_if_due(&mut lookahead)? {
                     continue;
                 }
                 return self.finished_or_deadlocked();
-            }
-            let horizon = match lookahead {
-                Lookahead::Unbounded => SimTime::MAX,
-                // Horizon at the event's own time: every emission
-                // crosses the barrier, replicating global-queue order.
-                Lookahead::SingleEvent => batch[0].0,
-                Lookahead::Window(l) => batch[0].0.saturating_add(l),
             };
-            self.run_epoch(&mut batch, horizon, pool)?;
+            self.run_epoch(bound, pool)?;
             self.barrier_if_due(&mut lookahead)?;
         }
         Ok(())
+    }
+}
+
+/// Which lane an event belongs to. `Deliver` follows the target's
+/// *current* placement (stale `dest_pe` stamps still pay the forward
+/// hop); reliable-layer timers run on the sender's lane.
+fn event_pe(location: &LocationManager, ev: &Event) -> PeId {
+    match ev {
+        Event::Deliver { msg, .. } => location.lookup(msg.to),
+        Event::PeWake { pe } => *pe,
+        Event::Ack { from, .. } | Event::Retransmit { from, .. } => location.lookup(*from),
     }
 }

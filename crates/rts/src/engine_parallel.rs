@@ -24,10 +24,11 @@
 //! ## Virtual mode: claimed lanes
 //!
 //! An epoch is one `broadcast` ([`run_epoch_lanes`]) in which workers
-//! *claim* the next non-empty lane from a shared iterator and drive it
-//! through its own [`ExecCtx`] — one context, one lane, as at a barrier
-//! (`Machine::with_lane`). A virtual-mode lane touches only its own
-//! queue, PE state and outbox and the ranks resident on its PE, so which
+//! *claim* the next lane with an event below the epoch's bound from a
+//! shared iterator and drive it through its own [`ExecCtx`] — one
+//! context, one lane, as at a barrier (`Machine::with_lane`). A
+//! virtual-mode lane touches only its own queue, PE state and outbox
+//! and the ranks resident on its PE, so which
 //! worker drives it (and in which order) cannot change what it produces;
 //! the machine merges outboxes in PE order afterwards. Lane → worker
 //! assignment is therefore timing-dependent while results stay
@@ -244,17 +245,20 @@ fn job_scope(shared: &Shared, helpers: bool) -> Option<ThreadScope> {
     Some(ThreadScope::install(tracer.clone()))
 }
 
-/// Drive one epoch's non-empty lanes on the pool, each worker claiming
-/// the next lane when it finishes one. `active` is the number of
-/// non-empty lanes. Returns per-worker busy wall-clock.
+/// Drive one epoch's lanes with work on the pool, each worker claiming
+/// the next lane when it finishes one. `active` is the number of lanes
+/// with work. Writes per-worker busy wall-clock into `busy`, one entry
+/// per pool worker.
 pub(crate) fn run_epoch_lanes(
     shared: &Shared,
     lanes: &mut [Lane],
     pool: &WorkerPool,
     active: usize,
-) -> Vec<Duration> {
+    busy: &mut [Duration],
+) {
     let helpers = active.saturating_sub(1).min(pool.threads() - 1);
-    let busy = Mutex::new(vec![Duration::ZERO; pool.threads()]);
+    busy.fill(Duration::ZERO);
+    let busy = Mutex::new(busy);
     let unclaimed = Mutex::new(lanes.iter_mut());
     pool.broadcast(helpers, &|w| {
         let _scope = job_scope(shared, helpers > 0);
@@ -262,14 +266,13 @@ pub(crate) fn run_epoch_lanes(
         loop {
             // The claim: the lock is held for the `find` only, and the
             // `&mut Lane` it hands out is this worker's alone.
-            let Some(lane) = unclaimed.lock().find(|l| !l.queue.is_empty()) else {
+            let Some(lane) = unclaimed.lock().find(|l| l.has_work()) else {
                 break;
             };
             ExecCtx { shared, lane }.run_epoch();
         }
         busy.lock()[w] = t0.elapsed();
     });
-    busy.into_inner()
 }
 
 /// How long a parked worker sleeps before re-checking on its own — the

@@ -22,11 +22,12 @@
 //!
 //! The machine can drive its PEs on a pool of OS worker threads
 //! ([`Parallelism`]) that lives for one [`Machine::run`]. In virtual
-//! time the engine is *conservative* — the event queue is drained in
-//! lookahead-bounded epochs, each epoch's non-empty per-PE lanes are
-//! claimed one by one by whichever worker is free, and cross-PE sends
-//! are buffered in per-lane outboxes that the barrier merges in
-//! deterministic `(time, pe, seq)` order. Result: `Threads(n)` runs are
+//! time the engine is *conservative* — each per-PE lane holds its PE's
+//! future events, an epoch runs every event within the lookahead of the
+//! earliest lane head, the lanes with such events are claimed one by one
+//! by whichever worker is free, and cross-PE sends are buffered in
+//! per-lane outboxes that the barrier moves into their target lanes in
+//! deterministic `(time, pe, emission)` order. Result: `Threads(n)` runs are
 //! bit-identical to `Serial` runs, for every `n`. In real time, each
 //! worker owns a contiguous block of PEs for a burst and workers
 //! exchange messages through sharded inboxes with an all-idle

@@ -544,22 +544,16 @@ impl Machine {
 
     /// `rank` now lives on `pe` — the commit point of every move, in the
     /// two places that say where a rank is: the directory, and what
-    /// [`crate::RankCtx::my_pe`] reads.
+    /// [`crate::RankCtx::my_pe`] reads — and its events follow it.
     pub(crate) fn place(&mut self, rank: RankId, pe: PeId) {
+        let from = self.shared.location.lookup(rank);
         self.shared.location.update(rank, pe);
         self.shared.ranks[rank]
             .shared
             .current_pe
             .store(pe, Ordering::Relaxed);
-    }
-
-    /// Put a ready `rank` on `pe`'s queue and, in virtual time, wake the PE.
-    pub(crate) fn enqueue_ready(&mut self, rank: RankId, pe: PeId) {
-        let state = &mut self.driver.lanes[pe].state;
-        state.ready.push_back(rank);
-        if self.shared.clock == ClockMode::Virtual {
-            let at = self.driver.queue.now().max_of(state.clock);
-            self.driver.queue.schedule(at, Event::PeWake { pe });
+        if from != pe {
+            self.rehome_events(from);
         }
     }
 

@@ -2,16 +2,16 @@
 //! [`ExecCtx`] — one context, one lane.
 //!
 //! The machine keeps one [`Lane`] per PE for the whole run (the PE's
-//! scheduler state, its slice of the event queue, its outbox) and one
+//! scheduler state, the queue of its future events, its outbox) and one
 //! [`Shared`] that every lane reads and only barriers write. The
 //! epoch-barrier protocol keeps parallel runs bit-identical to serial
-//! ones: the machine pops the global DES queue into a time window,
-//! schedules the batch into the lanes' queues, and the engine's workers
-//! drive each lane exactly once. During an epoch a lane touches only its
-//! own ranks (enforced by the [`RankTable`] ownership contract below);
-//! everything that would cross a lane boundary — events for other PEs,
-//! tallies, errors, retransmit-exhaustion verdicts — is buffered in the
-//! lane's [`Outbox`] and merged deterministically at the barrier.
+//! ones: the machine bounds an epoch by the lane heads, and the engine's
+//! workers drive each lane with an event below the bound exactly once.
+//! During an epoch a lane touches only its own ranks (enforced by the
+//! [`RankTable`] ownership contract below); everything that would cross
+//! a lane boundary — events for other PEs or a later epoch, tallies,
+//! errors, retransmit-exhaustion verdicts — is buffered in the lane's
+//! [`Outbox`] and merged deterministically at the barrier.
 //!
 //! ## Send-safety audit
 //!
@@ -53,7 +53,7 @@ use crate::command::{Command, Response};
 use crate::guards::Guards;
 use crate::location::LocationManager;
 use crate::machine::{arena_trip_kind, ClockMode, Event, ReliableState, RtsError};
-use crate::matching::Arrival;
+use crate::matching::{Arrival, FixedMap};
 use crate::message::RtsMessage;
 use crate::pe::PeState;
 use crate::rank::{RankState, RankStatus};
@@ -61,12 +61,12 @@ use crate::rescale::Geometry;
 use crate::stats::Tallies;
 use crate::{PeId, RankId};
 use parking_lot::Mutex;
+use pvr_des::queue::UNSTAMPED;
 use pvr_des::{EventQueue, FaultPlan, FaultStream, NetworkModel, SimDuration, SimTime, Topology};
 use pvr_isomalloc::IsoPtr;
 use pvr_privatize::{PrivatizeError, Privatizer};
 use pvr_trace::{EventKind, Tracer, NO_RANK};
 use std::cell::UnsafeCell;
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -204,14 +204,17 @@ pub(crate) struct Exhausted {
 /// first error the lane hit.
 #[derive(Default)]
 pub(crate) struct Outbox {
-    /// Events for other PEs (or beyond this lane's horizon), merged into
-    /// the global queue at the barrier in deterministic order.
-    pub events: Vec<(SimTime, Event)>,
+    /// Events for other PEs (or past this epoch's bound), in emission
+    /// order; the barrier merge takes each out once, in deterministic
+    /// order, into its target lane.
+    pub events: Vec<Option<(SimTime, Event)>>,
     /// Every exact count this lane's ranks raised during the epoch.
     pub tallies: Tallies,
     pub done: usize,
     pub at_sync: usize,
-    pub comm_bytes: BTreeMap<(RankId, RankId), u64>,
+    /// Bytes sent per (from, to) rank pair; the barrier only sums them,
+    /// so the map's order does not matter and `clear` keeps its buckets.
+    pub comm_bytes: FixedMap<(RankId, RankId), u64>,
     /// Stale-location forward hops taken (merged into the location
     /// manager's counter at the barrier).
     pub forwards: u64,
@@ -266,16 +269,22 @@ impl Outbox {
     }
 }
 
-/// One PE's scheduler for the whole run: its state, its share of the
-/// current epoch's events, and the outbox for everything that crosses
-/// the barrier.
+/// One PE's scheduler for the whole run: its state, every future event
+/// of the PE, and the outbox for everything that crosses the barrier.
 pub(crate) struct Lane {
     pub pe: PeId,
     pub state: PeState,
+    /// The PE's future events, keyed `(time, stamp)`. What crosses a
+    /// barrier into it carries a run-wide stamp (`Machine::schedule`);
+    /// what the lane emits for itself inside its epoch is unstamped, so
+    /// it runs after every stamped event of the same time.
     pub queue: EventQueue<Event>,
-    /// Events at `t >= horizon` belong to a later epoch and are routed
-    /// through the outbox even when targeting this lane's own PE.
-    pub horizon: SimTime,
+    /// This epoch's bound: the lane runs its events keyed below it, and
+    /// an event it emits at or past `bound.0` — for its own PE too —
+    /// belongs to a later epoch and goes through the outbox.
+    pub bound: (SimTime, u64),
+    /// Time of the latest stamped event this lane has run.
+    pub stamped_now: SimTime,
     pub out: Outbox,
 }
 
@@ -287,9 +296,15 @@ impl Lane {
             pe,
             state: PeState::default(),
             queue: EventQueue::with_capacity(cap),
-            horizon: SimTime::ZERO,
+            bound: (SimTime::ZERO, 0),
+            stamped_now: SimTime::ZERO,
             out: Outbox::with_capacity(cap),
         }
+    }
+
+    /// Whether the lane has an event to run below its bound.
+    pub(crate) fn has_work(&self) -> bool {
+        self.queue.peek_key().is_some_and(|key| key < self.bound)
     }
 }
 
@@ -361,15 +376,15 @@ impl ExecCtx<'_> {
     }
 
     /// Schedule `ev` at `at`: locally when it targets this lane's PE
-    /// inside the current window, otherwise via the outbox for the
+    /// inside the current epoch, otherwise via the outbox for the
     /// barrier merge.
     fn emit(&mut self, target_pe: PeId, at: SimTime, ev: Event) {
         let lane = &mut *self.lane;
-        if target_pe == lane.pe && at < lane.horizon {
+        if target_pe == lane.pe && at < lane.bound.0 {
             let at = at.max_of(lane.queue.now());
             lane.queue.schedule(at, ev);
         } else {
-            lane.out.events.push((at, ev));
+            lane.out.events.push(Some((at, ev)));
         }
     }
 
@@ -1138,11 +1153,14 @@ impl ExecCtx<'_> {
     }
 
     /// Drive this lane through its share of an epoch: pop the lane's
-    /// queue in (time, seq) order until drained. The first error stops
-    /// this lane (class 0) but not its siblings; the barrier picks the
-    /// canonical error across lanes.
+    /// queue in (time, stamp) order up to its bound. The first error
+    /// stops this lane (class 0) but not its siblings; the barrier picks
+    /// the canonical error across lanes.
     pub(crate) fn run_epoch(&mut self) {
-        while let Some((t, ev)) = self.lane.queue.pop() {
+        while let Some((t, stamp, ev)) = self.lane.queue.pop_before(self.lane.bound) {
+            if stamp < UNSTAMPED {
+                self.lane.stamped_now = t;
+            }
             if let Err(e) = self.exec_event(t, ev) {
                 self.lane.out.error = Some((t, 0, e));
                 return;

@@ -30,14 +30,16 @@ nontest_lines() {
     awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
 }
 
-echo "==> size ratchet (pvr-rts sources before their tests: machine.rs <= 649 lines, any other <= 1300)"
+echo "==> size ratchet (pvr-rts sources before their tests: machine.rs <= 649 lines, driver.rs <= 521, any other <= 1300)"
 # `machine.rs` was 2 456 such lines until the barrier's protocols moved
 # out with their state, 1 302 until the guards did, and 1 146 until the
-# event loop did (`driver.rs`; ROADMAP item 3); nothing may quietly grow
-# back.
+# event loop did (`driver.rs`; ROADMAP item 3); `driver.rs` took the
+# per-lane event queues' scheduling and barrier merge. Nothing may
+# quietly grow back.
 for f in crates/rts/src/*.rs; do
     limit=1300
     [ "$f" = crates/rts/src/machine.rs ] && limit=649
+    [ "$f" = crates/rts/src/driver.rs ] && limit=521
     n=$(nontest_lines "$f")
     [ "$n" -le "$limit" ] || {
         echo "FAIL: $f has $n lines before its tests (limit $limit): split it along a protocol"

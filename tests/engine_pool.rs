@@ -114,7 +114,16 @@ fn runs_leave_no_thread_behind() {
             builder(clock).parallelism(Parallelism::Serial),
             builder(clock).parallelism(Parallelism::Auto).guards(true),
         ] {
-            let report = pool_of_one.build(counting.clone()).unwrap().run().unwrap();
+            let mut m = pool_of_one.build(counting.clone()).unwrap();
+            // `build` starts one thread per simulated process and joins
+            // them; the kernel's count drops a moment after the join, so
+            // wait for it before the run whose threads are counted.
+            assert_eq!(
+                settled_threads(before),
+                before,
+                "{clock:?}: build left a thread"
+            );
+            let report = m.run().unwrap();
             assert_eq!((report.engine.threads, report.engine.barriers), (1, 0));
             assert_eq!(
                 most.swap(0, Relaxed),

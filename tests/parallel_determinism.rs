@@ -12,6 +12,7 @@ use pvr_ampi::Ampi;
 use pvr_apps::jacobi3d::{self, JacobiConfig};
 use pvr_des::{FaultParams, FaultPlan, HopClass, NetworkModel, SimDuration, Topology};
 use pvr_privatize::{Method, Toolchain};
+use pvr_rts::lb::GreedyRefineLb;
 use pvr_rts::{ClockMode, EngineTallies, MachineBuilder, Parallelism, RankCtx};
 use pvr_trace::{TraceCounts, Tracer};
 use std::sync::Arc;
@@ -91,6 +92,27 @@ fn run_on(
     par: Parallelism,
     faults: bool,
 ) -> Outcome {
+    if faults {
+        network = network.with_faults(lossy_plan(42));
+    }
+    run_configured(pes, network, method, par, |b| {
+        if faults {
+            b.checkpoint_period(1).inject_pe_failure_at_lb_step(2, 2)
+        } else {
+            b
+        }
+    })
+}
+
+/// The Jacobi job on `pes` PEs x vp 2, with `configure` applied to the
+/// builder last.
+fn run_configured(
+    pes: usize,
+    network: NetworkModel,
+    method: Method,
+    par: Parallelism,
+    configure: impl FnOnce(MachineBuilder) -> MachineBuilder,
+) -> Outcome {
     let out: Arc<Mutex<Residuals>> = Arc::new(Mutex::new(Vec::new()));
     let tracer = Tracer::new(pes);
     tracer.enable();
@@ -99,7 +121,7 @@ fn run_on(
     } else {
         Toolchain::bridges2()
     };
-    let mut b = MachineBuilder::new(jacobi3d::binary())
+    let b = MachineBuilder::new(jacobi3d::binary())
         .method(method)
         .toolchain(toolchain)
         .clock(ClockMode::Virtual)
@@ -107,15 +129,12 @@ fn run_on(
         .topology(Topology::non_smp(pes))
         .vp_ratio(2)
         .stack_size(256 * 1024)
-        .tracer(tracer.clone());
-    if faults {
-        network = network.with_faults(lossy_plan(42));
-        b = b.checkpoint_period(1).inject_pe_failure_at_lb_step(2, 2);
-    }
-    let mut m = b.network(network).build(jacobi_body(out.clone())).unwrap();
+        .tracer(tracer.clone())
+        .network(network);
+    let mut m = configure(b).build(jacobi_body(out.clone())).unwrap();
     let report = m.run().unwrap();
     for (row, traced, reported) in report.trace_rows(&tracer.counts()) {
-        assert_eq!(traced, reported, "{method} {par:?} faults={faults}: {row}");
+        assert_eq!(traced, reported, "{method} {par:?} on {pes} PEs: {row}");
     }
     let mut residuals = out.lock().clone();
     residuals.sort_by_key(|r| r.0);
@@ -209,6 +228,38 @@ fn repeated_runs_of_one_configuration_agree() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn a_run_whose_only_other_pe_fails_completes() {
+    // 2 PEs, the lossy plan, PE 1 failing at the second LB step: PE 0 is
+    // left alone, so its epochs are unbounded and its lane runs its own
+    // acks and retransmit timers past the time of the wake the recovery
+    // barrier then schedules onto it. That wake is clamped to the lane's
+    // queue time (unclamped, the run stops with "cannot schedule into
+    // the past"), with and without a balancer moving ranks first.
+    let clean = run_windowed(2, Parallelism::Serial, false);
+    for lb in [false, true] {
+        let run = |par| {
+            let network = NetworkModel::infiniband().with_faults(lossy_plan(42));
+            run_configured(2, network, Method::PieGlobals, par, |b| {
+                let b = b.checkpoint_period(1).inject_pe_failure_at_lb_step(2, 1);
+                if lb {
+                    b.balancer(Box::new(GreedyRefineLb::default()))
+                } else {
+                    b
+                }
+            })
+        };
+        let serial = run(Parallelism::Serial);
+        assert_eq!(serial.residuals.len(), 4, "lb {lb}: a 4-rank run");
+        assert_eq!(
+            serial.residuals, clean.residuals,
+            "lb {lb}: the rollback changed the answer"
+        );
+        let par = run(Parallelism::Threads(2));
+        assert_same(&par, &serial, &format!("lb {lb}, Threads(2)"));
     }
 }
 
