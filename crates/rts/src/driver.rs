@@ -1,13 +1,14 @@
-//! The driver: how a [`Machine`] runs its lanes between barriers. In
-//! virtual time, lookahead-bounded epochs — each lane holds its PE's
-//! future events, the epoch's bound comes from the lane heads, the lanes
-//! with events below it run on the worker pool, and the barrier merges
-//! their outboxes straight into the target lanes; in real time, bursts
-//! of fair sweeps. [`Driver`] is the state only this loop touches: the
-//! lanes — one per PE for the whole run — the run-wide stamp counter and
-//! the engine's counters. Like `barrier.rs`, the code is `impl Machine`:
-//! an epoch reads `worker::Shared` and writes the lanes, a barrier
-//! writes both.
+//! The driver: how a [`Machine`] runs its lanes between barriers, in
+//! epochs — the lanes with work run on the worker pool, and the barrier
+//! merges their outboxes straight into the target lanes. In virtual time
+//! each lane holds its PE's future events and an epoch's bound comes
+//! from the lane heads; in real time an epoch is a round, in which every
+//! lane with mail or a ready rank runs, and the merge moves each
+//! cross-PE message once into its target lane's inbox. [`Driver`] is
+//! the state only this loop touches: the lanes — one per PE for the
+//! whole run — the run-wide stamp counter and the engine's counters.
+//! Like `barrier.rs`, the code is `impl Machine`: an epoch reads
+//! `worker::Shared` and writes the lanes, a barrier writes both.
 //!
 //! Exactness rests on the stamps: every event that enters a lane from
 //! outside its own epoch (the first wakes, the barrier merge, a barrier's
@@ -111,10 +112,7 @@ impl Machine {
         // The helpers live for this call: `pool` is dropped — and its
         // threads joined — on the `?` paths below as on the normal one.
         let pool = WorkerPool::new(threads);
-        match self.shared.clock {
-            ClockMode::RealTime => self.run_real(&pool)?,
-            ClockMode::Virtual => self.run_virtual(&pool)?,
-        }
+        self.run_lanes(&pool)?;
         drop(pool);
         let real_elapsed = t0.elapsed();
         let pes = self.driver.lanes.iter().map(|l| &l.state);
@@ -203,9 +201,8 @@ impl Machine {
         }
     }
 
-    /// Hand a message to its target's matching engine — the barrier-time
-    /// path (harness injection, real-time messages a failed burst left
-    /// behind), through the same lane code the engines run.
+    /// Hand a message to its target's matching engine at a barrier
+    /// (harness injection), through the same lane code the engines run.
     pub(crate) fn deposit(&mut self, msg: RtsMessage) {
         let pe = self.shared.location.lookup(msg.to);
         let merged = self.with_lane(pe, |ctx| ctx.deposit(msg)).1;
@@ -311,17 +308,16 @@ impl Machine {
 
     /// Fold lanes `pes` into the machine at the barrier: absorb counter
     /// deltas in PE order, move every outbox event into its target lane
-    /// in deterministic (time, source PE, emission index) order, deposit
-    /// what a real-time burst left undelivered, resolve deferred
-    /// retransmit-exhaustion verdicts, and surface the canonical
-    /// (earliest) error if any lane failed. Every merged lane is left
-    /// with an empty outbox; a lane that failed keeps the events it did
-    /// not run.
+    /// in deterministic (time, source PE, emission index) order, move
+    /// every real-time message into its target lane's inbox in (source
+    /// PE, emission index) order, resolve deferred retransmit-exhaustion
+    /// verdicts, and surface the canonical (earliest) error if any lane
+    /// failed. Every merged lane is left with an empty outbox; a lane
+    /// that failed keeps the events it did not run.
     fn merge_lanes(&mut self, pes: Range<PeId>) -> Result<(), RtsError> {
         let mut keys = std::mem::take(&mut self.driver.merge_keys);
         let mut exhausted: Vec<(PeId, Exhausted)> = Vec::new();
         let mut errors: Vec<(SimTime, PeId, u8, RtsError)> = Vec::new();
-        let mut unrouted: Vec<RtsMessage> = Vec::new();
         for pe in pes.clone() {
             let lane = &mut self.driver.lanes[pe];
             self.driver.now = self.driver.now.max_of(lane.stamped_now);
@@ -346,7 +342,12 @@ impl Machine {
             if let Some((t, class, e)) = out.error.take() {
                 errors.push((t, pe, class, e));
             }
-            unrouted.append(&mut out.unrouted);
+            let mut mail = std::mem::take(&mut out.unrouted);
+            for msg in mail.drain(..) {
+                let to = self.shared.location.lookup(msg.to);
+                self.driver.lanes[to].inbox.push(msg);
+            }
+            self.driver.lanes[pe].out.unrouted = mail;
         }
         // Stamped in (time, source PE, emission index) order: the order
         // that decides ties, also among the events `now` clamps.
@@ -361,9 +362,6 @@ impl Machine {
         self.driver.merge_keys = keys;
         for pe in pes {
             self.driver.lanes[pe].out.reset();
-        }
-        for msg in unrouted {
-            self.deposit(msg);
         }
         // Deferred retransmit exhaustions, judged against post-epoch
         // receive state in deterministic (time, sender PE) order.
@@ -383,30 +381,17 @@ impl Machine {
         }
     }
 
-    /// Fold one epoch's or burst's per-worker wall-clocks into the engine
-    /// tallies. `parallel_since` is when it went to more than one worker
-    /// (`None`: the driver ran it alone).
-    fn record_walls(
-        engine: &mut EngineTallies,
-        parallel_since: Option<Instant>,
-        walls: &[Duration],
-    ) {
-        if let Some(t0) = parallel_since {
-            engine.barriers += 1;
-            engine.parallel_wall += t0.elapsed();
-            engine.parallel_busy += walls.iter().sum::<Duration>();
-        }
-        for (total, w) in engine.worker_wall.iter_mut().zip(walls) {
-            *total += *w;
-        }
-    }
-
     /// The next epoch's bound from the lane heads: `Window(L)` runs every
     /// event before `t0 + L`, where `t0` is the earliest head;
     /// `SingleEvent` only the `(time, stamp)`-smallest event; `Unbounded`
-    /// everything. `None` when no lane has an event below it.
+    /// everything. `None` when no lane has an event below it. In real
+    /// time, unbounded whenever a lane has work.
     fn epoch_bound(&self, lookahead: Lookahead) -> Option<(SimTime, u64)> {
         let lanes = &self.driver.lanes;
+        if self.shared.clock == ClockMode::RealTime {
+            let work = lanes.iter().any(|l| l.has_work(&self.shared));
+            return work.then_some((SimTime::MAX, 0));
+        }
         let head = lanes.iter().filter_map(|l| l.queue.peek_key()).min()?;
         let bound = match lookahead {
             Lookahead::Unbounded => (SimTime::MAX, 0),
@@ -417,9 +402,10 @@ impl Machine {
     }
 
     /// Execute one epoch: give every lane the bound, let the pool's
-    /// workers claim the lanes with events below it, and merge at the
-    /// barrier. Every lane runs the same lane code whoever claims it, so
-    /// neither the thread count nor the claim order can change results.
+    /// workers claim the lanes with work, fold their wall-clocks into the
+    /// engine tallies, and merge at the barrier. Every lane runs the same
+    /// lane code whoever claims it, so neither the thread count nor the
+    /// claim order can change results.
     fn run_epoch(&mut self, bound: (SimTime, u64), pool: &WorkerPool) -> Result<(), RtsError> {
         let Driver {
             lanes,
@@ -431,31 +417,29 @@ impl Machine {
         for lane in lanes.iter_mut() {
             lane.bound = bound;
         }
-        let active = lanes.iter().filter(|l| l.has_work()).count();
-        let t0 = (pool.threads() > 1 && active > 1).then(Instant::now);
+        let active = lanes.iter().filter(|l| l.has_work(&self.shared)).count();
+        let parallel_since = (pool.threads() > 1 && active > 1).then(Instant::now);
         engine_parallel::run_epoch_lanes(&self.shared, lanes, pool, active, walls);
-        Self::record_walls(engine, t0, walls);
+        if let Some(t0) = parallel_since {
+            engine.barriers += 1;
+            engine.parallel_wall += t0.elapsed();
+            engine.parallel_busy += walls.iter().sum::<Duration>();
+        }
+        for (total, w) in engine.worker_wall.iter_mut().zip(walls.iter()) {
+            *total += *w;
+        }
         self.merge_lanes(0..self.driver.lanes.len())
     }
 
-    /// One real-time scheduler burst: round-robin fair sweeps until no
-    /// PE can make progress. Returns whether any slice ran.
-    fn run_real_burst(&mut self, pool: &WorkerPool) -> Result<bool, RtsError> {
-        self.driver.engine.epochs += 1;
-        let t0 = (pool.threads() > 1).then(Instant::now);
-        let (ran, walls) = engine_parallel::real_burst(&self.shared, &mut self.driver.lanes, pool);
-        Self::record_walls(&mut self.driver.engine, t0, &walls);
-        self.merge_lanes(0..self.driver.lanes.len())?;
-        Ok(ran > 0)
-    }
-
-    /// Run the LB barrier if every live rank is parked at it, and bring
-    /// `lookahead` up to date if that changed the active set. Returns
-    /// whether a barrier ran.
+    /// Run the LB barrier if every live rank is parked at it and no
+    /// real-time mail waits in an inbox, and bring `lookahead` up to date
+    /// if that changed the active set. Returns whether a barrier ran.
     fn barrier_if_due(&mut self, lookahead: &mut Lookahead) -> Result<bool, RtsError> {
         let live = self.shared.ranks.len() - self.driver.done_count;
         let at_sync = self.driver.at_sync_count;
-        let due = at_sync > 0 && at_sync == live;
+        let due = at_sync > 0
+            && at_sync == live
+            && self.driver.lanes.iter().all(|l| l.inbox.is_empty());
         if due {
             self.do_lb_step()?;
             if self.shared.geometry.take_dirty() {
@@ -477,22 +461,14 @@ impl Machine {
         }
     }
 
-    fn run_real(&mut self, pool: &WorkerPool) -> Result<(), RtsError> {
-        // Real time forms no epochs; the barrier keeps this current anyway.
-        let mut lookahead = Lookahead::Unbounded;
-        while self.driver.done_count < self.shared.ranks.len() {
-            let progressed = self.run_real_burst(pool)?;
-            if !self.barrier_if_due(&mut lookahead)? && !progressed {
-                return self.finished_or_deadlocked();
+    /// Run epochs — real-time rounds — until every rank is done, with an
+    /// LB barrier whenever one is due.
+    fn run_lanes(&mut self, pool: &WorkerPool) -> Result<(), RtsError> {
+        if self.shared.clock == ClockMode::Virtual {
+            // all PEs start at t=0
+            for pe in 0..self.driver.lanes.len() {
+                self.schedule(SimTime::ZERO, Event::PeWake { pe });
             }
-        }
-        Ok(())
-    }
-
-    fn run_virtual(&mut self, pool: &WorkerPool) -> Result<(), RtsError> {
-        // all PEs start at t=0
-        for pe in 0..self.driver.lanes.len() {
-            self.schedule(SimTime::ZERO, Event::PeWake { pe });
         }
         let mut lookahead = self.lookahead();
         while self.driver.done_count < self.shared.ranks.len() {

@@ -1,7 +1,8 @@
 //! The engine, at every thread count: one long-lived [`WorkerPool`] per
-//! [`Machine::run`](crate::machine::Machine::run), and the two jobs the
-//! machine broadcasts on it. `Parallelism::Serial` is a pool of one —
-//! the driver with no helper — running the same jobs as any other.
+//! [`Machine::run`](crate::machine::Machine::run), and the one job the
+//! machine broadcasts on it, the epoch. `Parallelism::Serial` is a pool
+//! of one — the driver with no helper — running the same job as any
+//! other.
 //!
 //! ## The pool
 //!
@@ -21,51 +22,33 @@
 //! where it happens, every woken helper still finishes, and `broadcast`
 //! re-raises it on the driving thread; the pool refuses further jobs.
 //!
-//! ## Virtual mode: claimed lanes
+//! ## Epochs: claimed lanes
 //!
 //! An epoch is one `broadcast` ([`run_epoch_lanes`]) in which workers
-//! *claim* the next lane with an event below the epoch's bound from a
-//! shared iterator and drive it through its own [`ExecCtx`] — one
-//! context, one lane, as at a barrier (`Machine::with_lane`). A
-//! virtual-mode lane touches only its own queue, PE state and outbox
-//! and the ranks resident on its PE, so which
-//! worker drives it (and in which order) cannot change what it produces;
-//! the machine merges outboxes in PE order afterwards. Lane → worker
-//! assignment is therefore timing-dependent while results stay
-//! bit-identical to serial runs. At most `active lanes - 1` helpers are
-//! woken (none on a pool of one), and an epoch the driver drains before a
-//! helper arrives simply finds that helper nothing to claim.
-//!
-//! ## Real-time mode: contiguous chunks
-//!
-//! A burst is one `broadcast` ([`real_burst`]) of [`worker_loop`]: each
-//! worker takes one contiguous chunk of lanes and sweeps it, one context
-//! per lane and one rank slice per PE per sweep. What a slice sends to a
-//! sibling lane of the same chunk is handed straight to that lane's
-//! `deposit` before the sweep moves on; only what it sends to another
-//! worker's lane crosses the hub — sharded per-worker inboxes
-//! ([`RealHub`]), so a sender locks only its target's shard, and two
-//! workers exchanging messages with two *other* workers never contend. A
-//! lock-free pending counter (incremented before the shard push,
-//! decremented after the take) plus per-worker idle flags give the
-//! classic all-idle-and-nothing-pending termination detector; the one
-//! remaining mutex+condvar pair exists purely to park idle workers (with
-//! a timeout backstop against lost wakeups). On a pool of one the single
-//! chunk is every lane, and the burst ends at the first sweep that runs
-//! nothing. Real-time parallel runs are *not* deterministic — wall-clock
-//! scheduling never is — which is why the determinism suite pins virtual
-//! mode only.
+//! *claim* the next lane with work from a shared iterator and drive it
+//! through its own [`ExecCtx`] — one context, one lane, as at a barrier
+//! (`Machine::with_lane`). In virtual time a lane has work when it holds
+//! an event below the epoch's bound; in real time an epoch is a *round*,
+//! and a lane has work when it has mail in its inbox or a ready rank.
+//! Either way a lane touches only its own queue, inbox, PE state and
+//! outbox and the ranks resident on its PE, so which worker drives it
+//! (and in which order) cannot change what it produces; the machine
+//! merges outboxes in PE order afterwards. Lane → worker assignment is
+//! therefore timing-dependent while the schedule stays the same as a
+//! serial run's, in both clocks. Nothing inside an epoch waits on a
+//! sibling lane, so `broadcast`'s own panic rule is all the engine
+//! needs. At most `active lanes - 1` helpers are woken (none on a pool of
+//! one), and an epoch the driver drains before a helper arrives simply
+//! finds that helper nothing to claim.
 
-use crate::message::RtsMessage;
 use crate::worker::{ExecCtx, Lane, Shared};
-use parking_lot::{Condvar, Mutex};
-use pvr_des::SimTime;
+use parking_lot::Mutex;
 use pvr_trace::ThreadScope;
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -266,7 +249,7 @@ pub(crate) fn run_epoch_lanes(
         loop {
             // The claim: the lock is held for the `find` only, and the
             // `&mut Lane` it hands out is this worker's alone.
-            let Some(lane) = unclaimed.lock().find(|l| l.has_work()) else {
+            let Some(lane) = unclaimed.lock().find(|l| l.has_work(shared)) else {
                 break;
             };
             ExecCtx { shared, lane }.run_epoch();
@@ -275,206 +258,10 @@ pub(crate) fn run_epoch_lanes(
     });
 }
 
-/// How long a parked worker sleeps before re-checking on its own — the
-/// backstop that turns any lost-wakeup race into bounded latency
-/// instead of a hang.
-const PARK_BACKSTOP: Duration = Duration::from_millis(1);
-
-/// Sharded message hub and termination detector for parallel real-time
-/// bursts. Delivery state is per-worker; only idle parking takes the
-/// shared lock.
-struct RealHub {
-    /// Per-worker inbox shards. A sender locks exactly one — its
-    /// target's — so disjoint worker pairs never serialize on the hub.
-    shards: Vec<Mutex<Vec<RtsMessage>>>,
-    /// Messages posted but not yet collected by their target worker.
-    /// Incremented *before* the shard push and decremented *after* the
-    /// take, so `pending == 0` proves no message is in flight.
-    pending: AtomicUsize,
-    /// Which workers are parked with nothing to run.
-    idle: Vec<AtomicBool>,
-    /// Burst termination flag (quiescence detected, or a worker erred).
-    over: AtomicBool,
-    /// Total rank slices run this burst.
-    ran_total: AtomicU64,
-    /// Idle parking lot: the mutex guards nothing but the park itself;
-    /// senders grab it momentarily when notifying so a wakeup cannot
-    /// slip between a parker's re-check and its wait.
-    park: Mutex<()>,
-    cv: Condvar,
-}
-
-impl RealHub {
-    /// Wake every parked worker (new messages, or termination).
-    fn notify(&self) {
-        let _guard = self.park.lock();
-        self.cv.notify_all();
-    }
-
-    /// End the burst and release every parked worker.
-    fn finish(&self) {
-        self.over.store(true, SeqCst);
-        self.notify();
-    }
-}
-
-/// Ends the burst if the worker holding it unwinds: its siblings would
-/// otherwise wait for an all-idle state that can no longer come, and
-/// `broadcast` for them.
-struct EndBurstOnUnwind<'h>(&'h RealHub);
-
-impl Drop for EndBurstOnUnwind<'_> {
-    fn drop(&mut self) {
-        if thread::panicking() {
-            self.0.finish();
-        }
-    }
-}
-
-/// One parallel real-time burst: every worker of the burst runs
-/// [`worker_loop`] on its own contiguous chunk of lanes until global
-/// quiescence. Returns (slices run, per-worker wall).
-pub(crate) fn real_burst(
-    shared: &Shared,
-    lanes: &mut [Lane],
-    pool: &WorkerPool,
-) -> (u64, Vec<Duration>) {
-    let chunk = lanes.len().div_ceil(pool.threads());
-    let n_workers = lanes.len().div_ceil(chunk);
-    let hub = RealHub {
-        shards: (0..n_workers).map(|_| Mutex::new(Vec::new())).collect(),
-        pending: AtomicUsize::new(0),
-        idle: (0..n_workers).map(|_| AtomicBool::new(false)).collect(),
-        over: AtomicBool::new(false),
-        ran_total: AtomicU64::new(0),
-        park: Mutex::new(()),
-        cv: Condvar::new(),
-    };
-    let walls = Mutex::new(vec![Duration::ZERO; n_workers]);
-    let chunks = Mutex::new(lanes.chunks_mut(chunk).enumerate());
-    // Termination needs every chunk driven concurrently, which holds
-    // because exactly `n_workers` threads run the job and each takes one
-    // chunk. `c` (the hub index) is the chunk's, not the pool worker's.
-    pool.broadcast(n_workers - 1, &|_| {
-        let _scope = job_scope(shared, n_workers > 1);
-        let _end_burst = EndBurstOnUnwind(&hub);
-        let (c, slice) = chunks.lock().next().expect("one chunk per worker");
-        let wall = worker_loop(shared, slice, c, chunk, &hub);
-        walls.lock()[c] = wall;
-    });
-    (hub.ran_total.load(SeqCst), walls.into_inner())
-}
-
-/// One worker's life for a real-time burst: drain own shard, sweep own
-/// lanes fairly — handing what a slice sends to a sibling lane straight
-/// to it — push cross-worker sends into their targets' shards, park when
-/// idle; terminate on global quiescence (every worker idle, nothing in
-/// flight).
-fn worker_loop(
-    shared: &Shared,
-    slice: &mut [Lane],
-    w: usize,
-    chunk: usize,
-    hub: &RealHub,
-) -> Duration {
-    let t0 = Instant::now();
-    let first = slice[0].pe;
-    // Reused across sweeps: one lane's sends, and the sends for other
-    // workers' lanes collected over a sweep.
-    let mut mail: Vec<RtsMessage> = Vec::new();
-    let mut outbound: Vec<RtsMessage> = Vec::new();
-    loop {
-        if hub.over.load(SeqCst) {
-            break;
-        }
-        let inbound: Vec<RtsMessage> = std::mem::take(&mut *hub.shards[w].lock());
-        hub.pending.fetch_sub(inbound.len(), SeqCst);
-        for m in inbound {
-            let lane = &mut slice[shared.location.lookup(m.to) - first];
-            ExecCtx { shared, lane }.deposit(m);
-        }
-        let mut ran = 0u64;
-        for li in 0..slice.len() {
-            match (ExecCtx {
-                shared,
-                lane: &mut slice[li],
-            })
-            .real_slice()
-            {
-                Ok(slice_ran) => ran += slice_ran as u64,
-                Err(e) => {
-                    // Unsent mail stays with the lane: the barrier
-                    // delivers it.
-                    slice[li].out.unrouted.append(&mut outbound);
-                    slice[li].out.error = Some((SimTime::ZERO, 0, e));
-                    hub.finish();
-                    return t0.elapsed();
-                }
-            }
-            mail.append(&mut slice[li].out.unrouted);
-            for m in mail.drain(..) {
-                let pe = shared.location.lookup(m.to);
-                match pe.checked_sub(first).and_then(|i| slice.get_mut(i)) {
-                    Some(lane) => ExecCtx { shared, lane }.deposit(m),
-                    None => outbound.push(m),
-                }
-            }
-        }
-        hub.ran_total.fetch_add(ran, SeqCst);
-        let posted = outbound.len();
-        for m in outbound.drain(..) {
-            let dest_w = shared.location.lookup(m.to) / chunk;
-            // Count the message in flight before it becomes visible, so
-            // a `pending == 0` read can never miss a published message.
-            hub.pending.fetch_add(1, SeqCst);
-            hub.shards[dest_w].lock().push(m);
-        }
-        if posted > 0 {
-            hub.notify();
-        }
-        if ran > 0 || !hub.shards[w].lock().is_empty() {
-            continue;
-        }
-        // Publish idleness, then re-check the shard: a sender that
-        // pushed after the emptiness check above will either see the
-        // idle flag (and notify) or be caught by this re-check.
-        hub.idle[w].store(true, SeqCst);
-        let mut done = false;
-        {
-            let mut guard = hub.park.lock();
-            loop {
-                if hub.over.load(SeqCst) {
-                    done = true;
-                    break;
-                }
-                if !hub.shards[w].lock().is_empty() {
-                    hub.idle[w].store(false, SeqCst);
-                    break;
-                }
-                if hub.pending.load(SeqCst) == 0 && hub.idle.iter().all(|i| i.load(SeqCst)) {
-                    // Global quiescence: no runnable rank anywhere and
-                    // no message in flight — the burst is over. (Any
-                    // collected-but-unprocessed message belongs to a
-                    // worker that has not declared idle, so all-idle
-                    // plus pending == 0 really is quiescence.)
-                    hub.over.store(true, SeqCst);
-                    hub.cv.notify_all();
-                    done = true;
-                    break;
-                }
-                hub.cv.wait_for(&mut guard, PARK_BACKSTOP);
-            }
-        }
-        if done {
-            break;
-        }
-    }
-    t0.elapsed()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
     use std::sync::mpsc;
 
     fn panic_message(payload: Box<dyn Any + Send>) -> String {

@@ -28,11 +28,12 @@
 //! by whichever worker is free, and cross-PE sends are buffered in
 //! per-lane outboxes that the barrier moves into their target lanes in
 //! deterministic `(time, pe, emission)` order. Result: `Threads(n)` runs are
-//! bit-identical to `Serial` runs, for every `n`. In real time, each
-//! worker owns a contiguous block of PEs for a burst and workers
-//! exchange messages through sharded inboxes with an all-idle
-//! termination detector; wall-clock scheduling makes those runs
-//! inherently nondeterministic, as on any real SMP machine.
+//! bit-identical to `Serial` runs, for every `n`. In real time the same
+//! loop runs in *rounds*: every lane with mail or a ready rank deposits
+//! its inbox and gives each ready rank one slice, and the barrier moves
+//! each cross-PE message once into its target lane's inbox. The
+//! schedule is then the same for every `n` and every run; only
+//! wall-clock readings (trace stamps, measured loads) differ.
 //! `Serial` is the same pool with no helper thread. Memory-safety guards
 //! ([`MachineConfig`]'s `guards`) scan every rank each time one leaves
 //! its stack and therefore keep a run on that pool of one.
@@ -43,8 +44,9 @@
 //!   its lanes read, the lanes, the barrier protocols' state, and what a
 //!   harness may do between runs (migrate, drive or feed a rank).
 //! * `driver` (private) — `Machine::run`: one lane per PE for the whole
-//!   run, the virtual-time epoch loop (split a window into the lanes,
-//!   run them, merge at the barrier) and the real-time burst loop.
+//!   run and one epoch loop for both clocks (bound the epoch — a window
+//!   in virtual time, a round in real time — run the lanes with work,
+//!   merge at the barrier).
 //! * `barrier` / `checkpoint` (private) and [`rescale`] — the LB barrier
 //!   as a list of phases ([`BarrierAction`] states their order), and
 //!   the two protocols it drives, each with the state only it touches:

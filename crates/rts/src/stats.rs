@@ -336,14 +336,15 @@ tallies! {
 /// and the wall-clocks depend on the engine and the host, not on the
 /// simulation. `pool_hits` and `pool_misses` are exact all the same —
 /// every engine counts the same, and they have rows in
-/// [`RunReport::trace_rows`] — and `epochs` is exact in virtual time.
+/// [`RunReport::trace_rows`] — and `epochs` is exact in virtual time
+/// and repeats in real time unless measured loads move ranks.
 #[derive(Debug, Clone, Default)]
 pub struct EngineTallies {
     /// Worker threads the engine actually used (1 = the driver alone).
     pub threads: usize,
-    /// Epochs (virtual mode) or scheduler bursts (real-time mode) driven.
+    /// Epochs (virtual mode) or rounds (real-time mode) driven.
     pub epochs: u64,
-    /// Epochs and bursts that went to more than one worker (0 on a pool
+    /// Epochs and rounds that went to more than one worker (0 on a pool
     /// of one).
     pub barriers: u64,
     /// Message sends whose payload fit the envelope pool's inline
@@ -358,9 +359,9 @@ pub struct EngineTallies {
     /// with one active lane); always `threads` entries after a run.
     pub worker_wall: Vec<Duration>,
     /// Driving-thread wall-clock summed over the parallel epochs and
-    /// bursts, dispatch and the wait for the slowest worker included.
+    /// rounds, dispatch and the wait for the slowest worker included.
     pub parallel_wall: Duration,
-    /// Worker busy time inside those same epochs and bursts, summed over
+    /// Worker busy time inside those same epochs and rounds, summed over
     /// workers. `parallel_wall - parallel_busy / threads` is what the
     /// pool costs beyond a perfectly balanced split: dispatch plus
     /// imbalance (the barrier pause).

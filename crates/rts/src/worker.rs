@@ -2,27 +2,26 @@
 //! [`ExecCtx`] — one context, one lane.
 //!
 //! The machine keeps one [`Lane`] per PE for the whole run (the PE's
-//! scheduler state, the queue of its future events, its outbox) and one
-//! [`Shared`] that every lane reads and only barriers write. The
-//! epoch-barrier protocol keeps parallel runs bit-identical to serial
-//! ones: the machine bounds an epoch by the lane heads, and the engine's
-//! workers drive each lane with an event below the bound exactly once.
-//! During an epoch a lane touches only its own ranks (enforced by the
+//! scheduler state, the queue of its future events, its real-time inbox,
+//! its outbox) and one [`Shared`] that every lane reads and only
+//! barriers write. The epoch-barrier protocol keeps parallel runs
+//! identical to serial ones: the machine bounds an epoch — by the lane
+//! heads in virtual time; in real time an epoch is a round — and the
+//! engine's workers drive each lane with work exactly once. During an
+//! epoch a lane touches only its own ranks (enforced by the
 //! [`RankTable`] ownership contract below); everything that would cross
-//! a lane boundary — events for other PEs or a later epoch, tallies,
-//! errors, retransmit-exhaustion verdicts — is buffered in the lane's
-//! [`Outbox`] and merged deterministically at the barrier.
+//! a lane boundary — events and real-time messages for other PEs,
+//! events for a later epoch, tallies, errors, retransmit-exhaustion
+//! verdicts — is buffered in the lane's [`Outbox`] and merged
+//! deterministically at the barrier.
 //!
 //! ## Send-safety audit
 //!
 //! What actually crosses threads here, and why each is sound:
 //!
 //! * **Lanes**: owned by the machine for the whole run; during an epoch
-//!   or a burst each is reached through exactly one `ExecCtx` at a time
-//!   — the one that claimed it in virtual time, its worker's in real
-//!   time, where a worker drives its chunk one lane after another and
-//!   hands a message for a sibling lane to that lane's
-//!   [`ExecCtx::deposit`] between two slices. Which OS thread drives a
+//!   (a round, in real time) each is reached through exactly one
+//!   `ExecCtx`, the one whose worker claimed it. Which OS thread drives a
 //!   lane differs from epoch to epoch; nothing a lane reads depends on
 //!   it.
 //! * **ULTs** (`RankState::ult`): a suspended ULT is a heap stack plus a
@@ -220,8 +219,8 @@ pub(crate) struct Outbox {
     pub forwards: u64,
     /// Deferred retransmit-exhaustion verdicts (see [`Exhausted`]).
     pub exhausted: Vec<Exhausted>,
-    /// Real-time mode: messages for other PEs, handed on by whoever
-    /// drives this lane.
+    /// Real-time mode: messages for other PEs, in emission order; the
+    /// barrier merge moves each once into its target lane's inbox.
     pub unrouted: Vec<RtsMessage>,
     /// First error this lane hit: (sim time, error class, error). Class
     /// 0 = raised in-lane, class 1 = deferred exhaustion — the barrier
@@ -285,6 +284,9 @@ pub(crate) struct Lane {
     pub bound: (SimTime, u64),
     /// Time of the latest stamped event this lane has run.
     pub stamped_now: SimTime,
+    /// Real-time mode: what other PEs sent this one in the last round,
+    /// deposited when the lane's next round begins.
+    pub inbox: Vec<RtsMessage>,
     pub out: Outbox,
 }
 
@@ -298,13 +300,22 @@ impl Lane {
             queue: EventQueue::with_capacity(cap),
             bound: (SimTime::ZERO, 0),
             stamped_now: SimTime::ZERO,
+            inbox: Vec::new(),
             out: Outbox::with_capacity(cap),
         }
     }
 
-    /// Whether the lane has an event to run below its bound.
-    pub(crate) fn has_work(&self) -> bool {
-        self.queue.peek_key().is_some_and(|key| key < self.bound)
+    /// Whether the lane has something to run in its epoch: in virtual
+    /// time an event below its bound; in real time, on a PE that is
+    /// alive, mail in its inbox or a rank on its ready queue.
+    pub(crate) fn has_work(&self, shared: &Shared) -> bool {
+        match shared.clock {
+            ClockMode::Virtual => self.queue.peek_key().is_some_and(|key| key < self.bound),
+            ClockMode::RealTime => {
+                shared.geometry.alive()[self.pe]
+                    && !(self.inbox.is_empty() && self.state.ready.is_empty())
+            }
+        }
     }
 }
 
@@ -361,9 +372,8 @@ impl Shared {
 }
 
 /// The execution context a worker drives: the shared machine state and
-/// exactly one lane — the one claimed in a virtual-time epoch, each lane
-/// of a worker's chunk in turn in a real-time burst, and at a barrier
-/// `Machine::with_lane`'s.
+/// exactly one lane — the one its worker claimed for an epoch or a
+/// real-time round, and at a barrier `Machine::with_lane`'s.
 pub(crate) struct ExecCtx<'a> {
     pub shared: &'a Shared,
     pub lane: &'a mut Lane,
@@ -389,9 +399,10 @@ impl ExecCtx<'_> {
     }
 
     /// Route a message: in real time, deposit it now when its target
-    /// lives on this lane and leave it in the outbox for whoever drives
-    /// the target's lane otherwise; in virtual time, as an event —
-    /// through the reliable-delivery layer when the network is lossy.
+    /// lives on this lane and leave it in the outbox for the barrier to
+    /// move into the target's inbox otherwise; in virtual time, as an
+    /// event — through the reliable-delivery layer when the network is
+    /// lossy.
     fn route(&mut self, msg: RtsMessage) {
         let shared = self.shared;
         let dest_pe = shared.location.lookup(msg.to);
@@ -1143,42 +1154,61 @@ impl ExecCtx<'_> {
     /// Pop this PE's next runnable rank, skipping ranks that migrated
     /// while queued (their new PE owns them) or completed.
     fn next_ready(&mut self) -> Option<RankId> {
-        let pe = self.lane.pe;
         while let Some(r) = self.lane.state.ready.pop_front() {
-            if self.shared.location.lookup(r) == pe && !self.shared.ranks[r].is_done() {
+            if self.runs_here(r) {
                 return Some(r);
             }
         }
         None
     }
 
-    /// Drive this lane through its share of an epoch: pop the lane's
-    /// queue in (time, stamp) order up to its bound. The first error
-    /// stops this lane (class 0) but not its siblings; the barrier picks
-    /// the canonical error across lanes.
+    /// Whether queued rank `r` still runs on this lane: it may have
+    /// migrated while queued (its new PE owns it) or completed.
+    fn runs_here(&self, r: RankId) -> bool {
+        self.shared.location.lookup(r) == self.lane.pe && !self.shared.ranks[r].is_done()
+    }
+
+    /// Drive this lane through its share of an epoch. In virtual time:
+    /// pop the lane's queue in (time, stamp) order up to its bound. In
+    /// real time, one round: deposit the inbox, then give one slice to
+    /// each rank ready at that point — one woken or requeued by the
+    /// round runs in the next — so that one PE's deep ready queue cannot
+    /// starve the others. The first error stops this lane
+    /// (class 0) but not its siblings; the barrier picks the canonical
+    /// error across lanes.
     pub(crate) fn run_epoch(&mut self) {
+        if let Err((t, e)) = match self.shared.clock {
+            ClockMode::Virtual => self.run_events(),
+            ClockMode::RealTime => self.run_round().map_err(|e| (SimTime::ZERO, e)),
+        } {
+            self.lane.out.error = Some((t, 0, e));
+        }
+    }
+
+    fn run_events(&mut self) -> Result<(), (SimTime, RtsError)> {
         while let Some((t, stamp, ev)) = self.lane.queue.pop_before(self.lane.bound) {
             if stamp < UNSTAMPED {
                 self.lane.stamped_now = t;
             }
-            if let Err(e) = self.exec_event(t, ev) {
-                self.lane.out.error = Some((t, 0, e));
-                return;
-            }
+            self.exec_event(t, ev).map_err(|e| (t, e))?;
         }
+        Ok(())
     }
 
-    /// This lane's turn in a real-time sweep: at most one rank slice, so
-    /// an early PE's deep ready queue cannot starve later PEs. Returns
-    /// whether a slice ran.
-    pub(crate) fn real_slice(&mut self) -> Result<bool, RtsError> {
-        if !self.shared.geometry.alive()[self.lane.pe] {
-            return Ok(false);
+    fn run_round(&mut self) -> Result<(), RtsError> {
+        let mut inbox = std::mem::take(&mut self.lane.inbox);
+        for m in inbox.drain(..) {
+            self.deposit(m);
         }
-        let Some(r) = self.next_ready() else {
-            return Ok(false);
-        };
-        self.run_rank_slice(r)?;
-        Ok(true)
+        self.lane.inbox = inbox;
+        for _ in 0..self.lane.state.ready.len() {
+            let Some(r) = self.lane.state.ready.pop_front() else {
+                break;
+            };
+            if self.runs_here(r) {
+                self.run_rank_slice(r)?;
+            }
+        }
+        Ok(())
     }
 }

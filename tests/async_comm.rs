@@ -2,7 +2,7 @@
 //!
 //! The request subsystem's claim is that overlap is *only* a schedule
 //! change: Isend/Irecv with delivery-time matching, continuations, and
-//! the sharded real-time hub must produce bit-identical results to the
+//! the real-time rounds must produce bit-identical results to the
 //! blocking reference — across serial and threaded engines, every
 //! migratable privatization method, lossy networks, migration, and
 //! PE-failure restore — and a rank that leaks request handles must
@@ -470,16 +470,22 @@ fn only_a_rank_that_must_wait_leaves_its_stack() {
 }
 
 /// The real-time hand-off: 8 ranks in a ring on `non_smp(4)` x vp 2, so
-/// under `Threads(2)` (two PEs per worker) the hops are same-PE (0 -> 1),
-/// same-worker cross-PE (1 -> 2) and cross-worker (3 -> 4, 7 -> 0);
-/// under `Serial` every cross-PE hop is a sibling lane's. 50 rounds of
-/// 64-deep `req_post_recv` / `req_post_send` windows, 20 runs per
-/// engine: every message arrives exactly once, in its pair's order.
+/// the hops are same-PE (0 -> 1), deposited inline, and cross-PE
+/// (1 -> 2, 7 -> 0), moved into the target lane's inbox at the end of
+/// the round. 50 rounds of 64-deep `req_post_recv` / `req_post_send`
+/// windows, 20 runs per engine — `Threads(4)` oversubscribes a 2-core
+/// host: every message arrives exactly once, in its pair's order, and
+/// every run of every engine follows the same schedule.
 #[test]
 fn real_time_windows_arrive_once_and_in_pair_order_on_every_hop() {
     const WINDOW: u64 = 64;
     const ROUNDS: u64 = 50;
-    for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+    let mut schedule = None;
+    for par in [
+        Parallelism::Serial,
+        Parallelism::Threads(2),
+        Parallelism::Threads(4),
+    ] {
         for run in 0..20 {
             let misordered = Arc::new(Mutex::new(Vec::new()));
             let sink = misordered.clone();
@@ -519,6 +525,13 @@ fn real_time_windows_arrive_once_and_in_pair_order_on_every_hop() {
             let what = format!("{par:?} run {run}");
             assert_eq!(*misordered.lock(), [], "{what}: (rank, round, slot, got)");
             assert_eq!(report.messages_delivered, 8 * ROUNDS * WINDOW, "{what}");
+            let counts = (
+                report.context_switches,
+                report.req.wait_blocks,
+                report.messages_delivered,
+                report.engine.epochs,
+            );
+            assert_eq!(*schedule.get_or_insert(counts), counts, "{what}: schedule moved");
         }
     }
 }

@@ -16,6 +16,7 @@ use pvr_rts::{
 };
 use pvr_trace::Tracer;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const STEPS: u64 = 5;
 
@@ -26,10 +27,26 @@ type Residuals = Vec<(usize, f64)>;
 /// the property that lets a rescaled run be compared to a fixed-geometry
 /// run of the same rank count.
 fn ring_body(out: Arc<Mutex<Residuals>>) -> Arc<dyn Fn(RankCtx) + Send + Sync> {
+    spinning_ring_body(out, Duration::ZERO)
+}
+
+/// [`ring_body`], with ranks 0 and 1 busy-waiting `spin` in the step
+/// before the second barrier, whose moves read that step's load: load a
+/// real-time run measures, and a virtual-time one does not see.
+fn spinning_ring_body(
+    out: Arc<Mutex<Residuals>>,
+    spin: Duration,
+) -> Arc<dyn Fn(RankCtx) + Send + Sync> {
     Arc::new(move |ctx: RankCtx| {
         let data = ctx.heap_alloc_f64s(32);
         let mut acc = ctx.rank() as f64 + 1.0;
         for step in 0..STEPS {
+            if ctx.rank() < 2 && step == 1 {
+                let t0 = Instant::now();
+                while t0.elapsed() < spin {
+                    std::hint::spin_loop();
+                }
+            }
             for v in data.iter_mut() {
                 *v += acc * 0.5;
             }
@@ -53,10 +70,15 @@ fn base(pes: usize, vp: usize) -> MachineBuilder {
 }
 
 fn run(b: MachineBuilder) -> (RunReport, Residuals) {
+    run_spinning(b, Duration::ZERO)
+}
+
+fn run_spinning(b: MachineBuilder, spin: Duration) -> (RunReport, Residuals) {
     let out: Arc<Mutex<Residuals>> = Arc::new(Mutex::new(Vec::new()));
     let tracer = Tracer::new(4);
     tracer.enable();
-    let mut m = b.tracer(tracer.clone()).build(ring_body(out.clone())).unwrap();
+    let body = spinning_ring_body(out.clone(), spin);
+    let mut m = b.tracer(tracer.clone()).build(body).unwrap();
     let report = m.run().unwrap();
     assert_reconciled(&report, &tracer);
     let mut v = out.lock().clone();
@@ -518,4 +540,33 @@ fn two_failures_at_one_step_cascade_in_the_order_given() {
     assert_eq!(moves(&a)[0].1, 3, "PE 3 was given first");
     assert_eq!(moves(&b)[0].1, 1, "PE 1 was given first");
     assert_ne!(moves(&a), moves(&b));
+}
+
+/// Real time with a PE that stops being alive: a lane whose PE failed or
+/// was drained has no work, so the round loop neither spins on it nor
+/// strands a message there. 6 ranks on 3 PEs; at the second barrier PE 1
+/// fails, or the machine shrinks to 2 PEs. Where the moved ranks land
+/// follows measured load, so PE 0's ranks spin before that barrier to
+/// keep PE 0 the busiest and never the target. Both engines finish with
+/// the same results and the same schedule.
+#[test]
+fn real_time_runs_that_lose_a_pe_finish_on_every_engine() {
+    let spin = Duration::from_millis(20);
+    for what in ["PE failure", "rescale"] {
+        let b = || {
+            let b = base(3, 2).clock(ClockMode::RealTime);
+            match what {
+                "PE failure" => b.inject_pe_failure_at_lb_step(2, 1),
+                _ => b.rescale_at_lb_step(2, 2),
+            }
+        };
+        let (serial, res1) = run_spinning(b().parallelism(Parallelism::Serial), spin);
+        let (threads, res2) = run_spinning(b().parallelism(Parallelism::Threads(2)), spin);
+        assert_eq!(res1.len(), 6, "{what}");
+        assert_eq!(res1, res2, "{what}: engine-dependent results");
+        assert_eq!(
+            serial.context_switches, threads.context_switches,
+            "{what}: engine-dependent schedule"
+        );
+    }
 }
