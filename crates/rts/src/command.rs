@@ -311,6 +311,24 @@ impl RankCtx {
     /// Execute `cmd` on this stack through the lane's `ExecCtx`; leave
     /// the stack only if it must wait (or failed).
     fn call(&self, cmd: Command) -> Response {
+        let stop = match self.handle(cmd) {
+            Ok(Handled::Done(resp)) => return resp,
+            Ok(Handled::Park(why)) => Ok(why),
+            Err(e) => Err(e),
+        };
+        self.slot.stop.set(Some(stop));
+        pvr_ult::yield_now();
+        self.slot.resp.take().unwrap_or(Response::Ack)
+    }
+
+    /// `call`'s trip into the lane. The `&mut ExecCtx` is an address on
+    /// the worker thread's stack; it lives only in this frame, which has
+    /// returned before `call` parks, so no frame left on a parked rank's
+    /// stack holds it. An unoptimized build spills locals to the stack,
+    /// and a spilled worker address would make a checkpoint delta of that
+    /// stack depend on which worker ran the rank.
+    #[inline(never)]
+    fn handle(&self, cmd: Command) -> Result<Handled, RtsError> {
         assert!(pvr_ult::in_ult(), "RankCtx used outside a rank's ULT");
         let Some(exec) = self.slot.exec.get() else {
             panic!("RankCtx of rank {} used while it is not running", self.rank)
@@ -320,14 +338,7 @@ impl RankCtx {
         // the checks above turn away a foreign OS thread and a handle
         // whose rank is suspended or finished.
         let exec = unsafe { exec.cast::<ExecCtx<'_>>().as_mut() };
-        let stop = match exec.handle(self.rank, cmd) {
-            Ok(Handled::Done(resp)) => return resp,
-            Ok(Handled::Park(why)) => Ok(why),
-            Err(e) => Err(e),
-        };
-        self.slot.stop.set(Some(stop));
-        pvr_ult::yield_now();
-        self.slot.resp.take().unwrap_or(Response::Ack)
+        exec.handle(self.rank, cmd)
     }
 
     /// End the run with [`RtsError::Protocol`]: rank and lane code

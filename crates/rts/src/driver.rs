@@ -328,9 +328,6 @@ impl Machine {
             for (&(a, b), &v) in &out.comm_bytes {
                 *self.comm_bytes.entry((a, b)).or_default() += v;
             }
-            for _ in 0..out.forwards {
-                self.shared.location.note_forward();
-            }
             if let (Some(guards), Some(r)) = (&mut self.shared.guards, out.last_ran) {
                 guards.last_ran = Some(r);
             }

@@ -4,18 +4,16 @@
 //! caching so that no node needs a global view; messages sent to a
 //! migrated rank chase at most a short forwarding chain. In this
 //! single-address-space reproduction the directory is centralized, but it
-//! keeps the same interface (lookup may be stale, `update` is the
-//! migration commit point) and counts forwarding hops so the LB
-//! experiments can report location traffic.
+//! keeps the same interface: a sender's lookup may be stale, and `update`
+//! is the migration commit point. A message that reaches a rank's old PE
+//! is charged one more network hop to its current one (the lane's
+//! `Deliver` handler); the directory itself counts only migrations.
 
 use crate::{PeId, RankId};
 
 #[derive(Debug)]
 pub struct LocationManager {
     home: Vec<PeId>,
-    /// Forwarding lookups served since construction (a message arriving
-    /// at a rank's old PE counts one hop).
-    forwards: u64,
     migrations: u64,
 }
 
@@ -26,7 +24,6 @@ impl LocationManager {
         let ratio = n_ranks.div_ceil(n_pes);
         LocationManager {
             home: (0..n_ranks).map(|r| (r / ratio).min(n_pes - 1)).collect(),
-            forwards: 0,
             migrations: 0,
         }
     }
@@ -45,16 +42,6 @@ impl LocationManager {
             self.home[rank] = to;
             self.migrations += 1;
         }
-    }
-
-    /// A message was routed using a stale location and had to be
-    /// forwarded.
-    pub fn note_forward(&mut self) {
-        self.forwards += 1;
-    }
-
-    pub fn forwards(&self) -> u64 {
-        self.forwards
     }
 
     pub fn migrations(&self) -> u64 {

@@ -214,9 +214,6 @@ pub(crate) struct Outbox {
     /// Bytes sent per (from, to) rank pair; the barrier only sums them,
     /// so the map's order does not matter and `clear` keeps its buckets.
     pub comm_bytes: FixedMap<(RankId, RankId), u64>,
-    /// Stale-location forward hops taken (merged into the location
-    /// manager's counter at the barrier).
-    pub forwards: u64,
     /// Deferred retransmit-exhaustion verdicts (see [`Exhausted`]).
     pub exhausted: Vec<Exhausted>,
     /// Real-time mode: messages for other PEs, in emission order; the
@@ -249,7 +246,6 @@ impl Outbox {
             done,
             at_sync,
             comm_bytes,
-            forwards,
             exhausted,
             unrouted,
             error,
@@ -260,7 +256,6 @@ impl Outbox {
         *done = 0;
         *at_sync = 0;
         comm_bytes.clear();
-        *forwards = 0;
         exhausted.clear();
         unrouted.clear();
         *error = None;
@@ -1094,7 +1089,6 @@ impl ExecCtx<'_> {
                     // stale location: forward one extra hop (the cost is
                     // charged even though the lane partition already
                     // brought us to the right PE)
-                    self.lane.out.forwards += 1;
                     let cost =
                         shared
                             .network

@@ -1,314 +1,293 @@
-//! Trace event vocabulary.
+//! Trace event vocabulary, declared once.
 //!
 //! Every event is a fixed-size `Copy` value so the recorder's hot path
 //! never allocates: variable-length information (MPI call names) is
 //! carried as `&'static str`.
+//!
+//! The `events!` table is the only place that knows what a kind carries:
+//! each entry gives the variant, its export tag, the JSON key of every
+//! field whose key is not its name, and the counters the kind bumps. The
+//! enum, [`EventKind::tag`], the export's field writer and the counter
+//! bumps are all generated from it, so a new kind is one entry here plus
+//! its counters' lines in `recorder.rs`'s `counters!` table.
+
+use crate::json::{self, JsonValue};
+use crate::recorder::Counters;
+use std::sync::atomic::Ordering;
 
 /// Sentinel rank for events not attributable to a virtual rank (LB steps,
 /// scheduler-side bookkeeping).
 pub const NO_RANK: u32 = u32::MAX;
 
-/// Which program segment a privatizer copied for a rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Segment {
-    Code,
-    Data,
-    Tls,
+/// Declares the small value enums events carry, each variant with the
+/// name the export writes for it.
+macro_rules! names {
+    ($($(#[$doc:meta])* $ty:ident { $($(#[$vdoc:meta])* $variant:ident = $name:literal,)* })*) => {$(
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty {
+            $($(#[$vdoc])* $variant,)*
+        }
+
+        impl $ty {
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+        }
+
+        impl JsonValue for $ty {
+            fn write_json(&self, out: &mut String) {
+                self.as_str().write_json(out);
+            }
+        }
+    )*};
 }
 
-impl Segment {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Segment::Code => "code",
-            Segment::Data => "data",
-            Segment::Tls => "tls",
-        }
+names! {
+    /// Which program segment a privatizer copied for a rank.
+    Segment {
+        Code = "code",
+        Data = "data",
+        Tls = "tls",
+    }
+
+    /// Direction of an Isomalloc rank-memory copy.
+    CopyDir {
+        /// Regions → wire buffer (migration/checkpoint pack).
+        Pack = "pack",
+        /// Wire buffer → regions (migration/checkpoint unpack).
+        Unpack = "unpack",
+    }
+
+    /// Which privatization register a context switch installed.
+    PrivReg {
+        Tls = "tls",
+        Got = "got",
+    }
+
+    /// Verdict of a startup capability probe for one privatization method.
+    ProbeVerdict {
+        Feasible = "feasible",
+        ResourceLimited = "resource_limited",
+        Unsupported = "unsupported",
+    }
+
+    /// What an isomalloc arena guard caught.
+    ArenaTrip {
+        DoubleFree = "double_free",
+        UseAfterFree = "use_after_free",
+        ForeignPointer = "foreign_pointer",
     }
 }
 
-/// Direction of an Isomalloc rank-memory copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CopyDir {
-    /// Regions → wire buffer (migration/checkpoint pack).
-    Pack,
-    /// Wire buffer → regions (migration/checkpoint unpack).
-    Unpack,
-}
-
-impl CopyDir {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CopyDir::Pack => "pack",
-            CopyDir::Unpack => "unpack",
+/// The one declaration of every event kind. An entry reads
+///
+/// ```text
+/// Variant "tag" { field: Type, renamed as "json_key": Type } => counter, sum += field;
+/// ```
+///
+/// Fields are exported in declaration order under their own names unless
+/// an `as "key"` renames them. After `=>` comes the `event` counter the
+/// kind bumps by one — or `(flag ? yes : no)`, which picks it by a `bool`
+/// field — then each `sum` counter with the field it adds.
+macro_rules! events {
+    (@bump $c:ident, ($flag:ident ? $yes:ident : $no:ident)) => {
+        (if $flag { &$c.$yes } else { &$c.$no }).fetch_add(1, Ordering::Relaxed)
+    };
+    (@bump $c:ident, $counter:ident) => {
+        $c.$counter.fetch_add(1, Ordering::Relaxed)
+    };
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident $tag:literal $({
+            $($(#[$fdoc:meta])* $field:ident $(as $key:literal)?: $ty:ty),* $(,)?
+        })? => $event:tt $(, $sum:ident += $sfield:ident)*;
+    )*) => {
+        /// One traced runtime occurrence.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum EventKind {
+            $($(#[$doc])* $variant $({ $($(#[$fdoc])* $field: $ty,)* })?,)*
         }
-    }
-}
 
-/// Which privatization register a context switch installed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrivReg {
-    Tls,
-    Got,
-}
+        impl EventKind {
+            /// Stable lowercase tag used by the JSON export and summaries.
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $(EventKind::$variant { .. } => $tag,)*
+                }
+            }
 
-impl PrivReg {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PrivReg::Tls => "tls",
-            PrivReg::Got => "got",
+            /// Append this kind's fields to an exported record, each as
+            /// `, "key": value`.
+            pub(crate) fn write_fields(&self, out: &mut String) {
+                match self {
+                    $(EventKind::$variant $({ $($field),* })? => {
+                        $($(json::field(out, events!(@key $field $($key)?), $field);)*)?
+                    })*
+                }
+            }
+
+            /// Bump the counters this kind counts toward.
+            #[allow(unused_variables)]
+            pub(crate) fn count(self, c: &Counters) {
+                match self {
+                    $(EventKind::$variant $({ $($field),* })? => {
+                        events!(@bump c, $event);
+                        $(c.$sum.fetch_add(u64::from($sfield), Ordering::Relaxed);)*
+                    })*
+                }
+            }
         }
-    }
+    };
 }
 
-/// Verdict of a startup capability probe for one privatization method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeVerdict {
-    Feasible,
-    ResourceLimited,
-    Unsupported,
-}
-
-impl ProbeVerdict {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ProbeVerdict::Feasible => "feasible",
-            ProbeVerdict::ResourceLimited => "resource_limited",
-            ProbeVerdict::Unsupported => "unsupported",
-        }
-    }
-}
-
-/// What an isomalloc arena guard caught.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArenaTrip {
-    DoubleFree,
-    UseAfterFree,
-    ForeignPointer,
-}
-
-impl ArenaTrip {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ArenaTrip::DoubleFree => "double_free",
-            ArenaTrip::UseAfterFree => "use_after_free",
-            ArenaTrip::ForeignPointer => "foreign_pointer",
-        }
-    }
-}
-
-/// One traced runtime occurrence.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EventKind {
+events! {
     /// The scheduler switched a PE to a rank's ULT.
-    CtxSwitchIn {
+    CtxSwitchIn "ctx_switch_in" {
         /// Whether the rank's privatization method performs register
         /// work on activation (Fig. 6's differentiator).
         ctx_work: bool,
-    },
+    } => ctx_switches;
     /// A rank blocked on communication (parked in `Recv`).
-    Block,
+    Block "block" => blocks;
     /// A message arrival woke a blocked rank.
-    Unblock,
+    Unblock "unblock" => unblocks;
     /// A rank posted a message.
-    MsgSend { to: u32, tag: u64, bytes: u32 },
+    MsgSend "msg_send" { to: u32, tag: u64, bytes: u32 } => msgs_sent, send_bytes += bytes;
     /// A message reached its destination rank's mailbox.
-    MsgRecv { from: u32, tag: u64, bytes: u32 },
+    MsgRecv "msg_recv" { from: u32, tag: u64, bytes: u32 } => msgs_recv, recv_bytes += bytes;
     /// A rank's memory moved between PEs.
-    Migration { from_pe: u32, to_pe: u32, bytes: u64 },
+    Migration "migration" { from_pe: u32, to_pe: u32, bytes: u64 }
+        => migrations, migration_bytes += bytes;
     /// One load-balancing sync step completed.
-    LbStep { step: u32, migrations: u32 },
+    LbStep "lb_step" { step: u32, migrations: u32 } => lb_steps;
     /// A privatizer copied a program segment for a rank (startup).
-    SegmentCopy { segment: Segment, bytes: u64 },
+    SegmentCopy "segment_copy" { segment: Segment, bytes: u64 }
+        => segment_copies, segment_copy_bytes += bytes;
     /// A privatizer rebased a rank's GOT entries (startup).
-    GotFixup { entries: u32 },
+    GotFixup "got_fixup" { entries: u32 } => got_fixups;
     /// A context switch installed a privatization register (TLS/GOT).
-    PrivInstall { reg: PrivReg },
+    PrivInstall "priv_install" { reg: PrivReg } => priv_installs;
     /// Isomalloc packed/unpacked a rank's regions (migration,
     /// checkpoint, or restore).
-    RegionCopy {
-        dir: CopyDir,
-        regions: u32,
-        bytes: u64,
-    },
+    RegionCopy "region_copy" { dir: CopyDir, regions: u32, bytes: u64 }
+        => region_copies, region_copy_bytes += bytes;
     /// An MPI-level entry point ran (AMPI layer).
-    MpiCall { name: &'static str },
+    MpiCall "mpi_call" { name: &'static str } => mpi_calls;
     /// The lossy network dropped a message copy in transit (`ack` marks
     /// acknowledgement copies of the reliable-delivery layer).
-    MsgDrop {
-        from: u32,
-        to: u32,
-        seq: u64,
-        ack: bool,
-    },
+    MsgDrop "msg_drop" { from: u32, to: u32, seq as "msg_seq": u64, ack: bool }
+        => (ack ? ack_drops : msg_drops);
     /// A message copy arrived with a checksum mismatch and was discarded
     /// (the retransmit path recovers it).
-    MsgCorrupt { from: u32, to: u32, seq: u64 },
+    MsgCorrupt "msg_corrupt" { from: u32, to: u32, seq as "msg_seq": u64 } => msg_corrupts;
     /// The reliable-delivery layer retransmitted an unacknowledged
     /// message (`attempt` counts transmissions; 1 = first retransmit).
-    MsgRetransmit {
-        from: u32,
-        to: u32,
-        seq: u64,
-        attempt: u32,
-    },
+    MsgRetransmit "msg_retransmit" { from: u32, to: u32, seq as "msg_seq": u64, attempt: u32 }
+        => msg_retransmits;
     /// The receiver discarded a duplicate copy of an already-delivered
     /// message (network duplication or a spurious retransmit).
-    MsgDupSuppressed { from: u32, to: u32, seq: u64 },
+    MsgDupSuppressed "msg_dup_suppressed" { from: u32, to: u32, seq as "msg_seq": u64 }
+        => dup_suppressed;
     /// A PE was killed by fault injection; `ranks_lost` ranks resided
     /// there.
-    PeFail { pe: u32, ranks_lost: u32 },
+    PeFail "pe_fail" { pe as "failed_pe": u32, ranks_lost: u32 } => pe_fails;
     /// A coordinated checkpoint was taken at an LB step (`bytes` is the
     /// total primary image size).
-    CheckpointTaken { step: u32, bytes: u64 },
+    CheckpointTaken "checkpoint_taken" { step: u32, bytes: u64 }
+        => checkpoints, checkpoint_bytes += bytes;
     /// A coordinated rollback restored `ranks` ranks from checkpoint
     /// images.
-    Recovery { ranks: u32 },
+    Recovery "recovery" { ranks: u32 } => recoveries;
     /// A startup capability probe rated one privatization method for the
     /// requested run shape.
-    MethodProbe {
-        method: &'static str,
-        verdict: ProbeVerdict,
-    },
+    MethodProbe "method_probe" { method: &'static str, verdict: ProbeVerdict } => method_probes;
     /// Startup degraded from an infeasible (or mid-startup-failing)
     /// method to the next feasible one in the fallback chain.
-    MethodFallback {
-        from: &'static str,
-        to: &'static str,
-    },
+    MethodFallback "method_fallback" {
+        from as "from_method": &'static str,
+        to as "to_method": &'static str,
+    } => method_fallbacks;
     /// A ULT stack red zone was found clobbered at a guard check (the
     /// rank field names the overflowing rank).
-    StackGuardTrip { stack_size: u64 },
+    StackGuardTrip "stack_guard_trip" { stack_size: u64 } => stack_guard_trips;
     /// An isomalloc arena guard caught an invalid free or a write to
     /// quarantined (freed) memory.
-    ArenaGuardTrip { kind: ArenaTrip },
+    ArenaGuardTrip "arena_guard_trip" { kind as "trip": ArenaTrip } => arena_guard_trips;
     /// A segment-integrity audit checksummed `ranks` privatized data
     /// segments at a barrier; `dirty` of them changed outside their
     /// owner's execution (cross-rank global bleed).
-    SegmentAudit { ranks: u32, dirty: u32 },
+    SegmentAudit "segment_audit" { ranks: u32, dirty: u32 } => segment_audits;
     /// Envelope-pool classification of one message send: `inline` means
     /// the payload fit the pool's inline small-payload storage (≤ 64 B)
     /// and its whole send/retransmit/delivery lifecycle allocates
     /// nothing; otherwise it spilled to a refcounted heap buffer.
-    MsgPool { inline: bool },
+    MsgPool "msg_pool" { inline: bool } => (inline ? pool_hits : pool_misses);
     /// A write trapped on a still-shared copy-on-write page (CowGlobals'
     /// simulated fault handler; the rank field names the writer).
-    PageFault { page: u32 },
+    PageFault "page_fault" { page: u32 } => page_faults;
     /// The fault handler privatized the page: copied `bytes` from the
     /// shared template into the rank's backing store (plus any memoized
     /// patches for that page).
-    PagePrivatized { page: u32, bytes: u64 },
+    PagePrivatized "page_privatized" { page: u32, bytes: u64 }
+        => pages_privatized, page_copy_bytes += bytes;
     /// End-of-run deduplication audit over all copy-on-write ranks:
     /// `shared_pages` of the `total_pages` per-rank data-segment pages
     /// never diverged on any of the `ranks` ranks.
-    DedupAudit {
-        ranks: u32,
-        shared_pages: u64,
-        total_pages: u64,
-    },
+    DedupAudit "dedup_audit" { ranks: u32, shared_pages: u64, total_pages: u64 } => dedup_audits;
     /// The machine committed an elastic rescale at an LB barrier: the
     /// active-PE set changed from `from_pes` to `to_pes`, draining
     /// `moved_ranks` ranks off the deactivated PEs.
-    Rescale {
-        from_pes: u32,
-        to_pes: u32,
-        moved_ranks: u32,
-    },
+    Rescale "rescale" { from_pes: u32, to_pes: u32, moved_ranks: u32 } => rescales;
     /// A planned rescale was abandoned because a PE failure struck the
     /// same barrier; the machine kept the pre-rescale geometry.
-    RescaleAborted { from_pes: u32, to_pes: u32 },
+    RescaleAborted "rescale_aborted" { from_pes: u32, to_pes: u32 } => rescale_aborts;
     /// Buddy checkpoints were re-replicated onto a new geometry after a
     /// rescale or geometry restore committed (`bytes` is the total
     /// primary image size of the fresh checkpoint).
-    ReReplicate { ranks: u32, bytes: u64 },
+    ReReplicate "re_replicate" { ranks: u32, bytes: u64 }
+        => re_replications, re_replication_bytes += bytes;
     /// A coordinated checkpoint taken on one geometry was restored onto
     /// a different one: `ranks` ranks were re-placed across `to_pes`
     /// active PEs.
-    GeometryRestore { ranks: u32, to_pes: u32 },
+    GeometryRestore "geometry_restore" { ranks: u32, to_pes: u32 } => geometry_restores;
     /// Warning: checkpoint redundancy degenerated — with a single alive
     /// PE the buddy is the primary itself, so `ranks` images exist only
     /// once and one more PE loss is unrecoverable.
-    BuddyDegenerate { pe: u32, ranks: u32 },
+    BuddyDegenerate "buddy_degenerate" { pe as "degenerate_pe": u32, ranks: u32 }
+        => buddy_degenerates;
     /// An incremental checkpoint captured a delta at an LB barrier:
     /// `pages` dirty page-chunks across `ranks` ranks, `bytes` of sparse
     /// patch payload (vs. a full image repack).
-    CkptDelta {
-        step: u32,
-        ranks: u32,
-        pages: u64,
-        bytes: u64,
-    },
+    CkptDelta "ckpt_delta" { step: u32, ranks: u32, pages: u64, bytes: u64 }
+        => ckpt_deltas, ckpt_delta_pages += pages, ckpt_delta_bytes += bytes;
     /// The consistent-cut marker at an LB barrier sealed every in-flight
     /// delta: the buddy's sealed chain prefix now extends to `epoch`
     /// deltas past the base image.
-    CkptSeal { step: u32, epoch: u32 },
+    CkptSeal "ckpt_seal" { step: u32, epoch: u32 } => ckpt_seals;
     /// Asynchronously drained `bytes` of delta payload to the buddy PE
     /// between barriers (rides the reliable-delivery machinery, so drops
     /// and corruption are retransmitted/discarded as usual).
-    CkptAsyncDrain { bytes: u64 },
+    CkptAsyncDrain "ckpt_async_drain" { bytes: u64 } => ckpt_async_drains, ckpt_async_bytes += bytes;
     /// Delta-chain compaction: a fresh base image replaced a chain of
     /// `chain` deltas (`bytes` of patch payload folded away).
-    CkptCompact { chain: u32, bytes: u64 },
+    CkptCompact "ckpt_compact" { chain: u32, bytes: u64 } => ckpt_compacts;
     /// A nonblocking request entered the rank's request table (`send`
     /// distinguishes Isend from Irecv posts).
-    ReqPost { req: u64, send: bool },
+    ReqPost "req_post" { req: u64, send: bool } => req_posts;
     /// A posted request completed: an Irecv matched an arriving message
     /// at delivery time, or an Isend's payload was acknowledged.
-    ReqComplete { req: u64, send: bool },
+    ReqComplete "req_complete" { req: u64, send: bool } => req_completes;
     /// A completion ran a registered continuation closure instead of
     /// resuming a suspended ULT.
-    ReqContinuation { req: u64 },
+    ReqContinuation "req_continuation" { req: u64 } => req_continuations;
     /// A rank suspended inside `MPI_Wait`-family calls on `waiting`
     /// still-pending requests.
-    ReqWaitBlock { waiting: u32 },
-}
-
-impl EventKind {
-    /// Stable lowercase tag used by the JSON export and summaries.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            EventKind::CtxSwitchIn { .. } => "ctx_switch_in",
-            EventKind::Block => "block",
-            EventKind::Unblock => "unblock",
-            EventKind::MsgSend { .. } => "msg_send",
-            EventKind::MsgRecv { .. } => "msg_recv",
-            EventKind::Migration { .. } => "migration",
-            EventKind::LbStep { .. } => "lb_step",
-            EventKind::SegmentCopy { .. } => "segment_copy",
-            EventKind::GotFixup { .. } => "got_fixup",
-            EventKind::PrivInstall { .. } => "priv_install",
-            EventKind::RegionCopy { .. } => "region_copy",
-            EventKind::MpiCall { .. } => "mpi_call",
-            EventKind::MsgDrop { .. } => "msg_drop",
-            EventKind::MsgCorrupt { .. } => "msg_corrupt",
-            EventKind::MsgRetransmit { .. } => "msg_retransmit",
-            EventKind::MsgDupSuppressed { .. } => "msg_dup_suppressed",
-            EventKind::PeFail { .. } => "pe_fail",
-            EventKind::CheckpointTaken { .. } => "checkpoint_taken",
-            EventKind::Recovery { .. } => "recovery",
-            EventKind::MethodProbe { .. } => "method_probe",
-            EventKind::MethodFallback { .. } => "method_fallback",
-            EventKind::StackGuardTrip { .. } => "stack_guard_trip",
-            EventKind::ArenaGuardTrip { .. } => "arena_guard_trip",
-            EventKind::SegmentAudit { .. } => "segment_audit",
-            EventKind::MsgPool { .. } => "msg_pool",
-            EventKind::PageFault { .. } => "page_fault",
-            EventKind::PagePrivatized { .. } => "page_privatized",
-            EventKind::DedupAudit { .. } => "dedup_audit",
-            EventKind::Rescale { .. } => "rescale",
-            EventKind::RescaleAborted { .. } => "rescale_aborted",
-            EventKind::ReReplicate { .. } => "re_replicate",
-            EventKind::GeometryRestore { .. } => "geometry_restore",
-            EventKind::BuddyDegenerate { .. } => "buddy_degenerate",
-            EventKind::CkptDelta { .. } => "ckpt_delta",
-            EventKind::CkptSeal { .. } => "ckpt_seal",
-            EventKind::CkptAsyncDrain { .. } => "ckpt_async_drain",
-            EventKind::CkptCompact { .. } => "ckpt_compact",
-            EventKind::ReqPost { .. } => "req_post",
-            EventKind::ReqComplete { .. } => "req_complete",
-            EventKind::ReqContinuation { .. } => "req_continuation",
-            EventKind::ReqWaitBlock { .. } => "req_wait_block",
-        }
-    }
+    ReqWaitBlock "req_wait_block" { waiting: u32 } => req_wait_blocks;
 }
 
 /// A recorded event: what happened, where, and when.

@@ -20,8 +20,9 @@
 //! (most recent) events per PE. Events carried by no rank (LB steps)
 //! have `"rank": null`.
 
-use crate::event::{Event, EventKind, NO_RANK};
+use crate::event::{Event, NO_RANK};
 use crate::recorder::TraceSnapshot;
+use std::fmt::Write;
 
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -38,201 +39,57 @@ fn escape(s: &str) -> String {
     out
 }
 
-fn event_json(e: &Event) -> String {
-    let mut s = format!(
-        "{{\"seq\": {}, \"t_ns\": {}, \"pe\": {}, \"rank\": {}, \"kind\": \"{}\"",
-        e.seq,
-        e.t_ns,
-        e.pe,
-        if e.rank == NO_RANK {
-            "null".to_string()
-        } else {
-            e.rank.to_string()
-        },
-        e.kind.tag()
-    );
-    match e.kind {
-        EventKind::CtxSwitchIn { ctx_work } => {
-            s.push_str(&format!(", \"ctx_work\": {ctx_work}"));
+/// A value an event field carries, as the export writes it: numbers and
+/// flags bare, names quoted.
+pub(crate) trait JsonValue {
+    fn write_json(&self, out: &mut String);
+}
+
+macro_rules! bare {
+    ($($ty:ty),*) => {$(
+        impl JsonValue for $ty {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
         }
-        EventKind::Block | EventKind::Unblock => {}
-        EventKind::MsgSend { to, tag, bytes } => {
-            s.push_str(&format!(", \"to\": {to}, \"tag\": {tag}, \"bytes\": {bytes}"));
-        }
-        EventKind::MsgRecv { from, tag, bytes } => {
-            s.push_str(&format!(
-                ", \"from\": {from}, \"tag\": {tag}, \"bytes\": {bytes}"
-            ));
-        }
-        EventKind::Migration {
-            from_pe,
-            to_pe,
-            bytes,
-        } => {
-            s.push_str(&format!(
-                ", \"from_pe\": {from_pe}, \"to_pe\": {to_pe}, \"bytes\": {bytes}"
-            ));
-        }
-        EventKind::LbStep { step, migrations } => {
-            s.push_str(&format!(", \"step\": {step}, \"migrations\": {migrations}"));
-        }
-        EventKind::SegmentCopy { segment, bytes } => {
-            s.push_str(&format!(
-                ", \"segment\": \"{}\", \"bytes\": {bytes}",
-                segment.as_str()
-            ));
-        }
-        EventKind::GotFixup { entries } => {
-            s.push_str(&format!(", \"entries\": {entries}"));
-        }
-        EventKind::PrivInstall { reg } => {
-            s.push_str(&format!(", \"reg\": \"{}\"", reg.as_str()));
-        }
-        EventKind::RegionCopy { dir, regions, bytes } => {
-            s.push_str(&format!(
-                ", \"dir\": \"{}\", \"regions\": {regions}, \"bytes\": {bytes}",
-                dir.as_str()
-            ));
-        }
-        EventKind::MpiCall { name } => {
-            s.push_str(&format!(", \"name\": \"{}\"", escape(name)));
-        }
-        EventKind::MsgDrop { from, to, seq, ack } => {
-            s.push_str(&format!(
-                ", \"from\": {from}, \"to\": {to}, \"msg_seq\": {seq}, \"ack\": {ack}"
-            ));
-        }
-        EventKind::MsgCorrupt { from, to, seq } => {
-            s.push_str(&format!(
-                ", \"from\": {from}, \"to\": {to}, \"msg_seq\": {seq}"
-            ));
-        }
-        EventKind::MsgRetransmit {
-            from,
-            to,
-            seq,
-            attempt,
-        } => {
-            s.push_str(&format!(
-                ", \"from\": {from}, \"to\": {to}, \"msg_seq\": {seq}, \"attempt\": {attempt}"
-            ));
-        }
-        EventKind::MsgDupSuppressed { from, to, seq } => {
-            s.push_str(&format!(
-                ", \"from\": {from}, \"to\": {to}, \"msg_seq\": {seq}"
-            ));
-        }
-        EventKind::PeFail { pe, ranks_lost } => {
-            s.push_str(&format!(", \"failed_pe\": {pe}, \"ranks_lost\": {ranks_lost}"));
-        }
-        EventKind::CheckpointTaken { step, bytes } => {
-            s.push_str(&format!(", \"step\": {step}, \"bytes\": {bytes}"));
-        }
-        EventKind::Recovery { ranks } => {
-            s.push_str(&format!(", \"ranks\": {ranks}"));
-        }
-        EventKind::MethodProbe { method, verdict } => {
-            s.push_str(&format!(
-                ", \"method\": \"{}\", \"verdict\": \"{}\"",
-                escape(method),
-                verdict.as_str()
-            ));
-        }
-        EventKind::MethodFallback { from, to } => {
-            s.push_str(&format!(
-                ", \"from_method\": \"{}\", \"to_method\": \"{}\"",
-                escape(from),
-                escape(to)
-            ));
-        }
-        EventKind::StackGuardTrip { stack_size } => {
-            s.push_str(&format!(", \"stack_size\": {stack_size}"));
-        }
-        EventKind::ArenaGuardTrip { kind } => {
-            s.push_str(&format!(", \"trip\": \"{}\"", kind.as_str()));
-        }
-        EventKind::SegmentAudit { ranks, dirty } => {
-            s.push_str(&format!(", \"ranks\": {ranks}, \"dirty\": {dirty}"));
-        }
-        EventKind::MsgPool { inline } => {
-            s.push_str(&format!(", \"inline\": {inline}"));
-        }
-        EventKind::PageFault { page } => {
-            s.push_str(&format!(", \"page\": {page}"));
-        }
-        EventKind::PagePrivatized { page, bytes } => {
-            s.push_str(&format!(", \"page\": {page}, \"bytes\": {bytes}"));
-        }
-        EventKind::DedupAudit {
-            ranks,
-            shared_pages,
-            total_pages,
-        } => {
-            s.push_str(&format!(
-                ", \"ranks\": {ranks}, \"shared_pages\": {shared_pages}, \"total_pages\": {total_pages}"
-            ));
-        }
-        EventKind::Rescale {
-            from_pes,
-            to_pes,
-            moved_ranks,
-        } => {
-            s.push_str(&format!(
-                ", \"from_pes\": {from_pes}, \"to_pes\": {to_pes}, \"moved_ranks\": {moved_ranks}"
-            ));
-        }
-        EventKind::RescaleAborted { from_pes, to_pes } => {
-            s.push_str(&format!(", \"from_pes\": {from_pes}, \"to_pes\": {to_pes}"));
-        }
-        EventKind::ReReplicate { ranks, bytes } => {
-            s.push_str(&format!(", \"ranks\": {ranks}, \"bytes\": {bytes}"));
-        }
-        EventKind::GeometryRestore { ranks, to_pes } => {
-            s.push_str(&format!(", \"ranks\": {ranks}, \"to_pes\": {to_pes}"));
-        }
-        EventKind::BuddyDegenerate { pe, ranks } => {
-            s.push_str(&format!(", \"degenerate_pe\": {pe}, \"ranks\": {ranks}"));
-        }
-        EventKind::CkptDelta {
-            step,
-            ranks,
-            pages,
-            bytes,
-        } => {
-            s.push_str(&format!(
-                ", \"step\": {step}, \"ranks\": {ranks}, \"pages\": {pages}, \"bytes\": {bytes}"
-            ));
-        }
-        EventKind::CkptSeal { step, epoch } => {
-            s.push_str(&format!(", \"step\": {step}, \"epoch\": {epoch}"));
-        }
-        EventKind::CkptAsyncDrain { bytes } => {
-            s.push_str(&format!(", \"bytes\": {bytes}"));
-        }
-        EventKind::CkptCompact { chain, bytes } => {
-            s.push_str(&format!(", \"chain\": {chain}, \"bytes\": {bytes}"));
-        }
-        EventKind::ReqPost { req, send } => {
-            s.push_str(&format!(", \"req\": {req}, \"send\": {send}"));
-        }
-        EventKind::ReqComplete { req, send } => {
-            s.push_str(&format!(", \"req\": {req}, \"send\": {send}"));
-        }
-        EventKind::ReqContinuation { req } => {
-            s.push_str(&format!(", \"req\": {req}"));
-        }
-        EventKind::ReqWaitBlock { waiting } => {
-            s.push_str(&format!(", \"waiting\": {waiting}"));
-        }
+    )*};
+}
+
+bare!(u32, u64, bool);
+
+impl JsonValue for &str {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", escape(self));
     }
-    s.push('}');
-    s
+}
+
+/// Append one field of an event record: `, "key": value`.
+pub(crate) fn field(out: &mut String, key: &str, value: &impl JsonValue) {
+    let _ = write!(out, ", \"{key}\": ");
+    value.write_json(out);
+}
+
+/// Append one event record: its header, then the fields its kind's
+/// `events!` entry declares.
+fn write_event(out: &mut String, e: &Event) {
+    let _ = write!(
+        out,
+        "{{\"seq\": {}, \"t_ns\": {}, \"pe\": {}, \"rank\": ",
+        e.seq, e.t_ns, e.pe
+    );
+    if e.rank == NO_RANK {
+        out.push_str("null");
+    } else {
+        let _ = write!(out, "{}", e.rank);
+    }
+    let _ = write!(out, ", \"kind\": \"{}\"", e.kind.tag());
+    e.kind.write_fields(out);
+    out.push('}');
 }
 
 impl TraceSnapshot {
     /// Serialize the snapshot. See the module docs for the schema.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
         let mut out = String::new();
         let _ = write!(
             out,
@@ -259,7 +116,7 @@ impl TraceSnapshot {
                     out.push_str(", ");
                 }
                 out.push_str("\n      ");
-                out.push_str(&event_json(e));
+                write_event(&mut out, e);
             }
             if !p.events.is_empty() {
                 out.push_str("\n    ");

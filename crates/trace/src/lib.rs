@@ -19,6 +19,13 @@
 //!    trace can always be reconciled against the scheduler's own
 //!    `RunReport` totals, even after rings wrap.
 //!
+//! Each event kind is declared once, in the `events!` table of the
+//! `event` module: its fields, export tag, JSON keys and the counters it
+//! bumps. The enum, [`EventKind::tag`], the JSON field writer and the
+//! counter bumps are generated from that entry, and the counters
+//! themselves from `recorder.rs`'s `counters!` table, whose order is the
+//! export's `counts` order.
+//!
 //! ## Usage
 //!
 //! ```

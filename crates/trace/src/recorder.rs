@@ -26,9 +26,10 @@ pub const DEFAULT_PE_CAPACITY: usize = 16 * 1024;
 /// bump per recorded event of its kind, so the `event` counters sum to
 /// [`TraceCounts::total_events`]; a `sum` counter accumulates a quantity
 /// the event carries (bytes, pages). Generates [`TraceCounts`], the
-/// atomics [`Tracer::count`] bumps by field name, the load between the
-/// two and the name/value walk the JSON export uses — a new counter is a
-/// line here plus its `count()` arm.
+/// atomics each kind's `events!` entry (in `event.rs`) bumps by field
+/// name, the load between the two and the name/value walk the JSON
+/// export uses — a new counter is a line here plus its name in the entry
+/// of the kind that bumps it.
 macro_rules! counters {
     ($($(#[$doc:meta])* $kind:ident $name:ident,)*) => {
         /// Aggregate counters, bumped on every recorded event.
@@ -59,8 +60,8 @@ macro_rules! counters {
 
         /// The live form of [`TraceCounts`].
         #[derive(Default)]
-        struct Counters {
-            $($name: AtomicU64,)*
+        pub(crate) struct Counters {
+            $(pub(crate) $name: AtomicU64,)*
         }
 
         impl Counters {
@@ -269,7 +270,7 @@ impl Tracer {
 
     #[cold]
     fn record_enabled(&self, pe: usize, rank: u32, t_ns: u64, kind: EventKind) {
-        self.count(kind);
+        kind.count(&self.counters);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let pe_slot = pe.min(self.pes.len() - 1);
         let e = Event {
@@ -281,91 +282,6 @@ impl Tracer {
         };
         if self.pes[pe_slot].lock().push(e) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn count(&self, kind: EventKind) {
-        let c = &self.counters;
-        let bump = |counter: &AtomicU64, by: u64| {
-            counter.fetch_add(by, Ordering::Relaxed);
-        };
-        match kind {
-            EventKind::CtxSwitchIn { .. } => bump(&c.ctx_switches, 1),
-            EventKind::Block => bump(&c.blocks, 1),
-            EventKind::Unblock => bump(&c.unblocks, 1),
-            EventKind::MsgSend { bytes, .. } => {
-                bump(&c.msgs_sent, 1);
-                bump(&c.send_bytes, bytes as u64);
-            }
-            EventKind::MsgRecv { bytes, .. } => {
-                bump(&c.msgs_recv, 1);
-                bump(&c.recv_bytes, bytes as u64);
-            }
-            EventKind::Migration { bytes, .. } => {
-                bump(&c.migrations, 1);
-                bump(&c.migration_bytes, bytes);
-            }
-            EventKind::LbStep { .. } => bump(&c.lb_steps, 1),
-            EventKind::SegmentCopy { bytes, .. } => {
-                bump(&c.segment_copies, 1);
-                bump(&c.segment_copy_bytes, bytes);
-            }
-            EventKind::GotFixup { .. } => bump(&c.got_fixups, 1),
-            EventKind::PrivInstall { .. } => bump(&c.priv_installs, 1),
-            EventKind::RegionCopy { bytes, .. } => {
-                bump(&c.region_copies, 1);
-                bump(&c.region_copy_bytes, bytes);
-            }
-            EventKind::MpiCall { .. } => bump(&c.mpi_calls, 1),
-            EventKind::MsgDrop { ack, .. } => {
-                bump(if ack { &c.ack_drops } else { &c.msg_drops }, 1)
-            }
-            EventKind::MsgCorrupt { .. } => bump(&c.msg_corrupts, 1),
-            EventKind::MsgRetransmit { .. } => bump(&c.msg_retransmits, 1),
-            EventKind::MsgDupSuppressed { .. } => bump(&c.dup_suppressed, 1),
-            EventKind::PeFail { .. } => bump(&c.pe_fails, 1),
-            EventKind::CheckpointTaken { bytes, .. } => {
-                bump(&c.checkpoints, 1);
-                bump(&c.checkpoint_bytes, bytes);
-            }
-            EventKind::Recovery { .. } => bump(&c.recoveries, 1),
-            EventKind::MethodProbe { .. } => bump(&c.method_probes, 1),
-            EventKind::MethodFallback { .. } => bump(&c.method_fallbacks, 1),
-            EventKind::StackGuardTrip { .. } => bump(&c.stack_guard_trips, 1),
-            EventKind::ArenaGuardTrip { .. } => bump(&c.arena_guard_trips, 1),
-            EventKind::SegmentAudit { .. } => bump(&c.segment_audits, 1),
-            EventKind::MsgPool { inline } => {
-                bump(if inline { &c.pool_hits } else { &c.pool_misses }, 1)
-            }
-            EventKind::PageFault { .. } => bump(&c.page_faults, 1),
-            EventKind::PagePrivatized { bytes, .. } => {
-                bump(&c.pages_privatized, 1);
-                bump(&c.page_copy_bytes, bytes);
-            }
-            EventKind::DedupAudit { .. } => bump(&c.dedup_audits, 1),
-            EventKind::Rescale { .. } => bump(&c.rescales, 1),
-            EventKind::RescaleAborted { .. } => bump(&c.rescale_aborts, 1),
-            EventKind::ReReplicate { bytes, .. } => {
-                bump(&c.re_replications, 1);
-                bump(&c.re_replication_bytes, bytes);
-            }
-            EventKind::GeometryRestore { .. } => bump(&c.geometry_restores, 1),
-            EventKind::BuddyDegenerate { .. } => bump(&c.buddy_degenerates, 1),
-            EventKind::CkptDelta { pages, bytes, .. } => {
-                bump(&c.ckpt_deltas, 1);
-                bump(&c.ckpt_delta_pages, pages);
-                bump(&c.ckpt_delta_bytes, bytes);
-            }
-            EventKind::CkptSeal { .. } => bump(&c.ckpt_seals, 1),
-            EventKind::CkptAsyncDrain { bytes } => {
-                bump(&c.ckpt_async_drains, 1);
-                bump(&c.ckpt_async_bytes, bytes);
-            }
-            EventKind::CkptCompact { .. } => bump(&c.ckpt_compacts, 1),
-            EventKind::ReqPost { .. } => bump(&c.req_posts, 1),
-            EventKind::ReqComplete { .. } => bump(&c.req_completes, 1),
-            EventKind::ReqContinuation { .. } => bump(&c.req_continuations, 1),
-            EventKind::ReqWaitBlock { .. } => bump(&c.req_wait_blocks, 1),
         }
     }
 
@@ -573,6 +489,23 @@ mod tests {
         out
     }
 
+    /// `samples()` spread over two PEs, every fifth one with no rank.
+    fn golden_tracer() -> Arc<Tracer> {
+        let t = Tracer::new(2);
+        t.enable();
+        for (i, kind) in samples().into_iter().enumerate() {
+            let rank = if i % 5 == 4 { NO_RANK } else { i as u32 };
+            t.record(i % 2, rank, 10 * i as u64, kind);
+        }
+        // One more of each flag's true side, so a flag that picked the
+        // wrong counter would change the counts.
+        t.record(0, 1, 430, EventKind::MsgDrop { from: 1, to: 0, seq: 3, ack: true });
+        t.record(1, 2, 440, EventKind::MsgPool { inline: true });
+        t.set_pe_clock(0, 75, 25);
+        t.set_pe_clock(1, 40, 60);
+        t
+    }
+
     #[test]
     fn every_event_kind_counts_as_exactly_one_event() {
         let t = Tracer::new(1);
@@ -587,6 +520,34 @@ mod tests {
         for (name, value) in t.counts().fields() {
             assert!(value > 0, "{name} was never bumped");
         }
+    }
+
+    /// The whole export of one event of every kind on two PEs, pinned
+    /// byte for byte: the tag, field keys and value formats of each kind,
+    /// the counters it bumps, and the summary drawn from them.
+    #[test]
+    fn every_event_kind_exports_as_pinned() {
+        let t = golden_tracer();
+        let snap = t.snapshot();
+        assert_eq!(snap.to_json(), include_str!("../tests/golden/every_kind.json"));
+        assert_eq!(snap.summary(5), include_str!("../tests/golden/every_kind_summary.txt"));
+        assert_eq!(
+            format!("{:?}", t.counts()),
+            "TraceCounts { ctx_switches: 1, blocks: 1, unblocks: 1, msgs_sent: 1, \
+             msgs_recv: 1, send_bytes: 3, recv_bytes: 3, migrations: 1, migration_bytes: 4, \
+             lb_steps: 1, segment_copies: 1, segment_copy_bytes: 5, got_fixups: 1, \
+             priv_installs: 1, region_copies: 1, region_copy_bytes: 7, mpi_calls: 1, \
+             msg_drops: 1, ack_drops: 2, msg_corrupts: 1, msg_retransmits: 1, \
+             dup_suppressed: 1, pe_fails: 1, checkpoints: 1, checkpoint_bytes: 8, \
+             recoveries: 1, method_probes: 1, method_fallbacks: 1, stack_guard_trips: 1, \
+             arena_guard_trips: 1, segment_audits: 1, pool_hits: 2, pool_misses: 1, \
+             page_faults: 1, pages_privatized: 1, page_copy_bytes: 9, dedup_audits: 1, \
+             rescales: 1, rescale_aborts: 1, re_replications: 1, re_replication_bytes: 10, \
+             geometry_restores: 1, buddy_degenerates: 1, ckpt_deltas: 1, \
+             ckpt_delta_pages: 11, ckpt_delta_bytes: 12, ckpt_seals: 1, \
+             ckpt_async_drains: 1, ckpt_async_bytes: 13, ckpt_compacts: 1, req_posts: 1, \
+             req_completes: 1, req_continuations: 1, req_wait_blocks: 1 }"
+        );
     }
 
     #[test]
@@ -627,3 +588,4 @@ mod tests {
         assert_eq!(snap.per_pe[1].utilization(), 0.0);
     }
 }
+
