@@ -129,7 +129,7 @@ impl Machine {
             match action {
                 BarrierAction::CorruptDelta { byte } => self.ckpt.corrupt_newest_delta(byte),
                 BarrierAction::SoftFault => {
-                    let all: Vec<RankId> = (0..self.shared.ranks.len()).collect();
+                    let all: Vec<RankId> = (0..self.n_ranks()).collect();
                     self.rollback(&all)?;
                 }
                 BarrierAction::FailPe(pe) => pe_died |= self.fail_pe(pe)?,
@@ -195,12 +195,9 @@ impl Machine {
         for (i, &p) in active.iter().enumerate() {
             dense[p] = i;
         }
-        let ranks = &shared.ranks;
+        let ranks = || (0..self.n_ranks()).map(|r| self.rank(r));
         let stats = LbStats {
-            loads: ranks
-                .iter()
-                .map(|r| r.load_since_lb.as_secs_f64())
-                .collect(),
+            loads: ranks().map(|r| r.load_since_lb.as_secs_f64()).collect(),
             placement: shared
                 .location
                 .placements()
@@ -208,7 +205,7 @@ impl Machine {
                 .map(|&p| dense[p])
                 .collect(),
             n_pes: active.len(),
-            migration_bytes: ranks.iter().map(|r| r.migration_bytes()).collect(),
+            migration_bytes: ranks().map(|r| r.migration_bytes()).collect(),
             comm_bytes: self
                 .comm_bytes
                 .iter()
@@ -217,7 +214,7 @@ impl Machine {
         };
         let new_placement = balancer.rebalance(&stats);
         self.balancer = Some(balancer);
-        assert_eq!(new_placement.len(), self.shared.ranks.len());
+        assert_eq!(new_placement.len(), self.n_ranks());
 
         // LB database entry (in the dense active-PE view, matching
         // what the strategy was shown)
@@ -245,7 +242,7 @@ impl Machine {
                 None => self.shared.geometry.first_alive_from(slot.min(n_pes - 1)),
             };
             let pe = self.shared.location.lookup(r);
-            if self.shared.ranks[r].status != RankStatus::Done && new_pe != pe {
+            if self.rank(r).status != RankStatus::Done && new_pe != pe {
                 self.migrate_charged(r, new_pe, true)?;
             }
         }
@@ -255,10 +252,11 @@ impl Machine {
     /// Reset loads and the comm graph, and release everyone.
     fn release(&mut self, migrations_before: usize) {
         self.comm_bytes.clear();
-        for r in 0..self.shared.ranks.len() {
-            self.shared.ranks[r].load_since_lb = SimDuration::ZERO;
-            if self.shared.ranks[r].status == RankStatus::AtSync {
-                self.shared.ranks[r].status = RankStatus::Ready;
+        for r in 0..self.n_ranks() {
+            let state = self.rank_mut(r);
+            state.load_since_lb = SimDuration::ZERO;
+            if state.status == RankStatus::AtSync {
+                state.status = RankStatus::Ready;
                 self.enqueue_ready(r, self.shared.location.lookup(r));
             }
         }
@@ -314,7 +312,7 @@ impl Machine {
     /// stack, the stack guard's canaries at the stack's base.
     pub(crate) fn scribble_rank(&mut self, rank: RankId) {
         self.refresh_stack_extent(rank);
-        let memory = &self.shared.ranks[rank].memory;
+        let memory = &self.rank(rank).memory;
         for reg in memory.heap_ref().regions().chain(memory.regions()) {
             let live = reg.live();
             // SAFETY: `live` lies inside the pinned region (`set_live`
@@ -328,7 +326,7 @@ impl Machine {
     /// (not even for cancellation-unwind at drop), so the ULTs leak.
     pub(crate) fn abandon_ranks(&mut self, ranks: &[RankId]) {
         for &r in ranks {
-            if let Some(ult) = self.shared.ranks[r].ult.as_mut() {
+            if let Some(ult) = self.rank_mut(r).ult.as_mut() {
                 ult.abandon();
             }
         }

@@ -154,7 +154,7 @@ impl Machine {
     /// `ckpt`'s chain rather than start from a fresh base.
     fn chain_usable(&self, ckpt: &Checkpoint) -> bool {
         let alive = self.shared.geometry.alive();
-        ckpt.entries.len() == self.shared.ranks.len()
+        ckpt.entries.len() == self.n_ranks()
             && (ckpt.chain_len() as u32) < self.ckpt.max_chain
             // A dead holder degrades the chain to (at most) one live
             // copy; re-establish two-copy redundancy with a fresh base,
@@ -164,7 +164,7 @@ impl Machine {
                 .entries
                 .iter()
                 .enumerate()
-                .all(|(r, e)| self.shared.ranks[r].memory.verify_layout(&e.image).is_ok())
+                .all(|(r, e)| self.rank(r).memory.verify_layout(&e.image).is_ok())
     }
 
     /// Take one periodic capture in incremental mode: a fresh base when
@@ -208,7 +208,7 @@ impl Machine {
             let chain: Vec<&pvr_isomalloc::ImageDelta> =
                 e.deltas.iter().map(|d| &d.patch).collect();
             let sp = self.refresh_stack_extent(r);
-            let patch = self.shared.ranks[r].memory.diff_pages_against_chain(
+            let patch = self.rank(r).memory.diff_pages_against_chain(
                 &e.image,
                 &chain,
                 pvr_progimage::DEFAULT_PAGE_SIZE,
@@ -241,7 +241,7 @@ impl Machine {
                 buddy_patch: None,
                 checksum,
                 sp,
-                req: self.shared.ranks[r].matcher.snapshot(),
+                req: self.rank(r).matcher.snapshot(),
                 cow_since,
             });
         }
@@ -267,8 +267,8 @@ impl Machine {
     /// `AtSync` with drained mailboxes). Each image is replicated to the
     /// home PE's buddy so one PE failure cannot lose it.
     pub(crate) fn take_checkpoint(&mut self) {
-        let mut entries: Vec<CheckpointEntry> = Vec::with_capacity(self.shared.ranks.len());
-        for r in 0..self.shared.ranks.len() {
+        let mut entries: Vec<CheckpointEntry> = Vec::with_capacity(self.n_ranks());
+        for r in 0..self.n_ranks() {
             // COW methods supply a read-through view of their page table
             // (template bytes for shared pages, backing bytes for private
             // ones), so packing never materializes the backing store and
@@ -293,7 +293,7 @@ impl Machine {
             entries.push(CheckpointEntry {
                 image,
                 sp,
-                req: self.shared.ranks[r].matcher.snapshot(),
+                req: self.rank(r).matcher.snapshot(),
                 checksum,
                 primary_pe,
                 buddy_pe: self.shared.geometry.buddy_of(primary_pe),
@@ -428,7 +428,7 @@ impl Machine {
                     detail: "checkpoint image checksum mismatch".into(),
                 });
             }
-            let memory = &self.shared.ranks[rank].memory;
+            let memory = &self.rank(rank).memory;
             memory.verify_layout(&e.image).map_err(|e| unusable(rank, e))?;
             for d in &e.deltas[..cut] {
                 let patch = d.held(from_buddy).ok_or_else(|| unsealed(rank))?;
@@ -461,7 +461,7 @@ impl Machine {
         // what the base does not store — whatever `sp` is now.
         let sp = chain.iter().rev().find_map(|d| d.sp).or(e.sp);
         let req = chain.last().map_or(&e.req, |d| &d.req);
-        let memory = &mut self.shared.ranks[rank].memory;
+        let memory = &mut self.rank_mut(rank).memory;
         memory.set_stack_live(sp);
         memory.unpack_into(&e.image).map_err(|e| unusable(rank, e))?;
         for d in chain {
@@ -478,9 +478,9 @@ impl Machine {
         }
         // The request table rolls back with the memory it belongs
         // to — the cut's barrier state.
-        self.shared.ranks[rank].matcher.restore(req);
+        self.rank_mut(rank).matcher.restore(req);
         e.deltas.truncate(cut);
-        if let (Some(sp), Some(ult)) = (sp, self.shared.ranks[rank].ult.as_mut()) {
+        if let (Some(sp), Some(ult)) = (sp, self.rank_mut(rank).ult.as_mut()) {
             // SAFETY: the stack bytes were just restored to exactly
             // the state observed together with this sp.
             unsafe { ult.restore_suspended_sp(sp) };
@@ -517,3 +517,206 @@ fn unsealed(rank: RankId) -> RtsError {
         detail: "checkpoint delta inside the cut is not held by the buddy".into(),
     }
 }
+
+#[cfg(test)]
+/// Machine-level checkpoint and fault tests. Written beside what
+/// they test, they expand inside `machine::tests`, whose helpers they
+/// share and under whose path the suite lists them.
+macro_rules! checkpoint_tests {
+    () => {
+        #[test]
+        fn checkpoint_restart_recovers_from_soft_fault() {
+            use parking_lot::Mutex;
+            // A checkpoint-compliant body: cross-sync state lives in the rank
+            // heap and in stack scalars (as Isomalloc requires), and the
+            // network is quiescent at every sync point.
+            let finals: Arc<Mutex<Vec<(usize, f64, f64)>>> = Arc::new(Mutex::new(Vec::new()));
+            let body_for = |finals: Arc<Mutex<Vec<(usize, f64, f64)>>>| -> Arc<dyn Fn(RankCtx) + Send + Sync> {
+                Arc::new(move |ctx: RankCtx| {
+                    let data = ctx.heap_alloc_f64s(64);
+                    let mut acc: f64 = ctx.rank() as f64 + 1.0;
+                    for step in 0..6u64 {
+                        for v in data.iter_mut() {
+                            *v += acc;
+                        }
+                        // lock-step ring exchange (fully drained before sync)
+                        let partner = (ctx.rank() + 1) % ctx.n_ranks();
+                        ctx.send(
+                            partner,
+                            step,
+                            bytes::Bytes::copy_from_slice(&acc.to_le_bytes()),
+                        );
+                        let m = ctx.recv();
+                        acc = acc * 1.25 + f64::from_le_bytes(m.payload[..8].try_into().unwrap());
+                        ctx.at_sync();
+                    }
+                    let sum: f64 = data.iter().sum();
+                    finals.lock().push((ctx.rank(), acc, sum));
+                })
+            };
+
+            // reference run: no faults
+            let f1 = finals.clone();
+            let mut m = builder()
+                .method(Method::PieGlobals)
+                .topology(Topology::non_smp(2))
+                .vp_ratio(2)
+                .checkpoint_period(1)
+                .build(body_for(f1))
+                .unwrap();
+            m.run().unwrap();
+            let mut reference = finals.lock().clone();
+            reference.sort_by_key(|a| a.0);
+            finals.lock().clear();
+            let (ckpts, recov) = m.fault_tolerance_stats();
+            assert!(ckpts >= 5);
+            assert_eq!(recov, 0);
+
+            // faulty run: memory scribbled at LB step 3, recovered from the
+            // step-3 checkpoint, recomputes forward
+            let f2 = finals.clone();
+            let mut m = builder()
+                .method(Method::PieGlobals)
+                .topology(Topology::non_smp(2))
+                .vp_ratio(2)
+                .checkpoint_period(1)
+                .inject_fault_at_lb_step(3)
+                .build(body_for(f2))
+                .unwrap();
+            m.run().unwrap();
+            let (_, recov) = m.fault_tolerance_stats();
+            assert_eq!(recov, 1, "the injected fault must trigger one recovery");
+            let mut faulty = finals.lock().clone();
+            faulty.sort_by_key(|a| a.0);
+            assert_eq!(
+                faulty, reference,
+                "recovered run must produce identical results"
+            );
+            finals.lock().clear();
+
+            // The same fault with a restore that leaves the heap out must
+            // not pass: the fault really took the heap (before `scribble_rank`
+            // it never did, and this same-step rollback could not tell).
+            let f3 = finals.clone();
+            let mut m = builder()
+                .method(Method::PieGlobals)
+                .topology(Topology::non_smp(2))
+                .vp_ratio(2)
+                .checkpoint_period(1)
+                .inject_fault_at_lb_step(3)
+                .build(body_for(f3))
+                .unwrap();
+            RESTORE_SKIPS_HEAP.with(|s| s.set(true));
+            let ran = m.run();
+            RESTORE_SKIPS_HEAP.with(|s| s.set(false));
+            ran.unwrap();
+            let mut mutant = finals.lock().clone();
+            mutant.sort_by_key(|a| a.0);
+            assert_ne!(mutant, reference, "a heap-skipping restore went unnoticed");
+        }
+
+        #[test]
+        fn scribble_takes_the_live_extents_and_nothing_else() {
+            let mut m = builder()
+                .guards(true)
+                .build(Arc::new(|ctx: RankCtx| {
+                    let data = ctx.heap_alloc_f64s(100);
+                    data.fill(1.5);
+                    let _ = ctx.recv();
+                }))
+                .unwrap();
+            m.drive_rank(0).unwrap();
+            let sp = m.rank(0)
+                .ult
+                .as_ref()
+                .unwrap()
+                .suspended_sp()
+                .expect("parked in recv");
+            m.scribble_rank(0);
+            let memory = &m.rank(0).memory;
+            let chunk = memory.heap_ref().regions().next().expect("one heap chunk");
+            let hwm = chunk.live().end;
+            assert!(hwm >= 800 && hwm < chunk.len());
+            assert!(chunk.as_slice()[..hwm].iter().all(|&b| b == 0xDE), "the heap is lost with the rank");
+            assert!(chunk.as_slice()[hwm..].iter().all(|&b| b == 0), "never handed out: not state");
+            let stack = memory.regions().find(|r| r.kind() == RegionKind::Stack).unwrap();
+            let at = sp - stack.base() as usize;
+            assert_eq!(stack.live(), at - 128..stack.len());
+            assert!(stack.as_slice()[at - 128..].iter().all(|&b| b == 0xDE), "frames and red zone");
+            assert!(stack.as_slice()[..at - 128].iter().any(|&b| b != 0xDE), "dead stack left alone");
+            let ult = m.rank(0).ult.as_ref().unwrap();
+            assert!(ult.check_stack_guard().is_ok(), "the canaries at the base are not rank state");
+            // the frames are gone: never resume or unwind this ULT
+            m.abandon_ranks(&[0]);
+        }
+
+        #[test]
+        fn fault_without_checkpoint_is_an_error() {
+            // caught at build time now: a fault schedule with no checkpoint
+            // period can never recover, so the configuration is rejected
+            // before any rank runs
+            match builder()
+                .vp_ratio(2)
+                .method(Method::PieGlobals)
+                .inject_fault_at_lb_step(1)
+                .build(Arc::new(|ctx: RankCtx| {
+                    ctx.at_sync();
+                })) {
+                Err(ConfigError::Invalid { detail }) => {
+                    assert!(detail.contains("checkpoint_period"), "{detail}")
+                }
+                other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
+            }
+        }
+
+        #[test]
+        fn pe_failure_without_checkpoint_is_an_error() {
+            match builder()
+                .clock(ClockMode::Virtual)
+                .topology(Topology::non_smp(2))
+                .inject_pe_failure_at_lb_step(1, 1)
+                .build(Arc::new(|ctx: RankCtx| {
+                    ctx.at_sync();
+                })) {
+                Err(ConfigError::Invalid { detail }) => {
+                    assert!(detail.contains("checkpoint_period"), "{detail}")
+                }
+                other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
+            }
+        }
+
+        #[test]
+        fn pe_failure_target_must_exist() {
+            match builder()
+                .clock(ClockMode::Virtual)
+                .topology(Topology::non_smp(2))
+                .checkpoint_period(1)
+                .inject_pe_failure_at_lb_step(1, 7)
+                .build(Arc::new(|ctx: RankCtx| {
+                    ctx.at_sync();
+                })) {
+                Err(ConfigError::Invalid { detail }) => {
+                    assert!(detail.contains("out of range"), "{detail}")
+                }
+                other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
+            }
+        }
+
+        #[test]
+        fn fault_plan_requires_virtual_clock() {
+            use pvr_des::FaultPlan;
+            let net = NetworkModel::infiniband().with_faults(FaultPlan::lossy_internode(1, 0.1, 0.0));
+            match builder()
+                .network(net)
+                .checkpoint_period(1)
+                .build(Arc::new(|_ctx: RankCtx| {})) {
+                Err(ConfigError::Invalid { detail }) => {
+                    assert!(detail.contains("Virtual"), "{detail}")
+                }
+                other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
+            }
+        }
+    };
+}
+#[cfg(test)]
+pub(crate) use checkpoint_tests;

@@ -17,7 +17,7 @@ use crate::machine::{ClockMode, Machine, ReliableState};
 use crate::rank::{RankState, RankStatus};
 use crate::rescale::Geometry;
 use crate::stats::{HardeningTallies, Tallies};
-use crate::worker::{HlsBlocks, RankTable, Shared};
+use crate::worker::Shared;
 use crate::PeId;
 use parking_lot::Mutex;
 use pvr_des::{NetworkModel, SimDuration, Topology};
@@ -31,20 +31,9 @@ use pvr_progimage::{ProgramBinary, SharedFs};
 use pvr_trace::{EventKind, ProbeVerdict, Tracer, NO_RANK};
 use pvr_ult::{Backend, StackMem, Ult};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Moves a value across the startup builder threads unconditionally.
-///
-/// Safety: used only inside `MachineConfig::build`'s scoped parallel
-/// startup, mirroring `RankTable`'s reasoning — each builder thread
-/// works on disjoint processes and freshly allocated rank memory, the
-/// wrapped closure reference touches only `Send + Sync` captures, and
-/// every produced `RankState` is handed back to the single building
-/// thread before anything runs on it.
-struct SendCell<T>(T);
-unsafe impl<T> Send for SendCell<T> {}
 
 /// How many OS threads drive the PEs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -507,24 +496,21 @@ impl MachineConfig {
                                     .map(|(r, &pe)| (r, pe))
                                     .collect();
                                 let tracer = self.tracer.clone();
-                                let br = SendCell(&build_rank);
+                                let build_rank = &build_rank;
                                 s.spawn(move || {
                                     let _scope =
                                         tracer.map(pvr_trace::ThreadScope::install);
                                     let mut out = Vec::with_capacity(plan.len());
                                     for (r, pe) in plan {
-                                        match (br.0)(p, r, pe) {
-                                            Ok(state) => out.push((r, state)),
-                                            Err(e) => return SendCell(Err(e)),
-                                        }
+                                        out.push((r, build_rank(p, r, pe)?));
                                     }
-                                    SendCell(Ok(out))
+                                    Ok(out)
                                 })
                             })
                             .collect();
                         handles
                             .into_iter()
-                            .map(|h| h.join().expect("startup builder thread panicked").0)
+                            .map(|h| h.join().expect("startup builder thread panicked"))
                             .collect()
                     });
                 // Merge in process order; the first failing process (the
@@ -632,27 +618,22 @@ impl MachineConfig {
 
         // Per-PE hierarchical-local-storage blocks (MPC HLS): resolved
         // once so the context-switch path pays a plain load.
-        let pe_hls_blocks: HlsBlocks = HlsBlocks::new(
-            (0..n_pes)
-                .map(|pe| {
-                    let proc = topo.process_of_pe(pe);
-                    let local = pe - topo.pes_of_process(proc).start;
-                    privatizers[proc]
-                        .pe_block(local)
-                        .unwrap_or(std::ptr::null_mut())
-                })
-                .collect(),
-        );
+        let hls = (0..n_pes)
+            .map(|pe| {
+                let proc = topo.process_of_pe(pe);
+                let local = pe - topo.pes_of_process(proc).start;
+                AtomicPtr::new(privatizers[proc].pe_block(local).unwrap_or(std::ptr::null_mut()))
+            })
+            .collect();
 
         Ok(Machine {
-            driver: Driver::new(&location, n_pes, self.parallelism),
+            driver: Driver::new(&location, n_pes, ranks, self.parallelism),
             shared: Shared {
                 clock: self.clock,
                 topology: topo,
                 network: self.network,
                 location,
-                ranks: RankTable::new(ranks),
-                hls: pe_hls_blocks,
+                hls,
                 geometry: Geometry::new(n_pes, n_active),
                 tracer: self.tracer,
                 reliable,
@@ -930,6 +911,170 @@ impl MachineBuilder {
 }
 
 #[cfg(test)]
+/// Machine-level startup and fallback tests. Written beside what
+/// they test, they expand inside `machine::tests`, whose helpers they
+/// share and under whose path the suite lists them.
+macro_rules! startup_tests {
+    () => {
+        #[test]
+        fn startup_reports_costs() {
+            let m = builder()
+                .method(Method::FsGlobals)
+                .vp_ratio(4)
+                .build(Arc::new(|_ctx: RankCtx| {}))
+                .unwrap();
+            assert!(m.simulated_startup_cost() > Duration::ZERO);
+            assert!(m.per_rank_copied_bytes() > 0);
+        }
+
+        #[test]
+        fn pip_namespace_exhaustion_at_build_time() {
+            // 16 VPs on one PE needs 16 namespaces: stock glibc caps at 12.
+            let err = builder()
+                .method(Method::PipGlobals)
+                .vp_ratio(16)
+                .build(Arc::new(|_ctx: RankCtx| {}));
+            match err {
+                Err(ConfigError::Startup(PrivatizeError::Dl(
+                    pvr_progimage::DlError::NamespaceExhausted { .. },
+                ))) => {}
+                other => panic!("expected namespace exhaustion, got {:?}", other.map(|_| ())),
+            }
+        }
+
+        #[test]
+        fn fallback_degrades_pip_to_fs_and_matches_direct_run() {
+            // The acceptance scenario: PIPglobals requested with 16 ranks per
+            // process on stock glibc (12-namespace budget). With the fallback
+            // chain on, the probe rates PIPglobals resource-limited, degrades
+            // to FSglobals, and the run completes with results bit-identical
+            // to a direct FSglobals run.
+            let body_for = |sink: Arc<Mutex<Vec<(usize, u64)>>>| -> Arc<dyn Fn(RankCtx) + Send + Sync> {
+                Arc::new(move |ctx: RankCtx| {
+                    let me = ctx.rank();
+                    let acc = ctx.instance().access("my_rank");
+                    acc.write_u64(me as u64 * 3 + 1);
+                    ctx.yield_now();
+                    sink.lock().push((me, acc.read_u64()));
+                })
+            };
+            let run = |fallback: bool, method: Method| {
+                let out: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+                let t = Tracer::new(1);
+                t.enable();
+                let mut b = builder().method(method).vp_ratio(16).tracer(t.clone());
+                if fallback {
+                    b = b.fallback(true);
+                }
+                let mut m = b.build(body_for(out.clone())).unwrap();
+                let report = m.run().unwrap();
+                assert_reconciled(&report, &t);
+                let landed = m.method();
+                let mut v = out.lock().clone();
+                v.sort();
+                (landed, report, v)
+            };
+            let (landed, report, results) = run(true, Method::PipGlobals);
+            assert_eq!(landed, Method::FsGlobals);
+            assert_eq!(report.method_requested, Method::PipGlobals);
+            assert_eq!(report.method_landed, Method::FsGlobals);
+            assert_eq!(report.hardening.probes, 3, "pip, fs, pie each probed");
+            assert_eq!(report.hardening.fallbacks, 1);
+            assert_eq!(results.len(), 16);
+            let (direct_landed, direct_report, direct_results) = run(false, Method::FsGlobals);
+            assert_eq!(direct_landed, Method::FsGlobals);
+            assert!(direct_report.hardening.is_clean(), "strict mode probes nothing");
+            assert_eq!(
+                results, direct_results,
+                "degraded run must be bit-identical to the direct FSglobals run"
+            );
+        }
+
+        #[test]
+        fn midstartup_fs_failure_degrades_and_cleans_up() {
+            // The probe passes (unbounded FS) but the injected write budget
+            // runs dry at rank 2's copy: mid-startup degradation tears the
+            // FSglobals attempt down (no leaked copies), skips the
+            // probe-infeasible PIPglobals, and lands on PIEglobals.
+            let fs = Arc::new(Mutex::new(SharedFs::new()));
+            fs.lock().fail_writes_after(3); // deploy + 2 rank copies, then NoSpace
+            let t = Tracer::new(1);
+            t.enable();
+            let mut m = builder()
+                .method(Method::FsGlobals)
+                .shared_fs(Some(fs.clone()))
+                .vp_ratio(16)
+                .fallback(true)
+                .tracer(t.clone())
+                .build(Arc::new(|_ctx: RankCtx| {}))
+                .unwrap();
+            assert_eq!(m.method_requested(), Method::FsGlobals);
+            assert_eq!(m.method(), Method::PieGlobals);
+            assert_eq!(fs.lock().file_count(), 0, "failed attempt must delete its copies");
+            assert_eq!(fs.lock().bytes_used(), 0);
+            let report = m.run().unwrap();
+            let h = m.hardening_stats();
+            assert_eq!(h.probes, 3);
+            assert_eq!(h.fallbacks, 2, "fs (mid-startup) -> pip (probe) -> pie");
+            assert_eq!(report.hardening, h);
+            assert_reconciled(&report, &t);
+        }
+
+        #[test]
+        fn fallback_exhaustion_reports_every_failure() {
+            // FS capped so FSglobals can't fit, 16 ranks so PIPglobals can't
+            // either, and a chain without PIEglobals: nothing lands.
+            let fs = Arc::new(Mutex::new(SharedFs::with_capacity(1024)));
+            match builder()
+                .method(Method::PipGlobals)
+                .shared_fs(Some(fs))
+                .vp_ratio(16)
+                .fallback_chain(vec![Method::FsGlobals])
+                .build(Arc::new(|_ctx: RankCtx| {}))
+            {
+                Err(ConfigError::NoFeasibleMethod { detail }) => {
+                    assert!(detail.contains("pipglobals"), "{detail}");
+                    assert!(detail.contains("fsglobals"), "{detail}");
+                }
+                other => panic!("expected NoFeasibleMethod, got {:?}", other.map(|_| ())),
+            }
+        }
+
+        #[test]
+        fn fallback_chain_rejects_env_unsupported_entry() {
+            // Swapglobals can never run under the default (bridges2)
+            // toolchain: naming it as a backup is a configuration error.
+            match builder()
+                .method(Method::PieGlobals)
+                .fallback_chain(vec![Method::Swapglobals])
+                .build(Arc::new(|_ctx: RankCtx| {}))
+            {
+                Err(ConfigError::Invalid { detail }) => {
+                    assert!(detail.contains("fallback_chain"), "{detail}");
+                    assert!(detail.contains("swapglobals"), "{detail}");
+                }
+                other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
+            }
+        }
+
+        #[test]
+        fn empty_fallback_chain_rejected() {
+            match builder()
+                .fallback_chain(vec![])
+                .build(Arc::new(|_ctx: RankCtx| {}))
+            {
+                Err(ConfigError::Invalid { detail }) => {
+                    assert!(detail.contains("fallback_chain"), "{detail}")
+                }
+                other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
+            }
+        }
+    };
+}
+#[cfg(test)]
+pub(crate) use startup_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::command::MatchSpec;
@@ -1031,3 +1176,4 @@ mod tests {
         }
     }
 }
+

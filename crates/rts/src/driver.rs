@@ -23,6 +23,7 @@ use crate::engine_parallel::{self, WorkerPool};
 use crate::location::LocationManager;
 use crate::machine::{ClockMode, Event, Machine, RtsError};
 use crate::message::RtsMessage;
+use crate::rank::RankState;
 use crate::stats::{EngineTallies, RunReport};
 use crate::worker::{ExecCtx, Exhausted, Lane, StopReason};
 use crate::{PeId, RankId};
@@ -57,18 +58,22 @@ pub(crate) struct Driver {
 
 impl Driver {
     /// The driver of a job of `n_pes` PEs placed by `location`: every
-    /// rank ready on its PE. Queues are pre-sized from the run shape so
-    /// scheduling never reallocates in the steady state.
+    /// rank lives in, and is ready on, its PE's lane. Queues are
+    /// pre-sized from the run shape so scheduling never reallocates in
+    /// the steady state.
     pub(crate) fn new(
         location: &LocationManager,
         n_pes: usize,
+        ranks: Vec<RankState>,
         parallelism: Parallelism,
     ) -> Driver {
         let n_ranks = location.n_ranks();
         let cap = (n_ranks * 4 / n_pes.max(1)).max(16);
-        let mut lanes: Vec<Lane> = (0..n_pes).map(|pe| Lane::new(pe, cap)).collect();
-        for r in 0..n_ranks {
-            lanes[location.lookup(r)].state.ready.push_back(r);
+        let mut lanes: Vec<Lane> = (0..n_pes).map(|pe| Lane::new(pe, n_ranks, cap)).collect();
+        for (r, state) in ranks.into_iter().enumerate() {
+            let lane = &mut lanes[location.lookup(r)];
+            lane.ranks.put(r, Some(Box::new(state)));
+            lane.state.ready.push_back(r);
         }
         Driver {
             lanes,
@@ -98,6 +103,17 @@ enum Lookahead {
 }
 
 impl Machine {
+    /// Rank `r`'s state, in the lane the directory names (barrier side;
+    /// a lane reaches its own ranks directly).
+    pub(crate) fn rank(&self, r: RankId) -> &RankState {
+        &self.driver.lanes[self.shared.location.lookup(r)].ranks[r]
+    }
+
+    pub(crate) fn rank_mut(&mut self, r: RankId) -> &mut RankState {
+        let pe = self.shared.location.lookup(r);
+        &mut self.driver.lanes[pe].ranks[r]
+    }
+
     /// Run the job to completion.
     pub fn run(&mut self) -> Result<RunReport, RtsError> {
         let _scope = self.trace_scope();
@@ -432,7 +448,7 @@ impl Machine {
     /// real-time mail waits in an inbox, and bring `lookahead` up to date
     /// if that changed the active set. Returns whether a barrier ran.
     fn barrier_if_due(&mut self, lookahead: &mut Lookahead) -> Result<bool, RtsError> {
-        let live = self.shared.ranks.len() - self.driver.done_count;
+        let live = self.n_ranks() - self.driver.done_count;
         let at_sync = self.driver.at_sync_count;
         let due = at_sync > 0
             && at_sync == live
@@ -449,8 +465,9 @@ impl Machine {
     /// Nothing can run and no barrier is due: the job is finished, or
     /// its live ranks are blocked forever.
     fn finished_or_deadlocked(&self) -> Result<(), RtsError> {
-        let ranks = &self.shared.ranks;
-        let waiting: Vec<RankId> = (0..ranks.len()).filter(|&r| !ranks[r].is_done()).collect();
+        let waiting: Vec<RankId> = (0..self.n_ranks())
+            .filter(|&r| !self.rank(r).is_done())
+            .collect();
         if waiting.is_empty() {
             Ok(())
         } else {
@@ -468,7 +485,7 @@ impl Machine {
             }
         }
         let mut lookahead = self.lookahead();
-        while self.driver.done_count < self.shared.ranks.len() {
+        while self.driver.done_count < self.n_ranks() {
             let Some(bound) = self.epoch_bound(lookahead) else {
                 if self.barrier_if_due(&mut lookahead)? {
                     continue;
@@ -490,5 +507,109 @@ fn event_pe(location: &LocationManager, ev: &Event) -> PeId {
         Event::Deliver { msg, .. } => location.lookup(msg.to),
         Event::PeWake { pe } => *pe,
         Event::Ack { from, .. } | Event::Retransmit { from, .. } => location.lookup(*from),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::command::{MatchSpec, RankCtx};
+    use crate::config::MachineBuilder;
+    use crate::lb::RotateLb;
+    use crate::machine::tests::builder;
+    use bytes::Bytes;
+    use pvr_des::Topology;
+    use std::sync::Arc;
+
+    /// The tag of the one message each rank sends that nobody receives.
+    const STRAY: u64 = 99;
+
+    /// 8 ranks on 4 PEs. Each sends its successor one message it never
+    /// receives — it stays buffered wherever the successor goes — then
+    /// three ring exchanges, each followed by a sync point.
+    fn ring(configure: impl FnOnce(MachineBuilder) -> MachineBuilder) -> Machine {
+        let b = builder()
+            .method(Method::PieGlobals)
+            .topology(Topology::non_smp(4))
+            .vp_ratio(2);
+        configure(b)
+            .build(Arc::new(|ctx: RankCtx| {
+                let (me, n) = (ctx.rank(), ctx.n_ranks());
+                ctx.send((me + 1) % n, STRAY, Bytes::new());
+                for step in 0..3 {
+                    ctx.send((me + 1) % n, step, Bytes::new());
+                    ctx.recv_match(MatchSpec {
+                        src: Some((me + n - 1) % n),
+                        tag_mask: u64::MAX,
+                        tag_value: step,
+                    });
+                    ctx.at_sync();
+                }
+            }))
+            .unwrap()
+    }
+
+    /// Every rank's state lives in exactly one lane, the one the
+    /// directory names, and counts every move the machine recorded.
+    fn assert_resident(m: &Machine) {
+        for r in 0..m.n_ranks() {
+            let lanes = &m.driver.lanes;
+            let homes: Vec<PeId> = (0..lanes.len())
+                .filter(|&pe| lanes[pe].ranks.get(r).is_some())
+                .collect();
+            assert_eq!(homes, [m.location_of(r)], "rank {r}");
+            let moves = m.migrations.iter().filter(|rec| rec.rank == r).count();
+            assert_eq!(m.rank(r).migrations as usize, moves, "rank {r}");
+        }
+    }
+
+    /// What a move must carry: (migrations, messages_sent, buffered).
+    fn counters(m: &Machine, r: RankId) -> (u32, u64, usize) {
+        let state = m.rank(r);
+        (state.migrations, state.messages_sent, state.matcher.buffered())
+    }
+
+    #[test]
+    fn a_rank_lives_in_the_lane_the_directory_names() {
+        // `migrate_now`, on a rank parked in a receive with a message
+        // buffered: the state, not a copy of it, changes lanes.
+        let mut m = ring(|b| b);
+        assert!(matches!(m.run_rank_slice(0), Ok(StopReason::BlockedRecv)));
+        m.deposit(RtsMessage::new(7, 0, STRAY, Bytes::new()));
+        assert_eq!(counters(&m, 0), (0, 2, 1));
+        m.migrate_now(0, 3).unwrap();
+        assert_resident(&m);
+        assert_eq!(counters(&m, 0), (1, 2, 1));
+        m.run().unwrap();
+        assert_resident(&m);
+        assert_eq!(counters(&m, 0), (1, 4, 2), "rank 7's stray and the injected one");
+
+        // An LB barrier that moves every rank, a shrink, a shrink and a
+        // grow, and a PE failure with rollback: each rank ends where the
+        // directory says, with every send and its stray message.
+        let scenarios = [
+            ("lb", ring(|b| b.balancer(Box::new(RotateLb)))),
+            ("shrink", ring(|b| b.rescale_at_lb_step(1, 2))),
+            (
+                "shrink, grow",
+                ring(|b| {
+                    let b = b.rescale_at_lb_step(1, 2).rescale_at_lb_step(2, 4);
+                    b.balancer(Box::new(RotateLb))
+                }),
+            ),
+            (
+                "pe failure",
+                ring(|b| b.checkpoint_period(1).inject_pe_failure_at_lb_step(1, 3)),
+            ),
+        ];
+        for (name, mut m) in scenarios {
+            m.run().unwrap();
+            assert_resident(&m);
+            assert!(!m.migrations.is_empty(), "{name}: nothing moved");
+            for r in 0..m.n_ranks() {
+                let (_, sent, buffered) = counters(&m, r);
+                assert_eq!((sent, buffered), (4, 1), "{name}: rank {r}");
+            }
+        }
     }
 }

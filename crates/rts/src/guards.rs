@@ -104,9 +104,7 @@ impl ExecCtx<'_> {
     /// A clobbered canary ends the run with a clean, rank-attributed
     /// error; the corrupt stack is abandoned, never resumed or unwound.
     fn check_stack_guard(&mut self, r: RankId) -> Result<(), RtsError> {
-        // SAFETY: `r` is resident on this lane's PE.
-        let rs = unsafe { self.shared.ranks.resident_mut(r) };
-        let trip = match rs.ult.as_ref() {
+        let trip = match self.lane.ranks[r].ult.as_ref() {
             Some(u) if u.stack_guarded() => u.check_stack_guard().err(),
             _ => None,
         };
@@ -121,6 +119,7 @@ impl ExecCtx<'_> {
             },
         );
         self.lane.out.tallies.hardening.stack_guard_trips += 1;
+        let rs = &mut self.lane.ranks[r];
         if let Some(u) = rs.ult.as_mut() {
             u.abandon();
         }
@@ -142,7 +141,7 @@ impl ExecCtx<'_> {
         self.trace(
             writer as u32,
             EventKind::SegmentAudit {
-                ranks: self.shared.ranks.len() as u32,
+                ranks: self.shared.location.n_ranks() as u32,
                 dirty: scan.dirty,
             },
         );
@@ -156,7 +155,8 @@ impl Machine {
     /// stack region — where the red zone canaries live — simulating a
     /// stack overflow for the guard to catch at the next guard check.
     pub fn corrupt_rank_stack(&mut self, rank: RankId) {
-        let target: Option<(*mut u8, usize)> = self.shared.ranks[rank]
+        let target: Option<(*mut u8, usize)> = self
+            .rank(rank)
             .memory
             .regions()
             .find(|reg| reg.kind() == RegionKind::Stack)
@@ -198,8 +198,8 @@ impl Machine {
         let Some(guards) = &self.shared.guards else {
             return Ok(());
         };
-        for r in 0..self.shared.ranks.len() {
-            if let Err(v) = self.shared.ranks[r].memory.heap_ref().audit_quarantine() {
+        for r in 0..self.n_ranks() {
+            if let Err(v) = self.rank(r).memory.heap_ref().audit_quarantine() {
                 let pe = self.shared.location.lookup(r);
                 self.trace(
                     pe,
@@ -235,19 +235,287 @@ impl Machine {
     /// baselines and reset each arena's quarantine so stale poison
     /// expectations don't fire as false guard trips on restored bytes.
     pub(crate) fn reseed_guards_after_restore(&mut self) {
-        let Some(guards) = &mut self.shared.guards else {
+        if self.shared.guards.is_none() {
             return;
-        };
-        for r in 0..self.shared.ranks.len() {
-            let heap = self.shared.ranks[r].memory.heap();
+        }
+        let n_ranks = self.n_ranks();
+        for r in 0..n_ranks {
+            let heap = self.rank_mut(r).memory.heap();
             if heap.guard_enabled() {
                 heap.set_guard(false);
                 heap.set_guard(true);
             }
         }
-        *guards.baseline.get_mut() = checksums(&self.shared.privatizers, self.shared.ranks.len());
+        if let Some(guards) = &mut self.shared.guards {
+            *guards.baseline.get_mut() = checksums(&self.shared.privatizers, n_ranks);
+        }
     }
 }
+
+#[cfg(test)]
+/// Machine-level guard tests. Written beside what
+/// they test, they expand inside `machine::tests`, whose helpers they
+/// share and under whose path the suite lists them.
+macro_rules! guard_tests {
+    () => {
+        #[test]
+        fn guards_rejected_for_unprivatized_method() {
+            match builder()
+                .method(Method::Unprivatized)
+                .guards(true)
+                .build(Arc::new(|_ctx: RankCtx| {}))
+            {
+                Err(ConfigError::Invalid { detail }) => {
+                    assert!(detail.contains("guards"), "{detail}")
+                }
+                other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
+            }
+        }
+
+        #[test]
+        fn scribbled_stack_trips_guard_with_clean_error() {
+            let t = Tracer::new(1);
+            t.enable();
+            let mut m = builder()
+                .method(Method::PieGlobals)
+                .guards(true)
+                .tracer(t.clone())
+                .build(Arc::new(|ctx: RankCtx| {
+                    ctx.yield_now();
+                }))
+                .unwrap();
+            m.corrupt_rank_stack(0);
+            match m.run() {
+                Err(RtsError::StackGuard { rank, detail }) => {
+                    assert_eq!(rank, 0);
+                    assert!(detail.contains("red zone"), "{detail}");
+                }
+                other => panic!("expected StackGuard, got {:?}", other.map(|_| ())),
+            }
+            assert_eq!(m.hardening_stats().stack_guard_trips, 1);
+            assert_eq!(t.snapshot().counts.stack_guard_trips, 1);
+        }
+
+        #[test]
+        fn double_free_trips_arena_guard() {
+            let t = Tracer::new(1);
+            t.enable();
+            let mut m = builder()
+                .method(Method::PieGlobals)
+                .guards(true)
+                .tracer(t.clone())
+                .build(Arc::new(|ctx: RankCtx| {
+                    let p = ctx.heap_alloc(64, 8);
+                    ctx.heap_free(p, 64);
+                    ctx.heap_free(p, 64);
+                }))
+                .unwrap();
+            match m.run() {
+                Err(RtsError::ArenaGuard { rank, detail }) => {
+                    assert_eq!(rank, 0);
+                    assert!(detail.contains("double free"), "{detail}");
+                }
+                other => panic!("expected ArenaGuard, got {:?}", other.map(|_| ())),
+            }
+            assert_eq!(m.hardening_stats().arena_guard_trips, 1);
+            assert_eq!(t.snapshot().counts.arena_guard_trips, 1);
+        }
+
+        #[test]
+        fn valid_free_and_reuse_pass_the_guard() {
+            let mut m = builder()
+                .method(Method::PieGlobals)
+                .guards(true)
+                .build(Arc::new(|ctx: RankCtx| {
+                    let p = ctx.heap_alloc(64, 8);
+                    unsafe { std::ptr::write_bytes(p, 7, 64) };
+                    ctx.heap_free(p, 64);
+                    let q = ctx.heap_alloc(64, 8);
+                    unsafe { std::ptr::write_bytes(q, 9, 64) };
+                    ctx.heap_free(q, 64);
+                }))
+                .unwrap();
+            let report = m.run().unwrap();
+            assert_eq!(report.hardening.arena_guard_trips, 0);
+            assert_eq!(report.hardening.stack_guard_trips, 0);
+        }
+
+        #[test]
+        fn use_after_free_detected_at_the_barrier() {
+            let t = Tracer::new(1);
+            t.enable();
+            let mut m = builder()
+                .method(Method::PieGlobals)
+                .guards(true)
+                .tracer(t.clone())
+                .build(Arc::new(|ctx: RankCtx| {
+                    let p = ctx.heap_alloc(64, 8);
+                    ctx.heap_free(p, 64);
+                    unsafe { *p = 1 }; // write through the stale pointer
+                    ctx.at_sync();
+                }))
+                .unwrap();
+            match m.run() {
+                Err(RtsError::ArenaGuard { rank, detail }) => {
+                    assert_eq!(rank, 0);
+                    assert!(detail.contains("use-after-free"), "{detail}");
+                }
+                other => panic!("expected ArenaGuard, got {:?}", other.map(|_| ())),
+            }
+            assert_eq!(t.snapshot().counts.arena_guard_trips, 1);
+        }
+
+        #[test]
+        fn cross_rank_segment_bleed_is_detected_and_attributed() {
+            let t = Tracer::new(1);
+            t.enable();
+            let mut m = builder()
+                .method(Method::PieGlobals)
+                .vp_ratio(2)
+                .guards(true)
+                .tracer(t.clone())
+                .build(Arc::new(|ctx: RankCtx| {
+                    ctx.yield_now();
+                }))
+                .unwrap();
+            m.corrupt_rank_segment(1);
+            match m.run() {
+                Err(RtsError::SegmentBleed { rank, writer }) => {
+                    assert_eq!(rank, 1, "rank 1's segment was dirtied");
+                    assert_eq!(writer, 0, "rank 0 held the PE when it was detected");
+                }
+                other => panic!("expected SegmentBleed, got {:?}", other.map(|_| ())),
+            }
+            assert_eq!(m.hardening_stats().segment_audits, 1);
+            assert_eq!(t.snapshot().counts.segment_audits, 1);
+        }
+
+        /// Guards are audited when a rank leaves its stack, not after every
+        /// command: a bleed between two posts is still caught, and still
+        /// pinned on the rank that held the PE.
+        #[test]
+        fn segment_bleed_between_two_posts_trips_the_guard_when_the_writer_parks() {
+            let victim = Arc::new(AtomicUsize::new(0));
+            let v = victim.clone();
+            let mut m = builder()
+                .method(Method::PieGlobals)
+                .vp_ratio(2)
+                .guards(true)
+                .build(Arc::new(move |ctx: RankCtx| {
+                    if ctx.rank() == 0 {
+                        let r = ctx.req_post_recv(MatchSpec::ANY);
+                        let p = v.load(Ordering::Relaxed) as *mut u8;
+                        unsafe { *p = (*p).wrapping_add(1) }; // rank 1's global
+                        let s = ctx.req_post_send(1, 0, Bytes::new());
+                        ctx.req_wait(vec![r, s], false, false);
+                        unreachable!("the writer is never resumed");
+                    }
+                }))
+                .unwrap();
+            let (base, _) = m
+                .shared.privatizers
+                .iter()
+                .find_map(|p| p.rank_data_segment(1))
+                .unwrap();
+            victim.store(base as usize, Ordering::Relaxed);
+            match m.run() {
+                Err(RtsError::SegmentBleed { rank: 1, writer: 0 }) => {}
+                other => panic!("expected SegmentBleed, got {:?}", other.map(|_| ())),
+            }
+            assert_eq!(m.hardening_stats().segment_audits, 1);
+        }
+
+        #[test]
+        fn red_zone_clobbered_in_a_post_loop_trips_the_stack_guard_when_the_rank_parks() {
+            let red_zone = Arc::new(AtomicUsize::new(0));
+            let z = red_zone.clone();
+            let mut m = builder()
+                .method(Method::PieGlobals)
+                .guards(true)
+                .build(Arc::new(move |ctx: RankCtx| {
+                    let mut ids = Vec::new();
+                    for i in 0..8 {
+                        ids.push(ctx.req_post_recv(MatchSpec::ANY));
+                        if i == 3 {
+                            // what a frame (the rank's, or a handler's on its
+                            // stack) does when it grows past the stack's base
+                            let base = z.load(Ordering::Relaxed) as *mut u64;
+                            unsafe { base.write(0xDEAD_DEAD) };
+                        }
+                    }
+                    ctx.req_wait(ids, false, false);
+                    unreachable!("an overflowed rank is never resumed");
+                }))
+                .unwrap();
+            red_zone.store(stack_region(&m, 0).0, Ordering::Relaxed);
+            match m.run() {
+                Err(RtsError::StackGuard { rank: 0, detail }) => {
+                    assert!(detail.contains("red zone"), "{detail}")
+                }
+                other => panic!("expected StackGuard, got {:?}", other.map(|_| ())),
+            }
+            assert_eq!(m.hardening_stats().stack_guard_trips, 1);
+        }
+
+        #[test]
+        fn guarded_run_stays_clean_and_audits_at_barriers() {
+            let t = Tracer::new(1);
+            t.enable();
+            let mut m = builder()
+                .method(Method::PieGlobals)
+                .vp_ratio(2)
+                .guards(true)
+                .tracer(t.clone())
+                .build(Arc::new(|ctx: RankCtx| {
+                    let me = ctx.rank();
+                    let acc = ctx.instance().access("my_rank");
+                    for _ in 0..2 {
+                        acc.write_u64(me as u64);
+                        ctx.yield_now();
+                        assert_eq!(acc.read_u64(), me as u64);
+                        ctx.at_sync();
+                    }
+                }))
+                .unwrap();
+            let report = m.run().unwrap();
+            assert_eq!(report.lb_steps, 2);
+            assert_eq!(report.hardening.segment_audits, 2, "one audit per barrier");
+            assert_eq!(report.hardening.stack_guard_trips, 0);
+            assert_eq!(report.hardening.arena_guard_trips, 0);
+            assert_reconciled(&report, &t);
+        }
+
+        #[test]
+        fn guards_survive_checkpoint_recovery_without_false_trips() {
+            // A soft fault scribbles all rank memory (segment copies and
+            // poisoned quarantine ranges included); recovery restores the
+            // checkpoint and reseeds the guard state, so no false trips fire.
+            let mut m = builder()
+                .method(Method::PieGlobals)
+                .vp_ratio(2)
+                .guards(true)
+                .checkpoint_period(1)
+                .inject_fault_at_lb_step(2)
+                .build(Arc::new(|ctx: RankCtx| {
+                    let p = ctx.heap_alloc(32, 8);
+                    ctx.heap_free(p, 32); // leaves a poisoned quarantine range
+                    let acc = ctx.instance().access("my_rank");
+                    for step in 0..3u64 {
+                        acc.write_u64(ctx.rank() as u64 + step);
+                        ctx.at_sync();
+                        assert_eq!(acc.read_u64(), ctx.rank() as u64 + step);
+                    }
+                }))
+                .unwrap();
+            let report = m.run().unwrap();
+            assert_eq!(report.faults.recoveries, 1);
+            assert_eq!(report.hardening.stack_guard_trips, 0);
+            assert_eq!(report.hardening.arena_guard_trips, 0);
+        }
+    };
+}
+#[cfg(test)]
+pub(crate) use guard_tests;
 
 #[cfg(test)]
 mod tests {
@@ -340,3 +608,4 @@ mod tests {
         }
     }
 }
+

@@ -99,20 +99,15 @@ pub struct GreedyLb;
 
 fn greedy_assign(stats: &LbStats) -> Vec<PeId> {
     let mut order: Vec<RankId> = (0..stats.loads.len()).collect();
-    order.sort_by(|&a, &b| {
-        stats.loads[b]
-            .partial_cmp(&stats.loads[a])
-            .unwrap()
-            .then(a.cmp(&b))
-    });
+    order.sort_by(|&a, &b| stats.loads[b].total_cmp(&stats.loads[a]).then(a.cmp(&b)));
+    debug_assert!(stats.n_pes > 0, "no PE to place ranks on");
     let mut pe_load = vec![0.0f64; stats.n_pes];
     let mut placement = vec![0; stats.loads.len()];
     for r in order {
-        let (pe, _) = pe_load
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap())
-            .unwrap();
+        let Some((pe, _)) = pe_load.iter().enumerate().min_by(|(_, a), (_, b)| a.total_cmp(b))
+        else {
+            break;
+        };
         placement[r] = pe;
         pe_load[pe] += stats.loads[r];
     }
@@ -154,32 +149,26 @@ fn refine(stats: &LbStats, start: &[PeId], tolerance: f64) -> Vec<PeId> {
         ranks_on[pe].push(r);
     }
 
+    debug_assert!(stats.n_pes > 0, "no PE to place ranks on");
     for _ in 0..stats.loads.len() * 4 {
-        // find most overloaded PE
-        let (src, &src_load) = match pe_load
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap())
-        {
-            Some(x) => x,
-            None => break,
+        // most overloaded PE (the last of equals), least loaded (the first)
+        let pes = || pe_load.iter().enumerate();
+        let (Some((src, &src_load)), Some((dst, &dst_load))) = (
+            pes().max_by(|(_, a), (_, b)| a.total_cmp(b)),
+            pes().min_by(|(_, a), (_, b)| a.total_cmp(b)),
+        ) else {
+            break;
         };
         if src_load <= threshold {
             break;
         }
-        // find least-loaded PE
-        let (dst, &dst_load) = pe_load
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap())
-            .unwrap();
         // heaviest rank on src that still helps (doesn't overshoot dst
         // past src's current load)
         let candidate = ranks_on[src]
             .iter()
             .copied()
             .filter(|&r| dst_load + stats.loads[r] < src_load)
-            .max_by(|&a, &b| stats.loads[a].partial_cmp(&stats.loads[b]).unwrap());
+            .max_by(|&a, &b| stats.loads[a].total_cmp(&stats.loads[b]));
         let Some(r) = candidate else { break };
         // move r: src → dst
         ranks_on[src].retain(|&x| x != r);
@@ -226,7 +215,7 @@ impl LoadBalancer for GreedyRefineLb {
         let mut movers: Vec<RankId> = (0..placement.len())
             .filter(|&r| placement[r] != stats.placement[r])
             .collect();
-        movers.sort_by(|&a, &b| stats.loads[a].partial_cmp(&stats.loads[b]).unwrap());
+        movers.sort_by(|&a, &b| stats.loads[a].total_cmp(&stats.loads[b]));
         for r in movers {
             let old_pe = stats.placement[r];
             let new_pe = placement[r];
@@ -290,12 +279,7 @@ impl LoadBalancer for CommLb {
             *traffic.entry(key).or_default() += bytes as f64;
         }
         let mut order: Vec<RankId> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            stats.loads[b]
-                .partial_cmp(&stats.loads[a])
-                .unwrap()
-                .then(a.cmp(&b))
-        });
+        order.sort_by(|&a, &b| stats.loads[b].total_cmp(&stats.loads[a]).then(a.cmp(&b)));
         let mut pe_load = vec![0.0f64; stats.n_pes];
         let mut placed: Vec<Option<PeId>> = vec![None; n];
         let avg = stats.loads.iter().sum::<f64>() / stats.n_pes as f64;
@@ -325,7 +309,7 @@ impl LoadBalancer for CommLb {
             placed[r] = Some(best_pe);
             pe_load[best_pe] += stats.loads[r];
         }
-        placed.into_iter().map(|p| p.unwrap()).collect()
+        placed.into_iter().flatten().collect()
     }
 }
 
@@ -446,6 +430,30 @@ mod tests {
             makespan <= 30.0,
             "affinity must not destroy balance: {new:?} makespan {makespan}"
         );
+    }
+
+    #[test]
+    fn strategies_break_ties_as_pinned() {
+        // Tied loads on every side: GreedyLB's order, RefineLB's source
+        // (the last most-loaded PE), destination (the first least-loaded)
+        // and candidate (the last heaviest rank), GreedyRefineLB's revert
+        // order and CommLB's affinity all meet equal values. The literals
+        // are the placements each strategy has always returned here.
+        let mut s = stats(vec![2.0, 1.0, 2.0, 1.0, 3.0, 1.0, 2.0, 0.5, 1.0], 3);
+        s.comm_bytes = vec![(0, 4, 1 << 20), (1, 7, 4 << 20), (2, 8, 2 << 20)];
+        let got: Vec<Vec<PeId>> = vec![
+            GreedyLb.rebalance(&s),
+            RefineLb::default().rebalance(&s),
+            GreedyRefineLb::default().rebalance(&s),
+            CommLb::default().rebalance(&s),
+        ];
+        let want: Vec<Vec<PeId>> = vec![
+            vec![1, 2, 2, 0, 0, 2, 1, 1, 0],
+            vec![0, 0, 0, 1, 1, 2, 2, 2, 2],
+            vec![1, 2, 2, 1, 0, 2, 1, 2, 0],
+            vec![1, 2, 2, 0, 0, 2, 1, 0, 2],
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -280,11 +280,13 @@ pub(crate) fn arena_trip_kind(v: &GuardViolation) -> ArenaTrip {
 /// [`MachineConfig::build`](crate::config::MachineConfig::build) (or the
 /// [`MachineBuilder`](crate::config::MachineBuilder) facade).
 pub struct Machine {
+    /// The lanes, one per PE for the whole run, and the loop that runs
+    /// them (`driver.rs`). Declared before `shared` so that it drops
+    /// first: the lanes hold the ranks, whose ULTs and memory must not
+    /// outlive the privatizers in `shared` that own their segments.
+    pub(crate) driver: Driver,
     /// What every lane reads and only barriers write.
     pub(crate) shared: Shared,
-    /// The lanes, one per PE for the whole run, and the loop that runs
-    /// them (`driver.rs`).
-    pub(crate) driver: Driver,
     pub(crate) balancer: Option<Box<dyn LoadBalancer>>,
     /// Every exact count of the run so far; `run` copies it into the
     /// [`RunReport`].
@@ -314,7 +316,7 @@ pub struct Machine {
 
 impl Machine {
     pub fn n_ranks(&self) -> usize {
-        self.shared.ranks.len()
+        self.shared.location.n_ranks()
     }
 
     pub fn n_pes(&self) -> usize {
@@ -389,7 +391,7 @@ impl Machine {
 
     /// Rank memory footprint (for reports/tests).
     pub fn rank_migration_bytes(&self, rank: RankId) -> usize {
-        self.shared.ranks[rank].migration_bytes()
+        self.rank(rank).migration_bytes()
     }
 
     /// Access a privatizer (e.g. for `pieglobalsfind` queries).
@@ -400,7 +402,7 @@ impl Machine {
     /// A rank's privatization instance (demos/tests: resolving the
     /// rank's view of a global from outside the rank).
     pub fn rank_instance(&self, rank: RankId) -> &Arc<pvr_privatize::RankInstance> {
-        &self.shared.ranks[rank].instance
+        &self.rank(rank).instance
     }
 
     /// Resolve a user reduction operator (encoded as a code-segment
@@ -464,7 +466,7 @@ impl Machine {
             });
         }
         let from_pe = self.shared.location.lookup(rank);
-        if self.shared.ranks[rank].status == RankStatus::Done {
+        if self.rank(rank).status == RankStatus::Done {
             return Err(RtsError::BadMigration {
                 rank,
                 detail: "rank already completed".into(),
@@ -495,9 +497,7 @@ impl Machine {
         self.refresh_stack_extent(rank);
         self.pack_rank_read_through(rank, include, &mut buf);
         let (bytes, stored_bytes) = (buf.len(), buf.stored_len());
-        let unpacked = self.shared.ranks[rank]
-            .memory
-            .unpack_into_with(&buf, include);
+        let unpacked = self.rank_mut(rank).memory.unpack_into_with(&buf, include);
         let real_time = t0.elapsed();
         self.migrate_buf = buf;
         // The stored ranges are data read back from the buffer: a round
@@ -510,8 +510,9 @@ impl Machine {
         let sim_cost = shared.network.cost(&shared.topology, from_pe, to_pe, bytes);
 
         self.place(rank, to_pe);
-        self.shared.ranks[rank].migrations += 1;
-        if self.shared.ranks[rank].status == RankStatus::Ready {
+        let state = self.rank_mut(rank);
+        state.migrations += 1;
+        if state.status == RankStatus::Ready {
             self.driver.lanes[from_pe]
                 .state
                 .ready
@@ -544,17 +545,19 @@ impl Machine {
 
     /// `rank` now lives on `pe` — the commit point of every move, in the
     /// two places that say where a rank is: the directory, and what
-    /// [`crate::RankCtx::my_pe`] reads — and its events follow it.
+    /// [`crate::RankCtx::my_pe`] reads — and its state and events follow
+    /// it into `pe`'s lane.
     pub(crate) fn place(&mut self, rank: RankId, pe: PeId) {
         let from = self.shared.location.lookup(rank);
         self.shared.location.update(rank, pe);
-        self.shared.ranks[rank]
-            .shared
-            .current_pe
-            .store(pe, Ordering::Relaxed);
         if from != pe {
+            let lanes = &mut self.driver.lanes;
+            let state = lanes[from].ranks.take(rank);
+            lanes[pe].ranks.put(rank, state);
             self.rehome_events(from);
         }
+        let current_pe = &self.rank(rank).shared.current_pe;
+        current_pe.store(pe, Ordering::Relaxed);
     }
 
     /// Bring `rank`'s stack extent up to date with its ULT's suspended
@@ -562,7 +565,7 @@ impl Machine {
     /// or restores the rank's memory as an image. Nobody else knows where
     /// a stack's live bytes end; the heap's extents keep themselves.
     pub(crate) fn refresh_stack_extent(&mut self, rank: RankId) -> Option<usize> {
-        let state = &mut self.shared.ranks[rank];
+        let state = self.rank_mut(rank);
         let sp = state.ult.as_ref().and_then(|u| u.suspended_sp());
         state.memory.set_stack_live(sp);
         sp
@@ -585,7 +588,7 @@ impl Machine {
             .privatizers
             .iter()
             .find_map(|p| p.cow_segment_snapshot(rank));
-        self.shared.ranks[rank]
+        self.rank(rank)
             .memory
             .pack_with_sources_into(out, include, |reg| {
                 let (_, bytes) = snap.take_if(|(seg_base, _)| reg.base() as usize == *seg_base)?;
@@ -683,6 +686,12 @@ pub(crate) mod tests {
     pub(crate) fn restore_skips_heap() -> bool {
         RESTORE_SKIPS_HEAP.with(|m| m.get())
     }
+
+    // Each protocol's machine-level tests, written beside it.
+    crate::checkpoint::checkpoint_tests!();
+    crate::command::handler_tests!();
+    crate::config::startup_tests!();
+    crate::guards::guard_tests!();
 
     #[test]
     fn single_rank_runs_to_completion() {
@@ -961,19 +970,19 @@ pub(crate) mod tests {
         // wrong tag, wrong source: buffered, the rank stays suspended
         m.deposit(RtsMessage::new(1, 0, 8, Bytes::new()));
         m.deposit(RtsMessage::new(0, 0, 9, Bytes::new()));
-        assert_eq!(m.shared.ranks[0].status, RankStatus::Waiting);
-        assert_eq!(m.shared.ranks[0].matcher.buffered(), 2);
+        assert_eq!(m.rank(0).status, RankStatus::Waiting);
+        assert_eq!(m.rank(0).matcher.buffered(), 2);
         // the suspended receive moves with the rank
         m.migrate_now(0, 1).unwrap();
         m.deposit(RtsMessage::new(1, 0, 7, Bytes::new()));
-        assert_eq!(m.shared.ranks[0].status, RankStatus::Waiting);
+        assert_eq!(m.rank(0).status, RankStatus::Waiting);
         assert_eq!(
             m.driver.lanes[1].state.ready,
             [1],
             "not requeued by arrivals it rejects"
         );
         m.deposit(RtsMessage::new(1, 0, 9, Bytes::from_static(b"wanted")));
-        assert_eq!(m.shared.ranks[0].status, RankStatus::Ready);
+        assert_eq!(m.rank(0).status, RankStatus::Ready);
         assert_eq!(
             m.driver.lanes[1].state.ready,
             [1, 0],
@@ -1090,32 +1099,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn startup_reports_costs() {
-        let m = builder()
-            .method(Method::FsGlobals)
-            .vp_ratio(4)
-            .build(Arc::new(|_ctx: RankCtx| {}))
-            .unwrap();
-        assert!(m.simulated_startup_cost() > Duration::ZERO);
-        assert!(m.per_rank_copied_bytes() > 0);
-    }
-
-    #[test]
-    fn pip_namespace_exhaustion_at_build_time() {
-        // 16 VPs on one PE needs 16 namespaces: stock glibc caps at 12.
-        let err = builder()
-            .method(Method::PipGlobals)
-            .vp_ratio(16)
-            .build(Arc::new(|_ctx: RankCtx| {}));
-        match err {
-            Err(ConfigError::Startup(PrivatizeError::Dl(
-                pvr_progimage::DlError::NamespaceExhausted { .. },
-            ))) => {}
-            other => panic!("expected namespace exhaustion, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    #[test]
     fn wildcard_timer_monotone() {
         let mut m = builder()
             .clock(ClockMode::Virtual)
@@ -1204,778 +1187,14 @@ pub(crate) mod tests {
         );
     }
 
-    #[test]
-    fn checkpoint_restart_recovers_from_soft_fault() {
-        use parking_lot::Mutex;
-        // A checkpoint-compliant body: cross-sync state lives in the rank
-        // heap and in stack scalars (as Isomalloc requires), and the
-        // network is quiescent at every sync point.
-        let finals: Arc<Mutex<Vec<(usize, f64, f64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let body_for = |finals: Arc<Mutex<Vec<(usize, f64, f64)>>>| -> Arc<dyn Fn(RankCtx) + Send + Sync> {
-            Arc::new(move |ctx: RankCtx| {
-                let data = ctx.heap_alloc_f64s(64);
-                let mut acc: f64 = ctx.rank() as f64 + 1.0;
-                for step in 0..6u64 {
-                    for v in data.iter_mut() {
-                        *v += acc;
-                    }
-                    // lock-step ring exchange (fully drained before sync)
-                    let partner = (ctx.rank() + 1) % ctx.n_ranks();
-                    ctx.send(
-                        partner,
-                        step,
-                        bytes::Bytes::copy_from_slice(&acc.to_le_bytes()),
-                    );
-                    let m = ctx.recv();
-                    acc = acc * 1.25 + f64::from_le_bytes(m.payload[..8].try_into().unwrap());
-                    ctx.at_sync();
-                }
-                let sum: f64 = data.iter().sum();
-                finals.lock().push((ctx.rank(), acc, sum));
-            })
-        };
-
-        // reference run: no faults
-        let f1 = finals.clone();
-        let mut m = builder()
-            .method(Method::PieGlobals)
-            .topology(Topology::non_smp(2))
-            .vp_ratio(2)
-            .checkpoint_period(1)
-            .build(body_for(f1))
-            .unwrap();
-        m.run().unwrap();
-        let mut reference = finals.lock().clone();
-        reference.sort_by_key(|a| a.0);
-        finals.lock().clear();
-        let (ckpts, recov) = m.fault_tolerance_stats();
-        assert!(ckpts >= 5);
-        assert_eq!(recov, 0);
-
-        // faulty run: memory scribbled at LB step 3, recovered from the
-        // step-3 checkpoint, recomputes forward
-        let f2 = finals.clone();
-        let mut m = builder()
-            .method(Method::PieGlobals)
-            .topology(Topology::non_smp(2))
-            .vp_ratio(2)
-            .checkpoint_period(1)
-            .inject_fault_at_lb_step(3)
-            .build(body_for(f2))
-            .unwrap();
-        m.run().unwrap();
-        let (_, recov) = m.fault_tolerance_stats();
-        assert_eq!(recov, 1, "the injected fault must trigger one recovery");
-        let mut faulty = finals.lock().clone();
-        faulty.sort_by_key(|a| a.0);
-        assert_eq!(
-            faulty, reference,
-            "recovered run must produce identical results"
-        );
-        finals.lock().clear();
-
-        // The same fault with a restore that leaves the heap out must
-        // not pass: the fault really took the heap (before `scribble_rank`
-        // it never did, and this same-step rollback could not tell).
-        let f3 = finals.clone();
-        let mut m = builder()
-            .method(Method::PieGlobals)
-            .topology(Topology::non_smp(2))
-            .vp_ratio(2)
-            .checkpoint_period(1)
-            .inject_fault_at_lb_step(3)
-            .build(body_for(f3))
-            .unwrap();
-        RESTORE_SKIPS_HEAP.with(|s| s.set(true));
-        let ran = m.run();
-        RESTORE_SKIPS_HEAP.with(|s| s.set(false));
-        ran.unwrap();
-        let mut mutant = finals.lock().clone();
-        mutant.sort_by_key(|a| a.0);
-        assert_ne!(mutant, reference, "a heap-skipping restore went unnoticed");
-    }
-
-    #[test]
-    fn scribble_takes_the_live_extents_and_nothing_else() {
-        let mut m = builder()
-            .guards(true)
-            .build(Arc::new(|ctx: RankCtx| {
-                let data = ctx.heap_alloc_f64s(100);
-                data.fill(1.5);
-                let _ = ctx.recv();
-            }))
-            .unwrap();
-        m.drive_rank(0).unwrap();
-        let sp = m.shared.ranks[0]
-            .ult
-            .as_ref()
-            .unwrap()
-            .suspended_sp()
-            .expect("parked in recv");
-        m.scribble_rank(0);
-        let memory = &m.shared.ranks[0].memory;
-        let chunk = memory.heap_ref().regions().next().expect("one heap chunk");
-        let hwm = chunk.live().end;
-        assert!(hwm >= 800 && hwm < chunk.len());
-        assert!(chunk.as_slice()[..hwm].iter().all(|&b| b == 0xDE), "the heap is lost with the rank");
-        assert!(chunk.as_slice()[hwm..].iter().all(|&b| b == 0), "never handed out: not state");
-        let stack = memory.regions().find(|r| r.kind() == RegionKind::Stack).unwrap();
-        let at = sp - stack.base() as usize;
-        assert_eq!(stack.live(), at - 128..stack.len());
-        assert!(stack.as_slice()[at - 128..].iter().all(|&b| b == 0xDE), "frames and red zone");
-        assert!(stack.as_slice()[..at - 128].iter().any(|&b| b != 0xDE), "dead stack left alone");
-        let ult = m.shared.ranks[0].ult.as_ref().unwrap();
-        assert!(ult.check_stack_guard().is_ok(), "the canaries at the base are not rank state");
-        // the frames are gone: never resume or unwind this ULT
-        m.abandon_ranks(&[0]);
-    }
-
-    #[test]
-    fn fault_without_checkpoint_is_an_error() {
-        // caught at build time now: a fault schedule with no checkpoint
-        // period can never recover, so the configuration is rejected
-        // before any rank runs
-        match builder()
-            .vp_ratio(2)
-            .method(Method::PieGlobals)
-            .inject_fault_at_lb_step(1)
-            .build(Arc::new(|ctx: RankCtx| {
-                ctx.at_sync();
-            })) {
-            Err(ConfigError::Invalid { detail }) => {
-                assert!(detail.contains("checkpoint_period"), "{detail}")
-            }
-            other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    #[test]
-    fn pe_failure_without_checkpoint_is_an_error() {
-        match builder()
-            .clock(ClockMode::Virtual)
-            .topology(Topology::non_smp(2))
-            .inject_pe_failure_at_lb_step(1, 1)
-            .build(Arc::new(|ctx: RankCtx| {
-                ctx.at_sync();
-            })) {
-            Err(ConfigError::Invalid { detail }) => {
-                assert!(detail.contains("checkpoint_period"), "{detail}")
-            }
-            other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    #[test]
-    fn pe_failure_target_must_exist() {
-        match builder()
-            .clock(ClockMode::Virtual)
-            .topology(Topology::non_smp(2))
-            .checkpoint_period(1)
-            .inject_pe_failure_at_lb_step(1, 7)
-            .build(Arc::new(|ctx: RankCtx| {
-                ctx.at_sync();
-            })) {
-            Err(ConfigError::Invalid { detail }) => {
-                assert!(detail.contains("out of range"), "{detail}")
-            }
-            other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    #[test]
-    fn fault_plan_requires_virtual_clock() {
-        use pvr_des::FaultPlan;
-        let net = NetworkModel::infiniband().with_faults(FaultPlan::lossy_internode(1, 0.1, 0.0));
-        match builder()
-            .network(net)
-            .checkpoint_period(1)
-            .build(Arc::new(|_ctx: RankCtx| {})) {
-            Err(ConfigError::Invalid { detail }) => {
-                assert!(detail.contains("Virtual"), "{detail}")
-            }
-            other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    #[test]
-    fn fallback_degrades_pip_to_fs_and_matches_direct_run() {
-        // The acceptance scenario: PIPglobals requested with 16 ranks per
-        // process on stock glibc (12-namespace budget). With the fallback
-        // chain on, the probe rates PIPglobals resource-limited, degrades
-        // to FSglobals, and the run completes with results bit-identical
-        // to a direct FSglobals run.
-        let body_for = |sink: Arc<Mutex<Vec<(usize, u64)>>>| -> Arc<dyn Fn(RankCtx) + Send + Sync> {
-            Arc::new(move |ctx: RankCtx| {
-                let me = ctx.rank();
-                let acc = ctx.instance().access("my_rank");
-                acc.write_u64(me as u64 * 3 + 1);
-                ctx.yield_now();
-                sink.lock().push((me, acc.read_u64()));
-            })
-        };
-        let run = |fallback: bool, method: Method| {
-            let out: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-            let t = Tracer::new(1);
-            t.enable();
-            let mut b = builder().method(method).vp_ratio(16).tracer(t.clone());
-            if fallback {
-                b = b.fallback(true);
-            }
-            let mut m = b.build(body_for(out.clone())).unwrap();
-            let report = m.run().unwrap();
-            assert_reconciled(&report, &t);
-            let landed = m.method();
-            let mut v = out.lock().clone();
-            v.sort();
-            (landed, report, v)
-        };
-        let (landed, report, results) = run(true, Method::PipGlobals);
-        assert_eq!(landed, Method::FsGlobals);
-        assert_eq!(report.method_requested, Method::PipGlobals);
-        assert_eq!(report.method_landed, Method::FsGlobals);
-        assert_eq!(report.hardening.probes, 3, "pip, fs, pie each probed");
-        assert_eq!(report.hardening.fallbacks, 1);
-        assert_eq!(results.len(), 16);
-        let (direct_landed, direct_report, direct_results) = run(false, Method::FsGlobals);
-        assert_eq!(direct_landed, Method::FsGlobals);
-        assert!(direct_report.hardening.is_clean(), "strict mode probes nothing");
-        assert_eq!(
-            results, direct_results,
-            "degraded run must be bit-identical to the direct FSglobals run"
-        );
-    }
-
-    #[test]
-    fn midstartup_fs_failure_degrades_and_cleans_up() {
-        // The probe passes (unbounded FS) but the injected write budget
-        // runs dry at rank 2's copy: mid-startup degradation tears the
-        // FSglobals attempt down (no leaked copies), skips the
-        // probe-infeasible PIPglobals, and lands on PIEglobals.
-        let fs = Arc::new(Mutex::new(SharedFs::new()));
-        fs.lock().fail_writes_after(3); // deploy + 2 rank copies, then NoSpace
-        let t = Tracer::new(1);
-        t.enable();
-        let mut m = builder()
-            .method(Method::FsGlobals)
-            .shared_fs(Some(fs.clone()))
-            .vp_ratio(16)
-            .fallback(true)
-            .tracer(t.clone())
-            .build(Arc::new(|_ctx: RankCtx| {}))
-            .unwrap();
-        assert_eq!(m.method_requested(), Method::FsGlobals);
-        assert_eq!(m.method(), Method::PieGlobals);
-        assert_eq!(fs.lock().file_count(), 0, "failed attempt must delete its copies");
-        assert_eq!(fs.lock().bytes_used(), 0);
-        let report = m.run().unwrap();
-        let h = m.hardening_stats();
-        assert_eq!(h.probes, 3);
-        assert_eq!(h.fallbacks, 2, "fs (mid-startup) -> pip (probe) -> pie");
-        assert_eq!(report.hardening, h);
-        assert_reconciled(&report, &t);
-    }
-
-    #[test]
-    fn fallback_exhaustion_reports_every_failure() {
-        // FS capped so FSglobals can't fit, 16 ranks so PIPglobals can't
-        // either, and a chain without PIEglobals: nothing lands.
-        let fs = Arc::new(Mutex::new(SharedFs::with_capacity(1024)));
-        match builder()
-            .method(Method::PipGlobals)
-            .shared_fs(Some(fs))
-            .vp_ratio(16)
-            .fallback_chain(vec![Method::FsGlobals])
-            .build(Arc::new(|_ctx: RankCtx| {}))
-        {
-            Err(ConfigError::NoFeasibleMethod { detail }) => {
-                assert!(detail.contains("pipglobals"), "{detail}");
-                assert!(detail.contains("fsglobals"), "{detail}");
-            }
-            other => panic!("expected NoFeasibleMethod, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    #[test]
-    fn guards_rejected_for_unprivatized_method() {
-        match builder()
-            .method(Method::Unprivatized)
-            .guards(true)
-            .build(Arc::new(|_ctx: RankCtx| {}))
-        {
-            Err(ConfigError::Invalid { detail }) => {
-                assert!(detail.contains("guards"), "{detail}")
-            }
-            other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    #[test]
-    fn fallback_chain_rejects_env_unsupported_entry() {
-        // Swapglobals can never run under the default (bridges2)
-        // toolchain: naming it as a backup is a configuration error.
-        match builder()
-            .method(Method::PieGlobals)
-            .fallback_chain(vec![Method::Swapglobals])
-            .build(Arc::new(|_ctx: RankCtx| {}))
-        {
-            Err(ConfigError::Invalid { detail }) => {
-                assert!(detail.contains("fallback_chain"), "{detail}");
-                assert!(detail.contains("swapglobals"), "{detail}");
-            }
-            other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    #[test]
-    fn empty_fallback_chain_rejected() {
-        match builder()
-            .fallback_chain(vec![])
-            .build(Arc::new(|_ctx: RankCtx| {}))
-        {
-            Err(ConfigError::Invalid { detail }) => {
-                assert!(detail.contains("fallback_chain"), "{detail}")
-            }
-            other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    #[test]
-    fn scribbled_stack_trips_guard_with_clean_error() {
-        let t = Tracer::new(1);
-        t.enable();
-        let mut m = builder()
-            .method(Method::PieGlobals)
-            .guards(true)
-            .tracer(t.clone())
-            .build(Arc::new(|ctx: RankCtx| {
-                ctx.yield_now();
-            }))
-            .unwrap();
-        m.corrupt_rank_stack(0);
-        match m.run() {
-            Err(RtsError::StackGuard { rank, detail }) => {
-                assert_eq!(rank, 0);
-                assert!(detail.contains("red zone"), "{detail}");
-            }
-            other => panic!("expected StackGuard, got {:?}", other.map(|_| ())),
-        }
-        assert_eq!(m.hardening_stats().stack_guard_trips, 1);
-        assert_eq!(t.snapshot().counts.stack_guard_trips, 1);
-    }
-
-    #[test]
-    fn double_free_trips_arena_guard() {
-        let t = Tracer::new(1);
-        t.enable();
-        let mut m = builder()
-            .method(Method::PieGlobals)
-            .guards(true)
-            .tracer(t.clone())
-            .build(Arc::new(|ctx: RankCtx| {
-                let p = ctx.heap_alloc(64, 8);
-                ctx.heap_free(p, 64);
-                ctx.heap_free(p, 64);
-            }))
-            .unwrap();
-        match m.run() {
-            Err(RtsError::ArenaGuard { rank, detail }) => {
-                assert_eq!(rank, 0);
-                assert!(detail.contains("double free"), "{detail}");
-            }
-            other => panic!("expected ArenaGuard, got {:?}", other.map(|_| ())),
-        }
-        assert_eq!(m.hardening_stats().arena_guard_trips, 1);
-        assert_eq!(t.snapshot().counts.arena_guard_trips, 1);
-    }
-
-    #[test]
-    fn valid_free_and_reuse_pass_the_guard() {
-        let mut m = builder()
-            .method(Method::PieGlobals)
-            .guards(true)
-            .build(Arc::new(|ctx: RankCtx| {
-                let p = ctx.heap_alloc(64, 8);
-                unsafe { std::ptr::write_bytes(p, 7, 64) };
-                ctx.heap_free(p, 64);
-                let q = ctx.heap_alloc(64, 8);
-                unsafe { std::ptr::write_bytes(q, 9, 64) };
-                ctx.heap_free(q, 64);
-            }))
-            .unwrap();
-        let report = m.run().unwrap();
-        assert_eq!(report.hardening.arena_guard_trips, 0);
-        assert_eq!(report.hardening.stack_guard_trips, 0);
-    }
-
-    #[test]
-    fn use_after_free_detected_at_the_barrier() {
-        let t = Tracer::new(1);
-        t.enable();
-        let mut m = builder()
-            .method(Method::PieGlobals)
-            .guards(true)
-            .tracer(t.clone())
-            .build(Arc::new(|ctx: RankCtx| {
-                let p = ctx.heap_alloc(64, 8);
-                ctx.heap_free(p, 64);
-                unsafe { *p = 1 }; // write through the stale pointer
-                ctx.at_sync();
-            }))
-            .unwrap();
-        match m.run() {
-            Err(RtsError::ArenaGuard { rank, detail }) => {
-                assert_eq!(rank, 0);
-                assert!(detail.contains("use-after-free"), "{detail}");
-            }
-            other => panic!("expected ArenaGuard, got {:?}", other.map(|_| ())),
-        }
-        assert_eq!(t.snapshot().counts.arena_guard_trips, 1);
-    }
-
-    #[test]
-    fn cross_rank_segment_bleed_is_detected_and_attributed() {
-        let t = Tracer::new(1);
-        t.enable();
-        let mut m = builder()
-            .method(Method::PieGlobals)
-            .vp_ratio(2)
-            .guards(true)
-            .tracer(t.clone())
-            .build(Arc::new(|ctx: RankCtx| {
-                ctx.yield_now();
-            }))
-            .unwrap();
-        m.corrupt_rank_segment(1);
-        match m.run() {
-            Err(RtsError::SegmentBleed { rank, writer }) => {
-                assert_eq!(rank, 1, "rank 1's segment was dirtied");
-                assert_eq!(writer, 0, "rank 0 held the PE when it was detected");
-            }
-            other => panic!("expected SegmentBleed, got {:?}", other.map(|_| ())),
-        }
-        assert_eq!(m.hardening_stats().segment_audits, 1);
-        assert_eq!(t.snapshot().counts.segment_audits, 1);
-    }
-
     /// Base address and length of `rank`'s ULT stack region.
     fn stack_region(m: &Machine, rank: RankId) -> (usize, usize) {
-        m.shared.ranks[rank]
+        m.rank(rank)
             .memory
             .regions()
             .find(|reg| reg.kind() == RegionKind::Stack)
             .map(|reg| (reg.base_mut() as usize, reg.len()))
             .expect("every rank has a stack region")
-    }
-
-    /// Guards are audited when a rank leaves its stack, not after every
-    /// command: a bleed between two posts is still caught, and still
-    /// pinned on the rank that held the PE.
-    #[test]
-    fn segment_bleed_between_two_posts_trips_the_guard_when_the_writer_parks() {
-        let victim = Arc::new(AtomicUsize::new(0));
-        let v = victim.clone();
-        let mut m = builder()
-            .method(Method::PieGlobals)
-            .vp_ratio(2)
-            .guards(true)
-            .build(Arc::new(move |ctx: RankCtx| {
-                if ctx.rank() == 0 {
-                    let r = ctx.req_post_recv(MatchSpec::ANY);
-                    let p = v.load(Ordering::Relaxed) as *mut u8;
-                    unsafe { *p = (*p).wrapping_add(1) }; // rank 1's global
-                    let s = ctx.req_post_send(1, 0, Bytes::new());
-                    ctx.req_wait(vec![r, s], false, false);
-                    unreachable!("the writer is never resumed");
-                }
-            }))
-            .unwrap();
-        let (base, _) = m
-            .shared.privatizers
-            .iter()
-            .find_map(|p| p.rank_data_segment(1))
-            .unwrap();
-        victim.store(base as usize, Ordering::Relaxed);
-        match m.run() {
-            Err(RtsError::SegmentBleed { rank: 1, writer: 0 }) => {}
-            other => panic!("expected SegmentBleed, got {:?}", other.map(|_| ())),
-        }
-        assert_eq!(m.hardening_stats().segment_audits, 1);
-    }
-
-    #[test]
-    fn red_zone_clobbered_in_a_post_loop_trips_the_stack_guard_when_the_rank_parks() {
-        let red_zone = Arc::new(AtomicUsize::new(0));
-        let z = red_zone.clone();
-        let mut m = builder()
-            .method(Method::PieGlobals)
-            .guards(true)
-            .build(Arc::new(move |ctx: RankCtx| {
-                let mut ids = Vec::new();
-                for i in 0..8 {
-                    ids.push(ctx.req_post_recv(MatchSpec::ANY));
-                    if i == 3 {
-                        // what a frame (the rank's, or a handler's on its
-                        // stack) does when it grows past the stack's base
-                        let base = z.load(Ordering::Relaxed) as *mut u64;
-                        unsafe { base.write(0xDEAD_DEAD) };
-                    }
-                }
-                ctx.req_wait(ids, false, false);
-                unreachable!("an overflowed rank is never resumed");
-            }))
-            .unwrap();
-        red_zone.store(stack_region(&m, 0).0, Ordering::Relaxed);
-        match m.run() {
-            Err(RtsError::StackGuard { rank: 0, detail }) => {
-                assert!(detail.contains("red zone"), "{detail}")
-            }
-            other => panic!("expected StackGuard, got {:?}", other.map(|_| ())),
-        }
-        assert_eq!(m.hardening_stats().stack_guard_trips, 1);
-    }
-
-    /// A command that fails on the rank's stack ends the run exactly as
-    /// one that failed in the scheduler did: the rank is not resumed, and
-    /// both engines pick the same error among the lanes that raised one
-    /// (both at the first event, so the lower PE's).
-    #[test]
-    fn handler_error_mid_slice_stops_the_rank_and_both_engines_pick_the_same_error() {
-        let mut picked = Vec::new();
-        for par in [Parallelism::Serial, Parallelism::Threads(2)] {
-            let reached = Arc::new([const { AtomicUsize::new(0) }; 2]);
-            let resumed = Arc::new(AtomicUsize::new(0));
-            let (at, after) = (reached.clone(), resumed.clone());
-            let mut m = builder()
-                .clock(ClockMode::Virtual)
-                .topology(Topology::non_smp(2))
-                .parallelism(par)
-                .build(Arc::new(move |ctx: RankCtx| {
-                    ctx.compute(SimDuration::from_micros(5));
-                    at[ctx.rank()].store(1, Ordering::Relaxed);
-                    if ctx.rank() == 0 {
-                        // default cap 1024: the 1 025th open request
-                        for _ in 0..=1024 {
-                            ctx.req_post_recv(MatchSpec::ANY);
-                        }
-                    } else {
-                        let mut not_from_the_heap = 0u64;
-                        ctx.heap_free(&mut not_from_the_heap as *mut u64 as *mut u8, 8);
-                    }
-                    after.fetch_add(1, Ordering::Relaxed);
-                }))
-                .unwrap();
-            let err = m.run().map(|_| ()).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    RtsError::RequestOverflow {
-                        rank: 0,
-                        outstanding: 1024,
-                        limit: 1024
-                    }
-                ),
-                "{par:?}: {err:?}"
-            );
-            assert_eq!(m.tallies.req.recv_posts, 1024, "{par:?}");
-            assert_eq!(m.hardening_stats().arena_guard_trips, 1, "{par:?}");
-            for r in 0..2 {
-                assert_eq!(reached[r].load(Ordering::Relaxed), 1, "{par:?}: rank {r} ran");
-            }
-            drop(m); // cancels the two suspended ULTs
-            assert_eq!(resumed.load(Ordering::Relaxed), 0, "{par:?}");
-            picked.push(format!("{err:?}"));
-        }
-        assert_eq!(picked[0], picked[1]);
-    }
-
-    /// Roughly the caller's stack pointer: the address of a local one
-    /// small frame below it.
-    #[inline(never)]
-    fn sp_here() -> usize {
-        let here = 0u8;
-        std::hint::black_box(&here) as *const u8 as usize
-    }
-
-    /// Handlers run on the rank's stack, so the deepest of them must fit
-    /// the smallest stack a configuration may ask for and leave the rank
-    /// its own frames. The deepest are the reliable sends: a `send` or
-    /// `isend` to self under a lossy plan with tracing on (seal, fault
-    /// decisions, duplicate copy, retransmit timer, trace records).
-    /// `MachineBuilder::stack_size` quotes the figures this prints.
-    #[test]
-    fn deepest_handler_fits_the_smallest_stack() {
-        use crate::config::MIN_STACK_SIZE;
-        use pvr_des::{FaultParams, FaultPlan, HopClass};
-        let caller_sp = Arc::new(AtomicUsize::new(0));
-        let sp = caller_sp.clone();
-        let t = Tracer::new(1);
-        t.enable();
-        let plan = FaultPlan::new(3).with_class(
-            HopClass::IntraProcess,
-            FaultParams {
-                drop_p: 0.2,
-                dup_p: 0.5,
-                corrupt_p: 0.2,
-                jitter_max: SimDuration::from_nanos(500),
-            },
-        );
-        let mut m = builder()
-            .clock(ClockMode::Virtual)
-            .network(NetworkModel::ideal().with_faults(plan))
-            .tracer(t)
-            .stack_size(MIN_STACK_SIZE)
-            .build(Arc::new(move |ctx: RankCtx| {
-                sp.store(sp_here(), Ordering::Relaxed);
-                for tag in 0..32 {
-                    let r = ctx.req_post_recv(MatchSpec::ANY);
-                    let s = ctx.req_post_send(0, tag, Bytes::from(vec![7u8; 256]));
-                    ctx.send(0, tag, Bytes::from(vec![7u8; 256]));
-                    ctx.req_test(vec![r, s], false);
-                    ctx.try_recv();
-                    ctx.compute(SimDuration::from_nanos(10));
-                    let p = ctx.heap_alloc(64, 8);
-                    ctx.heap_free(p, 64);
-                    ctx.req_wait(vec![r], false, false);
-                }
-            }))
-            .unwrap();
-        let (base, len) = stack_region(&m, 0);
-        m.run().unwrap();
-        // the region starts zeroed: the lowest word ever written is how
-        // deep the calls below the body reached
-        let words = unsafe { std::slice::from_raw_parts(base as *const u64, len / 8) };
-        let lowest = base + 8 * words.iter().position(|&w| w != 0).unwrap();
-        let depth = caller_sp.load(Ordering::Relaxed) - lowest;
-        eprintln!("deepest handler: {depth} bytes below its caller");
-        assert!(
-            depth <= MIN_STACK_SIZE / 2,
-            "handlers reach {depth} bytes below their caller: over half the {MIN_STACK_SIZE}-byte floor"
-        );
-    }
-
-    /// What used to be `expect`s and `panic!`s between rank and scheduler
-    /// is the one typed error: a parked receive resumed with no message,
-    /// and a body that yields behind the runtime's back.
-    #[test]
-    fn rank_and_scheduler_disagreeing_is_a_protocol_error_not_a_panic() {
-        let mut m = builder()
-            .vp_ratio(2)
-            .build(Arc::new(|ctx: RankCtx| match ctx.rank() {
-                0 => drop(ctx.recv()),
-                _ => pvr_ult::yield_now(),
-            }))
-            .unwrap();
-        assert!(matches!(m.run_rank_slice(0), Ok(StopReason::BlockedRecv)));
-        for (rank, what) in [(0, "RecvMatch"), (1, "without issuing a command")] {
-            match m.run_rank_slice(rank) {
-                Err(RtsError::Protocol { rank: r, detail }) => {
-                    assert_eq!(r, rank);
-                    assert!(detail.contains(what), "{detail}");
-                }
-                other => panic!("expected Protocol, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn rank_ctx_on_a_foreign_thread_panics_instead_of_racing() {
-        let mut m = builder()
-            .build(Arc::new(|ctx: RankCtx| {
-                let stray = ctx.clone();
-                let sent = std::thread::spawn(move || stray.send(0, 0, Bytes::new())).join();
-                if let Err(p) = sent {
-                    std::panic::resume_unwind(p);
-                }
-            }))
-            .unwrap();
-        match m.run() {
-            Err(RtsError::RankPanicked { rank: 0, message }) => {
-                assert!(message.contains("outside a rank's ULT"), "{message}")
-            }
-            other => panic!("expected RankPanicked, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    #[test]
-    fn rank_ctx_used_after_the_run_panics_cleanly() {
-        let kept = Arc::new(Mutex::new(None));
-        let k = kept.clone();
-        let mut m = builder()
-            .build(Arc::new(move |ctx: RankCtx| *k.lock() = Some(ctx)))
-            .unwrap();
-        m.run().unwrap();
-        let ctx = kept.lock().take().unwrap();
-        // from a plain thread: not in a ULT
-        let stale = ctx.clone();
-        let plain = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            stale.compute(SimDuration::from_nanos(1))
-        }));
-        assert!(plain.is_err());
-        // from some other ULT: in a ULT, but its rank is not running
-        let mut other = pvr_ult::Ult::new(64 * 1024, move || ctx.send(0, 0, Bytes::new()));
-        match other.try_resume() {
-            Err(pvr_ult::ResumeError::Panicked(p)) => {
-                let message = p.downcast_ref::<String>().cloned().unwrap_or_default();
-                assert!(message.contains("not running"), "{message}");
-            }
-            _ => panic!("a stale RankCtx must panic, not run"),
-        }
-    }
-
-    #[test]
-    fn guarded_run_stays_clean_and_audits_at_barriers() {
-        let t = Tracer::new(1);
-        t.enable();
-        let mut m = builder()
-            .method(Method::PieGlobals)
-            .vp_ratio(2)
-            .guards(true)
-            .tracer(t.clone())
-            .build(Arc::new(|ctx: RankCtx| {
-                let me = ctx.rank();
-                let acc = ctx.instance().access("my_rank");
-                for _ in 0..2 {
-                    acc.write_u64(me as u64);
-                    ctx.yield_now();
-                    assert_eq!(acc.read_u64(), me as u64);
-                    ctx.at_sync();
-                }
-            }))
-            .unwrap();
-        let report = m.run().unwrap();
-        assert_eq!(report.lb_steps, 2);
-        assert_eq!(report.hardening.segment_audits, 2, "one audit per barrier");
-        assert_eq!(report.hardening.stack_guard_trips, 0);
-        assert_eq!(report.hardening.arena_guard_trips, 0);
-        assert_reconciled(&report, &t);
-    }
-
-    #[test]
-    fn guards_survive_checkpoint_recovery_without_false_trips() {
-        // A soft fault scribbles all rank memory (segment copies and
-        // poisoned quarantine ranges included); recovery restores the
-        // checkpoint and reseeds the guard state, so no false trips fire.
-        let mut m = builder()
-            .method(Method::PieGlobals)
-            .vp_ratio(2)
-            .guards(true)
-            .checkpoint_period(1)
-            .inject_fault_at_lb_step(2)
-            .build(Arc::new(|ctx: RankCtx| {
-                let p = ctx.heap_alloc(32, 8);
-                ctx.heap_free(p, 32); // leaves a poisoned quarantine range
-                let acc = ctx.instance().access("my_rank");
-                for step in 0..3u64 {
-                    acc.write_u64(ctx.rank() as u64 + step);
-                    ctx.at_sync();
-                    assert_eq!(acc.read_u64(), ctx.rank() as u64 + step);
-                }
-            }))
-            .unwrap();
-        let report = m.run().unwrap();
-        assert_eq!(report.faults.recoveries, 1);
-        assert_eq!(report.hardening.stack_guard_trips, 0);
-        assert_eq!(report.hardening.arena_guard_trips, 0);
     }
 
     #[test]

@@ -225,7 +225,7 @@ impl Machine {
         self.shared
             .location
             .residents(pe)
-            .map(|r| self.shared.ranks[r].load_since_lb)
+            .map(|r| self.rank(r).load_since_lb)
     }
 
     /// The alive PE with the smallest window load, ties broken by PE id.
@@ -318,7 +318,7 @@ impl Machine {
             );
             let residents: Vec<RankId> = self.shared.location.residents(d).collect();
             for r in residents {
-                if self.shared.ranks[r].status != RankStatus::Done {
+                if self.rank(r).status != RankStatus::Done {
                     // both endpoints pay the transfer, as in LB moves
                     self.migrate_charged(r, self.least_loaded_alive_pe(), true)?;
                     drained += 1;
@@ -355,7 +355,7 @@ impl Machine {
             self.take_checkpoint();
             self.checkpoint_image_bytes().0 as u64
         });
-        let ranks = self.shared.ranks.len() as u32;
+        let ranks = self.n_ranks() as u32;
         self.tallies.elastic.re_replications += 1;
         self.trace_job(EventKind::ReReplicate { ranks, bytes });
     }
@@ -379,7 +379,7 @@ impl Machine {
         // Restart-style block placement over the new active list — the
         // same mapping `LocationManager::new_block` would produce for a
         // fresh machine with this many PEs.
-        let n_ranks = self.shared.ranks.len();
+        let n_ranks = self.n_ranks();
         let ratio = n_ranks.div_ceil(new_active.len());
         for r in 0..n_ranks {
             self.place(r, new_active[(r / ratio).min(new_active.len() - 1)]);

@@ -2,36 +2,34 @@
 //! [`ExecCtx`] — one context, one lane.
 //!
 //! The machine keeps one [`Lane`] per PE for the whole run (the PE's
-//! scheduler state, the queue of its future events, its real-time inbox,
-//! its outbox) and one [`Shared`] that every lane reads and only
-//! barriers write. The epoch-barrier protocol keeps parallel runs
-//! identical to serial ones: the machine bounds an epoch — by the lane
-//! heads in virtual time; in real time an epoch is a round — and the
-//! engine's workers drive each lane with work exactly once. During an
-//! epoch a lane touches only its own ranks (enforced by the
-//! [`RankTable`] ownership contract below); everything that would cross
-//! a lane boundary — events and real-time messages for other PEs,
-//! events for a later epoch, tallies, errors, retransmit-exhaustion
-//! verdicts — is buffered in the lane's [`Outbox`] and merged
-//! deterministically at the barrier.
+//! scheduler state, the ranks that live on it, the queue of its future
+//! events, its real-time inbox, its outbox) and one [`Shared`] that every
+//! lane reads and only barriers write. The epoch-barrier protocol keeps
+//! parallel runs identical to serial ones: the machine bounds an epoch —
+//! by the lane heads in virtual time; in real time an epoch is a round —
+//! and the engine's workers drive each lane with work exactly once. A
+//! lane owns its ranks ([`Residents`]), so during an epoch it can reach
+//! no other lane's; everything that would cross a lane boundary — events
+//! and real-time messages for other PEs, events for a later epoch,
+//! tallies, errors, retransmit-exhaustion verdicts — is buffered in the
+//! lane's [`Outbox`] and merged deterministically at the barrier, and a
+//! rank changes lanes only there (`Machine::place`).
 //!
 //! ## Send-safety audit
 //!
 //! What actually crosses threads here, and why each is sound:
 //!
-//! * **Lanes**: owned by the machine for the whole run; during an epoch
-//!   (a round, in real time) each is reached through exactly one
-//!   `ExecCtx`, the one whose worker claimed it. Which OS thread drives a
-//!   lane differs from epoch to epoch; nothing a lane reads depends on
-//!   it.
+//! * **Lanes**, with their ranks: owned by the machine for the whole run;
+//!   during an epoch (a round, in real time) each is reached through
+//!   exactly one `ExecCtx`, the one whose worker claimed it. Which OS
+//!   thread drives a lane differs from epoch to epoch; nothing a lane
+//!   reads depends on it.
 //! * **ULTs** (`RankState::ult`): a suspended ULT is a heap stack plus a
-//!   saved stack pointer; it is only ever resumed by the lane that owns
-//!   the rank, and rank ownership is frozen for the whole epoch
-//!   (migration happens at barriers only). The ULT never moves between
-//!   threads *while running* — only while suspended, which is a plain
-//!   memory hand-off ordered by the worker pool's publish (`Release`
-//!   store of the job's generation) and completion (`Release` decrement
-//!   of its pending count) edges.
+//!   saved stack pointer, resumed only by the lane that holds its rank.
+//!   The ULT never moves between threads *while running* — only while
+//!   suspended, which is a plain memory hand-off ordered by the worker
+//!   pool's publish (`Release` store of the job's generation) and
+//!   completion (`Release` decrement of its pending count) edges.
 //! * **Privatization registers** (`pvr_privatize::regs`): thread-locals,
 //!   re-installed by `activate()` and the PE's HLS block at every
 //!   context switch, so concurrent lanes never observe each other's
@@ -65,8 +63,7 @@ use pvr_des::{EventQueue, FaultPlan, FaultStream, NetworkModel, SimDuration, Sim
 use pvr_isomalloc::IsoPtr;
 use pvr_privatize::{PrivatizeError, Privatizer};
 use pvr_trace::{EventKind, Tracer, NO_RANK};
-use std::cell::UnsafeCell;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -88,101 +85,46 @@ pub(crate) enum Handled {
     Park(StopReason),
 }
 
-/// The rank table, shared read-mostly across lanes with per-rank `&mut`
-/// access for the owning lane.
-///
-/// # Ownership contract
-///
-/// * **During an epoch**: lane `p` may call [`RankTable::resident_mut`]
-///   only for ranks with `location.lookup(r) == p`. Rank→PE placement is
-///   frozen for the epoch (migration is barrier-only), so distinct lanes
-///   touch disjoint ranks and the returned `&mut`s never alias.
-/// * **At a barrier** (no lanes running): the machine holds `&mut
-///   Machine` and uses [`Index`]/[`IndexMut`] freely.
-///
-/// All access goes through the `Vec`'s element pointer (never through a
-/// whole-slice reference), so an outstanding `&mut` to one element never
-/// conflicts with access to another.
-pub(crate) struct RankTable {
-    inner: UnsafeCell<Vec<RankState>>,
-}
+/// The ranks that live on one lane, indexed by [`RankId`]: a rank's slot
+/// is filled on exactly one lane, the one the directory
+/// (`Shared::location`) names. `Machine::place` moves it, at a barrier.
+pub(crate) struct Residents(Vec<Option<Box<RankState>>>);
 
-// SAFETY: see the ownership contract above — element access is
-// partitioned by rank placement during epochs and exclusive at barriers.
-unsafe impl Send for RankTable {}
-unsafe impl Sync for RankTable {}
-
-impl RankTable {
-    pub(crate) fn new(ranks: Vec<RankState>) -> RankTable {
-        RankTable {
-            inner: UnsafeCell::new(ranks),
-        }
+impl Residents {
+    fn new(n_ranks: usize) -> Residents {
+        Residents((0..n_ranks).map(|_| None).collect())
     }
 
-    fn base(&self) -> *mut RankState {
-        // SAFETY: only the Vec header is dereferenced; element borrows
-        // elsewhere are reached through the Vec's internal pointer and
-        // are not invalidated by this read.
-        unsafe { (*self.inner.get()).as_mut_ptr() }
+    pub(crate) fn get(&self, r: RankId) -> Option<&RankState> {
+        self.0[r].as_deref()
     }
 
-    pub(crate) fn len(&self) -> usize {
-        unsafe { (*self.inner.get()).len() }
+    pub(crate) fn take(&mut self, r: RankId) -> Option<Box<RankState>> {
+        self.0[r].take()
     }
 
-    /// Barrier-time iteration (no lanes may be running).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &RankState> + '_ {
-        (0..self.len()).map(move |r| &self[r])
-    }
-
-    /// Exclusive access to one rank's state from a shared table handle.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the lane owning `location.lookup(r)` for the
-    /// current epoch (or hold `&mut Machine` at a barrier), and must not
-    /// let two `&mut` to the same rank overlap in use.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn resident_mut(&self, r: RankId) -> &mut RankState {
-        debug_assert!(r < self.len());
-        &mut *self.base().add(r)
+    pub(crate) fn put(&mut self, r: RankId, state: Option<Box<RankState>>) {
+        debug_assert!(self.0[r].is_none(), "rank {r} already lives here");
+        self.0[r] = state;
     }
 }
 
-impl std::ops::Index<RankId> for RankTable {
+impl std::ops::Index<RankId> for Residents {
     type Output = RankState;
     fn index(&self, r: RankId) -> &RankState {
-        assert!(r < self.len());
-        // SAFETY: shared reads are only performed on fields no concurrent
-        // lane mutates (see ownership contract).
-        unsafe { &*self.base().add(r) }
+        match &self.0[r] {
+            Some(state) => state,
+            None => panic!("rank {r} does not live on this lane"),
+        }
     }
 }
 
-impl std::ops::IndexMut<RankId> for RankTable {
+impl std::ops::IndexMut<RankId> for Residents {
     fn index_mut(&mut self, r: RankId) -> &mut RankState {
-        assert!(r < self.len());
-        unsafe { &mut *self.base().add(r) }
-    }
-}
-
-/// Per-PE hierarchical-local-storage block pointers (null when the
-/// method has none). Read-only after build; the blocks themselves are
-/// only written through thread-local register installs.
-pub(crate) struct HlsBlocks(Vec<*mut u8>);
-
-// SAFETY: the pointers are read-only here; writes go through per-thread
-// privatization registers.
-unsafe impl Send for HlsBlocks {}
-unsafe impl Sync for HlsBlocks {}
-
-impl HlsBlocks {
-    pub(crate) fn new(blocks: Vec<*mut u8>) -> HlsBlocks {
-        HlsBlocks(blocks)
-    }
-
-    pub(crate) fn get(&self, pe: PeId) -> *mut u8 {
-        self.0[pe]
+        match &mut self.0[r] {
+            Some(state) => state,
+            None => panic!("rank {r} does not live on this lane"),
+        }
     }
 }
 
@@ -263,11 +205,13 @@ impl Outbox {
     }
 }
 
-/// One PE's scheduler for the whole run: its state, every future event
-/// of the PE, and the outbox for everything that crosses the barrier.
+/// One PE's scheduler for the whole run: its state, its ranks, every
+/// future event of the PE, and the outbox for everything that crosses
+/// the barrier.
 pub(crate) struct Lane {
     pub pe: PeId,
     pub state: PeState,
+    pub ranks: Residents,
     /// The PE's future events, keyed `(time, stamp)`. What crosses a
     /// barrier into it carries a run-wide stamp (`Machine::schedule`);
     /// what the lane emits for itself inside its epoch is unstamped, so
@@ -286,12 +230,13 @@ pub(crate) struct Lane {
 }
 
 impl Lane {
-    /// PE `pe`'s lane, its queue and outbox pre-sized for `cap` events
-    /// so that steady-state epochs allocate nothing.
-    pub(crate) fn new(pe: PeId, cap: usize) -> Lane {
+    /// PE `pe`'s lane, with no rank yet, its queue and outbox pre-sized
+    /// for `cap` events so that steady-state epochs allocate nothing.
+    pub(crate) fn new(pe: PeId, n_ranks: usize, cap: usize) -> Lane {
         Lane {
             pe,
             state: PeState::default(),
+            ranks: Residents::new(n_ranks),
             queue: EventQueue::with_capacity(cap),
             bound: (SimTime::ZERO, 0),
             stamped_now: SimTime::ZERO,
@@ -323,10 +268,12 @@ pub(crate) struct Shared {
     pub network: NetworkModel,
     /// Where each rank lives: the one record of placement.
     pub location: LocationManager,
-    pub ranks: RankTable,
-    /// Per-PE HLS block (null when the method has none); installed at
-    /// each context switch alongside the rank's registers.
-    pub hls: HlsBlocks,
+    /// Per-PE HLS block (null when the method has none), installed at
+    /// each context switch alongside the rank's registers. Written once,
+    /// at build, before the worker pool's publish edge that first hands
+    /// a lane to another thread: atomic only to be `Sync`, and read with
+    /// a `Relaxed` load, which is a plain load.
+    pub hls: Vec<AtomicPtr<u8>>,
     /// Which PEs are active, and which have failed.
     pub geometry: Geometry,
     pub tracer: Option<Arc<Tracer>>,
@@ -701,9 +648,6 @@ impl ExecCtx<'_> {
     pub(crate) fn deposit(&mut self, msg: RtsMessage) {
         let to = msg.to;
         self.lane.out.tallies.delivered += 1;
-        // SAFETY: the rank lives on this lane's PE (caller routes here).
-        let rs = unsafe { self.shared.ranks.resident_mut(to) };
-        rs.messages_received += 1;
         if self.shared.tracer.is_some() {
             self.trace(
                 to as u32,
@@ -714,6 +658,8 @@ impl ExecCtx<'_> {
                 },
             );
         }
+        let rs = &mut self.lane.ranks[to];
+        rs.messages_received += 1;
         match rs.matcher.arrive(msg) {
             Arrival::Posted(id, m) => self.complete_req(to, id, Some(m)),
             Arrival::Parked(m) => {
@@ -729,8 +675,7 @@ impl ExecCtx<'_> {
     /// queue drives it (routed through the outbox past the epoch
     /// horizon).
     fn wake(&mut self, r: RankId) {
-        // SAFETY: the rank lives on this lane's PE.
-        unsafe { self.shared.ranks.resident_mut(r) }.status = RankStatus::Ready;
+        self.lane.ranks[r].status = RankStatus::Ready;
         self.trace(r as u32, EventKind::Unblock);
         self.lane.state.ready.push_back(r);
         if self.shared.clock == ClockMode::Virtual {
@@ -745,9 +690,7 @@ impl ExecCtx<'_> {
     /// in — reap the wait's outcomes, answer the pending command and
     /// resume the rank. `owner` must live on this lane.
     fn complete_req(&mut self, owner: RankId, id: u64, msg: Option<RtsMessage>) {
-        // SAFETY: the rank lives on this lane's PE.
-        let rs = unsafe { self.shared.ranks.resident_mut(owner) };
-        let (send, satisfied) = rs.matcher.complete(id, msg);
+        let (send, satisfied) = self.lane.ranks[owner].matcher.complete(id, msg);
         let req = &mut self.lane.out.tallies.req;
         if send {
             req.send_completes += 1;
@@ -756,9 +699,11 @@ impl ExecCtx<'_> {
         }
         self.trace(owner as u32, EventKind::ReqComplete { req: id, send });
         if satisfied {
-            let (cont, outcomes) = rs.matcher.take_wait();
+            let (cont, outcomes) = self.lane.ranks[owner].matcher.take_wait();
             self.tally_continuations(owner, cont, &outcomes);
-            rs.slot.answer(Response::ReqOutcomes(outcomes));
+            self.lane.ranks[owner]
+                .slot
+                .answer(Response::ReqOutcomes(outcomes));
             self.wake(owner);
         }
     }
@@ -774,7 +719,7 @@ impl ExecCtx<'_> {
         payload: bytes::Bytes,
         what: &str,
     ) -> Result<RtsMessage, RtsError> {
-        if to >= self.shared.ranks.len() {
+        if to >= self.shared.location.n_ranks() {
             return Err(RtsError::Protocol {
                 rank: r,
                 detail: format!("{what} to nonexistent rank {to}"),
@@ -841,38 +786,32 @@ impl ExecCtx<'_> {
     /// this lane.
     pub(crate) fn run_rank_slice(&mut self, r: RankId) -> Result<StopReason, RtsError> {
         let pe = self.lane.pe;
-        // SAFETY: `r` is resident on this lane's PE (caller checks).
-        let rs = unsafe { self.shared.ranks.resident_mut(r) };
+        let now_ns = self.shared.now_ns(self.lane);
+        let rs = &mut self.lane.ranks[r];
         // Context switch: install the rank's privatization registers
         // and this PE's hierarchical-local-storage block.
         rs.instance.activate();
-        let hls = self.shared.hls.get(pe);
+        let hls = self.shared.hls[pe].load(Ordering::Relaxed);
         if !hls.is_null() {
             pvr_privatize::regs::set_pe_base(hls);
         }
-        let now_ns = self.shared.now_ns(self.lane);
         rs.shared.now_ns.store(now_ns, Ordering::Relaxed);
+        let ctx_work = rs.instance.has_ctx_work();
+        let mut ult = rs.ult.take().expect("rank ULT present");
+        // the rank's calls re-derive its state: hold no borrow across them
+        let slot = rs.slot.clone();
         let out = &mut self.lane.out;
         out.tallies.switches += 1;
         out.last_ran = Some(r);
         if self.shared.tracer.is_some() {
             pvr_trace::set_context(pe, r as u32, now_ns);
-            self.trace(
-                r as u32,
-                EventKind::CtxSwitchIn {
-                    ctx_work: rs.instance.has_ctx_work(),
-                },
-            );
+            self.trace(r as u32, EventKind::CtxSwitchIn { ctx_work });
         }
 
-        let mut ult = rs.ult.take().expect("rank ULT present");
-        // the rank's calls re-derive its state: hold no borrow across them
-        let slot = rs.slot.clone();
         // Only real-time runs measure load by the wall clock.
         let t0 = (self.shared.clock == ClockMode::RealTime).then(Instant::now);
         let (outcome, stop) = slot.resume(self, &mut ult);
-        // SAFETY: as above; the rank is suspended again.
-        let rs = unsafe { self.shared.ranks.resident_mut(r) };
+        let rs = &mut self.lane.ranks[r];
         rs.ult = Some(ult);
 
         if let Some(t0) = t0 {
@@ -885,9 +824,7 @@ impl ExecCtx<'_> {
             self.check_guards(guards, r)?;
         }
 
-        // SAFETY: re-derive after the guard checks (which take their
-        // own exclusive borrows of this rank).
-        let rs = unsafe { self.shared.ranks.resident_mut(r) };
+        let rs = &mut self.lane.ranks[r];
         match outcome {
             Ok(pvr_ult::UltState::Complete) => {
                 rs.status = RankStatus::Done;
@@ -929,42 +866,45 @@ impl ExecCtx<'_> {
     pub(crate) fn handle(&mut self, r: RankId, cmd: Command) -> Result<Handled, RtsError> {
         debug_assert_eq!(self.lane.out.last_ran, Some(r));
         let shared = self.shared;
-        // SAFETY: `r` is resident on this lane's PE and is the caller.
-        let rs = unsafe { shared.ranks.resident_mut(r) };
+        // Each arm re-derives the rank's state after any call on `self`:
+        // a send to itself reaches the same rank inside `route`.
         let resp = match cmd {
             Command::Send { to, tag, payload } => {
                 let msg = self.outgoing(r, to, tag, payload, "send")?;
-                rs.messages_sent += 1;
-                // `rs` must not be used past here: a send-to-self
-                // re-derives the same rank inside `route`.
+                self.lane.ranks[r].messages_sent += 1;
                 self.route(msg);
                 Response::Ack
             }
-            Command::RecvMatch { spec } => match rs.matcher.recv(spec, true) {
-                Some(m) => Response::Message(m),
-                None => {
-                    rs.status = RankStatus::Waiting;
-                    self.trace(r as u32, EventKind::Block);
-                    // answered by `deposit` when a message the spec
-                    // accepts arrives
-                    return Ok(Handled::Park(StopReason::BlockedRecv));
+            Command::RecvMatch { spec } => {
+                let rs = &mut self.lane.ranks[r];
+                match rs.matcher.recv(spec, true) {
+                    Some(m) => Response::Message(m),
+                    None => {
+                        rs.status = RankStatus::Waiting;
+                        self.trace(r as u32, EventKind::Block);
+                        // answered by `deposit` when a message the spec
+                        // accepts arrives
+                        return Ok(Handled::Park(StopReason::BlockedRecv));
+                    }
                 }
-            },
-            Command::TryRecvMatch { spec } => match rs.matcher.recv(spec, false) {
+            }
+            Command::TryRecvMatch { spec } => match self.lane.ranks[r].matcher.recv(spec, false) {
                 Some(m) => Response::Message(m),
                 None => Response::NoMessage,
             },
             Command::Compute(d) => {
                 if shared.clock == ClockMode::Virtual {
-                    self.lane.state.work(d);
+                    let lane = &mut *self.lane;
+                    lane.state.work(d);
+                    let now_ns = lane.state.clock.nanos();
+                    let rs = &mut lane.ranks[r];
                     rs.load_since_lb += d;
                     rs.total_load += d;
-                    let now_ns = self.lane.state.clock.nanos();
                     rs.shared.now_ns.store(now_ns, Ordering::Relaxed);
                     if shared.tracer.is_some() {
                         // the rank keeps running: its own emissions
                         // (`MpiCall`) are stamped with the advanced clock
-                        pvr_trace::set_context(self.lane.pe, r as u32, now_ns);
+                        pvr_trace::set_context(lane.pe, r as u32, now_ns);
                     }
                 }
                 Response::Ack
@@ -974,12 +914,12 @@ impl ExecCtx<'_> {
                 return Ok(Handled::Park(StopReason::Yielded));
             }
             Command::AtSync => {
-                rs.status = RankStatus::AtSync;
+                self.lane.ranks[r].status = RankStatus::AtSync;
                 self.lane.out.at_sync += 1;
                 return Ok(Handled::Park(StopReason::AtSync));
             }
             Command::AllocHeap { size, align } => {
-                let ptr = rs
+                let ptr = self.lane.ranks[r]
                     .memory
                     .heap()
                     .alloc(size, align)
@@ -987,7 +927,7 @@ impl ExecCtx<'_> {
                 Response::Addr(ptr.ptr as usize)
             }
             Command::FreeHeap { addr, size } => {
-                let res = rs.memory.heap().try_dealloc(IsoPtr {
+                let res = self.lane.ranks[r].memory.heap().try_dealloc(IsoPtr {
                     ptr: addr as *mut u8,
                     size,
                 });
@@ -1009,21 +949,19 @@ impl ExecCtx<'_> {
                 Response::Ack
             }
             Command::ReqPostSend { to, tag, payload } => {
-                self.check_req_capacity(r, rs.matcher.open_reqs())?;
+                self.check_req_capacity(r, self.lane.ranks[r].matcher.open_reqs())?;
                 let msg = self.outgoing(r, to, tag, payload, "isend")?;
+                let rs = &mut self.lane.ranks[r];
                 rs.messages_sent += 1;
                 let id = rs.matcher.post_send();
                 self.lane.out.tallies.req.send_posts += 1;
                 self.trace(r as u32, EventKind::ReqPost { req: id, send: true });
-                // `rs` must not be used past here: a send-to-self
-                // re-derives the same rank inside `route`/`deposit`.
                 match (shared.clock, &shared.reliable) {
                     (ClockMode::Virtual, Some(rel)) => {
                         // completes when the payload's ack arrives back
                         // on this (the sender's) lane
                         let seq = self.send_reliable(rel, msg);
-                        let rs = unsafe { shared.ranks.resident_mut(r) };
-                        rs.matcher.await_ack(to, seq, id);
+                        self.lane.ranks[r].matcher.await_ack(to, seq, id);
                     }
                     _ => {
                         // unconditional delivery: buffered-send
@@ -1035,10 +973,10 @@ impl ExecCtx<'_> {
                 Response::ReqId(id)
             }
             Command::ReqPostRecv { spec } => {
-                self.check_req_capacity(r, rs.matcher.open_reqs())?;
+                self.check_req_capacity(r, self.lane.ranks[r].matcher.open_reqs())?;
                 // An already-buffered match is claimed now, oldest
                 // first, which preserves non-overtaking.
-                let (id, claimed) = rs.matcher.post_recv(spec);
+                let (id, claimed) = self.lane.ranks[r].matcher.post_recv(spec);
                 self.lane.out.tallies.req.recv_posts += 1;
                 self.trace(r as u32, EventKind::ReqPost { req: id, send: false });
                 if let Some(m) = claimed {
@@ -1046,24 +984,26 @@ impl ExecCtx<'_> {
                 }
                 Response::ReqId(id)
             }
-            Command::ReqWait { ids, any, cont } => match rs.matcher.wait(ids, any, cont) {
-                Ok(outcomes) => {
-                    self.tally_continuations(r, cont, &outcomes);
-                    Response::ReqOutcomes(outcomes)
+            Command::ReqWait { ids, any, cont } => {
+                match self.lane.ranks[r].matcher.wait(ids, any, cont) {
+                    Ok(outcomes) => {
+                        self.tally_continuations(r, cont, &outcomes);
+                        Response::ReqOutcomes(outcomes)
+                    }
+                    Err(pending) => {
+                        self.lane.ranks[r].status = RankStatus::Waiting;
+                        self.lane.out.tallies.req.wait_blocks += 1;
+                        self.trace(r as u32, EventKind::Block);
+                        let waiting = pending as u32;
+                        self.trace(r as u32, EventKind::ReqWaitBlock { waiting });
+                        // answered by `complete_req` when the wait set
+                        // is satisfied
+                        return Ok(Handled::Park(StopReason::BlockedRecv));
+                    }
                 }
-                Err(pending) => {
-                    rs.status = RankStatus::Waiting;
-                    self.lane.out.tallies.req.wait_blocks += 1;
-                    self.trace(r as u32, EventKind::Block);
-                    let waiting = pending as u32;
-                    self.trace(r as u32, EventKind::ReqWaitBlock { waiting });
-                    // answered by `complete_req` when the wait set
-                    // is satisfied
-                    return Ok(Handled::Park(StopReason::BlockedRecv));
-                }
-            },
+            }
             Command::ReqTest { ids, cont } => {
-                let outcomes = rs.matcher.reap(&ids, true);
+                let outcomes = self.lane.ranks[r].matcher.reap(&ids, true);
                 self.tally_continuations(r, cont, &outcomes);
                 Response::ReqOutcomes(outcomes)
             }
@@ -1114,9 +1054,7 @@ impl ExecCtx<'_> {
                 }
                 // Ack events are partitioned to the sender's lane, so a
                 // nonblocking send waiting on this ack completes here.
-                // SAFETY: `from` is resident on this lane's PE.
-                let rs = unsafe { shared.ranks.resident_mut(from) };
-                if let Some(id) = rs.matcher.acked(to, seq) {
+                if let Some(id) = self.lane.ranks[from].matcher.acked(to, seq) {
                     self.complete_req(from, id, None);
                 }
             }
@@ -1159,7 +1097,7 @@ impl ExecCtx<'_> {
     /// Whether queued rank `r` still runs on this lane: it may have
     /// migrated while queued (its new PE owns it) or completed.
     fn runs_here(&self, r: RankId) -> bool {
-        self.shared.location.lookup(r) == self.lane.pe && !self.shared.ranks[r].is_done()
+        self.lane.ranks.get(r).is_some_and(|rs| !rs.is_done())
     }
 
     /// Drive this lane through its share of an epoch. In virtual time:
