@@ -6,11 +6,7 @@
 //! cargo run --release -p pvr-bench --bin repro -- table2 --quick   # down-scaled sweep
 //! ```
 
-use pvr_bench::{
-    ckpt_exp, cow_exp, degrade_exp, elastic_exp, faults_exp, fig5, fig6, fig7, fig8, icache_exp,
-    overlap_exp,
-    parallel_exp, perf_exp, scaling, tables, tracing_exp,
-};
+use pvr_bench::{fig5, fig6, fig7, fig8, icache_exp, scaling, tables};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -54,15 +50,6 @@ fn main() {
             "fig7" => println!("{}\n", fig7::report()),
             "fig8" => println!("{}\n", fig8::report(if quick { 3 } else { 7 })),
             "icache" => println!("{}\n", icache_exp::report()),
-            "trace" => println!("{}\n", tracing_exp::report()),
-            "scaling" => println!("{}\n", parallel_exp::report(quick)),
-            "faults" => println!("{}\n", faults_exp::report()),
-            "perf" => println!("{}\n", perf_exp::report(quick)),
-            "cow" => println!("{}\n", cow_exp::report(quick)),
-            "ckpt" => println!("{}\n", ckpt_exp::report(quick)),
-            "elastic" => println!("{}\n", elastic_exp::report(quick)),
-            "overlap" => println!("{}\n", overlap_exp::report(quick)),
-            "degrade" => println!("{}\n", degrade_exp::report()),
             "table2" => {
                 let (res, cfg) = scaling_result.as_ref().unwrap();
                 println!("{}\n", scaling::report_table2(res, cfg));
@@ -73,9 +60,7 @@ fn main() {
             }
             other => {
                 eprintln!("unknown experiment `{other}`");
-                eprintln!(
-                    "known: table1 table3 fig5 fig6 fig7 fig8 icache trace scaling faults degrade perf cow ckpt elastic overlap table2 fig9 all"
-                );
+                eprintln!("known: table1 table3 fig5 fig6 fig7 fig8 icache table2 fig9 all");
                 std::process::exit(2);
             }
         }

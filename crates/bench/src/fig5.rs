@@ -103,6 +103,7 @@ mod tests {
     /// them holds on a quiet host and flips under a parallel test run.
     #[test]
     fn shape_matches_paper() {
+        let _host = crate::host_shared();
         let rows = run(8);
         let get = |m: Method| rows.iter().find(|r| r.method == m).unwrap();
         // FSglobals is the outlier because of shared-FS I/O, the one cost

@@ -100,6 +100,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
+        let _host = crate::host_alone();
         let rows = run(20_000);
         let get = |label: &str| {
             rows.iter()

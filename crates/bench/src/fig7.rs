@@ -117,6 +117,7 @@ mod tests {
 
     #[test]
     fn all_methods_close_to_baseline() {
+        let _host = crate::host_shared();
         let cfg = JacobiConfig {
             nx: 24,
             ny: 24,

@@ -152,6 +152,7 @@ mod tests {
 
     #[test]
     fn pie_moves_code_tls_does_not() {
+        let _host = crate::host_shared();
         let tls = measure(Method::TlsGlobals, 1 << 20, 3);
         let pie = measure(Method::PieGlobals, 1 << 20, 3);
         // PIE moves ≥ 14 MB more (code segment) than TLS at equal heap
@@ -166,6 +167,7 @@ mod tests {
 
     #[test]
     fn code_share_shrinks_with_heap() {
+        let _host = crate::host_shared();
         let small = measure(Method::PieGlobals, 1 << 20, 3);
         let big = measure(Method::PieGlobals, 64 << 20, 3);
         let small_overhead = small.migrated_bytes as f64 / (1u64 << 20) as f64;
@@ -179,6 +181,7 @@ mod tests {
 
     #[test]
     fn cow_counts_the_code_it_does_not_store() {
+        let _host = crate::host_shared();
         let pie = measure(Method::PieGlobals, 1 << 20, 3);
         let cow = measure(Method::CowGlobals, 1 << 20, 3);
         assert_eq!(cow.migrated_bytes, pie.migrated_bytes, "COW == PIE byte parity");
@@ -193,6 +196,7 @@ mod tests {
 
     #[test]
     fn migration_preserves_parked_state() {
+        let _host = crate::host_shared();
         // covered more deeply in tests/migration_and_lb.rs; here: the
         // machine finishes cleanly after repeated migrations.
         let row = measure(Method::PieGlobals, 2 << 20, 5);
@@ -201,6 +205,7 @@ mod tests {
 
     #[test]
     fn code_dedup_removes_the_pie_penalty() {
+        let _host = crate::host_shared();
         let full = measure_opt(Method::PieGlobals, 1 << 20, 3, false);
         let dedup = measure_opt(Method::PieGlobals, 1 << 20, 3, true);
         let tls = measure(Method::TlsGlobals, 1 << 20, 3);

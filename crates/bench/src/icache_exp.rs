@@ -125,6 +125,7 @@ pub fn report() -> String {
 mod tests {
     #[test]
     fn experiment_produces_all_rows() {
+        let _host = crate::host_shared();
         let rows = super::run();
         assert_eq!(rows.len(), 6);
         // the pathological scenario must show heavy thrashing

@@ -232,6 +232,7 @@ mod tests {
 
     #[test]
     fn quick_sweep_shows_virtualization_plus_lb_winning() {
+        let _host = crate::host_shared();
         let cfg = ScalingConfig::quick();
         let result = run(&cfg);
         // strong scaling: baseline time decreases with cores
@@ -256,6 +257,7 @@ mod tests {
 
     #[test]
     fn single_core_gain_comes_from_cache_effects() {
+        let _host = crate::host_shared();
         let cfg = ScalingConfig::quick();
         let result = run(&cfg);
         let sp1 = result.speedup_pct(1);

@@ -21,6 +21,7 @@ pub fn table3() -> String {
 mod tests {
     #[test]
     fn tables_render() {
+        let _host = crate::host_shared();
         let t1 = super::table1();
         let t3 = super::table3();
         assert!(t1.contains("Swapglobals"));

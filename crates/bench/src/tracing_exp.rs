@@ -94,33 +94,18 @@ pub fn reconciliation(run: &TraceRun) -> String {
     out
 }
 
-/// The `repro -- trace` experiment: run, summarize, reconcile.
-pub fn report() -> String {
-    let cfg = TraceRunConfig::default();
-    let run = run(&cfg);
-    format!(
-        "Traced Jacobi-3D: {} PEs x {} ranks/PE, {} iters, {} LB rounds (virtual time)\n\n{}\n{}",
-        cfg.cores,
-        cfg.vp_ratio,
-        cfg.jacobi.iters,
-        cfg.lb_rounds,
-        run.snapshot.summary(8),
-        reconciliation(&run)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn traced_run_reconciles_and_renders() {
+        let _host = crate::host_shared();
         let run = run(&TraceRunConfig::default());
         assert!(run.report.lb_steps >= 1, "AMPI_Migrate must trigger LB");
         let rows = reconciliation(&run);
         let n_rows = run.report.trace_rows(&run.snapshot.counts).len();
         assert_eq!(rows.matches("   ok\n").count(), n_rows, "{rows}");
-        let text = report();
-        assert!(text.contains("ctx_switches") && !text.contains("MISMATCH"), "{text}");
+        assert!(rows.contains("ctx_switches") && !rows.contains("MISMATCH"), "{rows}");
     }
 }

@@ -27,7 +27,7 @@ use crate::rank::RankState;
 use crate::stats::{EngineTallies, RunReport};
 use crate::worker::{ExecCtx, Exhausted, Lane, StopReason};
 use crate::{PeId, RankId};
-use pvr_des::{EventQueue, SimDuration, SimTime};
+use pvr_des::{SimDuration, SimTime};
 use pvr_privatize::Method;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -168,31 +168,6 @@ impl Machine {
                 ..self.driver.engine.clone()
             },
         })
-    }
-
-    /// Bench hook (`repro -- perf`, row `epoch_dispatch`): on a machine
-    /// whose run is over, drive `epochs` epochs of two lanes holding one
-    /// no-op `PeWake` each — all an epoch costs beyond its lanes' work —
-    /// on the pool `run` would use, and return the wall-clock they took.
-    /// Panics unless the machine has two PEs or more.
-    #[doc(hidden)]
-    pub fn bench_epoch_dispatch(&mut self, epochs: usize) -> Duration {
-        let threads = self.effective_threads();
-        let pool = WorkerPool::new(threads);
-        self.driver.walls.resize(threads, Duration::ZERO);
-        // Fresh lane queues: nothing the run left behind runs here.
-        for lane in &mut self.driver.lanes {
-            lane.queue = EventQueue::new();
-        }
-        let t0 = Instant::now();
-        for _ in 0..epochs {
-            for pe in 0..2 {
-                self.schedule(SimTime::ZERO, Event::PeWake { pe });
-            }
-            self.run_epoch((SimTime::MAX, 0), &pool)
-                .expect("an idle PE's wake raises nothing");
-        }
-        t0.elapsed()
     }
 
     /// Worker threads `run` will actually use: the configured

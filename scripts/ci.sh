@@ -30,18 +30,20 @@ nontest_lines() {
     awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
 }
 
-echo "==> size ratchet (pvr-rts sources before their tests: machine.rs <= 649 lines, driver.rs <= 521, engine_parallel.rs <= 260, worker.rs <= 1146, any other <= 1300)"
+echo "==> size ratchet (pvr-rts sources before their tests: machine.rs <= 649 lines, driver.rs <= 487, engine_parallel.rs <= 260, worker.rs <= 1146, any other <= 1300)"
 # `machine.rs` was 2 456 such lines until the barrier's protocols moved
 # out with their state, 1 302 until the guards did, and 1 146 until the
 # event loop did (`driver.rs`; ROADMAP item 3); `driver.rs` took the
-# per-lane event queues' scheduling and barrier merge. `engine_parallel.rs`
+# per-lane event queues' scheduling and barrier merge, and was 512 until
+# its one benchmarking hook went with the report that called it.
+# `engine_parallel.rs`
 # was 474 until real time ran in rounds of the epoch job and its hub
 # went. `worker.rs` was 1 208 until each lane owned its ranks and the
 # shared rank table went. Nothing may quietly grow back.
 for f in crates/rts/src/*.rs; do
     limit=1300
     [ "$f" = crates/rts/src/machine.rs ] && limit=649
-    [ "$f" = crates/rts/src/driver.rs ] && limit=521
+    [ "$f" = crates/rts/src/driver.rs ] && limit=487
     [ "$f" = crates/rts/src/engine_parallel.rs ] && limit=260
     [ "$f" = crates/rts/src/worker.rs ] && limit=1146
     n=$(nontest_lines "$f")
@@ -96,6 +98,17 @@ for f in crates/trace/src/*.rs; do
     }
 done
 
+echo "==> size ratchet (pvr-bench sources: <= 1340 lines in all)"
+# `repro` regenerates the paper's tables and figures and nothing else:
+# the quick-mode reports that once sat beside them (3 371 lines in all)
+# became tests under tests/ or benchmark/ rows. A new report must be a
+# paper artifact, or a test.
+bench_lines=$(find crates/bench/src -name '*.rs' -exec cat {} + | wc -l)
+[ "$bench_lines" -le 1340 ] || {
+    echo "FAIL: crates/bench/src has $bench_lines lines (limit 1340): pin a property in a test, not a report"
+    exit 1
+}
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -110,34 +123,32 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 
 cores=$(nproc 2>/dev/null || echo 1)
 if [ "$cores" -ge 2 ]; then
-    echo "==> engine-scaling smoke ($cores cores: parallel Jacobi must not lose to serial)"
-    # Full configuration (the quick one's Serial leg is 4 ms: all noise),
-    # best of three. Where the host has the cores for it, the worker pool
-    # may never make the deterministic engine slower than serial:
-    # Threads(2) >= 1.00x from 2 cores up, Threads(4) >= 1.00x from 4.
-    best2=0
-    best4=0
-    for _ in 1 2 3; do
-        out=$(cargo run --release -q -p pvr-bench --bin repro -- scaling)
-        echo "$out"
-        s2=$(echo "$out" | awk -F'|' '/Threads\(2\)/ {gsub(/[ x]/, "", $5); print $5}')
-        s4=$(echo "$out" | awk -F'|' '/Threads\(4\)/ {gsub(/[ x]/, "", $5); print $5}')
-        best2=$(awk -v a="$best2" -v b="$s2" 'BEGIN { print (b + 0 > a + 0) ? b : a }')
-        best4=$(awk -v a="$best4" -v b="$s4" 'BEGIN { print (b + 0 > a + 0) ? b : a }')
-    done
-    echo "best of three: Threads(2) ${best2}x, Threads(4) ${best4}x"
-    awk -v s="$best2" 'BEGIN { exit !(s >= 1.0) }' || {
-        echo "FAIL: Threads(2) slower than serial on a $cores-core host (best speedup ${best2}x)"
-        exit 1
+    echo "==> engine-scaling gate ($cores cores: jacobi3d_mt must not lose to jacobi3d, best of three)"
+    # The benchmark's `jacobi3d_mt` is `jacobi3d`'s problem under
+    # Threads(2). Where the host has the cores for it, the worker pool may
+    # never make the deterministic engine slower than serial: the median
+    # `run_wall_s` of 6 s of each must not be higher with the pool. One
+    # pair in ten read jacobi3d_mt up to 1.18x jacobi3d on a noisy 2-vCPU
+    # host (0.65x-0.95x otherwise), so a pair is retried up to three times.
+    wall_median() {
+        cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+            run --workload "$1" --seconds 6 |
+            awk '$1 == "run_wall_s" { for (i = 2; i < NF; i++) if ($i == "median") print $(i + 1) }'
     }
-    if [ "$cores" -ge 4 ]; then
-        awk -v s="$best4" 'BEGIN { exit !(s >= 1.0) }' || {
-            echo "FAIL: Threads(4) slower than serial on a $cores-core host (best speedup ${best4}x)"
+    for attempt in 1 2 3; do
+        serial=$(wall_median jacobi3d)
+        threaded=$(wall_median jacobi3d_mt)
+        echo "run_wall_s median: jacobi3d ${serial} s, jacobi3d_mt ${threaded} s"
+        if awk -v s="$serial" -v t="$threaded" 'BEGIN { exit !(s > 0 && t > 0 && t <= s) }'; then
+            break
+        fi
+        [ "$attempt" -lt 3 ] || {
+            echo "FAIL: jacobi3d_mt (Threads(2)) slower than jacobi3d (Serial) three times on a $cores-core host"
             exit 1
         }
-    fi
+    done
 else
-    echo "==> engine-scaling smoke skipped ($cores core: no real parallelism available)"
+    echo "==> engine-scaling gate skipped ($cores core: no real parallelism available)"
 fi
 
 echo "==> fig7-gate (optimized Jacobi under every Fig. 7 method: residuals must be identical)"
@@ -146,46 +157,6 @@ echo "==> fig7-gate (optimized Jacobi under every Fig. 7 method: residuals must 
 # `report()` asserts every method's residual equals the baseline's. No
 # timing bound.
 cargo run --release -q -p pvr-bench --bin repro -- fig7
-
-echo "==> perf-smoke (epoch dispatch + matching-depth sweep must produce BENCH_perf.json)"
-cargo run --release -q -p pvr-bench --bin repro -- perf --quick
-[ -s BENCH_perf.json ] || {
-    echo "FAIL: repro -- perf did not write BENCH_perf.json"
-    exit 1
-}
-
-echo "==> cow-smoke (COWglobals dedup sweep: read-mostly must share pages)"
-out=$(cargo run --release -q -p pvr-bench --bin repro -- cow --quick)
-echo "$out"
-# Every read-mostly dedup row must report >0 never-diverged pages —
-# a zero means the fault handler privatized pages nobody wrote.
-shared=$(echo "$out" | awk -F'|' '/dedup/ && /read-mostly/ {gsub(/[^0-9]/, "", $6); print $6}' | sort -n | head -1)
-awk -v s="$shared" 'BEGIN { exit !(s + 0 > 0) }' || {
-    echo "FAIL: COW read-mostly workload shared no pages (dedup broken)"
-    exit 1
-}
-
-echo "==> elastic-smoke (rescale sweep: policy growth must beat fixed-small)"
-cargo run --release -q -p pvr-bench --bin repro -- elastic --quick
-
-echo "==> ckpt-smoke (incremental checkpoint sweep: read-mostly bytes >= 10x fewer, pause below full)"
-out=$(cargo run --release -q -p pvr-bench --bin repro -- ckpt --quick)
-echo "$out"
-# What the protocol guarantees where writes are page-local is bytes: the
-# read-mostly bytes row's ratio column (full/incremental) is an exact
-# count, 11.76x. The pause is wall-clock, and both sides of its ratio
-# shrink when capture gets faster, so it is only held to its direction:
-# an incremental barrier must pause for less than a full one.
-bytes_ratio=$(echo "$out" | awk -F'|' '/bytes/ && /read-mostly/ {gsub(/[ x]/, "", $7); print $7}' | sort -n | head -1)
-awk -v r="$bytes_ratio" 'BEGIN { exit !(r + 0 >= 10.0) }' || {
-    echo "FAIL: incremental checkpoint bytes reduction ${bytes_ratio}x < 10x at read-mostly locality"
-    exit 1
-}
-pause_ratio=$(echo "$out" | awk -F'|' '/pause/ && /read-mostly/ {gsub(/[ x]/, "", $7); print $7}' | sort -n | head -1)
-awk -v r="$pause_ratio" 'BEGIN { exit !(r + 0 > 1.0) }' || {
-    echo "FAIL: incremental checkpoint pause not below full pause (full/incremental ${pause_ratio}x) at read-mostly locality"
-    exit 1
-}
 
 echo "==> dead-stack gate (incremental_engine_deterministic x100: 50 under PVR_THREADS=1, 50 under 4)"
 # A delta's size once depended on what returned calls had left below the
@@ -205,18 +176,6 @@ echo "==> worker-pool lifetime gate (runs_leave_no_thread_behind x50)"
 # moment after `join` returns, so the test waits for the count to settle.
 # Fifty passes in a row say the wait is long enough and nothing leaks.
 repeat_test engine_pool runs_leave_no_thread_behind 50 ""
-
-echo "==> overlap-smoke (Isend/Irecv halo must beat blocking by >= 1.3x)"
-out=$(cargo run --release -q -p pvr-bench --bin repro -- overlap --quick)
-echo "$out"
-# The nonblocking halo's makespan speedup over blocking: an iteration
-# should cost max(latency, compute) instead of latency + compute, so
-# anything under 1.3x means delivery-time matching is not overlapping.
-speedup=$(echo "$out" | awk '/^speedup/ {gsub(/[x,]/, "", $2); print $2}')
-awk -v s="$speedup" 'BEGIN { exit !(s + 0 >= 1.3) }' || {
-    echo "FAIL: nonblocking halo speedup ${speedup}x < 1.3x (overlap broken)"
-    exit 1
-}
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

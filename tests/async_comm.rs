@@ -10,15 +10,18 @@
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use pvr_ampi::{util, Ampi, ANY_SOURCE, COMM_WORLD};
+use pvr_ampi::{util, Ampi, RecvReq, ANY_SOURCE, COMM_WORLD};
 use pvr_apps::jacobi3d::{self, JacobiConfig};
 use pvr_des::{FaultParams, FaultPlan, HopClass, NetworkModel, SimDuration, Topology};
 use pvr_privatize::Method;
 use pvr_rts::{
-    lb::RotateLb, ClockMode, MachineBuilder, MatchSpec, Parallelism, RankCtx, RtsError, RunReport,
+    lb::RotateLb, ClockMode, MachineBuilder, MachineConfig, MatchSpec, Parallelism, RankCtx,
+    RtsError, RunReport,
 };
 use pvr_trace::{TraceCounts, Tracer};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 const METHODS: [Method; 3] = [Method::PieGlobals, Method::TlsGlobals, Method::CowGlobals];
 
@@ -632,13 +635,84 @@ fn continuations_nested_past_the_depth_cap_fail_the_rank_not_the_process() {
     }
 }
 
+/// Wall-clock ns per message with `depth` receives outstanding, over
+/// about `msgs` messages per phase: `(posted, unexpected)`.
+///
+/// *Posted*: rank 0 posts `depth` exact-tag `Irecv`s, rank 1 sends the
+/// matching messages youngest receive first (a front-to-back scan of the
+/// posted queue walks all of it), rank 0 waits for all. *Unexpected*:
+/// rank 1 sends `depth` distinct tags before rank 0 asks for any, then
+/// rank 0 receives them newest first with blocking `Recv`s. Both clocks
+/// run in rank 0 around the whole phase, so they hold the sender's and
+/// the engine's share of every message too.
+fn match_depth_ns(depth: usize, msgs: usize) -> (f64, f64) {
+    const GO: u32 = u32::MAX;
+    const DONE: u32 = u32::MAX - 1;
+    let rounds = (msgs / depth).max(1);
+    let spent = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    let sink = spent.clone();
+    let body: Arc<dyn Fn(RankCtx) + Send + Sync> = Arc::new(move |ctx: RankCtx| {
+        let mpi = Ampi::init(ctx);
+        let tags = 0..depth as u32;
+        let payload = Bytes::copy_from_slice(&[7u8; 32]);
+        for _ in 0..rounds {
+            if mpi.rank() == 0 {
+                let t0 = Instant::now();
+                let recvs: Vec<RecvReq> = tags
+                    .clone()
+                    .map(|t| mpi.irecv(COMM_WORLD, Some(1), Some(t)))
+                    .collect();
+                mpi.send_bytes(COMM_WORLD, 1, GO, Bytes::new());
+                std::hint::black_box(mpi.waitall(recvs));
+                sink[0].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+
+                let t0 = Instant::now();
+                mpi.send_bytes(COMM_WORLD, 1, GO, Bytes::new());
+                mpi.recv_bytes(COMM_WORLD, Some(1), Some(DONE));
+                for t in tags.clone().rev() {
+                    std::hint::black_box(mpi.recv_bytes(COMM_WORLD, Some(1), Some(t)));
+                }
+                sink[1].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            } else {
+                mpi.recv_bytes(COMM_WORLD, Some(0), Some(GO));
+                for t in tags.clone().rev() {
+                    mpi.send_bytes(COMM_WORLD, 0, t, payload.clone());
+                }
+                mpi.recv_bytes(COMM_WORLD, Some(0), Some(GO));
+                for t in tags.clone() {
+                    mpi.send_bytes(COMM_WORLD, 0, t, payload.clone());
+                }
+                mpi.send_bytes(COMM_WORLD, 0, DONE, Bytes::new());
+            }
+        }
+    });
+    let mut cfg = MachineConfig::new(jacobi3d::binary());
+    cfg.method = Method::TlsGlobals;
+    cfg.clock = ClockMode::Virtual;
+    cfg.topology = Topology::non_smp(2);
+    cfg.stack_size = 256 * 1024;
+    cfg.max_outstanding_reqs = cfg.max_outstanding_reqs.max(depth);
+    let mut m = cfg.build(body).unwrap();
+    m.run().unwrap();
+    let per_msg = |i: usize| spent[i].load(Ordering::Relaxed) as f64 / (rounds * depth) as f64;
+    (per_msg(0), per_msg(1))
+}
+
+/// Best of `reps` runs of [`match_depth_ns`], per phase.
+fn best_match_depth_ns(depth: usize, msgs: usize, reps: usize) -> (f64, f64) {
+    (0..reps)
+        .map(|_| match_depth_ns(depth, msgs))
+        .fold((f64::INFINITY, f64::INFINITY), |best, run| {
+            (best.0.min(run.0), best.1.min(run.1))
+        })
+}
+
 /// ROADMAP item 5's acceptance: matching cost is flat in queue depth.
 /// With 4096 receives outstanding a message costs less than twice what
 /// it costs with 16, on the posted and on the unexpected queue (best of
 /// five; a matcher that scans is 6-7x dearer at 4096 than at 16).
 #[test]
 fn matching_cost_is_flat_in_depth() {
-    use pvr_bench::perf_exp::best_match_depth_ns;
     const MSGS: usize = 1 << 14;
     let shallow = best_match_depth_ns(16, MSGS, 5);
     let deep = best_match_depth_ns(4096, MSGS, 5);
@@ -651,4 +725,81 @@ fn matching_cost_is_flat_in_depth() {
             "{phase} queue: {at4096:.0} ns/msg at depth 4096 vs {at16:.0} at depth 16"
         );
     }
+}
+
+/// The latency-hiding claim in exact virtual time: a 2-rank halo
+/// exchange of 64 KiB planes with 10 us of compute per iteration, 20
+/// iterations. Blocking pays latency then compute each iteration;
+/// Isend/Irecv posted before the compute hides the transfer entirely, so
+/// the nonblocking run takes as long as the compute-only floor.
+#[test]
+fn nonblocking_halo_hides_the_transfer_behind_compute() {
+    #[derive(Clone, Copy)]
+    enum Mode {
+        Blocking,
+        Nonblocking,
+        ComputeOnly,
+    }
+    const ITERS: usize = 20;
+    const HALO: usize = 8192;
+    let run = |mode: Mode| -> (RunReport, Vec<(usize, f64)>) {
+        let out: Arc<Mutex<Vec<(usize, f64)>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = out.clone();
+        let mut m = MachineBuilder::new(pvr_apps::hello::binary())
+            .method(Method::PieGlobals)
+            .clock(ClockMode::Virtual)
+            .topology(Topology::non_smp(2))
+            .vp_ratio(1)
+            .build(Arc::new(move |ctx| {
+                let mpi = Ampi::init(ctx);
+                let me = mpi.rank();
+                let partner = 1 - me;
+                let compute = SimDuration::from_micros(10);
+                let mut sum = 0.0f64;
+                let mut plane = vec![0.0f64; HALO];
+                for iter in 0..ITERS {
+                    for (i, v) in plane.iter_mut().enumerate() {
+                        *v = (iter * HALO + i) as f64 + me as f64;
+                    }
+                    let tag = iter as u32;
+                    let got = match mode {
+                        Mode::Blocking => {
+                            mpi.send_f64s(COMM_WORLD, partner, tag, &plane);
+                            let (got, _) = mpi.recv_f64s(COMM_WORLD, Some(partner), Some(tag));
+                            mpi.compute(compute);
+                            got
+                        }
+                        Mode::Nonblocking => {
+                            let r = mpi.irecv(COMM_WORLD, Some(partner), Some(tag));
+                            let s = mpi.isend_f64s(COMM_WORLD, partner, tag, &plane);
+                            mpi.compute(compute);
+                            let got = util::bytes_to_f64s(&mpi.wait(r).0);
+                            mpi.wait_send(s);
+                            got
+                        }
+                        Mode::ComputeOnly => {
+                            mpi.compute(compute);
+                            continue;
+                        }
+                    };
+                    sum += got[0] + got[HALO - 1];
+                }
+                sink.lock().push((me, sum));
+                mpi.finalize();
+            }))
+            .unwrap();
+        let report = m.run().unwrap();
+        let mut sums = out.lock().clone();
+        sums.sort_by_key(|s| s.0);
+        (report, sums)
+    };
+    let (block, block_sums) = run(Mode::Blocking);
+    let (nb, nb_sums) = run(Mode::Nonblocking);
+    let (comp, _) = run(Mode::ComputeOnly);
+    assert_eq!(nb_sums, block_sums, "overlap changed the exchanged data");
+    let ns = |r: &RunReport| r.sim_elapsed.nanos();
+    assert_eq!((ns(&block), ns(&nb), ns(&comp)), (344_900, 200_000, 200_000));
+    let r = &nb.req;
+    assert_eq!((r.recv_posts, r.recv_completes, r.send_posts, r.leaked), (40, 40, 40, 0));
+    assert_eq!((block.req.recv_posts, comp.req.recv_posts), (0, 0));
 }

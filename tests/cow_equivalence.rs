@@ -10,11 +10,15 @@
 //! audit fires exactly once per run, and the `RunReport` tallies
 //! reconcile with the `PageFault`/`PagePrivatized` trace events.
 
+mod common;
+
 use parking_lot::Mutex;
 use pvr_ampi::Ampi;
 use pvr_apps::jacobi3d::{self, JacobiConfig};
 use pvr_des::{FaultParams, FaultPlan, HopClass, NetworkModel, SimDuration, Topology};
-use pvr_privatize::Method;
+use pvr_isomalloc::RankMemory;
+use pvr_privatize::methods::Options;
+use pvr_privatize::{create_privatizer, regs, Method, PrivatizeEnv};
 use pvr_rts::{ClockMode, CowTallies, MachineBuilder, Parallelism, RankCtx};
 use pvr_trace::{TraceCounts, Tracer};
 use std::sync::Arc;
@@ -202,4 +206,48 @@ fn cow_tallies_reconcile_with_trace_events() {
     // `run_one` reconciled every row; the COW ones must not be vacuous
     assert!(o.counts.page_faults > 0, "a Jacobi run writes its globals");
     assert_eq!(o.counts.dedup_audits, 1, "dedup audit fires exactly once per run");
+}
+
+/// COW residency on the 1 MiB data image: `ranks` ranks each read the
+/// whole array, then write one 8-byte word of it (read-mostly) or all
+/// of it (write-heavy). Returns the page table's size, the pages no rank
+/// diverged, and the bytes per rank COW copied (TLS plus the rank's
+/// share of the privatized pages).
+fn cow_residency(ranks: usize, write_heavy: bool) -> (u64, u64, u64) {
+    let env = PrivatizeEnv::new(common::data_image());
+    let mut p = create_privatizer(Method::CowGlobals, env, Options::default()).unwrap();
+    let mut mems: Vec<RankMemory> = (0..ranks).map(|_| RankMemory::new()).collect();
+    for (r, mem) in mems.iter_mut().enumerate() {
+        let inst = p.instantiate_rank(r, mem).unwrap();
+        let big = inst.access(common::BIG);
+        let _ = big.read_bytes(common::BIG_LEN); // reads never fault
+        if write_heavy {
+            big.write_bytes(&vec![0x3C; common::BIG_LEN]);
+        } else {
+            big.write_bytes(&[0xA5; 8]);
+        }
+    }
+    let stats = p.cow_stats().unwrap();
+    let diverged: u64 = stats.faulted_page_union.iter().map(|w| w.count_ones() as u64).sum();
+    let privatized = stats.pages_privatized * stats.page_size;
+    assert_eq!(privatized % ranks as u64, 0, "every rank privatizes the same pages");
+    let per_rank = p.per_rank_copied_bytes() as u64 + privatized / ranks as u64;
+    drop(mems);
+    regs::clear();
+    (stats.total_pages, stats.total_pages - diverged, per_rank)
+}
+
+/// COW's memory claim in exact counts, at 8 and 32 ranks: eager
+/// PIEglobals copies code, data and TLS for every rank, COW copies TLS
+/// and the pages a rank writes. A read-mostly rank keeps 255 of the 257
+/// data pages shared; a write-heavy one diverges every page.
+#[test]
+fn cow_resident_bytes_grow_with_written_pages_only() {
+    let env = PrivatizeEnv::new(common::data_image());
+    let pie = create_privatizer(Method::PieGlobals, env, Options::default()).unwrap();
+    assert_eq!(pie.per_rank_copied_bytes(), 3_146_456);
+    for ranks in [8, 32] {
+        assert_eq!(cow_residency(ranks, false), (257, 255, 8_200), "read-mostly, {ranks} ranks");
+        assert_eq!(cow_residency(ranks, true), (257, 0, 1_052_680), "write-heavy, {ranks} ranks");
+    }
 }

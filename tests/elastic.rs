@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 use pvr_des::{FaultParams, FaultPlan, HopClass, NetworkModel, SimDuration, Topology};
 use pvr_privatize::Method;
 use pvr_rts::{
-    BarrierAction, ClockMode, MachineBuilder, MachineConfig, Parallelism, RankCtx, RtsError,
+    lb::GreedyRefineLb, BarrierAction, ClockMode, MachineBuilder, MachineConfig, Parallelism, RankCtx, RtsError,
     RunReport, UtilizationRescale,
 };
 use pvr_trace::Tracer;
@@ -569,4 +569,56 @@ fn real_time_runs_that_lose_a_pe_finish_on_every_engine() {
             "{what}: engine-dependent schedule"
         );
     }
+}
+
+/// The elastic claim in exact virtual time: 8 ranks on 4 PEs of
+/// capacity, a ring whose per-step compute ramps (step `s` costs
+/// `(s + 1) * 100 us`) over 4 steps. Fixed at 2 PEs the ramp is slow;
+/// under the utilization policy the job grows to 4 PEs, one PE per
+/// barrier, and lands between the fixed geometries, with the same
+/// results as both.
+#[test]
+fn ramping_load_grows_the_job_between_the_fixed_geometries() {
+    let grain = SimDuration::from_micros(100);
+    let ramp = |out: Arc<Mutex<Residuals>>| -> Arc<dyn Fn(RankCtx) + Send + Sync> {
+        Arc::new(move |ctx: RankCtx| {
+            let mut acc = ctx.rank() as f64 + 1.0;
+            for step in 0..4u64 {
+                ctx.compute(SimDuration::from_nanos(grain.nanos() * (step + 1)));
+                let partner = (ctx.rank() + 1) % ctx.n_ranks();
+                ctx.send(partner, step, bytes::Bytes::copy_from_slice(&acc.to_le_bytes()));
+                let m = ctx.recv();
+                acc = acc * 1.25 + f64::from_le_bytes(m.payload[..8].try_into().unwrap());
+                ctx.at_sync();
+            }
+            out.lock().push((ctx.rank(), acc));
+        })
+    };
+    let run_ramp = |b: MachineBuilder| -> (RunReport, Residuals, usize) {
+        let out: Arc<Mutex<Residuals>> = Arc::new(Mutex::new(Vec::new()));
+        let b = b.balancer(Box::new(GreedyRefineLb::default()));
+        let mut m = b.build(ramp(out.clone())).unwrap();
+        let report = m.run().unwrap();
+        let mut v = out.lock().clone();
+        v.sort_by_key(|r| r.0);
+        (report, v, m.active_pes())
+    };
+    let (small, small_res, small_active) = run_ramp(base(4, 2).active_pes(2));
+    let (elastic, elastic_res, elastic_active) =
+        run_ramp(base(4, 2).active_pes(2).rescale_policy(Box::new(UtilizationRescale {
+            grow_above: grain.as_secs_f64() * 1.5,
+            shrink_below: 0.0,
+            min_pes: 2,
+            max_pes: 4,
+        })));
+    let (large, large_res, large_active) = run_ramp(base(4, 2));
+    assert_eq!(elastic_res, small_res, "geometry changed results");
+    assert_eq!(large_res, small_res, "geometry changed results");
+    assert_eq!((small_active, elastic_active, large_active), (2, 4, 4));
+    let moves = |r: &RunReport| (r.elastic.rescales, r.elastic.re_replications);
+    assert_eq!((moves(&small), moves(&elastic), moves(&large)), ((0, 0), (2, 2), (0, 0)));
+    let ns = |r: &RunReport| r.sim_elapsed.nanos();
+    assert_eq!((ns(&small), ns(&elastic), ns(&large)), (4_414_496, 3_017_738, 2_414_496));
+    let busy = |r: &RunReport| r.pe_busy_idle.iter().map(|(b, _)| b.nanos()).sum::<u64>();
+    assert_eq!((busy(&small), busy(&elastic), busy(&large)), (8_812_968, 9_829_178, 9_219_452));
 }

@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 use pvr_ampi::Ampi;
 use pvr_apps::jacobi3d::{self, JacobiConfig};
 use pvr_des::{FaultParams, FaultPlan, HopClass, NetworkModel, SimDuration, Topology};
-use pvr_privatize::Method;
+use pvr_privatize::{Method, Toolchain};
 use pvr_rts::{ClockMode, MachineBuilder, Parallelism, RankCtx, RtsError, RunReport};
 use pvr_trace::Tracer;
 use std::sync::Arc;
@@ -419,5 +419,81 @@ fn thread_backend_restores_to_the_asm_backend_answer() {
         assert_eq!(asm, clean, "incremental={incremental}");
         assert_eq!(thread, asm, "incremental={incremental}: thread backend diverged");
         assert_eq!((asm_report.faults.recoveries, thread_report.faults.recoveries), (1, 1));
+    }
+}
+
+/// The drop-rate x method table in exact counts: virtual-time Jacobi-3D
+/// (10x10x4, 6 iterations, 2 rounds) on 3 PEs x 2 ranks, checkpointing
+/// at every LB step, over an inter-node network that drops at 2, 5 and
+/// 10 % (duplicating at half and corrupting at a quarter of that rate,
+/// seed 42). The reliable transport repairs every fault, so each cell's
+/// residuals equal its method's clean run; what recovery costs is a fixed
+/// number of retransmits and simulated nanoseconds, the same under every
+/// migratable method.
+#[test]
+fn fault_sweep_table_is_exact_and_bit_identical() {
+    let run = |method: Method, drop_p: f64| -> (RunReport, Residuals) {
+        let out: Arc<Mutex<Residuals>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = out.clone();
+        let body: Arc<dyn Fn(RankCtx) + Send + Sync> = Arc::new(move |ctx: RankCtx| {
+            let mpi = Ampi::init(ctx);
+            let history = (0..2)
+                .map(|_| {
+                    let residual = jacobi3d::run(&mpi, jacobi_cfg()).residual;
+                    mpi.migrate();
+                    residual
+                })
+                .collect();
+            sink.lock().push((mpi.rank(), history));
+        });
+        let mut network = NetworkModel::ideal();
+        if drop_p > 0.0 {
+            network = network.with_faults(FaultPlan::new(42).with_class(
+                HopClass::InterNode,
+                FaultParams {
+                    drop_p,
+                    dup_p: drop_p / 2.0,
+                    corrupt_p: drop_p / 4.0,
+                    jitter_max: SimDuration::from_nanos(500),
+                },
+            ));
+        }
+        let mut b = MachineBuilder::new(jacobi3d::binary())
+            .method(method)
+            .topology(Topology::non_smp(3))
+            .vp_ratio(2)
+            .clock(ClockMode::Virtual)
+            .stack_size(256 * 1024)
+            .checkpoint_period(1)
+            .network(network);
+        if method == Method::Swapglobals {
+            b = b.toolchain(Toolchain::legacy_ld());
+        }
+        let report = b.build(body).unwrap().run().unwrap();
+        let mut residuals = out.lock().clone();
+        residuals.sort_by_key(|r| r.0);
+        (report, residuals)
+    };
+    // (drop rate, (dropped, duplicated, corrupted, retransmits), sim ns)
+    let table = [
+        (0.0, (0, 0, 0, 0), 25_608),
+        (0.02, (3, 0, 1, 5), 95_685),
+        (0.05, (5, 0, 1, 11), 156_292),
+        (0.10, (14, 4, 1, 25), 312_845),
+    ];
+    for method in [Method::PieGlobals, Method::TlsGlobals, Method::Swapglobals] {
+        let mut clean = None;
+        for &(drop_p, faults, sim_ns) in &table {
+            let (report, residuals) = run(method, drop_p);
+            let clean = clean.get_or_insert_with(|| residuals.clone());
+            assert_eq!(&residuals, clean, "{method} at {drop_p}: results changed");
+            let f = &report.faults;
+            assert_eq!(
+                (f.msgs_dropped, f.duplicates_injected, f.msgs_corrupted, f.retransmits),
+                faults,
+                "{method} at {drop_p}"
+            );
+            assert_eq!(report.sim_elapsed.nanos(), sim_ns, "{method} at {drop_p}");
+        }
     }
 }

@@ -9,10 +9,11 @@
 use parking_lot::Mutex;
 use pvr_ampi::Ampi;
 use pvr_apps::hello;
+use pvr_apps::jacobi3d::{self, JacobiConfig};
 use pvr_privatize::methods::{Options, TagPolicy};
 use pvr_privatize::{Method, Toolchain};
 use pvr_progimage::{link, ImageSpec, SharedFs};
-use pvr_rts::{MachineBuilder, RankCtx, Topology};
+use pvr_rts::{ClockMode, MachineBuilder, RankCtx, Topology};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -125,13 +126,23 @@ fn tlsglobals_partial_tagging_leaks() {
     );
 }
 
-/// The fallback-chain matrix: glibc flavor × shared-FS room × rank count,
-/// always *requesting* PIPglobals with the default chain enabled. Each
-/// cell must land on the predicted method and produce hello outputs
-/// identical to a direct (strict-mode) run of that landed method —
-/// degradation changes the mechanism, never the answer.
-#[test]
-fn fallback_chain_matrix_lands_and_matches_direct_runs() {
+/// One fallback-chain cell: toolchain, shared-FS cap, ranks, requested
+/// method, the method it must land on and the fallbacks that takes.
+type Cell = (fn() -> Toolchain, Option<usize>, usize, Method, Method, u64);
+
+const STOCK: fn() -> Toolchain = Toolchain::bridges2;
+const PATCHED: fn() -> Toolchain = Toolchain::with_patched_glibc;
+const CRAMPED: Option<usize> = Some(1); // not even the deploy copy fits
+const PIP: Method = Method::PipGlobals;
+const FS: Method = Method::FsGlobals;
+const PIE: Method = Method::PieGlobals;
+
+/// Run each cell with the default chain (pipglobals -> fsglobals ->
+/// pieglobals) enabled. It must land on the predicted method after
+/// probing all three, take the predicted number of fallbacks, and
+/// produce hello outputs identical to a direct (strict-mode) run of the
+/// landed method — degradation changes the mechanism, never the answer.
+fn assert_cells_land(cells: &[Cell]) {
     let run = |toolchain: Toolchain, fs_cap: Option<usize>, vps: usize, method: Method, fallback: bool| {
         let outputs = Arc::new(Mutex::new(Vec::new()));
         let out = outputs.clone();
@@ -155,38 +166,17 @@ fn fallback_chain_matrix_lands_and_matches_direct_runs() {
                 out.lock().push(o);
             }))
             .unwrap();
-        machine.run().unwrap();
+        let report = machine.run().unwrap();
         let landed = machine.method();
         let mut v = outputs.lock().clone();
         v.sort_by_key(|o| o.expected_rank);
-        (landed, v)
+        (landed, (report.hardening.probes, report.hardening.fallbacks), v)
     };
 
-    let stock = Toolchain::bridges2;
-    let patched = Toolchain::with_patched_glibc;
-    let cramped = Some(1usize); // not even the deploy copy fits
-    type Cell = (fn() -> Toolchain, Option<usize>, usize, Method);
-    let cells: Vec<Cell> = vec![
-        // stock glibc, roomy FS: the 12-namespace budget decides
-        (stock, None, 8, Method::PipGlobals),
-        (stock, None, 12, Method::PipGlobals),
-        (stock, None, 16, Method::FsGlobals),
-        (stock, None, 64, Method::FsGlobals),
-        // stock glibc, cramped FS: past the budget it falls through to PIE
-        (stock, cramped, 8, Method::PipGlobals),
-        (stock, cramped, 16, Method::PieGlobals),
-        (stock, cramped, 64, Method::PieGlobals),
-        // patched glibc lifts the namespace cap: PIPglobals as requested
-        (patched, None, 16, Method::PipGlobals),
-        (patched, None, 64, Method::PipGlobals),
-        (patched, cramped, 64, Method::PipGlobals),
-    ];
-    for (tc, fs_cap, vps, expect) in cells {
-        let (landed, outs) = run(tc(), fs_cap, vps, Method::PipGlobals, true);
-        assert_eq!(
-            landed, expect,
-            "requested pipglobals with {vps} ranks (fs cap {fs_cap:?})"
-        );
+    for &(tc, fs_cap, vps, requested, expect, fallbacks) in cells {
+        let cell = format!("requested {requested} with {vps} ranks (fs cap {fs_cap:?})");
+        let (landed, chain, outs) = run(tc(), fs_cap, vps, requested, true);
+        assert_eq!((landed, chain), (expect, (3, fallbacks)), "{cell}");
         assert_eq!(outs.len(), vps);
         for o in &outs {
             assert_eq!(
@@ -194,12 +184,100 @@ fn fallback_chain_matrix_lands_and_matches_direct_runs() {
                 "{landed} at {vps} ranks must still privatize my_rank"
             );
         }
-        let (direct_landed, direct) = run(tc(), fs_cap, vps, expect, false);
+        let (direct_landed, _, direct) = run(tc(), fs_cap, vps, expect, false);
         assert_eq!(direct_landed, expect, "direct run must not degrade");
         assert_eq!(
             outs, direct,
             "degraded run must be bit-identical to a direct {expect} run"
         );
+    }
+}
+
+/// The fallback-chain matrix: glibc flavor × shared-FS room × rank
+/// count, always *requesting* PIPglobals.
+#[test]
+fn fallback_chain_matrix_lands_and_matches_direct_runs() {
+    assert_cells_land(&[
+        // stock glibc, roomy FS: the 12-namespace budget decides
+        (STOCK, None, 8, PIP, PIP, 0),
+        (STOCK, None, 12, PIP, PIP, 0),
+        (STOCK, None, 16, PIP, FS, 1),
+        (STOCK, None, 64, PIP, FS, 1),
+        // stock glibc, cramped FS: past the budget it falls through to PIE
+        (STOCK, CRAMPED, 8, PIP, PIP, 0),
+        (STOCK, CRAMPED, 16, PIP, PIE, 2),
+        (STOCK, CRAMPED, 64, PIP, PIE, 2),
+        // patched glibc lifts the namespace cap: PIPglobals as requested
+        (PATCHED, None, 16, PIP, PIP, 0),
+        (PATCHED, None, 64, PIP, PIP, 0),
+        (PATCHED, CRAMPED, 64, PIP, PIP, 0),
+    ]);
+}
+
+/// The fallback landing table at 16 ranks (past the stock glibc's
+/// 12-namespace budget): each method of the chain requested in each of
+/// three environments.
+#[test]
+fn fallback_cells_land_where_the_environment_allows() {
+    assert_cells_land(&[
+        // stock glibc, roomy FS: a roomy FS catches pip
+        (STOCK, None, 16, PIP, FS, 1),
+        (STOCK, None, 16, FS, FS, 0),
+        (STOCK, None, 16, PIE, PIE, 0),
+        // stock glibc, cramped FS: everything degrades to pieglobals
+        (STOCK, CRAMPED, 16, PIP, PIE, 2),
+        (STOCK, CRAMPED, 16, FS, PIE, 2),
+        (STOCK, CRAMPED, 16, PIE, PIE, 0),
+        // patched glibc: every method runs as requested
+        (PATCHED, None, 16, PIP, PIP, 0),
+        (PATCHED, None, 16, FS, FS, 0),
+        (PATCHED, None, 16, PIE, PIE, 0),
+    ]);
+}
+
+/// The memory-safety guards on a migrating job: virtual-time Jacobi-3D
+/// on 2 PEs x 4 ranks with two `AMPI_Migrate` rounds, under each method
+/// of the fallback chain (patched glibc, so each lands as requested).
+/// With guards on, each LB barrier runs one segment audit and nothing
+/// trips; the residuals are those of the unguarded run.
+#[test]
+fn guards_audit_each_lb_barrier_and_never_trip() {
+    let run = |method: Method, guards: bool| {
+        let out = Arc::new(Mutex::new(Vec::new()));
+        let sink = out.clone();
+        let mut machine = MachineBuilder::new(jacobi3d::binary())
+            .method(method)
+            .toolchain(Toolchain::with_patched_glibc())
+            .shared_fs(Some(Arc::new(Mutex::new(SharedFs::new()))))
+            .topology(Topology::non_smp(2))
+            .vp_ratio(4)
+            .clock(ClockMode::Virtual)
+            .stack_size(256 * 1024)
+            .guards(guards)
+            .build(Arc::new(move |ctx: RankCtx| {
+                let mpi = Ampi::init(ctx);
+                let cfg = JacobiConfig { nx: 8, ny: 8, nz: 2, iters: 4 };
+                let residuals: Vec<f64> = (0..2)
+                    .map(|_| {
+                        let r = jacobi3d::run(&mpi, cfg).residual;
+                        mpi.migrate();
+                        r
+                    })
+                    .collect();
+                sink.lock().push((mpi.rank(), residuals));
+            }))
+            .unwrap();
+        let report = machine.run().unwrap();
+        let mut v = out.lock().clone();
+        v.sort_by_key(|r| r.0);
+        (report.hardening, v)
+    };
+    for method in [Method::PipGlobals, Method::FsGlobals, Method::PieGlobals] {
+        let (_, plain) = run(method, false);
+        let (h, guarded) = run(method, true);
+        assert_eq!(guarded, plain, "{method}: guards changed results");
+        let trips = h.stack_guard_trips + h.arena_guard_trips;
+        assert_eq!((h.segment_audits, trips), (2, 0), "{method}: {h:?}");
     }
 }
 

@@ -22,6 +22,16 @@ fn traced_jacobi_counts_match_run_report() {
     }
     assert!(r.lb_steps >= 1, "AMPI_Migrate rounds must drive LB");
 
+    // the run's exact shape, the same on every engine
+    assert_eq!(
+        (c.total_events(), c.ctx_switches, c.blocks, c.msgs_sent, c.send_bytes, c.mpi_calls),
+        (980, 85, 67, 80, 48_960, 216)
+    );
+    assert_eq!(
+        (c.migrations, c.migration_bytes, c.region_copy_bytes, c.segment_copy_bytes),
+        (2, 8_925_410, 17_850_820, 18_911_568)
+    );
+
     // sends and deliveries balance (no in-flight messages at exit)
     assert_eq!(c.msgs_sent, c.msgs_recv);
     assert_eq!(c.send_bytes, c.recv_bytes);
