@@ -1,6 +1,6 @@
 //! Communicators.
 
-use crate::{Ampi, Op};
+use crate::Ampi;
 
 /// Communicator handle (index into the per-rank communicator table; the
 /// table evolves identically on every member because communicator
@@ -79,11 +79,5 @@ impl Ampi {
     pub(crate) fn fixup_world(&self) {
         let me = self.ctx.rank();
         self.state.borrow_mut().comms[0].my_index = me;
-    }
-
-    /// Sum of a single value across a communicator — convenience used in
-    /// several tests and apps.
-    pub fn allreduce_one(&self, v: f64, op: Op) -> f64 {
-        self.allreduce(&[v], op)[0]
     }
 }

@@ -133,34 +133,6 @@ impl Datatype {
     }
 }
 
-impl crate::Ampi {
-    /// Typed send: pack `src` through `ty` and send.
-    pub fn send_typed(
-        &self,
-        comm: crate::CommId,
-        dest: usize,
-        tag: u32,
-        src: &[f64],
-        ty: Datatype,
-    ) {
-        self.send_bytes(comm, dest, tag, ty.pack(src));
-    }
-
-    /// Typed receive: receive and scatter into `dst` through `ty`.
-    pub fn recv_typed(
-        &self,
-        comm: crate::CommId,
-        src: Option<usize>,
-        tag: Option<u32>,
-        dst: &mut [f64],
-        ty: Datatype,
-    ) -> crate::Status {
-        let (b, status) = self.recv_bytes(comm, src, tag);
-        ty.unpack(&b, dst);
-        status
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

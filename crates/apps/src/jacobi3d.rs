@@ -231,11 +231,6 @@ pub fn serial_reference(nx: usize, ny: usize, nz_total: usize, iters: usize) -> 
     residual
 }
 
-/// Hand the residual comparison a payload-check: pack stats for gather.
-pub fn stats_to_bytes(s: &JacobiStats) -> bytes::Bytes {
-    util::f64s_to_bytes(&[s.residual, s.points_per_iter as f64, s.iters_done as f64])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,4 +23,3 @@
 pub mod hello;
 pub mod jacobi3d;
 pub mod surge;
-pub mod workloads;

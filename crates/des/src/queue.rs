@@ -67,12 +67,6 @@ pub struct EventQueue<E> {
     /// Stamp of the next [`Self::schedule`]d event.
     seq: u64,
     now: SimTime,
-    /// Latest timestamp ever scheduled — lets `drain_until` detect the
-    /// "whole queue drains" case and sort once instead of popping.
-    max_at: SimTime,
-    /// Reused staging buffer for whole-queue drains, so they do not
-    /// allocate once warm.
-    scratch: Vec<Entry<E>>,
     /// Debug-only high-water mark of the queue's live length, used by
     /// tests to assert zero steady-state reallocation after
     /// `with_capacity` sizing.
@@ -93,8 +87,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::with_capacity(cap),
             seq: UNSTAMPED,
             now: SimTime::ZERO,
-            max_at: SimTime::ZERO,
-            scratch: Vec::with_capacity(cap),
             #[cfg(debug_assertions)]
             high_water: 0,
         }
@@ -158,7 +150,6 @@ impl<E> EventQueue<E> {
             Some(tail) if e.key() < tail.key() => self.heap.push(Reverse(e)),
             _ => self.run.push_back(e),
         }
-        self.max_at = self.max_at.max(at);
         #[cfg(debug_assertions)]
         {
             self.high_water = self.high_water.max(self.len());
@@ -179,11 +170,6 @@ impl<E> EventQueue<E> {
     /// Key `(time, stamp)` of the next event without popping.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         self.head().map(|(_, key)| key)
-    }
-
-    /// Timestamp of the next event without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(|(at, _)| at)
     }
 
     fn pop_entry(&mut self, in_run: bool) -> Entry<E> {
@@ -250,48 +236,12 @@ impl<E> EventQueue<E> {
         self.heap = BinaryHeap::from(rest);
     }
 
-    /// [`Self::drain_until`] as one pop per event into a fresh vector:
-    /// the oracle the tests check it against — do not "optimize".
-    #[cfg(test)]
-    fn pop_window(&mut self, horizon: SimTime) -> Vec<(SimTime, E)> {
-        let mut out = Vec::new();
-        while let Some(t) = self.peek_time() {
-            if t >= horizon {
-                break;
-            }
-            out.push(self.pop().expect("peeked event must pop"));
-        }
-        out
-    }
-
-    /// Bulk extraction: append every event with timestamp strictly below
-    /// `horizon` to `out`, in key order, advancing `now` to the latest
-    /// timestamp drained. Appends nothing when the queue is empty or its
-    /// head is already at/after `horizon`.
-    ///
-    /// The caller owns and reuses the output buffer, so steady-state
-    /// extraction never allocates, and when the horizon clears a queue
-    /// of more than a few events it is emptied with one `O(n log n)`
-    /// sort instead of `n` heap-pop siftings.
+    /// Append every event with timestamp strictly below `horizon` to
+    /// `out`, in key order, advancing `now` to the latest timestamp
+    /// drained. Appends nothing when the queue is empty or its head is
+    /// already at/after `horizon`. The caller owns and reuses the output
+    /// buffer, so steady-state extraction never allocates.
     pub fn drain_until(&mut self, horizon: SimTime, out: &mut Vec<(SimTime, E)>) {
-        // Below this length, `n` pops beat the flatten-sort's fixed
-        // cost.
-        const SORT_CUTOFF: usize = 32;
-        if self.max_at < horizon && self.len() > SORT_CUTOFF {
-            // Whole-queue drain: flatten and sort once. `drain` keeps the
-            // buffers' allocations and the scratch buffer is reused, so a
-            // warm queue extracts with zero allocations. `sort_unstable`
-            // is safe because keys are unique.
-            self.scratch.extend(self.run.drain(..));
-            self.scratch.extend(self.heap.drain().map(|Reverse(e)| e));
-            self.scratch.sort_unstable_by_key(Entry::key);
-            if let Some(last) = self.scratch.last() {
-                self.now = last.at;
-            }
-            out.reserve(self.scratch.len());
-            out.extend(self.scratch.drain(..).map(|e| (e.at, e.event)));
-            return;
-        }
         while let Some((at, _, event)) = self.pop_before((horizon, 0)) {
             out.push((at, event));
         }
@@ -383,6 +333,13 @@ mod tests {
         assert_eq!(q.now(), SimTime(50));
     }
 
+    /// `drain_until` into a fresh vector.
+    fn window<E>(q: &mut EventQueue<E>, horizon: SimTime) -> Vec<(SimTime, E)> {
+        let mut out = Vec::new();
+        q.drain_until(horizon, &mut out);
+        out
+    }
+
     #[test]
     fn pop_window_drains_strictly_below_horizon() {
         let mut q = EventQueue::new();
@@ -390,7 +347,7 @@ mod tests {
         q.schedule(SimTime(19), "b");
         q.schedule(SimTime(20), "c");
         q.schedule(SimTime(10), "a2");
-        let w = q.pop_window(SimTime(20));
+        let w = window(&mut q, SimTime(20));
         assert_eq!(
             w,
             vec![(SimTime(10), "a"), (SimTime(10), "a2"), (SimTime(19), "b")]
@@ -398,7 +355,7 @@ mod tests {
         assert_eq!(q.now(), SimTime(19));
         assert_eq!(q.len(), 1);
         // Head at the horizon stays; an empty window is a no-op.
-        assert!(q.pop_window(SimTime(20)).is_empty());
+        assert!(window(&mut q, SimTime(20)).is_empty());
         assert_eq!(q.pop(), Some((SimTime(20), "c")));
     }
 
@@ -407,76 +364,41 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime(5), 0);
         q.schedule(SimTime(5), 1);
-        let w1 = q.pop_window(SimTime(6));
+        let w1 = window(&mut q, SimTime(6));
         assert_eq!(w1.len(), 2);
         // Events generated "during" the window land at/after the horizon
         // and are re-inserted afterwards — FIFO within a timestamp must
         // still hold in the next window.
         q.schedule(SimTime(6), 2);
         q.schedule(SimTime(6), 3);
-        let w2 = q.pop_window(SimTime::MAX);
+        let w2 = window(&mut q, SimTime::MAX);
         assert_eq!(w2, vec![(SimTime(6), 2), (SimTime(6), 3)]);
         assert!(q.is_empty());
     }
 
     #[test]
     fn drain_until_matches_pop_window() {
-        // Same schedule, both extraction paths: identical output
-        // sequence, identical post-state.
+        // Windows over a schedule that mixes the run and the heap: each
+        // drains its keys in order and leaves the rest.
         let times = [30u64, 10, 10, 25, 19, 20, 20, 5, 40, 25];
-        let mut reference = EventQueue::new();
-        let mut fast = EventQueue::with_capacity(times.len());
+        let mut q = EventQueue::with_capacity(times.len());
         for (i, &t) in times.iter().enumerate() {
-            reference.schedule(SimTime(t), i);
-            fast.schedule(SimTime(t), i);
+            q.schedule(SimTime(t), i);
         }
+        let windows = [
+            (SimTime(20), vec![(5, 7), (10, 1), (10, 2), (19, 4)], 6),
+            (SimTime(26), vec![(20, 5), (20, 6), (25, 3), (25, 9)], 2),
+            (SimTime::MAX, vec![(30, 0), (40, 8)], 0),
+        ];
         let mut buf = Vec::new();
-        for horizon in [SimTime(20), SimTime(26), SimTime::MAX] {
-            let want = reference.pop_window(horizon);
+        for (horizon, want, left) in windows {
             buf.clear();
-            fast.drain_until(horizon, &mut buf);
+            q.drain_until(horizon, &mut buf);
+            let want: Vec<_> = want.into_iter().map(|(t, i)| (SimTime(t), i)).collect();
             assert_eq!(buf, want, "horizon {horizon:?}");
-            assert_eq!(fast.now(), reference.now());
-            assert_eq!(fast.len(), reference.len());
+            assert_eq!(q.now(), want.last().unwrap().0);
+            assert_eq!(q.len(), left);
         }
-        assert!(fast.is_empty());
-    }
-
-    #[test]
-    fn drain_until_bulk_path_preserves_fifo_and_capacity() {
-        // 50 events, above SORT_CUTOFF, all below the horizon: the
-        // sort-once path. 40 same-time events fill the run, 10 earlier
-        // ones land below its tail in the heap; the flattened sort must
-        // merge both, keep insertion order within a timestamp, and leave
-        // both pre-sized buffers as they were.
-        let mut q = EventQueue::with_capacity(64);
-        for i in 0..40 {
-            q.schedule(SimTime(7), i);
-        }
-        for i in 40..50 {
-            q.schedule(SimTime(3 + i % 3), i);
-        }
-        let cap = q.capacity();
-        let mut want: Vec<(SimTime, u64)> = (40..50).map(|i| (SimTime(3 + i % 3), i)).collect();
-        want.sort_by_key(|&(t, _)| t);
-        want.extend((0..40).map(|i| (SimTime(7), i)));
-        let mut out = Vec::new();
-        q.drain_until(SimTime::MAX, &mut out);
-        assert_eq!(out, want, "bulk drain must merge run and heap in key order");
-        assert_eq!(q.now(), SimTime(7));
-        assert!(q.is_empty());
-        assert!(
-            q.capacity() >= cap,
-            "bulk drain must not shrink either buffer"
-        );
-        // The queue stays usable: later windows keep insertion order.
-        q.schedule(SimTime(9), 100);
-        q.schedule(SimTime(9), 101);
-        out.clear();
-        q.drain_until(SimTime(9), &mut out); // head at horizon: no-op
-        assert!(out.is_empty());
-        q.drain_until(SimTime(10), &mut out);
-        assert_eq!(out, vec![(SimTime(9), 100), (SimTime(9), 101)]);
     }
 
     #[cfg(debug_assertions)]
@@ -546,8 +468,7 @@ mod tests {
         /// shuffled pool (so stamps arrive out of order).
         Stamped(u64),
         /// `n` stamped events at `now + dt`, `now + dt + 1`, …: keys in
-        /// order, the run's case, and enough of them for `drain_until`'s
-        /// sort path.
+        /// order, the run's case.
         Burst(u64, usize),
         Pop,
         /// `pop_before((now + dt, stamp))`.
@@ -667,25 +588,6 @@ mod tests {
                 stamps.swap(i, (x >> 33) as usize % (i + 1));
             }
             check_against_oracle(&ops, &stamps);
-        }
-
-        #[test]
-        fn prop_drain_until_equals_pop_window(
-            times in proptest::collection::vec(0u64..100, 1..200),
-            horizon in 0u64..120,
-        ) {
-            let mut reference = EventQueue::new();
-            let mut fast = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                reference.schedule(SimTime(t), i);
-                fast.schedule(SimTime(t), i);
-            }
-            let want = reference.pop_window(SimTime(horizon));
-            let mut got = Vec::new();
-            fast.drain_until(SimTime(horizon), &mut got);
-            prop_assert_eq!(got, want);
-            prop_assert_eq!(fast.now(), reference.now());
-            prop_assert_eq!(fast.len(), reference.len());
         }
 
         #[test]

@@ -59,11 +59,6 @@ impl Topology {
         self.process_of_pe(pe) / self.processes_per_node
     }
 
-    pub fn node_of_process(&self, proc: ProcId) -> NodeId {
-        assert!(proc < self.total_processes(), "process {proc} out of range");
-        proc / self.processes_per_node
-    }
-
     /// PEs belonging to one process.
     pub fn pes_of_process(&self, proc: ProcId) -> std::ops::Range<PeId> {
         let start = proc * self.pes_per_process;

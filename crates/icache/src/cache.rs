@@ -37,16 +37,6 @@ impl CacheConfig {
         }
     }
 
-    /// Intel Ice Lake L1I: 32 KiB, 8-way, 64 B lines (Stampede2's Ice
-    /// Lake partition).
-    pub fn icelake_l1i() -> CacheConfig {
-        CacheConfig {
-            size: 32 * 1024,
-            line: 64,
-            assoc: 8,
-        }
-    }
-
     /// A deliberately small cache for tests.
     pub fn tiny() -> CacheConfig {
         CacheConfig {

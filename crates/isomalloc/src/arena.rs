@@ -322,16 +322,6 @@ impl Arena {
         Ok(IsoPtr { ptr, size })
     }
 
-    /// Convenience: allocate a zeroed `[T]` slice and return a raw slice
-    /// pointer into arena memory (valid until `dealloc` or arena drop).
-    pub fn alloc_zeroed_slice<T: Copy + Default>(
-        &mut self,
-        len: usize,
-    ) -> Result<*mut T, AllocError> {
-        let p = self.alloc(len * std::mem::size_of::<T>(), std::mem::align_of::<T>())?;
-        Ok(p.ptr as *mut T)
-    }
-
     /// Return an allocation to the arena.
     ///
     /// # Panics

@@ -38,7 +38,7 @@ pub mod regs;
 pub use access::VarAccess;
 pub use env::{Compiler, CompilerFamily, Linker, LinkerFamily, PrivatizeEnv, Toolchain};
 pub use methods::create_privatizer;
-pub use probe::{probe_method, Capability, ProbeReport, RunShape};
+pub use probe::{probe_method, Capability, RunShape};
 pub use rank::{CtxAction, RankInstance};
 
 use pvr_progimage::spec::Callable;

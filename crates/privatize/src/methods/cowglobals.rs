@@ -41,6 +41,7 @@ use super::pieglobals::{build_startup_template, dlopen_and_locate, PatchTarget, 
 use super::{Common, PieOptions};
 use crate::access::{emit_faults, VarAccess};
 use crate::env::PrivatizeEnv;
+use crate::probe::prerequisites;
 use crate::rank::{CtxAction, RankInstance};
 use crate::{CowStats, Method, PrivatizeError, Privatizer};
 use pvr_isomalloc::{RankMemory, Region, RegionKind};
@@ -76,13 +77,7 @@ pub struct CowGlobals {
 
 impl CowGlobals {
     pub fn new(env: PrivatizeEnv, opts: PieOptions) -> Result<CowGlobals, PrivatizeError> {
-        if !env.toolchain.has_glibc {
-            return Err(PrivatizeError::Unsupported {
-                method: Method::CowGlobals,
-                reason: "requires glibc extensions (dl_iterate_phdr; stable since 2005)"
-                    .to_string(),
-            });
-        }
+        prerequisites(Method::CowGlobals, &env)?;
         let mut env = env;
         let (image, orig) = dlopen_and_locate(&mut env)?;
         let tls_block_size = env.binary.layout.tls_size.max(8);

@@ -15,6 +15,7 @@
 use super::Common;
 use crate::access::VarAccess;
 use crate::env::PrivatizeEnv;
+use crate::probe::prerequisites;
 use crate::rank::{CtxAction, RankInstance};
 use crate::{Method, PrivatizeError, Privatizer};
 use pvr_isomalloc::RankMemory;
@@ -42,20 +43,7 @@ pub struct FsGlobals {
 
 impl FsGlobals {
     pub fn new(env: PrivatizeEnv) -> Result<FsGlobals, PrivatizeError> {
-        if env.shared_fs.is_none() {
-            return Err(PrivatizeError::Unsupported {
-                method: Method::FsGlobals,
-                reason: "no shared filesystem mounted".to_string(),
-            });
-        }
-        if env.binary.spec.uses_shared_objects {
-            return Err(PrivatizeError::Unsupported {
-                method: Method::FsGlobals,
-                reason: "shared objects are not supported by FSglobals (each rank's \
-                         dependency set would have to be copied and isolated)"
-                    .to_string(),
-            });
-        }
+        prerequisites(Method::FsGlobals, &env)?;
         let common = Common::new(env)?;
 
         // Deploy the original binary to the shared FS (once per job).

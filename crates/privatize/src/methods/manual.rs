@@ -10,11 +10,12 @@
 use super::Common;
 use crate::access::VarAccess;
 use crate::env::PrivatizeEnv;
+use crate::probe::prerequisites;
 use crate::rank::{CtxAction, RankInstance};
 use crate::{Method, PrivatizeError, Privatizer};
 use pvr_isomalloc::RankMemory;
 use pvr_progimage::spec::Callable;
-use pvr_progimage::{Language, Mutability, VarClass};
+use pvr_progimage::{Mutability, VarClass};
 use std::collections::HashMap;
 
 pub struct ManualRefactor {
@@ -27,15 +28,7 @@ pub struct ManualRefactor {
 
 impl ManualRefactor {
     pub fn new(env: PrivatizeEnv, method: Method) -> Result<ManualRefactor, PrivatizeError> {
-        if method == Method::Photran && env.binary.spec.language != Language::Fortran {
-            return Err(PrivatizeError::Unsupported {
-                method,
-                reason: format!(
-                    "Photran refactors Fortran ASTs; {:?} programs are out of scope",
-                    env.binary.spec.language
-                ),
-            });
-        }
+        prerequisites(method, &env)?;
         let common = Common::new(env)?;
         // Build the "encapsulating structure": every mutable variable,
         // regardless of class, gets a slot.
@@ -124,7 +117,7 @@ impl Privatizer for ManualRefactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvr_progimage::{link, GlobalSpec, ImageSpec};
+    use pvr_progimage::{link, GlobalSpec, ImageSpec, Language};
 
     fn bin() -> std::sync::Arc<pvr_progimage::ProgramBinary> {
         link(

@@ -32,6 +32,7 @@
 use super::Common;
 use crate::access::VarAccess;
 use crate::env::PrivatizeEnv;
+use crate::probe::prerequisites;
 use crate::rank::{CtxAction, RankInstance};
 use crate::{FindResult, Method, PrivatizeError, Privatizer};
 use pvr_isomalloc::{RankMemory, Region, RegionKind};
@@ -259,13 +260,7 @@ pub struct PieGlobals {
 
 impl PieGlobals {
     pub fn new(env: PrivatizeEnv, opts: PieOptions) -> Result<PieGlobals, PrivatizeError> {
-        if !env.toolchain.has_glibc {
-            return Err(PrivatizeError::Unsupported {
-                method: Method::PieGlobals,
-                reason: "requires glibc extensions (dl_iterate_phdr; stable since 2005)"
-                    .to_string(),
-            });
-        }
+        prerequisites(Method::PieGlobals, &env)?;
         let mut env = env;
         let (image, orig) = dlopen_and_locate(&mut env)?;
         let tls_block_size = env.binary.layout.tls_size.max(8);

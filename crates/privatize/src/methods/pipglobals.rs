@@ -21,6 +21,7 @@
 use super::Common;
 use crate::access::VarAccess;
 use crate::env::PrivatizeEnv;
+use crate::probe::prerequisites;
 use crate::rank::{CtxAction, RankInstance};
 use crate::{Method, PrivatizeError, Privatizer};
 use pvr_isomalloc::RankMemory;
@@ -43,12 +44,7 @@ pub struct PipGlobals {
 
 impl PipGlobals {
     pub fn new(env: PrivatizeEnv) -> Result<PipGlobals, PrivatizeError> {
-        if !env.toolchain.has_glibc {
-            return Err(PrivatizeError::Unsupported {
-                method: Method::PipGlobals,
-                reason: "dlmopen is a glibc extension (GNU/Linux only)".to_string(),
-            });
-        }
+        prerequisites(Method::PipGlobals, &env)?;
         let common = Common::new(env)?;
         let copied_bytes =
             common.env.binary.layout.code_size + common.env.binary.layout.data_size;

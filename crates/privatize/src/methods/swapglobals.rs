@@ -19,6 +19,7 @@
 use super::Common;
 use crate::access::VarAccess;
 use crate::env::PrivatizeEnv;
+use crate::probe::prerequisites;
 use crate::rank::{CtxAction, RankInstance};
 use crate::{Method, PrivatizeError, Privatizer};
 use pvr_isomalloc::RankMemory;
@@ -33,28 +34,7 @@ pub struct Swapglobals {
 
 impl Swapglobals {
     pub fn new(env: PrivatizeEnv) -> Result<Swapglobals, PrivatizeError> {
-        if !env.toolchain.linker.preserves_got_references() {
-            return Err(PrivatizeError::Unsupported {
-                method: Method::Swapglobals,
-                reason: format!(
-                    "linker {:?} {}.{} optimizes out GOT pointer references \
-                     (need GNU ld <= 2.23 or a patched ld >= 2.24)",
-                    env.toolchain.linker.family,
-                    env.toolchain.linker.version.0,
-                    env.toolchain.linker.version.1
-                ),
-            });
-        }
-        if env.smp_mode() {
-            return Err(PrivatizeError::Unsupported {
-                method: Method::Swapglobals,
-                reason: format!(
-                    "only one GOT can be active per OS process, but SMP mode \
-                     runs {} schedulers per process",
-                    env.pes_per_process
-                ),
-            });
-        }
+        prerequisites(Method::Swapglobals, &env)?;
         let common = Common::new(env)?;
         let process_tls = super::process_tls_block(&common.base_image);
         Ok(Swapglobals {

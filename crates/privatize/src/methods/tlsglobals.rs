@@ -20,6 +20,7 @@
 use super::Common;
 use crate::access::VarAccess;
 use crate::env::PrivatizeEnv;
+use crate::probe::prerequisites;
 use crate::rank::{CtxAction, RankInstance};
 use crate::{Method, PrivatizeError, Privatizer};
 use pvr_isomalloc::{RankMemory, Region, RegionKind};
@@ -117,31 +118,7 @@ impl TlsGlobals {
         } else {
             Method::TlsGlobals
         };
-        if mpc {
-            if !env.toolchain.compiler.supports_mpc_privatize() {
-                return Err(PrivatizeError::Unsupported {
-                    method,
-                    reason: format!(
-                        "-fmpc-privatize needs the Intel compiler or an MPC-patched GCC; \
-                         have {:?} {}.{}",
-                        env.toolchain.compiler.family,
-                        env.toolchain.compiler.version.0,
-                        env.toolchain.compiler.version.1
-                    ),
-                });
-            }
-        } else if !env.toolchain.compiler.supports_no_tls_direct_seg_refs() {
-            return Err(PrivatizeError::Unsupported {
-                method,
-                reason: format!(
-                    "TLSglobals needs -mno-tls-direct-seg-refs (GCC, or Clang >= 10); \
-                     have {:?} {}.{}",
-                    env.toolchain.compiler.family,
-                    env.toolchain.compiler.version.0,
-                    env.toolchain.compiler.version.1
-                ),
-            });
-        }
+        prerequisites(method, &env)?;
 
         let pes = env.pes_per_process;
         let common = Common::new(env)?;

@@ -7,6 +7,7 @@
 
 use super::{process_tls_block, Common};
 use crate::env::PrivatizeEnv;
+use crate::probe::prerequisites;
 use crate::rank::{CtxAction, RankInstance};
 use crate::{Method, PrivatizeError, Privatizer};
 use pvr_isomalloc::RankMemory;
@@ -19,6 +20,7 @@ pub struct Unprivatized {
 
 impl Unprivatized {
     pub fn new(env: PrivatizeEnv) -> Result<Unprivatized, PrivatizeError> {
+        prerequisites(Method::Unprivatized, &env)?;
         let common = Common::new(env)?;
         let process_tls = process_tls_block(&common.base_image);
         Ok(Unprivatized {

@@ -18,8 +18,9 @@
 //! FS, say). The runtime therefore also degrades *mid-startup* when a
 //! degradable error surfaces during rank instantiation.
 
-use crate::env::PrivatizeEnv;
-use crate::Method;
+use crate::env::{Compiler, PrivatizeEnv};
+use crate::{Method, PrivatizeError};
+use pvr_progimage::{DlError, Language};
 use std::fmt;
 
 /// Three-valued verdict from probing one method against one environment
@@ -32,9 +33,10 @@ pub enum Capability {
     /// a resource budget (namespaces, FS capacity). Degradation to the
     /// next method in the chain is the intended response.
     ResourceLimited { reason: String },
-    /// The environment can never run this method (no glibc, no shared
-    /// FS, non-PIE binary, wrong compiler/linker, SMP conflict). Naming
-    /// such a method in a fallback chain is a configuration error.
+    /// The environment can never run this method: its prerequisites
+    /// fail (no glibc, no shared FS, non-PIE binary, wrong language,
+    /// compiler or linker, SMP conflict). Naming such a method in a
+    /// fallback chain is a configuration error.
     Unsupported { reason: String },
 }
 
@@ -71,85 +73,113 @@ pub struct RunShape {
     pub total_ranks: usize,
 }
 
-/// Probe one method against an environment and run shape. Pure
-/// prediction: nothing is loaded, copied, or allocated.
-pub fn probe_method(method: Method, env: &PrivatizeEnv, shape: RunShape) -> Capability {
-    let unsupported = |reason: String| Capability::Unsupported { reason };
-    let limited = |reason: String| Capability::ResourceLimited { reason };
-
-    // The three runtime methods all dlopen the binary; a non-PIE binary
-    // can never have its segments duplicated.
-    let needs_pie = matches!(
-        method,
-        Method::PipGlobals | Method::FsGlobals | Method::PieGlobals | Method::CowGlobals
-    );
-    if needs_pie && !env.binary.spec.pie {
-        return unsupported(format!(
-            "binary {} is not a Position Independent Executable",
-            env.binary.spec.name
-        ));
-    }
-
+/// What `method` needs of `env` whatever the run's shape: the one
+/// statement of each method's prerequisites. Every constructor calls it
+/// before it loads anything, and [`probe_method`] rates a method whose
+/// prerequisites fail [`Capability::Unsupported`].
+pub(crate) fn prerequisites(method: Method, env: &PrivatizeEnv) -> Result<(), PrivatizeError> {
+    let unsupported = |reason: String| Err(PrivatizeError::Unsupported { method, reason });
+    let tc = &env.toolchain;
+    let compiler = |c: &Compiler| format!("{:?} {}.{}", c.family, c.version.0, c.version.1);
     match method {
-        Method::Unprivatized | Method::ManualRefactor | Method::Photran => Capability::Feasible,
+        Method::Unprivatized | Method::ManualRefactor => {}
+        Method::Photran => {
+            if env.binary.spec.language != Language::Fortran {
+                return unsupported(format!(
+                    "Photran refactors Fortran ASTs; {:?} programs are out of scope",
+                    env.binary.spec.language
+                ));
+            }
+        }
         Method::Swapglobals => {
+            if !tc.linker.preserves_got_references() {
+                return unsupported(format!(
+                    "linker {:?} {}.{} optimizes out GOT pointer references \
+                     (need GNU ld <= 2.23 or a patched ld >= 2.24)",
+                    tc.linker.family, tc.linker.version.0, tc.linker.version.1
+                ));
+            }
             if env.smp_mode() {
-                unsupported(
-                    "Swapglobals cannot run in SMP mode (one GOT per process)".to_string(),
-                )
-            } else if !env.toolchain.linker.preserves_got_references() {
-                unsupported(
-                    "linker optimizes out GOT references (needs ld < 2.24 or a GOT patch)"
-                        .to_string(),
-                )
-            } else {
-                Capability::Feasible
+                return unsupported(format!(
+                    "only one GOT can be active per OS process, but SMP mode \
+                     runs {} schedulers per process",
+                    env.pes_per_process
+                ));
             }
         }
         Method::TlsGlobals => {
-            if env.toolchain.compiler.supports_no_tls_direct_seg_refs() {
-                Capability::Feasible
-            } else {
-                unsupported(
-                    "compiler lacks -mno-tls-direct-seg-refs (needs GCC or Clang >= 10)"
-                        .to_string(),
-                )
+            if !tc.compiler.supports_no_tls_direct_seg_refs() {
+                return unsupported(format!(
+                    "TLSglobals needs -mno-tls-direct-seg-refs (GCC, or Clang >= 10); have {}",
+                    compiler(&tc.compiler)
+                ));
             }
         }
         Method::MpcPrivatize => {
-            if env.toolchain.compiler.supports_mpc_privatize() {
-                Capability::Feasible
-            } else {
-                unsupported(
-                    "compiler lacks -fmpc-privatize (needs Intel or a patched GCC)".to_string(),
-                )
+            if !tc.compiler.supports_mpc_privatize() {
+                return unsupported(format!(
+                    "-fmpc-privatize needs the Intel compiler or an MPC-patched GCC; have {}",
+                    compiler(&tc.compiler)
+                ));
             }
         }
         Method::PipGlobals => {
-            if !env.toolchain.has_glibc {
+            if !tc.has_glibc {
                 return unsupported("dlmopen is a glibc extension (GNU/Linux only)".to_string());
-            }
-            let budget = env.loader.namespaces_remaining();
-            if shape.ranks_per_process > budget {
-                limited(format!(
-                    "{} ranks per process exceed the {budget}-namespace dlmopen budget \
-                     (stock glibc; a patched glibc lifts this)",
-                    shape.ranks_per_process
-                ))
-            } else {
-                Capability::Feasible
             }
         }
         Method::FsGlobals => {
-            let Some(fs_arc) = env.shared_fs.as_ref() else {
+            if env.shared_fs.is_none() {
                 return unsupported("no shared filesystem mounted".to_string());
-            };
+            }
             if env.binary.spec.uses_shared_objects {
                 return unsupported(
-                    "shared objects are not supported by FSglobals".to_string(),
+                    "shared objects are not supported by FSglobals (each rank's \
+                     dependency set would have to be copied and isolated)"
+                        .to_string(),
                 );
             }
-            let fs = fs_arc.lock();
+        }
+        Method::PieGlobals | Method::CowGlobals => {
+            if !tc.has_glibc {
+                return unsupported(
+                    "requires glibc extensions (dl_iterate_phdr; stable since 2005)".to_string(),
+                );
+            }
+        }
+    }
+    // Every method loads the binary, and the loader maps only a Position
+    // Independent Executable.
+    if !env.binary.spec.pie {
+        return Err(PrivatizeError::Dl(DlError::NotPie {
+            binary: env.binary.path.clone(),
+        }));
+    }
+    Ok(())
+}
+
+/// Probe one method against an environment and run shape. Pure
+/// prediction: nothing is loaded, copied, or allocated.
+pub fn probe_method(method: Method, env: &PrivatizeEnv, shape: RunShape) -> Capability {
+    match prerequisites(method, env) {
+        Err(PrivatizeError::Unsupported { reason, .. }) => return Capability::Unsupported { reason },
+        Err(e) => return Capability::Unsupported { reason: e.to_string() },
+        Ok(()) => {}
+    }
+    let limited = |reason: String| Capability::ResourceLimited { reason };
+    match method {
+        Method::PipGlobals => {
+            let budget = env.loader.namespaces_remaining();
+            if shape.ranks_per_process > budget {
+                return limited(format!(
+                    "{} ranks per process exceed the {budget}-namespace dlmopen budget \
+                     (stock glibc; a patched glibc lifts this)",
+                    shape.ranks_per_process
+                ));
+            }
+        }
+        Method::FsGlobals => {
+            let fs = env.shared_fs.as_ref().expect("prerequisites hold").lock();
             let file_size = env.binary.file_size();
             // One deployed original (unless already there) + one copy per
             // rank, job-wide.
@@ -160,74 +190,19 @@ pub fn probe_method(method: Method, env: &PrivatizeEnv, shape: RunShape) -> Capa
             }
             let free = fs.bytes_free();
             if needed > free {
-                limited(format!(
+                return limited(format!(
                     "shared FS has {free} bytes free but {} ranks x {file_size}-byte \
                      binary needs {needed}",
                     shape.total_ranks
-                ))
-            } else {
-                Capability::Feasible
+                ));
             }
         }
-        Method::PieGlobals | Method::CowGlobals => {
-            if env.toolchain.has_glibc {
-                // Segment copies (eager or page-granular) come from
-                // Isomalloc-managed rank memory: no per-process cap to
-                // exhaust at startup.
-                Capability::Feasible
-            } else {
-                unsupported(
-                    "requires glibc extensions (dl_iterate_phdr; stable since 2005)".to_string(),
-                )
-            }
-        }
+        // Segment copies (eager or page-granular) come from
+        // Isomalloc-managed rank memory: no per-process cap to exhaust at
+        // startup. The other methods have no shape-dependent budget.
+        _ => {}
     }
-}
-
-/// Verdicts for a set of candidate methods, in probe order.
-#[derive(Debug, Clone)]
-pub struct ProbeReport {
-    pub shape: RunShape,
-    pub entries: Vec<(Method, Capability)>,
-}
-
-impl ProbeReport {
-    /// Probe every method in `candidates` against `env`.
-    pub fn probe(candidates: &[Method], env: &PrivatizeEnv, shape: RunShape) -> ProbeReport {
-        ProbeReport {
-            shape,
-            entries: candidates
-                .iter()
-                .map(|&m| (m, probe_method(m, env, shape)))
-                .collect(),
-        }
-    }
-
-    pub fn verdict(&self, method: Method) -> Option<&Capability> {
-        self.entries.iter().find(|(m, _)| *m == method).map(|(_, c)| c)
-    }
-
-    /// First candidate whose verdict is [`Capability::Feasible`].
-    pub fn first_feasible(&self) -> Option<Method> {
-        self.entries
-            .iter()
-            .find(|(_, c)| c.is_feasible())
-            .map(|(m, _)| *m)
-    }
-}
-
-impl fmt::Display for ProbeReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "probed {} ranks/process, {} total:",
-            self.shape.ranks_per_process, self.shape.total_ranks
-        )?;
-        for (m, c) in &self.entries {
-            write!(f, " [{m}: {c}]")?;
-        }
-        Ok(())
-    }
+    Capability::Feasible
 }
 
 #[cfg(test)]
@@ -314,22 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn report_finds_first_feasible_in_chain_order() {
-        let env = PrivatizeEnv::new(bin());
-        let chain = [Method::PipGlobals, Method::FsGlobals, Method::PieGlobals];
-        let report = ProbeReport::probe(&chain, &env, shape(16, 16));
-        // 16 > 12 namespaces → PIPglobals out; FSglobals (unbounded FS)
-        // is next.
-        assert_eq!(report.first_feasible(), Some(Method::FsGlobals));
-        assert!(report
-            .verdict(Method::PipGlobals)
-            .is_some_and(|c| !c.is_feasible()));
-        let rendered = format!("{report}");
-        assert!(rendered.contains("pipglobals"));
-        assert!(rendered.contains("resource-limited"));
-    }
-
-    #[test]
     fn legacy_matrix_methods_probe_by_toolchain() {
         let env = PrivatizeEnv::new(bin());
         // bridges2: modern ld breaks Swapglobals, stock gcc lacks MPC.
@@ -340,5 +299,51 @@ mod tests {
             .with_toolchain(Toolchain::legacy_ld())
             .with_pes(4);
         assert!(probe_method(Method::Swapglobals, &smp, shape(2, 2)).is_unsupported());
+    }
+
+    #[test]
+    fn probe_rates_unsupported_exactly_what_the_constructors_refuse() {
+        use crate::methods::{create_privatizer, Options};
+        let spec = |name| ImageSpec::builder(name).global("g", 8);
+        let binaries = [
+            ("C", bin()),
+            ("Fortran", link(spec("f").language(Language::Fortran).build())),
+            ("C with shared objects", link(spec("so").uses_shared_objects(true).build())),
+            ("non-PIE C", link(spec("old").pie(false).build())),
+        ];
+        let toolchains = [
+            ("bridges2", Toolchain::bridges2()),
+            ("macos", Toolchain::macos()),
+            ("legacy_ld", Toolchain::legacy_ld()),
+            ("with_patched_glibc", Toolchain::with_patched_glibc()),
+        ];
+        for &method in Method::ALL {
+            for (lang, b) in &binaries {
+                for (tc_name, tc) in &toolchains {
+                    for (pes, mounted) in [(1, true), (1, false), (4, true), (4, false)] {
+                        let env = || {
+                            let fs = mounted.then(|| Arc::new(Mutex::new(SharedFs::new())));
+                            PrivatizeEnv::new(b.clone())
+                                .with_toolchain(*tc)
+                                .with_pes(pes)
+                                .with_shared_fs(fs)
+                        };
+                        let cap = probe_method(method, &env(), shape(pes, pes));
+                        let refused = match create_privatizer(method, env(), Options::default()) {
+                            Ok(_) => false,
+                            Err(PrivatizeError::Unsupported { .. })
+                            | Err(PrivatizeError::Dl(DlError::NotPie { .. })) => true,
+                            Err(e) => panic!("{method} on {lang}/{tc_name}: {e}"),
+                        };
+                        assert_eq!(
+                            cap.is_unsupported(),
+                            refused,
+                            "{method}, {lang} binary, {tc_name}, {pes} PEs/process, \
+                             FS mounted {mounted}: probe says {cap}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

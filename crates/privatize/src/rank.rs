@@ -82,10 +82,6 @@ impl RankInstance {
             .unwrap_or_else(|| panic!("undefined global variable `{name}`"))
     }
 
-    pub fn try_access(&self, name: &str) -> Option<VarAccess> {
-        self.accesses.get(name).copied()
-    }
-
     /// The scheduler's context-switch hook: install this rank's
     /// privatization registers on the current PE.
     #[inline]
@@ -130,10 +126,6 @@ impl RankInstance {
     /// Decode an offset against this rank's image base.
     pub fn offset_to_fn_addr(&self, offset: usize) -> usize {
         self.code_base + offset
-    }
-
-    pub fn var_names(&self) -> impl Iterator<Item = &String> {
-        self.accesses.keys()
     }
 }
 

@@ -22,7 +22,7 @@
 
 use crate::binary::ProgramBinary;
 use crate::loader::NamespaceId;
-use crate::spec::{Callable, VarClass};
+use crate::spec::Callable;
 use pvr_isomalloc::{Region, RegionKind};
 use std::sync::Arc;
 
@@ -313,21 +313,6 @@ impl LoadedImage {
         let sym = self.binary.layout.data_syms.get(name)?;
         let bytes = &self.data.as_slice()[sym.offset..sym.offset + 8];
         Some(u64::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    /// All mutable data symbols, for privatization methods that must
-    /// enumerate what to privatize.
-    pub fn data_symbols(&self) -> impl Iterator<Item = (&String, &crate::binary::SymbolOffset)> {
-        self.binary.layout.data_syms.iter()
-    }
-
-    /// Whether a variable is a Static (not reachable through the GOT).
-    pub fn is_static_var(&self, name: &str) -> bool {
-        self.binary
-            .spec
-            .var(name)
-            .map(|v| v.class == VarClass::Static)
-            .unwrap_or(false)
     }
 }
 

@@ -72,8 +72,6 @@ pub struct PhdrInfo {
     pub segments: SegmentAddrs,
 }
 
-/// glibc's `DL_NNS`.
-pub const GLIBC_DL_NNS: usize = 16;
 /// Namespaces usable by `dlmopen(LM_ID_NEWLM)` on an unpatched glibc —
 /// the base namespace and internal uses consume the rest; the paper (and
 /// the PiP project) report ~12 usable virtualized entities per process.
@@ -105,10 +103,6 @@ impl DynLoader {
             max_dlmopen_namespaces: 1 << 16,
             patched_glibc: true,
         }
-    }
-
-    pub fn is_patched_glibc(&self) -> bool {
-        self.patched_glibc
     }
 
     /// Remaining `dlmopen` capacity.

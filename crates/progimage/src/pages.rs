@@ -87,11 +87,6 @@ impl PageTemplate {
         self.pages.len()
     }
 
-    /// The page index covering byte `offset`.
-    pub fn page_of(&self, offset: usize) -> usize {
-        offset / self.page_size
-    }
-
     /// One shared page, padded to `page_size`.
     pub fn page(&self, index: usize) -> &Arc<[u8]> {
         &self.pages[index]

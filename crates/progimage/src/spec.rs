@@ -70,12 +70,6 @@ impl GlobalSpec {
         self.mutability = Mutability::ReadOnly;
         self
     }
-
-    pub fn with_align(mut self, align: usize) -> Self {
-        assert!(align.is_power_of_two());
-        self.align = align;
-        self
-    }
 }
 
 /// The behavior a function body can carry in the model. Real computation

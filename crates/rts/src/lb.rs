@@ -123,72 +123,6 @@ impl LoadBalancer for GreedyLb {
     }
 }
 
-/// RefineLB: keep the current placement, move ranks off overloaded PEs
-/// until every PE is within `tolerance` of the average. Few migrations,
-/// but can get stuck short of balance.
-pub struct RefineLb {
-    pub tolerance: f64,
-}
-
-impl Default for RefineLb {
-    fn default() -> Self {
-        RefineLb { tolerance: 0.02 }
-    }
-}
-
-fn refine(stats: &LbStats, start: &[PeId], tolerance: f64) -> Vec<PeId> {
-    let mut placement = start.to_vec();
-    let mut pe_load = stats.pe_loads(&placement);
-    let total: f64 = stats.loads.iter().sum();
-    let avg = total / stats.n_pes as f64;
-    let threshold = avg * (1.0 + tolerance);
-
-    // per-PE rank lists
-    let mut ranks_on: Vec<Vec<RankId>> = vec![Vec::new(); stats.n_pes];
-    for (r, &pe) in placement.iter().enumerate() {
-        ranks_on[pe].push(r);
-    }
-
-    debug_assert!(stats.n_pes > 0, "no PE to place ranks on");
-    for _ in 0..stats.loads.len() * 4 {
-        // most overloaded PE (the last of equals), least loaded (the first)
-        let pes = || pe_load.iter().enumerate();
-        let (Some((src, &src_load)), Some((dst, &dst_load))) = (
-            pes().max_by(|(_, a), (_, b)| a.total_cmp(b)),
-            pes().min_by(|(_, a), (_, b)| a.total_cmp(b)),
-        ) else {
-            break;
-        };
-        if src_load <= threshold {
-            break;
-        }
-        // heaviest rank on src that still helps (doesn't overshoot dst
-        // past src's current load)
-        let candidate = ranks_on[src]
-            .iter()
-            .copied()
-            .filter(|&r| dst_load + stats.loads[r] < src_load)
-            .max_by(|&a, &b| stats.loads[a].total_cmp(&stats.loads[b]));
-        let Some(r) = candidate else { break };
-        // move r: src → dst
-        ranks_on[src].retain(|&x| x != r);
-        ranks_on[dst].push(r);
-        pe_load[src] -= stats.loads[r];
-        pe_load[dst] += stats.loads[r];
-        placement[r] = dst;
-    }
-    placement
-}
-
-impl LoadBalancer for RefineLb {
-    fn name(&self) -> &'static str {
-        "RefineLB"
-    }
-    fn rebalance(&self, stats: &LbStats) -> Vec<PeId> {
-        refine(stats, &stats.placement, self.tolerance)
-    }
-}
-
 /// GreedyRefineLB (the paper's choice for ADCIRC): compute the greedy
 /// placement for its balance quality, then revert moves that barely
 /// matter, drastically cutting migration volume.
@@ -358,20 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn refine_never_worsens() {
-        let s = stats(vec![5.0, 1.0, 1.0, 1.0, 1.0, 1.0], 3);
-        let new = RefineLb::default().rebalance(&s);
-        assert!(s.makespan(&new) <= s.makespan(&s.placement) + 1e-9);
-    }
-
-    #[test]
-    fn refine_moves_little_when_balanced() {
-        let s = stats(vec![1.0; 8], 4);
-        let new = RefineLb::default().rebalance(&s);
-        assert_eq!(s.migration_count(&new), 0);
-    }
-
-    #[test]
     fn greedy_refine_matches_greedy_quality_with_fewer_moves() {
         let s = stats(
             vec![8.0, 7.0, 1.0, 1.0, 1.0, 1.0, 6.0, 5.0, 1.0, 1.0, 1.0, 1.0],
@@ -434,22 +354,19 @@ mod tests {
 
     #[test]
     fn strategies_break_ties_as_pinned() {
-        // Tied loads on every side: GreedyLB's order, RefineLB's source
-        // (the last most-loaded PE), destination (the first least-loaded)
-        // and candidate (the last heaviest rank), GreedyRefineLB's revert
-        // order and CommLB's affinity all meet equal values. The literals
-        // are the placements each strategy has always returned here.
+        // Tied loads on every side: GreedyLB's order, GreedyRefineLB's
+        // revert order and CommLB's affinity all meet equal values. The
+        // literals are the placements each strategy has always returned
+        // here.
         let mut s = stats(vec![2.0, 1.0, 2.0, 1.0, 3.0, 1.0, 2.0, 0.5, 1.0], 3);
         s.comm_bytes = vec![(0, 4, 1 << 20), (1, 7, 4 << 20), (2, 8, 2 << 20)];
         let got: Vec<Vec<PeId>> = vec![
             GreedyLb.rebalance(&s),
-            RefineLb::default().rebalance(&s),
             GreedyRefineLb::default().rebalance(&s),
             CommLb::default().rebalance(&s),
         ];
         let want: Vec<Vec<PeId>> = vec![
             vec![1, 2, 2, 0, 0, 2, 1, 1, 0],
-            vec![0, 0, 0, 1, 1, 2, 2, 2, 2],
             vec![1, 2, 2, 1, 0, 2, 1, 2, 0],
             vec![1, 2, 2, 0, 0, 2, 1, 0, 2],
         ];
@@ -514,7 +431,6 @@ mod tests {
             let strategies: Vec<Box<dyn LoadBalancer>> = vec![
                 Box::new(NullLb),
                 Box::new(GreedyLb),
-                Box::new(RefineLb::default()),
                 Box::new(GreedyRefineLb::default()),
                 Box::new(RotateLb),
                 Box::new(RandomLb { seed: 1 }),
@@ -538,16 +454,6 @@ mod tests {
             let new = GreedyLb.rebalance(&s);
             // list scheduling: makespan <= avg + max <= 2 * lower bound
             prop_assert!(s.makespan(&new) <= 2.0 * s.lower_bound() + 1e-9);
-        }
-
-        #[test]
-        fn prop_refine_never_increases_makespan(
-            loads in proptest::collection::vec(0.01f64..100.0, 1..64),
-            n_pes in 1usize..16,
-        ) {
-            let s = stats(loads, n_pes);
-            let new = RefineLb::default().rebalance(&s);
-            prop_assert!(s.makespan(&new) <= s.makespan(&s.placement) + 1e-9);
         }
     }
 }

@@ -65,8 +65,8 @@
 //!   the `Shared` state every lane reads, the worker pool (of one thread
 //!   or many) that drives the lanes, and the memory-safety guards' state
 //!   and checks, which every lane shares.
-//! * [`lb`] — load balancing strategies (GreedyLB, RefineLB,
-//!   GreedyRefineLB — the paper's choice for ADCIRC — RotateLB, RandomLB).
+//! * [`lb`] — load balancing strategies (GreedyLB, GreedyRefineLB — the
+//!   paper's choice for ADCIRC — RotateLB, RandomLB).
 //! * [`location`] — rank → PE directory (Charm++'s distributed location
 //!   manager, centralized here).
 

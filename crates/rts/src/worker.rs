@@ -788,8 +788,11 @@ impl ExecCtx<'_> {
         let pe = self.lane.pe;
         let now_ns = self.shared.now_ns(self.lane);
         let rs = &mut self.lane.ranks[r];
-        // Context switch: install the rank's privatization registers
-        // and this PE's hierarchical-local-storage block.
+        // Context switch: the trace context first (installing records
+        // under it), the rank's registers, this PE's local-storage block.
+        if self.shared.tracer.is_some() {
+            pvr_trace::set_context(pe, r as u32, now_ns);
+        }
         rs.instance.activate();
         let hls = self.shared.hls[pe].load(Ordering::Relaxed);
         if !hls.is_null() {
@@ -803,10 +806,7 @@ impl ExecCtx<'_> {
         let out = &mut self.lane.out;
         out.tallies.switches += 1;
         out.last_ran = Some(r);
-        if self.shared.tracer.is_some() {
-            pvr_trace::set_context(pe, r as u32, now_ns);
-            self.trace(r as u32, EventKind::CtxSwitchIn { ctx_work });
-        }
+        self.trace(r as u32, EventKind::CtxSwitchIn { ctx_work });
 
         // Only real-time runs measure load by the wall clock.
         let t0 = (self.shared.clock == ClockMode::RealTime).then(Instant::now);

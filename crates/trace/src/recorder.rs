@@ -254,10 +254,6 @@ impl Tracer {
         self.enabled.store(false, Ordering::Relaxed);
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Record one event. The first instruction is the enabled check —
     /// this is the whole cost when tracing is off.
     #[inline]

@@ -109,6 +109,22 @@ bench_lines=$(find crates/bench/src -name '*.rs' -exec cat {} + | wc -l)
     exit 1
 }
 
+echo "==> dead-pub ratchet (every \`pub\` item under crates/*/src is named somewhere besides its definition)"
+# A name declared `pub fn|struct|enum|trait|const|type|static` that occurs
+# once across crates/, tests/, examples/ and benchmark/ is an item nothing
+# calls: delete it rather than carry it. It counts words, so an item also
+# named in a comment, or a module that only its own tests reach, passes.
+pub_names=$(grep -rhoE --include='*.rs' \
+    'pub (unsafe |const |extern "C" )*(fn|struct|enum|trait|const|type|static) +(mut +)?[A-Za-z_][A-Za-z0-9_]*' \
+    crates/*/src | awk '{ print $NF }' | LC_ALL=C sort -u)
+once_names=$(grep -rhowE --include='*.rs' --exclude-dir=target '[A-Za-z_][A-Za-z0-9_]*' \
+    crates tests examples benchmark | LC_ALL=C sort | uniq -c | awk '$1 == 1 { print $2 }')
+dead_pub=$(LC_ALL=C comm -12 <(echo "$pub_names") <(echo "$once_names"))
+[ -z "$dead_pub" ] || {
+    echo "FAIL: declared pub but named nowhere else:" $dead_pub
+    exit 1
+}
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

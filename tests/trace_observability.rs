@@ -49,6 +49,33 @@ fn traced_jacobi_counts_match_run_report() {
 }
 
 #[test]
+fn priv_install_carries_the_slice_it_installs() {
+    use pvr_trace::EventKind;
+    // A context switch installs the rank's registers, then switches in:
+    // both events belong to the same PE, rank and time.
+    let run = tracing_exp::run(&cfg());
+    assert_eq!(run.snapshot.dropped, 0);
+    for trace in &run.snapshot.per_pe {
+        let events = &trace.events;
+        let installs = events.iter().filter(|e| matches!(e.kind, EventKind::PrivInstall { .. }));
+        let switches = events.iter().filter(|e| matches!(e.kind, EventKind::CtxSwitchIn { .. }));
+        assert_eq!(installs.count(), switches.count(), "PE {}", trace.pe);
+        for w in events.windows(2) {
+            if matches!(w[0].kind, EventKind::PrivInstall { .. }) {
+                assert!(
+                    matches!(w[1].kind, EventKind::CtxSwitchIn { .. })
+                        && (w[0].pe, w[0].rank, w[0].t_ns) == (w[1].pe, w[1].rank, w[1].t_ns),
+                    "PE {}: {:?} then {:?}",
+                    trace.pe,
+                    w[0],
+                    w[1]
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn json_export_reconciles_with_run_report() {
     let run = tracing_exp::run(&cfg());
     let json = run.snapshot.to_json();
