@@ -49,11 +49,8 @@ impl Ampi {
         let layout_offset = self
             .ctx
             .binary()
-            .layout
-            .fn_syms
-            .get(fn_name)
-            .unwrap_or_else(|| panic!("MPI_Op_create: no such function `{fn_name}`"))
-            .offset;
+            .fn_offset_of(fn_name)
+            .unwrap_or_else(|| panic!("MPI_Op_create: no such function `{fn_name}`"));
         // address in THIS rank's (possibly private) code copy...
         let addr = self.ctx.instance().offset_to_fn_addr(layout_offset);
         // ...then base-subtracted, per the paper.
@@ -109,17 +106,9 @@ impl Ampi {
         // would catch a raw-address op leaking across ranks.
         let addr = self.ctx.instance().offset_to_fn_addr(h.offset);
         let offset = self.ctx.instance().fn_addr_to_offset(addr);
-        let layout = &self.ctx.binary().layout;
-        let (name, _) = layout
-            .fn_syms
-            .iter()
-            .find(|(_, s)| offset >= s.offset && offset < s.offset + s.size)
-            .unwrap_or_else(|| panic!("no function at offset {offset}"));
         self.ctx
             .binary()
-            .spec
-            .function(name)
-            .and_then(|f| f.callable.clone())
-            .unwrap_or_else(|| panic!("function `{name}` has no registered behavior"))
+            .callable_at(offset)
+            .unwrap_or_else(|| panic!("no function with registered behavior at offset {offset}"))
     }
 }

@@ -74,8 +74,6 @@ pub fn binary() -> Arc<ProgramBinary> {
 pub struct JacobiStats {
     /// Global residual after the final iteration.
     pub residual: f64,
-    /// Grid points updated per iteration on this rank.
-    pub points_per_iter: usize,
     pub iters_done: u64,
 }
 
@@ -164,7 +162,6 @@ pub fn run(mpi: &Ampi, cfg: JacobiConfig) -> JacobiStats {
 
     JacobiStats {
         residual,
-        points_per_iter: nx * ny * nz,
         iters_done: if cfg.iters == 0 {
             0
         } else {

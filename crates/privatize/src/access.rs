@@ -177,13 +177,6 @@ impl VarAccess {
         }
         unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.ptr(), bytes.len()) };
     }
-
-    /// Whether this access requires a per-context-switch register to be
-    /// correct (i.e. would read the wrong rank's data if the scheduler
-    /// forgot to install registers).
-    pub fn needs_register(&self) -> bool {
-        !matches!(self, VarAccess::Direct(_) | VarAccess::Cow { .. })
-    }
 }
 
 /// Trace the simulated faults a COW write took: one `PageFault` (the
@@ -211,7 +204,6 @@ mod tests {
         a.write_u64(77);
         assert_eq!(a.read_u64(), 77);
         assert_eq!(v, 77);
-        assert!(!a.needs_register());
     }
 
     #[test]
@@ -227,7 +219,6 @@ mod tests {
         assert_eq!(a.read_u64(), 111);
         regs::set_tls_base(block_b.as_mut_ptr());
         assert_eq!(a.read_u64(), 222);
-        assert!(a.needs_register());
         regs::clear();
     }
 

@@ -41,7 +41,6 @@ pub use methods::create_privatizer;
 pub use probe::{probe_method, Capability, RunShape};
 pub use rank::{CtxAction, RankInstance};
 
-use pvr_progimage::spec::Callable;
 use std::fmt;
 use std::time::Duration;
 
@@ -238,6 +237,13 @@ pub struct CowDeltaPages {
 
 /// One privatization strategy instantiated for one (simulated) OS process.
 ///
+/// A method decides where each rank's copy of the program's state lives;
+/// symbol lookups do not depend on it. Every copy shares the binary's
+/// layout, so function name → code offset → behaviour (how `MPI_Op`s
+/// survive distinct code copies, §3.3) is asked of
+/// [`pvr_progimage::ProgramBinary`] (`fn_offset_of`, `fn_at`,
+/// `callable_at`), never of a privatizer.
+///
 /// `Sync` because the runtime lends its privatizers to every worker of an
 /// epoch; the one caller that reaches them from a lane (the guards'
 /// segment scan) runs on a single worker.
@@ -272,15 +278,6 @@ pub trait Privatizer: Send + Sync {
     fn simulated_startup_cost(&self) -> Duration {
         Duration::ZERO
     }
-
-    /// Offset of a named function from the image base — how `MPI_Op`
-    /// user functions are encoded so they stay meaningful across ranks
-    /// whose code segments live at different addresses (§3.3).
-    fn fn_offset_of(&self, name: &str) -> Option<usize>;
-
-    /// Resolve a code-segment offset back to callable behavior. Works on
-    /// any rank's base (or the original image) because layout is shared.
-    fn callable_for_offset(&self, offset: usize) -> Option<Callable>;
 
     /// `pieglobalsfind`: translate a privatized address back to the
     /// original image for debugging. Only PIEglobals implements this.

@@ -5,16 +5,18 @@
 //! though most ranks never write most of their data segment. COWglobals
 //! deduplicates that state:
 //!
-//! 1. startup discovers the binary's segments exactly like PIEglobals
-//!    (`dlopen` once per process + `dl_iterate_phdr` diff) and memoizes
-//!    the same [`StartupTemplate`] (data snapshot + pointer-fixup plan);
+//! 1. startup is PIEglobals' own ([`PieCore`]): `dlopen` once per process,
+//!    a `dl_iterate_phdr` diff, and the same memoized template (data
+//!    snapshot + pointer-fixup plan); every per-rank step but the data
+//!    segment's backing ([`DataCopy::Cow`]) is PIEglobals' code;
 //! 2. the data snapshot is chopped into a shared, `Arc`'d
 //!    [`PageTemplate`]; every rank maps it read-only through a
 //!    [`CowSegment`] page table whose backing store is a zero-filled
 //!    Isomalloc data region (so private pages migrate with the rank);
 //! 3. a rank's first write to a page takes a *simulated fault*: the fault
 //!    handler copies that one template page into the rank's backing store,
-//!    marks it private, and applies the write there ([`VarAccess::Cow`]);
+//!    marks it private, and applies the write there
+//!    ([`VarAccess::Cow`](crate::VarAccess::Cow));
 //! 4. pages containing per-rank pointer fixups (the template's patch
 //!    list) necessarily diverge, so they are privatized and patched at
 //!    instantiation — a page never faulted is bit-identical across ranks
@@ -27,7 +29,7 @@
 //!    page sharing — and the dedup audit built on it — survives
 //!    checkpointing; incremental checkpoints pull epoch dirty pages via
 //!    [`Privatizer::cow_delta_pages`] the same read-through way;
-//! 6. per-rank dirty-page sets ([`DirtyTracker`]) feed the end-of-run
+//! 6. per-rank dirty-page sets ([`pvr_progimage::DirtyTracker`]) feed the end-of-run
 //!    dedup audit: pages that never diverged on *any* rank are reported
 //!    as shared ([`pvr_trace::EventKind::DedupAudit`]).
 //!
@@ -37,73 +39,36 @@
 //! pack/unpack byte count — identical to PIEglobals'. The ballast's live
 //! extent is empty, so an image counts it and stores nothing of it.
 
-use super::pieglobals::{build_startup_template, dlopen_and_locate, PatchTarget, StartupTemplate};
-use super::{Common, PieOptions};
-use crate::access::{emit_faults, VarAccess};
+use super::pieglobals::{DataCopy, PieCore, ScanPolicy};
 use crate::env::PrivatizeEnv;
-use crate::probe::prerequisites;
-use crate::rank::{CtxAction, RankInstance};
+use crate::rank::RankInstance;
 use crate::{CowStats, Method, PrivatizeError, Privatizer};
 use pvr_isomalloc::{RankMemory, Region, RegionKind};
 use pvr_progimage::pages::{CowCell, CowSegment, PageTemplate, DEFAULT_PAGE_SIZE};
-use pvr_progimage::spec::Callable;
-use pvr_progimage::{SegmentAddrs, VarClass};
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One rank's COW state. The cell is boxed so the raw pointer embedded in
-/// the rank's [`VarAccess::Cow`] handles survives `ranks` reallocation.
+/// the rank's [`VarAccess::Cow`](crate::VarAccess::Cow) handles survives
+/// `ranks` reallocation.
 struct CowRank {
     rank: usize,
     cell: Box<CowCell>,
 }
 
 pub struct CowGlobals {
-    common: Common,
-    opts: PieOptions,
-    /// Original segment addresses found by the phdr diff.
-    orig: SegmentAddrs,
-    tls_block_size: usize,
-    /// Memoized fixup plan (PIEglobals' template, built lazily at the
-    /// first instantiation).
-    template: Option<StartupTemplate>,
+    core: PieCore,
     /// The shared read-only page table over the template's data snapshot.
     page_template: Option<Arc<PageTemplate>>,
     ranks: Vec<CowRank>,
-    /// Pointer fixups applied (startup patch pages), for tests/reporting.
-    pub fixups_applied: usize,
 }
 
 impl CowGlobals {
-    pub fn new(env: PrivatizeEnv, opts: PieOptions) -> Result<CowGlobals, PrivatizeError> {
-        prerequisites(Method::CowGlobals, &env)?;
-        let mut env = env;
-        let (image, orig) = dlopen_and_locate(&mut env)?;
-        let tls_block_size = env.binary.layout.tls_size.max(8);
-        let common = Common {
-            env,
-            base_image: image,
-        };
+    pub fn new(env: PrivatizeEnv, scan: ScanPolicy) -> Result<CowGlobals, PrivatizeError> {
         Ok(CowGlobals {
-            common,
-            opts,
-            orig,
-            tls_block_size,
-            template: None,
+            core: PieCore::new(Method::CowGlobals, env, scan)?,
             page_template: None,
             ranks: Vec::new(),
-            fixups_applied: 0,
         })
-    }
-
-    fn ensure_template(&mut self) {
-        if self.template.is_none() {
-            let image = self.common.base_image.clone();
-            let tpl = build_startup_template(&self.orig, self.opts.scan, &image);
-            self.page_template = Some(Arc::new(PageTemplate::new(&tpl.data, DEFAULT_PAGE_SIZE)));
-            self.template = Some(tpl);
-        }
     }
 }
 
@@ -117,26 +82,23 @@ impl Privatizer for CowGlobals {
         rank: usize,
         mem: &mut RankMemory,
     ) -> Result<RankInstance, PrivatizeError> {
-        let binary = self.common.env.binary.clone();
-        let layout = &binary.layout;
-        let image = self.common.base_image.clone();
-        self.ensure_template();
-        let tpl = self.template.take().expect("template just built");
+        let core = &mut self.core;
         let page_tpl = self
             .page_template
-            .clone()
-            .expect("page template built with template");
+            .get_or_insert_with(|| {
+                Arc::new(PageTemplate::new(&core.template().data, DEFAULT_PAGE_SIZE))
+            })
+            .clone();
 
-        // Rank regions in PIEglobals' exact order and sizes, so migration
-        // and checkpoint byte counts match the eager method bit-for-bit.
-        // Code is shared read-only; the ballast preserves the layout.
-        let mut code_ballast =
-            Region::new_zeroed(RegionKind::CodeSegment, image.code_region().len());
-        // never written: images count its bytes and carry none of them
+        // PIEglobals' two regions, in its order and sizes. Code is shared
+        // read-only: a zero ballast stands in for the copy, never written,
+        // so images count its bytes and carry none of them. The backing
+        // store starts zeroed; pages come from the template on first write.
+        let code_len = core.common.base_image.code_region().len();
+        let mut code_ballast = Region::new_zeroed(RegionKind::CodeSegment, code_len);
         code_ballast.set_live(0..0);
-        let backing = Region::new_zeroed(RegionKind::DataSegment, tpl.data.len().max(1));
+        let backing = Region::new_zeroed(RegionKind::DataSegment, page_tpl.len().max(1));
         let new_code = code_ballast.base() as usize;
-        let new_data = backing.base() as usize;
         let backing_ptr = backing.base_mut();
         mem.add_region(code_ballast);
         mem.add_region(backing);
@@ -146,104 +108,14 @@ impl Privatizer for CowGlobals {
         let cell = Box::new(CowCell::new(unsafe {
             CowSegment::new(page_tpl, backing_ptr)
         }));
-
-        // Ctor heap clones are eager private state, exactly as in
-        // PIEglobals (same allocation sequence — heap layout parity).
-        let mut clone_bases: Vec<usize> = Vec::with_capacity(tpl.ctor_data.len());
-        for bytes in &tpl.ctor_data {
-            let clone = mem.heap().alloc(bytes.len().max(1), 8)?;
-            unsafe {
-                std::ptr::copy_nonoverlapping(bytes.as_ptr(), clone.ptr, bytes.len());
-            }
-            clone_bases.push(clone.ptr as usize);
-        }
-
-        let resolve = |t: PatchTarget| -> u64 {
-            match t {
-                PatchTarget::Code { off } => (new_code + off) as u64,
-                PatchTarget::Data { off } => (new_data + off) as u64,
-                PatchTarget::CtorHeap { alloc, off } => (clone_bases[alloc] + off) as u64,
-            }
-        };
-
-        // Data-segment fixups hold per-rank pointers, so their pages can
-        // never be shared: privatize them through the fault handler now.
-        // This keeps the dedup invariant exact — a page with zero faults
-        // is bit-identical to the template on every rank.
-        {
-            // SAFETY: the cell was just created and is exclusively ours
-            // until the rank's accesses are handed out.
-            let seg = unsafe { cell.segment() };
-            for &(off, t) in &tpl.data_patches {
-                let (p, faulted) = seg.writable_ptr(off, 8);
-                emit_faults(&faulted, seg.page_size());
-                unsafe { (p as *mut u64).write_unaligned(resolve(t)) };
-                self.fixups_applied += 1;
-            }
-        }
-        for &(alloc, off, t) in &tpl.ctor_patches {
-            let p = (clone_bases[alloc] + off) as *mut u64;
-            unsafe { p.write_unaligned(resolve(t)) };
-            self.fixups_applied += 1;
-        }
-
-        // Per-rank GOT, rebased like PIEglobals (data entries resolve to
-        // the rank's backing store — a private or materialized page).
-        let got_len = image.got().len().max(1);
-        let got_alloc = mem.heap().alloc(got_len * 8, 8)?;
-        {
-            let got_slice =
-                unsafe { std::slice::from_raw_parts_mut(got_alloc.ptr as *mut u64, got_len) };
-            for (i, &entry) in image.got().iter().enumerate() {
-                got_slice[i] = tpl.got_plan[i].map(&resolve).unwrap_or(entry);
-            }
-        }
-        pvr_trace::emit(pvr_trace::EventKind::GotFixup {
-            entries: got_len as u32,
-        });
-        self.template = Some(tpl);
-
-        // Per-rank TLS block (the TLSglobals combination, as PIEglobals).
-        let mut tls_block = Region::new_zeroed(RegionKind::TlsSegment, self.tls_block_size);
-        let tls_tpl = image.tls_template();
-        tls_block.as_mut_slice()[..tls_tpl.len()].copy_from_slice(tls_tpl);
-        let tls_base = tls_block.base_mut();
-        pvr_trace::emit(pvr_trace::EventKind::SegmentCopy {
-            segment: pvr_trace::Segment::Tls,
-            bytes: self.tls_block_size as u64,
-        });
-        mem.add_region(tls_block);
-
-        // Accesses: data vars go through the COW page table; TLS vars ride
-        // the TLS register exactly as under PIEglobals.
-        let cell_ptr: *const CowCell = &*cell;
-        let mut accesses: HashMap<String, VarAccess> = HashMap::new();
-        for v in &binary.spec.vars {
-            let acc = match v.class {
-                VarClass::Global | VarClass::Static => {
-                    let sym = &layout.data_syms[&v.name];
-                    VarAccess::Cow {
-                        cell: cell_ptr,
-                        offset: sym.offset,
-                        len: sym.size,
-                    }
-                }
-                VarClass::ThreadLocal => VarAccess::Tls {
-                    offset: layout.tls_syms[&v.name].offset,
-                },
-            };
-            accesses.insert(v.name.clone(), acc);
-        }
-
+        // Data-segment fixups hold per-rank pointers, so `DataCopy::Cow`
+        // privatizes their pages through the fault handler now. This
+        // keeps the dedup invariant exact — a page with zero faults is
+        // bit-identical to the template on every rank.
+        let data = DataCopy::Cow(&cell);
+        let inst = core.instantiate(rank, Method::CowGlobals, mem, new_code, data)?;
         self.ranks.push(CowRank { rank, cell });
-
-        Ok(RankInstance::new(
-            rank,
-            Method::CowGlobals,
-            accesses,
-            CtxAction::SetTls(tls_base),
-            new_code,
-        ))
+        Ok(inst)
     }
 
     fn supports_migration(&self) -> bool {
@@ -259,22 +131,10 @@ impl Privatizer for CowGlobals {
         true
     }
 
-    fn simulated_startup_cost(&self) -> Duration {
-        Duration::ZERO
-    }
-
-    fn fn_offset_of(&self, name: &str) -> Option<usize> {
-        self.common.fn_offset_of(name)
-    }
-
-    fn callable_for_offset(&self, offset: usize) -> Option<Callable> {
-        self.common.callable_for_offset(offset)
-    }
-
     fn per_rank_copied_bytes(&self) -> usize {
         // Only the TLS block is copied eagerly; data pages are paid for
         // on first write.
-        self.tls_block_size
+        self.core.tls_block_size
     }
 
     fn rank_data_segment(&self, rank: usize) -> Option<(*const u8, usize)> {
@@ -389,7 +249,7 @@ mod tests {
     }
 
     fn make() -> CowGlobals {
-        CowGlobals::new(PrivatizeEnv::new(bin()), PieOptions::default()).unwrap()
+        CowGlobals::new(PrivatizeEnv::new(bin()), ScanPolicy::default()).unwrap()
     }
 
     #[test]
@@ -420,11 +280,11 @@ mod tests {
         let mut m1 = RankMemory::new();
         let r0 = p.instantiate_rank(0, &mut m0).unwrap();
         let r1 = p.instantiate_rank(1, &mut m1).unwrap();
-        assert!(p.fixups_applied > 0);
+        assert!(p.core.fixups_applied > 0);
 
         // vt holds a per-rank function pointer: decoding it against each
         // rank's code base recovers the same image-relative offset.
-        let off = p.fn_offset_of("combine").unwrap();
+        let off = p.core.common.env.binary.fn_offset_of("combine").unwrap();
         assert_eq!(r0.fn_addr_to_offset(r0.access("vt").read_u64() as usize), off);
         assert_eq!(r1.fn_addr_to_offset(r1.access("vt").read_u64() as usize), off);
         assert_ne!(r0.access("vt").read_u64(), r1.access("vt").read_u64());
@@ -496,13 +356,26 @@ mod tests {
     fn materialized_segment_is_bit_identical_to_eager_pieglobals() {
         let shared_bin = bin();
         let mut cow =
-            CowGlobals::new(PrivatizeEnv::new(shared_bin.clone()), PieOptions::default()).unwrap();
+            CowGlobals::new(PrivatizeEnv::new(shared_bin.clone()), ScanPolicy::default()).unwrap();
         let mut pie =
-            PieGlobals::new(PrivatizeEnv::new(shared_bin), PieOptions::default()).unwrap();
+            PieGlobals::new(PrivatizeEnv::new(shared_bin), ScanPolicy::default()).unwrap();
         let mut mc = RankMemory::new();
         let mut mp = RankMemory::new();
         let rc = cow.instantiate_rank(0, &mut mc).unwrap();
         let rp = pie.instantiate_rank(0, &mut mp).unwrap();
+
+        // Layout parity: the same regions, in the same order and sizes,
+        // and the same heap allocations — what makes migration and
+        // checkpoint byte counts equal.
+        let layout = |m: &RankMemory| -> Vec<(RegionKind, usize)> {
+            m.regions().map(|r| (r.kind(), r.len())).collect()
+        };
+        assert_eq!(layout(&mc), layout(&mp), "rank regions must match");
+        assert_eq!(
+            mc.heap_ref().stats(),
+            mp.heap_ref().stats(),
+            "heap stats must match"
+        );
 
         // Same writes through both methods' access paths.
         for inst in [&rc, &rp] {
@@ -517,16 +390,13 @@ mod tests {
         let ps = unsafe { std::slice::from_raw_parts(pb, pl) };
         // Pointer-valued words differ by construction (they point into
         // each method's own rank memory); compare everything else.
-        let patch_words: std::collections::HashSet<usize> = {
-            cow.ensure_template();
-            cow.template
-                .as_ref()
-                .unwrap()
-                .data_patches
-                .iter()
-                .map(|&(off, _)| off)
-                .collect()
-        };
+        let patch_words: std::collections::HashSet<usize> = cow
+            .core
+            .template()
+            .data_patches
+            .iter()
+            .map(|&(off, _)| off)
+            .collect();
         for i in 0..cl {
             if patch_words.contains(&(i & !7)) {
                 continue;

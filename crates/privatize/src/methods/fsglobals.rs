@@ -12,27 +12,19 @@
 //!   per rank while avoiding system components was deemed impractical);
 //! * **con**: no migration, same interception problem as PIPglobals.
 
-use super::Common;
-use crate::access::VarAccess;
+use super::{Common, ImageRanks};
 use crate::env::PrivatizeEnv;
 use crate::probe::prerequisites;
-use crate::rank::{CtxAction, RankInstance};
+use crate::rank::RankInstance;
 use crate::{Method, PrivatizeError, Privatizer};
 use pvr_isomalloc::RankMemory;
-use pvr_progimage::spec::Callable;
-use pvr_progimage::{LoadedImage, VarClass};
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 pub struct FsGlobals {
     common: Common,
-    rank_images: Vec<Arc<LoadedImage>>,
-    /// Global rank id instantiated at the same index in `rank_images`.
-    rank_ids: Vec<usize>,
-    rank_tls: Vec<Box<[u8]>>,
+    /// One image per rank, each `dlopen`ed from its own file copy.
+    ranks: ImageRanks,
     io_cost: Duration,
-    copied_bytes: usize,
     deployed_path: String,
     /// Every file THIS privatizer wrote to the shared FS (the deployed
     /// original if we deployed it, plus one copy per instantiated rank).
@@ -74,15 +66,10 @@ impl FsGlobals {
             }
         }
 
-        let copied_bytes =
-            common.env.binary.layout.code_size + common.env.binary.layout.data_size;
         Ok(FsGlobals {
+            ranks: ImageRanks::new(&common),
             common,
-            rank_images: Vec::new(),
-            rank_ids: Vec::new(),
-            rank_tls: Vec::new(),
             io_cost,
-            copied_bytes,
             deployed_path,
             created_paths,
         })
@@ -161,42 +148,7 @@ impl Privatizer for FsGlobals {
             }
         };
 
-        let tls: Box<[u8]> = {
-            let tpl = img.tls_template();
-            if tpl.is_empty() {
-                vec![0u8; 8].into_boxed_slice()
-            } else {
-                tpl.to_vec().into_boxed_slice()
-            }
-        };
-        let tls_base = tls.as_ptr() as *mut u8;
-
-        let mut accesses: HashMap<String, VarAccess> = HashMap::new();
-        for v in &binary.spec.vars {
-            let acc = match v.class {
-                VarClass::Global | VarClass::Static => {
-                    VarAccess::Direct(img.data_addr_of(&v.name).unwrap())
-                }
-                VarClass::ThreadLocal => {
-                    let off = img.tls_offset_of(&v.name).unwrap();
-                    VarAccess::Direct(unsafe { tls_base.add(off) })
-                }
-            };
-            accesses.insert(v.name.clone(), acc);
-        }
-
-        let code_base = img.segment_addrs().code_base;
-        self.rank_images.push(img);
-        self.rank_ids.push(rank);
-        self.rank_tls.push(tls);
-
-        Ok(RankInstance::new(
-            rank,
-            Method::FsGlobals,
-            accesses,
-            CtxAction::None,
-            code_base,
-        ))
+        Ok(self.ranks.add(rank, Method::FsGlobals, img))
     }
 
     fn supports_migration(&self) -> bool {
@@ -207,22 +159,12 @@ impl Privatizer for FsGlobals {
         self.io_cost
     }
 
-    fn fn_offset_of(&self, name: &str) -> Option<usize> {
-        self.common.fn_offset_of(name)
-    }
-
-    fn callable_for_offset(&self, offset: usize) -> Option<Callable> {
-        self.common.callable_for_offset(offset)
-    }
-
     fn per_rank_copied_bytes(&self) -> usize {
-        self.copied_bytes
+        self.ranks.copied_bytes
     }
 
     fn rank_data_segment(&self, rank: usize) -> Option<(*const u8, usize)> {
-        let i = self.rank_ids.iter().position(|&r| r == rank)?;
-        let seg = self.rank_images[i].segment_addrs();
-        Some((seg.data_base as *const u8, seg.data_len))
+        self.ranks.data_segment(rank)
     }
 }
 
@@ -231,6 +173,7 @@ mod tests {
     use super::*;
     use parking_lot::Mutex;
     use pvr_progimage::{link, ImageSpec, SharedFs};
+    use std::sync::Arc;
 
     fn bin() -> Arc<pvr_progimage::ProgramBinary> {
         link(

@@ -14,7 +14,6 @@ use crate::probe::prerequisites;
 use crate::rank::{CtxAction, RankInstance};
 use crate::{Method, PrivatizeError, Privatizer};
 use pvr_isomalloc::RankMemory;
-use pvr_progimage::spec::Callable;
 use pvr_progimage::{Mutability, VarClass};
 use std::collections::HashMap;
 
@@ -103,14 +102,6 @@ impl Privatizer for ManualRefactor {
 
     fn supports_migration(&self) -> bool {
         true
-    }
-
-    fn fn_offset_of(&self, name: &str) -> Option<usize> {
-        self.common.fn_offset_of(name)
-    }
-
-    fn callable_for_offset(&self, offset: usize) -> Option<Callable> {
-        self.common.callable_for_offset(offset)
     }
 }
 

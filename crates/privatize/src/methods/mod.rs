@@ -13,15 +13,15 @@ pub use cowglobals::CowGlobals;
 pub use fsglobals::FsGlobals;
 pub use tlsglobals::HlsLevel;
 pub use manual::ManualRefactor;
-pub use pieglobals::{PieGlobals, PieOptions, ScanPolicy};
+pub use pieglobals::{PieGlobals, ScanPolicy};
 pub use pipglobals::PipGlobals;
 pub use swapglobals::Swapglobals;
 pub use tlsglobals::{TagPolicy, TlsGlobals};
 pub use unprivatized::Unprivatized;
 
 use crate::env::PrivatizeEnv;
-use crate::{Method, PrivatizeError, Privatizer};
-use pvr_progimage::spec::Callable;
+use crate::rank::{CtxAction, RankInstance};
+use crate::{Method, PrivatizeError, Privatizer, VarAccess};
 use pvr_progimage::{LoadedImage, VarClass};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -31,8 +31,8 @@ use std::sync::Arc;
 pub struct Options {
     /// Which variables the user tagged `thread_local` (TLSglobals only).
     pub tls_tags: TagPolicy,
-    /// Pointer-fixup strategy (PIEglobals only).
-    pub pie: PieOptions,
+    /// Pointer-fixup strategy (PIE- and COWglobals).
+    pub scan: ScanPolicy,
     /// MPC hierarchical-local-storage levels \[21\]: privatize each listed
     /// variable at Process/PE/Rank granularity instead of the default
     /// per-rank copy, to reduce memory overhead (TLSglobals and
@@ -68,13 +68,13 @@ pub fn create_privatizer(
         )?)),
         Method::PipGlobals => Ok(Box::new(PipGlobals::new(env)?)),
         Method::FsGlobals => Ok(Box::new(FsGlobals::new(env)?)),
-        Method::PieGlobals => Ok(Box::new(PieGlobals::new(env, opts.pie)?)),
-        Method::CowGlobals => Ok(Box::new(CowGlobals::new(env, opts.pie)?)),
+        Method::PieGlobals => Ok(Box::new(PieGlobals::new(env, opts.scan)?)),
+        Method::CowGlobals => Ok(Box::new(CowGlobals::new(env, opts.scan)?)),
     }
 }
 
-/// State shared by all method implementations: the base image and the
-/// symbol machinery for function-pointer offsets.
+/// State shared by all method implementations: the environment and the
+/// base image `dlopen`ed into it.
 pub(crate) struct Common {
     pub env: PrivatizeEnv,
     pub base_image: Arc<LoadedImage>,
@@ -85,40 +85,26 @@ impl Common {
         let base_image = env.loader.dlopen(&env.binary.clone())?;
         Ok(Common { env, base_image })
     }
+}
 
-    pub fn fn_offset_of(&self, name: &str) -> Option<usize> {
-        self.env
-            .binary
-            .layout
-            .fn_syms
-            .get(name)
-            .map(|s| s.offset)
-    }
-
-    pub fn callable_for_offset(&self, offset: usize) -> Option<Callable> {
-        self.base_image.callable_at_offset(offset)
-    }
-
-    /// Accesses for the *unprivatized* view: every data var resolves to
-    /// the shared base image; TLS vars resolve into `process_tls`.
-    pub fn shared_accesses(&self, process_tls: *mut u8) -> HashMap<String, crate::VarAccess> {
-        let mut m = HashMap::new();
-        for v in &self.env.binary.spec.vars {
-            let acc = match v.class {
-                VarClass::Global | VarClass::Static => crate::VarAccess::Direct(
-                    self.base_image
-                        .data_addr_of(&v.name)
-                        .expect("symbol in layout"),
-                ),
-                VarClass::ThreadLocal => {
-                    let off = self.base_image.tls_offset_of(&v.name).unwrap();
-                    crate::VarAccess::Direct(unsafe { process_tls.add(off) })
-                }
+/// Every variable resolved into `img`: data variables to its data
+/// segment, TLS variables into `tls`, a block built from its template
+/// ([`process_tls_block`]).
+pub(crate) fn image_accesses(img: &LoadedImage, tls: *mut u8) -> HashMap<String, VarAccess> {
+    img.binary
+        .spec
+        .vars
+        .iter()
+        .map(|v| {
+            let p = match v.class {
+                VarClass::Global | VarClass::Static => img.data_addr_of(&v.name),
+                // SAFETY: `tls` spans the image's TLS template, which holds
+                // every TLS variable's offset.
+                VarClass::ThreadLocal => img.tls_offset_of(&v.name).map(|o| unsafe { tls.add(o) }),
             };
-            m.insert(v.name.clone(), acc);
-        }
-        m
-    }
+            (v.name.clone(), VarAccess::Direct(p.expect("symbol in layout")))
+        })
+        .collect()
 }
 
 /// A process-wide TLS block built from the image's TLS template — what
@@ -130,5 +116,43 @@ pub(crate) fn process_tls_block(image: &LoadedImage) -> Box<[u8]> {
         vec![0u8; 8].into_boxed_slice()
     } else {
         tpl.to_vec().into_boxed_slice()
+    }
+}
+
+/// The ranks of a method that loads one image per rank (PIP- and
+/// FSglobals): each owns its image — process state of the loader, not
+/// rank memory, which is why neither method migrates — and a TLS block
+/// built from that image's template. Globals are reached IP-relatively
+/// inside the rank's own image, so there is nothing to swap at a context
+/// switch.
+pub(crate) struct ImageRanks {
+    ranks: Vec<(usize, Arc<LoadedImage>, Box<[u8]>)>,
+    /// Bytes each rank's image duplicates: its code and data segments.
+    pub copied_bytes: usize,
+}
+
+impl ImageRanks {
+    pub fn new(common: &Common) -> ImageRanks {
+        let layout = &common.env.binary.layout;
+        ImageRanks {
+            ranks: Vec::new(),
+            copied_bytes: layout.code_size + layout.data_size,
+        }
+    }
+
+    /// Give `rank` the freshly loaded `img`.
+    pub fn add(&mut self, rank: usize, method: Method, img: Arc<LoadedImage>) -> RankInstance {
+        let tls = process_tls_block(&img);
+        let accesses = image_accesses(&img, tls.as_ptr() as *mut u8);
+        let code_base = img.segment_addrs().code_base;
+        self.ranks.push((rank, img, tls));
+        RankInstance::new(rank, method, accesses, CtxAction::None, code_base)
+    }
+
+    /// `rank`'s data segment, for the runtime's segment-integrity audit.
+    pub fn data_segment(&self, rank: usize) -> Option<(*const u8, usize)> {
+        let (_, img, _) = self.ranks.iter().find(|(r, ..)| *r == rank)?;
+        let seg = img.segment_addrs();
+        Some((seg.data_base as *const u8, seg.data_len))
     }
 }

@@ -28,18 +28,20 @@
 //!    so `MPI_Op`s survive rank heterogeneity and migration.
 //!
 //! `pieglobalsfind` (the debugger aid) is [`crate::Privatizer::find_original`].
+//!
+//! COWglobals runs the same steps: [`PieCore`] holds everything but how a
+//! rank's data segment copy is backed ([`DataCopy`]).
 
 use super::Common;
-use crate::access::VarAccess;
+use crate::access::{emit_faults, VarAccess};
 use crate::env::PrivatizeEnv;
 use crate::probe::prerequisites;
 use crate::rank::{CtxAction, RankInstance};
 use crate::{FindResult, Method, PrivatizeError, Privatizer};
 use pvr_isomalloc::{RankMemory, Region, RegionKind};
-use pvr_progimage::spec::Callable;
-use pvr_progimage::{LoadedImage, Mutability, SegmentAddrs, VarClass};
-use std::collections::HashMap;
-use std::time::Duration;
+use pvr_progimage::pages::CowCell;
+use pvr_progimage::{LoadedImage, SegmentAddrs, VarClass};
+use pvr_trace::{EventKind, Segment};
 
 /// How PIEglobals finds the pointers that need rebasing after the copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,15 +55,6 @@ pub enum ScanPolicy {
     /// Use exact relocation records (what a dynamic-binary-instrumentation
     /// pass would recover). No false positives.
     Relocations,
-}
-
-/// PIEglobals knobs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PieOptions {
-    pub scan: ScanPolicy,
-    /// Future-work memory optimization: read-only globals resolve to the
-    /// shared image instead of the per-rank copy.
-    pub dedup_readonly: bool,
 }
 
 struct RankRanges {
@@ -85,8 +78,8 @@ pub(crate) enum PatchTarget {
 
 /// Memoized startup work, computed once per privatizer at the FIRST
 /// `instantiate_rank` and replayed for every subsequent rank as
-/// memcpy + patch list. Shared with CowGlobals, whose page-granular
-/// fault handler replays only the patches landing on a faulted page.
+/// memcpy + patch list. COWglobals replays the same list, faulting the
+/// page of each data-segment patch private.
 ///
 /// Snapshotted at first instantiation — not at construction — because a
 /// program (and our false-positive regression test) may write to the
@@ -99,19 +92,18 @@ pub(crate) struct StartupTemplate {
     /// scan policy would rebase.
     pub(crate) data_patches: Vec<(usize, PatchTarget)>,
     /// Ctor heap allocation bytes to replicate per rank.
-    pub(crate) ctor_data: Vec<Vec<u8>>,
+    ctor_data: Vec<Vec<u8>>,
     /// (allocation index, byte offset, target) fixups inside the clones.
-    pub(crate) ctor_patches: Vec<(usize, usize, PatchTarget)>,
+    ctor_patches: Vec<(usize, usize, PatchTarget)>,
     /// Per-GOT-entry rebase classification (`None` = keep the original
     /// value).
-    pub(crate) got_plan: Vec<Option<PatchTarget>>,
+    got_plan: Vec<Option<PatchTarget>>,
 }
 
-/// Steps 1-2, shared by every PIE-segment-copy method (PIE/COWglobals):
-/// `dlopen` the binary **once per OS process**, then locate its code and
-/// data segments by diffing `dl_iterate_phdr` listings taken before and
-/// after the open.
-pub(crate) fn dlopen_and_locate(
+/// Steps 1-2: `dlopen` the binary **once per OS process**, then locate
+/// its code and data segments by diffing `dl_iterate_phdr` listings taken
+/// before and after the open.
+fn dlopen_and_locate(
     env: &mut PrivatizeEnv,
 ) -> Result<(std::sync::Arc<LoadedImage>, SegmentAddrs), PrivatizeError> {
     let before = env.loader.phdr_snapshot();
@@ -145,7 +137,7 @@ pub(crate) fn dlopen_and_locate(
 /// Classify one scanned value against the ORIGINAL segment/ctor-heap
 /// ranges — the memoizable half of pointer rebasing: ranges never change
 /// across ranks, only the per-rank bases do.
-pub(crate) fn classify_value(
+fn classify_value(
     orig: &SegmentAddrs,
     v: u64,
     ctor_ranges: &[(usize, usize)],
@@ -175,7 +167,7 @@ pub(crate) fn classify_value(
 /// Run the scan policy ONCE over a snapshot of the image and record every
 /// fixup as (offset, target); replaying the list per rank (PIEglobals) or
 /// per faulted page (CowGlobals) never rescans a single word.
-pub(crate) fn build_startup_template(
+fn build_startup_template(
     orig: &SegmentAddrs,
     scan: ScanPolicy,
     image: &LoadedImage,
@@ -243,119 +235,124 @@ pub(crate) fn build_startup_template(
     }
 }
 
-pub struct PieGlobals {
-    common: Common,
-    opts: PieOptions,
-    /// Original segment addresses found by the phdr diff.
-    orig: SegmentAddrs,
-    /// TLS layout: declared TLS vars only (data vars ride the segment copy).
-    tls_block_size: usize,
-    ranks: Vec<RankRanges>,
-    /// Bytes of fixups applied, by strategy, for reporting/tests.
-    pub fixups_applied: usize,
-    pub false_positive_candidates: usize,
-    /// Memoized startup template (built lazily).
-    template: Option<StartupTemplate>,
+/// Where a rank's data segment copy lives: how a fixup is written into
+/// it and how a variable in it is reached. The one thing PIE- and
+/// COWglobals do differently.
+pub(crate) enum DataCopy<'a> {
+    /// PIEglobals: an eager copy at this base; writes and accesses are
+    /// direct.
+    Eager(*mut u8),
+    /// COWglobals: a page table over the shared template; a write faults
+    /// its page private first, and accesses go through the table.
+    Cow(&'a CowCell),
 }
 
-impl PieGlobals {
-    pub fn new(env: PrivatizeEnv, opts: PieOptions) -> Result<PieGlobals, PrivatizeError> {
-        prerequisites(Method::PieGlobals, &env)?;
-        let mut env = env;
-        let (image, orig) = dlopen_and_locate(&mut env)?;
+impl DataCopy<'_> {
+    fn base(&self) -> usize {
+        match *self {
+            DataCopy::Eager(base) => base as usize,
+            // SAFETY: instantiation owns the new rank's cell (CowCell
+            // contract); nothing else reaches it yet.
+            DataCopy::Cow(cell) => unsafe { cell.segment() }.base() as usize,
+        }
+    }
+
+    /// Write a pointer-sized fixup at `off`, which the template's patch
+    /// list places inside the segment.
+    fn write_u64(&self, off: usize, v: u64) {
+        let p = match *self {
+            // SAFETY: the eager copy spans the whole template segment.
+            DataCopy::Eager(base) => unsafe { base.add(off) },
+            DataCopy::Cow(cell) => {
+                // SAFETY: as in `base`.
+                let seg = unsafe { cell.segment() };
+                let (p, faulted) = seg.writable_ptr(off, 8);
+                emit_faults(&faulted, seg.page_size());
+                p
+            }
+        };
+        // SAFETY: `p` addresses 8 writable bytes of the rank's copy.
+        unsafe { (p as *mut u64).write_unaligned(v) };
+    }
+
+    /// The access path to the variable at `offset` spanning `len` bytes.
+    fn access(&self, offset: usize, len: usize) -> VarAccess {
+        match *self {
+            // SAFETY: a linked symbol's offset lies inside the segment.
+            DataCopy::Eager(base) => VarAccess::Direct(unsafe { base.add(offset) }),
+            DataCopy::Cow(cell) => VarAccess::Cow { cell, offset, len },
+        }
+    }
+}
+
+/// What PIE- and COWglobals share: steps 1-2 at construction and every
+/// per-rank step after the method has placed the rank's code and data
+/// segments. One code path keeps the two methods' rank memory — region
+/// order and sizes, heap allocation sequence — and trace events the same,
+/// so migration and checkpoint byte counts match bit for bit.
+pub(crate) struct PieCore {
+    pub(crate) common: Common,
+    scan: ScanPolicy,
+    /// Original segment addresses found by the phdr diff.
+    pub(crate) orig: SegmentAddrs,
+    /// TLS layout: declared TLS vars only (data vars ride the segment copy).
+    pub(crate) tls_block_size: usize,
+    template: Option<StartupTemplate>,
+    /// Pointer fixups applied, for tests.
+    pub(crate) fixups_applied: usize,
+}
+
+impl PieCore {
+    pub(crate) fn new(
+        method: Method,
+        mut env: PrivatizeEnv,
+        scan: ScanPolicy,
+    ) -> Result<PieCore, PrivatizeError> {
+        prerequisites(method, &env)?;
+        let (base_image, orig) = dlopen_and_locate(&mut env)?;
         let tls_block_size = env.binary.layout.tls_size.max(8);
-        let common = Common { env, base_image: image };
-        Ok(PieGlobals {
-            common,
-            opts,
+        Ok(PieCore {
+            common: Common { env, base_image },
+            scan,
             orig,
             tls_block_size,
-            ranks: Vec::new(),
-            fixups_applied: 0,
-            false_positive_candidates: 0,
             template: None,
+            fixups_applied: 0,
         })
     }
 
-    /// Rebase one value if it points into the original segments or a ctor
-    /// heap allocation; returns the new value and what matched.
-    #[cfg(test)]
-    fn rebase_value(
-        &self,
-        v: u64,
+    /// The memoized startup template, built at the first call.
+    pub(crate) fn template(&mut self) -> &StartupTemplate {
+        let (orig, scan, image) = (&self.orig, self.scan, &self.common.base_image);
+        self.template
+            .get_or_insert_with(|| build_startup_template(orig, scan, image))
+    }
+
+    /// Steps 3-6 for a rank whose code (at `new_code`) and data segments
+    /// the method has just added to `mem`, from [`Self::template`]:
+    /// replicate the ctor heap, replay the patch list, rebase the GOT,
+    /// then [`Self::finish`].
+    pub(crate) fn instantiate(
+        &mut self,
+        rank: usize,
+        method: Method,
+        mem: &mut RankMemory,
         new_code: usize,
-        new_data: usize,
-        ctor_clones: &[(usize, usize, usize)], // (orig_base, len, clone_base)
-    ) -> Option<u64> {
-        let addr = v as usize;
-        if self.orig.contains_code(addr) {
-            return Some((new_code + (addr - self.orig.code_base)) as u64);
-        }
-        if self.orig.contains_data(addr) {
-            return Some((new_data + (addr - self.orig.data_base)) as u64);
-        }
-        for &(base, len, clone) in ctor_clones {
-            if addr >= base && addr < base + len {
-                return Some((clone + (addr - base)) as u64);
-            }
-        }
-        None
-    }
-
-    /// Steps 3-4: memcpy the memoized template into rank memory and
-    /// apply the patch list. The unit tests hold its segments and fixup
-    /// counts to those of the paper's literal per-rank scan
-    /// (`instantiate_segments_reference`, compiled for tests only).
-    fn instantiate_segments(
-        &mut self,
-        image: &LoadedImage,
-        mem: &mut RankMemory,
-    ) -> Result<(usize, usize, usize), PrivatizeError> {
-        if self.template.is_none() {
-            self.template = Some(build_startup_template(&self.orig, self.opts.scan, image));
-        }
-        let tpl = self.template.take().expect("template just built");
-        let result = self.apply_template(&tpl, image, mem);
-        self.template = Some(tpl);
-        result
-    }
-
-    fn apply_template(
-        &mut self,
-        tpl: &StartupTemplate,
-        image: &LoadedImage,
-        mem: &mut RankMemory,
-    ) -> Result<(usize, usize, usize), PrivatizeError> {
-        // Step 3: code straight from the image, data from the
-        // snapshot — both one memcpy.
-        let code_copy = Region::from_bytes(RegionKind::CodeSegment, image.code_region().as_slice());
-        let data_copy = Region::from_bytes(RegionKind::DataSegment, &tpl.data);
-        let new_code = code_copy.base() as usize;
-        let new_data = data_copy.base() as usize;
-        let data_ptr = data_copy.base_mut();
-        let data_len = data_copy.len();
-        pvr_trace::emit(pvr_trace::EventKind::SegmentCopy {
-            segment: pvr_trace::Segment::Code,
-            bytes: code_copy.len() as u64,
-        });
-        pvr_trace::emit(pvr_trace::EventKind::SegmentCopy {
-            segment: pvr_trace::Segment::Data,
-            bytes: data_len as u64,
-        });
-        mem.add_region(code_copy);
-        mem.add_region(data_copy);
-
+        data: DataCopy,
+    ) -> Result<RankInstance, PrivatizeError> {
+        let tpl = self.template.as_ref().expect("template placed");
+        let image = &self.common.base_image;
         let mut clone_bases: Vec<usize> = Vec::with_capacity(tpl.ctor_data.len());
         for bytes in &tpl.ctor_data {
             let clone = mem.heap().alloc(bytes.len().max(1), 8)?;
-            unsafe {
-                std::ptr::copy_nonoverlapping(bytes.as_ptr(), clone.ptr, bytes.len());
-            }
+            // SAFETY: the fresh allocation holds at least `bytes.len()`.
+            unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), clone.ptr, bytes.len()) };
             clone_bases.push(clone.ptr as usize);
         }
 
         // Step 4: patch-list replay — no scanning, one add and one
         // write per recorded fixup.
+        let new_data = data.base();
         let resolve = |t: PatchTarget| -> u64 {
             match t {
                 PatchTarget::Code { off } => (new_code + off) as u64,
@@ -364,198 +361,103 @@ impl PieGlobals {
             }
         };
         for &(off, t) in &tpl.data_patches {
-            unsafe { (data_ptr.add(off) as *mut u64).write_unaligned(resolve(t)) };
-            self.fixups_applied += 1;
+            data.write_u64(off, resolve(t));
         }
         for &(alloc, off, t) in &tpl.ctor_patches {
+            // SAFETY: the scan recorded `off` as a whole word of the clone.
             unsafe { ((clone_bases[alloc] + off) as *mut u64).write_unaligned(resolve(t)) };
-            self.fixups_applied += 1;
         }
+        self.fixups_applied += tpl.data_patches.len() + tpl.ctor_patches.len();
 
-        // GOT from the memoized plan.
+        // The rank's GOT from the memoized plan, in rank memory.
         let got_len = image.got().len().max(1);
         let got_alloc = mem.heap().alloc(got_len * 8, 8)?;
-        {
-            let got_slice =
-                unsafe { std::slice::from_raw_parts_mut(got_alloc.ptr as *mut u64, got_len) };
-            for (i, &entry) in image.got().iter().enumerate() {
-                got_slice[i] = tpl.got_plan[i].map(&resolve).unwrap_or(entry);
-            }
+        // SAFETY: a fresh, 8-aligned allocation of `got_len` words.
+        let got = unsafe { std::slice::from_raw_parts_mut(got_alloc.ptr as *mut u64, got_len) };
+        for (i, &entry) in image.got().iter().enumerate() {
+            got[i] = tpl.got_plan[i].map(&resolve).unwrap_or(entry);
         }
-        pvr_trace::emit(pvr_trace::EventKind::GotFixup {
+        pvr_trace::emit(EventKind::GotFixup {
             entries: got_len as u32,
         });
-        Ok((new_code, new_data, data_len))
+        Ok(self.finish(rank, method, mem, new_code, &data))
     }
 
-    /// Steps 5-6 over a rank's copied and fixed-up segments (`(code
-    /// base, data base, data length)`, from steps 3-4): the TLS block,
-    /// the access table and the `pieglobalsfind` bookkeeping.
-    fn finish_rank(
-        &mut self,
+    /// Steps 5-6: the rank's TLS block (the TLSglobals combination) and
+    /// its accesses — data variables into its data copy, TLS variables
+    /// through the TLS register.
+    pub(crate) fn finish(
+        &self,
         rank: usize,
-        image: &LoadedImage,
+        method: Method,
         mem: &mut RankMemory,
-        (new_code, new_data, data_len): (usize, usize, usize),
-    ) -> Result<RankInstance, PrivatizeError> {
-        let binary = self.common.env.binary.clone();
-        let layout = &binary.layout;
-
-        // Step 5: per-rank TLS block (TLSglobals combination).
+        new_code: usize,
+        data: &DataCopy,
+    ) -> RankInstance {
         let mut tls_block = Region::new_zeroed(RegionKind::TlsSegment, self.tls_block_size);
-        let tpl = image.tls_template();
+        let tpl = self.common.base_image.tls_template();
         tls_block.as_mut_slice()[..tpl.len()].copy_from_slice(tpl);
         let tls_base = tls_block.base_mut();
-        pvr_trace::emit(pvr_trace::EventKind::SegmentCopy {
-            segment: pvr_trace::Segment::Tls,
+        pvr_trace::emit(EventKind::SegmentCopy {
+            segment: Segment::Tls,
             bytes: self.tls_block_size as u64,
         });
         mem.add_region(tls_block);
 
-        // Resolve accesses: data vars → direct into the rank's data copy;
-        // TLS vars → TLS register + offset.
-        let mut accesses: HashMap<String, VarAccess> = HashMap::new();
-        for v in &binary.spec.vars {
-            let acc = match v.class {
-                VarClass::Global | VarClass::Static => {
-                    if self.opts.dedup_readonly && v.mutability == Mutability::ReadOnly {
-                        VarAccess::Direct(image.data_addr_of(&v.name).unwrap())
-                    } else {
-                        let off = layout.data_syms[&v.name].offset;
-                        VarAccess::Direct((new_data + off) as *mut u8)
+        let binary = &self.common.env.binary;
+        let accesses = binary
+            .spec
+            .vars
+            .iter()
+            .map(|v| {
+                let acc = match v.class {
+                    VarClass::Global | VarClass::Static => {
+                        let sym = &binary.layout.data_syms[&v.name];
+                        data.access(sym.offset, sym.size)
                     }
-                }
-                VarClass::ThreadLocal => VarAccess::Tls {
-                    offset: layout.tls_syms[&v.name].offset,
-                },
-            };
-            accesses.insert(v.name.clone(), acc);
-        }
+                    VarClass::ThreadLocal => VarAccess::Tls {
+                        offset: binary.layout.tls_syms[&v.name].offset,
+                    },
+                };
+                (v.name.clone(), acc)
+            })
+            .collect();
+        let ctx = CtxAction::SetTls(tls_base);
+        RankInstance::new(rank, method, accesses, ctx, new_code)
+    }
+}
 
-        self.ranks.push(RankRanges {
-            rank,
-            code_base: new_code,
-            code_len: image.code_region().len(),
-            data_base: new_data,
-            data_len,
-        });
+pub struct PieGlobals {
+    core: PieCore,
+    ranks: Vec<RankRanges>,
+}
 
-        Ok(RankInstance::new(
-            rank,
-            Method::PieGlobals,
-            accesses,
-            CtxAction::SetTls(tls_base),
-            new_code,
-        ))
+impl PieGlobals {
+    pub fn new(env: PrivatizeEnv, scan: ScanPolicy) -> Result<PieGlobals, PrivatizeError> {
+        Ok(PieGlobals {
+            core: PieCore::new(Method::PieGlobals, env, scan)?,
+            ranks: Vec::new(),
+        })
     }
 
-    /// Reference startup (steps 3-4): the paper's full per-rank scan and
-    /// fixup — kept verbatim as the oracle the template path must match;
-    /// do not optimize.
-    #[cfg(test)]
-    fn instantiate_segments_reference(
-        &mut self,
-        image: &LoadedImage,
-        mem: &mut RankMemory,
-    ) -> Result<(usize, usize, usize), PrivatizeError> {
-        // Step 3: copy segments into Isomalloc-managed rank memory.
-        let code_copy = Region::from_bytes(RegionKind::CodeSegment, image.code_region().as_slice());
-        let data_copy = Region::from_bytes(RegionKind::DataSegment, image.data_region().as_slice());
-        let new_code = code_copy.base() as usize;
-        let new_data = data_copy.base() as usize;
-        let data_ptr = data_copy.base_mut();
-        let data_len = data_copy.len();
-        pvr_trace::emit(pvr_trace::EventKind::SegmentCopy {
-            segment: pvr_trace::Segment::Code,
-            bytes: code_copy.len() as u64,
-        });
-        pvr_trace::emit(pvr_trace::EventKind::SegmentCopy {
-            segment: pvr_trace::Segment::Data,
-            bytes: data_len as u64,
-        });
-        mem.add_region(code_copy);
-        mem.add_region(data_copy);
-
-        // Replicate ctor heap allocations into the rank's heap; their
-        // contents are copied and will be pointer-fixed below.
-        let mut ctor_clones: Vec<(usize, usize, usize)> = Vec::new();
-        for alloc in image.ctor_heap() {
-            let clone = mem.heap().alloc(alloc.len().max(1), 8)?;
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    alloc.as_slice().as_ptr(),
-                    clone.ptr,
-                    alloc.len(),
-                );
-            }
-            ctor_clones.push((alloc.base(), alloc.len(), clone.ptr as usize));
+    /// Step 3's second half: add the rank's code and data copies to `mem`
+    /// (the order COWglobals keeps too) and trace both copies.
+    fn place(rank: usize, mem: &mut RankMemory, code: Region, data: Region) -> RankRanges {
+        let rr = RankRanges {
+            rank,
+            code_base: code.base() as usize,
+            code_len: code.len(),
+            data_base: data.base() as usize,
+            data_len: data.len(),
+        };
+        for (segment, region) in [(Segment::Code, code), (Segment::Data, data)] {
+            pvr_trace::emit(EventKind::SegmentCopy {
+                segment,
+                bytes: region.len() as u64,
+            });
+            mem.add_region(region);
         }
-
-        // Step 4: pointer fixup.
-        match self.opts.scan {
-            ScanPolicy::ConservativeScan => {
-                // scan the data copy, 8-byte stride
-                let words = data_len / 8;
-                for i in 0..words {
-                    let p = unsafe { (data_ptr as *mut u64).add(i) };
-                    let v = unsafe { p.read_unaligned() };
-                    if v == 0 {
-                        continue;
-                    }
-                    if let Some(nv) = self.rebase_value(v, new_code, new_data, &ctor_clones) {
-                        unsafe { p.write_unaligned(nv) };
-                        self.fixups_applied += 1;
-                    }
-                }
-                // scan the replicated ctor allocations too (they may hold
-                // pointers to globals or code)
-                for &(_, len, clone) in &ctor_clones {
-                    for i in 0..len / 8 {
-                        let p = (clone + i * 8) as *mut u64;
-                        let v = unsafe { p.read_unaligned() };
-                        if v == 0 {
-                            continue;
-                        }
-                        if let Some(nv) = self.rebase_value(v, new_code, new_data, &ctor_clones)
-                        {
-                            unsafe { p.write_unaligned(nv) };
-                            self.fixups_applied += 1;
-                        }
-                    }
-                }
-            }
-            ScanPolicy::Relocations => {
-                for r in image.relocs() {
-                    let p = unsafe { data_ptr.add(r.data_offset) } as *mut u64;
-                    let nv = match r.target {
-                        pvr_progimage::RelocTarget::Code { offset } => (new_code + offset) as u64,
-                        pvr_progimage::RelocTarget::Data { offset } => (new_data + offset) as u64,
-                        pvr_progimage::RelocTarget::CtorHeap { alloc, offset } => {
-                            (ctor_clones[alloc].2 + offset) as u64
-                        }
-                    };
-                    unsafe { p.write_unaligned(nv) };
-                    self.fixups_applied += 1;
-                }
-            }
-        }
-
-        // Rebase the GOT for this rank's copies; lives in rank memory.
-        let got_len = image.got().len().max(1);
-        let got_alloc = mem.heap().alloc(got_len * 8, 8)?;
-        {
-            let got_slice =
-                unsafe { std::slice::from_raw_parts_mut(got_alloc.ptr as *mut u64, got_len) };
-            for (i, &entry) in image.got().iter().enumerate() {
-                got_slice[i] = self
-                    .rebase_value(entry, new_code, new_data, &ctor_clones)
-                    .unwrap_or(entry);
-            }
-        }
-        pvr_trace::emit(pvr_trace::EventKind::GotFixup {
-            entries: got_len as u32,
-        });
-        Ok((new_code, new_data, data_len))
+        rr
     }
 }
 
@@ -569,9 +471,18 @@ impl Privatizer for PieGlobals {
         rank: usize,
         mem: &mut RankMemory,
     ) -> Result<RankInstance, PrivatizeError> {
-        let image = self.common.base_image.clone();
-        let segments = self.instantiate_segments(&image, mem)?;
-        self.finish_rank(rank, &image, mem, segments)
+        // Step 3: code straight from the image, data from the template's
+        // snapshot — both one memcpy.
+        let image = self.core.common.base_image.clone();
+        let code = Region::from_bytes(RegionKind::CodeSegment, image.code_region().as_slice());
+        let data = Region::from_bytes(RegionKind::DataSegment, &self.core.template().data);
+        let rr = Self::place(rank, mem, code, data);
+        let data = DataCopy::Eager(rr.data_base as *mut u8);
+        let inst = self
+            .core
+            .instantiate(rank, Method::PieGlobals, mem, rr.code_base, data)?;
+        self.ranks.push(rr);
+        Ok(inst)
     }
 
     fn supports_migration(&self) -> bool {
@@ -586,43 +497,23 @@ impl Privatizer for PieGlobals {
         true
     }
 
-    fn simulated_startup_cost(&self) -> Duration {
-        Duration::ZERO
-    }
-
-    fn fn_offset_of(&self, name: &str) -> Option<usize> {
-        self.common.fn_offset_of(name)
-    }
-
-    fn callable_for_offset(&self, offset: usize) -> Option<Callable> {
-        self.common.callable_for_offset(offset)
-    }
-
     /// `pieglobalsfind`: map a privatized address back to the original
     /// image (to recover debug symbols in GDB/LLDB).
     fn find_original(&self, addr: usize) -> Option<FindResult> {
+        let binary = &self.core.common.env.binary;
         for rr in &self.ranks {
             if addr >= rr.code_base && addr < rr.code_base + rr.code_len {
-                let orig_addr = self.orig.code_base + (addr - rr.code_base);
-                let symbol = self
-                    .common
-                    .base_image
-                    .fn_at_addr(orig_addr)
-                    .map(|(n, off)| (n.to_string(), off));
+                let offset = addr - rr.code_base;
                 return Some(FindResult {
                     rank: rr.rank,
-                    original_addr: orig_addr,
-                    symbol,
+                    original_addr: self.core.orig.code_base + offset,
+                    symbol: binary.fn_at(offset).map(|(n, off)| (n.to_string(), off)),
                     segment: "code",
                 });
             }
             if addr >= rr.data_base && addr < rr.data_base + rr.data_len {
                 let offset = addr - rr.data_base;
-                let orig_addr = self.orig.data_base + offset;
-                let symbol = self
-                    .common
-                    .env
-                    .binary
+                let symbol = binary
                     .layout
                     .data_syms
                     .iter()
@@ -630,7 +521,7 @@ impl Privatizer for PieGlobals {
                     .map(|(n, s)| (n.clone(), offset - s.offset));
                 return Some(FindResult {
                     rank: rr.rank,
-                    original_addr: orig_addr,
+                    original_addr: self.core.orig.data_base + offset,
                     symbol,
                     segment: "data",
                 });
@@ -640,7 +531,7 @@ impl Privatizer for PieGlobals {
     }
 
     fn per_rank_copied_bytes(&self) -> usize {
-        self.orig.code_len + self.orig.data_len + self.tls_block_size
+        self.core.orig.code_len + self.core.orig.data_len + self.core.tls_block_size
     }
 
     fn rank_data_segment(&self, rank: usize) -> Option<(*const u8, usize)> {
@@ -655,7 +546,7 @@ impl Privatizer for PieGlobals {
 mod tests {
     use super::*;
     use crate::regs;
-    use pvr_progimage::{link, CtorSpec, FunctionSpec, GlobalSpec, ImageSpec};
+    use pvr_progimage::{link, CtorSpec, FunctionSpec, ImageSpec};
     use std::sync::Arc;
 
     fn bin() -> Arc<pvr_progimage::ProgramBinary> {
@@ -682,25 +573,136 @@ mod tests {
         )
     }
 
-    fn make(opts: PieOptions) -> PieGlobals {
-        PieGlobals::new(PrivatizeEnv::new(bin()), opts).unwrap()
+    fn make(scan: ScanPolicy) -> PieGlobals {
+        PieGlobals::new(PrivatizeEnv::new(bin()), scan).unwrap()
+    }
+
+    /// Rebase one value if it points into the original segments or a ctor
+    /// heap allocation (`(orig_base, len, clone_base)` each).
+    fn rebase_value(
+        orig: &SegmentAddrs,
+        v: u64,
+        new_code: usize,
+        new_data: usize,
+        ctor_clones: &[(usize, usize, usize)],
+    ) -> Option<u64> {
+        let addr = v as usize;
+        if orig.contains_code(addr) {
+            return Some((new_code + (addr - orig.code_base)) as u64);
+        }
+        if orig.contains_data(addr) {
+            return Some((new_data + (addr - orig.data_base)) as u64);
+        }
+        for &(base, len, clone) in ctor_clones {
+            if addr >= base && addr < base + len {
+                return Some((clone + (addr - base)) as u64);
+            }
+        }
+        None
     }
 
     /// `instantiate_rank` with steps 3-4 done by the oracle: the paper's
-    /// literal per-rank scan instead of the memoized template.
+    /// full per-rank scan and fixup instead of the memoized template —
+    /// kept verbatim as what the template path must match; do not
+    /// optimize.
     fn instantiate_rank_by_scan(
         p: &mut PieGlobals,
         rank: usize,
         mem: &mut RankMemory,
     ) -> RankInstance {
-        let image = p.common.base_image.clone();
-        let segments = p.instantiate_segments_reference(&image, mem).unwrap();
-        p.finish_rank(rank, &image, mem, segments).unwrap()
+        let image = p.core.common.base_image.clone();
+        let orig = p.core.orig;
+        // Step 3: copy segments into Isomalloc-managed rank memory.
+        let code_copy = Region::from_bytes(RegionKind::CodeSegment, image.code_region().as_slice());
+        let data_copy = Region::from_bytes(RegionKind::DataSegment, image.data_region().as_slice());
+        let rr = PieGlobals::place(rank, mem, code_copy, data_copy);
+        let (new_code, new_data, data_len) = (rr.code_base, rr.data_base, rr.data_len);
+        let data_ptr = new_data as *mut u8;
+
+        // Replicate ctor heap allocations into the rank's heap; their
+        // contents are copied and will be pointer-fixed below.
+        let mut ctor_clones: Vec<(usize, usize, usize)> = Vec::new();
+        for alloc in image.ctor_heap() {
+            let clone = mem.heap().alloc(alloc.len().max(1), 8).unwrap();
+            unsafe {
+                std::ptr::copy_nonoverlapping(alloc.as_slice().as_ptr(), clone.ptr, alloc.len());
+            }
+            ctor_clones.push((alloc.base(), alloc.len(), clone.ptr as usize));
+        }
+
+        // Step 4: pointer fixup.
+        let mut fixups = 0;
+        match p.core.scan {
+            ScanPolicy::ConservativeScan => {
+                // scan the data copy, 8-byte stride
+                let words = data_len / 8;
+                for i in 0..words {
+                    let p = unsafe { (data_ptr as *mut u64).add(i) };
+                    let v = unsafe { p.read_unaligned() };
+                    if v == 0 {
+                        continue;
+                    }
+                    if let Some(nv) = rebase_value(&orig, v, new_code, new_data, &ctor_clones) {
+                        unsafe { p.write_unaligned(nv) };
+                        fixups += 1;
+                    }
+                }
+                // scan the replicated ctor allocations too (they may hold
+                // pointers to globals or code)
+                for &(_, len, clone) in &ctor_clones {
+                    for i in 0..len / 8 {
+                        let p = (clone + i * 8) as *mut u64;
+                        let v = unsafe { p.read_unaligned() };
+                        if v == 0 {
+                            continue;
+                        }
+                        if let Some(nv) = rebase_value(&orig, v, new_code, new_data, &ctor_clones) {
+                            unsafe { p.write_unaligned(nv) };
+                            fixups += 1;
+                        }
+                    }
+                }
+            }
+            ScanPolicy::Relocations => {
+                for r in image.relocs() {
+                    let p = unsafe { data_ptr.add(r.data_offset) } as *mut u64;
+                    let nv = match r.target {
+                        pvr_progimage::RelocTarget::Code { offset } => (new_code + offset) as u64,
+                        pvr_progimage::RelocTarget::Data { offset } => (new_data + offset) as u64,
+                        pvr_progimage::RelocTarget::CtorHeap { alloc, offset } => {
+                            (ctor_clones[alloc].2 + offset) as u64
+                        }
+                    };
+                    unsafe { p.write_unaligned(nv) };
+                    fixups += 1;
+                }
+            }
+        }
+        p.core.fixups_applied += fixups;
+
+        // Rebase the GOT for this rank's copies; lives in rank memory.
+        let got_len = image.got().len().max(1);
+        let got_alloc = mem.heap().alloc(got_len * 8, 8).unwrap();
+        let got_slice =
+            unsafe { std::slice::from_raw_parts_mut(got_alloc.ptr as *mut u64, got_len) };
+        for (i, &entry) in image.got().iter().enumerate() {
+            got_slice[i] =
+                rebase_value(&orig, entry, new_code, new_data, &ctor_clones).unwrap_or(entry);
+        }
+        pvr_trace::emit(EventKind::GotFixup {
+            entries: got_len as u32,
+        });
+        let data = DataCopy::Eager(data_ptr);
+        let inst = p
+            .core
+            .finish(rank, Method::PieGlobals, mem, new_code, &data);
+        p.ranks.push(rr);
+        inst
     }
 
     #[test]
     fn all_var_classes_privatized() {
-        let mut p = make(PieOptions::default());
+        let mut p = make(ScanPolicy::default());
         let mut m0 = RankMemory::new();
         let mut m1 = RankMemory::new();
         let r0 = p.instantiate_rank(0, &mut m0).unwrap();
@@ -722,7 +724,7 @@ mod tests {
 
     #[test]
     fn segments_live_in_rank_memory() {
-        let mut p = make(PieOptions::default());
+        let mut p = make(ScanPolicy::default());
         let mut m = RankMemory::new();
         let r = p.instantiate_rank(0, &mut m).unwrap();
         let stats = m.stats();
@@ -746,10 +748,7 @@ mod tests {
     }
 
     fn ctor_pointers_fixed_up(scan: ScanPolicy) {
-        let mut p = make(PieOptions {
-            scan,
-            dedup_readonly: false,
-        });
+        let mut p = make(scan);
         let mut m = RankMemory::new();
         let r = p.instantiate_rank(0, &mut m).unwrap();
         r.activate();
@@ -765,7 +764,7 @@ mod tests {
         // data-to-data pointer must point at the rank's own `g`
         let lp = r.access("lp").read_u64() as usize;
         assert_eq!(lp, r.access("g").ptr() as usize);
-        assert!(p.fixups_applied >= 3);
+        assert!(p.core.fixups_applied >= 3);
         regs::clear();
     }
 
@@ -782,15 +781,12 @@ mod tests {
             (ScanPolicy::Relocations, false, true),
             (ScanPolicy::Relocations, false, false),
         ] {
-            let mut p = make(PieOptions {
-                scan,
-                dedup_readonly: false,
-            });
+            let mut p = make(scan);
             // Write the colliding integer into `g` of the ORIGINAL image
             // (as if computed at startup before privatization).
-            let fake = (p.orig.code_base + 24) as u64;
+            let fake = (p.core.orig.code_base + 24) as u64;
             unsafe {
-                (p.common.base_image.data_addr_of("g").unwrap() as *mut u64).write(fake);
+                (p.core.common.base_image.data_addr_of("g").unwrap() as *mut u64).write(fake);
             }
             let mut m = RankMemory::new();
             let r = if template {
@@ -810,12 +806,8 @@ mod tests {
     #[test]
     fn fast_template_path_matches_reference_scan() {
         for scan in [ScanPolicy::ConservativeScan, ScanPolicy::Relocations] {
-            let opts = PieOptions {
-                scan,
-                dedup_readonly: false,
-            };
-            let mut fast = make(opts);
-            let mut reference = make(opts);
+            let mut fast = make(scan);
+            let mut reference = make(scan);
             for rank in 0..3 {
                 let mut mf = RankMemory::new();
                 let mut mr = RankMemory::new();
@@ -844,7 +836,7 @@ mod tests {
             // identical fixup work per rank on both paths, template
             // reused across ranks (same count every rank)
             assert_eq!(
-                fast.fixups_applied, reference.fixups_applied,
+                fast.core.fixups_applied, reference.core.fixups_applied,
                 "{scan:?}: fast path must apply exactly the reference fixups"
             );
             regs::clear();
@@ -853,8 +845,9 @@ mod tests {
 
     #[test]
     fn fn_offsets_resolve_on_any_rank() {
-        let mut p = make(PieOptions::default());
-        let off = p.fn_offset_of("combine").unwrap();
+        let mut p = make(ScanPolicy::default());
+        let binary = p.core.common.env.binary.clone();
+        let off = binary.fn_offset_of("combine").unwrap();
         let mut m0 = RankMemory::new();
         let mut m1 = RankMemory::new();
         let r0 = p.instantiate_rank(0, &mut m0).unwrap();
@@ -862,7 +855,7 @@ mod tests {
         // each rank's code copy is distinct, offsets identical
         assert_ne!(r0.code_base(), r1.code_base());
         assert_eq!(r0.offset_to_fn_addr(off) - r0.code_base(), off);
-        assert!(p.callable_for_offset(off).is_some());
+        assert!(binary.callable_at(off).is_some());
         // address → offset roundtrip across ranks (the MPI_Op mechanism)
         let addr_on_r0 = r0.offset_to_fn_addr(off);
         let off_back = r0.fn_addr_to_offset(addr_on_r0);
@@ -872,7 +865,7 @@ mod tests {
 
     #[test]
     fn pieglobalsfind_translates_data_addresses() {
-        let mut p = make(PieOptions::default());
+        let mut p = make(ScanPolicy::default());
         let mut m = RankMemory::new();
         let r = p.instantiate_rank(0, &mut m).unwrap();
         let gaddr = r.access("g").ptr() as usize;
@@ -882,41 +875,17 @@ mod tests {
         assert_eq!(f.symbol, Some(("g".to_string(), 0)));
         assert_eq!(
             f.original_addr,
-            p.common.base_image.data_addr_of("g").unwrap() as usize
+            p.core.common.base_image.data_addr_of("g").unwrap() as usize
         );
         // unknown addresses yield None
         assert!(p.find_original(0xdeadbeef).is_none());
     }
 
     #[test]
-    fn dedup_readonly_shares_ro_vars() {
-        let b = link(
-            ImageSpec::builder("app")
-                .global("rw", 8)
-                .var(GlobalSpec::new("ro", 8, VarClass::Global).read_only())
-                .build(),
-        );
-        let mut p = PieGlobals::new(
-            PrivatizeEnv::new(b),
-            PieOptions {
-                scan: ScanPolicy::default(),
-                dedup_readonly: true,
-            },
-        )
-        .unwrap();
-        let mut m0 = RankMemory::new();
-        let mut m1 = RankMemory::new();
-        let r0 = p.instantiate_rank(0, &mut m0).unwrap();
-        let r1 = p.instantiate_rank(1, &mut m1).unwrap();
-        assert_eq!(r0.access("ro").ptr(), r1.access("ro").ptr());
-        assert_ne!(r0.access("rw").ptr(), r1.access("rw").ptr());
-    }
-
-    #[test]
     fn rejected_without_glibc() {
         let env = PrivatizeEnv::new(bin()).with_toolchain(crate::env::Toolchain::macos());
         assert!(matches!(
-            PieGlobals::new(env, PieOptions::default()),
+            PieGlobals::new(env, ScanPolicy::default()),
             Err(PrivatizeError::Unsupported { .. })
         ));
     }

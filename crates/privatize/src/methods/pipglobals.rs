@@ -18,47 +18,27 @@
 //!   `mmap`s, which cannot be routed through Isomalloc;
 //! * GNU/Linux only (`dlmopen` is not POSIX).
 
-use super::Common;
-use crate::access::VarAccess;
+use super::{Common, ImageRanks};
 use crate::env::PrivatizeEnv;
 use crate::probe::prerequisites;
-use crate::rank::{CtxAction, RankInstance};
+use crate::rank::RankInstance;
 use crate::{Method, PrivatizeError, Privatizer};
 use pvr_isomalloc::RankMemory;
-use pvr_progimage::spec::Callable;
-use pvr_progimage::{LoadedImage, VarClass};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 pub struct PipGlobals {
     common: Common,
-    /// Per-rank namespace images — owned by the *process* (ld.so state),
-    /// not by rank memory; this is exactly why migration is impossible.
-    rank_images: Vec<Arc<LoadedImage>>,
-    /// Global rank id instantiated at the same index in `rank_images`.
-    rank_ids: Vec<usize>,
-    /// Per-rank TLS blocks (each namespace has its own TLS image).
-    rank_tls: Vec<Box<[u8]>>,
-    copied_bytes: usize,
+    /// One namespace image per rank — owned by the *process* (ld.so
+    /// state), not by rank memory; this is exactly why migration is
+    /// impossible.
+    ranks: ImageRanks,
 }
 
 impl PipGlobals {
     pub fn new(env: PrivatizeEnv) -> Result<PipGlobals, PrivatizeError> {
         prerequisites(Method::PipGlobals, &env)?;
         let common = Common::new(env)?;
-        let copied_bytes =
-            common.env.binary.layout.code_size + common.env.binary.layout.data_size;
-        Ok(PipGlobals {
-            common,
-            rank_images: Vec::new(),
-            rank_ids: Vec::new(),
-            rank_tls: Vec::new(),
-            copied_bytes,
-        })
-    }
-
-    pub fn namespaces_in_use(&self) -> usize {
-        self.common.env.loader.namespaces_in_use()
+        let ranks = ImageRanks::new(&common);
+        Ok(PipGlobals { common, ranks })
     }
 }
 
@@ -72,48 +52,12 @@ impl Privatizer for PipGlobals {
         rank: usize,
         _mem: &mut RankMemory,
     ) -> Result<RankInstance, PrivatizeError> {
-        // dlmopen(LM_ID_NEWLM, app.so): duplicates code+data segments.
-        // NamespaceExhausted propagates on stock glibc past 12 ranks.
+        // dlmopen(LM_ID_NEWLM, app.so): duplicates code+data segments,
+        // and the namespace has its own TLS image. NamespaceExhausted
+        // propagates on stock glibc past 12 ranks.
         let binary = self.common.env.binary.clone();
         let img = self.common.env.loader.dlmopen_newlm(&binary)?;
-
-        // The namespace's own TLS image.
-        let tls: Box<[u8]> = {
-            let tpl = img.tls_template();
-            if tpl.is_empty() {
-                vec![0u8; 8].into_boxed_slice()
-            } else {
-                tpl.to_vec().into_boxed_slice()
-            }
-        };
-        let tls_base = tls.as_ptr() as *mut u8;
-
-        let mut accesses: HashMap<String, VarAccess> = HashMap::new();
-        for v in &binary.spec.vars {
-            let acc = match v.class {
-                VarClass::Global | VarClass::Static => {
-                    VarAccess::Direct(img.data_addr_of(&v.name).unwrap())
-                }
-                VarClass::ThreadLocal => {
-                    let off = img.tls_offset_of(&v.name).unwrap();
-                    VarAccess::Direct(unsafe { tls_base.add(off) })
-                }
-            };
-            accesses.insert(v.name.clone(), acc);
-        }
-
-        let code_base = img.segment_addrs().code_base;
-        self.rank_images.push(img);
-        self.rank_ids.push(rank);
-        self.rank_tls.push(tls);
-
-        Ok(RankInstance::new(
-            rank,
-            Method::PipGlobals,
-            accesses,
-            CtxAction::None, // IP-relative: nothing to swap
-            code_base,
-        ))
+        Ok(self.ranks.add(rank, Method::PipGlobals, img))
     }
 
     fn supports_migration(&self) -> bool {
@@ -122,22 +66,12 @@ impl Privatizer for PipGlobals {
         false
     }
 
-    fn fn_offset_of(&self, name: &str) -> Option<usize> {
-        self.common.fn_offset_of(name)
-    }
-
-    fn callable_for_offset(&self, offset: usize) -> Option<Callable> {
-        self.common.callable_for_offset(offset)
-    }
-
     fn per_rank_copied_bytes(&self) -> usize {
-        self.copied_bytes
+        self.ranks.copied_bytes
     }
 
     fn rank_data_segment(&self, rank: usize) -> Option<(*const u8, usize)> {
-        let i = self.rank_ids.iter().position(|&r| r == rank)?;
-        let seg = self.rank_images[i].segment_addrs();
-        Some((seg.data_base as *const u8, seg.data_len))
+        self.ranks.data_segment(rank)
     }
 }
 
@@ -147,6 +81,7 @@ mod tests {
     use crate::env::Toolchain;
     use pvr_progimage::loader::GLIBC_USABLE_NAMESPACES;
     use pvr_progimage::{link, DlError, ImageSpec};
+    use std::sync::Arc;
 
     fn bin() -> Arc<pvr_progimage::ProgramBinary> {
         link(

@@ -24,7 +24,6 @@ use crate::probe::prerequisites;
 use crate::rank::{CtxAction, RankInstance};
 use crate::{Method, PrivatizeError, Privatizer};
 use pvr_isomalloc::{RankMemory, Region, RegionKind};
-use pvr_progimage::spec::Callable;
 use pvr_progimage::{Mutability, VarClass};
 use std::collections::{HashMap, HashSet};
 
@@ -306,14 +305,6 @@ impl Privatizer for TlsGlobals {
                 .get(local_pe)
                 .map(|b| b.as_ptr() as *mut u8)
         }
-    }
-
-    fn fn_offset_of(&self, name: &str) -> Option<usize> {
-        self.common.fn_offset_of(name)
-    }
-
-    fn callable_for_offset(&self, offset: usize) -> Option<Callable> {
-        self.common.callable_for_offset(offset)
     }
 }
 

@@ -5,13 +5,12 @@
 //! ranks write different values. It is also the performance baseline all
 //! methods are compared against in §4.
 
-use super::{process_tls_block, Common};
+use super::{image_accesses, process_tls_block, Common};
 use crate::env::PrivatizeEnv;
 use crate::probe::prerequisites;
 use crate::rank::{CtxAction, RankInstance};
 use crate::{Method, PrivatizeError, Privatizer};
 use pvr_isomalloc::RankMemory;
-use pvr_progimage::spec::Callable;
 
 pub struct Unprivatized {
     common: Common,
@@ -41,7 +40,7 @@ impl Privatizer for Unprivatized {
         _mem: &mut RankMemory,
     ) -> Result<RankInstance, PrivatizeError> {
         let tls_ptr = self.process_tls.as_ptr() as *mut u8;
-        let accesses = self.common.shared_accesses(tls_ptr);
+        let accesses = image_accesses(&self.common.base_image, tls_ptr);
         Ok(RankInstance::new(
             rank,
             Method::Unprivatized,
@@ -55,14 +54,6 @@ impl Privatizer for Unprivatized {
         // Isomalloc can migrate the stack/heap, but shared global state
         // makes virtualized execution incorrect in the first place.
         true
-    }
-
-    fn fn_offset_of(&self, name: &str) -> Option<usize> {
-        self.common.fn_offset_of(name)
-    }
-
-    fn callable_for_offset(&self, offset: usize) -> Option<Callable> {
-        self.common.callable_for_offset(offset)
     }
 }
 

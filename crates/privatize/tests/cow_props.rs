@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use pvr_isomalloc::RankMemory;
-use pvr_privatize::methods::{CowGlobals, PieGlobals, PieOptions};
+use pvr_privatize::methods::{CowGlobals, PieGlobals, ScanPolicy};
 use pvr_privatize::{regs, PrivatizeEnv, Privatizer};
 use pvr_progimage::pages::DEFAULT_PAGE_SIZE;
 use pvr_progimage::{link, GlobalSpec, ImageSpec, ProgramBinary, VarClass};
@@ -69,11 +69,11 @@ proptest! {
         let binary = build_image(&plan);
         let mut cow = CowGlobals::new(
             PrivatizeEnv::new(binary.clone()),
-            PieOptions::default(),
+            ScanPolicy::default(),
         ).unwrap();
         let mut pie = PieGlobals::new(
             PrivatizeEnv::new(binary.clone()),
-            PieOptions::default(),
+            ScanPolicy::default(),
         ).unwrap();
 
         let mut cow_mems: Vec<RankMemory> = (0..N_RANKS).map(|_| RankMemory::new()).collect();

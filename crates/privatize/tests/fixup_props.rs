@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use pvr_isomalloc::RankMemory;
-use pvr_privatize::methods::{PieGlobals, PieOptions, ScanPolicy};
+use pvr_privatize::methods::{PieGlobals, ScanPolicy};
 use pvr_privatize::{PrivatizeEnv, Privatizer};
 use pvr_progimage::{link, CtorSpec, FunctionSpec, GlobalSpec, ImageSpec, VarClass};
 
@@ -77,7 +77,7 @@ proptest! {
         let binary = build_image(&plan);
         let mut p = PieGlobals::new(
             PrivatizeEnv::new(binary.clone()),
-            PieOptions { scan: policy, dedup_readonly: false },
+            policy,
         ).unwrap();
 
         // rank memories must outlive the queries (as in the real runtime,
@@ -128,11 +128,11 @@ proptest! {
         let binary = build_image(&plan);
         let mut scan = PieGlobals::new(
             PrivatizeEnv::new(binary.clone()),
-            PieOptions { scan: ScanPolicy::ConservativeScan, dedup_readonly: false },
+            ScanPolicy::ConservativeScan,
         ).unwrap();
         let mut relo = PieGlobals::new(
             PrivatizeEnv::new(binary),
-            PieOptions { scan: ScanPolicy::Relocations, dedup_readonly: false },
+            ScanPolicy::Relocations,
         ).unwrap();
         let mut m1 = RankMemory::new();
         let mut m2 = RankMemory::new();

@@ -9,7 +9,7 @@
 //! offset of every symbol; every loaded instance of the binary places the
 //! same symbol at `segment_base + offset`.
 
-use crate::spec::{ImageSpec, VarClass};
+use crate::spec::{Callable, ImageSpec, VarClass};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,6 +75,29 @@ impl ProgramBinary {
         // ELF headers + symbol/reloc tables, coarsely.
         let headers = 4096 + 64 * (self.spec.vars.len() + self.spec.functions.len());
         self.layout.code_size + self.layout.data_size + self.layout.tls_size + headers
+    }
+
+    /// Code-segment offset of function `name`. Every loaded copy of the
+    /// binary places it at its own code base plus this offset, which is
+    /// how `MPI_Op` user functions stay meaningful across ranks whose code
+    /// lives at different addresses (§3.3).
+    pub fn fn_offset_of(&self, name: &str) -> Option<usize> {
+        Some(self.layout.fn_syms.get(name)?.offset)
+    }
+
+    /// The function whose code covers `offset`, and `offset`'s distance
+    /// into it.
+    pub fn fn_at(&self, offset: usize) -> Option<(&str, usize)> {
+        self.layout
+            .fn_syms
+            .iter()
+            .find(|(_, s)| offset >= s.offset && offset < s.offset + s.size)
+            .map(|(n, s)| (n.as_str(), offset - s.offset))
+    }
+
+    /// The behaviour registered for the function covering `offset`.
+    pub fn callable_at(&self, offset: usize) -> Option<Callable> {
+        self.spec.function(self.fn_at(offset)?.0)?.callable.clone()
     }
 
     /// Produce a copy of this binary with a new file identity (the

@@ -22,7 +22,6 @@
 
 use crate::binary::ProgramBinary;
 use crate::loader::NamespaceId;
-use crate::spec::Callable;
 use pvr_isomalloc::{Region, RegionKind};
 use std::sync::Arc;
 
@@ -237,40 +236,6 @@ impl LoadedImage {
         Some(self.binary.layout.tls_syms.get(name)?.offset)
     }
 
-    /// Absolute "address" of a function in this image's code segment.
-    pub fn fn_addr_of(&self, name: &str) -> Option<usize> {
-        let sym = self.binary.layout.fn_syms.get(name)?;
-        Some(self.code.base() as usize + sym.offset)
-    }
-
-    /// Reverse lookup: which function contains this code address?
-    pub fn fn_at_addr(&self, addr: usize) -> Option<(&str, usize)> {
-        let base = self.code.base() as usize;
-        if addr < base || addr >= base + self.code.len() {
-            return None;
-        }
-        let offset = addr - base;
-        self.binary
-            .layout
-            .fn_syms
-            .iter()
-            .find(|(_, s)| offset >= s.offset && offset < s.offset + s.size)
-            .map(|(n, s)| (n.as_str(), offset - s.offset))
-    }
-
-    /// The callable behavior registered for the function at `code_offset`
-    /// (used to apply `MPI_Op`s resolved via image base + offset).
-    pub fn callable_at_offset(&self, code_offset: usize) -> Option<Callable> {
-        let (name, _) = self
-            .binary
-            .layout
-            .fn_syms
-            .iter()
-            .find(|(_, s)| code_offset >= s.offset && code_offset < s.offset + s.size)
-            .map(|(n, s)| (n.clone(), s))?;
-        self.binary.spec.function(&name)?.callable.clone()
-    }
-
     pub fn segment_addrs(&self) -> SegmentAddrs {
         SegmentAddrs {
             code_base: self.code.base() as usize,
@@ -292,10 +257,6 @@ impl LoadedImage {
         &self.got
     }
 
-    pub fn got_slot_of(&self, name: &str) -> Option<usize> {
-        self.binary.layout.got_slots.get(name).copied()
-    }
-
     pub fn tls_template(&self) -> &[u8] {
         &self.tls_template
     }
@@ -306,13 +267,6 @@ impl LoadedImage {
 
     pub fn ctor_heap(&self) -> &[CtorHeapAlloc] {
         &self.ctor_heap
-    }
-
-    /// Read a Global/Static as a little-endian u64 (test/debug helper).
-    pub fn read_data_u64(&self, name: &str) -> Option<u64> {
-        let sym = self.binary.layout.data_syms.get(name)?;
-        let bytes = &self.data.as_slice()[sym.offset..sym.offset + 8];
-        Some(u64::from_le_bytes(bytes.try_into().unwrap()))
     }
 }
 
@@ -353,23 +307,29 @@ mod tests {
         LoadedImage::load(link(spec), NamespaceId::BASE)
     }
 
+    /// The u64 stored in data variable `name`.
+    fn read_u64(img: &LoadedImage, name: &str) -> u64 {
+        unsafe { (img.data_addr_of(name).unwrap() as *const u64).read_unaligned() }
+    }
+
     #[test]
     fn data_initialized() {
         let img = sample_image();
-        assert_eq!(img.read_data_u64("counter"), Some(42));
-        assert_eq!(img.read_data_u64("hidden"), Some(0));
+        assert_eq!(read_u64(&img, "counter"), 42);
+        assert_eq!(read_u64(&img, "hidden"), 0);
     }
 
     #[test]
     fn got_points_into_segments() {
         let img = sample_image();
         let seg = img.segment_addrs();
-        let slot = img.got_slot_of("counter").unwrap();
+        let slots = &img.binary.layout.got_slots;
+        let slot = slots["counter"];
         let addr = img.got()[slot] as usize;
         assert!(seg.contains_data(addr));
         assert_eq!(addr, img.data_addr_of("counter").unwrap() as usize);
         // statics have no GOT slot
-        assert!(img.got_slot_of("hidden").is_none());
+        assert!(!slots.contains_key("hidden"));
     }
 
     #[test]
@@ -378,15 +338,16 @@ mod tests {
         assert_eq!(img.relocs().len(), 3);
         let seg = img.segment_addrs();
         // vtable slot holds a code address
-        let v = img.read_data_u64("vtable_slot").unwrap() as usize;
+        let v = read_u64(&img, "vtable_slot") as usize;
         assert!(seg.contains_code(v));
-        assert_eq!(v, img.fn_addr_of("combine").unwrap());
+        let combine = img.binary.fn_offset_of("combine").unwrap();
+        assert_eq!(v, seg.code_base + combine);
         // heap_ptr holds a ctor-heap address
-        let h = img.read_data_u64("heap_ptr").unwrap() as usize;
+        let h = read_u64(&img, "heap_ptr") as usize;
         assert_eq!(h, img.ctor_heap()[0].base());
         assert_eq!(img.ctor_heap()[0].len(), 128);
         // link_ptr points at counter
-        let l = img.read_data_u64("link_ptr").unwrap() as usize;
+        let l = read_u64(&img, "link_ptr") as usize;
         assert_eq!(l, img.data_addr_of("counter").unwrap() as usize);
     }
 
@@ -404,17 +365,20 @@ mod tests {
         unsafe {
             *(a.data_addr_of("g").unwrap() as *mut u64) = 7;
         }
-        assert_eq!(b.read_data_u64("g"), Some(0));
-        assert_eq!(a.read_data_u64("g"), Some(7));
+        assert_eq!(read_u64(&b, "g"), 0);
+        assert_eq!(read_u64(&a, "g"), 7);
     }
 
     #[test]
     fn fn_reverse_lookup() {
+        // Reverse lookup runs on code offsets, which every loaded copy of
+        // the binary shares.
         let img = sample_image();
-        let addr = img.fn_addr_of("combine").unwrap();
-        assert_eq!(img.fn_at_addr(addr), Some(("combine", 0)));
-        assert_eq!(img.fn_at_addr(addr + 10), Some(("combine", 10)));
-        assert_eq!(img.fn_at_addr(addr + 50_000), None);
+        let off = img.binary.fn_offset_of("combine").unwrap();
+        assert_eq!(img.binary.fn_at(off), Some(("combine", 0)));
+        assert_eq!(img.binary.fn_at(off + 10), Some(("combine", 10)));
+        assert_eq!(img.binary.fn_at(off + 50_000), None);
+        assert!(img.binary.callable_at(off).is_none(), "none registered");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Dynamic-loader simulator: `dlopen` / `dlmopen` / `dlsym` /
-//! `dl_iterate_phdr` with linker namespaces.
+//! Dynamic-loader simulator: `dlopen` / `dlmopen` / `dl_iterate_phdr`
+//! with linker namespaces.
 //!
 //! glibc's `dlmopen(LM_ID_NEWLM, ...)` loads an object into a fresh linker
 //! namespace, duplicating its code and data segments — the mechanism
@@ -41,8 +41,6 @@ pub enum DlError {
     /// The binary was not compiled as a Position Independent Executable;
     /// the runtime privatization methods cannot duplicate its segments.
     NotPie { binary: String },
-    /// `dlsym` could not resolve the name.
-    NoSuchSymbol { name: String },
 }
 
 impl fmt::Display for DlError {
@@ -56,7 +54,6 @@ impl fmt::Display for DlError {
             DlError::NotPie { binary } => {
                 write!(f, "{binary}: not compiled as a Position Independent Executable")
             }
-            DlError::NoSuchSymbol { name } => write!(f, "dlsym: undefined symbol {name}"),
         }
     }
 }
@@ -110,10 +107,6 @@ impl DynLoader {
         self.max_dlmopen_namespaces - (self.namespaces.len() - 1)
     }
 
-    pub fn namespaces_in_use(&self) -> usize {
-        self.namespaces.len()
-    }
-
     /// `dlopen(path, RTLD_NOW)` into the base namespace. Re-opening the
     /// same file returns the already-loaded image (refcount semantics).
     pub fn dlopen(&mut self, binary: &Arc<ProgramBinary>) -> Result<Arc<LoadedImage>, DlError> {
@@ -162,19 +155,6 @@ impl DynLoader {
         self.dlopen_in(binary, ns)
     }
 
-    /// `dlsym`: resolve a function or data symbol in a loaded image.
-    pub fn dlsym(&self, image: &LoadedImage, name: &str) -> Result<usize, DlError> {
-        if let Some(addr) = image.fn_addr_of(name) {
-            return Ok(addr);
-        }
-        if let Some(addr) = image.data_addr_of(name) {
-            return Ok(addr as usize);
-        }
-        Err(DlError::NoSuchSymbol {
-            name: name.to_string(),
-        })
-    }
-
     /// `dl_iterate_phdr`: enumerate every loaded object's segments.
     /// PIEglobals calls this before and after its `dlopen` and diffs the
     /// two listings to find the new binary's code and data segments.
@@ -199,57 +179,6 @@ impl DynLoader {
         v.sort();
         v
     }
-
-    /// `dladdr`: resolve an absolute address to the loaded object and
-    /// symbol containing it, searching every namespace.
-    pub fn dladdr(&self, addr: usize) -> Option<DlAddrInfo> {
-        for (ns_idx, ns) in self.namespaces.iter().enumerate() {
-            for img in ns.images.values() {
-                let seg = img.segment_addrs();
-                if seg.contains_code(addr) {
-                    let symbol = img
-                        .fn_at_addr(addr)
-                        .map(|(n, off)| (n.to_string(), off));
-                    return Some(DlAddrInfo {
-                        path: img.binary.path.clone(),
-                        namespace: NamespaceId(ns_idx),
-                        segment: "code",
-                        base: seg.code_base,
-                        symbol,
-                    });
-                }
-                if seg.contains_data(addr) {
-                    let offset = addr - seg.data_base;
-                    let symbol = img
-                        .binary
-                        .layout
-                        .data_syms
-                        .iter()
-                        .find(|(_, s)| offset >= s.offset && offset < s.offset + s.size)
-                        .map(|(n, s)| (n.clone(), offset - s.offset));
-                    return Some(DlAddrInfo {
-                        path: img.binary.path.clone(),
-                        namespace: NamespaceId(ns_idx),
-                        segment: "data",
-                        base: seg.data_base,
-                        symbol,
-                    });
-                }
-            }
-        }
-        None
-    }
-}
-
-/// What [`DynLoader::dladdr`] reports.
-#[derive(Debug, Clone)]
-pub struct DlAddrInfo {
-    pub path: String,
-    pub namespace: NamespaceId,
-    pub segment: &'static str,
-    pub base: usize,
-    /// Covering symbol and the address's offset within it, if any.
-    pub symbol: Option<(String, usize)>,
 }
 
 impl Default for DynLoader {
@@ -343,55 +272,6 @@ mod tests {
         let b = link(ImageSpec::builder("old").pie(false).global("g", 8).build());
         assert!(matches!(ld.dlopen(&b), Err(DlError::NotPie { .. })));
         assert!(matches!(ld.dlmopen_newlm(&b), Err(DlError::NotPie { .. })));
-    }
-
-    #[test]
-    fn dlsym_resolves_functions_and_data() {
-        use crate::spec::FunctionSpec;
-        let mut ld = DynLoader::new();
-        let b = link(
-            ImageSpec::builder("s")
-                .global("gv", 8)
-                .function(FunctionSpec::new("entry", 64))
-                .build(),
-        );
-        let img = ld.dlopen(&b).unwrap();
-        assert_eq!(ld.dlsym(&img, "entry").unwrap(), img.fn_addr_of("entry").unwrap());
-        assert_eq!(
-            ld.dlsym(&img, "gv").unwrap(),
-            img.data_addr_of("gv").unwrap() as usize
-        );
-        assert!(matches!(
-            ld.dlsym(&img, "missing"),
-            Err(DlError::NoSuchSymbol { .. })
-        ));
-    }
-
-    #[test]
-    fn dladdr_resolves_across_namespaces() {
-        use crate::spec::FunctionSpec;
-        let mut ld = DynLoader::new();
-        let b = link(
-            ImageSpec::builder("s")
-                .global("gv", 8)
-                .function(FunctionSpec::new("entry", 64))
-                .build(),
-        );
-        let base_img = ld.dlopen(&b).unwrap();
-        let ns_img = ld.dlmopen_newlm(&b).unwrap();
-        // same symbol, two namespaces, distinct addresses
-        for (img, expect_ns) in [(&base_img, 0usize), (&ns_img, 1)] {
-            let fn_addr = img.fn_addr_of("entry").unwrap();
-            let info = ld.dladdr(fn_addr + 5).expect("code addr resolves");
-            assert_eq!(info.namespace, NamespaceId(expect_ns));
-            assert_eq!(info.segment, "code");
-            assert_eq!(info.symbol, Some(("entry".to_string(), 5)));
-            let dv = img.data_addr_of("gv").unwrap() as usize;
-            let info = ld.dladdr(dv).expect("data addr resolves");
-            assert_eq!(info.segment, "data");
-            assert_eq!(info.symbol, Some(("gv".to_string(), 0)));
-        }
-        assert!(ld.dladdr(0x10).is_none());
     }
 
     #[test]

@@ -13,8 +13,8 @@ use std::sync::Arc;
 ///
 /// The paper notes that globals written only once to the same value on all
 /// ranks are safe to share; `ReadOnly` models `const`/such write-once data
-/// and lets methods skip privatizing it (a future-work memory optimization
-/// the paper mentions, implemented here as `dedup_readonly`).
+/// and lets methods skip privatizing it (manual refactoring, Swapglobals
+/// and TLSglobals leave it in the shared image).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mutability {
     Mutable,

@@ -661,6 +661,7 @@ impl MachineConfig {
             barrier_script: barrier_script.into(),
             rescale_policy: self.rescale_policy,
             method_requested: self.method,
+            binary: self.binary,
             migrate_buf: pvr_isomalloc::MigrationBuffer::default(),
         })
     }

@@ -309,6 +309,8 @@ pub struct Machine {
     /// The method the configuration asked for (`method()` reports what
     /// actually landed).
     pub(crate) method_requested: Method,
+    /// The program every rank runs; `MPI_Op` code offsets resolve in it.
+    pub(crate) binary: Arc<pvr_progimage::ProgramBinary>,
     /// Wire buffer of [`Machine::migrate_now`], reused across migrations
     /// so each one costs its two memcpys, not a fresh mapping as well.
     pub(crate) migrate_buf: pvr_isomalloc::MigrationBuffer,
@@ -405,8 +407,8 @@ impl Machine {
         &self.rank(rank).instance
     }
 
-    /// Resolve a user reduction operator (encoded as a code-segment
-    /// offset) for application *on a specific PE* — what the runtime does
+    /// Resolve a user reduction operator (a code offset into the job's
+    /// binary) for application *on a specific PE* — what the runtime does
     /// when combining reduction messages. Under PIEglobals every rank has
     /// a distinct code copy, so the offset must be anchored to the base
     /// of some rank resident on `pe`; a PE hosting no ranks raises the
@@ -419,13 +421,10 @@ impl Machine {
         if self.method() == Method::PieGlobals && self.shared.location.resident_count(pe) == 0 {
             return Err(RtsError::EmptyPeReduction { pe });
         }
-        let proc = self.shared.topology.process_of_pe(pe);
-        self.shared.privatizers[proc]
-            .callable_for_offset(offset)
-            .ok_or(RtsError::Protocol {
-                rank: usize::MAX,
-                detail: format!("no callable at code offset {offset}"),
-            })
+        self.binary.callable_at(offset).ok_or(RtsError::Protocol {
+            rank: usize::MAX,
+            detail: format!("no callable at code offset {offset}"),
+        })
     }
 
     /// Drive one rank until it blocks, parks, yields, or completes —
@@ -1131,7 +1130,7 @@ pub(crate) mod tests {
                 }
             }))
             .unwrap();
-        let offset = m.privatizer(0).fn_offset_of("combine").unwrap();
+        let offset = m.binary.fn_offset_of("combine").unwrap();
         // both PEs have a rank: resolution works everywhere
         assert!(m.resolve_op_on_pe(0, offset).is_ok());
         assert!(m.resolve_op_on_pe(1, offset).is_ok());

@@ -37,7 +37,9 @@ fn main() {
         println!("[rank 0] all state intact after migration");
     });
 
-    let mut machine = MachineBuilder::new(surge::binary()) // 14 MB code segment
+    let binary = surge::binary();
+    let step_offset = binary.fn_offset_of("surge_step").unwrap();
+    let mut machine = MachineBuilder::new(binary) // 14 MB code segment
         .method(Method::PieGlobals)
         .topology(Topology::non_smp(2))
         .vp_ratio(1)
@@ -55,7 +57,7 @@ fn main() {
     // copied segments (§3.3).
     let inst = machine.rank_instance(0).clone();
     let data_addr = inst.access("s_dt").ptr() as usize;
-    let code_addr = inst.code_base() + machine.privatizer(0).fn_offset_of("surge_step").unwrap();
+    let code_addr = inst.code_base() + step_offset;
     for (what, addr) in [("data: &s_dt", data_addr), ("code: surge_step", code_addr)] {
         let f = machine
             .privatizer(0)

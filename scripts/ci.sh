@@ -109,19 +109,68 @@ bench_lines=$(find crates/bench/src -name '*.rs' -exec cat {} + | wc -l)
     exit 1
 }
 
-echo "==> dead-pub ratchet (every \`pub\` item under crates/*/src is named somewhere besides its definition)"
+echo "==> size ratchet (pvr-privatize methods/*.rs and pvr-progimage image.rs, loader.rs before their tests: cowglobals.rs <= 216 lines, fsglobals.rs <= 170, manual.rs <= 107, mod.rs <= 158, pieglobals.rs <= 544, pipglobals.rs <= 77, swapglobals.rs <= 126, tlsglobals.rs <= 310, unprivatized.rs <= 59, image.rs <= 283, loader.rs <= 199)"
+# Each privatization method writes only what differs. PIE- and COWglobals
+# share one per-rank path (`PieCore` in pieglobals.rs: ctor-heap clones,
+# patch replay, GOT rebase, TLS block, accesses), PIP- and FSglobals
+# another (`ImageRanks` and `image_accesses` in mod.rs), and symbol lookups
+# live once, on `ProgramBinary`. What went: cowglobals.rs' copy of the
+# PIE steps (356 lines before), the parallel rank vectors, TLS copies and
+# access loops of pipglobals.rs (143) and fsglobals.rs (228), eight
+# forwarding `fn_offset_of`/`callable_for_offset` impls, the
+# `dedup_readonly` knob, and image.rs' (329) and loader.rs' (270) lookups
+# that nothing called (`dlsym`, `dladdr`, `fn_addr_of`, `fn_at_addr`, ...).
+# A copied per-method step must not grow back, so every file has a limit
+# at its size and a new file must be given one.
+for f in crates/privatize/src/methods/*.rs crates/progimage/src/image.rs crates/progimage/src/loader.rs; do
+    case "$f" in
+        */methods/cowglobals.rs) limit=216 ;;
+        */methods/fsglobals.rs) limit=170 ;;
+        */methods/manual.rs) limit=107 ;;
+        */methods/mod.rs) limit=158 ;;
+        */methods/pieglobals.rs) limit=544 ;;
+        */methods/pipglobals.rs) limit=77 ;;
+        */methods/swapglobals.rs) limit=126 ;;
+        */methods/tlsglobals.rs) limit=310 ;;
+        */methods/unprivatized.rs) limit=59 ;;
+        */progimage/src/image.rs) limit=283 ;;
+        */progimage/src/loader.rs) limit=199 ;;
+        *)
+            echo "FAIL: $f has no size limit: give it one in scripts/ci.sh"
+            exit 1
+            ;;
+    esac
+    n=$(nontest_lines "$f")
+    [ "$n" -le "$limit" ] || {
+        echo "FAIL: $f has $n lines before its tests (limit $limit): write a step shared by several methods once"
+        exit 1
+    }
+done
+
+echo "==> dead-pub ratchet (every \`pub\` item under crates/*/src is named somewhere besides its definition, every \`pub\` field besides its declaration and one initialiser)"
 # A name declared `pub fn|struct|enum|trait|const|type|static` that occurs
 # once across crates/, tests/, examples/ and benchmark/ is an item nothing
-# calls: delete it rather than carry it. It counts words, so an item also
-# named in a comment, or a module that only its own tests reach, passes.
+# calls: delete it rather than carry it. A `pub` struct field named at
+# most twice is never read: once is its declaration, once its one
+# initialiser. It counts words, so an item also named in a comment, a
+# module that only its own tests reach, or an item that shares its name
+# with another passes (the loader's and PIPglobals' `namespaces_in_use`
+# each counted the other, and only the second called the first).
 pub_names=$(grep -rhoE --include='*.rs' \
     'pub (unsafe |const |extern "C" )*(fn|struct|enum|trait|const|type|static) +(mut +)?[A-Za-z_][A-Za-z0-9_]*' \
     crates/*/src | awk '{ print $NF }' | LC_ALL=C sort -u)
-once_names=$(grep -rhowE --include='*.rs' --exclude-dir=target '[A-Za-z_][A-Za-z0-9_]*' \
-    crates tests examples benchmark | LC_ALL=C sort | uniq -c | awk '$1 == 1 { print $2 }')
-dead_pub=$(LC_ALL=C comm -12 <(echo "$pub_names") <(echo "$once_names"))
+pub_fields=$(grep -rhoE --include='*.rs' '^\s*pub [a-z_][a-z0-9_]*\s*:' crates/*/src |
+    sed -E 's/^\s*pub ([a-z0-9_]+).*/\1/' | LC_ALL=C sort -u)
+word_counts=$(grep -rhowE --include='*.rs' --exclude-dir=target '[A-Za-z_][A-Za-z0-9_]*' \
+    crates tests examples benchmark | LC_ALL=C sort | uniq -c)
+dead_pub=$(LC_ALL=C comm -12 <(echo "$pub_names") <(echo "$word_counts" | awk '$1 == 1 { print $2 }'))
 [ -z "$dead_pub" ] || {
     echo "FAIL: declared pub but named nowhere else:" $dead_pub
+    exit 1
+}
+dead_fields=$(LC_ALL=C comm -12 <(echo "$pub_fields") <(echo "$word_counts" | awk '$1 <= 2 { print $2 }'))
+[ -z "$dead_fields" ] || {
+    echo "FAIL: pub fields named only where declared and set:" $dead_fields
     exit 1
 }
 

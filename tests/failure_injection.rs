@@ -159,6 +159,7 @@ fn empty_pe_reduction_restriction_is_enforced() {
             .function(FunctionSpec::new("combine", 64).with_callable(Arc::new(|_i, _o| {})))
             .build(),
     );
+    let offset = bin.fn_offset_of("combine").unwrap();
     let body: Arc<dyn Fn(RankCtx) + Send + Sync> = Arc::new(|ctx| {
         if ctx.rank() == 0 {
             let _ = ctx.recv();
@@ -169,7 +170,6 @@ fn empty_pe_reduction_restriction_is_enforced() {
         .topology(Topology::non_smp(2))
         .build(body)
         .unwrap();
-    let offset = machine.privatizer(0).fn_offset_of("combine").unwrap();
     machine.drive_rank(0).unwrap();
     machine.migrate_now(0, 1).unwrap();
     match machine.resolve_op_on_pe(0, offset) {
