@@ -4,10 +4,7 @@ use bytes::Bytes;
 
 /// Serialize an `f64` slice little-endian.
 pub fn f64s_to_bytes(data: &[f64]) -> Bytes {
-    let mut v = Vec::with_capacity(data.len() * 8);
-    for x in data {
-        v.extend_from_slice(&x.to_le_bytes());
-    }
+    let v: Vec<u8> = data.iter().flat_map(|x| x.to_le_bytes()).collect();
     Bytes::from(v)
 }
 
@@ -39,10 +36,7 @@ pub fn bytes_into_f64s(b: &[u8], out: &mut [f64]) {
 
 /// Serialize a `u64` slice little-endian.
 pub fn u64s_to_bytes(data: &[u64]) -> Bytes {
-    let mut v = Vec::with_capacity(data.len() * 8);
-    for x in data {
-        v.extend_from_slice(&x.to_le_bytes());
-    }
+    let v: Vec<u8> = data.iter().flat_map(|x| x.to_le_bytes()).collect();
     Bytes::from(v)
 }
 

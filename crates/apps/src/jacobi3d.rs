@@ -14,9 +14,12 @@
 //! row slices, so the inner loop has no bounds checks; it still calls
 //! `omega()` (the privatized read) once per point and sums the residual
 //! sequentially in (k, j, i) order; and the two grids swap roles after each
-//! sweep instead of being copied back.
+//! sweep instead of being copied back. `run` decides `j_omega`'s addressing
+//! mode once per sweep (`VarAccess::with`), so each point pays that mode's
+//! loads and nothing else.
 
 use pvr_ampi::{util, Ampi, Op, COMM_WORLD};
+use pvr_privatize::{Access, WithAccess};
 use pvr_progimage::{link, FunctionSpec, GlobalSpec, ImageSpec, ProgramBinary, VarClass};
 use std::ops::RangeInclusive;
 use std::sync::Arc;
@@ -143,7 +146,13 @@ pub fn run(mpi: &Ampi, cfg: JacobiConfig) -> JacobiStats {
         let lny = g_ny.read_u64() as usize;
         let lnz = g_nz.read_u64() as usize;
         let planes = owned_planes(me, p, lnz);
-        g_res.write_f64(sweep(old, new, lnx, lny, planes, || g_omega.read_f64()));
+        g_res.write_f64(g_omega.with(Sweep {
+            old,
+            new,
+            nx: lnx,
+            ny: lny,
+            planes,
+        }));
         // swap, not copy: unwritten cells agree in both grids; ghosts are refilled first
         std::mem::swap(&mut old, &mut new);
 
@@ -175,6 +184,25 @@ fn owned_planes(me: usize, p: usize, nz: usize) -> RangeInclusive<usize> {
     let first = if me == 0 { 2 } else { 1 };
     let last = if me + 1 < p { nz } else { nz.saturating_sub(1) };
     first..=last
+}
+
+/// One `sweep` whose `omega` is a privatized variable, for
+/// [`VarAccess::with`](pvr_privatize::VarAccess::with).
+struct Sweep<'a> {
+    old: &'a [f64],
+    new: &'a mut [f64],
+    nx: usize,
+    ny: usize,
+    planes: RangeInclusive<usize>,
+}
+
+impl WithAccess for Sweep<'_> {
+    type Output = f64;
+    fn run<A: Access>(self, omega: A) -> f64 {
+        sweep(self.old, self.new, self.nx, self.ny, self.planes, || {
+            omega.read()
+        })
+    }
 }
 
 /// Relax the interior of `planes` from `old` into `new` (plane-major); returns
@@ -298,7 +326,13 @@ mod tests {
             iters: 3,
         };
         let reference = run_distributed(Method::ManualRefactor, 2, cfg);
-        for method in [Method::TlsGlobals, Method::PipGlobals, Method::PieGlobals] {
+        for method in [
+            Method::TlsGlobals,
+            Method::PipGlobals,
+            Method::FsGlobals,
+            Method::PieGlobals,
+            Method::CowGlobals,
+        ] {
             let r = run_distributed(method, 2, cfg);
             assert_eq!(r, reference, "{method} diverged");
         }

@@ -2,12 +2,11 @@
 //! variables.
 //!
 //! Every scalar the sweep's inner loop touches resolves through the
-//! active method's access path (direct / TLS-register / GOT). The paper
-//! found no measurable per-access penalty with optimized builds; here the
-//! indirections are real loads, so small differences are visible in
-//! debug terms but should stay within noise in release builds; the
-//! benchmark's `jacobi3d` workload (`apps.jacobi_ns_per_point`) is the
-//! statistically careful version.
+//! active method's addressing mode (direct, TLS or PE register, GOT, COW
+//! frame table), decided once per sweep. The paper found no measurable
+//! per-access penalty with optimized builds; here each mode's loads are
+//! real. The benchmark's `jacobi3d` workload is the statistically careful
+//! version.
 
 use crate::{fmt_dur, render_table};
 use parking_lot::Mutex;
@@ -61,16 +60,14 @@ fn measure_best(method: Method, toolchain: Toolchain, cfg: JacobiConfig, ranks: 
 }
 
 pub fn run(cfg: JacobiConfig, ranks: usize) -> Vec<JacobiRow> {
-    let mut rows: Vec<JacobiRow> = Method::EVALUATED
+    let cow = (Method::CowGlobals, Toolchain::bridges2());
+    let swap = (Method::Swapglobals, Toolchain::legacy_ld());
+    (Method::EVALUATED
         .iter()
-        .map(|&m| measure_best(m, Toolchain::bridges2(), cfg, ranks, 3))
-        .collect();
-    rows.push({
-        let mut r = measure_best(Method::Swapglobals, Toolchain::legacy_ld(), cfg, ranks, 3);
-        r.label = "swapglobals".into();
-        r
-    });
-    rows
+        .map(|&m| (m, Toolchain::bridges2())))
+    .chain([cow, swap])
+    .map(|(m, toolchain)| measure_best(m, toolchain, cfg, ranks, 3))
+    .collect()
 }
 
 pub fn report() -> String {

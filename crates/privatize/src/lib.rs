@@ -35,7 +35,7 @@ pub mod probe;
 pub mod rank;
 pub mod regs;
 
-pub use access::VarAccess;
+pub use access::{Access, VarAccess, WithAccess};
 pub use env::{Compiler, CompilerFamily, Linker, LinkerFamily, PrivatizeEnv, Toolchain};
 pub use methods::create_privatizer;
 pub use probe::{probe_method, Capability, RunShape};

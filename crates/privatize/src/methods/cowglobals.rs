@@ -11,7 +11,7 @@
 //!    segment's backing ([`DataCopy::Cow`]) is PIEglobals' code;
 //! 2. the data snapshot is chopped into a shared, `Arc`'d
 //!    [`PageTemplate`]; every rank maps it read-only through a
-//!    [`CowSegment`] page table whose backing store is a zero-filled
+//!    [`CowSegment`] frame table whose backing store is a zero-filled
 //!    Isomalloc data region (so private pages migrate with the rank);
 //! 3. a rank's first write to a page takes a *simulated fault*: the fault
 //!    handler copies that one template page into the rank's backing store,

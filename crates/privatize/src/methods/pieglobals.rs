@@ -265,10 +265,7 @@ impl DataCopy<'_> {
             DataCopy::Eager(base) => unsafe { base.add(off) },
             DataCopy::Cow(cell) => {
                 // SAFETY: as in `base`.
-                let seg = unsafe { cell.segment() };
-                let (p, faulted) = seg.writable_ptr(off, 8);
-                emit_faults(&faulted, seg.page_size());
-                p
+                unsafe { cell.segment() }.writable_ptr(off, 8, emit_faults)
             }
         };
         // SAFETY: `p` addresses 8 writable bytes of the rank's copy.
@@ -280,7 +277,9 @@ impl DataCopy<'_> {
         match *self {
             // SAFETY: a linked symbol's offset lies inside the segment.
             DataCopy::Eager(base) => VarAccess::Direct(unsafe { base.add(offset) }),
-            DataCopy::Cow(cell) => VarAccess::Cow { cell, offset, len },
+            // SAFETY: the privatizer keeps the rank's cell as long as the
+            // rank, whose accesses execute rank-exclusively (CowCell contract).
+            DataCopy::Cow(cell) => VarAccess::Cow(unsafe { cell.var(offset, len) }),
         }
     }
 }

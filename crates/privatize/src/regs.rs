@@ -7,7 +7,8 @@
 //! them costs one real indirection, exactly the overhead the paper's
 //! Fig. 7 looks for in privatized variable accesses, and writing them at
 //! context-switch time is the real work Fig. 6 measures for TLSglobals
-//! and PIEglobals.
+//! and PIEglobals. A read is volatile: like a `%fs`-relative access, a
+//! loop pays it on every iteration.
 
 use std::cell::Cell;
 
@@ -28,7 +29,8 @@ pub fn set_tls_base(p: *mut u8) {
 /// variable access).
 #[inline(always)]
 pub fn tls_base() -> *mut u8 {
-    TLS_BASE.with(|c| c.get())
+    // SAFETY: the cell is this thread's and no reference to its value exists.
+    TLS_BASE.with(|c| unsafe { c.as_ptr().read_volatile() })
 }
 
 /// Install the current rank's GOT (Swapglobals context switch work).
@@ -40,7 +42,8 @@ pub fn set_got_base(p: *const u64) {
 /// Read the active GOT base.
 #[inline(always)]
 pub fn got_base() -> *const u64 {
-    GOT_BASE.with(|c| c.get())
+    // SAFETY: as in `tls_base`.
+    GOT_BASE.with(|c| unsafe { c.as_ptr().read_volatile() })
 }
 
 /// Install the current PE's hierarchical-local-storage block (MPC's
@@ -54,7 +57,8 @@ pub fn set_pe_base(p: *mut u8) {
 /// Read the active PE-level storage base.
 #[inline(always)]
 pub fn pe_base() -> *mut u8 {
-    PE_BASE.with(|c| c.get())
+    // SAFETY: as in `tls_base`.
+    PE_BASE.with(|c| unsafe { c.as_ptr().read_volatile() })
 }
 
 /// Clear all registers (PE going idle / tests).

@@ -220,10 +220,6 @@ impl LoadedImage {
         self.data.as_mut_slice()[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
     }
 
-    pub fn namespace(&self) -> NamespaceId {
-        self.namespace
-    }
-
     /// Absolute address of a Global/Static variable in this image's data
     /// segment.
     pub fn data_addr_of(&self, name: &str) -> Option<*mut u8> {

@@ -63,7 +63,6 @@ impl std::error::Error for DlError {}
 /// What `dl_iterate_phdr` reports per loaded object.
 #[derive(Debug, Clone)]
 pub struct PhdrInfo {
-    pub path: String,
     pub file_id: u64,
     pub namespace: NamespaceId,
     pub segments: SegmentAddrs,
@@ -162,7 +161,6 @@ impl DynLoader {
         for (ns_idx, ns) in self.namespaces.iter().enumerate() {
             for img in ns.images.values() {
                 f(&PhdrInfo {
-                    path: img.binary.path.clone(),
                     file_id: img.binary.file_id(),
                     namespace: NamespaceId(ns_idx),
                     segments: img.segment_addrs(),

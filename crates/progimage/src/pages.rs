@@ -8,8 +8,8 @@
 //!   fixed-size pages held behind `Arc`s. Every rank shares the same
 //!   template read-only; a read of a never-written page costs one page
 //!   table lookup and touches no per-rank memory.
-//! * [`CowSegment`] — one rank's view of the template: a page table
-//!   mapping each page to either the shared template page or a private
+//! * [`CowSegment`] — one rank's view of the template: a frame table
+//!   pointing each page at either the shared template page or a private
 //!   copy inside the rank's backing store (Isomalloc-managed, so private
 //!   pages migrate and checkpoint with the rank). The first write to a
 //!   shared page takes a *simulated fault*: the page is copied into the
@@ -27,10 +27,15 @@
 //! `pvr-privatize::methods::CowGlobals`; this module is pure mechanism.
 
 use std::cell::UnsafeCell;
+use std::mem::{align_of, size_of};
 use std::sync::Arc;
 
 /// Default simulated page size: the x86-64 base page.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
+
+/// The alignment of every page frame: template pages and backing slots
+/// hold any [`Word`] at its natural alignment.
+const FRAME_ALIGN: usize = 8;
 
 /// An immutable segment snapshot as a table of `Arc`'d pages, shared
 /// read-only by every rank. The final page is zero-padded to `page_size`
@@ -43,19 +48,24 @@ pub struct PageTemplate {
 }
 
 impl PageTemplate {
-    /// Snapshot `bytes` into pages of `page_size` (must be a power of
-    /// two).
+    /// Snapshot `bytes` into pages of `page_size` (a power of two, at
+    /// least [`FRAME_ALIGN`]).
     pub fn new(bytes: &[u8], page_size: usize) -> PageTemplate {
         assert!(
-            page_size.is_power_of_two(),
-            "page size must be a power of two"
+            page_size.is_power_of_two() && page_size >= FRAME_ALIGN,
+            "page size must be a power of two of at least {FRAME_ALIGN}"
         );
         let pages = bytes
             .chunks(page_size)
             .map(|chunk| {
                 let mut page = vec![0u8; page_size];
                 page[..chunk.len()].copy_from_slice(chunk);
-                Arc::from(page.into_boxed_slice())
+                let page: Arc<[u8]> = Arc::from(page.into_boxed_slice());
+                assert!(
+                    (page.as_ptr() as usize).is_multiple_of(FRAME_ALIGN),
+                    "frame alignment"
+                );
+                page
             })
             .collect();
         PageTemplate {
@@ -106,61 +116,70 @@ impl PageTemplate {
     }
 }
 
+/// A scalar a [`CowVar`] loads or stores in one access: no padding, and
+/// every bit pattern is a value.
+pub trait Word: Copy + Default + sealed::Sealed {}
+impl Word for u64 {}
+impl Word for i32 {}
+impl Word for f64 {}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u64 {}
+    impl Sealed for i32 {}
+    impl Sealed for f64 {}
+}
+
+/// The bytes of `v`, for a word that straddles two pages.
+fn word_bytes<T: Word>(v: &mut T) -> &mut [u8] {
+    // SAFETY: a `Word` has no padding and every byte pattern is a value.
+    unsafe { std::slice::from_raw_parts_mut(v as *mut T as *mut u8, size_of::<T>()) }
+}
+
 /// Per-rank dirty-page set plus fault accounting — the substrate for
 /// incremental checkpointing and the dedup audit.
 ///
-/// Beyond the ever-privatized set, the tracker stamps every written page
-/// with the *epoch* it was last written in. Incremental checkpointing
-/// advances the epoch at each capture and asks for
-/// [`Self::pages_dirty_since`] a floor epoch — pages written since the
+/// The tracker stamps every written page with the *epoch* it was last
+/// written in; a page is dirty (privatized) once it has a stamp.
+/// Incremental checkpointing advances the epoch at each capture and asks
+/// for [`Self::pages_dirty_since`] a floor epoch — pages written since the
 /// last checkpoint, a strict subset of the ever-privatized set.
 #[derive(Debug, Clone)]
 pub struct DirtyTracker {
-    dirty: Vec<bool>,
     faults: u64,
     /// Current write epoch. Starts at 1 so an epoch stamp of 0 always
     /// means "never written".
     epoch: u64,
-    /// Epoch each page was last written in (0 = never).
+    /// Epoch each page was last written in (0 = never, still shared).
     page_epoch: Vec<u64>,
 }
 
 impl DirtyTracker {
     fn new(n_pages: usize) -> DirtyTracker {
         DirtyTracker {
-            dirty: vec![false; n_pages],
             faults: 0,
             epoch: 1,
             page_epoch: vec![0; n_pages],
         }
     }
 
-    /// Stamp page `index` as written in the current epoch.
-    fn stamp(&mut self, index: usize) {
-        self.page_epoch[index] = self.epoch;
-    }
-
     pub fn n_pages(&self) -> usize {
-        self.dirty.len()
+        self.page_epoch.len()
     }
 
     /// Whether page `index` has been privatized (written at least once).
     pub fn is_dirty(&self, index: usize) -> bool {
-        self.dirty[index]
+        self.page_epoch[index] > 0
     }
 
     /// Number of privatized pages.
     pub fn dirty_count(&self) -> usize {
-        self.dirty.iter().filter(|&&d| d).count()
+        self.dirty_pages().count()
     }
 
     /// Indices of privatized pages, ascending.
     pub fn dirty_pages(&self) -> impl Iterator<Item = usize> + '_ {
-        self.dirty
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d)
-            .map(|(i, _)| i)
+        self.pages_dirty_since(1)
     }
 
     /// Total simulated page faults taken (equals [`Self::dirty_count`]
@@ -171,13 +190,6 @@ impl DirtyTracker {
 
     /// The current write epoch (starts at 1).
     pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Close the current epoch and open the next: pages written from now
-    /// on stamp the new epoch. Returns the new current epoch.
-    pub fn advance_epoch(&mut self) -> u64 {
-        self.epoch += 1;
         self.epoch
     }
 
@@ -201,16 +213,25 @@ impl DirtyTracker {
 /// One rank's copy-on-write view of a [`PageTemplate`].
 ///
 /// `base..base+len` is the rank-owned backing store (an Isomalloc data
-/// region, zero-filled at creation). A page table entry is either
-/// *shared* (reads come from the template) or *private* (the page slot in
-/// the backing store holds the authoritative bytes). The backing store
-/// uses natural page offsets, so a fully materialized segment is
-/// byte-identical to an eager whole-segment copy.
+/// region, zero-filled at creation). Each page has a *frame*: the shared
+/// template page while the page is shared, its slot in the backing store
+/// once a write faulted it private. A read is a frame-table load and an
+/// add, whichever the page is. The backing store uses natural page
+/// offsets, so a fully materialized segment is byte-identical to an eager
+/// whole-segment copy.
 #[derive(Debug)]
 pub struct CowSegment {
     template: Arc<PageTemplate>,
     base: *mut u8,
     len: usize,
+    /// Page → frame. Every entry addresses the page's bytes up to `len`:
+    /// the template page (padded to the page size) or the backing slot.
+    /// Never resized, so a [`CowVar`] may hold a pointer to an entry.
+    frames: Vec<*const u8>,
+    /// Page → backing slot while the page is private *and* stamped in
+    /// the current epoch, else null: a non-null entry is a write that
+    /// needs no fault and no stamp. Never resized, as `frames`.
+    warm: Vec<*mut u8>,
     tracker: DirtyTracker,
     /// Whether the still-shared pages were copied into the backing store
     /// for an external whole-segment view (audit/pack). Sticky: the copy
@@ -226,14 +247,19 @@ impl CowSegment {
     /// outlive this segment and are not accessed through other aliases
     /// while the segment is live (the Isomalloc region discipline).
     pub unsafe fn new(template: Arc<PageTemplate>, base: *mut u8) -> CowSegment {
+        assert!(
+            (base as usize).is_multiple_of(FRAME_ALIGN),
+            "backing store alignment"
+        );
         let n_pages = template.n_pages();
-        let len = template.len();
         CowSegment {
-            template,
             base,
-            len,
+            len: template.len(),
+            frames: (0..n_pages).map(|i| template.page(i).as_ptr()).collect(),
+            warm: vec![std::ptr::null_mut(); n_pages],
             tracker: DirtyTracker::new(n_pages),
             materialized: false,
+            template,
         }
     }
 
@@ -272,102 +298,104 @@ impl CowSegment {
         (self.len - start).min(self.page_size())
     }
 
+    /// Page `index`'s slot in the backing store.
+    fn slot(&self, index: usize) -> *mut u8 {
+        self.base.wrapping_add(index * self.page_size())
+    }
+
+    /// Stamp page `index`, private already, as written in the current
+    /// epoch.
+    fn stamp(&mut self, index: usize) {
+        self.tracker.page_epoch[index] = self.tracker.epoch;
+        self.warm[index] = self.slot(index);
+    }
+
     /// Take the simulated fault for page `index` if it is still shared:
-    /// copy the template page into the backing slot and mark it private.
-    /// Returns `true` when this call privatized the page.
+    /// copy the template page into the backing slot, mark it private and
+    /// point its frame at the slot. Returns `true` when this call
+    /// privatized the page.
     pub fn privatize_page(&mut self, index: usize) -> bool {
-        if self.tracker.dirty[index] {
+        if self.tracker.is_dirty(index) {
             return false;
         }
         let n = self.page_extent(index);
-        let src = self.template.page(index);
         // SAFETY: the backing store spans `len` bytes (CowSegment::new
-        // contract) and this page slot lies inside it.
+        // contract), this page slot lies inside it, and the template page
+        // holds at least `n` bytes.
         unsafe {
-            std::ptr::copy_nonoverlapping(
-                src.as_ptr(),
-                self.base.add(index * self.page_size()),
-                n,
-            );
-        }
-        self.tracker.dirty[index] = true;
+            std::ptr::copy_nonoverlapping(self.template.page(index).as_ptr(), self.slot(index), n)
+        };
+        self.frames[index] = self.slot(index);
         self.tracker.faults += 1;
-        self.tracker.stamp(index);
+        self.stamp(index);
         true
     }
 
-    /// Non-faulting read: private pages from the backing store, shared
-    /// pages from the template.
+    /// Privatize and stamp every page covering `offset..offset+len`,
+    /// handing each page this call privatized, and the page size, to
+    /// `on_fault`.
+    fn fault_range(&mut self, offset: usize, len: usize, mut on_fault: impl FnMut(u32, usize)) {
+        assert!(offset + len <= self.len, "range past segment end");
+        for page in offset / self.page_size()..=(offset + len.max(1) - 1) / self.page_size() {
+            if self.privatize_page(page) {
+                on_fault(page as u32, self.page_size());
+            }
+            // warm writes re-stamp too: the page is dirty again in the
+            // current checkpoint epoch even though it faulted long ago
+            self.stamp(page);
+        }
+    }
+
+    /// Non-faulting read: each page through its frame.
     pub fn read(&self, offset: usize, out: &mut [u8]) {
-        debug_assert!(offset + out.len() <= self.len, "read past segment end");
+        assert!(offset + out.len() <= self.len, "read past segment end");
         let ps = self.page_size();
         let mut done = 0;
         while done < out.len() {
             let at = offset + done;
-            let page = at / ps;
             let in_page = at % ps;
             let n = (ps - in_page).min(out.len() - done);
-            if self.tracker.dirty[page] {
-                // SAFETY: in-bounds per the debug_assert above and the
-                // backing-store contract.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        self.base.add(at),
-                        out[done..].as_mut_ptr(),
-                        n,
-                    );
-                }
-            } else {
-                out[done..done + n].copy_from_slice(&self.template.page(page)[in_page..in_page + n]);
+            // SAFETY: `at..at+n` lies inside the segment (assert above)
+            // and inside one page, whose frame holds it.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    self.frames[at / ps].add(in_page),
+                    out[done..].as_mut_ptr(),
+                    n,
+                );
             }
             done += n;
         }
     }
 
     /// Write through the fault handler: every touched page that is still
-    /// shared is privatized first. Returns the indices of pages this
-    /// write privatized (empty for warm writes), so the caller can emit
+    /// shared is privatized first, and each page that faulted goes to
+    /// `on_fault` (nothing for a warm write), so the caller can emit
     /// trace events.
-    pub fn write(&mut self, offset: usize, bytes: &[u8]) -> Vec<u32> {
-        debug_assert!(offset + bytes.len() <= self.len, "write past segment end");
-        let first = offset / self.page_size();
-        let last = (offset + bytes.len().max(1) - 1) / self.page_size();
-        let mut faulted = Vec::new();
-        for page in first..=last {
-            if self.privatize_page(page) {
-                faulted.push(page as u32);
-            }
-            // warm writes re-stamp too: the page is dirty again in the
-            // current checkpoint epoch even though it faulted long ago
-            self.tracker.stamp(page);
-        }
-        // SAFETY: in-bounds; all covered pages are now private, so the
-        // backing store is authoritative for this range.
+    pub fn write(&mut self, offset: usize, bytes: &[u8], on_fault: impl FnMut(u32, usize)) {
+        self.fault_range(offset, bytes.len(), on_fault);
+        // SAFETY: in-bounds (fault_range asserts it); all covered pages
+        // are now private, so the backing store is authoritative.
         unsafe {
             std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.base.add(offset), bytes.len());
         }
-        faulted
     }
 
     /// Privatize every page covering `offset..offset+len` and return a
     /// raw pointer into the backing store — the escape hatch for code
     /// that needs a stable address (pointer identity, FFI-style access).
-    /// Returns the newly privatized pages like [`Self::write`].
-    pub fn writable_ptr(&mut self, offset: usize, len: usize) -> (*mut u8, Vec<u32>) {
-        debug_assert!(offset + len <= self.len, "pointer range past segment end");
-        let first = offset / self.page_size();
-        let last = (offset + len.max(1) - 1) / self.page_size();
-        let mut faulted = Vec::new();
-        for page in first..=last {
-            if self.privatize_page(page) {
-                faulted.push(page as u32);
-            }
-            // the caller holds a raw pointer it may write through later;
-            // conservatively treat the whole range as written now
-            self.tracker.stamp(page);
-        }
-        // SAFETY: offset is in-bounds per the debug_assert.
-        (unsafe { self.base.add(offset) }, faulted)
+    /// Faulted pages go to `on_fault` as in [`Self::write`].
+    pub fn writable_ptr(
+        &mut self,
+        offset: usize,
+        len: usize,
+        on_fault: impl FnMut(u32, usize),
+    ) -> *mut u8 {
+        // the caller holds a raw pointer it may write through later;
+        // conservatively treat the whole range as written now
+        self.fault_range(offset, len, on_fault);
+        // SAFETY: offset is in-bounds (fault_range asserts it).
+        unsafe { self.base.add(offset) }
     }
 
     /// Make the backing store a complete whole-segment view by copying
@@ -381,7 +409,7 @@ impl CowSegment {
             return;
         }
         for page in 0..self.template.n_pages() {
-            if self.tracker.dirty[page] {
+            if self.tracker.is_dirty(page) {
                 continue;
             }
             let n = self.page_extent(page);
@@ -389,7 +417,7 @@ impl CowSegment {
             unsafe {
                 std::ptr::copy_nonoverlapping(
                     self.template.page(page).as_ptr(),
-                    self.base.add(page * self.page_size()),
+                    self.slot(page),
                     n,
                 );
             }
@@ -430,10 +458,13 @@ impl CowSegment {
             .collect()
     }
 
-    /// Close the tracker's current write epoch (see
-    /// [`DirtyTracker::advance_epoch`]).
+    /// Close the current write epoch and open the next: pages written
+    /// from now on stamp the new epoch, so none is warm. Returns the new
+    /// current epoch.
     pub fn advance_epoch(&mut self) -> u64 {
-        self.tracker.advance_epoch()
+        self.warm.fill(std::ptr::null_mut());
+        self.tracker.epoch += 1;
+        self.tracker.epoch
     }
 }
 
@@ -468,6 +499,114 @@ impl CowCell {
     pub unsafe fn segment(&self) -> &mut CowSegment {
         &mut *self.0.get()
     }
+
+    /// The variable at `offset`, `len` bytes long, resolved once.
+    ///
+    /// # Safety
+    /// The cell outlives every use of the handle, and the handle is used
+    /// only under [`Self::segment`]'s contract.
+    pub unsafe fn var(&self, offset: usize, len: usize) -> CowVar {
+        let seg = self.segment();
+        let page = offset / seg.page_size();
+        let in_page = offset % seg.page_size();
+        CowVar {
+            cell: self,
+            offset,
+            len,
+            frame: seg.frames.as_ptr().wrapping_add(page),
+            warm: seg.warm.as_ptr().wrapping_add(page),
+            in_page,
+            room: (seg.page_size() - in_page).min(seg.len.saturating_sub(offset)),
+        }
+    }
+}
+
+/// One variable of a rank's [`CowSegment`] ([`CowCell::var`]): its place
+/// and extent, and its first page's entries in the frame and warm tables.
+/// A word that fits in that page is read with a frame-table load and one
+/// load, and written warm with a warm-table load and one store; the
+/// optimizer may hoist none of them out of a loop, since a write between
+/// two accesses may repoint either entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CowVar {
+    cell: *const CowCell,
+    offset: usize,
+    len: usize,
+    frame: *const *const u8,
+    warm: *const *mut u8,
+    /// Where the variable starts in its first page.
+    in_page: usize,
+    /// Bytes of that page, and of the segment, from the variable on.
+    room: usize,
+}
+
+impl CowVar {
+    #[inline(always)]
+    fn segment(self) -> &'static mut CowSegment {
+        // SAFETY: the cell outlives the handle and is used under its
+        // contract (CowCell::var).
+        unsafe { (*self.cell).segment() }
+    }
+
+    /// Whether a `T` at the variable lies in one page of the segment at
+    /// its alignment (every frame is [`FRAME_ALIGN`]-aligned).
+    #[inline(always)]
+    fn fits<T: Word>(self) -> bool {
+        size_of::<T>() <= self.room && self.in_page.is_multiple_of(align_of::<T>())
+    }
+
+    /// The word at the variable.
+    #[inline(always)]
+    pub fn load<T: Word>(self) -> T {
+        if !self.fits::<T>() {
+            let mut v = T::default();
+            self.read_bytes(word_bytes(&mut v));
+            return v;
+        }
+        // SAFETY: the word fits: it lies inside the segment, so `frame`
+        // is its page's live entry (CowVar is built only by CowCell::var),
+        // and inside that page, whose frame holds it at its alignment.
+        unsafe {
+            let frame = self.frame.read_volatile();
+            (frame.add(self.in_page) as *const T).read_volatile()
+        }
+    }
+
+    /// Store `v` at the variable, through the fault handler unless its
+    /// page is warm (see [`CowSegment::write`]).
+    #[inline(always)]
+    pub fn store<T: Word>(self, v: T, on_fault: impl FnMut(u32, usize)) {
+        // SAFETY: the word fits, so `warm` is its page's live entry, as
+        // in `load`.
+        let slot = match self.fits::<T>() {
+            true => unsafe { self.warm.read_volatile() },
+            false => std::ptr::null_mut(),
+        };
+        if slot.is_null() {
+            let mut v = v;
+            return self.write_bytes(word_bytes(&mut v), on_fault);
+        }
+        // SAFETY: a warm page's slot is private and stamped in the
+        // current epoch, and holds the word (as in `load`).
+        unsafe { (slot.add(self.in_page) as *mut T).write_volatile(v) }
+    }
+
+    /// [`CowSegment::read`] at the variable.
+    #[inline(always)]
+    pub fn read_bytes(self, out: &mut [u8]) {
+        self.segment().read(self.offset, out)
+    }
+
+    /// [`CowSegment::write`] at the variable.
+    #[inline(always)]
+    pub fn write_bytes(self, bytes: &[u8], on_fault: impl FnMut(u32, usize)) {
+        self.segment().write(self.offset, bytes, on_fault)
+    }
+
+    /// [`CowSegment::writable_ptr`] over the variable's extent.
+    pub fn writable_ptr(self, on_fault: impl FnMut(u32, usize)) -> *mut u8 {
+        self.segment().writable_ptr(self.offset, self.len, on_fault)
+    }
 }
 
 #[cfg(test)]
@@ -489,6 +628,20 @@ mod tests {
         };
         let seg = unsafe { CowSegment::new(tpl.clone(), backing.buf.as_mut_ptr()) };
         (seg, backing)
+    }
+
+    /// `seg.write`, returning the pages it faulted.
+    fn write(seg: &mut CowSegment, offset: usize, bytes: &[u8]) -> Vec<u32> {
+        let mut faulted = Vec::new();
+        seg.write(offset, bytes, |p, _| faulted.push(p));
+        faulted
+    }
+
+    /// `seg.writable_ptr`, with the pages it faulted.
+    fn writable_ptr(seg: &mut CowSegment, offset: usize, len: usize) -> (*mut u8, Vec<u32>) {
+        let mut faulted = Vec::new();
+        let p = seg.writable_ptr(offset, len, |p, _| faulted.push(p));
+        (p, faulted)
     }
 
     #[test]
@@ -519,7 +672,7 @@ mod tests {
     fn first_write_faults_the_page_and_preserves_surrounding_bytes() {
         let tpl = template(256, 64);
         let (mut seg, _b) = segment(&tpl);
-        let faulted = seg.write(70, &[0xAA, 0xBB]);
+        let faulted = write(&mut seg, 70, &[0xAA, 0xBB]);
         assert_eq!(faulted, vec![1], "write inside page 1 privatizes it");
         assert_eq!(seg.tracker().faults(), 1);
         assert!(seg.tracker().is_dirty(1) && !seg.tracker().is_dirty(0));
@@ -534,8 +687,8 @@ mod tests {
     fn warm_writes_do_not_refault() {
         let tpl = template(256, 64);
         let (mut seg, _b) = segment(&tpl);
-        assert_eq!(seg.write(0, &[1]), vec![0]);
-        assert_eq!(seg.write(1, &[2]), Vec::<u32>::new());
+        assert_eq!(write(&mut seg, 0, &[1]), vec![0]);
+        assert_eq!(write(&mut seg, 1, &[2]), Vec::<u32>::new());
         assert_eq!(seg.tracker().faults(), 1);
     }
 
@@ -543,7 +696,7 @@ mod tests {
     fn spanning_write_faults_every_covered_page() {
         let tpl = template(256, 64);
         let (mut seg, _b) = segment(&tpl);
-        let faulted = seg.write(60, &[7u8; 140]); // pages 0,1,2,3 partially
+        let faulted = write(&mut seg, 60, &[7u8; 140]); // pages 0,1,2,3 partially
         assert_eq!(faulted, vec![0, 1, 2, 3]);
         let mut out = vec![0u8; 140];
         seg.read(60, &mut out);
@@ -554,13 +707,13 @@ mod tests {
     fn writable_ptr_faults_covering_pages_and_is_stable() {
         let tpl = template(256, 64);
         let (mut seg, _b) = segment(&tpl);
-        let (p, faulted) = seg.writable_ptr(100, 8);
+        let (p, faulted) = writable_ptr(&mut seg, 100, 8);
         assert_eq!(faulted, vec![1]);
         unsafe { p.write(0xCD) };
         let mut out = [0u8; 1];
         seg.read(100, &mut out);
         assert_eq!(out[0], 0xCD);
-        let (p2, faulted2) = seg.writable_ptr(100, 8);
+        let (p2, faulted2) = writable_ptr(&mut seg, 100, 8);
         assert_eq!(p, p2);
         assert!(faulted2.is_empty());
     }
@@ -569,7 +722,7 @@ mod tests {
     fn materialize_is_sticky_and_matches_eager_copy() {
         let tpl = template(300, 64);
         let (mut seg, b) = segment(&tpl);
-        seg.write(10, &[9, 9, 9]);
+        write(&mut seg, 10, &[9, 9, 9]);
         seg.materialize();
         assert!(seg.is_materialized());
         // The backing store now equals an eager copy with the write applied.
@@ -591,32 +744,91 @@ mod tests {
         let tpl = template(512, 64);
         let (mut seg, _b) = segment(&tpl);
         assert_eq!(seg.tracker().epoch(), 1);
-        seg.write(0, &[1]); // page 0, epoch 1
-        seg.write(130, &[1]); // page 2, epoch 1
+        write(&mut seg, 0, &[1]); // page 0, epoch 1
+        write(&mut seg, 130, &[1]); // page 2, epoch 1
         let e1: Vec<usize> = seg.tracker().pages_dirty_since(1).collect();
         assert_eq!(e1, vec![0, 2]);
         assert_eq!(seg.advance_epoch(), 2);
         // nothing written in epoch 2 yet
         assert_eq!(seg.tracker().pages_dirty_since(2).count(), 0);
         // a warm write to an already-private page re-stamps it
-        seg.write(1, &[9]);
+        write(&mut seg, 1, &[9]);
         let e2: Vec<usize> = seg.tracker().pages_dirty_since(2).collect();
-        assert_eq!(e2, vec![0], "warm write must dirty the page in the new epoch");
+        assert_eq!(
+            e2,
+            vec![0],
+            "warm write must dirty the page in the new epoch"
+        );
         // the ever-dirty floor still sees both pages
         let all: Vec<usize> = seg.tracker().pages_dirty_since(1).collect();
         assert_eq!(all, vec![0, 2]);
         assert_eq!(seg.tracker().page_epoch(2), 1);
         assert_eq!(seg.tracker().page_epoch(0), 2);
-        assert_eq!(seg.tracker().page_epoch(7), 0, "never-written page has epoch 0");
+        assert_eq!(
+            seg.tracker().page_epoch(7),
+            0,
+            "never-written page has epoch 0"
+        );
+    }
+
+    #[test]
+    fn vars_load_through_the_frame_and_warm_stores_restamp_each_epoch() {
+        let tpl = template(256, 64);
+        let (seg, _b) = segment(&tpl);
+        let cell = CowCell::new(seg);
+        // SAFETY: `cell` outlives the handles; this thread alone uses it.
+        let var = |offset| unsafe { cell.var(offset, 8) };
+        // SAFETY: as above, and no other reference to the segment is live.
+        let seg = || unsafe { cell.segment() };
+        let word = |i: usize| u64::from_ne_bytes(std::array::from_fn(|b| ((i + b) % 251) as u8));
+        let (a, b, across) = (var(8), var(16), var(60));
+        assert_eq!(a.load::<u64>(), word(8), "a shared page reads the template");
+        assert_eq!(
+            across.load::<u64>(),
+            word(60),
+            "a word across pages 0 and 1"
+        );
+        let mut faulted = Vec::new();
+        a.store(5u64, |p, _| faulted.push(p));
+        assert_eq!(
+            (faulted, a.load::<u64>()),
+            (vec![0], 5),
+            "a cold store faults"
+        );
+        seg().advance_epoch();
+        b.store(6u64, |_, _| {
+            panic!("a store to a private page must not fault")
+        });
+        let e2: Vec<usize> = seg().tracker().pages_dirty_since(2).collect();
+        assert_eq!(
+            e2,
+            vec![0],
+            "the first store in a new epoch stamps its page"
+        );
+        let mut faulted = Vec::new();
+        across.store(u64::MAX, |p, _| faulted.push(p));
+        assert_eq!(
+            faulted,
+            vec![1],
+            "a straddling store faults its second page"
+        );
+        assert_eq!(across.load::<u64>(), u64::MAX);
+        assert_eq!((a.load::<u64>(), b.load::<u64>()), (5, 6));
+        assert_eq!(
+            var(250).load::<i32>(),
+            i32::from_ne_bytes([250, 0, 1, 2]),
+            "misaligned"
+        );
+        assert_eq!(var(252).load::<i32>(), i32::from_ne_bytes([1, 2, 3, 4]));
     }
 
     #[test]
     fn writable_ptr_stamps_covered_pages() {
         let tpl = template(256, 64);
         let (mut seg, _b) = segment(&tpl);
-        seg.write(0, &[1]);
+        write(&mut seg, 0, &[1]);
         seg.advance_epoch();
-        let (_p, faulted) = seg.writable_ptr(0, 8);
+        let (_p, faulted) = writable_ptr(&mut seg, 0, 8);
         assert!(faulted.is_empty(), "warm pointer grant must not refault");
         let e2: Vec<usize> = seg.tracker().pages_dirty_since(2).collect();
         assert_eq!(e2, vec![0], "pointer grant conservatively re-stamps");
@@ -626,7 +838,7 @@ mod tests {
     fn snapshot_reads_through_without_materializing() {
         let tpl = template(300, 64);
         let (mut seg, b) = segment(&tpl);
-        seg.write(10, &[9, 9, 9]);
+        write(&mut seg, 10, &[9, 9, 9]);
         let snap = seg.snapshot();
         let mut eager: Vec<u8> = (0..300).map(|i| (i % 251) as u8).collect();
         eager[10..13].copy_from_slice(&[9, 9, 9]);
@@ -641,9 +853,9 @@ mod tests {
     fn delta_pages_since_returns_read_through_page_bytes() {
         let tpl = template(300, 64); // 5 pages, last extent 44
         let (mut seg, _b) = segment(&tpl);
-        seg.write(290, &[5, 5]); // page 4 (partial extent)
+        write(&mut seg, 290, &[5, 5]); // page 4 (partial extent)
         seg.advance_epoch();
-        seg.write(70, &[7]); // page 1, epoch 2
+        write(&mut seg, 70, &[7]); // page 1, epoch 2
         let delta = seg.delta_pages_since(2);
         assert_eq!(delta.len(), 1);
         assert_eq!(delta[0].0, 1);
@@ -660,9 +872,9 @@ mod tests {
     fn dirty_tracker_enumerates_pages() {
         let tpl = template(512, 64);
         let (mut seg, _b) = segment(&tpl);
-        seg.write(0, &[1]);
-        seg.write(130, &[1]);
-        seg.write(500, &[1]);
+        write(&mut seg, 0, &[1]);
+        write(&mut seg, 130, &[1]);
+        write(&mut seg, 500, &[1]);
         let dirty: Vec<usize> = seg.tracker().dirty_pages().collect();
         assert_eq!(dirty, vec![0, 2, 7]);
         assert_eq!(seg.tracker().dirty_count(), 3);

@@ -1,17 +1,22 @@
-//! A steady-state epoch and message allocate nothing.
+//! A steady-state epoch and message allocate nothing, and neither does a
+//! COWglobals write.
 //!
 //! A counting global allocator watches a blocking 32-byte ping-pong
 //! between two PEs in virtual time: after a warm-up, 100 and then 1000
 //! further round trips — each a send, a delivery, a wake and a few
 //! epochs and barrier merges — must not allocate at all, under `Serial`
-//! and under `Threads(2)`.
+//! and under `Threads(2)`. A COWglobals rank's first write to a shared
+//! page (a simulated fault) and 1000 warm writes after it must not
+//! allocate either.
 //!
 //! One `#[test]` only: the allocator counts every thread of the process,
 //! so no other test may run beside it.
 
 use parking_lot::Mutex;
 use pvr_ampi::{Ampi, COMM_WORLD};
-use pvr_privatize::Method;
+use pvr_isomalloc::RankMemory;
+use pvr_privatize::methods::Options;
+use pvr_privatize::{create_privatizer, regs, Method, PrivatizeEnv};
 use pvr_rts::{ClockMode, MachineBuilder, Parallelism, RankCtx, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -95,8 +100,38 @@ fn ping_pong(par: Parallelism) -> [u64; 2] {
     [at[1] - at[0], at[2] - at[1]]
 }
 
+/// Allocations by a COWglobals rank's first write to `j_iter` (which
+/// faults its page) and by 1000 warm writes after it.
+fn cow_writes() -> [u64; 2] {
+    let env = PrivatizeEnv::new(pvr_apps::jacobi3d::binary());
+    let mut p = create_privatizer(Method::CowGlobals, env, Options::default()).unwrap();
+    let mut mem = RankMemory::new();
+    let inst = p.instantiate_rank(0, &mut mem).unwrap();
+    inst.activate();
+    let iter = inst.access("j_iter");
+    let faults = || p.cow_stats().unwrap().page_faults;
+    let before = faults();
+    let at = ALLOCS.load(Relaxed);
+    iter.write_u64(1);
+    let cold = ALLOCS.load(Relaxed) - at;
+    assert_eq!(faults(), before + 1, "the first write faults its page");
+    let at = ALLOCS.load(Relaxed);
+    for i in 0..1000 {
+        iter.write_u64(i);
+    }
+    let warm = ALLOCS.load(Relaxed) - at;
+    assert_eq!(iter.read_u64(), 999);
+    regs::clear();
+    [cold, warm]
+}
+
 #[test]
 fn steady_state_ping_pong_allocates_nothing() {
+    assert_eq!(
+        cow_writes(),
+        [0, 0],
+        "allocations by a cold and by 1000 warm COW writes"
+    );
     for par in [Parallelism::Serial, Parallelism::Threads(2)] {
         let [hundred, thousand] = ping_pong(par);
         assert_eq!(
