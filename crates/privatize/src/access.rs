@@ -161,7 +161,8 @@ impl Access for PeLevel {
 }
 
 // A variable of the rank's copy-on-write segment: a frame-table load plus
-// one load to read; a warm write adds one warm-table load.
+// one load to read; a write to a page written this epoch adds a stamp
+// check.
 impl Access for CowVar {
     fn ptr(self) -> *mut u8 {
         self.writable_ptr(emit_faults)
@@ -251,6 +252,10 @@ impl VarAccess {
         Access::ptr(*self)
     }
 
+    // The typed shorthands below are `Access::read`/`write` at one type,
+    // callable without importing the trait; the benchmark's probes and
+    // the applications use them.
+
     #[inline(always)]
     pub fn read_u64(&self) -> u64 {
         self.read()
@@ -258,16 +263,6 @@ impl VarAccess {
 
     #[inline(always)]
     pub fn write_u64(&self, v: u64) {
-        self.write(v)
-    }
-
-    #[inline(always)]
-    pub fn read_i32(&self) -> i32 {
-        self.read()
-    }
-
-    #[inline(always)]
-    pub fn write_i32(&self, v: i32) {
         self.write(v)
     }
 
@@ -453,7 +448,7 @@ mod tests {
         let a = VarAccess::Direct(buf.as_mut_ptr());
         a.write_f64(2.5);
         assert_eq!(a.read_f64(), 2.5);
-        a.write_i32(-7);
-        assert_eq!(a.read_i32(), -7);
+        a.write(-7i32);
+        assert_eq!(a.read::<i32>(), -7);
     }
 }

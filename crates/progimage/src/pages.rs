@@ -228,10 +228,6 @@ pub struct CowSegment {
     /// the template page (padded to the page size) or the backing slot.
     /// Never resized, so a [`CowVar`] may hold a pointer to an entry.
     frames: Vec<*const u8>,
-    /// Page → backing slot while the page is private *and* stamped in
-    /// the current epoch, else null: a non-null entry is a write that
-    /// needs no fault and no stamp. Never resized, as `frames`.
-    warm: Vec<*mut u8>,
     tracker: DirtyTracker,
     /// Whether the still-shared pages were copied into the backing store
     /// for an external whole-segment view (audit/pack). Sticky: the copy
@@ -256,7 +252,6 @@ impl CowSegment {
             base,
             len: template.len(),
             frames: (0..n_pages).map(|i| template.page(i).as_ptr()).collect(),
-            warm: vec![std::ptr::null_mut(); n_pages],
             tracker: DirtyTracker::new(n_pages),
             materialized: false,
             template,
@@ -307,7 +302,6 @@ impl CowSegment {
     /// epoch.
     fn stamp(&mut self, index: usize) {
         self.tracker.page_epoch[index] = self.tracker.epoch;
-        self.warm[index] = self.slot(index);
     }
 
     /// Take the simulated fault for page `index` if it is still shared:
@@ -459,10 +453,8 @@ impl CowSegment {
     }
 
     /// Close the current write epoch and open the next: pages written
-    /// from now on stamp the new epoch, so none is warm. Returns the new
-    /// current epoch.
+    /// from now on stamp the new epoch. Returns the new current epoch.
     pub fn advance_epoch(&mut self) -> u64 {
-        self.warm.fill(std::ptr::null_mut());
         self.tracker.epoch += 1;
         self.tracker.epoch
     }
@@ -514,7 +506,7 @@ impl CowCell {
             offset,
             len,
             frame: seg.frames.as_ptr().wrapping_add(page),
-            warm: seg.warm.as_ptr().wrapping_add(page),
+            page,
             in_page,
             room: (seg.page_size() - in_page).min(seg.len.saturating_sub(offset)),
         }
@@ -522,18 +514,19 @@ impl CowCell {
 }
 
 /// One variable of a rank's [`CowSegment`] ([`CowCell::var`]): its place
-/// and extent, and its first page's entries in the frame and warm tables.
-/// A word that fits in that page is read with a frame-table load and one
-/// load, and written warm with a warm-table load and one store; the
-/// optimizer may hoist none of them out of a loop, since a write between
-/// two accesses may repoint either entry.
+/// and extent, and its first page and that page's frame-table entry. A
+/// word that fits in the page is read with a frame-table load and one
+/// load; the optimizer may hoist neither out of a loop, since a write
+/// between two reads may repoint the entry. A write to a page already
+/// written this epoch checks the page's stamp and stores through the
+/// frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CowVar {
     cell: *const CowCell,
     offset: usize,
     len: usize,
     frame: *const *const u8,
-    warm: *const *mut u8,
+    page: usize,
     /// Where the variable starts in its first page.
     in_page: usize,
     /// Bytes of that page, and of the segment, from the variable on.
@@ -572,23 +565,21 @@ impl CowVar {
         }
     }
 
-    /// Store `v` at the variable, through the fault handler unless its
-    /// page is warm (see [`CowSegment::write`]).
+    /// Store `v` at the variable: through the frame when its page was
+    /// written this epoch, else through [`CowSegment::write`].
     #[inline(always)]
-    pub fn store<T: Word>(self, v: T, on_fault: impl FnMut(u32, usize)) {
-        // SAFETY: the word fits, so `warm` is its page's live entry, as
-        // in `load`.
-        let slot = match self.fits::<T>() {
-            true => unsafe { self.warm.read_volatile() },
-            false => std::ptr::null_mut(),
-        };
-        if slot.is_null() {
-            let mut v = v;
-            return self.write_bytes(word_bytes(&mut v), on_fault);
+    pub fn store<T: Word>(self, mut v: T, on_fault: impl FnMut(u32, usize)) {
+        let tracker = &self.segment().tracker;
+        if self.fits::<T>() && tracker.page_epoch[self.page] == tracker.epoch {
+            // SAFETY: a page stamped in the current epoch (>= 1) is
+            // private, so its frame is its backing slot, which holds the
+            // word (as in `load`).
+            unsafe {
+                let frame = self.frame.read_volatile() as *mut u8;
+                return (frame.add(self.in_page) as *mut T).write_volatile(v);
+            }
         }
-        // SAFETY: a warm page's slot is private and stamped in the
-        // current epoch, and holds the word (as in `load`).
-        unsafe { (slot.add(self.in_page) as *mut T).write_volatile(v) }
+        self.write_bytes(word_bytes(&mut v), on_fault)
     }
 
     /// [`CowSegment::read`] at the variable.
@@ -754,21 +745,13 @@ mod tests {
         // a warm write to an already-private page re-stamps it
         write(&mut seg, 1, &[9]);
         let e2: Vec<usize> = seg.tracker().pages_dirty_since(2).collect();
-        assert_eq!(
-            e2,
-            vec![0],
-            "warm write must dirty the page in the new epoch"
-        );
+        assert_eq!(e2, vec![0], "warm write must dirty the page in the new epoch");
         // the ever-dirty floor still sees both pages
         let all: Vec<usize> = seg.tracker().pages_dirty_since(1).collect();
         assert_eq!(all, vec![0, 2]);
         assert_eq!(seg.tracker().page_epoch(2), 1);
         assert_eq!(seg.tracker().page_epoch(0), 2);
-        assert_eq!(
-            seg.tracker().page_epoch(7),
-            0,
-            "never-written page has epoch 0"
-        );
+        assert_eq!(seg.tracker().page_epoch(7), 0, "never-written page has epoch 0");
     }
 
     #[test]
@@ -783,42 +766,22 @@ mod tests {
         let word = |i: usize| u64::from_ne_bytes(std::array::from_fn(|b| ((i + b) % 251) as u8));
         let (a, b, across) = (var(8), var(16), var(60));
         assert_eq!(a.load::<u64>(), word(8), "a shared page reads the template");
-        assert_eq!(
-            across.load::<u64>(),
-            word(60),
-            "a word across pages 0 and 1"
-        );
+        assert_eq!(across.load::<u64>(), word(60), "a word across pages 0 and 1");
         let mut faulted = Vec::new();
         a.store(5u64, |p, _| faulted.push(p));
-        assert_eq!(
-            (faulted, a.load::<u64>()),
-            (vec![0], 5),
-            "a cold store faults"
-        );
+        assert_eq!((faulted, a.load::<u64>()), (vec![0], 5), "a cold store faults");
         seg().advance_epoch();
-        b.store(6u64, |_, _| {
-            panic!("a store to a private page must not fault")
-        });
+        let no_fault = |_, _| panic!("a store to a private page must not fault");
+        b.store(6u64, no_fault);
         let e2: Vec<usize> = seg().tracker().pages_dirty_since(2).collect();
-        assert_eq!(
-            e2,
-            vec![0],
-            "the first store in a new epoch stamps its page"
-        );
+        assert_eq!(e2, vec![0], "the first store in a new epoch stamps its page");
+        a.store(7u64, no_fault); // stamped this epoch: stored through the frame
         let mut faulted = Vec::new();
         across.store(u64::MAX, |p, _| faulted.push(p));
-        assert_eq!(
-            faulted,
-            vec![1],
-            "a straddling store faults its second page"
-        );
+        assert_eq!(faulted, vec![1], "a straddling store faults its second page");
         assert_eq!(across.load::<u64>(), u64::MAX);
-        assert_eq!((a.load::<u64>(), b.load::<u64>()), (5, 6));
-        assert_eq!(
-            var(250).load::<i32>(),
-            i32::from_ne_bytes([250, 0, 1, 2]),
-            "misaligned"
-        );
+        assert_eq!((a.load::<u64>(), b.load::<u64>()), (7, 6));
+        assert_eq!(var(250).load::<i32>(), i32::from_ne_bytes([250, 0, 1, 2]), "misaligned");
         assert_eq!(var(252).load::<i32>(), i32::from_ne_bytes([1, 2, 3, 4]));
     }
 

@@ -109,7 +109,7 @@ bench_lines=$(find crates/bench/src -name '*.rs' -exec cat {} + | wc -l)
     exit 1
 }
 
-echo "==> size ratchet (pvr-privatize methods/*.rs, access.rs and pvr-progimage image.rs, loader.rs, pages.rs before their tests: cowglobals.rs <= 216 lines, fsglobals.rs <= 170, manual.rs <= 107, mod.rs <= 158, pieglobals.rs <= 543, pipglobals.rs <= 77, swapglobals.rs <= 126, tlsglobals.rs <= 310, unprivatized.rs <= 59, access.rs <= 306, image.rs <= 279, loader.rs <= 197, pages.rs <= 611)"
+echo "==> size ratchet (pvr-privatize methods/*.rs, access.rs and pvr-progimage image.rs, loader.rs, pages.rs before their tests: cowglobals.rs <= 216 lines, fsglobals.rs <= 170, manual.rs <= 107, mod.rs <= 158, pieglobals.rs <= 543, pipglobals.rs <= 77, swapglobals.rs <= 126, tlsglobals.rs <= 310, unprivatized.rs <= 59, access.rs <= 301, image.rs <= 279, loader.rs <= 197, pages.rs <= 602)"
 # Each privatization method writes only what differs. PIE- and COWglobals
 # share one per-rank path (`PieCore` in pieglobals.rs: ctor-heap clones,
 # patch replay, GOT rebase, TLS block, accesses), PIP- and FSglobals
@@ -125,9 +125,9 @@ echo "==> size ratchet (pvr-privatize methods/*.rs, access.rs and pvr-progimage 
 # pages.rs). What went: `VarAccess::ptr`'s five-arm match and the
 # `cow_read`/`cow_write` tests on every access, the `Vec<u32>` of faulted
 # pages every COW write returned, the tracker's separate dirty bits, and
-# `PhdrInfo::path` and `LoadedImage::namespace` that nothing read
-# (access.rs was 195 lines and pages.rs 472 before the trait and the
-# frame and warm tables came in).
+# `VarAccess::{read,write}_i32`, `PhdrInfo::path` and
+# `LoadedImage::namespace` that nothing read (access.rs was 195 lines and
+# pages.rs 472 before the trait and the frame table came in).
 # A copied per-method step must not grow back, so every file has a limit
 # at its size and a new file must be given one.
 for f in crates/privatize/src/methods/*.rs crates/privatize/src/access.rs crates/progimage/src/image.rs crates/progimage/src/loader.rs crates/progimage/src/pages.rs; do
@@ -141,10 +141,10 @@ for f in crates/privatize/src/methods/*.rs crates/privatize/src/access.rs crates
         */methods/swapglobals.rs) limit=126 ;;
         */methods/tlsglobals.rs) limit=310 ;;
         */methods/unprivatized.rs) limit=59 ;;
-        */privatize/src/access.rs) limit=306 ;;
+        */privatize/src/access.rs) limit=301 ;;
         */progimage/src/image.rs) limit=279 ;;
         */progimage/src/loader.rs) limit=197 ;;
-        */progimage/src/pages.rs) limit=611 ;;
+        */progimage/src/pages.rs) limit=602 ;;
         *)
             echo "FAIL: $f has no size limit: give it one in scripts/ci.sh"
             exit 1
