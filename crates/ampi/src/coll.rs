@@ -131,7 +131,7 @@ impl Ampi {
         bytes_to_f64s(&bytes)
     }
 
-    /// `MPI_Gather` (variable-size payloads allowed, like `Gatherv`).
+    /// `MPI_Gather` (variable-size payloads allowed, like `Gatherv`). Kept for tests: MPI surface.
     pub fn gather_bytes(&self, comm: CommId, root: usize, mine: Bytes) -> Option<Vec<Bytes>> {
         pvr_trace::emit(pvr_trace::EventKind::MpiCall { name: "MPI_Gather" });
         let p = self.comm_size(comm);
@@ -199,7 +199,7 @@ impl Ampi {
         parts.into_iter().map(|b| b.unwrap()).collect()
     }
 
-    /// `MPI_Alltoall(v)` — pairwise exchange.
+    /// `MPI_Alltoall(v)` — pairwise exchange. Kept for tests: MPI surface.
     pub fn alltoall_bytes(&self, comm: CommId, parts: Vec<Bytes>) -> Vec<Bytes> {
         pvr_trace::emit(pvr_trace::EventKind::MpiCall { name: "MPI_Alltoall" });
         let p = self.comm_size(comm);
@@ -230,7 +230,7 @@ impl Ampi {
     }
 
     /// `MPI_Exscan` — exclusive prefix: rank r gets the combination of
-    /// ranks 0..r (rank 0 gets `identity`).
+    /// ranks 0..r (rank 0 gets `identity`). Kept for tests: MPI surface.
     pub fn exscan(&self, comm: CommId, data: &[f64], op: Op, identity: &[f64]) -> Vec<f64> {
         pvr_trace::emit(pvr_trace::EventKind::MpiCall { name: "MPI_Exscan" });
         let p = self.comm_size(comm);
@@ -257,7 +257,7 @@ impl Ampi {
     }
 
     /// `MPI_Reduce_scatter_block`: elementwise-reduce a `p * n` array,
-    /// then scatter block `r` (length `n`) to rank `r`.
+    /// then scatter block `r` (length `n`) to rank `r`. Kept for tests: MPI surface.
     pub fn reduce_scatter_block(&self, comm: CommId, data: &[f64], op: Op) -> Vec<f64> {
         pvr_trace::emit(pvr_trace::EventKind::MpiCall {
             name: "MPI_Reduce_scatter_block",

@@ -29,7 +29,7 @@ impl Comm {
 }
 
 impl Ampi {
-    /// `MPI_Comm_dup`.
+    /// `MPI_Comm_dup`. Kept for tests: MPI surface.
     pub fn comm_dup(&self, comm: CommId) -> CommId {
         // Collective in MPI; deterministic here, but keep the barrier for
         // semantic fidelity (all members synchronize).
@@ -42,7 +42,7 @@ impl Ampi {
     }
 
     /// `MPI_Comm_split`: ranks with equal `color` form a new
-    /// communicator, ordered by `(key, old rank)`.
+    /// communicator, ordered by `(key, old rank)`. Kept for tests: MPI surface.
     pub fn comm_split(&self, comm: CommId, color: i64, key: i64) -> CommId {
         // allgather (color, key) over comm — deterministic on all members
         let mine = [color, key];

@@ -25,6 +25,7 @@ pub enum Datatype {
 }
 
 impl Datatype {
+    /// `MPI_Type_contiguous`. Kept for tests: MPI surface.
     pub fn contiguous(count: usize) -> Datatype {
         Datatype::Contiguous { count }
     }

@@ -44,7 +44,7 @@ impl OpHandle {
 impl Ampi {
     /// `MPI_Op_create`: look up the user function *in this rank's own
     /// image*, take its address, subtract the image base, store the
-    /// offset.
+    /// offset. Kept for tests: MPI surface.
     pub fn op_create(&self, fn_name: &str) -> OpHandle {
         let layout_offset = self
             .ctx

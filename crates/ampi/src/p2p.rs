@@ -54,13 +54,6 @@ pub struct Status {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReqId(pub(crate) u64);
 
-impl ReqId {
-    /// The raw table index (as it appears in trace events).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 /// Handle for a nonblocking send (`MPI_Isend`). Completed — and
 /// consumed — by [`Ampi::wait_send`]/[`Ampi::waitall_sends`]; dropping
 /// it without waiting leaks the request (tallied at finalize, cleaned
@@ -147,7 +140,7 @@ impl Ampi {
         self.decode(comm, self.ctx.recv_match(spec))
     }
 
-    /// `MPI_Iprobe`-then-receive: non-blocking.
+    /// `MPI_Iprobe`-then-receive: non-blocking. Kept for tests: MPI surface.
     pub fn try_recv_bytes(
         &self,
         comm: CommId,
@@ -190,7 +183,7 @@ impl Ampi {
         self.test_id(req.id)
     }
 
-    /// `MPI_Test` on a send.
+    /// `MPI_Test` on a send. Kept for tests: MPI surface.
     pub fn test_send(&self, req: &SendReq) -> bool {
         self.test_id(req.id)
     }
@@ -325,7 +318,7 @@ impl Ampi {
     /// from the next [`Ampi::progress`]/[`Ampi::progress_wait`] call —
     /// the rank never suspends in a wait for it. Nesting (a continuation
     /// driving progress that runs further continuations) is capped at
-    /// eight levels; one more panics the rank.
+    /// eight levels; one more panics the rank. Kept for tests: MPI surface.
     pub fn recv_then(
         &self,
         comm: CommId,
@@ -360,7 +353,7 @@ impl Ampi {
 
     /// Suspend until at least one registered continuation's message
     /// arrives, then run every continuation that has completed. Returns
-    /// how many ran (0 if none are registered).
+    /// how many ran (0 if none are registered). Kept for tests: MPI surface.
     pub fn progress_wait(&self) -> usize {
         let ids: Vec<u64> = self.state.borrow().continuations.keys().copied().collect();
         if ids.is_empty() {
@@ -371,6 +364,7 @@ impl Ampi {
     }
 
     /// Outstanding `recv_then` continuations not yet delivered.
+    /// Kept for tests: MPI surface (README teaches it as the progress idiom).
     pub fn pending_continuations(&self) -> usize {
         self.state.borrow().continuations.len()
     }
@@ -422,7 +416,7 @@ impl Ampi {
     }
 
     /// `MPI_Sendrecv` — the halo-exchange workhorse; deadlock-free
-    /// because sends are buffered.
+    /// because sends are buffered. Kept for tests: MPI surface.
     pub fn sendrecv(
         &self,
         comm: CommId,
@@ -441,10 +435,12 @@ impl Ampi {
 
     // -- typed convenience wrappers --------------------------------------
 
+    /// `MPI_Send` of `MPI_DOUBLE`s. Kept for tests: MPI surface.
     pub fn send_f64s(&self, comm: CommId, dest: usize, tag: u32, data: &[f64]) {
         self.send_bytes(comm, dest, tag, crate::util::f64s_to_bytes(data));
     }
 
+    /// `MPI_Recv` of `MPI_DOUBLE`s. Kept for tests: MPI surface.
     pub fn recv_f64s(
         &self,
         comm: CommId,

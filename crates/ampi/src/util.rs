@@ -34,12 +34,13 @@ pub fn bytes_into_f64s(b: &[u8], out: &mut [f64]) {
     }
 }
 
-/// Serialize a `u64` slice little-endian.
+/// Serialize a `u64` slice little-endian. Kept for tests: MPI surface.
 pub fn u64s_to_bytes(data: &[u64]) -> Bytes {
     let v: Vec<u8> = data.iter().flat_map(|x| x.to_le_bytes()).collect();
     Bytes::from(v)
 }
 
+/// Deserialize a little-endian `u64` slice. Kept for tests: MPI surface.
 pub fn bytes_to_u64s(b: &[u8]) -> Vec<u64> {
     assert_eq!(b.len() % 8, 0);
     b.chunks_exact(8)

@@ -67,11 +67,6 @@ pub struct EventQueue<E> {
     /// Stamp of the next [`Self::schedule`]d event.
     seq: u64,
     now: SimTime,
-    /// Debug-only high-water mark of the queue's live length, used by
-    /// tests to assert zero steady-state reallocation after
-    /// `with_capacity` sizing.
-    #[cfg(debug_assertions)]
-    high_water: usize,
 }
 
 impl<E> EventQueue<E> {
@@ -87,8 +82,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::with_capacity(cap),
             seq: UNSTAMPED,
             now: SimTime::ZERO,
-            #[cfg(debug_assertions)]
-            high_water: 0,
         }
     }
 
@@ -97,14 +90,6 @@ impl<E> EventQueue<E> {
     /// land.
     pub fn capacity(&self) -> usize {
         self.run.capacity().min(self.heap.capacity())
-    }
-
-    /// Debug-only: the largest live length the queue ever reached.
-    /// Together with `capacity()` this lets tests assert that a
-    /// pre-sized queue never reallocated.
-    #[cfg(debug_assertions)]
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 
     /// Current simulation time: the timestamp of the last popped event.
@@ -149,10 +134,6 @@ impl<E> EventQueue<E> {
         match self.run.back() {
             Some(tail) if e.key() < tail.key() => self.heap.push(Reverse(e)),
             _ => self.run.push_back(e),
-        }
-        #[cfg(debug_assertions)]
-        {
-            self.high_water = self.high_water.max(self.len());
         }
     }
 
@@ -382,9 +363,11 @@ mod tests {
         // drains its keys in order and leaves the rest.
         let times = [30u64, 10, 10, 25, 19, 20, 20, 5, 40, 25];
         let mut q = EventQueue::with_capacity(times.len());
+        let cap = q.capacity();
         for (i, &t) in times.iter().enumerate() {
             q.schedule(SimTime(t), i);
         }
+        assert_eq!(q.capacity(), cap, "the pre-sized queue never reallocated");
         let windows = [
             (SimTime(20), vec![(5, 7), (10, 1), (10, 2), (19, 4)], 6),
             (SimTime(26), vec![(20, 5), (20, 6), (25, 3), (25, 9)], 2),
@@ -399,21 +382,6 @@ mod tests {
             assert_eq!(q.now(), want.last().unwrap().0);
             assert_eq!(q.len(), left);
         }
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    fn high_water_tracks_live_peak_not_throughput() {
-        let mut q = EventQueue::with_capacity(4);
-        for round in 0..10 {
-            q.schedule(SimTime(round), round);
-            q.pop();
-        }
-        assert_eq!(q.high_water(), 1, "pops must drain the live count");
-        assert!(
-            q.high_water() <= q.capacity(),
-            "steady-state run must fit the pre-sized queue"
-        );
     }
 
     #[test]

@@ -47,6 +47,7 @@ impl SimDuration {
         SimDuration(n * 1_000)
     }
 
+    /// Kept for tests: input language.
     pub fn from_millis(n: u64) -> SimDuration {
         SimDuration(n * 1_000_000)
     }

@@ -37,15 +37,6 @@ impl CacheConfig {
         }
     }
 
-    /// A deliberately small cache for tests.
-    pub fn tiny() -> CacheConfig {
-        CacheConfig {
-            size: 1024,
-            line: 64,
-            assoc: 2,
-        }
-    }
-
     pub fn n_sets(&self) -> usize {
         self.size / self.line / self.assoc
     }
@@ -137,20 +128,22 @@ impl Cache {
     pub fn counters(&self) -> Counters {
         self.counters
     }
-
-    /// Drop all contents, keep counters (simulates a flush).
-    pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            for w in &mut s.ways {
-                *w = None;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CacheConfig {
+        /// A deliberately small cache: 8 sets, 2-way.
+        pub(super) fn tiny() -> CacheConfig {
+            CacheConfig {
+                size: 1024,
+                line: 64,
+                assoc: 2,
+            }
+        }
+    }
 
     #[test]
     fn repeated_access_hits() {
@@ -192,14 +185,6 @@ mod tests {
             }
         }
         assert_eq!(c.counters().misses as usize, lines);
-    }
-
-    #[test]
-    fn flush_forces_refetch() {
-        let mut c = Cache::new(CacheConfig::tiny());
-        c.access(0);
-        c.flush();
-        assert!(!c.access(0));
     }
 
     #[test]

@@ -12,14 +12,6 @@ impl Counters {
     pub fn hits(&self) -> u64 {
         self.accesses - self.misses
     }
-
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -34,7 +26,5 @@ mod tests {
             evictions: 10,
         };
         assert_eq!(c.hits(), 75);
-        assert_eq!(c.miss_rate(), 0.25);
-        assert_eq!(Counters::default().miss_rate(), 0.0);
     }
 }

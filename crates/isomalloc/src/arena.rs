@@ -263,7 +263,7 @@ impl Arena {
     }
 
     /// Impose a total-capacity limit (failure-injection hook used by the
-    /// test suite; models exhaustion of the reserved VA slice).
+    /// test suite; models exhaustion of the reserved VA slice). Kept for tests: fault hook.
     pub fn set_limit(&mut self, limit: Option<usize>) {
         self.limit = limit;
     }
@@ -380,11 +380,6 @@ impl Arena {
             }
         }
         Ok(())
-    }
-
-    /// Quarantined ranges currently tracked (guard diagnostics).
-    pub fn quarantine_len(&self) -> usize {
-        self.quarantine.len()
     }
 
     /// An allocation reused space: drop the overlapping quarantine
@@ -612,10 +607,10 @@ mod tests {
         let p = a.alloc(512, 8).unwrap();
         let addr = p.addr();
         a.try_dealloc(p).unwrap();
-        assert_eq!(a.quarantine_len(), 1);
+        assert_eq!(a.quarantine.len(), 1);
         let q = a.alloc(512, 8).unwrap();
         assert_eq!(q.addr(), addr, "freed space reused");
-        assert_eq!(a.quarantine_len(), 0, "reused range left quarantine");
+        assert_eq!(a.quarantine.len(), 0, "reused range left quarantine");
         unsafe {
             assert!(q.as_slice().iter().all(|&b| b == 0), "reused memory zeroed");
         }

@@ -301,13 +301,6 @@ impl RankMemory {
         }
     }
 
-    pub fn with_heap(heap: Arena) -> RankMemory {
-        RankMemory {
-            heap,
-            regions: Vec::new(),
-        }
-    }
-
     pub fn heap(&mut self) -> &mut Arena {
         &mut self.heap
     }
@@ -324,10 +317,6 @@ impl RankMemory {
 
     pub fn region(&self, id: RegionId) -> &Region {
         &self.regions[id.0]
-    }
-
-    pub fn region_mut(&mut self, id: RegionId) -> &mut Region {
-        &mut self.regions[id.0]
     }
 
     pub fn regions(&self) -> impl Iterator<Item = &Region> {
@@ -375,14 +364,6 @@ impl RankMemory {
     /// Total bytes a migration of this rank must move.
     pub fn migration_bytes(&self) -> usize {
         self.stats().total()
-    }
-
-    /// Migration bytes when regions failing `include` are skipped.
-    pub fn migration_bytes_with(&self, include: impl Fn(RegionKind) -> bool) -> usize {
-        self.all_regions()
-            .filter(|r| include(r.kind()))
-            .map(|r| r.len())
-            .sum()
     }
 
     /// Serialize all rank memory into a wire buffer (real memcpy).
@@ -870,7 +851,7 @@ mod tests {
         let sum_before = before.checksum();
         // scribble over the memory (simulates the bytes being "elsewhere")
         let stack_id = RegionId(0);
-        rm.region_mut(stack_id).as_mut_slice().fill(0);
+        rm.regions[stack_id.0].as_mut_slice().fill(0);
         // restore from the packed image
         rm.unpack_into(&before).unwrap();
         let after = rm.pack();
@@ -950,7 +931,7 @@ mod tests {
         let mut rm = sample_rank();
         let base = rm.pack();
         // mutate two spots: one in the stack region, one in the heap chunk
-        rm.region_mut(RegionId(0)).as_mut_slice()[300] = 0x77;
+        rm.regions[0].as_mut_slice()[300] = 0x77;
         let heap_base = rm.heap_ref().regions().next().unwrap().base_mut();
         unsafe { heap_base.add(17).write(0x99) };
         let delta = rm
@@ -995,7 +976,7 @@ mod tests {
     fn diff_pages_plan_skips_byte_equal_pages() {
         let mut rm = sample_rank();
         let base = rm.pack();
-        rm.region_mut(RegionId(0)).as_mut_slice()[0] = 0xEE;
+        rm.regions[0].as_mut_slice()[0] = 0xEE;
         let stack_base = rm.region(RegionId(0)).base() as usize;
         let delta = rm
             .diff_pages_against(&base, 64, |r| {
@@ -1017,7 +998,7 @@ mod tests {
     fn delta_checksum_and_corruption_hook() {
         let mut rm = sample_rank();
         let base = rm.pack();
-        rm.region_mut(RegionId(0)).as_mut_slice()[10] = 0xAB;
+        rm.regions[0].as_mut_slice()[10] = 0xAB;
         let mut delta = rm
             .diff_pages_against(&base, 256, |_| RegionDiffPlan::Scan)
             .unwrap();
@@ -1101,7 +1082,7 @@ mod tests {
                 for _ in 0..rng.gen_range(0..6) {
                     let at = rng.gen_range(0..8192usize);
                     // small alphabet: reverts happen
-                    rm.region_mut(RegionId(0)).as_mut_slice()[at] = rng.gen_range(0..3u8);
+                    rm.regions[0].as_mut_slice()[at] = rng.gen_range(0..3u8);
                 }
                 let refs: Vec<&ImageDelta> = chain.iter().collect();
                 let delta = rm
@@ -1138,13 +1119,13 @@ mod tests {
                 .unwrap()
         };
         // delta 1: dirty the chunk
-        rm.region_mut(RegionId(0)).as_mut_slice()[500] = original ^ 0xFF;
+        rm.regions[0].as_mut_slice()[500] = original ^ 0xFF;
         let d1 = diff(&rm, &[]);
         assert_eq!(d1.range_count(), 1);
         let at = d1.ranges[0].0;
         // delta 2: revert it — equal to the *base* again, but not to the
         // previous capture, so it must be carried
-        rm.region_mut(RegionId(0)).as_mut_slice()[500] = original;
+        rm.regions[0].as_mut_slice()[500] = original;
         let d2 = diff(&rm, &[&d1]);
         assert_eq!(d2.range_count(), 1, "revert differs from the previous capture");
         assert_eq!(d2.ranges[0].0, at);
@@ -1198,7 +1179,7 @@ mod tests {
         rm.pack_with_sources_into(&mut buf, |_| true, |_| None);
         assert_eq!(buf.as_slice(), rm.pack().as_slice());
         let (ptr, cap) = (buf.as_slice().as_ptr(), buf.buf.capacity());
-        rm.region_mut(RegionId(0)).as_mut_slice()[0] = 0x42;
+        rm.regions[0].as_mut_slice()[0] = 0x42;
         rm.pack_with_sources_into(&mut buf, |_| true, |_| None);
         assert_eq!(buf.as_slice(), rm.pack().as_slice(), "cleared and refilled, not appended");
         assert_eq!((buf.as_slice().as_ptr(), buf.buf.capacity()), (ptr, cap), "no reallocation");
@@ -1257,10 +1238,12 @@ mod filter_tests {
         let full = rm.pack();
         let no_code = rm.pack_with(|k| k != RegionKind::CodeSegment);
         assert!(full.len() >= no_code.len() + (1 << 20));
-        assert_eq!(
-            rm.migration_bytes_with(|k| k != RegionKind::CodeSegment) + (1 << 20),
-            rm.migration_bytes()
-        );
+        let no_code_bytes: usize = rm
+            .all_regions()
+            .filter(|r| r.kind() != RegionKind::CodeSegment)
+            .map(|r| r.len())
+            .sum();
+        assert_eq!(no_code_bytes + (1 << 20), rm.migration_bytes());
     }
 
     #[test]
@@ -1270,7 +1253,7 @@ mod filter_tests {
         // scribble over everything
         let ids: Vec<_> = (0..3).map(RegionId).collect();
         for id in &ids {
-            rm.region_mut(*id).as_mut_slice().fill(0xFF);
+            rm.regions[id.0].as_mut_slice().fill(0xFF);
         }
         rm.unpack_into_with(&snapshot, |k| k != RegionKind::CodeSegment)
             .unwrap();
@@ -1336,7 +1319,10 @@ mod extent_tests {
 
     impl Rank {
         fn new() -> Rank {
-            let mut rm = RankMemory::with_heap(Arena::with_chunk_size(CHUNK));
+            let mut rm = RankMemory {
+                heap: Arena::with_chunk_size(CHUNK),
+                regions: Vec::new(),
+            };
             let stack = rm.add_region(Region::new_zeroed(RegionKind::Stack, STACK));
             rm.add_region(Region::from_bytes(RegionKind::TlsSegment, &[7; 24]));
             // never written, declared so: COWglobals' code ballast
@@ -1382,7 +1368,7 @@ mod extent_tests {
         }
 
         fn stack_fill(&mut self, range: Range<usize>, rng: &mut StdRng) {
-            for b in &mut self.rm.region_mut(self.stack).as_mut_slice()[range] {
+            for b in &mut self.rm.regions[self.stack.0].as_mut_slice()[range] {
                 *b = rng.gen_range(1..=255u8);
             }
         }
@@ -1576,7 +1562,10 @@ mod extent_tests {
 
     #[test]
     fn unpack_zero_fills_what_was_allocated_after_the_capture() {
-        let mut rm = RankMemory::with_heap(Arena::with_chunk_size(CHUNK));
+        let mut rm = RankMemory {
+            heap: Arena::with_chunk_size(CHUNK),
+            regions: Vec::new(),
+        };
         let a = rm.heap().alloc(1000, 8).unwrap();
         unsafe { a.as_mut_slice().fill(0x5A) };
         let img = rm.pack();

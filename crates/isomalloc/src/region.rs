@@ -25,19 +25,6 @@ pub enum RegionKind {
     DataSegment,
 }
 
-impl RegionKind {
-    /// Short label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            RegionKind::HeapChunk => "heap",
-            RegionKind::Stack => "stack",
-            RegionKind::TlsSegment => "tls",
-            RegionKind::CodeSegment => "code",
-            RegionKind::DataSegment => "data",
-        }
-    }
-}
-
 /// A pinned allocation: the base address is stable for the whole lifetime
 /// of the `Region` (the backing `Box` is never reallocated), which is the
 /// in-process equivalent of Isomalloc's reserved virtual-address ranges.

@@ -125,7 +125,7 @@ impl Toolchain {
         t
     }
 
-    /// A macOS-like system: clang, no glibc, no dlmopen.
+    /// A macOS-like system: clang, no glibc, no dlmopen. Kept for tests: oracle of the refusals.
     pub fn macos() -> Toolchain {
         Toolchain {
             compiler: Compiler {

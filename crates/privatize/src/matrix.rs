@@ -142,28 +142,27 @@ pub fn render(rows: &[MatrixRow], title: &str) -> String {
     out
 }
 
-/// Cross-check: the matrix's migration column must agree with what the
-/// live implementations report. Used by tests to keep the documentation
-/// honest.
-pub fn migration_claim(method: Method) -> Option<bool> {
-    match method {
-        Method::ManualRefactor
-        | Method::Photran
-        | Method::Swapglobals
-        | Method::TlsGlobals
-        | Method::PieGlobals
-        | Method::CowGlobals => Some(true),
-        Method::MpcPrivatize | Method::PipGlobals | Method::FsGlobals => Some(false),
-        Method::Unprivatized => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::env::{PrivatizeEnv, Toolchain};
     use crate::methods::{create_privatizer, Options};
     use pvr_progimage::{link, ImageSpec, Language};
+
+    /// The matrix's migration column, which must agree with what the
+    /// live implementations report.
+    fn migration_claim(method: Method) -> Option<bool> {
+        match method {
+            Method::ManualRefactor
+            | Method::Photran
+            | Method::Swapglobals
+            | Method::TlsGlobals
+            | Method::PieGlobals
+            | Method::CowGlobals => Some(true),
+            Method::MpcPrivatize | Method::PipGlobals | Method::FsGlobals => Some(false),
+            Method::Unprivatized => None,
+        }
+    }
 
     #[test]
     fn table1_has_five_rows() {

@@ -209,11 +209,8 @@ mod tests {
         r0.activate();
         let gaddr = r0.access("g").ptr() as usize;
         assert!(m0.heap_ref().contains(gaddr));
-        if let CtxAction::SetGot(g) = r0.ctx_action() {
-            assert!(m0.heap_ref().contains(g as usize));
-        } else {
-            panic!("expected SetGot");
-        }
+        let g = crate::regs::got_base() as usize;
         crate::regs::clear();
+        assert!(m0.heap_ref().contains(g), "GOT copy in rank memory");
     }
 }

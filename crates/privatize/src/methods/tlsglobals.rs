@@ -77,17 +77,12 @@ pub struct TlsGlobals {
     common: Common,
     method: Method,
     entries: Vec<TlsEntry>,
-    /// Mutable data vars that were NOT tagged: shared (dangerous).
-    untagged: Vec<String>,
     block_size: usize,
     mpc: bool,
     /// PE-level HLS entries: (name, offset-in-pe-block, size, init).
     pe_entries: Vec<TlsEntry>,
-    pe_block_size: usize,
     /// One HLS block per PE in this process (pinned).
     pe_blocks: Vec<Box<[u8]>>,
-    /// Process-level HLS variables (shared in the base image).
-    process_level: Vec<String>,
     /// Fully initialized per-rank TLS block, prebuilt once: zeroes with
     /// every entry's init bytes laid in at its offset. Per-rank startup
     /// is then a single memcpy instead of a per-entry copy loop.
@@ -126,12 +121,10 @@ impl TlsGlobals {
 
         // Extended TLS block: declared TLS vars at their linked offsets,
         // then tagged rank-level globals/statics appended. PE-level HLS
-        // variables get slots in per-PE blocks; process-level ones stay
-        // in the shared image.
+        // variables get slots in per-PE blocks; process-level ones and
+        // untagged ones stay in the shared image.
         let mut entries = Vec::new();
         let mut pe_entries = Vec::new();
-        let mut process_level = Vec::new();
-        let mut untagged = Vec::new();
         let mut off = layout.tls_size;
         let mut pe_off = 0usize;
         for v in &spec.vars {
@@ -167,10 +160,8 @@ impl TlsGlobals {
                                 });
                                 pe_off += v.size;
                             }
-                            HlsLevel::Process => process_level.push(v.name.clone()),
+                            HlsLevel::Process => {}
                         }
-                    } else if v.mutability == Mutability::Mutable {
-                        untagged.push(v.name.clone());
                     }
                 }
             }
@@ -200,38 +191,12 @@ impl TlsGlobals {
             common,
             method,
             entries,
-            untagged,
             block_size,
             mpc,
             pe_entries,
-            pe_block_size,
             pe_blocks,
-            process_level,
             block_template,
         })
-    }
-
-    /// Memory footprint by HLS level: (per-rank bytes, per-PE bytes,
-    /// process-shared bytes) — the overhead HLS exists to minimize.
-    pub fn hls_report(&self) -> (usize, usize, usize) {
-        let rank_bytes = self.block_size;
-        let pe_bytes = if self.pe_entries.is_empty() {
-            0
-        } else {
-            self.pe_block_size
-        };
-        let proc_bytes: usize = self
-            .process_level
-            .iter()
-            .filter_map(|n| self.common.env.binary.spec.var(n))
-            .map(|v| v.size)
-            .sum();
-        (rank_bytes, pe_bytes, proc_bytes)
-    }
-
-    /// Variables the user failed to tag (still shared across ranks).
-    pub fn untagged_vars(&self) -> &[String] {
-        &self.untagged
     }
 }
 
@@ -352,11 +317,15 @@ mod tests {
     fn missing_tag_leaves_var_shared() {
         let tags = TagPolicy::Set(HashSet::from(["g".to_string()]));
         let mut p = TlsGlobals::new(PrivatizeEnv::new(bin()), tags, false).unwrap();
-        assert_eq!(p.untagged_vars(), &["s".to_string()]);
         let mut m0 = RankMemory::new();
         let mut m1 = RankMemory::new();
         let r0 = p.instantiate_rank(0, &mut m0).unwrap();
         let r1 = p.instantiate_rank(1, &mut m1).unwrap();
+        assert!(matches!(r0.access("g"), VarAccess::Tls { .. }));
+        assert!(
+            matches!(r0.access("s"), VarAccess::Direct(_)),
+            "`s` is untagged"
+        );
         r0.activate();
         r0.access("s").write_u64(1);
         r1.activate();
@@ -399,11 +368,13 @@ mod tests {
         let r0 = p.instantiate_rank(0, &mut m0).unwrap();
         assert!(m0.stats().tls_bytes >= 24);
         assert!(p.supports_migration());
-        if let CtxAction::SetTls(base) = r0.ctx_action() {
-            assert!(m0.regions().any(|r| r.contains(base as usize)));
-        } else {
-            panic!("expected SetTls");
-        }
+        r0.activate();
+        let base = regs::tls_base() as usize;
+        regs::clear();
+        assert!(
+            m0.regions().any(|r| r.contains(base)),
+            "TLS block in rank memory"
+        );
     }
 }
 
@@ -504,8 +475,11 @@ mod hls_tests {
         let env = PrivatizeEnv::new(hls_bin()).with_pes(2);
         let all_rank = TlsGlobals::with_hls(env, TagPolicy::All, false, HashMap::new()).unwrap();
         let with_hls = make(2);
-        let (rank_all, _, _) = all_rank.hls_report();
-        let (rank_hls, pe_hls, proc_hls) = with_hls.hls_report();
+        let rank_all = all_rank.block_size;
+        let (rank_hls, pe_hls) = (with_hls.block_size, with_hls.pe_blocks[0].len());
+        // the process-level variable stays in the shared image
+        let spec = &with_hls.common.env.binary.spec;
+        let proc_hls = spec.var("per_proc_table").unwrap().size;
         assert!(
             rank_hls + 8 <= rank_all,
             "per-rank bytes must shrink: {rank_hls} vs {rank_all}"

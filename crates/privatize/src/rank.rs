@@ -108,10 +108,6 @@ impl RankInstance {
         self.ctx != CtxAction::None
     }
 
-    pub fn ctx_action(&self) -> CtxAction {
-        self.ctx
-    }
-
     /// This rank's image base for function-pointer offset resolution.
     pub fn code_base(&self) -> usize {
         self.code_base

@@ -193,11 +193,6 @@ impl DirtyTracker {
         self.epoch
     }
 
-    /// The epoch page `index` was last written in (0 = never written).
-    pub fn page_epoch(&self, index: usize) -> u64 {
-        self.page_epoch[index]
-    }
-
     /// Indices of pages written in epoch `since` or later, ascending —
     /// the incremental-checkpoint dirty set for a capture whose floor is
     /// `since`. Pages never written are excluded regardless of `since`.
@@ -280,11 +275,6 @@ impl CowSegment {
 
     pub fn tracker(&self) -> &DirtyTracker {
         &self.tracker
-    }
-
-    /// Bytes of per-rank memory actually holding private page copies.
-    pub fn resident_private_bytes(&self) -> usize {
-        self.tracker.dirty_count() * self.page_size()
     }
 
     /// Usable length of page `index` (the final page may be partial).
@@ -656,7 +646,7 @@ mod tests {
         let expect: Vec<u8> = (0..256).map(|i| (i % 251) as u8).collect();
         assert_eq!(out, expect);
         assert_eq!(seg.tracker().faults(), 0, "reads never fault");
-        assert_eq!(seg.resident_private_bytes(), 0);
+        assert_eq!(seg.tracker().dirty_count(), 0, "nothing privatized");
     }
 
     #[test]
@@ -749,9 +739,9 @@ mod tests {
         // the ever-dirty floor still sees both pages
         let all: Vec<usize> = seg.tracker().pages_dirty_since(1).collect();
         assert_eq!(all, vec![0, 2]);
-        assert_eq!(seg.tracker().page_epoch(2), 1);
-        assert_eq!(seg.tracker().page_epoch(0), 2);
-        assert_eq!(seg.tracker().page_epoch(7), 0, "never-written page has epoch 0");
+        assert_eq!(seg.tracker().page_epoch[2], 1);
+        assert_eq!(seg.tracker().page_epoch[0], 2);
+        assert_eq!(seg.tracker().page_epoch[7], 0, "never-written page has epoch 0");
     }
 
     #[test]
@@ -841,6 +831,5 @@ mod tests {
         let dirty: Vec<usize> = seg.tracker().dirty_pages().collect();
         assert_eq!(dirty, vec![0, 2, 7]);
         assert_eq!(seg.tracker().dirty_count(), 3);
-        assert_eq!(seg.resident_private_bytes(), 3 * 64);
     }
 }

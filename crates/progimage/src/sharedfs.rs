@@ -128,7 +128,7 @@ impl SharedFs {
         }
     }
 
-    /// Impose a capacity limit (failure injection).
+    /// Impose a capacity limit (failure injection). Kept for tests: fault hook.
     pub fn set_capacity(&mut self, cap: Option<usize>) {
         self.capacity = cap;
     }
@@ -148,7 +148,7 @@ impl SharedFs {
 
     /// Fault injection: let the next `n` writes succeed, then fail every
     /// subsequent write with `NoSpace` — models a quota or an FS filling
-    /// up *under* a run whose capacity probe had passed.
+    /// up *under* a run whose capacity probe had passed. Kept for tests: fault hook.
     pub fn fail_writes_after(&mut self, n: u64) {
         self.fail_writes_after = Some(n);
     }
@@ -220,7 +220,7 @@ impl SharedFs {
     }
 
     /// Copy a file server-side; returns the simulated cost (a read + a
-    /// write through the client).
+    /// write through the client). Kept for tests: oracle of [`Self::link_file`].
     pub fn copy_file(
         &mut self,
         src: &str,
@@ -249,7 +249,7 @@ impl SharedFs {
     /// rank on a space-limited shared FS, so every capacity probe,
     /// `NoSpace` failure, and reported I/O duration is bit-identical to
     /// the copy path. What a link saves is the *host-side* memcpy (see
-    /// [`Self::physical_bytes_used`]), which is pure wall-clock.
+    /// `physical_used`), which is pure wall-clock.
     pub fn link_file(
         &mut self,
         src: &str,
@@ -299,6 +299,7 @@ impl SharedFs {
         self.files.contains_key(path)
     }
 
+    /// Files on the FS. Kept for tests: a fact no report carries.
     pub fn file_count(&self) -> usize {
         self.files.len()
     }
@@ -307,20 +308,9 @@ impl SharedFs {
         self.used
     }
 
-    /// Bytes backed by distinct allocations — excludes
-    /// [`Self::link_file`] entries, which share their source's storage.
-    /// Always ≤ [`Self::bytes_used`] (the capacity-charged figure).
-    pub fn physical_bytes_used(&self) -> usize {
-        self.physical_used
-    }
-
     /// Total simulated I/O time charged so far.
     pub fn total_cost(&self) -> Duration {
         self.total_cost
-    }
-
-    pub fn op_count(&self) -> u64 {
-        self.ops
     }
 }
 
@@ -353,7 +343,7 @@ mod tests {
         assert_eq!(size, 1 << 20);
         assert!(c2 > Duration::ZERO);
         assert_eq!(fs.total_cost(), c1 + c2);
-        assert_eq!(fs.op_count(), 2);
+        assert_eq!(fs.ops, 2);
     }
 
     #[test]
@@ -441,17 +431,17 @@ mod tests {
         // path ran.
         assert_eq!(c, l);
         assert_eq!(copied.bytes_used(), linked.bytes_used());
-        assert_eq!(copied.op_count(), linked.op_count());
+        assert_eq!(copied.ops, linked.ops);
         assert_eq!(copied.total_cost(), linked.total_cost());
         // ...but only the copy committed a second allocation.
-        assert_eq!(copied.physical_bytes_used(), 8192);
-        assert_eq!(linked.physical_bytes_used(), 4096);
+        assert_eq!(copied.physical_used, 8192);
+        assert_eq!(linked.physical_used, 4096);
         // link contents read back identically and deletes free capacity
         let (size, _) = linked.read_file("/bin.rank0", 1).unwrap();
         assert_eq!(size, 4096);
         linked.delete_file("/bin.rank0").unwrap();
         assert_eq!(linked.bytes_used(), 4096);
-        assert_eq!(linked.physical_bytes_used(), 4096);
+        assert_eq!(linked.physical_used, 4096);
     }
 
     #[test]

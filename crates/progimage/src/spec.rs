@@ -66,6 +66,7 @@ impl GlobalSpec {
         self
     }
 
+    /// Kept for tests: input language.
     pub fn read_only(mut self) -> Self {
         self.mutability = Mutability::ReadOnly;
         self
@@ -109,6 +110,7 @@ impl FunctionSpec {
         }
     }
 
+    /// Kept for tests: input language.
     pub fn with_callable(mut self, c: Callable) -> Self {
         self.callable = Some(c);
         self
@@ -146,18 +148,21 @@ impl CtorSpec {
         }
     }
 
+    /// Kept for tests: input language.
     pub fn alloc_into(mut self, bytes: usize, global: &str) -> Self {
         self.heap_allocs.push(bytes);
         self.store_ptr_into.push(global.to_string());
         self
     }
 
+    /// Kept for tests: input language.
     pub fn fn_ptr_into(mut self, global: &str, function: &str) -> Self {
         self.store_fn_ptr_into
             .push((global.to_string(), function.to_string()));
         self
     }
 
+    /// Kept for tests: input language.
     pub fn data_ptr_into(mut self, dst: &str, src: &str) -> Self {
         self.store_data_ptr_into
             .push((dst.to_string(), src.to_string()));
@@ -277,6 +282,7 @@ impl ImageSpecBuilder {
         self
     }
 
+    /// Kept for tests: input language.
     pub fn uses_shared_objects(mut self, v: bool) -> Self {
         self.spec.uses_shared_objects = v;
         self

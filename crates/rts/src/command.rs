@@ -362,11 +362,6 @@ impl RankCtx {
         self.recv_match(MatchSpec::ANY)
     }
 
-    /// Non-blocking receive of any message.
-    pub fn try_recv(&self) -> Option<RtsMessage> {
-        self.try_recv_match(MatchSpec::ANY)
-    }
-
     /// Block until a message `spec` accepts is available and take the
     /// oldest such. Arrivals `spec` rejects stay buffered, in order, and
     /// do not resume the rank.
@@ -463,6 +458,7 @@ impl RankCtx {
     /// is poisoned and audited: a double free or a later write through
     /// the stale pointer ends the run with a clean error naming this
     /// rank rather than corrupting another rank's memory.
+    /// Kept for tests: the only way to issue `Command::FreeHeap`.
     pub fn heap_free(&self, ptr: *mut u8, size: usize) {
         self.call(Command::FreeHeap {
             addr: ptr as usize,
@@ -574,7 +570,7 @@ macro_rules! handler_tests {
                         let s = ctx.req_post_send(0, tag, Bytes::from(vec![7u8; 256]));
                         ctx.send(0, tag, Bytes::from(vec![7u8; 256]));
                         ctx.req_test(vec![r, s], false);
-                        ctx.try_recv();
+                        ctx.try_recv_match(MatchSpec::ANY);
                         ctx.compute(SimDuration::from_nanos(10));
                         let p = ctx.heap_alloc(64, 8);
                         ctx.heap_free(p, 64);

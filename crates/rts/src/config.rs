@@ -690,11 +690,6 @@ impl MachineBuilder {
         self
     }
 
-    pub fn method_options(mut self, o: MethodOptions) -> Self {
-        self.cfg.options = o;
-        self
-    }
-
     pub fn toolchain(mut self, t: Toolchain) -> Self {
         self.cfg.toolchain = t;
         self
@@ -717,6 +712,7 @@ impl MachineBuilder {
     }
 
     /// Mount (or unmount) a shared filesystem for this job.
+    /// Kept for tests: fault hook (a capped or failing FS).
     pub fn shared_fs(mut self, fs: Option<Arc<Mutex<SharedFs>>>) -> Self {
         self.cfg.shared_fs = fs;
         self
@@ -775,13 +771,14 @@ impl MachineBuilder {
 
     /// Maximum delta-chain length before the next periodic checkpoint
     /// compacts the chain into a fresh full base (default 8; must be ≥ 1).
+    /// Kept for tests: input language.
     pub fn ckpt_max_chain(mut self, n: u32) -> Self {
         self.cfg.ckpt_max_chain = n;
         self
     }
 
     /// Script [`BarrierAction::CorruptDelta`] (byte index `at`) at LB
-    /// step `k`.
+    /// step `k`. Kept for tests: fault hook.
     pub fn corrupt_ckpt_delta_at(mut self, k: u32, at: usize) -> Self {
         self.cfg.barrier_script.push((k, BarrierAction::CorruptDelta { byte: at }));
         self
@@ -811,21 +808,21 @@ impl MachineBuilder {
         self
     }
 
-    /// Script [`BarrierAction::Rescale`] to `n` PEs at LB step `k`.
+    /// Script [`BarrierAction::Rescale`] to `n` PEs at LB step `k`. Kept for tests: input language.
     pub fn rescale_at_lb_step(mut self, k: u32, n: usize) -> Self {
         self.cfg.barrier_script.push((k, BarrierAction::Rescale(n)));
         self
     }
 
     /// Automatic elastic rescaling: consult `p` at every LB barrier with
-    /// the observed per-active-PE window loads.
+    /// the observed per-active-PE window loads. Kept for tests: input language.
     pub fn rescale_policy(mut self, p: Box<dyn crate::rescale::RescalePolicy>) -> Self {
         self.cfg.rescale_policy = Some(p);
         self
     }
 
     /// Script [`BarrierAction::RestoreGeometry`] onto `n` PEs at LB
-    /// step `k`.
+    /// step `k`. Kept for tests: fault hook.
     pub fn restore_geometry_at_lb_step(mut self, k: u32, n: usize) -> Self {
         self.cfg.barrier_script.push((k, BarrierAction::RestoreGeometry(n)));
         self
@@ -836,6 +833,7 @@ impl MachineBuilder {
     /// round-trip estimate for the first retransmit timer (doubling each
     /// attempt), and `max_attempts` bounds total transmissions per
     /// message before the run fails with [`crate::RtsError::DeliveryFailed`].
+    /// Kept for tests: fault hook.
     pub fn retransmit_params(mut self, base_timeout: SimDuration, max_attempts: u32) -> Self {
         self.cfg.retransmit_base = base_timeout;
         self.cfg.retransmit_max_attempts = max_attempts;
@@ -844,6 +842,7 @@ impl MachineBuilder {
 
     /// Cap on open nonblocking requests per rank before the run fails
     /// with [`crate::RtsError::RequestOverflow`] (default 1024; ≥ 1).
+    /// Kept for tests: input language.
     pub fn max_outstanding_reqs(mut self, n: usize) -> Self {
         self.cfg.max_outstanding_reqs = n;
         self
@@ -868,19 +867,9 @@ impl MachineBuilder {
     ///
     /// Off by default: a strict build surfaces the method's own error
     /// (`NamespaceExhausted`, `NoSpace`, ...) exactly as configured.
+    /// Kept for tests: input language.
     pub fn fallback(mut self, on: bool) -> Self {
         self.cfg.fallback = on;
-        self
-    }
-
-    /// Set the method fallback chain (and enable degradation). Candidates
-    /// are tried in order after the requested method; the default chain
-    /// is `PIPglobals → FSglobals → PIEglobals`, the paper's methods in
-    /// decreasing startup cost / increasing portability order. A chain
-    /// entry the environment can *never* run is rejected at build time.
-    pub fn fallback_chain(mut self, chain: Vec<Method>) -> Self {
-        self.cfg.fallback_chain = chain;
-        self.cfg.fallback = true;
         self
     }
 
@@ -1009,11 +998,11 @@ macro_rules! startup_tests {
                 .tracer(t.clone())
                 .build(Arc::new(|_ctx: RankCtx| {}))
                 .unwrap();
-            assert_eq!(m.method_requested(), Method::FsGlobals);
             assert_eq!(m.method(), Method::PieGlobals);
             assert_eq!(fs.lock().file_count(), 0, "failed attempt must delete its copies");
             assert_eq!(fs.lock().bytes_used(), 0);
             let report = m.run().unwrap();
+            assert_eq!(report.method_requested, Method::FsGlobals);
             let h = m.hardening_stats();
             assert_eq!(h.probes, 3);
             assert_eq!(h.fallbacks, 2, "fs (mid-startup) -> pip (probe) -> pie");
@@ -1025,14 +1014,12 @@ macro_rules! startup_tests {
         fn fallback_exhaustion_reports_every_failure() {
             // FS capped so FSglobals can't fit, 16 ranks so PIPglobals can't
             // either, and a chain without PIEglobals: nothing lands.
-            let fs = Arc::new(Mutex::new(SharedFs::with_capacity(1024)));
-            match builder()
-                .method(Method::PipGlobals)
-                .shared_fs(Some(fs))
-                .vp_ratio(16)
-                .fallback_chain(vec![Method::FsGlobals])
-                .build(Arc::new(|_ctx: RankCtx| {}))
-            {
+            let mut cfg = MachineConfig::new(test_binary());
+            cfg.method = Method::PipGlobals;
+            cfg.shared_fs = Some(Arc::new(Mutex::new(SharedFs::with_capacity(1024))));
+            cfg.vp_ratio = 16;
+            (cfg.fallback, cfg.fallback_chain) = (true, vec![Method::FsGlobals]);
+            match cfg.build(Arc::new(|_ctx: RankCtx| {})) {
                 Err(ConfigError::NoFeasibleMethod { detail }) => {
                     assert!(detail.contains("pipglobals"), "{detail}");
                     assert!(detail.contains("fsglobals"), "{detail}");
@@ -1045,11 +1032,9 @@ macro_rules! startup_tests {
         fn fallback_chain_rejects_env_unsupported_entry() {
             // Swapglobals can never run under the default (bridges2)
             // toolchain: naming it as a backup is a configuration error.
-            match builder()
-                .method(Method::PieGlobals)
-                .fallback_chain(vec![Method::Swapglobals])
-                .build(Arc::new(|_ctx: RankCtx| {}))
-            {
+            let mut cfg = MachineConfig::new(test_binary());
+            (cfg.fallback, cfg.fallback_chain) = (true, vec![Method::Swapglobals]);
+            match cfg.build(Arc::new(|_ctx: RankCtx| {})) {
                 Err(ConfigError::Invalid { detail }) => {
                     assert!(detail.contains("fallback_chain"), "{detail}");
                     assert!(detail.contains("swapglobals"), "{detail}");
@@ -1060,10 +1045,9 @@ macro_rules! startup_tests {
 
         #[test]
         fn empty_fallback_chain_rejected() {
-            match builder()
-                .fallback_chain(vec![])
-                .build(Arc::new(|_ctx: RankCtx| {}))
-            {
+            let mut cfg = MachineConfig::new(test_binary());
+            (cfg.fallback, cfg.fallback_chain) = (true, vec![]);
+            match cfg.build(Arc::new(|_ctx: RankCtx| {})) {
                 Err(ConfigError::Invalid { detail }) => {
                     assert!(detail.contains("fallback_chain"), "{detail}")
                 }

@@ -153,7 +153,7 @@ impl ExecCtx<'_> {
 impl Machine {
     /// Test/experiment hook: scribble over the base of `rank`'s ULT
     /// stack region — where the red zone canaries live — simulating a
-    /// stack overflow for the guard to catch at the next guard check.
+    /// stack overflow for the guard to catch at the next guard check. Kept for tests: fault hook.
     pub fn corrupt_rank_stack(&mut self, rank: RankId) {
         let target: Option<(*mut u8, usize)> = self
             .rank(rank)
@@ -171,7 +171,7 @@ impl Machine {
 
     /// Test/experiment hook: flip one byte inside `rank`'s privatized
     /// data segment from outside any rank's execution — simulating
-    /// cross-rank global bleed for the segment audit to catch.
+    /// cross-rank global bleed for the segment audit to catch. Kept for tests: fault hook.
     pub fn corrupt_rank_segment(&mut self, rank: RankId) {
         if let Some((base, len)) = self
             .shared

@@ -55,6 +55,7 @@ impl LbStats {
     }
 
     /// Lower bound on any placement's makespan.
+    /// Kept for tests: oracle of every balancer's makespan.
     pub fn lower_bound(&self) -> f64 {
         let max = self.loads.iter().copied().fold(0.0, f64::max);
         if self.n_pes == 0 {

@@ -329,13 +329,8 @@ impl Machine {
         self.shared.privatizers[0].method()
     }
 
-    /// The method the configuration asked for; differs from
-    /// [`Machine::method`] exactly when the fallback chain degraded.
-    pub fn method_requested(&self) -> Method {
-        self.method_requested
-    }
-
     /// Probe/fallback/guard tallies accumulated so far.
+    /// Kept for tests: the only tallies left after a run that returned `Err`.
     pub fn hardening_stats(&self) -> HardeningTallies {
         self.tallies.hardening
     }
@@ -383,6 +378,7 @@ impl Machine {
         self.shared.privatizers[0].per_rank_copied_bytes()
     }
 
+    /// The PE `rank` lives on now. Kept for tests: a fact no report carries.
     pub fn location_of(&self, rank: RankId) -> PeId {
         self.shared.location.lookup(rank)
     }
@@ -413,6 +409,7 @@ impl Machine {
     /// a distinct code copy, so the offset must be anchored to the base
     /// of some rank resident on `pe`; a PE hosting no ranks raises the
     /// runtime error the paper describes instead of silently forwarding.
+    /// Kept for tests: a fact no report carries (DESIGN §7's empty PE).
     pub fn resolve_op_on_pe(
         &self,
         pe: PeId,
@@ -647,7 +644,7 @@ impl fmt::Debug for Machine {
 pub(crate) mod tests {
     use super::*;
     use crate::command::{MatchSpec, RankCtx};
-    use crate::config::{ConfigError, MachineBuilder, Parallelism};
+    use crate::config::{ConfigError, MachineBuilder, MachineConfig, Parallelism};
     use crate::worker::StopReason;
     use bytes::Bytes;
     use parking_lot::Mutex;
@@ -961,7 +958,9 @@ pub(crate) mod tests {
                 let got = ctx.recv_match(wanted);
                 assert_eq!((got.from, got.tag, &got.payload[..]), (1, 9, &b"wanted"[..]));
                 // what it slept through is still buffered, in arrival order
-                let tags: Vec<u64> = std::iter::from_fn(|| ctx.try_recv()).map(|m| m.tag).collect();
+                let tags: Vec<u64> = std::iter::from_fn(|| ctx.try_recv_match(MatchSpec::ANY))
+                    .map(|m| m.tag)
+                    .collect();
                 assert_eq!(tags, [8, 9, 7]);
             }))
             .unwrap();

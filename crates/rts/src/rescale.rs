@@ -215,11 +215,6 @@ impl Machine {
         self.barrier_script.insert(behind, (step, BarrierAction::Rescale(n)));
     }
 
-    /// Elastic tallies accumulated so far.
-    pub fn elastic_stats(&self) -> crate::stats::ElasticTallies {
-        self.tallies.elastic
-    }
-
     /// The loads, since the last LB step, of the ranks resident on `pe`.
     fn window_loads(&self, pe: PeId) -> impl Iterator<Item = SimDuration> + '_ {
         self.shared

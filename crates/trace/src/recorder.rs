@@ -358,7 +358,7 @@ impl TraceSnapshot {
         self.per_pe.len()
     }
 
-    /// All retained events merged across PEs, in global sequence order.
+    /// All PEs' retained events in sequence order. Kept for tests: a fact no report carries.
     pub fn events_sorted(&self) -> Vec<Event> {
         let mut all: Vec<Event> = self.per_pe.iter().flat_map(|p| p.events.iter().copied()).collect();
         all.sort_by_key(|e| e.seq);

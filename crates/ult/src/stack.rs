@@ -122,22 +122,6 @@ impl StackMem {
         (0..RED_ZONE_WORDS.min(self.size() / 8))
             .all(|i| unsafe { base.add(i).read() } == STACK_CANARY)
     }
-
-    /// Bytes of the stack that have ever been written (non-zero high-water
-    /// heuristic): used by migration accounting and tests. Scans from the
-    /// low end for the first non-zero word, skipping the red zone when one
-    /// is installed (canaries are guard metadata, not use).
-    pub fn high_water_bytes(&self) -> usize {
-        let words = self.size() / 8;
-        let first = if self.guarded { RED_ZONE_WORDS } else { 0 };
-        let base = self.base() as *const u64;
-        for i in first..words {
-            if unsafe { base.add(i).read() } != 0 {
-                return (words - i) * 8;
-            }
-        }
-        0
-    }
 }
 
 impl std::fmt::Debug for StackMem {
@@ -152,6 +136,22 @@ impl std::fmt::Debug for StackMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bytes of `s` that have ever been written (non-zero high-water
+    /// heuristic): scans from the low end for the first non-zero word,
+    /// skipping the red zone when one is installed (canaries are guard
+    /// metadata, not use).
+    fn high_water_bytes(s: &StackMem) -> usize {
+        let words = s.size() / 8;
+        let first = if s.guarded { RED_ZONE_WORDS } else { 0 };
+        let base = s.base() as *const u64;
+        for i in first..words {
+            if unsafe { base.add(i).read() } != 0 {
+                return (words - i) * 8;
+            }
+        }
+        0
+    }
 
     #[test]
     fn minimum_size_enforced() {
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn high_water_zero_when_untouched() {
         let s = StackMem::new(8192);
-        assert_eq!(s.high_water_bytes(), 0);
+        assert_eq!(high_water_bytes(&s), 0);
     }
 
     #[test]
@@ -197,7 +197,7 @@ mod tests {
         assert!(s.is_guarded());
         assert!(s.red_zone_intact());
         // canaries are not "use": high-water must ignore them
-        assert_eq!(s.high_water_bytes(), 0);
+        assert_eq!(high_water_bytes(&s), 0);
         // simulate a frame running past the base
         unsafe { (s.base() as *mut u64).add(2).write(0xDEAD) };
         assert!(!s.red_zone_intact());
@@ -217,6 +217,6 @@ mod tests {
         assert_eq!(u.resume(), crate::UltState::Complete);
         // the region was really used as the execution stack
         let s2 = unsafe { StackMem::from_raw(buf.as_mut_ptr() as *mut u8, 8192) };
-        assert!(s2.high_water_bytes() > 0 || cfg!(not(target_arch = "x86_64")));
+        assert!(high_water_bytes(&s2) > 0 || cfg!(not(target_arch = "x86_64")));
     }
 }

@@ -30,7 +30,7 @@ nontest_lines() {
     awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
 }
 
-echo "==> size ratchet (pvr-rts sources before their tests: machine.rs <= 649 lines, driver.rs <= 487, engine_parallel.rs <= 260, worker.rs <= 1146, any other <= 1300)"
+echo "==> size ratchet (pvr-rts sources before their tests: machine.rs <= 642 lines, driver.rs <= 487, engine_parallel.rs <= 260, worker.rs <= 1146, any other <= 1300)"
 # `machine.rs` was 2 456 such lines until the barrier's protocols moved
 # out with their state, 1 302 until the guards did, and 1 146 until the
 # event loop did (`driver.rs`; ROADMAP item 3); `driver.rs` took the
@@ -39,10 +39,11 @@ echo "==> size ratchet (pvr-rts sources before their tests: machine.rs <= 649 li
 # `engine_parallel.rs`
 # was 474 until real time ran in rounds of the epoch job and its hub
 # went. `worker.rs` was 1 208 until each lane owned its ranks and the
-# shared rank table went. Nothing may quietly grow back.
+# shared rank table went. `machine.rs` was 649 until its accessors that
+# only tests read went. Nothing may quietly grow back.
 for f in crates/rts/src/*.rs; do
     limit=1300
-    [ "$f" = crates/rts/src/machine.rs ] && limit=649
+    [ "$f" = crates/rts/src/machine.rs ] && limit=642
     [ "$f" = crates/rts/src/driver.rs ] && limit=487
     [ "$f" = crates/rts/src/engine_parallel.rs ] && limit=260
     [ "$f" = crates/rts/src/worker.rs ] && limit=1146
@@ -109,7 +110,7 @@ bench_lines=$(find crates/bench/src -name '*.rs' -exec cat {} + | wc -l)
     exit 1
 }
 
-echo "==> size ratchet (pvr-privatize methods/*.rs, access.rs and pvr-progimage image.rs, loader.rs, pages.rs before their tests: cowglobals.rs <= 216 lines, fsglobals.rs <= 170, manual.rs <= 107, mod.rs <= 158, pieglobals.rs <= 543, pipglobals.rs <= 77, swapglobals.rs <= 126, tlsglobals.rs <= 310, unprivatized.rs <= 59, access.rs <= 301, image.rs <= 279, loader.rs <= 197, pages.rs <= 602)"
+echo "==> size ratchet (pvr-privatize methods/*.rs, access.rs and pvr-progimage image.rs, loader.rs, pages.rs before their tests: cowglobals.rs <= 216 lines, fsglobals.rs <= 170, manual.rs <= 107, mod.rs <= 158, pieglobals.rs <= 543, pipglobals.rs <= 77, swapglobals.rs <= 126, tlsglobals.rs <= 275, unprivatized.rs <= 59, access.rs <= 301, image.rs <= 279, loader.rs <= 197, pages.rs <= 592)"
 # Each privatization method writes only what differs. PIE- and COWglobals
 # share one per-rank path (`PieCore` in pieglobals.rs: ctor-heap clones,
 # patch replay, GOT rebase, TLS block, accesses), PIP- and FSglobals
@@ -127,7 +128,9 @@ echo "==> size ratchet (pvr-privatize methods/*.rs, access.rs and pvr-progimage 
 # pages every COW write returned, the tracker's separate dirty bits, and
 # `VarAccess::{read,write}_i32`, `PhdrInfo::path` and
 # `LoadedImage::namespace` that nothing read (access.rs was 195 lines and
-# pages.rs 472 before the trait and the frame table came in).
+# pages.rs 472 before the trait and the frame table came in). The
+# accessors only tests read went too: tlsglobals.rs was 310 lines with
+# its HLS report and untagged list, pages.rs 602.
 # A copied per-method step must not grow back, so every file has a limit
 # at its size and a new file must be given one.
 for f in crates/privatize/src/methods/*.rs crates/privatize/src/access.rs crates/progimage/src/image.rs crates/progimage/src/loader.rs crates/progimage/src/pages.rs; do
@@ -139,12 +142,12 @@ for f in crates/privatize/src/methods/*.rs crates/privatize/src/access.rs crates
         */methods/pieglobals.rs) limit=543 ;;
         */methods/pipglobals.rs) limit=77 ;;
         */methods/swapglobals.rs) limit=126 ;;
-        */methods/tlsglobals.rs) limit=310 ;;
+        */methods/tlsglobals.rs) limit=275 ;;
         */methods/unprivatized.rs) limit=59 ;;
         */privatize/src/access.rs) limit=301 ;;
         */progimage/src/image.rs) limit=279 ;;
         */progimage/src/loader.rs) limit=197 ;;
-        */progimage/src/pages.rs) limit=602 ;;
+        */progimage/src/pages.rs) limit=592 ;;
         *)
             echo "FAIL: $f has no size limit: give it one in scripts/ci.sh"
             exit 1
@@ -181,6 +184,38 @@ dead_pub=$(LC_ALL=C comm -12 <(echo "$pub_names") <(echo "$word_counts" | awk '$
 dead_fields=$(LC_ALL=C comm -12 <(echo "$pub_fields") <(echo "$word_counts" | awk '$1 <= 2 { print $2 }'))
 [ -z "$dead_fields" ] || {
     echo "FAIL: pub fields named only where declared and set:" $dead_fields
+    exit 1
+}
+
+echo "==> test-only pub ratchet (at most 48 \`pub fn\` names under crates/*/src that no non-test code references)"
+# Non-test code is each crates/*/src file up to its first top-level
+# `#[cfg(test)]`, plus examples/ and benchmark/src, comments stripped. A
+# reference is a word there other than a `fn` definition, a field access
+# (`.name` not called) or a field (`name:`): a doc line naming an item
+# does not keep it, and neither does a field of the same name
+# (`Machine::method_requested` hid behind both). A `pub fn` that only
+# tests reach is deleted unless it is MPI surface, a fault hook a test
+# drives, input language (what tests describe programs and jobs with),
+# an oracle, or a fact no report carries; each kept one says which in a
+# doc line ("Kept for tests: ..."). There were 72 such names (48
+# counting every word, comments and tests included) until the accessors
+# whose facts `RunReport`, the tallies or a test's own module carry went.
+nontest_src() {
+    local f
+    for f in $(find crates/*/src -name '*.rs' | LC_ALL=C sort); do
+        awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f"
+    done
+}
+nontest_fns=$(nontest_src | grep -oE 'pub (unsafe |const |extern "C" )*fn +[A-Za-z_][A-Za-z0-9_]*' |
+    awk '{ print $NF }' | LC_ALL=C sort -u)
+nontest_refs=$({ nontest_src; find examples benchmark/src -name '*.rs' -exec cat {} +; } | sed 's#//.*##' |
+    grep -oE '(fn[[:space:]]+|\.)?[A-Za-z_][A-Za-z0-9_]*[[:space:]]*(\(|::?)?' |
+    awk '/^fn[[:space:]]/ || (/^\./ && !/\($/) || /[^:]:$/ { next }
+         { sub(/^\./, ""); sub(/[[:space:]]*(\(|::?)$/, ""); print }' | LC_ALL=C sort -u)
+test_only=$(LC_ALL=C comm -23 <(echo "$nontest_fns") <(echo "$nontest_refs"))
+n_test_only=$(echo "$test_only" | grep -c .)
+[ "$n_test_only" -le 48 ] || {
+    echo "FAIL: $n_test_only pub fn names only tests reach (limit 48):" $test_only
     exit 1
 }
 

@@ -550,7 +550,7 @@ fn a_rank_that_never_waits_finishes_in_one_context_switch() {
                 ctx.compute(SimDuration::from_micros(1));
                 let p = ctx.heap_alloc(64, 8);
                 ctx.heap_free(p, 64);
-                assert!(ctx.try_recv().is_none());
+                assert!(ctx.try_recv_match(MatchSpec::ANY).is_none());
             }
         }))
         .unwrap();

@@ -362,7 +362,6 @@ fn machine_rescale_api_applies_at_next_barrier() {
     assert_eq!(m.active_pes(), 2);
     assert_eq!(report.elastic.rescales, 1);
     assert_eq!(report.elastic.pes_deactivated, 2);
-    assert_eq!(m.elastic_stats(), report.elastic);
 
     let (_, fixed) = run(base(2, 4));
     let mut v = out.lock().clone();

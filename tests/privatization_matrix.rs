@@ -13,7 +13,7 @@ use pvr_apps::jacobi3d::{self, JacobiConfig};
 use pvr_privatize::methods::{Options, TagPolicy};
 use pvr_privatize::{Method, Toolchain};
 use pvr_progimage::{link, ImageSpec, SharedFs};
-use pvr_rts::{ClockMode, MachineBuilder, RankCtx, Topology};
+use pvr_rts::{ClockMode, MachineBuilder, MachineConfig, RankCtx, Topology};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -112,12 +112,11 @@ fn tlsglobals_partial_tagging_leaks() {
         let o = hello::run(&mpi);
         r2.lock().push(o);
     });
-    let mut machine = MachineBuilder::new(hello::binary())
-        .method(Method::TlsGlobals)
-        .method_options(opts)
-        .vp_ratio(2)
-        .build(body)
-        .unwrap();
+    let mut cfg = MachineConfig::new(hello::binary());
+    cfg.method = Method::TlsGlobals;
+    cfg.options = opts;
+    cfg.vp_ratio = 2;
+    let mut machine = cfg.build(body).unwrap();
     machine.run().unwrap();
     let v = results.lock().clone();
     assert!(

@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use pvr_ampi::{Ampi, Op, COMM_WORLD};
 use pvr_apps::jacobi3d::{self, JacobiConfig};
 use pvr_privatize::Method;
-use pvr_rts::{ClockMode, MachineBuilder, RankCtx, Topology};
+use pvr_rts::{ClockMode, MachineBuilder, MachineConfig, RankCtx, Topology};
 use std::sync::Arc;
 
 fn jacobi_residual(method: Method, topo: Topology, ratio: usize) -> f64 {
@@ -167,14 +167,13 @@ fn hierarchical_local_storage_end_to_end() {
     });
 
     // SMP process with 2 PEs, 3 ranks each
-    let mut machine = MachineBuilder::new(bin)
-        .method(Method::MpcPrivatize)
-        .method_options(opts)
-        .toolchain(t)
-        .topology(Topology::new(1, 1, 2))
-        .vp_ratio(3)
-        .build(body)
-        .unwrap();
+    let mut cfg = MachineConfig::new(bin);
+    cfg.method = Method::MpcPrivatize;
+    cfg.options = opts;
+    cfg.toolchain = t;
+    cfg.topology = Topology::new(1, 1, 2);
+    cfg.vp_ratio = 3;
+    let mut machine = cfg.build(body).unwrap();
     machine.run().unwrap();
 
     let mut v = observed.lock().clone();
