@@ -74,28 +74,16 @@ impl fmt::Display for FsError {
 
 impl std::error::Error for FsError {}
 
-#[derive(Debug)]
-struct FileEntry {
-    /// Refcounted so [`SharedFs::link_file`] can share one allocation
-    /// across many paths (hardlink/reflink semantics).
-    bytes: Arc<[u8]>,
-    /// Whether this entry owns a distinct physical allocation
-    /// (write/copy) or shares another entry's ([`SharedFs::link_file`]).
-    physical: bool,
-}
-
 /// The shared filesystem visible to all simulated nodes.
 pub struct SharedFs {
-    files: HashMap<String, FileEntry>,
+    /// Each file's bytes, refcounted so [`SharedFs::link_file`] can share
+    /// one allocation across many paths (hardlink/reflink semantics).
+    files: HashMap<String, Arc<[u8]>>,
     cost: FsCostModel,
     capacity: Option<usize>,
     used: usize,
-    /// Bytes backed by distinct allocations (links excluded) — the
-    /// host-side memory the model actually committed.
-    physical_used: usize,
     /// Total simulated I/O time charged so far (for reports).
     total_cost: Duration,
-    ops: u64,
     /// Fault injection: writes remaining before the next one fails with
     /// `NoSpace` regardless of real capacity (None = off).
     fail_writes_after: Option<u64>,
@@ -121,9 +109,7 @@ impl SharedFs {
             cost,
             capacity: None,
             used: 0,
-            physical_used: 0,
             total_cost: Duration::ZERO,
-            ops: 0,
             fail_writes_after: None,
         }
     }
@@ -194,29 +180,24 @@ impl SharedFs {
         self.admit(path, bytes.len())?;
         let cost = self.cost.transfer_cost(bytes.len(), clients);
         self.used += bytes.len();
-        self.physical_used += bytes.len();
-        self.files.insert(
-            path.to_string(),
-            FileEntry {
-                bytes: bytes.into(),
-                physical: true,
-            },
-        );
+        self.files.insert(path.to_string(), bytes.into());
         self.total_cost += cost;
-        self.ops += 1;
         Ok(cost)
     }
 
     /// Read a file's size (models the loader reading the copy); returns
     /// (size, simulated cost).
     pub fn read_file(&mut self, path: &str, clients: usize) -> Result<(usize, Duration), FsError> {
-        let entry = self.files.get(path).ok_or_else(|| FsError::NotFound {
-            path: path.to_string(),
-        })?;
-        let cost = self.cost.transfer_cost(entry.bytes.len(), clients);
+        let len = self
+            .files
+            .get(path)
+            .ok_or_else(|| FsError::NotFound {
+                path: path.to_string(),
+            })?
+            .len();
+        let cost = self.cost.transfer_cost(len, clients);
         self.total_cost += cost;
-        self.ops += 1;
-        Ok((entry.bytes.len(), cost))
+        Ok((len, cost))
     }
 
     /// Copy a file server-side; returns the simulated cost (a read + a
@@ -233,11 +214,9 @@ impl SharedFs {
             .ok_or_else(|| FsError::NotFound {
                 path: src.to_string(),
             })?
-            .bytes
             .to_vec();
         let read_cost = self.cost.transfer_cost(bytes.len(), clients);
         self.total_cost += read_cost;
-        self.ops += 1;
         let write_cost = self.write_file(dst, bytes, clients)?;
         Ok(read_cost + write_cost)
     }
@@ -248,45 +227,32 @@ impl SharedFs {
     /// [`Self::copy_file`] — FSglobals still models one binary copy per
     /// rank on a space-limited shared FS, so every capacity probe,
     /// `NoSpace` failure, and reported I/O duration is bit-identical to
-    /// the copy path. What a link saves is the *host-side* memcpy (see
-    /// `physical_used`), which is pure wall-clock.
+    /// the copy path. What a link saves is the *host-side* memcpy, which
+    /// is pure wall-clock.
     pub fn link_file(
         &mut self,
         src: &str,
         dst: &str,
         clients: usize,
     ) -> Result<Duration, FsError> {
-        let (len, shared) = {
-            let e = self.files.get(src).ok_or_else(|| FsError::NotFound {
-                path: src.to_string(),
-            })?;
-            (e.bytes.len(), e.bytes.clone())
-        };
+        let shared = self.files.get(src).cloned().ok_or_else(|| FsError::NotFound {
+            path: src.to_string(),
+        })?;
+        let len = shared.len();
         let read_cost = self.cost.transfer_cost(len, clients);
         self.total_cost += read_cost;
-        self.ops += 1;
         self.admit(dst, len)?;
         let write_cost = self.cost.transfer_cost(len, clients);
         self.used += len;
-        self.files.insert(
-            dst.to_string(),
-            FileEntry {
-                bytes: shared,
-                physical: false,
-            },
-        );
+        self.files.insert(dst.to_string(), shared);
         self.total_cost += write_cost;
-        self.ops += 1;
         Ok(read_cost + write_cost)
     }
 
     pub fn delete_file(&mut self, path: &str) -> Result<(), FsError> {
         match self.files.remove(path) {
-            Some(e) => {
-                self.used -= e.bytes.len();
-                if e.physical {
-                    self.physical_used -= e.bytes.len();
-                }
+            Some(bytes) => {
+                self.used -= bytes.len();
                 Ok(())
             }
             None => Err(FsError::NotFound {
@@ -343,7 +309,6 @@ mod tests {
         assert_eq!(size, 1 << 20);
         assert!(c2 > Duration::ZERO);
         assert_eq!(fs.total_cost(), c1 + c2);
-        assert_eq!(fs.ops, 2);
     }
 
     #[test]
@@ -426,22 +391,19 @@ mod tests {
         }
         let c = copied.copy_file("/bin", "/bin.rank0", 8).unwrap();
         let l = linked.link_file("/bin", "/bin.rank0", 8).unwrap();
-        // Identical observable accounting: simulated cost, logical
-        // bytes, op count — the model's behavior cannot depend on which
-        // path ran.
+        // Identical observable accounting: simulated cost and logical
+        // bytes — the model's behavior cannot depend on which path ran.
         assert_eq!(c, l);
         assert_eq!(copied.bytes_used(), linked.bytes_used());
-        assert_eq!(copied.ops, linked.ops);
         assert_eq!(copied.total_cost(), linked.total_cost());
         // ...but only the copy committed a second allocation.
-        assert_eq!(copied.physical_used, 8192);
-        assert_eq!(linked.physical_used, 4096);
+        assert!(!Arc::ptr_eq(&copied.files["/bin"], &copied.files["/bin.rank0"]));
+        assert!(Arc::ptr_eq(&linked.files["/bin"], &linked.files["/bin.rank0"]));
         // link contents read back identically and deletes free capacity
         let (size, _) = linked.read_file("/bin.rank0", 1).unwrap();
         assert_eq!(size, 4096);
         linked.delete_file("/bin.rank0").unwrap();
         assert_eq!(linked.bytes_used(), 4096);
-        assert_eq!(linked.physical_used, 4096);
     }
 
     #[test]

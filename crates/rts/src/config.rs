@@ -288,6 +288,15 @@ impl MachineConfig {
                     .into(),
             );
         }
+        if self.tracer.is_some() && self.ult_backend == Backend::Thread {
+            return invalid(
+                "tracer: under ult_backend Backend::Thread rank bodies run on OS threads the \
+                 trace scope does not reach, so the AMPI and privatizer hooks would record \
+                 nothing and nothing would say so (DESIGN §5c) — use Backend::Asm or attach \
+                 no tracer"
+                    .into(),
+            );
+        }
         if self.fallback && self.fallback_chain.is_empty() {
             return invalid(
                 "fallback_chain: the fallback chain must name at least one method".into(),
@@ -1038,6 +1047,19 @@ macro_rules! startup_tests {
                 Err(ConfigError::Invalid { detail }) => {
                     assert!(detail.contains("fallback_chain"), "{detail}");
                     assert!(detail.contains("swapglobals"), "{detail}");
+                }
+                other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
+            }
+        }
+
+        #[test]
+        fn tracer_under_the_thread_backend_rejected() {
+            let mut cfg = MachineConfig::new(test_binary());
+            cfg.ult_backend = pvr_ult::Backend::Thread;
+            cfg.tracer = Some(Tracer::new(1));
+            match cfg.build(Arc::new(|_ctx: RankCtx| {})) {
+                Err(ConfigError::Invalid { detail }) => {
+                    assert!(detail.contains("Backend::Thread") && detail.contains("§5c"), "{detail}")
                 }
                 other => panic!("expected Invalid error, got {:?}", other.map(|_| ())),
             }

@@ -3,6 +3,7 @@
 use pvr_des::{SimDuration, SimTime};
 use pvr_privatize::Method;
 use pvr_trace::TraceCounts;
+use std::fmt::Write;
 use std::time::Duration;
 
 /// One load-balancing step's record — the "LB database" entry the
@@ -72,17 +73,20 @@ pub struct MigrationRecord {
 /// how two tallies of it fold — `sum` adds, `peak` keeps the larger
 /// (maxima, and levels read when the run ends), `wall` adds but is
 /// wall-clock, so it is neither activity nor part of the digests, and
-/// `block` is a field that is itself such a struct. Generates the struct
-/// and `absorb`; for a `pub` block of the [`RunReport`] also `is_clean`
-/// and the walk [`RunReport::sim_digest`] makes of it.
+/// `block` is a field that is itself such a struct — and, after `=>`, the
+/// trace counter it mirrors. Generates the struct and `absorb`; for a
+/// `pub` block of the [`RunReport`] also `is_clean`, the walk
+/// [`RunReport::sim_digest`] makes of it, its rows of
+/// [`RunReport::trace_rows`] and its line of [`RunReport::summary`].
 ///
-/// A field that mirrors a trace counter is bumped beside the `trace(…)`
-/// call that emits the counter's event, and [`RunReport::trace_rows`]
-/// pairs the two; a field no row reads says why in its doc.
+/// A field with `=> counter` is bumped beside the `trace(…)` call that
+/// emits the counter's event; a field without one says why in its doc.
 macro_rules! tallies {
     (
         $(#[$sdoc:meta])*
-        pub struct $name:ident { $($(#[$fdoc:meta])* $kind:ident $field:ident: $ty:ty,)* }
+        pub struct $name:ident {
+            $($(#[$fdoc:meta])* $kind:ident $field:ident: $ty:ty $(=> $counter:ident)?,)*
+        }
     ) => {
         tallies! { @carrier $(#[$sdoc])* pub struct $name { $($(#[$fdoc])* $kind $field: $ty,)* } }
 
@@ -96,6 +100,30 @@ macro_rules! tallies {
             /// Every field but the wall-clock ones, in declaration order.
             fn digest(&self, put: &mut impl FnMut(u64)) {
                 $(tallies!(@digest $kind put, self.$field);)*
+            }
+
+            /// `(counter, traced, reported)` of every field with a counter;
+            /// fields that name the same counter add up in one row.
+            fn trace_rows(&self, c: &TraceCounts, rows: &mut Vec<(&'static str, u64, u64)>) {
+                $($(
+                    let reported = u64::from(self.$field);
+                    match rows.iter_mut().find(|r| r.0 == stringify!($counter)) {
+                        Some(row) => row.2 += reported,
+                        None => rows.push((stringify!($counter), c.$counter, reported)),
+                    }
+                )?)*
+            }
+
+            /// `label: field=value …` of every nonzero field, or nothing
+            /// when the block is clean.
+            fn summary_line(&self, label: &str, out: &mut String) {
+                if !self.is_clean() {
+                    let _ = write!(out, "{label}:");
+                    $(if self.$field != 0 {
+                        let _ = write!(out, " {}={}", stringify!($field), self.$field);
+                    })*
+                    out.push('\n');
+                }
             }
 
             /// `(kind, name, value)` of every field, in declaration order.
@@ -140,26 +168,26 @@ tallies! {
     /// Exact tallies of fault-injection and recovery activity during a run.
     pub struct FaultTallies {
         /// Data-message copies dropped in transit by the fault plan.
-        sum msgs_dropped: u64,
+        sum msgs_dropped: u64 => msg_drops,
         /// Ack copies dropped in transit.
-        sum acks_dropped: u64,
+        sum acks_dropped: u64 => ack_drops,
         /// Copies discarded at the receiver for checksum mismatch.
-        sum msgs_corrupted: u64,
+        sum msgs_corrupted: u64 => msg_corrupts,
         /// Extra copies injected by network duplication. No row: a copy is
         /// traced where it ends (delivered, dropped or suppressed), not
         /// where the plan makes it.
         sum duplicates_injected: u64,
         /// Copies discarded by receive-side dedup (network duplicates and
         /// spurious retransmits).
-        sum duplicates_suppressed: u64,
+        sum duplicates_suppressed: u64 => dup_suppressed,
         /// Retransmissions issued by the reliable delivery layer.
-        sum retransmits: u64,
+        sum retransmits: u64 => msg_retransmits,
         /// Coordinated checkpoints taken at LB steps.
-        sum checkpoints: u32,
+        sum checkpoints: u32 => checkpoints,
         /// Coordinated rollback/restore operations performed.
-        sum recoveries: u32,
+        sum recoveries: u32 => recoveries,
         /// PEs killed by fault injection.
-        sum pe_failures: u32,
+        sum pe_failures: u32 => pe_fails,
         /// Checkpoint entries whose buddy degenerated to the primary itself
         /// (single alive PE): the image exists only once, so one more PE
         /// loss is unrecoverable. No row: this counts ranks, while the
@@ -176,11 +204,11 @@ tallies! {
     /// and `GeometryRestore` events, which no counter sums.
     pub struct ElasticTallies {
         /// Rescales committed at LB barriers (grow or shrink).
-        sum rescales: u32,
+        sum rescales: u32 => rescales,
         /// Planned rescales abandoned because a PE failure struck the same
         /// barrier (failure-atomicity: geometry kept, work rolled back by
         /// the normal recovery path).
-        sum rescales_aborted: u32,
+        sum rescales_aborted: u32 => rescale_aborts,
         /// PEs brought into the active set by committed rescales.
         sum pes_activated: u32,
         /// PEs drained and removed from the active set by committed
@@ -190,10 +218,10 @@ tallies! {
         sum ranks_drained: u32,
         /// Fresh buddy checkpoints taken on a new geometry after a rescale
         /// or geometry restore committed.
-        sum re_replications: u32,
+        sum re_replications: u32 => re_replications,
         /// Checkpoints restored onto a geometry different from the one that
         /// took them.
-        sum geometry_restores: u32,
+        sum geometry_restores: u32 => geometry_restores,
     }
 }
 
@@ -203,18 +231,18 @@ tallies! {
     pub struct HardeningTallies {
         /// Capability probes evaluated at startup (one per candidate method
         /// when the fallback chain is enabled).
-        sum probes: u64,
+        sum probes: u64 => method_probes,
         /// Degradations from one method to the next in the fallback chain
         /// (probe-predicted or mid-startup).
-        sum fallbacks: u64,
+        sum fallbacks: u64 => method_fallbacks,
         /// ULT stack red zones found clobbered.
-        sum stack_guard_trips: u64,
+        sum stack_guard_trips: u64 => stack_guard_trips,
         /// Isomalloc arena guard violations (double free, use-after-free,
         /// foreign pointer).
-        sum arena_guard_trips: u64,
+        sum arena_guard_trips: u64 => arena_guard_trips,
         /// Segment-integrity audits performed (per-slice trips and barrier
         /// sweeps).
-        sum segment_audits: u64,
+        sum segment_audits: u64 => segment_audits,
     }
 }
 
@@ -225,9 +253,9 @@ tallies! {
     /// levels, carried as fields of the one `DedupAudit` event.
     pub struct CowTallies {
         /// Simulated page faults taken (first write to a shared page).
-        sum page_faults: u64,
+        sum page_faults: u64 => page_faults,
         /// Pages privatized (equals `page_faults` in this model).
-        sum pages_privatized: u64,
+        sum pages_privatized: u64 => pages_privatized,
         /// Pages of the per-rank data segment that never diverged on any
         /// rank — the dedup audit's shared-page count.
         peak shared_pages: u64,
@@ -249,21 +277,21 @@ tallies! {
     /// duration, and trace counters only count events and sum quantities.
     pub struct CkptTallies {
         /// Incremental delta captures taken at LB barriers.
-        sum deltas: u32,
+        sum deltas: u32 => ckpt_deltas,
         /// Dirty page-chunks captured across all delta captures.
-        sum pages_delta: u64,
+        sum pages_delta: u64 => ckpt_delta_pages,
         /// Sparse patch payload bytes across all delta captures.
-        sum delta_bytes: u64,
+        sum delta_bytes: u64 => ckpt_delta_bytes,
         /// Consistent-cut seals of in-flight deltas at the following barrier.
-        sum seals: u32,
+        sum seals: u32 => ckpt_seals,
         /// Asynchronous drains of sealed deltas to buddy PEs.
-        sum async_drains: u32,
+        sum async_drains: u32 => ckpt_async_drains,
         /// Delta payload bytes streamed to buddies asynchronously.
-        sum async_bytes: u64,
+        sum async_bytes: u64 => ckpt_async_bytes,
         /// Peak unsealed (in-flight) delta bytes observed between barriers.
         peak max_in_flight_bytes: u64,
         /// Delta-chain compactions (fresh base capture replacing a chain).
-        sum compactions: u32,
+        sum compactions: u32 => ckpt_compacts,
         /// Delta-chain length at end of run (0 when the last capture was a
         /// base, or in full mode).
         peak chain_len: u32,
@@ -282,22 +310,22 @@ tallies! {
     /// send + recv (rows `req_posts`, `req_completes`).
     pub struct ReqTallies {
         /// Isend requests posted into rank request tables.
-        sum send_posts: u64,
+        sum send_posts: u64 => req_posts,
         /// Irecv requests posted into rank request tables (including posts
         /// that claimed an already-arrived unexpected message).
-        sum recv_posts: u64,
+        sum recv_posts: u64 => req_posts,
         /// Isend requests completed (payload handed to the runtime, or the
         /// reliable-delivery ack arrived).
-        sum send_completes: u64,
+        sum send_completes: u64 => req_completes,
         /// Irecv requests completed (matched against an arriving or already
         /// buffered message).
-        sum recv_completes: u64,
+        sum recv_completes: u64 => req_completes,
         /// Completions delivered through a registered continuation closure
         /// instead of resuming a suspended ULT.
-        sum continuations: u64,
+        sum continuations: u64 => req_continuations,
         /// Wait-family suspensions taken because at least one awaited
         /// request was still pending.
-        sum wait_blocks: u64,
+        sum wait_blocks: u64 => req_wait_blocks,
         /// Requests still open (never completed or never reaped) when their
         /// rank finished — the leaked-request count cleaned up at finalize.
         /// No row: tallied at rank completion, after the request's own
@@ -506,58 +534,36 @@ impl RunReport {
     /// The reconciliation list: `(row, traced, reported)` for every trace
     /// counter a tally of this report mirrors, `row` being the counter's
     /// name in [`TraceCounts`] and in the JSON export. On a run traced
-    /// from `build` on, the two columns are equal on every row.
+    /// from `build` on, the two columns are equal on every row. The
+    /// blocks' rows follow from their `tallies!` lines; the rows here
+    /// report what is not a block field.
     pub fn trace_rows(&self, c: &TraceCounts) -> Vec<(&'static str, u64, u64)> {
         macro_rules! row {
             ($counter:ident, $reported:expr) => {
                 (stringify!($counter), c.$counter, $reported)
             };
         }
-        let (f, h, e, k, q) = (&self.faults, &self.hardening, &self.elastic, &self.ckpt, &self.req);
-        vec![
+        let mut rows = vec![
             row!(ctx_switches, self.context_switches),
             row!(msgs_recv, self.messages_delivered),
             row!(migrations, self.migrations.len() as u64),
             row!(migration_bytes, self.total_migration_bytes() as u64),
             row!(lb_steps, self.lb_steps.into()),
-            row!(msg_drops, f.msgs_dropped),
-            row!(ack_drops, f.acks_dropped),
-            row!(msg_corrupts, f.msgs_corrupted),
-            row!(msg_retransmits, f.retransmits),
-            row!(dup_suppressed, f.duplicates_suppressed),
-            row!(pe_fails, f.pe_failures.into()),
-            row!(checkpoints, f.checkpoints.into()),
-            row!(recoveries, f.recoveries.into()),
-            row!(method_probes, h.probes),
-            row!(method_fallbacks, h.fallbacks),
-            row!(stack_guard_trips, h.stack_guard_trips),
-            row!(arena_guard_trips, h.arena_guard_trips),
-            row!(segment_audits, h.segment_audits),
             row!(pool_hits, self.engine.pool_hits),
             row!(pool_misses, self.engine.pool_misses),
-            row!(page_faults, self.cow.page_faults),
-            row!(pages_privatized, self.cow.pages_privatized),
-            row!(rescales, e.rescales.into()),
-            row!(rescale_aborts, e.rescales_aborted.into()),
-            row!(re_replications, e.re_replications.into()),
-            row!(geometry_restores, e.geometry_restores.into()),
-            row!(ckpt_deltas, k.deltas.into()),
-            row!(ckpt_delta_pages, k.pages_delta),
-            row!(ckpt_delta_bytes, k.delta_bytes),
-            row!(ckpt_seals, k.seals.into()),
-            row!(ckpt_async_drains, k.async_drains.into()),
-            row!(ckpt_async_bytes, k.async_bytes),
-            row!(ckpt_compacts, k.compactions.into()),
-            row!(req_posts, q.send_posts + q.recv_posts),
-            row!(req_completes, q.send_completes + q.recv_completes),
-            row!(req_continuations, q.continuations),
-            row!(req_wait_blocks, q.wait_blocks),
-        ]
+        ];
+        self.faults.trace_rows(c, &mut rows);
+        self.hardening.trace_rows(c, &mut rows);
+        self.cow.trace_rows(c, &mut rows);
+        self.elastic.trace_rows(c, &mut rows);
+        self.ckpt.trace_rows(c, &mut rows);
+        self.req.trace_rows(c, &mut rows);
+        rows
     }
 
-    /// Human-readable run summary (examples and demos).
+    /// Human-readable run summary (examples and demos): one line per
+    /// block that is not clean, naming each nonzero field.
     pub fn summary(&self) -> String {
-        use std::fmt::Write;
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -577,24 +583,6 @@ impl RunReport {
             self.total_migration_bytes() as f64 / 1e6,
             self.mean_utilization() * 100.0
         );
-        if !self.faults.is_clean() {
-            let f = &self.faults;
-            let _ = writeln!(
-                out,
-                "faults: {} drops ({} ack), {} corrupt, {} dups injected/{} suppressed, {} retransmits",
-                f.msgs_dropped + f.acks_dropped,
-                f.acks_dropped,
-                f.msgs_corrupted,
-                f.duplicates_injected,
-                f.duplicates_suppressed,
-                f.retransmits
-            );
-            let _ = writeln!(
-                out,
-                "recovery: {} checkpoints, {} PE failures, {} rollbacks",
-                f.checkpoints, f.pe_failures, f.recoveries
-            );
-        }
         if self.method_landed != self.method_requested {
             let _ = writeln!(
                 out,
@@ -602,67 +590,12 @@ impl RunReport {
                 self.method_requested, self.method_landed, self.hardening.fallbacks
             );
         }
-        if !self.hardening.is_clean() {
-            let h = &self.hardening;
-            let _ = writeln!(
-                out,
-                "hardening: {} probes, {} fallbacks, {} stack trips, {} arena trips, {} audits",
-                h.probes, h.fallbacks, h.stack_guard_trips, h.arena_guard_trips, h.segment_audits
-            );
-        }
-        if !self.cow.is_clean() {
-            let c = &self.cow;
-            let _ = writeln!(
-                out,
-                "cow: {} page faults, {} pages privatized, {}/{} pages shared across ranks",
-                c.page_faults, c.pages_privatized, c.shared_pages, c.total_pages
-            );
-        }
-        if !self.elastic.is_clean() {
-            let e = &self.elastic;
-            let _ = writeln!(
-                out,
-                "elastic: {} rescales ({} aborted), +{} / -{} PEs, {} ranks drained, {} re-replications, {} geometry restores",
-                e.rescales,
-                e.rescales_aborted,
-                e.pes_activated,
-                e.pes_deactivated,
-                e.ranks_drained,
-                e.re_replications,
-                e.geometry_restores
-            );
-        }
-        if !self.ckpt.is_clean() {
-            let k = &self.ckpt;
-            let _ = writeln!(
-                out,
-                "ckpt: {} deltas ({} pages, {} B), {} seals, {} async drains ({} B), {} compactions, chain {}/{} max, pause {} ns",
-                k.deltas,
-                k.pages_delta,
-                k.delta_bytes,
-                k.seals,
-                k.async_drains,
-                k.async_bytes,
-                k.compactions,
-                k.chain_len,
-                k.max_chain_len,
-                k.pause_ns
-            );
-        }
-        if !self.req.is_clean() {
-            let q = &self.req;
-            let _ = writeln!(
-                out,
-                "requests: {}+{} posted (send+recv), {}+{} completed, {} continuations, {} wait blocks, {} leaked",
-                q.send_posts,
-                q.recv_posts,
-                q.send_completes,
-                q.recv_completes,
-                q.continuations,
-                q.wait_blocks,
-                q.leaked
-            );
-        }
+        self.faults.summary_line("faults", &mut out);
+        self.hardening.summary_line("hardening", &mut out);
+        self.cow.summary_line("cow", &mut out);
+        self.elastic.summary_line("elastic", &mut out);
+        self.ckpt.summary_line("ckpt", &mut out);
+        self.req.summary_line("req", &mut out);
         if self.engine.threads > 1 {
             let e = &self.engine;
             let _ = writeln!(
@@ -688,19 +621,11 @@ impl RunReport {
         if self.pe_busy_idle.is_empty() {
             return 0.0;
         }
-        let us: Vec<f64> = self
-            .pe_busy_idle
-            .iter()
-            .map(|(b, i)| {
-                let t = b.as_secs_f64() + i.as_secs_f64();
-                if t == 0.0 {
-                    0.0
-                } else {
-                    b.as_secs_f64() / t
-                }
-            })
-            .collect();
-        us.iter().sum::<f64>() / us.len() as f64
+        let utilization = |(b, i): &(SimDuration, SimDuration)| {
+            let t = b.as_secs_f64() + i.as_secs_f64();
+            if t == 0.0 { 0.0 } else { b.as_secs_f64() / t }
+        };
+        self.pe_busy_idle.iter().map(utilization).sum::<f64>() / self.pe_busy_idle.len() as f64
     }
 }
 
@@ -794,8 +719,13 @@ mod tests {
             ..blank()
         };
         let s = r.summary();
-        assert!(s.contains("faults: 4 drops (1 ack)"), "{s}");
-        assert!(s.contains("recovery: 2 checkpoints, 1 PE failures, 1 rollbacks"), "{s}");
+        assert!(
+            s.contains(
+                "\nfaults: msgs_dropped=3 acks_dropped=1 retransmits=4 checkpoints=2 \
+                 recoveries=1 pe_failures=1\n"
+            ),
+            "{s}"
+        );
     }
 
     #[test]
@@ -813,16 +743,13 @@ mod tests {
         };
         let s = r.summary();
         assert!(s.contains("method: pipglobals degraded to fsglobals (1 fallbacks)"), "{s}");
-        assert!(
-            s.contains("hardening: 3 probes, 1 fallbacks, 0 stack trips, 0 arena trips, 2 audits"),
-            "{s}"
-        );
+        assert!(s.contains("\nhardening: probes=3 fallbacks=1 segment_audits=2\n"), "{s}");
         assert!(!r.hardening.is_clean());
     }
 
     /// What the `tallies!` arms are trusted for: `absorb` folds every field
-    /// by its kind, and a field counts as activity and enters the digests
-    /// exactly when it is not `wall`.
+    /// by its kind, and a field counts as activity, enters the digests and
+    /// is named on its block's summary line exactly when it is not `wall`.
     #[test]
     fn tally_tables_absorb_by_kind_and_digest_every_exact_field() {
         let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
@@ -851,6 +778,8 @@ mod tests {
                     assert_eq!(r.$block.is_clean(), !exact, "{name}: is_clean");
                     assert_eq!(r.sim_digest() != base, exact, "{name}: sim_digest");
                     assert_eq!(r.sim_digest_core() != base_core, exact && $core, "{name}: core");
+                    let line = format!("\n{}: {name}=1\n", stringify!($block));
+                    assert_eq!(r.summary().contains(&line), exact, "{name}: {}", r.summary());
                 }
             )*};
         }
@@ -862,6 +791,32 @@ mod tests {
             ckpt: CkptTallies, in core digest: false;
             req: ReqTallies, in core digest: false;
         }
+    }
+
+    /// Every counter a tally mirrors has its row: a `tallies!` line that
+    /// loses its `=> counter` drops a name here. Two fields that mirror
+    /// one counter share its row.
+    #[test]
+    fn trace_rows_name_every_mirrored_counter() {
+        let mut r = blank();
+        (r.req.send_posts, r.req.recv_posts) = (1, 2);
+        let rows = r.trace_rows(&TraceCounts::default());
+        let mut names: Vec<_> = rows.iter().map(|row| row.0).collect();
+        let mut want = [
+            "ctx_switches", "msgs_recv", "migrations", "migration_bytes", "lb_steps",
+            "msg_drops", "ack_drops", "msg_corrupts", "msg_retransmits", "dup_suppressed",
+            "pe_fails", "checkpoints", "recoveries", "method_probes", "method_fallbacks",
+            "stack_guard_trips", "arena_guard_trips", "segment_audits", "pool_hits",
+            "pool_misses", "page_faults", "pages_privatized", "rescales", "rescale_aborts",
+            "re_replications", "geometry_restores", "ckpt_deltas", "ckpt_delta_pages",
+            "ckpt_delta_bytes", "ckpt_seals", "ckpt_async_drains", "ckpt_async_bytes",
+            "ckpt_compacts", "req_posts", "req_completes", "req_continuations",
+            "req_wait_blocks",
+        ];
+        names.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(names, want);
+        assert!(rows.contains(&("req_posts", 0, 3)), "{rows:?}");
     }
 
     #[test]

@@ -127,7 +127,8 @@ fn scheduled_shrink_matches_fixed_geometry_results() {
     assert_eq!(e.re_replications, 1, "shrink must re-replicate the checkpoint");
     // drained PEs do no further work: their clocks freeze at the barrier
     assert!(report.pe_clocks[2] < report.pe_clocks[0]);
-    assert!(report.summary().contains("elastic:"), "{}", report.summary());
+    let s = report.summary();
+    assert!(s.contains("\nelastic: rescales=1 "), "{s}");
 }
 
 /// Grow: start with 2 of 4 PEs active, rescale to the full capacity at

@@ -120,8 +120,8 @@ fn lossy_jacobi_with_pe_failure_is_bit_identical() {
 
     // The report's summary must surface the fault activity.
     let s = report.summary();
-    assert!(s.contains("retransmits"), "{s}");
-    assert!(s.contains("rollbacks"), "{s}");
+    assert!(s.contains(&format!(" retransmits={}", f.retransmits)), "{s}");
+    assert!(s.contains(" recoveries=1"), "{s}");
 }
 
 #[test]

@@ -198,7 +198,8 @@ fn ckpt_tallies_reconcile_with_trace_events() {
     assert!(c.ckpt_deltas > 0 && c.ckpt_seals > 0 && c.ckpt_async_bytes > 0, "{c:?}");
     assert_eq!(c.checkpoints, 1, "one base, then deltas");
     assert!(ck.max_chain_len >= ck.chain_len, "{ck:?}");
-    assert!(o.report.summary().contains("ckpt:"), "{}", o.report.summary());
+    let s = o.report.summary();
+    assert!(s.contains(&format!("\nckpt: deltas={} ", ck.deltas)), "{s}");
 }
 
 // ---------------------------------------------------------------------
