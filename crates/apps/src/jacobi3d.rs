@@ -21,6 +21,7 @@
 use pvr_ampi::{util, Ampi, Op, COMM_WORLD};
 use pvr_privatize::{Access, WithAccess};
 use pvr_progimage::{link, FunctionSpec, GlobalSpec, ImageSpec, ProgramBinary, VarClass};
+use pvr_rts::kernel_cost;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
@@ -159,11 +160,7 @@ pub fn run(mpi: &Ampi, cfg: JacobiConfig) -> JacobiStats {
         // declare modeled work for virtual-time runs
         if mpi.ctx().is_virtual_time() {
             let points = (lnx * lny * lnz) as f64;
-            let cost = mpi
-                .ctx()
-                .work_model()
-                .kernel_cost(points * FLOPS_PER_POINT, points * 8.0 * 2.0);
-            mpi.compute(cost);
+            mpi.compute(kernel_cost(points * FLOPS_PER_POINT, points * 8.0 * 2.0));
         }
 
         residual = mpi.allreduce(&[g_res.read_f64()], Op::Sum)[0];

@@ -22,6 +22,7 @@
 
 use pvr_ampi::{util, Ampi, Op, COMM_WORLD};
 use pvr_progimage::{link, FunctionSpec, GlobalSpec, ImageSpec, ProgramBinary, VarClass};
+use pvr_rts::kernel_cost;
 use std::sync::Arc;
 
 /// Paper-reported ADCIRC code-segment size: ~14 MB.
@@ -275,8 +276,7 @@ pub fn run(mpi: &Ampi, cfg: SurgeConfig) -> SurgeStats {
             let ws = (slab * 8 * 3) as f64;
             let eff = cache_efficiency(ws);
             let flops = (wet.max(1)) as f64 * cfg.flops_per_wet_cell * eff;
-            let cost = mpi.ctx().work_model().kernel_cost(flops, wet as f64 * 48.0 * eff);
-            mpi.compute(cost);
+            mpi.compute(kernel_cost(flops, wet as f64 * 48.0 * eff));
         }
 
         // AMPI_Migrate: let the runtime rebalance

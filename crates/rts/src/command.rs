@@ -1,29 +1,30 @@
-//! The rank ⇄ scheduler protocol and the rank-side API ([`RankCtx`]).
+//! The rank-side API ([`RankCtx`]) and the slot a rank shares with its
+//! lane.
 //!
 //! A virtual rank is a ULT. Every effectful operation (send, matched
 //! receive, posting and waiting on nonblocking requests, declaring
 //! computed work, heap allocation, reaching a load-balancing sync point)
-//! is a [`Command`] the lane's scheduler code (`ExecCtx::handle`)
-//! executes **on the rank's own stack**; one that completes returns its
-//! [`Response`] without a context switch. Only a call that must wait
-//! suspends the ULT, and the scheduler may switch to another ready rank.
-//! This is the shape of AMPI: blocking MPI calls that cannot complete
-//! trap into the scheduler, posting a nonblocking operation never does.
-//! Every receive, blocking or posted, carries a [`MatchSpec`] for the
-//! rank's matching engine ([`crate::matching`]).
+//! is a call of the lane's scheduler code ([`ExecCtx`]) made **on the
+//! rank's own stack**: one that completes returns to the rank without a
+//! context switch. Only a call that must wait (`recv_match`, `req_wait`,
+//! `yield_now`, `at_sync`) suspends the ULT, and the scheduler may switch
+//! to another ready rank. This is the shape of AMPI: blocking MPI calls
+//! that cannot complete trap into the scheduler, posting a nonblocking
+//! operation never does. Every receive, blocking or posted, carries a
+//! [`MatchSpec`] for the rank's matching engine ([`crate::matching`]).
 
 use crate::machine::RtsError;
 use crate::matching::Outcomes;
 use crate::message::RtsMessage;
-use crate::worker::{ExecCtx, Handled, StopReason};
+use crate::worker::ExecCtx;
 use crate::{PeId, RankId};
 use bytes::Bytes;
 use pvr_des::SimDuration;
+use pvr_isomalloc::IsoPtr;
 use pvr_privatize::RankInstance;
 use pvr_ult::{ResumeError, Ult, UltState};
 use std::cell::Cell;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Matching predicate of a receive, blocking or posted.
@@ -59,88 +60,6 @@ impl MatchSpec {
     }
 }
 
-/// What a rank asks of its scheduler. Only `RecvMatch`, `ReqWait`,
-/// `Yield` and `AtSync` can suspend the rank; every other command is
-/// answered on the rank's stack.
-#[derive(Debug)]
-pub enum Command {
-    /// Post a message; completes immediately (buffered send).
-    Send {
-        to: RankId,
-        tag: u64,
-        payload: Bytes,
-    },
-    /// Blocking receive: the oldest buffered message `spec` accepts, or
-    /// suspend until one arrives. Not a request — no table entry, no
-    /// `req.*` tally; arrivals the spec rejects do not resume the rank.
-    RecvMatch { spec: MatchSpec },
-    /// Non-suspending [`Command::RecvMatch`].
-    TryRecvMatch { spec: MatchSpec },
-    /// Declare `work` of computation (advances the PE's virtual clock;
-    /// no-op in real-time mode where the work physically happened).
-    Compute(SimDuration),
-    /// Cooperative yield: stay ready, let other ranks run.
-    Yield,
-    /// Load-balancing sync point (AMPI's `MPI_Migrate`): blocks until all
-    /// ranks arrive, then the runtime may migrate ranks.
-    AtSync,
-    /// Allocate from the rank's Isomalloc heap (so the memory migrates
-    /// with the rank).
-    AllocHeap { size: usize, align: usize },
-    /// Return an allocation to the rank's Isomalloc heap. With the arena
-    /// guard enabled, an invalid free (double free, foreign pointer) or a
-    /// write through a stale pointer surfaces as a clean rank-attributed
-    /// runtime error instead of undefined behavior.
-    FreeHeap { addr: usize, size: usize },
-    /// Post a nonblocking send into the rank's request table; returns a
-    /// request id immediately. Under reliable delivery the request
-    /// completes when the payload's ack arrives; otherwise it completes
-    /// at post (buffered semantics).
-    ReqPostSend {
-        to: RankId,
-        tag: u64,
-        payload: Bytes,
-    },
-    /// Post a nonblocking receive with a delivery-time matching
-    /// predicate. If a matching message is already buffered in the
-    /// rank's unexpected queue it is claimed now; otherwise the request
-    /// stays pending and the *deposit path* completes it when a matching
-    /// message arrives — not when the rank later waits.
-    ReqPostRecv { spec: MatchSpec },
-    /// Wait until the identified requests complete: all of them
-    /// (`any == false`) or at least one (`any == true`). Completed
-    /// requests are reaped from the table and returned. `cont` marks a
-    /// continuation-style wait — the scheduler tallies completions
-    /// delivered this way as continuations rather than suspensions.
-    ReqWait {
-        ids: Vec<u64>,
-        any: bool,
-        cont: bool,
-    },
-    /// Nonblocking completion probe: reap and return whichever of the
-    /// identified requests have completed; never suspends.
-    ReqTest { ids: Vec<u64>, cont: bool },
-}
-
-/// The scheduler's reply. A rank-side method that needs a value back
-/// checks the kind it got ([`RtsError::Protocol`] otherwise).
-#[derive(Debug)]
-pub enum Response {
-    /// Nothing to carry back; also what a yield or sync point resumes with.
-    Ack,
-    Message(RtsMessage),
-    NoMessage,
-    /// Address of a fresh heap allocation.
-    Addr(usize),
-    /// Id of a freshly posted nonblocking request.
-    ReqId(u64),
-    /// Completed requests reaped by `ReqWait`/`ReqTest`: `(id, message)`
-    /// pairs — in the order the call named them for a wait on all of
-    /// them, in completion order for a wait on any and for a test. Send
-    /// completions carry `None`.
-    ReqOutcomes(Outcomes),
-}
-
 /// The cell one rank and its scheduler share.
 ///
 /// # Ownership contract
@@ -155,20 +74,23 @@ pub enum Response {
 /// `exec` is the lane's `ExecCtx`, lifetime erased, set exactly while
 /// [`Slot::resume`] is inside `try_resume`: the scheduler frame that
 /// owns the `ExecCtx` is suspended there, so the rank may use it
-/// exclusively. [`RankCtx`] is `Clone + Send`, so `RankCtx::call` checks
-/// before it dereferences — it must be in a ULT and `exec` must be set —
-/// and a handle that escaped to a foreign OS thread or outlived
+/// exclusively. [`RankCtx`] is `Clone + Send`, so `RankCtx::on_lane`
+/// checks before it dereferences — it must be in a ULT and `exec` must
+/// be set — and a handle that escaped to a foreign OS thread or outlived
 /// `Machine::run` panics instead of racing. A handle used from *another
 /// rank's* body while its own rank runs on a different worker is not
 /// detected: that is the caller's side of the contract.
 #[derive(Default)]
 pub struct Slot {
     exec: Cell<Option<NonNull<()>>>,
-    /// Why the rank left its stack: set by the rank before it yields,
-    /// taken by `run_rank_slice` after the resume returns.
-    stop: Cell<Option<Result<StopReason, RtsError>>>,
-    /// The answer to the receive or wait the rank is parked in.
-    resp: Cell<Option<Response>>,
+    /// Why the rank left its stack: `Ok` when a call parked it, the
+    /// error when one failed. Set by the rank before it yields, taken by
+    /// `run_rank_slice` after the resume returns.
+    stop: Cell<Option<Result<(), RtsError>>>,
+    /// The answer to the blocking receive the rank is parked in.
+    pub(crate) message: Cell<Option<RtsMessage>>,
+    /// The answer to the wait the rank is parked in.
+    pub(crate) outcomes: Cell<Option<Outcomes>>,
 }
 
 // SAFETY: the ownership contract above — each cell is only accessed by
@@ -185,54 +107,27 @@ impl Slot {
         &self,
         exec: &mut ExecCtx<'_>,
         ult: &mut Ult,
-    ) -> (Result<UltState, ResumeError>, Option<Result<StopReason, RtsError>>) {
+    ) -> (Result<UltState, ResumeError>, Option<Result<(), RtsError>>) {
         self.exec.set(Some(NonNull::from(exec).cast()));
         let outcome = ult.try_resume();
         self.exec.set(None);
         (outcome, self.stop.take())
     }
-
-    /// Answer the call the rank is parked in (scheduler side).
-    pub(crate) fn answer(&self, resp: Response) {
-        self.resp.set(Some(resp));
-    }
 }
 
-/// Live, lock-free-readable facts about a rank that change as it runs.
-pub struct RankShared {
-    /// Where the rank currently lives (updated on migration).
-    pub current_pe: AtomicUsize,
-    /// The rank's view of "now", nanoseconds (virtual clock in virtual
-    /// mode; updated before each resume and by `compute`).
-    pub now_ns: AtomicU64,
-}
+/// Floating-point rate of the modelled core, flop/s (about one EPYC-7742
+/// core).
+const FLOPS_PER_SEC: f64 = 3.0e9;
+/// Memory bandwidth of the modelled core, bytes/s.
+const MEM_BYTES_PER_SEC: f64 = 20e9;
 
-/// Converts application work (flops, bytes touched) into virtual time.
-///
-/// Used by apps to declare `compute()` durations that reflect the real
-/// kernels they just executed; defaults approximate one EPYC-7742 core.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkModel {
-    pub flops_per_sec: f64,
-    pub mem_bytes_per_sec: f64,
-}
-
-impl Default for WorkModel {
-    fn default() -> Self {
-        WorkModel {
-            flops_per_sec: 3.0e9,
-            mem_bytes_per_sec: 20e9,
-        }
-    }
-}
-
-impl WorkModel {
-    /// Cost of a kernel doing `flops` floating-point ops over `bytes` of
-    /// memory traffic: max of the compute and memory roofline terms.
-    pub fn kernel_cost(&self, flops: f64, bytes: f64) -> SimDuration {
-        let t = (flops / self.flops_per_sec).max(bytes / self.mem_bytes_per_sec);
-        SimDuration::from_secs_f64(t.max(0.0))
-    }
+/// Virtual time of a kernel doing `flops` floating-point operations over
+/// `bytes` of memory traffic: the larger of its compute and memory
+/// roofline terms. Apps declare it with [`RankCtx::compute`] after
+/// running the real kernel.
+pub fn kernel_cost(flops: f64, bytes: f64) -> SimDuration {
+    let t = (flops / FLOPS_PER_SEC).max(bytes / MEM_BYTES_PER_SEC);
+    SimDuration::from_secs_f64(t.max(0.0))
 }
 
 /// The rank-side handle: everything a rank body may do.
@@ -258,7 +153,6 @@ pub struct RankCtx {
     pub(crate) rank: RankId,
     pub(crate) n_ranks: usize,
     pub(crate) slot: Arc<Slot>,
-    pub(crate) shared: Arc<RankShared>,
     pub(crate) instance: Arc<RankInstance>,
     pub(crate) virtual_mode: bool,
     pub(crate) binary: std::sync::Arc<pvr_progimage::ProgramBinary>,
@@ -279,22 +173,18 @@ impl RankCtx {
     /// migration — ranks need never be aware of their placement, but the
     /// test suite and demos like to observe it).
     pub fn my_pe(&self) -> PeId {
-        self.shared.current_pe.load(Ordering::Relaxed)
+        self.on_lane(|x, _| x.lane.pe)
     }
 
-    /// Current time in seconds (virtual in virtual mode).
+    /// Current time in seconds, read from the PE's clock at the call
+    /// (virtual in virtual mode, wall time since the build otherwise).
     pub fn wtime(&self) -> f64 {
-        self.shared.now_ns.load(Ordering::Relaxed) as f64 / 1e9
+        self.on_lane(|x, _| x.shared.now_ns(x.lane)) as f64 / 1e9
     }
 
     /// Access to this rank's privatized globals.
     pub fn instance(&self) -> &RankInstance {
         &self.instance
-    }
-
-    /// The work model for converting kernel op counts into virtual time.
-    pub fn work_model(&self) -> WorkModel {
-        WorkModel::default()
     }
 
     pub fn is_virtual_time(&self) -> bool {
@@ -307,27 +197,15 @@ impl RankCtx {
         &self.binary
     }
 
-    /// Execute `cmd` on this stack through the lane's `ExecCtx`; leave
-    /// the stack only if it must wait (or failed).
-    fn call(&self, cmd: Command) -> Response {
-        let stop = match self.handle(cmd) {
-            Ok(Handled::Done(resp)) => return resp,
-            Ok(Handled::Park(why)) => Ok(why),
-            Err(e) => Err(e),
-        };
-        self.slot.stop.set(Some(stop));
-        pvr_ult::yield_now();
-        self.slot.resp.take().unwrap_or(Response::Ack)
-    }
-
-    /// `call`'s trip into the lane. The `&mut ExecCtx` is an address on
-    /// the worker thread's stack; it lives only in this frame, which has
-    /// returned before `call` parks, so no frame left on a parked rank's
-    /// stack holds it. An unoptimized build spills locals to the stack,
-    /// and a spilled worker address would make a checkpoint delta of that
-    /// stack depend on which worker ran the rank.
+    /// Run `f` on this stack against the lane running the rank. The
+    /// `&mut ExecCtx` is an address on the worker thread's stack; it
+    /// lives only in this frame, which has returned before any call
+    /// parks, so no frame left on a parked rank's stack holds it. An
+    /// unoptimized build spills locals to the stack, and a spilled worker
+    /// address would make a checkpoint delta of that stack depend on
+    /// which worker ran the rank.
     #[inline(never)]
-    fn handle(&self, cmd: Command) -> Result<Handled, RtsError> {
+    fn on_lane<T>(&self, f: impl FnOnce(&mut ExecCtx<'_>, RankId) -> T) -> T {
         assert!(pvr_ult::in_ult(), "RankCtx used outside a rank's ULT");
         let Some(exec) = self.slot.exec.get() else {
             panic!("RankCtx of rank {} used while it is not running", self.rank)
@@ -337,24 +215,43 @@ impl RankCtx {
         // the checks above turn away a foreign OS thread and a handle
         // whose rank is suspended or finished.
         let exec = unsafe { exec.cast::<ExecCtx<'_>>().as_mut() };
-        exec.handle(self.rank, cmd)
+        debug_assert_eq!(exec.lane.out.last_ran, Some(self.rank));
+        f(exec, self.rank)
+    }
+
+    /// [`RankCtx::on_lane`] for a call that can fail: an error ends the
+    /// run.
+    fn call<T>(&self, f: impl FnOnce(&mut ExecCtx<'_>, RankId) -> Result<T, RtsError>) -> T {
+        self.on_lane(f).unwrap_or_else(|e| self.fail(e))
+    }
+
+    /// Leave the stack until the lane resumes the rank: the call it is
+    /// in has parked it.
+    fn park(&self) {
+        self.slot.stop.set(Some(Ok(())));
+        pvr_ult::yield_now();
+    }
+
+    /// Leave the stack for good: the run ends with `e`. A rank that
+    /// raised an error is not resumed.
+    fn fail(&self, e: RtsError) -> ! {
+        self.slot.stop.set(Some(Err(e)));
+        pvr_ult::yield_now();
+        self.protocol("resumed after it raised an error")
     }
 
     /// End the run with [`RtsError::Protocol`]: rank and lane code
-    /// disagree about a call. A rank that raised an error is not resumed.
+    /// disagree about a call.
     fn protocol(&self, detail: &str) -> ! {
-        loop {
-            self.slot.stop.set(Some(Err(RtsError::Protocol {
-                rank: self.rank,
-                detail: detail.into(),
-            })));
-            pvr_ult::yield_now();
-        }
+        self.fail(RtsError::Protocol {
+            rank: self.rank,
+            detail: detail.into(),
+        })
     }
 
     /// Post a message to another rank (buffered; returns immediately).
     pub fn send(&self, to: RankId, tag: u64, payload: Bytes) {
-        self.call(Command::Send { to, tag, payload });
+        self.call(|x, r| x.send(r, to, tag, payload))
     }
 
     /// Block until any message arrives (oldest first).
@@ -364,47 +261,47 @@ impl RankCtx {
 
     /// Block until a message `spec` accepts is available and take the
     /// oldest such. Arrivals `spec` rejects stay buffered, in order, and
-    /// do not resume the rank.
+    /// do not resume the rank. Not a request: no table entry, no `req.*`
+    /// tally.
     pub fn recv_match(&self, spec: MatchSpec) -> RtsMessage {
-        let Response::Message(m) = self.call(Command::RecvMatch { spec }) else {
-            self.protocol("unexpected response to RecvMatch")
-        };
-        m
+        if let Some(m) = self.on_lane(|x, r| x.recv(r, spec, true)) {
+            return m;
+        }
+        self.park();
+        let m = self.slot.message.take();
+        m.unwrap_or_else(|| self.protocol("recv_match resumed without a message"))
     }
 
     /// The oldest buffered message `spec` accepts, if any; never blocks.
     pub fn try_recv_match(&self, spec: MatchSpec) -> Option<RtsMessage> {
-        match self.call(Command::TryRecvMatch { spec }) {
-            Response::Message(m) => Some(m),
-            Response::NoMessage => None,
-            _ => self.protocol("unexpected response to TryRecvMatch"),
-        }
+        self.on_lane(|x, r| x.recv(r, spec, false))
     }
 
     /// Declare computed work (virtual mode; free no-op in real time).
     pub fn compute(&self, work: SimDuration) {
-        self.call(Command::Compute(work));
+        self.on_lane(|x, r| x.compute(r, work))
     }
 
     /// Cooperatively yield to other ranks on this PE.
     pub fn yield_now(&self) {
-        self.call(Command::Yield);
+        self.on_lane(|x, r| x.yield_now(r));
+        self.park();
     }
 
-    /// Load-balancing sync point: blocks until every rank arrives, then
-    /// the configured balancer may migrate ranks before all resume.
+    /// Load-balancing sync point (AMPI's `MPI_Migrate`): blocks until
+    /// every rank arrives, then the configured balancer may migrate ranks
+    /// before all resume.
     pub fn at_sync(&self) {
-        self.call(Command::AtSync);
+        self.on_lane(|x, r| x.at_sync(r));
+        self.park();
     }
 
     /// Allocate zeroed memory from this rank's migratable (Isomalloc)
-    /// heap. Freed only when the rank is torn down — matching how the
-    /// apps use per-rank grids for the lifetime of a run.
+    /// heap, so it migrates with the rank. Freed only when the rank is
+    /// torn down — matching how the apps use per-rank grids for the
+    /// lifetime of a run.
     pub fn heap_alloc(&self, size: usize, align: usize) -> *mut u8 {
-        let Response::Addr(a) = self.call(Command::AllocHeap { size, align }) else {
-            self.protocol("unexpected response to AllocHeap")
-        };
-        a as *mut u8
+        self.call(|x, r| x.heap_alloc(r, size, align))
     }
 
     /// Allocate a zeroed `f64` slice on the rank's migratable heap. The
@@ -416,20 +313,19 @@ impl RankCtx {
     }
 
     /// Post a nonblocking send. Returns the request id; completion is
-    /// observed via [`RankCtx::req_wait`] / [`RankCtx::req_test`].
+    /// observed via [`RankCtx::req_wait`] / [`RankCtx::req_test`]. Under
+    /// reliable delivery the request completes when the payload's ack
+    /// arrives; otherwise it completes at post (buffered semantics).
     pub fn req_post_send(&self, to: RankId, tag: u64, payload: Bytes) -> u64 {
-        let Response::ReqId(id) = self.call(Command::ReqPostSend { to, tag, payload }) else {
-            self.protocol("unexpected response to ReqPostSend")
-        };
-        id
+        self.call(|x, r| x.req_post_send(r, to, tag, payload))
     }
 
-    /// Post a nonblocking receive matched at delivery time by `spec`.
+    /// Post a nonblocking receive matched at delivery time by `spec`. A
+    /// matching message already buffered is claimed now; otherwise the
+    /// *deposit path* completes the request when one arrives — not when
+    /// the rank later waits.
     pub fn req_post_recv(&self, spec: MatchSpec) -> u64 {
-        let Response::ReqId(id) = self.call(Command::ReqPostRecv { spec }) else {
-            self.protocol("unexpected response to ReqPostRecv")
-        };
-        id
+        self.call(|x, r| x.req_post_recv(r, spec))
     }
 
     /// Block until the identified requests complete (all, or any one if
@@ -438,19 +334,18 @@ impl RankCtx {
     /// `cont` tags the completions as continuation-delivered for the
     /// tallies.
     pub fn req_wait(&self, ids: Vec<u64>, any: bool, cont: bool) -> Outcomes {
-        let Response::ReqOutcomes(v) = self.call(Command::ReqWait { ids, any, cont }) else {
-            self.protocol("unexpected response to ReqWait")
-        };
-        v
+        if let Some(done) = self.on_lane(|x, r| x.req_wait(r, ids, any, cont)) {
+            return done;
+        }
+        self.park();
+        let done = self.slot.outcomes.take();
+        done.unwrap_or_else(|| self.protocol("req_wait resumed without its outcomes"))
     }
 
     /// Reap whichever of the identified requests have already completed;
     /// never blocks.
     pub fn req_test(&self, ids: Vec<u64>, cont: bool) -> Outcomes {
-        let Response::ReqOutcomes(v) = self.call(Command::ReqTest { ids, cont }) else {
-            self.protocol("unexpected response to ReqTest")
-        };
-        v
+        self.on_lane(|x, r| x.req_test(r, &ids, cont))
     }
 
     /// Free a previous [`RankCtx::heap_alloc`] (`size` must match the
@@ -458,12 +353,9 @@ impl RankCtx {
     /// is poisoned and audited: a double free or a later write through
     /// the stale pointer ends the run with a clean error naming this
     /// rank rather than corrupting another rank's memory.
-    /// Kept for tests: the only way to issue `Command::FreeHeap`.
+    /// Kept for tests: fault hook (an invalid free trips the arena guard).
     pub fn heap_free(&self, ptr: *mut u8, size: usize) {
-        self.call(Command::FreeHeap {
-            addr: ptr as usize,
-            size,
-        });
+        self.call(|x, r| x.heap_free(r, IsoPtr { ptr, size }))
     }
 }
 
@@ -473,7 +365,7 @@ impl RankCtx {
 /// share and under whose path the suite lists them.
 macro_rules! handler_tests {
     () => {
-        /// A command that fails on the rank's stack ends the run exactly as
+        /// A call that fails on the rank's stack ends the run exactly as
         /// one that failed in the scheduler did: the rank is not resumed, and
         /// both engines pick the same error among the lanes that raised one
         /// (both at the first event, so the lower PE's).
@@ -594,18 +486,23 @@ macro_rules! handler_tests {
 
         /// What used to be `expect`s and `panic!`s between rank and scheduler
         /// is the one typed error: a parked receive resumed with no message,
-        /// and a body that yields behind the runtime's back.
+        /// a parked wait resumed without its outcomes, and a body that
+        /// yields behind the runtime's back.
         #[test]
         fn rank_and_scheduler_disagreeing_is_a_protocol_error_not_a_panic() {
             let mut m = builder()
-                .vp_ratio(2)
+                .vp_ratio(3)
                 .build(Arc::new(|ctx: RankCtx| match ctx.rank() {
                     0 => drop(ctx.recv()),
+                    1 => drop(ctx.req_wait(vec![ctx.req_post_recv(MatchSpec::ANY)], false, false)),
                     _ => pvr_ult::yield_now(),
                 }))
                 .unwrap();
-            assert!(matches!(m.run_rank_slice(0), Ok(StopReason::BlockedRecv)));
-            for (rank, what) in [(0, "RecvMatch"), (1, "without issuing a command")] {
+            for rank in [0, 1] {
+                m.run_rank_slice(rank).unwrap();
+                assert_eq!(m.rank(rank).status, RankStatus::Waiting);
+            }
+            for (rank, what) in [(0, "recv_match"), (1, "req_wait"), (2, "outside a RankCtx call")] {
                 match m.run_rank_slice(rank) {
                     Err(RtsError::Protocol { rank: r, detail }) => {
                         assert_eq!(r, rank);
@@ -614,6 +511,27 @@ macro_rules! handler_tests {
                     other => panic!("expected Protocol, got {other:?}"),
                 }
             }
+        }
+
+        /// In real time `wtime` reads the wall clock at the call, so a body
+        /// can time its own kernel inside one slice.
+        #[test]
+        fn real_time_wtime_moves_inside_a_slice() {
+            let elapsed = Arc::new(Mutex::new(0.0));
+            let seen = elapsed.clone();
+            let mut m = builder()
+                .clock(ClockMode::RealTime)
+                .build(Arc::new(move |ctx: RankCtx| {
+                    let (t0, start) = (ctx.wtime(), std::time::Instant::now());
+                    while start.elapsed() < std::time::Duration::from_millis(1) {
+                        std::hint::spin_loop();
+                    }
+                    *seen.lock() = ctx.wtime() - t0;
+                }))
+                .unwrap();
+            m.run().unwrap();
+            let elapsed = *elapsed.lock();
+            assert!(elapsed >= 0.001, "wtime moved {elapsed} s over 1 ms of work");
         }
 
         #[test]

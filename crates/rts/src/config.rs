@@ -8,7 +8,7 @@
 
 use crate::barrier::BarrierAction;
 use crate::checkpoint::Checkpoints;
-use crate::command::{RankCtx, RankShared, Slot};
+use crate::command::{RankCtx, Slot};
 use crate::driver::Driver;
 use crate::guards::Guards;
 use crate::lb::LoadBalancer;
@@ -31,7 +31,7 @@ use pvr_progimage::{ProgramBinary, SharedFs};
 use pvr_trace::{EventKind, ProbeVerdict, Tracer, NO_RANK};
 use pvr_ult::{Backend, StackMem, Ult};
 use std::fmt;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize};
+use std::sync::atomic::AtomicPtr;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -96,8 +96,8 @@ fn degradable(e: &PrivatizeError) -> bool {
 /// Privatizers and rank states produced by one startup attempt.
 type BuiltJob = (Vec<Box<dyn Privatizer>>, Vec<RankState>);
 
-/// Smallest rank stack [`MachineConfig::validate`] accepts: twice what
-/// the deepest command handler needs in a debug build (see
+/// Smallest rank stack [`MachineConfig::validate`] accepts: the deepest
+/// lane call a rank makes must fit in half of it in a debug build (see
 /// [`MachineBuilder::stack_size`]).
 pub(crate) const MIN_STACK_SIZE: usize = 32 * 1024;
 
@@ -444,15 +444,10 @@ impl MachineConfig {
             let stack = unsafe { StackMem::from_raw(stack_ptr, stack_size) };
 
             let slot = Arc::new(Slot::default());
-            let shared = Arc::new(RankShared {
-                current_pe: AtomicUsize::new(pe),
-                now_ns: AtomicU64::new(0),
-            });
             let ctx = RankCtx {
                 rank: r,
                 n_ranks,
                 slot: slot.clone(),
-                shared: shared.clone(),
                 instance: instance.clone(),
                 virtual_mode,
                 binary: binary.clone(),
@@ -468,7 +463,6 @@ impl MachineConfig {
                 memory: mem,
                 instance,
                 slot,
-                shared,
                 status: RankStatus::Ready,
                 matcher: Default::default(),
                 load_since_lb: SimDuration::ZERO,
@@ -733,12 +727,12 @@ impl MachineBuilder {
     }
 
     /// Bytes of ULT stack per rank (default 128 KiB, floor 32 KiB). It
-    /// carries the rank's frames *and* the runtime's command handlers,
-    /// which run on it. Their worst case below the calling frame (a
-    /// reliable send to self, lossy plan, tracing on) is 3.5 KiB
-    /// optimised and 13.1 KiB in a debug build: a tenth of the smallest
-    /// stack any test or benchmark configures (128 KiB). Measured at the
-    /// floor by `deepest_handler_fits_the_smallest_stack`.
+    /// carries the rank's frames *and* the runtime's lane calls, which
+    /// run on it. Their worst case below the calling frame (a reliable
+    /// send to self, lossy plan, tracing on) is 2.6 KiB optimised and
+    /// 8.0 KiB in a debug build: a sixteenth of the smallest stack any
+    /// test or benchmark configures (128 KiB). Measured at the floor by
+    /// `deepest_handler_fits_the_smallest_stack`.
     pub fn stack_size(mut self, s: usize) -> Self {
         self.cfg.stack_size = s;
         self

@@ -25,7 +25,7 @@ use crate::machine::{ClockMode, Event, Machine, RtsError};
 use crate::message::RtsMessage;
 use crate::rank::RankState;
 use crate::stats::{EngineTallies, RunReport};
-use crate::worker::{ExecCtx, Exhausted, Lane, StopReason};
+use crate::worker::{ExecCtx, Exhausted, Lane};
 use crate::{PeId, RankId};
 use pvr_des::{SimDuration, SimTime};
 use pvr_privatize::Method;
@@ -202,12 +202,11 @@ impl Machine {
 
     /// Drive one rank until it blocks, parks, yields, or completes
     /// (harness/test entry point).
-    pub(crate) fn run_rank_slice(&mut self, r: RankId) -> Result<StopReason, RtsError> {
+    pub(crate) fn run_rank_slice(&mut self, r: RankId) -> Result<(), RtsError> {
         let pe = self.shared.location.lookup(r);
         let (res, merged) = self.with_lane(pe, |ctx| ctx.run_rank_slice(r));
-        let stop = res?;
-        merged?;
-        Ok(stop)
+        res?;
+        merged
     }
 
     /// Run `f` on `pe`'s lane at a barrier and merge the lane back.
@@ -492,6 +491,7 @@ mod tests {
     use crate::config::MachineBuilder;
     use crate::lb::RotateLb;
     use crate::machine::tests::builder;
+    use crate::rank::RankStatus;
     use bytes::Bytes;
     use pvr_des::Topology;
     use std::sync::Arc;
@@ -549,7 +549,8 @@ mod tests {
         // `migrate_now`, on a rank parked in a receive with a message
         // buffered: the state, not a copy of it, changes lanes.
         let mut m = ring(|b| b);
-        assert!(matches!(m.run_rank_slice(0), Ok(StopReason::BlockedRecv)));
+        m.run_rank_slice(0).unwrap();
+        assert_eq!(m.rank(0).status, RankStatus::Waiting);
         m.deposit(RtsMessage::new(7, 0, STRAY, Bytes::new()));
         assert_eq!(counters(&m, 0), (0, 2, 1));
         m.migrate_now(0, 3).unwrap();

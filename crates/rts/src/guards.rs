@@ -391,7 +391,7 @@ macro_rules! guard_tests {
         }
 
         /// Guards are audited when a rank leaves its stack, not after every
-        /// command: a bleed between two posts is still caught, and still
+        /// call: a bleed between two posts is still caught, and still
         /// pinned on the rank that held the PE.
         #[test]
         fn segment_bleed_between_two_posts_trips_the_guard_when_the_writer_parks() {

@@ -54,10 +54,10 @@
 //! * [`config`] — [`MachineConfig`] / [`MachineBuilder`]: validated
 //!   job configuration, startup (binary load, privatizer selection,
 //!   fallback chain), and [`ConfigError`].
-//! * [`command`] — the rank ⇄ scheduler protocol: the lane's scheduler
-//!   code executes a rank's [`command::Command`] on the rank's own
-//!   stack, and only a call that must wait suspends the ULT. This
-//!   mirrors how blocking MPI calls trap into AMPI's scheduler.
+//! * [`command`] — the rank-side API: each [`RankCtx`] call runs the
+//!   lane's scheduler code on the rank's own stack, and only a call that
+//!   must wait suspends the ULT. This mirrors how blocking MPI calls
+//!   trap into AMPI's scheduler.
 //! * [`matching`] — the per-rank matching engine: hashed posted and
 //!   unexpected queues, the request table, counted waits.
 //! * `worker` / `engine_parallel` / `guards` (private) — the execution
@@ -89,7 +89,7 @@ pub mod stats;
 mod worker;
 
 pub use barrier::BarrierAction;
-pub use command::{MatchSpec, RankCtx, WorkModel};
+pub use command::{kernel_cost, MatchSpec, RankCtx};
 pub use config::{ConfigError, MachineBuilder, MachineConfig, Parallelism};
 pub use lb::{LbStats, LoadBalancer};
 pub use machine::{

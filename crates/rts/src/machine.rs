@@ -20,7 +20,6 @@ use pvr_privatize::{Method, PrivatizeError, Privatizer};
 use pvr_trace::{ArenaTrip, EventKind, Tracer, NO_RANK};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,7 +40,8 @@ pub enum RtsError {
     Deadlock { waiting: Vec<RankId> },
     /// A rank's body panicked.
     RankPanicked { rank: RankId, message: String },
-    /// A rank yielded outside the command protocol.
+    /// Rank and lane code disagree about a call (a rank yielded outside
+    /// one, or was resumed without its answer).
     Protocol { rank: RankId, detail: String },
     /// Invalid migration request.
     BadMigration { rank: RankId, detail: String },
@@ -429,7 +429,7 @@ impl Machine {
     /// (e.g. parked in `Recv`) before migrating it.
     pub fn drive_rank(&mut self, rank: RankId) -> Result<(), RtsError> {
         let _scope = self.trace_scope();
-        self.run_rank_slice(rank).map(|_| ())
+        self.run_rank_slice(rank)
     }
 
     /// Deliver a raw runtime message (harness use: waking a parked rank).
@@ -540,9 +540,8 @@ impl Machine {
     }
 
     /// `rank` now lives on `pe` — the commit point of every move, in the
-    /// two places that say where a rank is: the directory, and what
-    /// [`crate::RankCtx::my_pe`] reads — and its state and events follow
-    /// it into `pe`'s lane.
+    /// directory — and its state and events follow it into `pe`'s lane,
+    /// whose PE [`crate::RankCtx::my_pe`] reads.
     pub(crate) fn place(&mut self, rank: RankId, pe: PeId) {
         let from = self.shared.location.lookup(rank);
         self.shared.location.update(rank, pe);
@@ -552,8 +551,6 @@ impl Machine {
             lanes[pe].ranks.put(rank, state);
             self.rehome_events(from);
         }
-        let current_pe = &self.rank(rank).shared.current_pe;
-        current_pe.store(pe, Ordering::Relaxed);
     }
 
     /// Bring `rank`'s stack extent up to date with its ULT's suspended
@@ -645,13 +642,12 @@ pub(crate) mod tests {
     use super::*;
     use crate::command::{MatchSpec, RankCtx};
     use crate::config::{ConfigError, MachineBuilder, MachineConfig, Parallelism};
-    use crate::worker::StopReason;
     use bytes::Bytes;
     use parking_lot::Mutex;
     use pvr_des::{NetworkModel, Topology};
     use pvr_isomalloc::RegionKind;
     use pvr_progimage::{link, ImageSpec, ProgramBinary, SharedFs};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn test_binary() -> Arc<ProgramBinary> {
         link(
@@ -926,10 +922,8 @@ pub(crate) mod tests {
             }))
             .unwrap();
         // run rank 0 until it parks in recv: drive manually
-        assert!(matches!(
-            m.run_rank_slice(0),
-            Ok(StopReason::BlockedRecv)
-        ));
+        m.run_rank_slice(0).unwrap();
+        assert_eq!(m.rank(0).status, RankStatus::Waiting);
         let rec = m.migrate_now(0, 1).unwrap();
         assert_eq!(rec.from_pe, 0);
         assert_eq!(rec.to_pe, 1);
@@ -964,7 +958,8 @@ pub(crate) mod tests {
                 assert_eq!(tags, [8, 9, 7]);
             }))
             .unwrap();
-        assert!(matches!(m.run_rank_slice(0), Ok(StopReason::BlockedRecv)));
+        m.run_rank_slice(0).unwrap();
+        assert_eq!(m.rank(0).status, RankStatus::Waiting);
         // wrong tag, wrong source: buffered, the rank stays suspended
         m.deposit(RtsMessage::new(1, 0, 8, Bytes::new()));
         m.deposit(RtsMessage::new(0, 0, 9, Bytes::new()));
@@ -1134,7 +1129,8 @@ pub(crate) mod tests {
         assert!(m.resolve_op_on_pe(0, offset).is_ok());
         assert!(m.resolve_op_on_pe(1, offset).is_ok());
         // park rank 0, move it away: PE 0 becomes empty
-        assert!(matches!(m.run_rank_slice(0), Ok(StopReason::BlockedRecv)));
+        m.run_rank_slice(0).unwrap();
+        assert_eq!(m.rank(0).status, RankStatus::Waiting);
         m.migrate_now(0, 1).unwrap();
         match m.resolve_op_on_pe(0, offset) {
             Err(RtsError::EmptyPeReduction { pe }) => assert_eq!(pe, 0),

@@ -1,6 +1,6 @@
 //! Scheduler-side state of one virtual rank.
 
-use crate::command::{RankShared, Slot};
+use crate::command::Slot;
 use crate::matching::Matcher;
 use crate::RankId;
 use pvr_des::SimDuration;
@@ -36,7 +36,6 @@ pub struct RankState {
     pub memory: RankMemory,
     pub instance: Arc<RankInstance>,
     pub slot: Arc<Slot>,
-    pub shared: Arc<RankShared>,
     pub status: RankStatus,
     /// Posted receives, the request table, the unexpected queue and the
     /// sends awaiting their ack.

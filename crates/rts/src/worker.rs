@@ -46,11 +46,11 @@
 //!   guarded machine runs on one worker, so the scan never meets a rank
 //!   running elsewhere.
 
-use crate::command::{Command, Response};
+use crate::command::MatchSpec;
 use crate::guards::Guards;
 use crate::location::LocationManager;
 use crate::machine::{arena_trip_kind, ClockMode, Event, ReliableState, RtsError};
-use crate::matching::{Arrival, FixedMap};
+use crate::matching::{Arrival, FixedMap, Outcomes};
 use crate::message::RtsMessage;
 use crate::pe::PeState;
 use crate::rank::{RankState, RankStatus};
@@ -66,24 +66,6 @@ use pvr_trace::{EventKind, Tracer, NO_RANK};
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Why a rank slice stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StopReason {
-    BlockedRecv,
-    AtSync,
-    Yielded,
-    Done,
-}
-
-/// What [`ExecCtx::handle`] made of a command.
-pub(crate) enum Handled {
-    /// Completed on the rank's stack: the rank keeps running.
-    Done(Response),
-    /// The rank must wait and leaves its stack; whoever completes a
-    /// receive or a wait answers it through the rank's slot.
-    Park(StopReason),
-}
 
 /// The ranks that live on one lane, indexed by [`RankId`]: a rank's slot
 /// is filled on exactly one lane, the one the directory
@@ -663,7 +645,7 @@ impl ExecCtx<'_> {
         match rs.matcher.arrive(msg) {
             Arrival::Posted(id, m) => self.complete_req(to, id, Some(m)),
             Arrival::Parked(m) => {
-                rs.slot.answer(Response::Message(m));
+                rs.slot.message.set(Some(m));
                 self.wake(to);
             }
             Arrival::Queued => {}
@@ -687,8 +669,8 @@ impl ExecCtx<'_> {
 
     /// Mark request `id` on rank `owner` complete, emit/tally the
     /// completion, and — if that satisfies the wait `owner` is suspended
-    /// in — reap the wait's outcomes, answer the pending command and
-    /// resume the rank. `owner` must live on this lane.
+    /// in — reap the wait's outcomes, answer the wait and resume the
+    /// rank. `owner` must live on this lane.
     fn complete_req(&mut self, owner: RankId, id: u64, msg: Option<RtsMessage>) {
         let (send, satisfied) = self.lane.ranks[owner].matcher.complete(id, msg);
         let req = &mut self.lane.out.tallies.req;
@@ -701,16 +683,14 @@ impl ExecCtx<'_> {
         if satisfied {
             let (cont, outcomes) = self.lane.ranks[owner].matcher.take_wait();
             self.tally_continuations(owner, cont, &outcomes);
-            self.lane.ranks[owner]
-                .slot
-                .answer(Response::ReqOutcomes(outcomes));
+            self.lane.ranks[owner].slot.outcomes.set(Some(outcomes));
             self.wake(owner);
         }
     }
 
-    /// Build rank `r`'s next outgoing message and account for it in the
-    /// envelope pool, the communication matrix and the trace. `what`
-    /// names the call in the error for a destination that does not exist.
+    /// Build rank `r`'s next outgoing message and count it (the rank's
+    /// sends, the envelope pool, the communication matrix, the trace).
+    /// `what` names the call in the error for a nonexistent destination.
     fn outgoing(
         &mut self,
         r: RankId,
@@ -726,6 +706,7 @@ impl ExecCtx<'_> {
             });
         }
         let msg = RtsMessage::new(r, to, tag, payload);
+        self.lane.ranks[r].messages_sent += 1;
         // Envelope-pool accounting: an inline payload's whole lifecycle
         // (send, retransmit copies, delivery) is allocation-free. The
         // classification depends only on the message stream, so every
@@ -781,24 +762,22 @@ impl ExecCtx<'_> {
     }
 
     /// Drive one rank until it leaves its stack: a call that must wait,
-    /// an error, or the end of its body. Commands that complete run
-    /// inside the resume ([`ExecCtx::handle`]). The rank must live on
+    /// an error, or the end of its body. The rank's calls that complete
+    /// run inside the resume (the methods below). The rank must live on
     /// this lane.
-    pub(crate) fn run_rank_slice(&mut self, r: RankId) -> Result<StopReason, RtsError> {
+    pub(crate) fn run_rank_slice(&mut self, r: RankId) -> Result<(), RtsError> {
         let pe = self.lane.pe;
-        let now_ns = self.shared.now_ns(self.lane);
-        let rs = &mut self.lane.ranks[r];
         // Context switch: the trace context first (installing records
         // under it), the rank's registers, this PE's local-storage block.
         if self.shared.tracer.is_some() {
-            pvr_trace::set_context(pe, r as u32, now_ns);
+            pvr_trace::set_context(pe, r as u32, self.shared.now_ns(self.lane));
         }
+        let rs = &mut self.lane.ranks[r];
         rs.instance.activate();
         let hls = self.shared.hls[pe].load(Ordering::Relaxed);
         if !hls.is_null() {
             pvr_privatize::regs::set_pe_base(hls);
         }
-        rs.shared.now_ns.store(now_ns, Ordering::Relaxed);
         let ctx_work = rs.instance.has_ctx_work();
         let mut ult = rs.ult.take().expect("rank ULT present");
         // the rank's calls re-derive its state: hold no borrow across them
@@ -833,7 +812,7 @@ impl ExecCtx<'_> {
                 // rank's table cannot pin messages or wake logic.
                 self.lane.out.tallies.req.leaked += rs.matcher.clear_reqs() as u64;
                 self.lane.out.done += 1;
-                Ok(StopReason::Done)
+                Ok(())
             }
             Err(e) => {
                 rs.status = RankStatus::Done;
@@ -853,162 +832,181 @@ impl ExecCtx<'_> {
             Ok(pvr_ult::UltState::Suspended) => stop.unwrap_or_else(|| {
                 Err(RtsError::Protocol {
                     rank: r,
-                    detail: "rank yielded without issuing a command".into(),
+                    detail: "rank yielded outside a RankCtx call".into(),
                 })
             }),
         }
     }
 
-    /// Execute one command of rank `r`, the rank this lane is running:
-    /// called **on `r`'s own stack** by `RankCtx::call`, through the
-    /// pointer `run_rank_slice` published for the span of the resume.
-    /// `Done` costs no context switch; `Park` and `Err` end the slice.
-    pub(crate) fn handle(&mut self, r: RankId, cmd: Command) -> Result<Handled, RtsError> {
-        debug_assert_eq!(self.lane.out.last_ran, Some(r));
-        let shared = self.shared;
-        // Each arm re-derives the rank's state after any call on `self`:
-        // a send to itself reaches the same rank inside `route`.
-        let resp = match cmd {
-            Command::Send { to, tag, payload } => {
-                let msg = self.outgoing(r, to, tag, payload, "send")?;
-                self.lane.ranks[r].messages_sent += 1;
-                self.route(msg);
-                Response::Ack
+    // The calls rank `r`, the one this lane is running, makes **on its own
+    // stack** (`RankCtx`, through `Slot::resume`'s pointer). Only `recv`,
+    // `req_wait`, `yield_now` and `at_sync` park it. Each re-derives the
+    // rank's state after a call on `self`: a send to itself reaches the
+    // same rank inside `route`.
+
+    pub(crate) fn send(
+        &mut self,
+        r: RankId,
+        to: RankId,
+        tag: u64,
+        payload: bytes::Bytes,
+    ) -> Result<(), RtsError> {
+        let msg = self.outgoing(r, to, tag, payload, "send")?;
+        self.route(msg);
+        Ok(())
+    }
+
+    /// The oldest buffered message `spec` accepts. With `block`, having
+    /// none parks the rank until `deposit` answers it.
+    pub(crate) fn recv(&mut self, r: RankId, spec: MatchSpec, block: bool) -> Option<RtsMessage> {
+        let rs = &mut self.lane.ranks[r];
+        let m = rs.matcher.recv(spec, block);
+        if m.is_none() && block {
+            rs.status = RankStatus::Waiting;
+            self.trace(r as u32, EventKind::Block);
+        }
+        m
+    }
+
+    /// Advance the PE's virtual clock by `d` of work; in real time the
+    /// work physically happened and nothing is declared.
+    pub(crate) fn compute(&mut self, r: RankId, d: SimDuration) {
+        if self.shared.clock == ClockMode::Virtual {
+            let lane = &mut *self.lane;
+            lane.state.work(d);
+            let rs = &mut lane.ranks[r];
+            rs.load_since_lb += d;
+            rs.total_load += d;
+            if self.shared.tracer.is_some() {
+                // the rank keeps running: its own emissions (`MpiCall`)
+                // are stamped with the advanced clock
+                pvr_trace::set_context(lane.pe, r as u32, lane.state.clock.nanos());
             }
-            Command::RecvMatch { spec } => {
-                let rs = &mut self.lane.ranks[r];
-                match rs.matcher.recv(spec, true) {
-                    Some(m) => Response::Message(m),
-                    None => {
-                        rs.status = RankStatus::Waiting;
-                        self.trace(r as u32, EventKind::Block);
-                        // answered by `deposit` when a message the spec
-                        // accepts arrives
-                        return Ok(Handled::Park(StopReason::BlockedRecv));
-                    }
-                }
-            }
-            Command::TryRecvMatch { spec } => match self.lane.ranks[r].matcher.recv(spec, false) {
-                Some(m) => Response::Message(m),
-                None => Response::NoMessage,
-            },
-            Command::Compute(d) => {
-                if shared.clock == ClockMode::Virtual {
-                    let lane = &mut *self.lane;
-                    lane.state.work(d);
-                    let now_ns = lane.state.clock.nanos();
-                    let rs = &mut lane.ranks[r];
-                    rs.load_since_lb += d;
-                    rs.total_load += d;
-                    rs.shared.now_ns.store(now_ns, Ordering::Relaxed);
-                    if shared.tracer.is_some() {
-                        // the rank keeps running: its own emissions
-                        // (`MpiCall`) are stamped with the advanced clock
-                        pvr_trace::set_context(lane.pe, r as u32, now_ns);
-                    }
-                }
-                Response::Ack
-            }
-            Command::Yield => {
-                self.lane.state.ready.push_back(r);
-                return Ok(Handled::Park(StopReason::Yielded));
-            }
-            Command::AtSync => {
-                self.lane.ranks[r].status = RankStatus::AtSync;
-                self.lane.out.at_sync += 1;
-                return Ok(Handled::Park(StopReason::AtSync));
-            }
-            Command::AllocHeap { size, align } => {
-                let ptr = self.lane.ranks[r]
-                    .memory
-                    .heap()
-                    .alloc(size, align)
-                    .map_err(|e| RtsError::Privatize(PrivatizeError::Alloc(e)))?;
-                Response::Addr(ptr.ptr as usize)
-            }
-            Command::FreeHeap { addr, size } => {
-                let res = self.lane.ranks[r].memory.heap().try_dealloc(IsoPtr {
-                    ptr: addr as *mut u8,
-                    size,
-                });
-                if let Err(v) = res {
-                    self.trace(
-                        r as u32,
-                        EventKind::ArenaGuardTrip {
-                            kind: arena_trip_kind(&v),
-                        },
-                    );
-                    self.lane.out.tallies.hardening.arena_guard_trips += 1;
-                    // The rank's corrupted-heap state must not run
-                    // further (same as AllocHeap failure).
-                    return Err(RtsError::ArenaGuard {
-                        rank: r,
-                        detail: v.to_string(),
-                    });
-                }
-                Response::Ack
-            }
-            Command::ReqPostSend { to, tag, payload } => {
-                self.check_req_capacity(r, self.lane.ranks[r].matcher.open_reqs())?;
-                let msg = self.outgoing(r, to, tag, payload, "isend")?;
-                let rs = &mut self.lane.ranks[r];
-                rs.messages_sent += 1;
-                let id = rs.matcher.post_send();
-                self.lane.out.tallies.req.send_posts += 1;
-                self.trace(r as u32, EventKind::ReqPost { req: id, send: true });
-                match (shared.clock, &shared.reliable) {
-                    (ClockMode::Virtual, Some(rel)) => {
-                        // completes when the payload's ack arrives back
-                        // on this (the sender's) lane
-                        let seq = self.send_reliable(rel, msg);
-                        self.lane.ranks[r].matcher.await_ack(to, seq, id);
-                    }
-                    _ => {
-                        // unconditional delivery: buffered-send
-                        // semantics, complete at post
-                        self.route(msg);
-                        self.complete_req(r, id, None);
-                    }
-                }
-                Response::ReqId(id)
-            }
-            Command::ReqPostRecv { spec } => {
-                self.check_req_capacity(r, self.lane.ranks[r].matcher.open_reqs())?;
-                // An already-buffered match is claimed now, oldest
-                // first, which preserves non-overtaking.
-                let (id, claimed) = self.lane.ranks[r].matcher.post_recv(spec);
-                self.lane.out.tallies.req.recv_posts += 1;
-                self.trace(r as u32, EventKind::ReqPost { req: id, send: false });
-                if let Some(m) = claimed {
-                    self.complete_req(r, id, Some(m));
-                }
-                Response::ReqId(id)
-            }
-            Command::ReqWait { ids, any, cont } => {
-                match self.lane.ranks[r].matcher.wait(ids, any, cont) {
-                    Ok(outcomes) => {
-                        self.tally_continuations(r, cont, &outcomes);
-                        Response::ReqOutcomes(outcomes)
-                    }
-                    Err(pending) => {
-                        self.lane.ranks[r].status = RankStatus::Waiting;
-                        self.lane.out.tallies.req.wait_blocks += 1;
-                        self.trace(r as u32, EventKind::Block);
-                        let waiting = pending as u32;
-                        self.trace(r as u32, EventKind::ReqWaitBlock { waiting });
-                        // answered by `complete_req` when the wait set
-                        // is satisfied
-                        return Ok(Handled::Park(StopReason::BlockedRecv));
-                    }
-                }
-            }
-            Command::ReqTest { ids, cont } => {
-                let outcomes = self.lane.ranks[r].matcher.reap(&ids, true);
-                self.tally_continuations(r, cont, &outcomes);
-                Response::ReqOutcomes(outcomes)
-            }
+        }
+    }
+
+    /// The rank stays ready and parks, to let other ranks run.
+    pub(crate) fn yield_now(&mut self, r: RankId) {
+        self.lane.state.ready.push_back(r);
+    }
+
+    /// The rank parks at the load-balancing barrier.
+    pub(crate) fn at_sync(&mut self, r: RankId) {
+        self.lane.ranks[r].status = RankStatus::AtSync;
+        self.lane.out.at_sync += 1;
+    }
+
+    pub(crate) fn heap_alloc(
+        &mut self,
+        r: RankId,
+        size: usize,
+        align: usize,
+    ) -> Result<*mut u8, RtsError> {
+        let heap = self.lane.ranks[r].memory.heap();
+        let ptr = heap.alloc(size, align).map_err(PrivatizeError::Alloc)?;
+        Ok(ptr.ptr)
+    }
+
+    /// Return an allocation to the rank's heap. With the arena guard
+    /// enabled, an invalid free (double free, foreign pointer) or a write
+    /// through a stale pointer is a rank-attributed error, and the rank's
+    /// corrupted heap does not run further.
+    pub(crate) fn heap_free(&mut self, r: RankId, ptr: IsoPtr) -> Result<(), RtsError> {
+        let Err(v) = self.lane.ranks[r].memory.heap().try_dealloc(ptr) else {
+            return Ok(());
         };
-        Ok(Handled::Done(resp))
+        let kind = arena_trip_kind(&v);
+        self.trace(r as u32, EventKind::ArenaGuardTrip { kind });
+        self.lane.out.tallies.hardening.arena_guard_trips += 1;
+        Err(RtsError::ArenaGuard {
+            rank: r,
+            detail: v.to_string(),
+        })
+    }
+
+    pub(crate) fn req_post_send(
+        &mut self,
+        r: RankId,
+        to: RankId,
+        tag: u64,
+        payload: bytes::Bytes,
+    ) -> Result<u64, RtsError> {
+        self.check_req_capacity(r, self.lane.ranks[r].matcher.open_reqs())?;
+        let msg = self.outgoing(r, to, tag, payload, "isend")?;
+        let id = self.lane.ranks[r].matcher.post_send();
+        self.lane.out.tallies.req.send_posts += 1;
+        self.trace(
+            r as u32,
+            EventKind::ReqPost {
+                req: id,
+                send: true,
+            },
+        );
+        match (self.shared.clock, &self.shared.reliable) {
+            (ClockMode::Virtual, Some(rel)) => {
+                // completes when the payload's ack arrives back on this
+                // (the sender's) lane
+                let seq = self.send_reliable(rel, msg);
+                self.lane.ranks[r].matcher.await_ack(to, seq, id);
+            }
+            _ => {
+                // unconditional delivery: buffered-send semantics,
+                // complete at post
+                self.route(msg);
+                self.complete_req(r, id, None);
+            }
+        }
+        Ok(id)
+    }
+
+    pub(crate) fn req_post_recv(&mut self, r: RankId, spec: MatchSpec) -> Result<u64, RtsError> {
+        self.check_req_capacity(r, self.lane.ranks[r].matcher.open_reqs())?;
+        // An already-buffered match is claimed now, oldest first, which
+        // preserves non-overtaking.
+        let (id, claimed) = self.lane.ranks[r].matcher.post_recv(spec);
+        self.lane.out.tallies.req.recv_posts += 1;
+        self.trace(
+            r as u32,
+            EventKind::ReqPost {
+                req: id,
+                send: false,
+            },
+        );
+        if let Some(m) = claimed {
+            self.complete_req(r, id, Some(m));
+        }
+        Ok(id)
+    }
+
+    /// The outcomes of the wait on `ids`, if it is satisfied now; `None`
+    /// parks the rank until `complete_req` answers it.
+    pub(crate) fn req_wait(
+        &mut self,
+        r: RankId,
+        ids: Vec<u64>,
+        any: bool,
+        cont: bool,
+    ) -> Option<Outcomes> {
+        match self.lane.ranks[r].matcher.wait(ids, any, cont) {
+            Ok(outcomes) => {
+                self.tally_continuations(r, cont, &outcomes);
+                Some(outcomes)
+            }
+            Err(pending) => {
+                self.lane.ranks[r].status = RankStatus::Waiting;
+                self.lane.out.tallies.req.wait_blocks += 1;
+                self.trace(r as u32, EventKind::Block);
+                let waiting = pending as u32;
+                self.trace(r as u32, EventKind::ReqWaitBlock { waiting });
+                None
+            }
+        }
+    }
+
+    pub(crate) fn req_test(&mut self, r: RankId, ids: &[u64], cont: bool) -> Outcomes {
+        let outcomes = self.lane.ranks[r].matcher.reap(ids, true);
+        self.tally_continuations(r, cont, &outcomes);
+        outcomes
     }
 
     /// Dispatch one virtual-mode event on this lane.
