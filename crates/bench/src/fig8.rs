@@ -106,19 +106,13 @@ pub fn measure_opt(
 /// methods, the code-dedup ablation (the paper's §6 future-work idea),
 /// and COWglobals, whose code ballast is counted but never stored.
 pub fn run(reps: usize) -> Vec<MigrationRow> {
+    let heaps_mb = [1usize, 3, 10, 32, 100];
     let mut rows = Vec::new();
-    for &heap_mb in &[1usize, 3, 10, 32, 100] {
-        rows.push(measure(Method::TlsGlobals, heap_mb << 20, reps));
+    for method in [Method::TlsGlobals, Method::PieGlobals] {
+        rows.extend(heaps_mb.map(|mb| measure(method, mb << 20, reps)));
     }
-    for &heap_mb in &[1usize, 3, 10, 32, 100] {
-        rows.push(measure(Method::PieGlobals, heap_mb << 20, reps));
-    }
-    for &heap_mb in &[1usize, 3, 10, 32, 100] {
-        rows.push(measure_opt(Method::PieGlobals, heap_mb << 20, reps, true));
-    }
-    for &heap_mb in &[1usize, 3, 10, 32, 100] {
-        rows.push(measure(Method::CowGlobals, heap_mb << 20, reps));
-    }
+    rows.extend(heaps_mb.map(|mb| measure_opt(Method::PieGlobals, mb << 20, reps, true)));
+    rows.extend(heaps_mb.map(|mb| measure(Method::CowGlobals, mb << 20, reps)));
     rows
 }
 

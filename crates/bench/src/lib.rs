@@ -30,34 +30,30 @@ pub mod scaling;
 pub mod tables;
 pub mod tracing_exp;
 
-/// Render a simple aligned text table.
-pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
+/// Render an aligned text table: `title`, the header row, a dash rule,
+/// then `rows`, each column as wide as its widest cell.
+pub fn render_table<S: AsRef<str>>(
+    title: &str,
+    headers: &[&str],
+    rows: &[impl AsRef<[S]>],
+) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, c) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(c.len());
-            }
+        for (w, c) in widths.iter_mut().zip(row.as_ref()) {
+            *w = (*w).max(c.as_ref().len());
         }
     }
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    let mut line = String::from("| ");
-    for (h, w) in headers.iter().zip(&widths) {
-        line.push_str(&format!("{:w$} | ", h, w = w));
-    }
-    out.push_str(line.trim_end());
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + widths.len() * 3 + 1));
-    out.push('\n');
-    for row in rows {
+    let line = |cells: &mut dyn Iterator<Item = &str>| {
         let mut line = String::from("| ");
-        for (c, w) in row.iter().zip(&widths) {
-            line.push_str(&format!("{:w$} | ", c, w = w));
+        for (c, &w) in cells.zip(&widths) {
+            line.push_str(&format!("{c:w$} | "));
         }
-        out.push_str(line.trim_end());
-        out.push('\n');
+        format!("{}\n", line.trim_end())
+    };
+    let rule = "-".repeat(widths.iter().sum::<usize>() + widths.len() * 3 + 1);
+    let mut out = format!("{title}\n{}{rule}\n", line(&mut headers.iter().copied()));
+    for row in rows {
+        out.push_str(&line(&mut row.as_ref().iter().map(AsRef::as_ref)));
     }
     out
 }

@@ -1,20 +1,23 @@
 //! Tables 1 and 3: the qualitative method matrices.
 
-use pvr_privatize::matrix;
+use crate::render_table;
+use pvr_privatize::matrix::{self, MatrixRow};
+
+/// The matrix `rows` as a text table under `title`.
+fn render(title: &str, rows: Vec<MatrixRow>) -> String {
+    let (headers, cells) = matrix::cells(&rows);
+    render_table(title, &headers, &cells)
+}
 
 pub fn table1() -> String {
-    matrix::render(
-        &matrix::table1(),
-        "Table 1: Summary of existing privatization methods and their features.",
-    )
+    let title = "Table 1: Summary of existing privatization methods and their features.";
+    render(title, matrix::table1())
 }
 
 pub fn table3() -> String {
-    matrix::render(
-        &matrix::table3(),
-        "Table 3: Summary of privatization methods and their features, \
-         including our three novel runtime methods.",
-    )
+    let title = "Table 3: Summary of privatization methods and their features, \
+                 including our three novel runtime methods.";
+    render(title, matrix::table3())
 }
 
 #[cfg(test)]
@@ -27,5 +30,12 @@ mod tests {
         assert!(t1.contains("Swapglobals"));
         assert!(t3.contains("PIEglobals"));
         assert!(t3.lines().count() > t1.lines().count());
+    }
+
+    #[test]
+    fn render_produces_aligned_table() {
+        let s = super::table3();
+        assert!(s.contains("PIEglobals") && s.contains("Migration Support"));
+        assert_eq!(s.lines().count(), 3 + 8);
     }
 }

@@ -13,10 +13,11 @@ use crate::driver::Driver;
 use crate::guards::Guards;
 use crate::lb::LoadBalancer;
 use crate::location::LocationManager;
-use crate::machine::{ClockMode, Machine, ReliableState};
+use crate::machine::{ClockMode, Machine};
 use crate::rank::{RankState, RankStatus};
 use crate::rescale::Geometry;
 use crate::stats::{HardeningTallies, Tallies};
+use crate::transport::TransportParams;
 use crate::worker::Shared;
 use crate::PeId;
 use parking_lot::Mutex;
@@ -470,6 +471,7 @@ impl MachineConfig {
                 messages_sent: 0,
                 messages_received: 0,
                 migrations: 0,
+                transport: Default::default(),
             })
         };
 
@@ -608,15 +610,10 @@ impl MachineConfig {
         let mut barrier_script = self.barrier_script;
         barrier_script.sort_by_key(|&(step, action)| (step, action.order()));
 
-        let reliable = self.network.fault_plan().map(|plan| {
-            Mutex::new(ReliableState {
-                plan: *plan,
-                base_rto: self.retransmit_base,
-                max_attempts: self.retransmit_max_attempts,
-                send_seq: Default::default(),
-                inflight: Default::default(),
-                recv: Default::default(),
-            })
+        let reliable = self.network.fault_plan().map(|plan| TransportParams {
+            plan: *plan,
+            base_rto: self.retransmit_base,
+            max_attempts: self.retransmit_max_attempts,
         });
 
         // Per-PE hierarchical-local-storage blocks (MPC HLS): resolved

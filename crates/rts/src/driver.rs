@@ -25,7 +25,8 @@ use crate::machine::{ClockMode, Event, Machine, RtsError};
 use crate::message::RtsMessage;
 use crate::rank::RankState;
 use crate::stats::{EngineTallies, RunReport};
-use crate::worker::{ExecCtx, Exhausted, Lane};
+use crate::transport::Exhausted;
+use crate::worker::{ExecCtx, Lane};
 use crate::{PeId, RankId};
 use pvr_des::{SimDuration, SimTime};
 use pvr_privatize::Method;
@@ -353,12 +354,10 @@ impl Machine {
         // Deferred retransmit exhaustions, judged against post-epoch
         // receive state in deterministic (time, sender PE) order.
         exhausted.sort_by_key(|&(pe, ref ex)| (ex.at, pe));
-        if let Some(rel) = &mut self.shared.reliable {
-            let rel = rel.get_mut();
-            for (pe, ex) in exhausted {
-                if let Err(e) = rel.give_up(ex.from, ex.to, ex.seq, ex.attempts) {
-                    errors.push((ex.at, pe, 1, e));
-                }
+        for (pe, ex) in exhausted {
+            let released = self.rank(ex.to).transport.released(ex.from, ex.seq);
+            if let Err(e) = ex.judge(&mut self.rank_mut(ex.from).transport, released) {
+                errors.push((ex.at, pe, 1, e));
             }
         }
         errors.sort_by_key(|&(t, pe, class, _)| (t, pe, class));

@@ -3,7 +3,7 @@
 //! segment — checked after every resume on the lane, and again at every
 //! LB barrier. The canaries and the quarantines live in rank memory;
 //! what the guards keep besides is [`Guards`], which every lane reaches
-//! through the machine's `Shared`, like the reliable-delivery state.
+//! through the machine's `Shared`, like the directory and the network.
 //!
 //! The per-slice segment check reads *every* rank's segment, so a rank
 //! running on another worker at that moment would look like bleed: a

@@ -60,6 +60,8 @@
 //!   trap into AMPI's scheduler.
 //! * [`matching`] — the per-rank matching engine: hashed posted and
 //!   unexpected queues, the request table, counted waits.
+//! * `transport` (private) — reliable delivery over a lossy network:
+//!   each rank owns its side of every pair, beside its matcher.
 //! * `worker` / `engine_parallel` / `guards` (private) — the execution
 //!   engine: a lane's scheduler code (`ExecCtx`: one context, one lane),
 //!   the `Shared` state every lane reads, the worker pool (of one thread
@@ -86,6 +88,7 @@ pub mod pe;
 pub mod rank;
 pub mod rescale;
 pub mod stats;
+mod transport;
 mod worker;
 
 pub use barrier::BarrierAction;

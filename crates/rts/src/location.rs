@@ -7,14 +7,13 @@
 //! keeps the same interface: a sender's lookup may be stale, and `update`
 //! is the migration commit point. A message that reaches a rank's old PE
 //! is charged one more network hop to its current one (the lane's
-//! `Deliver` handler); the directory itself counts only migrations.
+//! `Deliver` handler).
 
 use crate::{PeId, RankId};
 
 #[derive(Debug)]
 pub struct LocationManager {
     home: Vec<PeId>,
-    migrations: u64,
 }
 
 impl LocationManager {
@@ -24,7 +23,6 @@ impl LocationManager {
         let ratio = n_ranks.div_ceil(n_pes);
         LocationManager {
             home: (0..n_ranks).map(|r| (r / ratio).min(n_pes - 1)).collect(),
-            migrations: 0,
         }
     }
 
@@ -38,14 +36,7 @@ impl LocationManager {
 
     /// Commit a migration.
     pub fn update(&mut self, rank: RankId, to: PeId) {
-        if self.home[rank] != to {
-            self.home[rank] = to;
-            self.migrations += 1;
-        }
-    }
-
-    pub fn migrations(&self) -> u64 {
-        self.migrations
+        self.home[rank] = to;
     }
 
     /// Ranks resident on `pe` (the PIEglobals reduction-operator
@@ -95,9 +86,8 @@ mod tests {
         let mut lm = LocationManager::new_block(4, 2);
         lm.update(0, 1);
         assert_eq!(lm.lookup(0), 1);
-        assert_eq!(lm.migrations(), 1);
         lm.update(0, 1); // no-op
-        assert_eq!(lm.migrations(), 1);
+        assert_eq!(lm.lookup(0), 1);
         assert_eq!(lm.resident_count(1), 3);
         assert_eq!(lm.residents(0).collect::<Vec<_>>(), vec![1]);
     }

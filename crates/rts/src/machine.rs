@@ -14,7 +14,6 @@ use crate::stats::{CowTallies, Tallies};
 pub use crate::stats::{FaultTallies, HardeningTallies, LbRecord, MigrationRecord, RunReport};
 use crate::worker::Shared;
 use crate::{PeId, RankId};
-use pvr_des::{FaultPlan, SimDuration};
 use pvr_isomalloc::GuardViolation;
 use pvr_privatize::{Method, PrivatizeError, Privatizer};
 use pvr_trace::{ArenaTrip, EventKind, Tracer, NO_RANK};
@@ -191,80 +190,6 @@ pub(crate) enum Event {
         seq: u64,
         attempt: u32,
     },
-}
-
-/// Per-(src,dst) receive state of the reliable-delivery layer: in-order
-/// exactly-once delivery via a reorder buffer keyed by sequence number.
-pub(crate) struct PairRecv {
-    /// Next sequence number to release to the application (seqs are
-    /// assigned from 1).
-    pub(crate) next_expected: u64,
-    /// Out-of-order arrivals awaiting the gap to fill.
-    pub(crate) pending: std::collections::BTreeMap<u64, RtsMessage>,
-    /// Monotonic ack instance counter for this pair (keys ack fault
-    /// decisions; per-pair so decisions are independent of cross-pair
-    /// event interleaving and thus identical across engine parallelism).
-    pub(crate) ack_seq: u64,
-}
-
-impl Default for PairRecv {
-    fn default() -> Self {
-        PairRecv {
-            next_expected: 1,
-            pending: Default::default(),
-            ack_seq: 0,
-        }
-    }
-}
-
-/// Sender/receiver state of the reliable-delivery layer, active when a
-/// [`FaultPlan`] is attached to the network model (virtual clock only).
-///
-/// This state intentionally lives *outside* rank memory: it rolls
-/// forward across checkpoint rollback, so replayed application sends get
-/// fresh sequence numbers and both endpoints stay consistent.
-pub(crate) struct ReliableState {
-    pub(crate) plan: FaultPlan,
-    /// Base retransmission timeout added on top of the modeled path cost.
-    pub(crate) base_rto: SimDuration,
-    /// Total transmission attempts allowed per message (1 original +
-    /// `max_attempts - 1` retransmits).
-    pub(crate) max_attempts: u32,
-    /// Next sequence number per (src, dst) pair.
-    pub(crate) send_seq: std::collections::HashMap<(RankId, RankId), u64>,
-    /// Unacknowledged messages by (src, dst, seq).
-    pub(crate) inflight: std::collections::HashMap<(RankId, RankId, u64), RtsMessage>,
-    /// Receive-side dedup/reorder state per (src, dst) pair.
-    pub(crate) recv: std::collections::HashMap<(RankId, RankId), PairRecv>,
-}
-
-impl ReliableState {
-    /// Transmission `attempts` of `(from, to, seq)` was the last the
-    /// budget allows, and no ack has come back. If the receiver released
-    /// the message, only its acks were lost: forget it quietly.
-    /// Otherwise it is undeliverable.
-    pub(crate) fn give_up(
-        &mut self,
-        from: RankId,
-        to: RankId,
-        seq: u64,
-        attempts: u32,
-    ) -> Result<(), RtsError> {
-        let released = self
-            .recv
-            .get(&(from, to))
-            .is_some_and(|p| p.next_expected > seq);
-        if !released && self.inflight.contains_key(&(from, to, seq)) {
-            return Err(RtsError::DeliveryFailed {
-                from,
-                to,
-                seq,
-                attempts,
-            });
-        }
-        self.inflight.remove(&(from, to, seq));
-        Ok(())
-    }
 }
 
 /// Map an arena guard violation to its trace-event kind.
@@ -644,7 +569,7 @@ pub(crate) mod tests {
     use crate::config::{ConfigError, MachineBuilder, MachineConfig, Parallelism};
     use bytes::Bytes;
     use parking_lot::Mutex;
-    use pvr_des::{NetworkModel, Topology};
+    use pvr_des::{NetworkModel, SimDuration, Topology};
     use pvr_isomalloc::RegionKind;
     use pvr_progimage::{link, ImageSpec, ProgramBinary, SharedFs};
     use std::sync::atomic::{AtomicUsize, Ordering};

@@ -2,6 +2,7 @@
 
 use crate::command::Slot;
 use crate::matching::Matcher;
+use crate::transport::Transport;
 use crate::RankId;
 use pvr_des::SimDuration;
 use pvr_isomalloc::RankMemory;
@@ -48,6 +49,9 @@ pub struct RankState {
     pub messages_sent: u64,
     pub messages_received: u64,
     pub migrations: u32,
+    /// Its side of reliable delivery with every peer. Not rank memory:
+    /// it rolls forward across a rollback.
+    pub(crate) transport: Transport,
 }
 
 impl RankState {

@@ -37,10 +37,6 @@
 //! * **Tracer**: `Sync` by construction (atomic counters + per-PE ring
 //!   mutexes); each lane writes only its own PE rings, so per-PE event
 //!   streams stay deterministic.
-//! * **Reliable-delivery state**: a single `Mutex<ReliableState>`, locked
-//!   once per call of the layer's functions — all per-pair counters are
-//!   keyed so that each key is only mutated by one lane per epoch (see
-//!   the per-field notes in `machine.rs`).
 //! * **Guards** (`crate::guards::Guards`) and the privatizers their
 //!   segment scan reads through: the baseline sits behind a mutex, and a
 //!   guarded machine runs on one worker, so the scan never meets a rank
@@ -49,20 +45,20 @@
 use crate::command::MatchSpec;
 use crate::guards::Guards;
 use crate::location::LocationManager;
-use crate::machine::{arena_trip_kind, ClockMode, Event, ReliableState, RtsError};
+use crate::machine::{arena_trip_kind, ClockMode, Event, RtsError};
 use crate::matching::{Arrival, FixedMap, Outcomes};
 use crate::message::RtsMessage;
 use crate::pe::PeState;
 use crate::rank::{RankState, RankStatus};
 use crate::rescale::Geometry;
 use crate::stats::Tallies;
+use crate::transport::{Exhausted, TransportParams};
 use crate::{PeId, RankId};
-use parking_lot::Mutex;
 use pvr_des::queue::UNSTAMPED;
-use pvr_des::{EventQueue, FaultPlan, FaultStream, NetworkModel, SimDuration, SimTime, Topology};
+use pvr_des::{EventQueue, NetworkModel, SimDuration, SimTime, Topology};
 use pvr_isomalloc::IsoPtr;
 use pvr_privatize::{PrivatizeError, Privatizer};
-use pvr_trace::{EventKind, Tracer, NO_RANK};
+use pvr_trace::{EventKind, Tracer};
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -108,18 +104,6 @@ impl std::ops::IndexMut<RankId> for Residents {
             None => panic!("rank {r} does not live on this lane"),
         }
     }
-}
-
-/// A retransmit budget exhausted mid-epoch for a receiver on another
-/// lane: whether the message actually got through (only the acks were
-/// lost) cannot be decided until the receiver's lane finishes the epoch,
-/// so the verdict is deferred to the barrier.
-pub(crate) struct Exhausted {
-    pub at: SimTime,
-    pub from: RankId,
-    pub to: RankId,
-    pub seq: u64,
-    pub attempts: u32,
 }
 
 /// Everything a lane produces during an epoch that must cross the
@@ -242,8 +226,10 @@ impl Lane {
 }
 
 /// What every lane reads and only a barrier (holding `&mut Machine`)
-/// writes. The machine owns it; each [`ExecCtx`] borrows it shared, so
-/// it must be `Sync`.
+/// writes — save the guards' baseline, which a guarded machine's pool of
+/// one writes from its lane. The machine owns it; each [`ExecCtx`]
+/// borrows it shared, so it must be `Sync`. Nothing per rank lives here:
+/// that is the rank's, in its lane.
 pub(crate) struct Shared {
     pub clock: ClockMode,
     pub topology: Topology,
@@ -259,10 +245,9 @@ pub(crate) struct Shared {
     /// Which PEs are active, and which have failed.
     pub geometry: Geometry,
     pub tracer: Option<Arc<Tracer>>,
-    /// Reliable-delivery state, present when the network carries a
-    /// fault plan. Behind a mutex so concurrent lanes can share it; the
-    /// per-pair keying keeps its evolution deterministic regardless.
-    pub reliable: Option<Mutex<ReliableState>>,
+    /// Reliable-delivery parameters, present when the network carries a
+    /// fault plan; each rank's `Transport` holds its state.
+    pub reliable: Option<TransportParams>,
     /// One privatizer per simulated OS process.
     pub privatizers: Vec<Box<dyn Privatizer>>,
     /// Present when the memory-safety guards are on: every resume ends
@@ -312,7 +297,7 @@ impl ExecCtx<'_> {
     /// Schedule `ev` at `at`: locally when it targets this lane's PE
     /// inside the current epoch, otherwise via the outbox for the
     /// barrier merge.
-    fn emit(&mut self, target_pe: PeId, at: SimTime, ev: Event) {
+    pub(crate) fn emit(&mut self, target_pe: PeId, at: SimTime, ev: Event) {
         let lane = &mut *self.lane;
         if target_pe == lane.pe && at < lane.bound.0 {
             let at = at.max_of(lane.queue.now());
@@ -353,273 +338,6 @@ impl ExecCtx<'_> {
                 );
             }
         }
-    }
-
-    /// Assign a per-(src,dst) sequence number, stamp the checksum,
-    /// record the message in-flight, and transmit attempt 0. Returns the
-    /// assigned sequence number so a nonblocking send can key its
-    /// completion on the matching ack.
-    fn send_reliable(&mut self, rel: &Mutex<ReliableState>, mut msg: RtsMessage) -> u64 {
-        {
-            let mut rel = rel.lock();
-            let counter = rel.send_seq.entry((msg.from, msg.to)).or_insert(0);
-            *counter += 1;
-            msg.seq = *counter;
-            msg.seal();
-            rel.inflight.insert((msg.from, msg.to, msg.seq), msg.clone());
-        }
-        let seq = msg.seq;
-        let t_send = self.lane.state.clock.max_of(self.lane.queue.now());
-        self.transmit(rel, t_send, msg, 0);
-        seq
-    }
-
-    /// Transmit one attempt of an in-flight message: apply the fault
-    /// plan per copy (drop/duplicate/corrupt/jitter), schedule surviving
-    /// copies for delivery, and arm the retransmit timer.
-    ///
-    /// Always runs on the *sender's* lane (sends and `Retransmit` events
-    /// are both partitioned there), so the fault-plan decisions for one
-    /// (src, dst) pair are made in deterministic time order.
-    fn transmit(
-        &mut self,
-        rel: &Mutex<ReliableState>,
-        t_send: SimTime,
-        msg: RtsMessage,
-        attempt: u32,
-    ) {
-        let shared = self.shared;
-        let (from, to, seq) = (msg.from, msg.to, msg.seq);
-        let from_pe = shared.location.lookup(from);
-        let dest_pe = shared.location.lookup(to);
-        let class = NetworkModel::classify(&shared.topology, from_pe, dest_pe);
-        let cost = shared
-            .network
-            .cost(&shared.topology, from_pe, dest_pe, msg.wire_bytes());
-        let (plan, base_rto) = {
-            let rel = rel.lock();
-            (rel.plan, rel.base_rto)
-        };
-
-        let primary = plan.decide(
-            class,
-            FaultPlan::message_key(from as u64, to as u64, seq, attempt, 0, FaultStream::Data),
-        );
-        // At most two copies (primary + one duplicate) — a fixed array,
-        // not a heap vector, so the per-transmit path allocates nothing.
-        let mut copies = [Some(primary), None];
-        if primary.duplicate {
-            self.lane.out.tallies.faults.duplicates_injected += 1;
-            // The duplicate's own fate is decided independently; its
-            // `duplicate` flag is ignored to prevent cascades.
-            copies[1] = Some(plan.decide(
-                class,
-                FaultPlan::message_key(from as u64, to as u64, seq, attempt, 1, FaultStream::Data),
-            ));
-        }
-        for d in copies.into_iter().flatten() {
-            if d.drop {
-                self.lane.out.tallies.faults.msgs_dropped += 1;
-                self.trace(
-                    from as u32,
-                    EventKind::MsgDrop {
-                        from: from as u32,
-                        to: to as u32,
-                        seq,
-                        ack: false,
-                    },
-                );
-                continue;
-            }
-            // Refcounted (or inline) payload share: cloning the message
-            // never copies a heap buffer.
-            let mut copy = msg.clone();
-            if d.corrupt {
-                copy.corrupt_payload();
-            }
-            let at = (t_send + cost + d.jitter).max_of(self.lane.queue.now());
-            self.emit(
-                dest_pe,
-                at,
-                Event::Deliver {
-                    msg: copy,
-                    dest_pe,
-                    forwarded: false,
-                },
-            );
-        }
-
-        // Retransmit timer: a generous multiple of the modeled round
-        // trip plus the configured base, doubling per attempt.
-        let rtt_estimate = SimDuration::from_nanos(cost.nanos().saturating_mul(4));
-        let rto =
-            SimDuration::from_nanos((base_rto.nanos() + rtt_estimate.nanos()) << attempt.min(20));
-        let at = (t_send + rto).max_of(self.lane.queue.now());
-        let own_pe = self.lane.pe;
-        self.emit(
-            own_pe,
-            at,
-            Event::Retransmit {
-                from,
-                to,
-                seq,
-                attempt,
-            },
-        );
-    }
-
-    /// The retransmit timer armed at transmission `attempt` of `(from,
-    /// to, seq)` fired on the sender's lane: nothing to do if an ack came
-    /// since, a retransmission while the budget lasts, and otherwise the
-    /// verdict — now, when the receiver lives on this lane (its reorder
-    /// state at `t` is final), at the barrier when it lives elsewhere.
-    fn retransmit(
-        &mut self,
-        rel: &Mutex<ReliableState>,
-        t: SimTime,
-        (from, to, seq): (RankId, RankId, u64),
-        attempt: u32,
-    ) -> Result<(), RtsError> {
-        let next = attempt + 1;
-        let msg = {
-            let mut state = rel.lock();
-            let Some(msg) = state.inflight.get(&(from, to, seq)) else {
-                return Ok(()); // acked since the timer was armed
-            };
-            if next < state.max_attempts {
-                msg.clone()
-            } else if self.shared.location.lookup(to) == self.lane.pe {
-                return state.give_up(from, to, seq, next);
-            } else {
-                drop(state);
-                self.lane.out.exhausted.push(Exhausted {
-                    at: t,
-                    from,
-                    to,
-                    seq,
-                    attempts: next,
-                });
-                return Ok(());
-            }
-        };
-        self.lane.out.tallies.faults.retransmits += 1;
-        self.trace(
-            from as u32,
-            EventKind::MsgRetransmit {
-                from: from as u32,
-                to: to as u32,
-                seq,
-                attempt: next,
-            },
-        );
-        self.transmit(rel, t, msg, next);
-        Ok(())
-    }
-
-    /// Receive one arriving copy under reliable delivery: verify
-    /// integrity, acknowledge, dedup/reorder, and deposit newly in-order
-    /// messages to the application. Runs on the receiver's lane.
-    fn receive_transport(&mut self, rel: &Mutex<ReliableState>, msg: RtsMessage, t: SimTime) {
-        let (from, to, seq) = (msg.from, msg.to, msg.seq);
-        if !msg.intact() {
-            self.lane.out.tallies.faults.msgs_corrupted += 1;
-            self.trace(
-                to as u32,
-                EventKind::MsgCorrupt {
-                    from: from as u32,
-                    to: to as u32,
-                    seq,
-                },
-            );
-            // no ack: the sender's retransmit timer recovers the message
-            return;
-        }
-        // Ack every intact arrival (duplicates re-ack so a sender whose
-        // earlier ack was dropped stops retransmitting).
-        self.send_ack(rel, from, to, seq, t);
-
-        let (is_dup, ready) = {
-            let mut rel = rel.lock();
-            let pair = rel.recv.entry((from, to)).or_default();
-            if seq < pair.next_expected || pair.pending.contains_key(&seq) {
-                (true, Vec::new())
-            } else {
-                pair.pending.insert(seq, msg);
-                let mut ready = Vec::new();
-                while let Some(m) = pair.pending.remove(&pair.next_expected) {
-                    pair.next_expected += 1;
-                    ready.push(m);
-                }
-                (false, ready)
-            }
-        };
-        if is_dup {
-            self.lane.out.tallies.faults.duplicates_suppressed += 1;
-            self.trace(
-                to as u32,
-                EventKind::MsgDupSuppressed {
-                    from: from as u32,
-                    to: to as u32,
-                    seq,
-                },
-            );
-            return;
-        }
-        for m in ready {
-            self.deposit(m);
-        }
-    }
-
-    /// Send an acknowledgement back to the sender's PE, itself subject
-    /// to the fault plan's drop and jitter on the reverse path. The ack
-    /// instance counter is per-(src,dst) pair so its fault decisions
-    /// don't depend on cross-pair interleaving.
-    fn send_ack(
-        &mut self,
-        rel: &Mutex<ReliableState>,
-        from: RankId,
-        to: RankId,
-        seq: u64,
-        t: SimTime,
-    ) {
-        let shared = self.shared;
-        let recv_pe = self.lane.pe;
-        let send_pe = shared.location.lookup(from);
-        let class = NetworkModel::classify(&shared.topology, recv_pe, send_pe);
-        let cost = shared.network.cost(&shared.topology, recv_pe, send_pe, 32);
-        let (plan, instance) = {
-            let mut rel = rel.lock();
-            let plan = rel.plan;
-            let pair = rel.recv.entry((from, to)).or_default();
-            pair.ack_seq += 1;
-            (plan, pair.ack_seq)
-        };
-        let d = plan.decide(
-            class,
-            FaultPlan::message_key(
-                from as u64,
-                to as u64,
-                seq,
-                instance as u32,
-                0,
-                FaultStream::Ack,
-            ),
-        );
-        if d.drop {
-            self.lane.out.tallies.faults.acks_dropped += 1;
-            self.trace(
-                NO_RANK,
-                EventKind::MsgDrop {
-                    from: from as u32,
-                    to: to as u32,
-                    seq,
-                    ack: true,
-                },
-            );
-            return;
-        }
-        let at = (t + cost + d.jitter).max_of(self.lane.queue.now());
-        self.emit(send_pe, at, Event::Ack { from, to, seq });
     }
 
     /// Hand a message to its target's matching engine: it completes the
@@ -1047,12 +765,11 @@ impl ExecCtx<'_> {
                 }
             }
             Event::Ack { from, to, seq } => {
-                if let Some(rel) = &shared.reliable {
-                    rel.lock().inflight.remove(&(from, to, seq));
-                }
                 // Ack events are partitioned to the sender's lane, so a
                 // nonblocking send waiting on this ack completes here.
-                if let Some(id) = self.lane.ranks[from].matcher.acked(to, seq) {
+                let rs = &mut self.lane.ranks[from];
+                rs.transport.acked(to, seq);
+                if let Some(id) = rs.matcher.acked(to, seq) {
                     self.complete_req(from, id, None);
                 }
             }

@@ -101,7 +101,7 @@ impl TraceSnapshot {
             .counts
             .fields()
             .iter()
-            .map(|(name, value)| format!("\"{name}\": {value}"))
+            .map(|(_, name, value)| format!("\"{name}\": {value}"))
             .collect();
         let _ = writeln!(out, "  \"counts\": {{{}}},", counts.join(", "));
         out.push_str("  \"pes\": [\n");

@@ -22,16 +22,16 @@ use std::sync::Arc;
 /// this is exactly 1 MiB per PE.
 pub const DEFAULT_PE_CAPACITY: usize = 16 * 1024;
 
-/// The one declaration of every counter. An `event` counter takes one
-/// bump per recorded event of its kind, so the `event` counters sum to
-/// [`TraceCounts::total_events`]; a `sum` counter accumulates a quantity
-/// the event carries (bytes, pages). Generates [`TraceCounts`], the
-/// atomics each kind's `events!` entry (in `event.rs`) bumps by field
-/// name, the load between the two and the name/value walk the JSON
-/// export uses — a new counter is a line here plus its name in the entry
+/// The one declaration of every counter: its summary line, its kind, its
+/// name. An `event` counter takes one bump per recorded event of its kind,
+/// so they sum to [`TraceCounts::total_events`]; a `sum` counter adds up a
+/// quantity the event carries (bytes, pages). Generates [`TraceCounts`],
+/// the atomics each kind's `events!` entry (in `event.rs`) bumps by field
+/// name, the load between the two and the walk the JSON export and the
+/// summary use — a new counter is a line here plus its name in the entry
 /// of the kind that bumps it.
 macro_rules! counters {
-    ($($(#[$doc:meta])* $kind:ident $name:ident,)*) => {
+    ($($(#[$doc:meta])* $group:ident $kind:ident $name:ident,)*) => {
         /// Aggregate counters, bumped on every recorded event.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct TraceCounts {
@@ -45,9 +45,9 @@ macro_rules! counters {
                 0 $(+ counters!(@$kind self.$name))*
             }
 
-            /// Every counter as `(name, value)`, in declaration order.
-            pub(crate) fn fields(&self) -> Vec<(&'static str, u64)> {
-                vec![$((stringify!($name), self.$name),)*]
+            /// Every counter as `(group, name, value)`, in declaration order.
+            pub(crate) fn fields(&self) -> Vec<(&'static str, &'static str, u64)> {
+                vec![$((stringify!($group), stringify!($name), self.$name),)*]
             }
 
             /// Counters numbered 1, 2, … in declaration order.
@@ -75,98 +75,98 @@ macro_rules! counters {
 }
 
 counters! {
-    event ctx_switches,
-    event blocks,
-    event unblocks,
-    event msgs_sent,
-    event msgs_recv,
-    sum send_bytes,
-    sum recv_bytes,
-    event migrations,
-    sum migration_bytes,
-    event lb_steps,
-    event segment_copies,
-    sum segment_copy_bytes,
-    event got_fixups,
-    event priv_installs,
-    event region_copies,
-    sum region_copy_bytes,
-    event mpi_calls,
+    sched event ctx_switches,
+    sched event blocks,
+    sched event unblocks,
+    msgs event msgs_sent,
+    msgs event msgs_recv,
+    msgs sum send_bytes,
+    msgs sum recv_bytes,
+    migration event migrations,
+    migration sum migration_bytes,
+    migration event lb_steps,
+    privatizer event segment_copies,
+    privatizer sum segment_copy_bytes,
+    privatizer event got_fixups,
+    privatizer event priv_installs,
+    migration event region_copies,
+    migration sum region_copy_bytes,
+    msgs event mpi_calls,
     /// Data-message copies dropped in transit by the fault plan.
-    event msg_drops,
+    faults event msg_drops,
     /// Ack copies dropped in transit by the fault plan.
-    event ack_drops,
+    faults event ack_drops,
     /// Copies discarded at the receiver for checksum mismatch.
-    event msg_corrupts,
+    faults event msg_corrupts,
     /// Retransmissions issued by the reliable-delivery layer.
-    event msg_retransmits,
+    faults event msg_retransmits,
     /// Duplicate copies suppressed by receive-side dedup.
-    event dup_suppressed,
+    faults event dup_suppressed,
     /// PEs killed by fault injection.
-    event pe_fails,
+    recovery event pe_fails,
     /// Coordinated checkpoints taken.
-    event checkpoints,
+    recovery event checkpoints,
     /// Total bytes of primary checkpoint images.
-    sum checkpoint_bytes,
+    recovery sum checkpoint_bytes,
     /// Coordinated rollback/restore operations.
-    event recoveries,
+    recovery event recoveries,
     /// Capability probes evaluated at startup (one per method rated).
-    event method_probes,
+    hardening event method_probes,
     /// Method degradations taken by the fallback chain.
-    event method_fallbacks,
+    hardening event method_fallbacks,
     /// ULT stack red-zone violations detected.
-    event stack_guard_trips,
+    hardening event stack_guard_trips,
     /// Arena guard violations (double free / UAF / foreign pointer).
-    event arena_guard_trips,
+    hardening event arena_guard_trips,
     /// Segment-integrity audits performed at barriers.
-    event segment_audits,
+    hardening event segment_audits,
     /// Message sends whose payload fit the envelope pool's inline
     /// storage (allocation-free lifecycle).
-    event pool_hits,
+    msgs event pool_hits,
     /// Message sends whose payload spilled to a refcounted heap buffer.
-    event pool_misses,
+    msgs event pool_misses,
     /// Simulated copy-on-write faults (writes trapping on shared pages).
-    event page_faults,
+    cow event page_faults,
     /// Pages privatized by the COW fault handler.
-    event pages_privatized,
+    cow event pages_privatized,
     /// Bytes copied template → backing store by page privatizations.
-    sum page_copy_bytes,
+    cow sum page_copy_bytes,
     /// End-of-run COW deduplication audits.
-    event dedup_audits,
+    cow event dedup_audits,
     /// Elastic rescales committed (active-PE set changed at a barrier).
-    event rescales,
+    elastic event rescales,
     /// Rescales abandoned because a PE failure struck the same barrier.
-    event rescale_aborts,
+    elastic event rescale_aborts,
     /// Buddy-checkpoint re-replications onto a new geometry.
-    event re_replications,
+    elastic event re_replications,
     /// Total bytes of primary images in re-replicated checkpoints.
-    sum re_replication_bytes,
+    elastic sum re_replication_bytes,
     /// Checkpoints restored onto a different geometry than taken.
-    event geometry_restores,
+    elastic event geometry_restores,
     /// Degenerate-buddy warnings (buddy == primary: single alive PE).
-    event buddy_degenerates,
+    elastic event buddy_degenerates,
     /// Incremental checkpoint delta captures at LB barriers.
-    event ckpt_deltas,
+    ckpt event ckpt_deltas,
     /// Dirty page-chunks captured across all delta captures.
-    sum ckpt_delta_pages,
+    ckpt sum ckpt_delta_pages,
     /// Sparse patch payload bytes across all delta captures.
-    sum ckpt_delta_bytes,
+    ckpt sum ckpt_delta_bytes,
     /// Consistent-cut seals of in-flight deltas at LB barriers.
-    event ckpt_seals,
+    ckpt event ckpt_seals,
     /// Asynchronous delta drains to buddy PEs.
-    event ckpt_async_drains,
+    ckpt event ckpt_async_drains,
     /// Delta payload bytes drained asynchronously to buddy PEs.
-    sum ckpt_async_bytes,
+    ckpt sum ckpt_async_bytes,
     /// Delta-chain compactions (fresh base replacing a chain).
-    event ckpt_compacts,
+    ckpt event ckpt_compacts,
     /// Nonblocking requests posted (`ReqPost`).
-    event req_posts,
+    req event req_posts,
     /// Nonblocking requests completed (`ReqComplete`).
-    event req_completes,
+    req event req_completes,
     /// Completions that ran a continuation closure (`ReqContinuation`).
-    event req_continuations,
+    req event req_continuations,
     /// Wait-family suspensions on pending requests (`ReqWaitBlock`).
-    event req_wait_blocks,
+    req event req_wait_blocks,
 }
 
 /// Fixed-capacity ring of the most recent events on one PE.
@@ -513,7 +513,7 @@ mod tests {
         }
         // Every sampled quantity is nonzero, so a counter still at zero
         // has no `count()` arm (or an arm bumps a neighbour twice).
-        for (name, value) in t.counts().fields() {
+        for (_, name, value) in t.counts().fields() {
             assert!(value > 0, "{name} was never bumped");
         }
     }

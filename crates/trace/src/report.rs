@@ -13,8 +13,9 @@ fn fmt_bytes(b: u64) -> String {
 }
 
 impl TraceSnapshot {
-    /// Human-readable overview: totals, per-PE utilization/idle/switch
-    /// table, and the top-`k` heaviest rank→rank message edges.
+    /// Human-readable overview: totals, one line per group of nonzero
+    /// counters, per-PE utilization/idle/switch table, and the top-`k`
+    /// heaviest rank→rank message edges.
     pub fn summary(&self, top_k: usize) -> String {
         use std::fmt::Write;
         let c = &self.counts;
@@ -28,123 +29,21 @@ impl TraceSnapshot {
             retained,
             self.dropped
         );
-        let _ = writeln!(
-            out,
-            "  context switches: {}   blocks/unblocks: {}/{}",
-            c.ctx_switches, c.blocks, c.unblocks
-        );
-        let _ = writeln!(
-            out,
-            "  messages: {} sent ({}) / {} delivered ({})",
-            c.msgs_sent,
-            fmt_bytes(c.send_bytes),
-            c.msgs_recv,
-            fmt_bytes(c.recv_bytes)
-        );
-        let _ = writeln!(
-            out,
-            "  migrations: {} ({})   LB steps: {}   region copies: {} ({})",
-            c.migrations,
-            fmt_bytes(c.migration_bytes),
-            c.lb_steps,
-            c.region_copies,
-            fmt_bytes(c.region_copy_bytes)
-        );
-        let _ = writeln!(
-            out,
-            "  privatizer: {} segment copies ({}), {} GOT fixups, {} register installs   MPI calls: {}",
-            c.segment_copies,
-            fmt_bytes(c.segment_copy_bytes),
-            c.got_fixups,
-            c.priv_installs,
-            c.mpi_calls
-        );
-        let fault_total = c.msg_drops
-            + c.ack_drops
-            + c.msg_corrupts
-            + c.msg_retransmits
-            + c.dup_suppressed
-            + c.pe_fails
-            + c.checkpoints
-            + c.recoveries;
-        if fault_total > 0 {
-            let _ = writeln!(
-                out,
-                "  faults: {} drops ({} ack), {} corrupt, {} retransmits, {} dups suppressed",
-                c.msg_drops + c.ack_drops,
-                c.ack_drops,
-                c.msg_corrupts,
-                c.msg_retransmits,
-                c.dup_suppressed
-            );
-            let _ = writeln!(
-                out,
-                "  recovery: {} checkpoints ({}), {} PE failures, {} rollbacks",
-                c.checkpoints,
-                fmt_bytes(c.checkpoint_bytes),
-                c.pe_fails,
-                c.recoveries
-            );
-        }
-        let hardening_total = c.method_probes
-            + c.method_fallbacks
-            + c.stack_guard_trips
-            + c.arena_guard_trips
-            + c.segment_audits;
-        if hardening_total > 0 {
-            let _ = writeln!(
-                out,
-                "  hardening: {} probes, {} fallbacks, {} stack trips, {} arena trips, {} audits",
-                c.method_probes,
-                c.method_fallbacks,
-                c.stack_guard_trips,
-                c.arena_guard_trips,
-                c.segment_audits
-            );
-        }
-        let cow_total = c.page_faults + c.pages_privatized + c.dedup_audits;
-        if cow_total > 0 {
-            let _ = writeln!(
-                out,
-                "  cow: {} page faults, {} pages privatized ({}), {} dedup audits",
-                c.page_faults,
-                c.pages_privatized,
-                fmt_bytes(c.page_copy_bytes),
-                c.dedup_audits
-            );
-        }
-        let elastic_total = c.rescales
-            + c.rescale_aborts
-            + c.re_replications
-            + c.geometry_restores
-            + c.buddy_degenerates;
-        if elastic_total > 0 {
-            let _ = writeln!(
-                out,
-                "  elastic: {} rescales ({} aborted), {} re-replications ({}), \
-                 {} geometry restores, {} degenerate buddies",
-                c.rescales,
-                c.rescale_aborts,
-                c.re_replications,
-                fmt_bytes(c.re_replication_bytes),
-                c.geometry_restores,
-                c.buddy_degenerates
-            );
-        }
-
-        let ckpt_total = c.ckpt_deltas + c.ckpt_seals + c.ckpt_async_drains + c.ckpt_compacts;
-        if ckpt_total > 0 {
-            let _ = writeln!(
-                out,
-                "  ckpt: {} deltas ({} pages, {}), {} seals, {} async drains ({}), {} compactions",
-                c.ckpt_deltas,
-                c.ckpt_delta_pages,
-                fmt_bytes(c.ckpt_delta_bytes),
-                c.ckpt_seals,
-                c.ckpt_async_drains,
-                fmt_bytes(c.ckpt_async_bytes),
-                c.ckpt_compacts
-            );
+        // One line per group with a nonzero counter, naming each nonzero
+        // counter of the group (groups in order of first declaration).
+        let fields = c.fields();
+        for (i, &(group, ..)) in fields.iter().enumerate() {
+            if fields[..i].iter().any(|f| f.0 == group) {
+                continue;
+            }
+            let line: String = fields
+                .iter()
+                .filter(|&&(g, _, v)| g == group && v > 0)
+                .map(|(_, name, v)| format!(" {name}={v}"))
+                .collect();
+            if !line.is_empty() {
+                let _ = writeln!(out, "  {group}:{line}");
+            }
         }
 
         // per-PE table: switch counts come from retained events so the
@@ -191,7 +90,20 @@ impl TraceSnapshot {
 
 #[cfg(test)]
 mod tests {
-    use crate::{EventKind, Tracer};
+    use crate::{EventKind, TraceCounts, TraceSnapshot, Tracer};
+
+    #[test]
+    fn summary_names_every_counter_once() {
+        let snap = TraceSnapshot {
+            counts: TraceCounts::numbered(),
+            dropped: 0,
+            per_pe: Vec::new(),
+        };
+        let s = snap.summary(3);
+        for (_, name, _) in snap.counts.fields() {
+            assert_eq!(s.matches(&format!(" {name}=")).count(), 1, "{name}:\n{s}");
+        }
+    }
 
     #[test]
     fn summary_renders_all_sections() {
@@ -214,8 +126,9 @@ mod tests {
         t.set_pe_clock(1, 50, 50);
         let s = t.snapshot().summary(5);
         assert!(s.contains("2 PEs"));
-        assert!(s.contains("context switches: 1"));
-        assert!(s.contains("migrations: 1"));
+        assert!(s.contains("\n  sched: ctx_switches=1\n"), "{s}");
+        let migration = "\n  migration: migrations=1 migration_bytes=1048576\n";
+        assert!(s.contains(migration), "{s}");
         assert!(s.contains("top message edges"));
         assert!(s.contains("0 -> 1"));
         assert!(s.contains("90.0"), "PE 0 utilization missing:\n{s}");
@@ -248,9 +161,11 @@ mod tests {
         t.record(0, crate::NO_RANK, 3, EventKind::PeFail { pe: 0, ranks_lost: 2 });
         t.record(0, crate::NO_RANK, 4, EventKind::Recovery { ranks: 4 });
         let s = t.snapshot().summary(3);
-        assert!(s.contains("faults: 1 drops (0 ack), 0 corrupt, 1 retransmits"), "{s}");
-        assert!(s.contains("recovery: 1 checkpoints"), "{s}");
-        assert!(s.contains("1 PE failures, 1 rollbacks"), "{s}");
+        let faults = "\n  faults: msg_drops=1 msg_retransmits=1\n";
+        assert!(s.contains(faults), "{s}");
+        let recovery =
+            "\n  recovery: pe_fails=1 checkpoints=1 checkpoint_bytes=4096 recoveries=1\n";
+        assert!(s.contains(recovery), "{s}");
         assert!(!s.contains("hardening:"), "unexpected hardening section:\n{s}");
     }
 
@@ -276,10 +191,8 @@ mod tests {
         );
         t.record(0, crate::NO_RANK, 2, EventKind::SegmentAudit { ranks: 4, dirty: 0 });
         let s = t.snapshot().summary(3);
-        assert!(
-            s.contains("hardening: 1 probes, 1 fallbacks, 0 stack trips, 0 arena trips, 1 audits"),
-            "{s}"
-        );
+        let hardening = "\n  hardening: method_probes=1 method_fallbacks=1 segment_audits=1\n";
+        assert!(s.contains(hardening), "{s}");
         assert!(!s.contains("cow:"), "unexpected cow section:\n{s}");
     }
 
@@ -315,8 +228,8 @@ mod tests {
         let s = t.snapshot().summary(3);
         assert!(
             s.contains(
-                "elastic: 1 rescales (1 aborted), 1 re-replications (4096 B), \
-                 1 geometry restores, 1 degenerate buddies"
+                "\n  elastic: rescales=1 rescale_aborts=1 re_replications=1 \
+                 re_replication_bytes=4096 geometry_restores=1 buddy_degenerates=1\n"
             ),
             "{s}"
         );
@@ -337,7 +250,10 @@ mod tests {
         t.record(0, crate::NO_RANK, 3, EventKind::CkptCompact { chain: 4, bytes: 8192 });
         let s = t.snapshot().summary(3);
         assert!(
-            s.contains("ckpt: 1 deltas (6 pages, 2048 B), 1 seals, 1 async drains (2048 B), 1 compactions"),
+            s.contains(
+                "\n  ckpt: ckpt_deltas=1 ckpt_delta_pages=6 ckpt_delta_bytes=2048 ckpt_seals=1 \
+                 ckpt_async_drains=1 ckpt_async_bytes=2048 ckpt_compacts=1\n"
+            ),
             "{s}"
         );
     }
@@ -359,9 +275,7 @@ mod tests {
             },
         );
         let s = t.snapshot().summary(3);
-        assert!(
-            s.contains("cow: 1 page faults, 1 pages privatized (4096 B), 1 dedup audits"),
-            "{s}"
-        );
+        let cow = "\n  cow: page_faults=1 pages_privatized=1 page_copy_bytes=4096 dedup_audits=1\n";
+        assert!(s.contains(cow), "{s}");
     }
 }

@@ -12,6 +12,7 @@
 use parking_lot::Mutex;
 use pvr_ampi::Ampi;
 use pvr_apps::hello;
+use pvr_bench::render_table;
 use pvr_privatize::{matrix, Method};
 use pvr_rts::{MachineBuilder, Topology};
 use std::sync::Arc;
@@ -58,6 +59,8 @@ fn main() {
         println!("rank: {}", o.printed_rank);
     }
 
-    println!("\n{}", matrix::render(&matrix::table3(), "Method matrix:"));
+    let (headers, rows) = matrix::cells(&matrix::table3());
+    let table = render_table("Method matrix:", &headers, &rows);
+    println!("\n{table}");
     println!("Try the other examples: jacobi3d, storm_surge, migration_demo.");
 }

@@ -222,6 +222,65 @@ fn retransmit_exhaustion_is_one_error_on_one_lane_and_across_lanes() {
     }
 }
 
+/// Every copy of rank 0's first message to rank 1 arrives and every ack
+/// of it is dropped (seed 29 at a 50% drop rate: all three data
+/// attempts through, all three acks lost). The budget runs out, but the
+/// receiver released the message, so the sender forgets it quietly —
+/// judged on the lane (`smp(1)`) or at the barrier (`non_smp(2)`),
+/// under either engine. A second message, sent a virtual millisecond
+/// later, keeps rank 1 waiting past the last retransmit timer.
+#[test]
+fn retransmit_exhaustion_after_delivery_is_not_an_error() {
+    let half = FaultParams {
+        drop_p: 0.5,
+        dup_p: 0.0,
+        corrupt_p: 0.0,
+        jitter_max: SimDuration::ZERO,
+    };
+    let cases = [
+        (HopClass::IntraProcess, Topology::smp(1), 2),
+        (HopClass::InterNode, Topology::non_smp(2), 1),
+    ];
+    const ATTEMPTS: u32 = 3;
+    for (class, topology, vp) in cases {
+        for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let plan = FaultPlan::new(29).with_class(class, half);
+            let mut m = MachineBuilder::new(pvr_apps::hello::binary())
+                .clock(ClockMode::Virtual)
+                .parallelism(par)
+                .topology(topology)
+                .vp_ratio(vp)
+                .network(NetworkModel::ideal().with_faults(plan))
+                .retransmit_params(SimDuration::from_micros(10), ATTEMPTS)
+                .build(Arc::new(|ctx: RankCtx| {
+                    if ctx.rank() == 0 {
+                        ctx.send(1, 0, bytes::Bytes::from_static(b"through"));
+                        ctx.compute(SimDuration::from_millis(1));
+                        ctx.send(1, 1, bytes::Bytes::from_static(b"later"));
+                    } else {
+                        assert_eq!(ctx.recv().tag, 0);
+                        assert_eq!(ctx.recv().tag, 1);
+                    }
+                }))
+                .unwrap();
+            let r = m
+                .run()
+                .unwrap_or_else(|e| panic!("{class:?} {par:?}: {e:?}"));
+            assert_eq!(r.faults.msgs_dropped, 0, "{class:?} {par:?}");
+            assert!(
+                r.faults.acks_dropped >= u64::from(ATTEMPTS),
+                "{class:?} {par:?}: {:?}",
+                r.faults
+            );
+            assert_eq!(
+                r.faults.retransmits,
+                u64::from(ATTEMPTS - 1),
+                "{class:?} {par:?}"
+            );
+        }
+    }
+}
+
 /// Seeded sweep smoke (also exercised by scripts/ci.sh): several seeds
 /// and drop rates, each run twice — every run must complete with the
 /// same per-rank results as its twin and as the clean run.
