@@ -137,6 +137,16 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// The event the latest [`Self::schedule`] queued, if it is due at
+    /// `at` and still the run's tail. What the caller folds into it pops
+    /// where it would have popped as the next scheduled event: no key lies
+    /// between the two.
+    pub fn last_scheduled_mut(&mut self, at: SimTime) -> Option<&mut E> {
+        let last = self.seq.checked_sub(1).filter(|&s| s >= UNSTAMPED)?;
+        let tail = self.run.back_mut()?;
+        (tail.key() == (at, last)).then_some(&mut tail.event)
+    }
+
     /// Where the next event is — the run's front (`true`) or the heap's
     /// top — and its key; `None` when the queue is empty.
     fn head(&self) -> Option<(bool, (SimTime, u64))> {
@@ -427,6 +437,43 @@ mod tests {
         assert_eq!(rest, vec![(3, 1), (9, 3)]);
     }
 
+    #[test]
+    fn only_the_last_scheduled_run_tail_takes_a_fold() {
+        let mut q: EventQueue<Vec<&str>> = EventQueue::new();
+        assert!(
+            q.last_scheduled_mut(SimTime(5)).is_none(),
+            "nothing scheduled"
+        );
+        q.schedule_stamped(SimTime(5), 1, vec!["stamped"]);
+        assert!(
+            q.last_scheduled_mut(SimTime(5)).is_none(),
+            "stamped events take none"
+        );
+        q.schedule(SimTime(5), vec!["a"]);
+        q.last_scheduled_mut(SimTime(5)).unwrap().push("a2");
+        assert!(q.last_scheduled_mut(SimTime(6)).is_none(), "another time");
+        q.schedule(SimTime(4), vec!["heap"]);
+        assert!(
+            q.last_scheduled_mut(SimTime(4)).is_none(),
+            "not the run's tail"
+        );
+        q.schedule(SimTime(7), vec!["b"]);
+        q.schedule_stamped(SimTime(7), 0, vec!["stamped-7"]);
+        q.last_scheduled_mut(SimTime(7)).unwrap().push("b2");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            [
+                vec!["heap"],
+                vec!["stamped"],
+                vec!["a", "a2"],
+                vec!["stamped-7"],
+                vec!["b", "b2"]
+            ]
+        );
+        assert!(q.last_scheduled_mut(SimTime(7)).is_none(), "popped");
+    }
+
     /// One step of the differential test below.
     #[derive(Debug, Clone)]
     enum Op {
@@ -556,6 +603,48 @@ mod tests {
                 stamps.swap(i, (x >> 33) as usize % (i + 1));
             }
             check_against_oracle(&ops, &stamps);
+        }
+
+        /// A queue that folds each event into the one scheduled last
+        /// whenever it may pops, flattened, what a queue that schedules
+        /// every event pops.
+        #[test]
+        fn prop_folding_pops_as_scheduling_does(
+            ops in proptest::collection::vec((0u64..3, 0u8..4), 1..160),
+        ) {
+            let mut plain = EventQueue::new();
+            let mut folded: EventQueue<Vec<usize>> = EventQueue::new();
+            let mut stamps = 0u64..;
+            for (id, &(dt, kind)) in ops.iter().enumerate() {
+                let at = SimTime(plain.now().0 + dt);
+                match kind {
+                    0 | 1 => {
+                        plain.schedule(at, id);
+                        match folded.last_scheduled_mut(at) {
+                            Some(run) => run.push(id),
+                            None => folded.schedule(at, vec![id]),
+                        }
+                    }
+                    2 => {
+                        let stamp = stamps.next().unwrap();
+                        plain.schedule_stamped(at, stamp, id);
+                        folded.schedule_stamped(at, stamp, vec![id]);
+                    }
+                    _ => {
+                        if let Some((t, run)) = folded.pop() {
+                            for want in run {
+                                prop_assert_eq!(plain.pop(), Some((t, want)));
+                            }
+                        }
+                        prop_assert_eq!(plain.now(), folded.now());
+                    }
+                }
+            }
+            let rest: Vec<_> = std::iter::from_fn(|| folded.pop())
+                .flat_map(|(t, run)| run.into_iter().map(move |id| (t, id)))
+                .collect();
+            let plain_rest: Vec<_> = std::iter::from_fn(|| plain.pop()).collect();
+            prop_assert_eq!(rest, plain_rest);
         }
 
         #[test]

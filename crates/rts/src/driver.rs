@@ -16,12 +16,15 @@
 //! in the order a single global queue would number it, and is clamped to
 //! `now` — the latest time of an event already queued when its epoch
 //! began — and to its lane's queue time. A move re-homes the moved
-//! rank's events with their keys (`rehome_events`).
+//! rank's events with their keys (`rehome_events`). Same-time messages
+//! for one rank travel as one event (`event.rs`, "Runs"), which takes one
+//! stamp.
 
 use crate::config::Parallelism;
 use crate::engine_parallel::{self, WorkerPool};
+use crate::event::Event;
 use crate::location::LocationManager;
-use crate::machine::{ClockMode, Event, Machine, RtsError};
+use crate::machine::{ClockMode, Machine, RtsError};
 use crate::message::RtsMessage;
 use crate::rank::RankState;
 use crate::stats::{EngineTallies, RunReport};
@@ -43,8 +46,9 @@ pub(crate) struct Driver {
     /// The latest time of an event already queued when its epoch began:
     /// what barrier-time scheduling clamps to.
     now: SimTime,
-    /// Recycled barrier-merge keys: (time, source PE, emission index).
-    merge_keys: Vec<(SimTime, PeId, usize)>,
+    /// Recycled barrier-merge buffer: the outbox events keyed (time,
+    /// source PE, emission index).
+    merged: Vec<(SimTime, PeId, usize, Event)>,
     /// Recycled buffer of the events a move re-homes.
     rehome: Vec<(SimTime, u64, Event)>,
     /// Per-worker busy wall-clock of the last epoch.
@@ -80,7 +84,7 @@ impl Driver {
             lanes,
             stamp: 0,
             now: SimTime::ZERO,
-            merge_keys: Vec::new(),
+            merged: Vec::new(),
             rehome: Vec::new(),
             walls: Vec::new(),
             done_count: 0,
@@ -265,7 +269,7 @@ impl Machine {
     /// events — timers, acks — past the latest event it was handed.)
     fn schedule(&mut self, at: SimTime, ev: Event) {
         let d = &mut self.driver;
-        let lane = &mut d.lanes[event_pe(&self.shared.location, &ev)];
+        let lane = &mut d.lanes[ev.pe(&self.shared.location)];
         let at = at.max_of(d.now).max_of(lane.queue.now());
         lane.queue.schedule_stamped(at, d.stamp, ev);
         d.stamp += 1;
@@ -290,9 +294,9 @@ impl Machine {
         let location = &self.shared.location;
         lanes[from]
             .queue
-            .extract(|ev| event_pe(location, ev) != from, rehome);
+            .extract(|ev| ev.pe(location) != from, rehome);
         for (at, stamp, ev) in rehome.drain(..) {
-            let queue = &mut lanes[event_pe(location, &ev)].queue;
+            let queue = &mut lanes[ev.pe(location)].queue;
             queue.schedule_stamped(at.max_of(queue.now()), stamp, ev);
         }
     }
@@ -302,11 +306,12 @@ impl Machine {
     /// in deterministic (time, source PE, emission index) order, move
     /// every real-time message into its target lane's inbox in (source
     /// PE, emission index) order, resolve deferred retransmit-exhaustion
-    /// verdicts, and surface the canonical (earliest) error if any lane
-    /// failed. Every merged lane is left with an empty outbox; a lane
-    /// that failed keeps the events it did not run.
+    /// verdicts, give drained run buffers back to the lanes their
+    /// senders live on, and surface the canonical (earliest) error if any
+    /// lane failed. Every merged lane is left with an empty outbox; a
+    /// lane that failed keeps the events it did not run.
     fn merge_lanes(&mut self, pes: Range<PeId>) -> Result<(), RtsError> {
-        let mut keys = std::mem::take(&mut self.driver.merge_keys);
+        let mut merged = std::mem::take(&mut self.driver.merged);
         let mut exhausted: Vec<(PeId, Exhausted)> = Vec::new();
         let mut errors: Vec<(SimTime, PeId, u8, RtsError)> = Vec::new();
         for pe in pes.clone() {
@@ -322,10 +327,8 @@ impl Machine {
             if let (Some(guards), Some(r)) = (&mut self.shared.guards, out.last_ran) {
                 guards.last_ran = Some(r);
             }
-            keys.extend(out.events.iter().enumerate().map(|(i, e)| {
-                let (t, _) = e.as_ref().expect("an outbox event merges once");
-                (*t, pe, i)
-            }));
+            let events = out.events.drain(..).enumerate();
+            merged.extend(events.map(|(i, (t, ev))| (t, pe, i, ev)));
             exhausted.extend(out.exhausted.drain(..).map(|ex| (pe, ex)));
             if let Some((t, class, e)) = out.error.take() {
                 errors.push((t, pe, class, e));
@@ -335,19 +338,21 @@ impl Machine {
                 let to = self.shared.location.lookup(msg.to);
                 self.driver.lanes[to].inbox.push(msg);
             }
-            self.driver.lanes[pe].out.unrouted = mail;
+            let mut spent = std::mem::take(&mut self.driver.lanes[pe].out.spent_runs);
+            for (from, buf) in spent.drain(..) {
+                let home = self.shared.location.lookup(from);
+                self.driver.lanes[home].run_buffers.push(buf);
+            }
+            let out = &mut self.driver.lanes[pe].out;
+            (out.unrouted, out.spent_runs) = (mail, spent);
         }
         // Stamped in (time, source PE, emission index) order: the order
         // that decides ties, also among the events `now` clamps.
-        keys.sort_unstable();
-        for &(_, pe, i) in &keys {
-            let (t, ev) = self.driver.lanes[pe].out.events[i]
-                .take()
-                .expect("an outbox event merges once");
+        merged.sort_unstable_by_key(|&(t, pe, i, _)| (t, pe, i));
+        for (t, _, _, ev) in merged.drain(..) {
             self.schedule(t, ev);
         }
-        keys.clear();
-        self.driver.merge_keys = keys;
+        self.driver.merged = merged;
         for pe in pes {
             self.driver.lanes[pe].out.reset();
         }
@@ -469,17 +474,6 @@ impl Machine {
             self.barrier_if_due(&mut lookahead)?;
         }
         Ok(())
-    }
-}
-
-/// Which lane an event belongs to. `Deliver` follows the target's
-/// *current* placement (stale `dest_pe` stamps still pay the forward
-/// hop); reliable-layer timers run on the sender's lane.
-fn event_pe(location: &LocationManager, ev: &Event) -> PeId {
-    match ev {
-        Event::Deliver { msg, .. } => location.lookup(msg.to),
-        Event::PeWake { pe } => *pe,
-        Event::Ack { from, .. } | Event::Retransmit { from, .. } => location.lookup(*from),
     }
 }
 

@@ -78,6 +78,7 @@ pub mod command;
 pub mod config;
 mod driver;
 mod engine_parallel;
+mod event;
 mod guards;
 pub mod lb;
 pub mod location;

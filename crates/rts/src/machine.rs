@@ -165,33 +165,6 @@ impl From<PrivatizeError> for RtsError {
     }
 }
 
-/// Virtual-mode events.
-pub(crate) enum Event {
-    Deliver {
-        msg: RtsMessage,
-        dest_pe: PeId,
-        forwarded: bool,
-    },
-    PeWake {
-        pe: PeId,
-    },
-    /// Reliable delivery: an acknowledgement for `(from, to, seq)`
-    /// arrived back at the sender.
-    Ack {
-        from: RankId,
-        to: RankId,
-        seq: u64,
-    },
-    /// Reliable delivery: the retransmit timer armed at transmission
-    /// `attempt` of `(from, to, seq)` fired.
-    Retransmit {
-        from: RankId,
-        to: RankId,
-        seq: u64,
-        attempt: u32,
-    },
-}
-
 /// Map an arena guard violation to its trace-event kind.
 pub(crate) fn arena_trip_kind(v: &GuardViolation) -> ArenaTrip {
     match v {

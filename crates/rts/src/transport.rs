@@ -6,14 +6,15 @@
 //! Each rank owns its side of every pair in its [`Transport`], beside
 //! its matcher in `RankState`, and every step runs on the lane that owns
 //! the rank it touches: a send, its retransmit timers and its acks on
-//! the sender's (`driver::event_pe`), an arrival and the ack it answers
+//! the sender's (`Event::pe`), an arrival and the ack it answers
 //! on the receiver's. Each pair's fault decisions are therefore made in
 //! one lane's time order, and a migration carries the state with the
 //! rank (`Machine::place`). The state is not rank memory: it rolls
 //! forward across a checkpoint rollback, so replayed application sends
 //! take fresh sequence numbers and both ends stay consistent.
 
-use crate::machine::{Event, RtsError};
+use crate::event::Event;
+use crate::machine::RtsError;
 use crate::matching::FixedMap;
 use crate::message::RtsMessage;
 use crate::worker::ExecCtx;
@@ -181,15 +182,7 @@ impl ExecCtx<'_> {
                 copy.corrupt_payload();
             }
             let at = (t_send + cost + d.jitter).max_of(self.lane.queue.now());
-            self.emit(
-                dest_pe,
-                at,
-                Event::Deliver {
-                    msg: copy,
-                    dest_pe,
-                    forwarded: false,
-                },
-            );
+            self.emit(dest_pe, at, Event::deliver(copy, dest_pe));
         }
 
         // Retransmit timer: a generous multiple of the modeled round

@@ -43,9 +43,10 @@
 //!   running elsewhere.
 
 use crate::command::MatchSpec;
+use crate::event::Event;
 use crate::guards::Guards;
 use crate::location::LocationManager;
-use crate::machine::{arena_trip_kind, ClockMode, Event, RtsError};
+use crate::machine::{arena_trip_kind, ClockMode, RtsError};
 use crate::matching::{Arrival, FixedMap, Outcomes};
 use crate::message::RtsMessage;
 use crate::pe::PeState;
@@ -112,9 +113,12 @@ impl std::ops::IndexMut<RankId> for Residents {
 #[derive(Default)]
 pub(crate) struct Outbox {
     /// Events for other PEs (or past this epoch's bound), in emission
-    /// order; the barrier merge takes each out once, in deterministic
-    /// order, into its target lane.
-    pub events: Vec<Option<(SimTime, Event)>>,
+    /// order; the barrier merge moves them, in deterministic order, into
+    /// their target lanes.
+    pub events: Vec<(SimTime, Event)>,
+    /// Drained run buffers and the rank that sent each run's first
+    /// message: the merge gives each to the lane that rank lives on.
+    pub spent_runs: Vec<(RankId, Vec<RtsMessage>)>,
     /// Every exact count this lane's ranks raised during the epoch.
     pub tallies: Tallies,
     pub done: usize,
@@ -150,6 +154,7 @@ impl Outbox {
     pub fn reset(&mut self) {
         let Outbox {
             events,
+            spent_runs,
             tallies,
             done,
             at_sync,
@@ -160,6 +165,7 @@ impl Outbox {
             last_ran,
         } = self;
         events.clear();
+        spent_runs.clear();
         *tallies = Tallies::default();
         *done = 0;
         *at_sync = 0;
@@ -173,7 +179,9 @@ impl Outbox {
 
 /// One PE's scheduler for the whole run: its state, its ranks, every
 /// future event of the PE, and the outbox for everything that crosses
-/// the barrier.
+/// the barrier. Aligned so that two workers writing neighbouring lanes
+/// never share a cache line (or an adjacent-line prefetch pair).
+#[repr(align(128))]
 pub(crate) struct Lane {
     pub pe: PeId,
     pub state: PeState,
@@ -193,6 +201,8 @@ pub(crate) struct Lane {
     /// deposited when the lane's next round begins.
     pub inbox: Vec<RtsMessage>,
     pub out: Outbox,
+    /// Emptied buffers this lane opens its runs of messages with.
+    pub run_buffers: Vec<Vec<RtsMessage>>,
 }
 
 impl Lane {
@@ -208,6 +218,7 @@ impl Lane {
             stamped_now: SimTime::ZERO,
             inbox: Vec::new(),
             out: Outbox::with_capacity(cap),
+            run_buffers: Vec::new(),
         }
     }
 
@@ -294,24 +305,11 @@ impl ExecCtx<'_> {
         self.shared.trace(self.lane, rank, kind);
     }
 
-    /// Schedule `ev` at `at`: locally when it targets this lane's PE
-    /// inside the current epoch, otherwise via the outbox for the
-    /// barrier merge.
-    pub(crate) fn emit(&mut self, target_pe: PeId, at: SimTime, ev: Event) {
-        let lane = &mut *self.lane;
-        if target_pe == lane.pe && at < lane.bound.0 {
-            let at = at.max_of(lane.queue.now());
-            lane.queue.schedule(at, ev);
-        } else {
-            lane.out.events.push(Some((at, ev)));
-        }
-    }
-
     /// Route a message: in real time, deposit it now when its target
     /// lives on this lane and leave it in the outbox for the barrier to
     /// move into the target's inbox otherwise; in virtual time, as an
     /// event — through the reliable-delivery layer when the network is
-    /// lossy.
+    /// lossy, into a run of same-time messages when it can join one.
     fn route(&mut self, msg: RtsMessage) {
         let shared = self.shared;
         let dest_pe = shared.location.lookup(msg.to);
@@ -327,15 +325,7 @@ impl ExecCtx<'_> {
                     .network
                     .cost(topology, from_pe, dest_pe, msg.wire_bytes());
                 let at = (self.lane.state.clock + cost).max_of(self.lane.queue.now());
-                self.emit(
-                    dest_pe,
-                    at,
-                    Event::Deliver {
-                        msg,
-                        dest_pe,
-                        forwarded: false,
-                    },
-                );
+                self.emit_deliver(dest_pe, at, msg);
             }
         }
     }
@@ -732,38 +722,10 @@ impl ExecCtx<'_> {
         let shared = self.shared;
         match ev {
             Event::Deliver {
-                msg,
+                run,
                 dest_pe,
                 forwarded,
-            } => {
-                let actual_pe = shared.location.lookup(msg.to);
-                debug_assert_eq!(
-                    actual_pe, self.lane.pe,
-                    "Deliver events are partitioned to the target's lane"
-                );
-                if actual_pe != dest_pe && !forwarded {
-                    // stale location: forward one extra hop (the cost is
-                    // charged even though the lane partition already
-                    // brought us to the right PE)
-                    let cost =
-                        shared
-                            .network
-                            .cost(&shared.topology, dest_pe, actual_pe, msg.wire_bytes());
-                    self.emit(
-                        actual_pe,
-                        t + cost,
-                        Event::Deliver {
-                            msg,
-                            dest_pe: actual_pe,
-                            forwarded: true,
-                        },
-                    );
-                } else if let Some(rel) = &shared.reliable {
-                    self.receive_transport(rel, msg, t);
-                } else {
-                    self.deposit(msg);
-                }
-            }
+            } => self.deliver(t, run, dest_pe, forwarded),
             Event::Ack { from, to, seq } => {
                 // Ack events are partitioned to the sender's lane, so a
                 // nonblocking send waiting on this ack completes here.

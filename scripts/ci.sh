@@ -30,7 +30,7 @@ nontest_lines() {
     awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
 }
 
-echo "==> size ratchet (pvr-rts sources before their tests: machine.rs <= 564 lines, driver.rs <= 485, engine_parallel.rs <= 260, worker.rs <= 861, transport.rs <= 342, stats.rs <= 631, command.rs <= 361, any other <= 1300)"
+echo "==> size ratchet (pvr-rts sources before their tests: machine.rs <= 537 lines, driver.rs <= 479, engine_parallel.rs <= 260, worker.rs <= 823, transport.rs <= 335, stats.rs <= 631, command.rs <= 361, event.rs <= 204, any other <= 1300)"
 # `machine.rs` was 2 456 such lines until the barrier's protocols moved
 # out with their state, 1 302 until the guards did, and 1 146 until the
 # event loop did (`driver.rs`; ROADMAP item 3); `driver.rs` took the
@@ -52,14 +52,20 @@ echo "==> size ratchet (pvr-rts sources before their tests: machine.rs <= 564 li
 # `Mutex` in `Shared`, `PairRecv`, `give_up` and the locking call sites
 # went, and what is left of the layer is `transport.rs` (sequence
 # numbers, seals, acks, retransmits, the reorder buffer, the verdict on a
-# spent budget), whose limit is its size. Nothing may quietly grow back.
+# spent budget), whose limit is its size. `machine.rs` was 564,
+# `driver.rs` 485, `worker.rs` 861 and `transport.rs` 342 until the
+# virtual-time events moved to `event.rs` with runs of same-time
+# messages (`Event`, `event_pe`, `emit` and the delivery arm of
+# `exec_event`), and the merge stopped taking events out of `Option`
+# slots. Nothing may quietly grow back.
 for f in crates/rts/src/*.rs; do
     limit=1300
-    [ "$f" = crates/rts/src/machine.rs ] && limit=564
-    [ "$f" = crates/rts/src/driver.rs ] && limit=485
+    [ "$f" = crates/rts/src/machine.rs ] && limit=537
+    [ "$f" = crates/rts/src/driver.rs ] && limit=479
     [ "$f" = crates/rts/src/engine_parallel.rs ] && limit=260
-    [ "$f" = crates/rts/src/worker.rs ] && limit=861
-    [ "$f" = crates/rts/src/transport.rs ] && limit=342
+    [ "$f" = crates/rts/src/worker.rs ] && limit=823
+    [ "$f" = crates/rts/src/transport.rs ] && limit=335
+    [ "$f" = crates/rts/src/event.rs ] && limit=204
     [ "$f" = crates/rts/src/command.rs ] && limit=361
     [ "$f" = crates/rts/src/stats.rs ] && limit=631
     n=$(nontest_lines "$f")
@@ -261,7 +267,9 @@ if [ "$cores" -ge 2 ]; then
     # Each run's whole report is kept, so that a failed attempt can show
     # its `note:` lines (calibration drift, steal share): whether the host
     # was contended while the pair ran. Attempt 2 runs jacobi3d_mt first,
-    # so that a slowdown tied to the order of the pair shows as such.
+    # so that a slowdown tied to the order of the pair shows as such. A
+    # retry waits 30 s first: back to back, one minute of contention on
+    # the host once lost all three pairs that passed minutes later.
     wall_run() {
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
             run --workload "$1" --seconds 6
@@ -270,6 +278,7 @@ if [ "$cores" -ge 2 ]; then
         awk '$1 == "run_wall_s" { for (i = 2; i < NF; i++) if ($i == "median") print $(i + 1) }' <<<"$1"
     }
     for attempt in 1 2 3; do
+        [ "$attempt" -eq 1 ] || sleep 30
         if [ "$attempt" -eq 2 ]; then
             threaded_out=$(wall_run jacobi3d_mt)
             serial_out=$(wall_run jacobi3d)

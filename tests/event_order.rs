@@ -10,12 +10,15 @@
 //! shapes (zero-cost network: one event per epoch; latency: lookahead
 //! windows; one live PE after a failure: unbounded), migration, load
 //! balancing, lossy delivery with retransmission, checkpoint rollback,
-//! and a wildcard receive whose match order depends on cross-PE ties.
+//! a wildcard receive whose match order depends on cross-PE ties, and
+//! `msg_window`'s ring of 64-message windows, whose same-time sends to
+//! one rank are the longest runs of ties the runtime sees.
 //!
 //! On a mismatch the failure message prints the whole table as
 //! computed, in the form of [`PINNED`].
 
 use parking_lot::Mutex;
+use pvr_ampi::p2p::Status;
 use pvr_ampi::{Ampi, COMM_WORLD};
 use pvr_apps::jacobi3d::{self, JacobiConfig};
 use pvr_apps::surge::{self, SurgeConfig};
@@ -26,13 +29,15 @@ use pvr_rts::{ClockMode, MachineBuilder, Parallelism, RankCtx};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// `(configuration, value)`: a run's `sim_digest`, or for a `race` line
-/// ending in `order`, the hash of the arrival order rank 0 saw. Every
-/// line was recorded with one global event queue, except those marked
-/// "new: barrier clamp": runs in which a lane ran its own timers and
-/// acks past the time of an event a barrier then scheduled onto it,
-/// which stopped with "cannot schedule into the past" until such events
-/// were clamped to their lane's queue time.
+/// `(configuration, value)`: a run's `sim_digest`, or for a line ending
+/// in `order`, the hash of the arrival order its ranks saw. Every `jacobi`,
+/// `surge_ft` and `race` line was recorded with one global event queue,
+/// except those marked "new: barrier clamp": runs in which a lane ran its
+/// own timers and acks past the time of an event a barrier then scheduled
+/// onto it, which stopped with "cannot schedule into the past" until such
+/// events were clamped to their lane's queue time. The `window` lines were
+/// recorded with one event per message, before same-time messages for one
+/// rank shared a delivery event.
 ///
 /// A `surge_ft` line holds for one build profile: its incremental
 /// checkpoints diff the ranks' stacks, whose frames the optimizer shapes.
@@ -67,6 +72,14 @@ const PINNED: &[(&str, u64)] = &[
     ("race ideal 4pe serial order", 0x44ab491b01b09825),
     ("race ib 4pe serial", 0x0bce49f88ad3c5fa),
     ("race ib 4pe serial order", 0x72037fd2594bff25),
+    ("window ideal 4pe serial", 0x140d6fb8c538f6fc),
+    ("window ideal 4pe serial order", 0xcafd49757174b7d9),
+    ("window ib 4pe serial", 0xe512e06dc721fa1c),
+    ("window ib 4pe serial order", 0x6553ba692ee2cbd0),
+    ("window lossy 4pe serial", 0x1bfbef6fee70a7f6),
+    ("window lossy 4pe serial order", 0xd737972ae1262c06),
+    ("window ib 4pe lb serial", 0xf614d49e4369cf3b),
+    ("window ib 4pe lb serial order", 0x62ff5ee774bc69b6),
     ("jacobi ideal 2pe threads2", 0xe621f91026a98c58),
     ("jacobi ideal 2pe lb threads2", 0xb3eb80c9bac3fae7),
     ("jacobi ideal 2pe faults threads2", 0x975fe7195236a082),
@@ -97,6 +110,14 @@ const PINNED: &[(&str, u64)] = &[
     ("race ideal 4pe threads2 order", 0x44ab491b01b09825),
     ("race ib 4pe threads2", 0x0bce49f88ad3c5fa),
     ("race ib 4pe threads2 order", 0x72037fd2594bff25),
+    ("window ideal 4pe threads2", 0x140d6fb8c538f6fc),
+    ("window ideal 4pe threads2 order", 0xcafd49757174b7d9),
+    ("window ib 4pe threads2", 0xe512e06dc721fa1c),
+    ("window ib 4pe threads2 order", 0x6553ba692ee2cbd0),
+    ("window lossy 4pe threads2", 0x1bfbef6fee70a7f6),
+    ("window lossy 4pe threads2 order", 0xd737972ae1262c06),
+    ("window ib 4pe lb threads2", 0xf614d49e4369cf3b),
+    ("window ib 4pe lb threads2 order", 0x62ff5ee774bc69b6),
 ];
 
 const PROFILE: &str = if cfg!(debug_assertions) {
@@ -258,6 +279,88 @@ fn race(latency: bool, par: Parallelism) -> (u64, u64) {
     (report.sim_digest(), h)
 }
 
+/// Messages per window and per tail in [`window`].
+const WINDOW: u32 = 64;
+
+/// `msg_window`'s ring on 4 PEs x 2 ranks, so that the hop from an even
+/// rank to its successor stays on its PE. Each of three rounds, every
+/// rank posts 64 wildcard-source receives, sends 64 messages to its
+/// successor back to back and waits for all of them; then it takes the
+/// previous round's tail, computes (the ranks of PEs 0 and 1 four times
+/// longer), sends a tail of 64 more to its successor and reaches a sync
+/// point with that tail in flight — where `lb` lets GreedyRefine move
+/// ranks, so a tail can reach a rank that moved. `net` is `ideal`, `ib`
+/// or `lossy` (the IB network with the lossy plan: reliable delivery).
+/// Returns the digest and a hash of, rank by rank, the virtual time each
+/// window completed at and the (source, tag, payload) of every message
+/// in the order it was received.
+fn window(net: &str, lb: bool, par: Parallelism) -> (u64, u64) {
+    const ROUNDS: u32 = 3;
+    let seen = Arc::new(Mutex::new(vec![FNV_OFFSET; 8]));
+    let order = seen.clone();
+    let body = Arc::new(move |ctx: RankCtx| {
+        let mpi = Ampi::init(ctx);
+        let (me, n) = (mpi.rank(), mpi.size());
+        let succ = (me + 1) % n;
+        let mut h = FNV_OFFSET;
+        fn hash(h: &mut u64, (data, status): &(bytes::Bytes, Status)) {
+            fnv(h, status.source as u64);
+            fnv(h, status.tag as u64);
+            fnv(h, data[0] as u64);
+        }
+        fn tail(mpi: &Ampi, h: &mut u64) {
+            for _ in 0..WINDOW {
+                hash(h, &mpi.recv_bytes(COMM_WORLD, None, Some(1)));
+            }
+        }
+        for round in 0..ROUNDS {
+            let recvs: Vec<_> = (0..WINDOW)
+                .map(|_| mpi.irecv(COMM_WORLD, None, Some(0)))
+                .collect();
+            let sends: Vec<_> = (0..WINDOW)
+                .map(|k| mpi.isend_bytes(COMM_WORLD, succ, 0, bytes::Bytes::from(vec![k as u8])))
+                .collect();
+            let got = mpi.waitall(recvs);
+            mpi.waitall_sends(sends);
+            fnv(&mut h, mpi.wtime().to_bits());
+            for m in &got {
+                hash(&mut h, m);
+            }
+            if round > 0 {
+                tail(&mpi, &mut h);
+            }
+            let heavy = if me < 4 { 4 } else { 1 };
+            mpi.compute(SimDuration::from_nanos(500 * heavy));
+            for k in 0..WINDOW {
+                mpi.send_bytes(COMM_WORLD, succ, 1, bytes::Bytes::from(vec![k as u8]));
+            }
+            mpi.migrate();
+        }
+        tail(&mpi, &mut h);
+        seen.lock()[me] = h;
+    });
+    let mut b = MachineBuilder::new(jacobi3d::binary())
+        .method(Method::TlsGlobals)
+        .clock(ClockMode::Virtual)
+        .parallelism(par)
+        .topology(Topology::non_smp(4))
+        .vp_ratio(2)
+        .network(match net {
+            "ideal" => NetworkModel::ideal(),
+            "ib" => NetworkModel::infiniband(),
+            _ => NetworkModel::infiniband().with_faults(lossy_plan(7)),
+        });
+    if lb {
+        b = b.balancer(Box::new(GreedyRefineLb::default()));
+    }
+    let report = b.build(body).unwrap().run().unwrap();
+    let mut h = FNV_OFFSET;
+    for &r in order.lock().iter() {
+        fnv(&mut h, r);
+    }
+    (report.sim_digest(), h)
+}
+
 /// Every line of the matrix, as computed by this build.
 fn computed() -> Vec<(String, u64)> {
     let mut lines = Vec::new();
@@ -284,6 +387,17 @@ fn computed() -> Vec<(String, u64)> {
             let (digest, order) = race(latency, par);
             lines.push((format!("race {net} 4pe {engine}"), digest));
             lines.push((format!("race {net} 4pe {engine} order"), order));
+        }
+        for (net, lb) in [
+            ("ideal", false),
+            ("ib", false),
+            ("lossy", false),
+            ("ib", true),
+        ] {
+            let name = format!("window {net} 4pe{} {engine}", if lb { " lb" } else { "" });
+            let (digest, order) = window(net, lb, par);
+            lines.push((name.clone(), digest));
+            lines.push((format!("{name} order"), order));
         }
     }
     lines

@@ -5,9 +5,11 @@
 //! between two PEs in virtual time: after a warm-up, 100 and then 1000
 //! further round trips — each a send, a delivery, a wake and a few
 //! epochs and barrier merges — must not allocate at all, under `Serial`
-//! and under `Threads(2)`. A COWglobals rank's first write to a shared
-//! page (a simulated fault) and 1000 warm writes after it must not
-//! allocate either.
+//! and under `Threads(2)`. Nor must 100 and 1000 rounds of a windowed
+//! stream, in which one rank sends 64 32-byte messages back to back —
+//! one virtual time, one destination — and the other answers with one
+//! ack. A COWglobals rank's first write to a shared page (a simulated
+//! fault) and 1000 warm writes after it must not allocate either.
 //!
 //! One `#[test]` only: the allocator counts every thread of the process,
 //! so no other test may run beside it.
@@ -53,21 +55,25 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 const WARM_UP: usize = 50;
-/// Round trips after which rank 0 reads the counter: the end of the
-/// warm-up, then 100 and 1000 trips later.
+/// Rounds after which rank 0 reads the counter: the end of the warm-up,
+/// then 100 and 1000 rounds later.
 const MARKS: [usize; 3] = [WARM_UP, WARM_UP + 100, WARM_UP + 100 + 1000];
+/// Messages rank 0 sends back to back per round of the windowed stream.
+const WINDOW: usize = 64;
 
-/// Allocations over the 100 and over the 1000 round trips.
-fn ping_pong(par: Parallelism) -> [u64; 2] {
+/// Allocations over the 100 and over the 1000 rounds in which rank 0
+/// sends `burst` 32-byte messages to rank 1, on the other PE, and waits
+/// for one answer: with `burst` 1 a ping-pong, with more a stream.
+fn rounds(par: Parallelism, burst: usize) -> [u64; 2] {
     let marks = Arc::new(Mutex::new([0u64; 3]));
     let seen = marks.clone();
     let body = Arc::new(move |ctx: RankCtx| {
         let mpi = Ampi::init(ctx);
-        let trips = MARKS[2];
+        let rounds = MARKS[2];
         if mpi.rank() == 0 {
             let mut at = [0u64; 3];
             let mut next = 0;
-            for k in 0..=trips {
+            for k in 0..=rounds {
                 if k == MARKS[next] {
                     at[next] = ALLOCS.load(Relaxed);
                     next += 1;
@@ -75,14 +81,20 @@ fn ping_pong(par: Parallelism) -> [u64; 2] {
                         break;
                     }
                 }
-                mpi.send_bytes(COMM_WORLD, 1, 3, bytes::Bytes::copy_from_slice(&[7u8; 32]));
+                for _ in 0..burst {
+                    let data = bytes::Bytes::copy_from_slice(&[7u8; 32]);
+                    mpi.send_bytes(COMM_WORLD, 1, 3, data);
+                }
                 mpi.recv_bytes(COMM_WORLD, Some(1), Some(3));
             }
             *seen.lock() = at;
         } else {
-            for _ in 0..trips {
-                let (data, _) = mpi.recv_bytes(COMM_WORLD, Some(0), Some(3));
-                mpi.send_bytes(COMM_WORLD, 0, 3, data);
+            for _ in 0..rounds {
+                let mut last = bytes::Bytes::new();
+                for _ in 0..burst {
+                    last = mpi.recv_bytes(COMM_WORLD, Some(0), Some(3)).0;
+                }
+                mpi.send_bytes(COMM_WORLD, 0, 3, last);
             }
         }
     });
@@ -133,11 +145,15 @@ fn steady_state_ping_pong_allocates_nothing() {
         "allocations by a cold and by 1000 warm COW writes"
     );
     for par in [Parallelism::Serial, Parallelism::Threads(2)] {
-        let [hundred, thousand] = ping_pong(par);
         assert_eq!(
-            (hundred, thousand),
-            (0, 0),
+            rounds(par, 1),
+            [0, 0],
             "{par:?}: allocations over 100 and over 1000 round trips"
+        );
+        assert_eq!(
+            rounds(par, WINDOW),
+            [0, 0],
+            "{par:?}: allocations over 100 and over 1000 rounds of {WINDOW} sends and an ack"
         );
     }
 }
